@@ -1,25 +1,41 @@
 """Airy functions Ai, Bi and their derivatives for real arguments.
 
-Three regimes:
+One evaluation core serves Python floats (`airy`, `airy_all`, `wronskian`)
+and numpy arrays (`airy_array`).  Each regime's arithmetic is written once
+and runs on either: a small table of operations (`math` functions for
+floats, numpy ufuncs for arrays) supplies sqrt, exp, cos, sin and
+selection, so a float never pays numpy's per-call overhead.
 
-* |x| <= 8.25: the two Maclaurin series, summed in fixed-point big-integer
-  arithmetic (256 fractional bits) with the input taken as an exact rational.
-  This sidesteps the catastrophic cancellation that makes double-precision
-  series summation lose ~12 digits for Ai near +8.
-* x > 8.25: the standard monotone asymptotic expansions in zeta = (2/3)x^1.5
-  (no cancellation: the Ai series alternates, the Bi series is positive).
-* x < -8.25: Taylor propagation of the Airy ODE w'' = x w from the series
-  value at -8, stepping leftwards.  The oscillatory regime is numerically
-  stable, so fixed 25-term Taylor steps of length 1/2 keep ~1e-15 accuracy.
+* |x| <= 8.25: a 16-term Taylor expansion of w'' = x w about the nearest
+  anchor on the grid k/8.  Each anchor's (Ai, Ai', Bi, Bi') is the sum of
+  the two Maclaurin series in fixed-point big-integer arithmetic (256
+  fractional bits) with the anchor taken as an exact rational.  This
+  sidesteps the cancellation that makes double-precision series summation
+  lose ~12 digits for Ai near +8.  Anchors are built on first use and kept;
+  importing the package builds none.
+* x > 8.25: the monotone asymptotic expansions in zeta = (2/3) x^(3/2)
+  (DLMF 9.7.5-9.7.8), truncated at the smallest term of the cut: error
+  about exp(-2 zeta), ~2e-14 at the cut.
+* LEFT_CUT <= x < -8.25: the modulus-phase expansions in the same zeta
+  (DLMF 9.7.9-9.7.12), truncated the same way: error ~2e-14 of the modulus
+  at the cut.
 
-Bi overflows double precision near x = 104; this is reported explicitly.
+zeta itself is rounded to ~1.5 ulp.  exp(+-zeta) turns that into a relative
+error of ~2e-16 zeta on the right, and the phase zeta - pi/4 into an error
+of ~2e-16 zeta of the modulus on the left: ~2e-12 at x = -1000 and 1.3e-9
+at LEFT_CUT = -1e5.  Arguments below LEFT_CUT, where it would pass 1e-8,
+raise ValueError.  Bi overflows double precision near x = 104.  Past
+x = 103 it is +inf in `airy_all`; `airy` and `airy_array` raise
+AiryOverflowError instead.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
+from types import SimpleNamespace
+
+import numpy as np
 
 _BITS = 256
 _SCALE = 1 << _BITS
@@ -42,11 +58,20 @@ _BIP0_FIX = int(_BIP0 * _SCALE)
 
 _SERIES_CUT = 8.25
 _BI_OVERFLOW = 103.0
+LEFT_CUT = -1.0e5
+
+_ANCHORS_PER_UNIT = 8           # anchors at k/8, so |h| <= 1/16
+_ANCHOR_MAX = 66                # 66/8 = 8.25
+_TAYLOR_TERMS = 16
+_ASYM_TINY = 1e-17
+_ALL = (0, 1, 2, 3)
 
 
 class AiryOverflowError(OverflowError):
     pass
 
+
+# --- exact series (anchors) ----------------------------------------------------
 
 def _fixed_series(xf: Fraction):
     """(f, g, f', g') of the two Airy basis series at xf, as fixed-point ints.
@@ -103,122 +128,258 @@ def _series_quad(x: float):
     return ai / s, aip / s, bi / s, bip / s
 
 
-def _asym_sums(zeta: float, alternate: bool):
-    """(sum u_k zeta^-k, sum v_k zeta^-k), signs alternating if requested.
+# anchor k -> Taylor coefficients of (Ai, Ai', Bi, Bi') about k/8, as tuples
+# for floats; the array path reads the same numbers from _TABLE[:, :, k + _ANCHOR_MAX]
+_ANCHORS = {}
+_TABLE = np.zeros((4, _TAYLOR_TERMS, 2 * _ANCHOR_MAX + 1))
 
-    Terms are added while they shrink; the expansion is truncated at its
-    smallest term, which bounds the error for these asymptotic series.
+
+def _taylor_coefficients(x0, w, wp):
+    """Coefficients of w(x0 + h) and w'(x0 + h) in powers of h.
+
+    (n+2)(n+1) c_{n+2} = x0 c_n + c_{n-1} follows from w'' = x w.
     """
-    u = 1.0
-    su = 1.0
-    sv = 1.0
+    c = [w, wp]
+    for n in range(_TAYLOR_TERMS - 1):
+        prev = c[n - 1] if n >= 1 else 0.0
+        c.append((x0 * c[n] + prev) / ((n + 2) * (n + 1)))
+    return c[:_TAYLOR_TERMS], [(n + 1) * c[n + 1] for n in range(_TAYLOR_TERMS)]
+
+
+def _anchor(k):
+    """Taylor coefficients about the anchor k/8, built once from the series."""
+    coefs = _ANCHORS.get(k)
+    if coefs is None:
+        x0 = k / _ANCHORS_PER_UNIT
+        ai, aip, bi, bip = _series_quad(x0)
+        coefs = (_taylor_coefficients(x0, ai, aip)
+                 + _taylor_coefficients(x0, bi, bip))
+        _TABLE[:, :, k + _ANCHOR_MAX] = coefs
+        coefs = _ANCHORS[k] = tuple(tuple(c) for c in coefs)
+    return coefs
+
+
+def _anchor_rows(k):
+    """Coefficients for an array of anchor indices, shape (4, terms, len(k))."""
+    for kk in np.unique(k).tolist():
+        if kk not in _ANCHORS:
+            _anchor(kk)
+    return _TABLE[:, :, k + _ANCHOR_MAX]
+
+
+# --- one evaluation core for floats and arrays ---------------------------------
+
+_FLOAT = SimpleNamespace(
+    exp=math.exp, sqrt=math.sqrt, cos=math.cos, sin=math.sin,
+    nearest=round, coefficients=_anchor,
+    least=lambda v: v, clip=min,
+    where=lambda cond, a, b: a if cond else b,
+)
+_ARRAY = SimpleNamespace(
+    exp=np.exp, sqrt=np.sqrt, cos=np.cos, sin=np.sin,
+    nearest=lambda v: np.rint(v).astype(np.intp), coefficients=_anchor_rows,
+    least=np.min, clip=np.minimum,
+    where=np.where,
+)
+_SQRT_PI = math.sqrt(math.pi)
+_HALF_SQRT2 = math.sqrt(0.5)
+_ZETA_BI_MAX = (2.0 / 3.0) * _BI_OVERFLOW ** 1.5
+
+
+def _taylor(x, comps, ops):
+    """Requested components at |x| <= 8.25, from the nearest anchor."""
+    k = ops.nearest(x * _ANCHORS_PER_UNIT)
+    h = x - k / _ANCHORS_PER_UNIT
+    coefs = ops.coefficients(k)
+    out = []
+    for comp in comps:
+        c = coefs[comp]
+        acc = c[_TAYLOR_TERMS - 1]
+        for n in range(_TAYLOR_TERMS - 2, -1, -1):
+            acc = acc * h + c[n]
+        out.append(acc)
+    return out
+
+
+def _asym_coefficients(zeta_cut):
+    """u_k of DLMF 9.7.2 and v_k / u_k, up to the smallest term at zeta_cut.
+
+    For every zeta >= zeta_cut the terms u_k zeta^-k shrink up to that
+    index, so summing this many truncates the cut at its smallest term and
+    every larger zeta earlier than its own, with a smaller first omitted
+    term.  The count never depends on the batch, so a float and an array
+    element get the same sum.
+    """
+    u = [1.0]
     k = 1
-    prev = abs(u)
-    while k < 60:
-        u = u * (6 * k - 5) * (6 * k - 1) / (72.0 * k)
-        term = u / zeta ** k
-        if abs(term) >= prev:
+    while True:
+        nxt = u[-1] * (6 * k - 5) * (6 * k - 1) / (72.0 * k)
+        if nxt >= u[-1] * zeta_cut:     # term k would not be smaller
             break
-        prev = abs(term)
-        sgn = -1.0 if (alternate and k % 2 == 1) else 1.0
-        su += sgn * term
-        sv += sgn * term * (6 * k + 1) / (1 - 6 * k)
+        u.append(nxt)
         k += 1
+    return u, [(6 * k + 1) / (1.0 - 6 * k) for k in range(len(u))]
+
+
+_U, _V_OVER_U = _asym_coefficients((2.0 / 3.0) * _SERIES_CUT ** 1.5)
+
+
+def _asym_sums(zeta, ops):
+    """Sums of u_k zeta^-k and v_k zeta^-k, split by k mod 4.
+
+    Returns (U, V) with U[j] = sum over k = j (mod 4) of u_k zeta^-k.  The
+    sums stop early once the terms at the least zeta of the batch fall
+    below 1e-17, which changes no sum by more than that.
+    """
+    su = [1.0, 0.0, 0.0, 0.0]
+    sv = [1.0, 0.0, 0.0, 0.0]
+    inv_least = 1.0 / ops.least(zeta)
+    inv = 1.0 / zeta
+    power = 1.0
+    for k in range(1, len(_U)):
+        if _U[k] * inv_least ** k < _ASYM_TINY:
+            break
+        power = power * inv
+        term = _U[k] * power
+        su[k & 3] = su[k & 3] + term
+        sv[k & 3] = sv[k & 3] + term * _V_OVER_U[k]
     return su, sv
+
+
+def _monotone(x, comps, ops):
+    """(Ai, Ai', Bi, Bi') components for x > 8.25 (DLMF 9.7.5-9.7.8)."""
+    root = ops.sqrt(x)
+    zeta = (2.0 / 3.0) * (x * root)
+    su, sv = _asym_sums(zeta, ops)
+    q = ops.sqrt(root)
+    decay = ops.exp(-zeta)
+    growth = ops.exp(ops.clip(zeta, _ZETA_BI_MAX))
+    beyond = x > _BI_OVERFLOW
+    vals = (
+        decay / (2.0 * _SQRT_PI * q) * (su[0] - su[1] + su[2] - su[3]),
+        -q * decay / (2.0 * _SQRT_PI) * (sv[0] - sv[1] + sv[2] - sv[3]),
+        ops.where(beyond, math.inf,
+                  growth / (_SQRT_PI * q) * (su[0] + su[1] + su[2] + su[3])),
+        ops.where(beyond, math.inf,
+                  q * growth / _SQRT_PI * (sv[0] + sv[1] + sv[2] + sv[3])),
+    )
+    return [vals[c] for c in comps]
+
+
+def _oscillatory(x, comps, ops):
+    """(Ai, Ai', Bi, Bi') components for x < -8.25 (DLMF 9.7.9-9.7.12).
+
+    With z = -x the four functions are cos/sin of zeta - pi/4 times sums of
+    the even and odd terms; cos(zeta - pi/4) and sin(zeta - pi/4) are formed
+    from cos and sin of zeta so that pi/4 adds no rounding to the phase.
+    """
+    z = -x
+    root = ops.sqrt(z)
+    zeta = (2.0 / 3.0) * (z * root)
+    su, sv = _asym_sums(zeta, ops)
+    cz = ops.cos(zeta)
+    sz = ops.sin(zeta)
+    cp = (cz + sz) * _HALF_SQRT2
+    sp = (sz - cz) * _HALF_SQRT2
+    ue, uo = su[0] - su[2], su[1] - su[3]
+    ve, vo = sv[0] - sv[2], sv[1] - sv[3]
+    q = ops.sqrt(root)
+    small = 1.0 / (_SQRT_PI * q)
+    large = q / _SQRT_PI
+    vals = (
+        small * (cp * ue + sp * uo),
+        large * (sp * ve - cp * vo),
+        small * (cp * uo - sp * ue),
+        large * (cp * ve + sp * vo),
+    )
+    return [vals[c] for c in comps]
+
+
+def _eval_float(x, comps):
+    if not math.isfinite(x):
+        raise ValueError(f"Airy argument must be finite, got {x!r}")
+    if x < LEFT_CUT:
+        raise ValueError(f"Airy argument {x!r} is below the left cut {LEFT_CUT}")
+    if -_SERIES_CUT <= x <= _SERIES_CUT:
+        return _taylor(x, comps, _FLOAT)
+    if x > 0:
+        return _monotone(x, comps, _FLOAT)
+    return _oscillatory(x, comps, _FLOAT)
 
 
 def _monotone_quad(x: float):
     """Asymptotic (Ai, Ai', Bi, Bi') for large positive x."""
-    zeta = (2.0 / 3.0) * x ** 1.5
-    su_a, sv_a = _asym_sums(zeta, alternate=True)
-    su_b, sv_b = _asym_sums(zeta, alternate=False)
-    root = math.sqrt(math.pi)
-    q = x ** 0.25
-    ai = math.exp(-zeta) / (2.0 * root * q) * su_a
-    aip = -q * math.exp(-zeta) / (2.0 * root) * sv_a
-    if x > _BI_OVERFLOW:
-        bi = bip = math.inf
-    else:
-        bi = math.exp(zeta) / (root * q) * su_b
-        bip = q * math.exp(zeta) / root * sv_b
-    return ai, aip, bi, bip
+    return tuple(_monotone(x, _ALL, _FLOAT))
 
 
-_TAYLOR_TERMS = 25
-_TAYLOR_STEP = 0.5
-
-
-@functools.lru_cache(maxsize=4096)
 def _oscillatory_quad(x: float):
-    """(Ai, Ai', Bi, Bi') for x < -8.25 by Taylor-stepping w'' = x w.
-
-    Starting data comes from the exact series at -8; the oscillatory
-    direction has no exponential dichotomy, so the propagation is stable.
-    """
-    x0 = -8.0
-    ai, aip, bi, bip = _series_quad(x0)
-    target = x
-
-    def step(w, wp, x0, h):
-        # Taylor coefficients: (n+2)(n+1) a_{n+2} = x0 a_n + a_{n-1}
-        a = [w, wp]
-        for n in range(_TAYLOR_TERMS - 2):
-            prev = a[n - 1] if n >= 1 else 0.0
-            a.append((x0 * a[n] + prev) / ((n + 2) * (n + 1)))
-        val = 0.0
-        dval = 0.0
-        for n in range(len(a) - 1, -1, -1):
-            val = val * h + a[n]
-        for n in range(len(a) - 1, 0, -1):
-            dval = dval * h + n * a[n]
-        return val, dval
-
-    pos = x0
-    while pos > target + 1e-15:
-        h = -min(_TAYLOR_STEP, pos - target)
-        ai, aip = step(ai, aip, pos, h)
-        bi, bip = step(bi, bip, pos, h)
-        pos += h
-    return ai, aip, bi, bip
-
-
-@functools.lru_cache(maxsize=65536)
-def _airy_quad(x: float):
-    if x != x:
-        raise ValueError("Airy argument is NaN")
-    if abs(x) <= _SERIES_CUT:
-        return _series_quad(x)
-    if x > 0:
-        return _monotone_quad(x)
-    return _oscillatory_quad(round(x, 14))
+    """Asymptotic (Ai, Ai', Bi, Bi') for large negative x."""
+    return tuple(_oscillatory(x, _ALL, _FLOAT))
 
 
 _KIND_INDEX = {"Ai": 0, "AiPrime": 1, "Bi": 2, "BiPrime": 3}
 
 
+def _kind_index(kind):
+    if kind not in _KIND_INDEX:
+        raise ValueError(f"unknown Airy kind {kind!r}")
+    return _KIND_INDEX[kind]
+
+
 def airy(kind: str, x) -> float:
     """Airy value for kind in {Ai, AiPrime, Bi, BiPrime} at real x.
 
-    Accuracy: ~1e-15 relative in the series region, better than 1e-10
-    relative for 8 < |x| <= 30.  Bi and BiPrime overflow doubles near
-    x = 104 and raise AiryOverflowError there.
+    Accuracy against 30-digit mpmath: ~2e-16 relative for |x| <= 8.25,
+    ~4e-14 relative for 8.25 < x <= 30 and ~1.2e-13 up to x = 100.  For
+    x < -8.25 the error is relative to the modulus (sqrt(Ai^2 + Bi^2), or
+    the same of the derivatives): ~2e-14 near the cut, then ~2e-16 zeta
+    with zeta = (2/3)|x|^1.5, which is ~2e-12 at x = -1000 and 1.3e-9 at
+    LEFT_CUT = -1e5.  Arguments below LEFT_CUT, NaN and inf raise
+    ValueError.  Bi and BiPrime overflow doubles near x = 104 and raise
+    AiryOverflowError past x = 103.
     """
-    if kind not in _KIND_INDEX:
-        raise ValueError(f"unknown Airy kind {kind!r}")
+    comp = _kind_index(kind)
     xf = float(x)
-    if not math.isfinite(xf):
-        raise ValueError(f"Airy argument must be finite, got {x!r}")
-    if kind in ("Bi", "BiPrime") and xf > _BI_OVERFLOW:
+    if comp >= 2 and xf > _BI_OVERFLOW:
         raise AiryOverflowError(f"Bi overflows double precision at x = {xf}")
-    return _airy_quad(xf)[_KIND_INDEX[kind]]
+    return _eval_float(xf, (comp,))[0]
 
 
 def airy_all(x):
     """(Ai, Ai', Bi, Bi') at x; Bi entries are +inf past the overflow cut."""
-    return _airy_quad(float(x))
+    return tuple(_eval_float(float(x), _ALL))
 
 
 def wronskian(x) -> float:
     """Ai(x) Bi'(x) - Ai'(x) Bi(x); identically 1/pi for the true functions."""
-    ai, aip, bi, bip = _airy_quad(float(x))
+    ai, aip, bi, bip = _eval_float(float(x), _ALL)
     return ai * bip - aip * bi
+
+
+def airy_array(kind: str, x) -> np.ndarray:
+    """`airy(kind, .)` over an array: same values, same domain and errors.
+
+    Each regime runs once on all of its points, so a whole quadrature row
+    costs a few numpy passes instead of one Python call per node.
+    """
+    comp = _kind_index(kind)
+    xa = np.asarray(x, dtype=float)
+    flat = xa.ravel()
+    if not np.all(np.isfinite(flat)):
+        raise ValueError("Airy arguments must be finite")
+    if flat.size and flat.min() < LEFT_CUT:
+        raise ValueError(f"Airy argument {flat.min()!r} is below the left cut "
+                         f"{LEFT_CUT}")
+    if comp >= 2 and flat.size and flat.max() > _BI_OVERFLOW:
+        raise AiryOverflowError(
+            f"Bi overflows double precision at x = {flat.max()}")
+    out = np.empty_like(flat)
+    series = np.abs(flat) <= _SERIES_CUT
+    for mask, regime in ((series, _taylor), (~series & (flat > 0), _monotone),
+                         (flat < -_SERIES_CUT, _oscillatory)):
+        if mask.all():
+            out = regime(flat, (comp,), _ARRAY)[0]
+            break
+        if mask.any():
+            out[mask] = regime(flat[mask], (comp,), _ARRAY)[0]
+    return out.reshape(xa.shape)

@@ -27,20 +27,6 @@ class InconclusiveComparisonError(RuntimeError):
     pass
 
 
-def _multi_indices(nvars, max_order=2):
-    out = []
-    for total in range(max_order + 1):
-        def rec(prefix, remaining, slots):
-            if slots == 0:
-                if remaining == 0:
-                    out.append(tuple(prefix))
-                return
-            for k in range(remaining + 1):
-                rec(prefix + [k], remaining - k, slots - 1)
-        rec([], total, nvars)
-    return out
-
-
 @dataclass(frozen=True)
 class DiffOp:
     variables: tuple

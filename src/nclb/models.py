@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import expr as ex
-from .airyfun import AiryOverflowError, airy
+from .airyfun import AiryOverflowError, airy, airy_array
 from .algebra import (LieAlgebra, Subspace, g47_algebra, heisenberg_algebra,
                       jacobi_defect)
 from .bilinear import BilinearForm, CoisotropyError, coisotropy_check, laplacian_data
@@ -682,6 +682,21 @@ def mode_solution_h3(mu, nu, energy, kind="Ai") -> Expr:
     return simplify(Exp(I * mu * x2 + I * nu * x3) * ex.Airy(kind, arg))
 
 
+def _worst(values, floor=0.0):
+    """max(floor, *values), or NaN as soon as one value is NaN or infinite.
+
+    Plain max() drops a NaN anywhere but in first place, so a check fed
+    non-finite numbers could pass; here they make the figure non-finite and
+    any `<= tol` gate on it fail.
+    """
+    worst = floor
+    for v in values:
+        if not math.isfinite(v):
+            return math.nan
+        worst = max(worst, v)
+    return worst
+
+
 @dataclass(frozen=True)
 class PdeResidualReport:
     max_residual: float
@@ -698,6 +713,8 @@ def pde_residual(model, psi: Expr, energy, samples, fd_points=10,
     Also cross-checks a 4th-order finite-difference application of Delta
     against the symbolic value at a few points; disagreement there means the
     symbolic derivative path and the numeric stencil path drifted apart.
+    A NaN or inf value of psi, the residual or a stencil makes the figure it
+    enters NaN, so no tolerance gate on it passes.
     """
     delta = laplace_operator(model)
     energy_e = ex.as_expr(energy)
@@ -719,21 +736,22 @@ def pde_residual(model, psi: Expr, energy, samples, fd_points=10,
             skipped += 1
     if not entries:
         raise ReductionInconclusive("all samples failed to evaluate")
-    scale = max(floor, max(p for _, p in entries))
-    max_residual = max(r for r, _ in entries) / scale
+    max_residual = (_worst(r for r, _ in entries)
+                    / _worst((p for _, p in entries), floor))
 
     coeff_fns = {idx: ex.compile_expr(c, names)
                  for idx, c in delta.coefficients.items()}
     sym_delta = simplify(apply(delta, psi))
     f_sym = ex.compile_expr(sym_delta, names)
-    fd_dev = 0.0
+    fd_devs = []
     for pt in list(samples)[:fd_points]:
         try:
             fd_val = fd_apply(coeff_fns, lambda p: f_psi(*p), pt, fd_step)
             sym_val = f_sym(*pt)
         except (ex.DomainError, AiryOverflowError):
             continue
-        fd_dev = max(fd_dev, abs(fd_val - sym_val) / max(1.0, abs(sym_val)))
+        fd_devs.append(abs(fd_val - sym_val) / max(1.0, abs(sym_val)))
+    fd_dev = _worst(fd_devs)
     return PdeResidualReport(
         max_residual=max_residual, symbolic_zero=symbolic_zero,
         fd_cross_deviation=fd_dev, samples_used=len(entries),
@@ -757,9 +775,39 @@ class QuadSpec2D:
     max_doublings: int = 3
 
 
-def _airy_vals(arg_array):
-    flat = [airy("Ai", float(v)) for v in np.ravel(arg_array)]
-    return np.array(flat).reshape(np.shape(arg_array))
+class _GftGrid:
+    """The inverse-GFT quadrature at one node count: nodes, weighted
+    prefactor and Airy rows, shared by `inverse_gft_h3` and its evaluator.
+
+    base = w phi_hat(k, J) (2 J^2)^(1/3) / (2 pi)^2 on the tensor
+    Gauss-Legendre grid of the (k, J) box; a row is base times Ai of the
+    kernel argument at one x1.
+    """
+
+    def __init__(self, phi_hat, energy, box, n):
+        (k_lo, k_hi), (j_lo, j_hi) = box
+        if j_lo <= 0.0 <= j_hi:
+            raise SingularMeasureError("spectral support must exclude J = 0")
+        self.e_val = float(energy)
+        k, wk = gl_nodes(n, float(k_lo), float(k_hi))
+        j, wj = gl_nodes(n, float(j_lo), float(j_hi))
+        self.kg, self.jg = np.meshgrid(k, j, indexing="ij")
+        amp = np.asarray(phi_hat(self.kg, self.jg), dtype=complex)
+        self.two_j2 = 2.0 * self.jg * self.jg
+        self.kj2 = 2.0 * self.kg * self.jg
+        self.scale = self.two_j2 ** (2.0 / 3.0)
+        self.base = (np.outer(wk, wj) * amp * self.two_j2 ** (1.0 / 3.0)
+                     / (2.0 * np.pi) ** 2)
+
+    def rows(self, x1s):
+        """base * Ai((2 J^2 x1 + 2 k J + E)/(2 J^2)^(2/3)) for each x1, from
+        one `airy_array` call; shape (len(x1s), n, n)."""
+        x1 = np.asarray(x1s, dtype=float).reshape(-1, 1, 1)
+        arg = (self.two_j2 * x1 + self.kj2 + self.e_val) / self.scale
+        return self.base * airy_array("Ai", arg)
+
+    def value(self, row, x2, x3):
+        return np.sum(row * np.exp(1j * (self.kg * x2 + self.jg * x3)))
 
 
 def inverse_gft_h3(phi_hat, energy, x_points, quad_spec: QuadSpec2D):
@@ -772,30 +820,14 @@ def inverse_gft_h3(phi_hat, energy, x_points, quad_spec: QuadSpec2D):
     which must stay away from J = 0.  With quad_spec.tol set, node counts
     double until the values settle.  Returns a complex array over x_points.
     """
-    (k_lo, k_hi), (j_lo, j_hi) = quad_spec.box
-    if j_lo <= 0.0 <= j_hi:
-        raise SingularMeasureError("spectral support must exclude J = 0")
-    e_val = float(energy)
     xs = [tuple(float(c) for c in p) for p in x_points]
+    x1s = sorted({p[0] for p in xs})
 
     def compute(n):
-        k, wk = gl_nodes(n, float(k_lo), float(k_hi))
-        j, wj = gl_nodes(n, float(j_lo), float(j_hi))
-        kg, jg = np.meshgrid(k, j, indexing="ij")
-        wg = np.outer(wk, wj)
-        amp = np.asarray(phi_hat(kg, jg), dtype=complex)
-        two_j2 = 2.0 * jg * jg
-        pref = two_j2 ** (1.0 / 3.0) / (2.0 * np.pi) ** 2
-        base = wg * amp * pref
-        out = np.empty(len(xs), dtype=complex)
-        airy_cache = {}
-        for i, (x1, x2, x3) in enumerate(xs):
-            if x1 not in airy_cache:
-                arg = (two_j2 * x1 + 2.0 * kg * jg + e_val) / two_j2 ** (2.0 / 3.0)
-                airy_cache[x1] = _airy_vals(arg)
-            phase = np.exp(1j * (kg * x2 + jg * x3))
-            out[i] = np.sum(base * airy_cache[x1] * phase)
-        return out
+        grid = _GftGrid(phi_hat, energy, quad_spec.box, n)
+        rows = dict(zip(x1s, grid.rows(x1s)))
+        return np.array([grid.value(rows[x1], x2, x3) for x1, x2, x3 in xs],
+                        dtype=complex)
 
     vals = compute(quad_spec.n)
     if quad_spec.tol is not None:
@@ -819,25 +851,14 @@ def inverse_gft_h3_evaluator(phi_hat, energy, quad_spec: QuadSpec2D):
     via an internal cache, so stencil clouds cost little beyond the first
     evaluation at each x1.
     """
-    (k_lo, k_hi), (j_lo, j_hi) = quad_spec.box
-    if j_lo <= 0.0 <= j_hi:
-        raise SingularMeasureError("spectral support must exclude J = 0")
-    e_val = float(energy)
-    k, wk = gl_nodes(quad_spec.n, float(k_lo), float(k_hi))
-    j, wj = gl_nodes(quad_spec.n, float(j_lo), float(j_hi))
-    kg, jg = np.meshgrid(k, j, indexing="ij")
-    wg = np.outer(wk, wj)
-    amp = np.asarray(phi_hat(kg, jg), dtype=complex)
-    two_j2 = 2.0 * jg * jg
-    base = wg * amp * two_j2 ** (1.0 / 3.0) / (2.0 * np.pi) ** 2
+    grid = _GftGrid(phi_hat, energy, quad_spec.box, quad_spec.n)
     cache = {}
 
     def psi(point):
         x1, x2, x3 = (float(c) for c in point)
         if x1 not in cache:
-            arg = (two_j2 * x1 + 2.0 * kg * jg + e_val) / two_j2 ** (2.0 / 3.0)
-            cache[x1] = base * _airy_vals(arg)
-        return complex(np.sum(cache[x1] * np.exp(1j * (kg * x2 + jg * x3))))
+            cache[x1] = grid.rows([x1])[0]
+        return complex(grid.value(cache[x1], x2, x3))
 
     return psi
 
@@ -848,6 +869,7 @@ def pde_residual_field(model, psi, energy, samples, fd_step=0.05, floor=1e-12):
     psi is a callable on coordinate tuples; the Laplacian is applied through
     4th-order stencils, so the reported residual carries the O(h^4)
     truncation of smooth fields on top of any model error.
+    A NaN or inf value of psi or a stencil makes max_residual NaN.
     """
     delta = laplace_operator(model)
     names = list(model.x_vars)
@@ -865,9 +887,9 @@ def pde_residual_field(model, psi, energy, samples, fd_step=0.05, floor=1e-12):
             skipped += 1
     if not entries:
         raise ReductionInconclusive("all samples failed to evaluate")
-    scale = max(floor, max(p for _, p in entries))
     return PdeResidualReport(
-        max_residual=max(r for r, _ in entries) / scale,
+        max_residual=(_worst(r for r, _ in entries)
+                      / _worst((p for _, p in entries), floor)),
         symbolic_zero=False,
         fd_cross_deviation=0.0,
         samples_used=len(entries),

@@ -46,32 +46,6 @@ def integrate_1d(f, lo, hi, n=32, tol=None, max_doublings=6):
     raise QuadratureError(f"1d quadrature did not settle below {tol} by n={n}")
 
 
-def integrate_2d(f, box, n=24, tol=None, max_doublings=5):
-    """Tensor GL integration of f(X, Y) over box = ((x0,x1),(y0,y1)).
-
-    f must accept meshgrid arrays.  Returns (value, n_used_per_axis).
-    """
-    (x0, x1), (y0, y1) = box
-
-    def once(m):
-        x, wx = gl_nodes(m, float(x0), float(x1))
-        y, wy = gl_nodes(m, float(y0), float(y1))
-        gx, gy = np.meshgrid(x, y, indexing="ij")
-        vals = f(gx, gy)
-        return np.einsum("i,j,ij->", wx, wy, vals)
-
-    val = once(n)
-    if tol is None:
-        return val, n
-    for _ in range(max_doublings):
-        n *= 2
-        new = once(n)
-        if abs(new - val) <= tol * max(1.0, abs(new)):
-            return new, n
-        val = new
-    raise QuadratureError(f"2d quadrature did not settle below {tol} by n={n}")
-
-
 def oscillatory_cubic_phase(x, t, n=96, r_max=None):
     """(1/2pi) * integral of exp(i x tau + i t tau^3) over the real line.
 

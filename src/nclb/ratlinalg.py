@@ -62,10 +62,6 @@ def transpose(a):
     return [list(col) for col in zip(*a)] if a else []
 
 
-def mat_eq(a, b):
-    return a == b
-
-
 def rref(a):
     """Reduced row echelon form.
 

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -129,6 +130,28 @@ class TestModelCommands:
                          "--grid", "x1=-1:1:3,x2=-1:1:3,x3=-1:1:3"])
         assert code == 0
         assert doc["checks"][0]["detail"]["symbolic_zero"] is True
+
+    def test_residual_mode_deep_oscillatory(self):
+        import scipy.special
+
+        from nclb.expr import compile_expr
+        from nclb.models import mode_solution_h3
+
+        code, doc = run(["model", "residual", "heisenberg", "--psi", "mode",
+                         "--E", "-1000"])
+        assert code == 0
+        check = doc["checks"][0]
+        assert check["status"] == "pass"
+        assert math.isfinite(check["max_residual"])
+        assert math.isfinite(check["detail"]["fd_cross_deviation"])
+        # the mode's Airy arguments are near -629; its values against scipy
+        f = compile_expr(mode_solution_h3(Fraction(1, 2), 1, -1000), ["x1", "x2", "x3"])
+        for x1 in np.linspace(-1.0, 1.0, 5):
+            z = (2.0 * x1 + 1.0 - 1000.0) / 2.0 ** (2.0 / 3.0)
+            ai, _, bi, _ = scipy.special.airy(z)
+            got = f(x1, 0.5, -0.5)
+            want = ai * np.exp(1j * (0.5 * 0.5 - 0.5))
+            assert abs(got - want) <= 1e-10 * math.hypot(ai, bi)
 
     def test_residual_bad_grid(self):
         code, doc = run(["model", "residual", "heisenberg", "--psi", "mode",

@@ -60,6 +60,18 @@ class TestInverseGft:
             worst = max(worst, abs(v / mass - mode) / abs(mode))
         assert worst <= 1e-2
 
+    @pytest.mark.parametrize("bad", [(0.0, 0.0, 0.0), (0.05, 0.0, 0.0)])
+    def test_nan_in_field_is_never_a_finite_residual(self, h3, bad):
+        # bad is a sample point, or only a stencil point of one
+        def psi(p):
+            if tuple(p) == bad:
+                return complex("nan")
+            return np.exp(1j * (0.3 * p[1] + 0.7 * p[2]))
+
+        rep = pde_residual_field(h3, psi, 1.0, GRID, fd_step=0.05)
+        assert not math.isfinite(rep.max_residual)
+        assert not rep.max_residual <= 1e-3
+
     def test_agreement_with_mode_superposition(self):
         e_val = 1
         spec = QuadSpec2D(box=((-1.0, 1.0), (0.2, 1.8)), n=64)
