@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import ratlinalg as rl
+from .report import DEFAULT_SEED
 
 
 class MalformedAlgebraError(ValueError):
@@ -188,7 +189,6 @@ def annihilator(L: LieAlgebra, lam: Covector) -> Subspace:
     return Subspace(tuple(tuple(v) for v in rl.kernel(b)))
 
 
-DEFAULT_SEED = 0xC0FFEE
 INDEX_TRIALS = 32
 _INDEX_BOUND = 10
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -26,18 +27,16 @@ from .algebra import (MalformedAlgebraError, Subspace, index_witness,
                       jacobi_defect, load_algebra)
 from .bilinear import DegenerateFormError, coisotropy_check, load_form
 from .expr import to_text
-from .models import (ModelParameterError, QuadSpec2D, casimir_scalar_check,
-                     chart_samples, inverse_gft_h3_evaluator,
-                     invariant_frame_check, laplace_operator, load_model,
-                     mode_solution_h3, pde_residual, pde_residual_field,
-                     rectifying_coordinates, reduction_normalizer,
-                     validate_model)
+from .models import (ModelParameterError, QuadSpec2D, ReductionInconclusive,
+                     casimir_scalar_check, chart_samples,
+                     inverse_gft_h3_evaluator, invariant_frame_check,
+                     load_model, mode_solution_h3, pde_residual,
+                     pde_residual_field, rectifying_coordinates,
+                     reduction_normalizer, validate_model)
 from .reduction import (NotFirstOrderError, build_reduced, extract_first_order,
-                        fd_apply, local_lift_check, rectify_check,
-                        verify_lambda_rep)
-from .report import FAIL, INCONCLUSIVE, PASS, CheckRecord, overall_status
-
-DEFAULT_SEED = 0xC0FFEE
+                        local_lift_check, rectify_check, verify_lambda_rep)
+from .report import (DEFAULT_SEED, FAIL, INCONCLUSIVE, PASS, CheckRecord,
+                     overall_status)
 
 
 class InputError(ValueError):
@@ -342,31 +341,21 @@ def _grid_field_residual(model, rows, e_val):
             raise ex.DomainError(f"point {pt} off the sampled grid") from None
 
     table = {tuple(round(c, 9) for c in k): v for k, v in table.items()}
-    delta = laplace_operator(model)
-    coeff_fns = {idx: ex.compile_expr(c, list(model.x_vars))
-                 for idx, c in delta.coefficients.items()}
     interior = [
         pt for pt in table
         if all(ax[2] - 1e-9 <= c <= ax[-3] + 1e-9 for c, ax in zip(pt, axes))
     ]
-    worst = 0.0
-    scale = 1e-12
-    used = 0
-    for pt in interior:
-        try:
-            lhs = fd_apply(coeff_fns, psi, pt, h)
-        except ex.DomainError:
-            continue
-        pv = table[pt]
-        worst = max(worst, abs(lhs - e_val * pv))
-        scale = max(scale, abs(pv))
-        used += 1
-    if used == 0:
+    try:
+        rep = pde_residual_field(model, psi, e_val, interior, fd_step=h)
+    except ReductionInconclusive:
         return CheckRecord(check="pde_residual", status=INCONCLUSIVE,
                            detail={"reason": "no interior grid points"})
+    # a NaN or inf sample makes the figure NaN and the record a failure
     return CheckRecord(
-        check="pde_residual", status=PASS, max_residual=worst / scale,
-        samples_used=used,
+        check="pde_residual",
+        status=PASS if math.isfinite(rep.max_residual) else FAIL,
+        max_residual=rep.max_residual, samples_used=rep.samples_used,
+        skipped_samples=rep.skipped_samples,
         detail={"note": "status reports computation only; threshold is caller's"},
     )
 

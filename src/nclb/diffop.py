@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 from . import expr as ex
 from .expr import Expr, ZERO, simplify
+from .report import DEFAULT_SEED
 
 
 class UnsupportedOrderError(ValueError):
@@ -190,7 +191,7 @@ class SampleSpec:
 
     ranges: dict
     n: int = 50
-    seed: int = 0xC0FFEE
+    seed: int = DEFAULT_SEED
 
     def draw(self):
         rng = random.Random(self.seed)

@@ -601,15 +601,26 @@ def _cipow(base, n):
     return base ** n
 
 
-def compile_expr(e: Expr, varnames):
+def compile_expr(e, varnames, bind=None):
     """Compile to a Python closure f(*values) -> complex.
 
     Much faster than tree-walking for inner loops (flows, sampling).  The
     closure enforces the same branch restrictions as `evaluate`.
+
+    `e` may also be a tuple of expressions: the closure then returns the
+    tuple of their values from one call, evaluated left to right, so the
+    first failing entry raises.  `bind` maps further variable names to
+    numbers that are fixed into the closure as complex constants instead of
+    being passed on every call.
     """
     names = {}
     for i, v in enumerate(varnames):
         names[v] = f"_a{i}"
+    ns = {"_cexp": _cexp, "_clog": _clog, "_cairy": _cairy,
+          "_cpow": _cpow, "_cipow": _cipow}
+    for i, (v, value) in enumerate(sorted((bind or {}).items())):
+        names[v] = f"_b{i}"
+        ns[f"_b{i}"] = complex(value)
 
     def gen(x):
         if isinstance(x, Const):
@@ -639,10 +650,12 @@ def compile_expr(e: Expr, varnames):
             return f"_cairy({x.kind!r}, {gen(x.arg)})"
         raise TypeError(f"not an expression: {x!r}")
 
+    if isinstance(e, tuple):
+        body = "(" + "".join(f"{gen(simplify(x))}, " for x in e) + ")"
+    else:
+        body = gen(simplify(e))
     args = ", ".join(names[v] for v in varnames)
-    src = f"def _f({args}):\n    return {gen(simplify(e))}\n"
-    ns = {"_cexp": _cexp, "_clog": _clog, "_cairy": _cairy,
-          "_cpow": _cpow, "_cipow": _cipow}
+    src = f"def _f({args}):\n    return {body}\n"
     exec(src, ns)  # noqa: S102 - source is generated from the tree above
     return ns["_f"]
 

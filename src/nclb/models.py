@@ -32,9 +32,8 @@ from .diffop import DiffOp, SampleSpec, apply, commutator, compose, op_equal
 from .expr import Expr, Exp, I, Log, Power, Var, ZERO, simplify
 from .quadrature import gl_nodes, oscillatory_cubic_phase
 from .reduction import JParam, LambdaRep, fd_apply
-from .report import FAIL, INCONCLUSIVE, PASS, CheckRecord, VerificationError
-
-DEFAULT_SEED = 0xC0FFEE
+from .report import (DEFAULT_SEED, FAIL, INCONCLUSIVE, PASS, CheckRecord,
+                     VerificationError)
 
 
 class ModelParameterError(ValueError):
@@ -717,8 +716,8 @@ def pde_residual(model, psi: Expr, energy, samples, fd_points=10,
     enters NaN, so no tolerance gate on it passes.
     """
     delta = laplace_operator(model)
-    energy_e = ex.as_expr(energy)
-    resid = simplify(apply(delta, psi) - energy_e * psi)
+    sym_delta = simplify(apply(delta, psi))
+    resid = simplify(sym_delta - ex.as_expr(energy) * psi)
     symbolic_zero = resid == ZERO
 
     names = list(model.x_vars)
@@ -741,7 +740,6 @@ def pde_residual(model, psi: Expr, energy, samples, fd_points=10,
 
     coeff_fns = {idx: ex.compile_expr(c, names)
                  for idx, c in delta.coefficients.items()}
-    sym_delta = simplify(apply(delta, psi))
     f_sym = ex.compile_expr(sym_delta, names)
     fd_devs = []
     for pt in list(samples)[:fd_points]:

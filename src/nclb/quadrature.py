@@ -17,10 +17,26 @@ class QuadratureError(RuntimeError):
     pass
 
 
-@functools.lru_cache(maxsize=256)
-def gl_nodes(n, lo, hi):
-    """Gauss-Legendre nodes and weights on [lo, hi] (cached, deterministic)."""
+@functools.lru_cache(maxsize=64)
+def _reference_rule(n):
+    """The n-point Gauss-Legendre rule on [-1, 1], computed once per n.
+
+    The arrays are read-only, so no caller can alter a later rule.
+    """
     x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def gl_nodes(n, lo, hi):
+    """Gauss-Legendre nodes and weights on [lo, hi] (deterministic).
+
+    The reference rule for n is cached and mapped affinely onto the box on
+    every call, so a rule depends only on (n, lo, hi) and the returned
+    arrays are fresh.
+    """
+    x, w = _reference_rule(n)
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     return mid + half * x, half * w

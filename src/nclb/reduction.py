@@ -19,9 +19,7 @@ from . import expr as ex
 from .bilinear import laplacian_data
 from .diffop import DiffOp, SampleSpec, apply, commutator, compose, op_equal
 from .expr import Expr, Var, ZERO, simplify
-from .report import FAIL, PASS, CheckRecord, VerificationError
-
-DEFAULT_SEED = 0xC0FFEE
+from .report import DEFAULT_SEED, FAIL, PASS, CheckRecord, VerificationError
 
 
 class NotFirstOrderError(RuntimeError):
@@ -351,16 +349,17 @@ def extract_first_order(red: ReducedOperator, normalizer: Expr,
 # --- characteristics --------------------------------------------------------
 
 def _compile_with_params(e, q_vars, params):
-    names = list(q_vars) + sorted(set(ex.free_vars(e)) - set(q_vars))
-    fn = ex.compile_expr(e, names)
-    extra = []
-    for name in names[len(q_vars):]:
+    """Closure f(*q) of one expression or a tuple of them, with every other
+    free variable bound from params."""
+    free = set()
+    for x in (e if isinstance(e, tuple) else (e,)):
+        free |= ex.free_vars(x)
+    bind = {}
+    for name in sorted(free - set(q_vars)):
         if name not in params:
             raise ex.MissingVariableError(f"parameter {name!r} not supplied")
-        extra.append(complex(params[name]))
-    if not extra:
-        return fn
-    return lambda *q: fn(*q, *extra)
+        bind[name] = params[name]
+    return ex.compile_expr(e, q_vars, bind=bind)
 
 
 def _rk4(field, state, t0, t_end, step, domain=None, record=None):
@@ -401,10 +400,10 @@ def flow(Z, q0, t_end, step, params=None, domain=None) -> Characteristic:
     params = params or {}
     m = len(Z)
     q_vars = _chart_names(m)
-    fns = [_compile_with_params(ex.as_expr(z), q_vars, params) for z in Z]
+    rates = _compile_with_params(tuple(ex.as_expr(z) for z in Z), q_vars, params)
 
     def field(_t, state):
-        return [fn(*state) for fn in fns]
+        return rates(*state)
 
     dom = None
     if domain is not None:
@@ -444,12 +443,12 @@ def invariant_residual(Z, u: Expr, samples, params=None) -> ResidualReport:
     )))
     f_zu = _compile_with_params(zu, q_vars, params)
     f_u = _compile_with_params(ex.as_expr(u), q_vars, params)
-    f_z = [_compile_with_params(ex.as_expr(z), q_vars, params) for z in Z]
+    f_z = _compile_with_params(tuple(ex.as_expr(z) for z in Z), q_vars, params)
     worst = 0.0
     used = skipped = 0
     for q in samples:
         try:
-            znorm = max(abs(fz(*q)) for fz in f_z)
+            znorm = max(abs(z) for z in f_z(*q))
             scale = max(abs(f_u(*q)) * znorm, 1e-300)
             worst = max(worst, abs(f_zu(*q)) / scale)
             used += 1
@@ -512,20 +511,18 @@ def solve_reduced(Z, V, energy, phi, q_targets, step, *, v: Expr, u=(),
     params.setdefault("E", energy)
     m = len(Z)
     q_vars = _chart_names(m)
-    z_fns = [_compile_with_params(ex.as_expr(z), q_vars, params) for z in Z]
+    # one closure per stage: the rates of (q, phase) are (Z(q), V(q))
+    rates = _compile_with_params(tuple(ex.as_expr(z) for z in Z) + (ex.as_expr(V),),
+                                 q_vars, params)
     v_fn = _compile_with_params(ex.as_expr(v), q_vars, params)
-    u_fns = [_compile_with_params(ex.as_expr(ue), q_vars, params) for ue in u]
-    pot_fn = _compile_with_params(ex.as_expr(V), q_vars, params)
+    u_fn = _compile_with_params(tuple(ex.as_expr(ue) for ue in u), q_vars, params)
 
     dom = None
     if domain is not None:
         dom = lambda state: domain(tuple(s.real for s in state[:-1]))
 
     def field(_t, state):
-        q = state[:-1]
-        rates = [fn(*q) for fn in z_fns]
-        rates.append(pot_fn(*q))
-        return rates
+        return rates(*state[:-1])
 
     values = []
     chars = []
@@ -548,7 +545,7 @@ def solve_reduced(Z, V, energy, phi, q_targets, step, *, v: Expr, u=(),
                         domain=dom, record=rec)
         # phi(t_end) = -int_{v_ref}^{v(q)} V dv along the characteristic
         phase = state[-1]
-        u_vals = tuple(fn(*q0) for fn in u_fns)
+        u_vals = u_fn(*q0)
         values.append(phi(u_vals, params) * cmath.exp(phase))
         chars.append(Characteristic(
             start=tuple(target), step=float(step), ts=tuple(ts),
@@ -647,9 +644,18 @@ def reduced_residual(red: ReducedOperator, psi_hat, energy, samples,
     entries = []
     skipped = 0
     for q in samples:
+        # the stencil centre and psi at the sample are one point: evaluate
+        # psi_hat once per distinct point of this sample
+        memo = {}
+
+        def psi(p):
+            if p not in memo:
+                memo[p] = psi_hat(p)
+            return memo[p]
+
         try:
-            lhs = fd_apply(coeff_fns, psi_hat, q, fd_step)
-            pv = psi_hat(tuple(float(x) for x in q))
+            lhs = fd_apply(coeff_fns, psi, q, fd_step)
+            pv = psi(tuple(float(x) for x in q))
             entries.append((abs(lhs - e_val * pv), abs(pv)))
         except (ex.DomainError, DomainExitError):
             skipped += 1

@@ -8,6 +8,9 @@ PASS = "pass"
 FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
 
+# seed of every sampled check unless a caller passes one
+DEFAULT_SEED = 0xC0FFEE
+
 
 @dataclass
 class CheckRecord:

@@ -184,6 +184,29 @@ class TestModelCommands:
         assert code == 0
         assert doc["checks"][0]["max_residual"] <= 1e-4
 
+    def test_residual_field_csv_nan_fails(self, tmp_path):
+        # a 5x5x5 grid has one interior point; a NaN there must not pass
+        from nclb.expr import compile_expr
+        from nclb.models import mode_solution_h3
+        f = compile_expr(mode_solution_h3(Fraction(1, 2), 1, 1), ["x1", "x2", "x3"])
+        h = 0.05
+        lines = ["x1,x2,x3,re,im"]
+        for i in range(-2, 3):
+            for j in range(-2, 3):
+                for k in range(-2, 3):
+                    v = f(i * h, j * h, k * h)
+                    re = "nan" if (i, j, k) == (0, 0, 0) else repr(v.real)
+                    lines.append(f"{i * h},{j * h},{k * h},{re},{v.imag}")
+        p = tmp_path / "field.csv"
+        p.write_text("\n".join(lines))
+        code, doc = run(["model", "residual", "heisenberg", "--psi", "file",
+                         "--file", str(p), "--E", "1"])
+        check = doc["checks"][0]
+        assert not (check["status"] == "pass"
+                    and math.isfinite(check["max_residual"]))
+        assert check["status"] == "fail"
+        assert code == 1
+
     def test_reconstruct(self, tmp_path):
         lines = ["k,J,re,im"]
         ks = np.linspace(-1.0, 1.0, 21)

@@ -160,6 +160,35 @@ class TestEvaluate:
             fast = f(*[point[v] for v in names])
             assert abs(tree - fast) <= 1e-12 * (1 + abs(tree))
 
+    def test_tuple_closure_matches_single_closures(self):
+        rng = random.Random(12)
+        y = Var("y")
+        exprs = (Exp(q * x * F(1, 4)), Power(q, F(1, 2)) * y,
+                 Airy("Ai", 3 * (q - y)), Power(q * x - y, -2) + I,
+                 Log(q - x), q * x * J)
+        names = ["q", "x", "y"]
+        both = compile_expr(exprs, names, bind={"J": 0.75})
+        singles = [compile_expr(e, names + ["J"]) for e in exprs]
+        raised = 0
+        for _ in range(40):
+            args = [rng.uniform(0.2, 1.5) for _ in names]
+            try:
+                want = tuple(f(*args, 0.75) for f in singles)
+            except DomainError as err:
+                with pytest.raises(DomainError) as got:
+                    both(*args)
+                assert str(got.value) == str(err)
+                raised += 1
+                continue
+            assert both(*args) == want
+        assert 0 < raised < 40
+
+    def test_bound_variable_not_passed(self):
+        f = compile_expr(q * J, ["q"], bind={"J": 2})
+        assert f(1.5) == 3.0
+        with pytest.raises(MissingVariableError):
+            compile_expr((q, q * J), ["q"])
+
 
 class TestSubst:
     def test_basic(self):

@@ -329,3 +329,25 @@ class TestReducedResidual:
         with pytest.raises(InconclusiveError):
             reduced_residual(red, lambda pt: 0.0, 0.0, [(0.3,), (0.9,)],
                              params={"J": 1.0})
+
+    def test_each_stencil_point_evaluated_once(self, g47):
+        calls = []
+
+        def psi(pt):
+            calls.append(pt)
+            return cmath.exp(1j * pt[0] - pt[-1] ** 2)
+
+        # g4,7's reduced operator is first order in (q1, q2): the centre and
+        # four shifts per axis, 9 distinct points per sample
+        red = build_reduced(g47, verify=False)
+        rep = reduced_residual(red, psi, 1.0, [(1.2, 0.5), (1.8, 0.7)],
+                               params={"J": 1.0}, fd_step=1e-2)
+        assert rep.samples_used == 2
+        assert len(calls) == len(set(calls)) == 2 * 9
+
+        # the second-order stencil shares its points with the first-order one
+        calls.clear()
+        red = ReducedOperator(raw=DiffOp(("q",), {(0,): ex.ONE, (1,): ex.ONE,
+                                                  (2,): ex.ONE}))
+        reduced_residual(red, psi, 0.0, [(0.3,), (0.9,)], fd_step=1e-2)
+        assert len(calls) == len(set(calls)) == 2 * 5
