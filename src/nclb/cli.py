@@ -6,7 +6,8 @@ Heisenberg reconstruction.  Output is a table by default and a ReportDoc
 JSON document with --json; byte-identical output for fixed seed and inputs.
 
 Exit codes: 0 all checks pass, 1 any failure (or inconclusive), 2 usage or
-input errors.
+input errors.  Inconclusive computations and expression errors (inputs
+outside an expression's domain) end in an error document, with 1 and 2.
 """
 
 from __future__ import annotations
@@ -33,10 +34,11 @@ from .models import (ModelParameterError, QuadSpec2D, ReductionInconclusive,
                      load_model, mode_solution_h3, pde_residual,
                      pde_residual_field, rectifying_coordinates,
                      reduction_normalizer, validate_model)
-from .reduction import (NotFirstOrderError, build_reduced, extract_first_order,
-                        local_lift_check, rectify_check, verify_lambda_rep)
+from .reduction import (InconclusiveError, NotFirstOrderError, build_reduced,
+                        extract_first_order, local_lift_check, rectify_check,
+                        verify_lambda_rep)
 from .report import (DEFAULT_SEED, FAIL, INCONCLUSIVE, PASS, CheckRecord,
-                     overall_status)
+                     overall_status, worst)
 
 
 class InputError(ValueError):
@@ -197,15 +199,17 @@ def _cmd_coisotropic(args, seed):
 
 
 def _aggregate(name, records):
-    worst = max((r.max_residual or 0.0) for r in records)
+    seeds = {r.seed for r in records if r.seed is not None}
     status = PASS
     if any(r.status == FAIL for r in records):
         status = FAIL
     elif any(r.status == INCONCLUSIVE for r in records):
         status = INCONCLUSIVE
     return CheckRecord(
-        check=name, status=status, max_residual=worst,
+        check=name, status=status,
+        max_residual=worst((r.max_residual or 0.0) for r in records),
         samples_used=sum(r.samples_used for r in records),
+        seed=seeds.pop() if len(seeds) == 1 else None,
         skipped_samples=sum(r.skipped_samples for r in records),
         detail={"subchecks": [r.check for r in records if r.status != PASS]}
         if status != PASS else {},
@@ -224,8 +228,8 @@ def _cmd_model_verify(args, seed):
     frame_recs = structural[1:] + invariant_frame_check(model, seed=seed)
     records.append(_aggregate("frames", frame_recs))
     records.append(_aggregate("lambda_rep", verify_lambda_rep(model, seed=seed)))
-    lift_worst = max(local_lift_check(model, i, seed=seed)
-                     for i in range(1, model.dim + 1))
+    lift_worst = worst([local_lift_check(model, i, seed=seed)
+                        for i in range(1, model.dim + 1)])
     records.append(CheckRecord(
         check="lift", status=PASS if lift_worst <= 1e-12 else FAIL,
         max_residual=lift_worst, seed=seed,
@@ -274,10 +278,11 @@ def _cmd_model_reduce(args, seed):
         samples = chart_samples(model, 100, seed=seed)
         rep = rectify_check(fo.Z, v_expr, u_exprs, samples,
                             params={"J": float(args.J), "E": float(_frac(args.E))})
+        dev = worst((rep.max_dev_v, rep.max_dev_u))
         records.append(CheckRecord(
             check="rectification",
-            status=PASS if max(rep.max_dev_v, rep.max_dev_u) <= 1e-12 else FAIL,
-            max_residual=max(rep.max_dev_v, rep.max_dev_u),
+            status=PASS if dev <= 1e-12 else FAIL,
+            max_residual=dev,
             samples_used=rep.samples_used, seed=seed,
             skipped_samples=rep.skipped_samples,
             detail={"v": to_text(v_expr), "u": [to_text(u) for u in u_exprs]},
@@ -477,10 +482,12 @@ def run(argv):
         seed = _seed_from(args)
         records, params = args.fn(args, seed)
     except (InputError, MalformedAlgebraError, DegenerateFormError,
-            ModelParameterError, OSError, json.JSONDecodeError) as exc:
+            ModelParameterError, OSError, json.JSONDecodeError, ex.ExprError,
+            ReductionInconclusive, InconclusiveError) as exc:
         doc = {"tool_version": __version__, "command": " ".join(argv),
                "error": str(exc)}
-        return 2, doc
+        inconclusive = isinstance(exc, (ReductionInconclusive, InconclusiveError))
+        return (1 if inconclusive else 2), doc
     overall = overall_status(records)
     doc = {
         "tool_version": __version__,

@@ -3,8 +3,16 @@
 Nodes: rational constants, the imaginary unit, variables, sums, products,
 powers with constant exponents, exp, log, and the four Airy kinds.  The
 kernel provides exact differentiation, an expand-and-collect normal form
-(`simplify`), complex double-precision evaluation, compilation to fast
-Python closures, and a parse/print pair for a plain infix syntax.
+(`simplify`), numeric evaluation, and a parse/print pair for a plain infix
+syntax.
+
+Numeric evaluation has one code generator.  It turns an expression (or a
+tuple of them) into the source of a Python function over complex doubles,
+compiled once per expression, argument names and bound names.
+`compile_expr` returns such a closure for the normal form; `evaluate`
+compiles the tree as given and calls it once.  Both raise DomainError in the
+same places: log, fractional powers and Airy test their arguments inline,
+and an OverflowError or ZeroDivisionError of the arithmetic becomes one.
 
 The normal form is a sum of monomials: rational coefficient times sorted
 factors, with same-base powers merged by exponent arithmetic, exponential
@@ -17,10 +25,11 @@ from __future__ import annotations
 
 import cmath
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .airyfun import airy as _airy_numeric
+from .airyfun import LEFT_CUT, airy as _airy_numeric
 
 
 class ExprError(Exception):
@@ -426,7 +435,12 @@ def _emit(nf):
 
 @functools.lru_cache(maxsize=None)
 def simplify(e: Expr) -> Expr:
-    """Expand-and-collect normal form; idempotent and semantics-preserving."""
+    """Expand-and-collect normal form; idempotent.
+
+    The result has the value of e wherever e evaluates.  It may evaluate
+    where e does not: cancelling log q - log q to 0, for one, drops the
+    restriction q > 0.
+    """
     return _emit(_norm(e))
 
 
@@ -502,65 +516,118 @@ def subst(e: Expr, mapping) -> Expr:
 # --- evaluation -------------------------------------------------------------
 
 _REAL_TOL = 1e-10
+_RUNTIME = {"_exp": cmath.exp, "_log": cmath.log, "_airy": _airy_numeric,
+            "DomainError": DomainError, "_LEFT_CUT": LEFT_CUT, "_INF": math.inf}
 
 
-def _require_real(z, what):
-    if abs(z.imag) > _REAL_TOL * (1.0 + abs(z.real)):
-        raise DomainError(f"{what} requires a real argument, got {z!r}")
-    return z.real
+def _source(e, varnames, bound):
+    """Source of `_make(*bound values)`, which returns `_f(*varnames)`.
+
+    `_f` computes one local per inner node in evaluation order, so the
+    source stays flat however deep the tree is.
+    """
+    names = {v: f"_a{i}" for i, v in enumerate(varnames)}
+    names.update((v, f"_b{i}") for i, v in enumerate(bound))
+    lines = []
+
+    def local(code):
+        lines.append(f"_t{len(lines)} = {code}")
+        return f"_t{len(lines) - 1}"
+
+    def check(test, what, t):
+        lines.append(f"if {test}: raise DomainError(f'{what}, got {{complex({t})!r}}')")
+
+    def real(t):
+        return f"abs({t}.imag) > {_REAL_TOL!r} * (1.0 + abs({t}.real))"
+
+    def maybe_real(x):
+        # float arguments stay floats through their sums and products, and
+        # a power must see a complex base to round the same for any caller
+        if isinstance(x, (Sum, Product)):
+            return all(maybe_real(t) for t in (x.terms if isinstance(x, Sum) else x.factors))
+        return isinstance(x, Var) and x.name in varnames
+
+    def gen(x):
+        if isinstance(x, Const):
+            try:
+                return f"({float(x.value)!r}+0j)"
+            except OverflowError:
+                raise DomainError("a constant is outside the double range") from None
+        if isinstance(x, ImagUnit):
+            return "1j"
+        if isinstance(x, Var):
+            if x.name not in names:
+                raise MissingVariableError(
+                    f"free variable {x.name!r} not among compile arguments {list(varnames)}"
+                )
+            return names[x.name]
+        if isinstance(x, Sum):
+            return local("+".join(gen(t) for t in x.terms)) if x.terms else "0j"
+        if isinstance(x, Product):
+            return local("*".join(gen(f) for f in x.factors)) if x.factors else "(1+0j)"
+        if isinstance(x, Exp):
+            return local(f"_exp({gen(x.arg)})")
+        if isinstance(x, Log):
+            t = gen(x.arg)
+            check(f"{t}.real <= 0.0", "log requires positive real part", t)
+            return local(f"_log({t})")
+        if isinstance(x, Airy):
+            t = gen(x.arg)
+            check(f"{real(t)} or not _LEFT_CUT <= {t}.real < _INF",
+                  f"Airy requires a finite real argument >= {LEFT_CUT!r}", t)
+            return local(f"complex(_airy({x.kind!r}, {t}.real))")
+        if isinstance(x, Power):
+            ev = evaluate_const(x.exponent)
+            t = gen(x.base)
+            if ev.imag == 0.0 and ev.real == int(ev.real):
+                if maybe_real(x.base):
+                    t = f"complex({t})"
+                return local(f"{t}**{int(ev.real)}")
+            check(f"{real(t)} or {t}.real <= 0.0",
+                  "fractional power needs a positive real base", t)
+            return local(f"_exp({ev!r} * _log({t}))")
+        raise TypeError(f"not an expression: {x!r}")
+
+    if isinstance(e, tuple):
+        result = "(" + "".join(f"{gen(x)}, " for x in e) + ")"
+    else:
+        result = gen(e)
+    body = "".join(f"            {line}\n" for line in lines)
+    return (f"def _make({', '.join(names[v] for v in bound)}):\n"
+            f"    def _f({', '.join(names[v] for v in varnames)}):\n"
+            f"        try:\n{body}"
+            f"            return {result}\n"
+            f"        except (OverflowError, ZeroDivisionError) as exc:\n"
+            f"            raise DomainError(f'{{type(exc).__name__}}: {{exc}}') from None\n"
+            f"    return _f\n")
 
 
-def _eval_power(base, exp_val):
-    if exp_val.imag == 0.0 and exp_val.real == int(exp_val.real):
-        n = int(exp_val.real)
-        if base == 0 and n < 0:
-            raise DomainError("zero to a negative power")
-        return base ** n
-    if abs(base.imag) > _REAL_TOL * (1.0 + abs(base.real)) or base.real <= 0.0:
-        raise DomainError(
-            f"fractional power needs a positive real base, got {base!r}"
-        )
-    return cmath.exp(exp_val * cmath.log(base))
+@functools.lru_cache(maxsize=64)
+def _closure_maker(e, varnames, bound):
+    """`_make` for e, compiled as given; one code generation per key."""
+    ns = dict(_RUNTIME)
+    exec(_source(e, varnames, bound), ns)  # noqa: S102 - generated from the tree
+    return ns["_make"]
 
 
 def evaluate(e: Expr, assignment=None) -> complex:
-    """Evaluate to a complex double; raises on missing variables or branch
-    violations (log and fractional powers need positive real arguments)."""
+    """Evaluate e, as given (not its normal form), to a complex double.
+
+    Compiles e like `compile_expr` and calls the closure once with complex
+    arguments.  DomainError is raised for a log with non-positive real part,
+    a fractional power off the positive reals, zero to a negative power, an
+    Airy argument that is not real or lies below LEFT_CUT, a Python
+    OverflowError and, here only, a non-finite result.  A variable missing
+    from `assignment` raises MissingVariableError.
+    """
     a = assignment or {}
-
-    def rec(x):
-        if isinstance(x, Const):
-            return complex(x.value)
-        if isinstance(x, ImagUnit):
-            return 1j
-        if isinstance(x, Var):
-            try:
-                return complex(a[x.name])
-            except KeyError:
-                raise MissingVariableError(f"no value for variable {x.name!r}") from None
-        if isinstance(x, Sum):
-            return sum((rec(t) for t in x.terms), 0j)
-        if isinstance(x, Product):
-            out = 1 + 0j
-            for f in x.factors:
-                out *= rec(f)
-            return out
-        if isinstance(x, Power):
-            return _eval_power(rec(x.base), evaluate_const(x.exponent))
-        if isinstance(x, Exp):
-            return cmath.exp(rec(x.arg))
-        if isinstance(x, Log):
-            z = rec(x.arg)
-            if z.real <= 0.0:
-                raise DomainError(f"log requires positive real part, got {z!r}")
-            return cmath.log(z)
-        if isinstance(x, Airy):
-            z = _require_real(rec(x.arg), "Airy")
-            return complex(_airy_numeric(x.kind, z))
-        raise TypeError(f"not an expression: {x!r}")
-
-    val = rec(e)
-    if not (cmath.isfinite(val)):
+    names = tuple(sorted(free_vars(e)))
+    try:
+        args = [complex(a[v]) for v in names]
+    except KeyError as exc:
+        raise MissingVariableError(f"no value for variable {exc.args[0]!r}") from None
+    val = _closure_maker(e, names, ())()(*args)
+    if not cmath.isfinite(val):
         raise DomainError(f"evaluation produced a non-finite value: {val!r}")
     return val
 
@@ -572,92 +639,27 @@ def evaluate_const(e: Expr) -> complex:
     return evaluate(e, {})
 
 
-# --- compilation ------------------------------------------------------------
-
-def _cexp(z):
-    return cmath.exp(z)
-
-
-def _clog(z):
-    z = complex(z)
-    if z.real <= 0.0:
-        raise DomainError(f"log requires positive real part, got {z!r}")
-    return cmath.log(z)
-
-
-def _cairy(kind, z):
-    z = complex(z)
-    return complex(_airy_numeric(kind, _require_real(z, "Airy")))
-
-
-def _cpow(base, exp_val):
-    return _eval_power(complex(base), exp_val)
-
-
-def _cipow(base, n):
-    base = complex(base)
-    if base == 0 and n < 0:
-        raise DomainError("zero to a negative power")
-    return base ** n
-
-
 def compile_expr(e, varnames, bind=None):
-    """Compile to a Python closure f(*values) -> complex.
+    """Compile the normal form of e to a Python closure f(*values) -> complex.
 
-    Much faster than tree-walking for inner loops (flows, sampling).  The
-    closure enforces the same branch restrictions as `evaluate`.
+    The closure raises DomainError exactly where `evaluate` does, except for
+    a non-finite result, which it returns.  Because `simplify` may drop a
+    domain restriction (log q - log q is 0), the closure can return a value
+    where `evaluate` of the raw tree raises.
 
     `e` may also be a tuple of expressions: the closure then returns the
     tuple of their values from one call, evaluated left to right, so the
-    first failing entry raises.  `bind` maps further variable names to
-    numbers that are fixed into the closure as complex constants instead of
-    being passed on every call.
+    first failing entry raises.  `bind` maps names to numbers; e's free
+    variables among them that are not in `varnames` are fixed into the
+    closure as complex constants.  A free variable in neither raises
+    MissingVariableError.  Code is generated once per (expressions,
+    varnames, bound names) in a bounded cache; bound values are not code.
     """
-    names = {}
-    for i, v in enumerate(varnames):
-        names[v] = f"_a{i}"
-    ns = {"_cexp": _cexp, "_clog": _clog, "_cairy": _cairy,
-          "_cpow": _cpow, "_cipow": _cipow}
-    for i, (v, value) in enumerate(sorted((bind or {}).items())):
-        names[v] = f"_b{i}"
-        ns[f"_b{i}"] = complex(value)
-
-    def gen(x):
-        if isinstance(x, Const):
-            return f"({float(x.value)!r}+0j)"
-        if isinstance(x, ImagUnit):
-            return "1j"
-        if isinstance(x, Var):
-            if x.name not in names:
-                raise MissingVariableError(
-                    f"free variable {x.name!r} not among compile arguments {list(varnames)}"
-                )
-            return names[x.name]
-        if isinstance(x, Sum):
-            return "(" + "+".join(gen(t) for t in x.terms) + ")"
-        if isinstance(x, Product):
-            return "(" + "*".join(gen(f) for f in x.factors) + ")"
-        if isinstance(x, Power):
-            ev = evaluate_const(x.exponent)
-            if ev.imag == 0.0 and ev.real == int(ev.real):
-                return f"_cipow({gen(x.base)}, {int(ev.real)})"
-            return f"_cpow({gen(x.base)}, {ev!r})"
-        if isinstance(x, Exp):
-            return f"_cexp({gen(x.arg)})"
-        if isinstance(x, Log):
-            return f"_clog({gen(x.arg)})"
-        if isinstance(x, Airy):
-            return f"_cairy({x.kind!r}, {gen(x.arg)})"
-        raise TypeError(f"not an expression: {x!r}")
-
-    if isinstance(e, tuple):
-        body = "(" + "".join(f"{gen(simplify(x))}, " for x in e) + ")"
-    else:
-        body = gen(simplify(e))
-    args = ", ".join(names[v] for v in varnames)
-    src = f"def _f({args}):\n    return {body}\n"
-    exec(src, ns)  # noqa: S102 - source is generated from the tree above
-    return ns["_f"]
+    varnames = tuple(varnames)
+    e = tuple(simplify(x) for x in e) if isinstance(e, tuple) else simplify(e)
+    free = free_vars(Sum(e) if isinstance(e, tuple) else e) - set(varnames)
+    bound = tuple(sorted(v for v in free if v in (bind or {})))
+    return _closure_maker(e, varnames, bound)(*(complex(bind[v]) for v in bound))
 
 
 # --- printing ---------------------------------------------------------------

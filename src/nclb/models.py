@@ -33,7 +33,7 @@ from .expr import Expr, Exp, I, Log, Power, Var, ZERO, simplify
 from .quadrature import gl_nodes, oscillatory_cubic_phase
 from .reduction import JParam, LambdaRep, fd_apply
 from .report import (DEFAULT_SEED, FAIL, INCONCLUSIVE, PASS, CheckRecord,
-                     VerificationError)
+                     VerificationError, worst)
 
 
 class ModelParameterError(ValueError):
@@ -681,21 +681,6 @@ def mode_solution_h3(mu, nu, energy, kind="Ai") -> Expr:
     return simplify(Exp(I * mu * x2 + I * nu * x3) * ex.Airy(kind, arg))
 
 
-def _worst(values, floor=0.0):
-    """max(floor, *values), or NaN as soon as one value is NaN or infinite.
-
-    Plain max() drops a NaN anywhere but in first place, so a check fed
-    non-finite numbers could pass; here they make the figure non-finite and
-    any `<= tol` gate on it fail.
-    """
-    worst = floor
-    for v in values:
-        if not math.isfinite(v):
-            return math.nan
-        worst = max(worst, v)
-    return worst
-
-
 @dataclass(frozen=True)
 class PdeResidualReport:
     max_residual: float
@@ -731,12 +716,12 @@ def pde_residual(model, psi: Expr, energy, samples, fd_points=10,
             pv = abs(f_psi(*pt))
             rv = 0.0 if symbolic_zero else abs(f_res(*pt))
             entries.append((rv, pv))
-        except (ex.DomainError, AiryOverflowError):
+        except ex.DomainError:
             skipped += 1
     if not entries:
         raise ReductionInconclusive("all samples failed to evaluate")
-    max_residual = (_worst(r for r, _ in entries)
-                    / _worst((p for _, p in entries), floor))
+    max_residual = (worst(r for r, _ in entries)
+                    / worst((p for _, p in entries), floor))
 
     coeff_fns = {idx: ex.compile_expr(c, names)
                  for idx, c in delta.coefficients.items()}
@@ -746,10 +731,10 @@ def pde_residual(model, psi: Expr, energy, samples, fd_points=10,
         try:
             fd_val = fd_apply(coeff_fns, lambda p: f_psi(*p), pt, fd_step)
             sym_val = f_sym(*pt)
-        except (ex.DomainError, AiryOverflowError):
+        except ex.DomainError:
             continue
         fd_devs.append(abs(fd_val - sym_val) / max(1.0, abs(sym_val)))
-    fd_dev = _worst(fd_devs)
+    fd_dev = worst(fd_devs)
     return PdeResidualReport(
         max_residual=max_residual, symbolic_zero=symbolic_zero,
         fd_cross_deviation=fd_dev, samples_used=len(entries),
@@ -886,8 +871,8 @@ def pde_residual_field(model, psi, energy, samples, fd_step=0.05, floor=1e-12):
     if not entries:
         raise ReductionInconclusive("all samples failed to evaluate")
     return PdeResidualReport(
-        max_residual=(_worst(r for r, _ in entries)
-                      / _worst((p for _, p in entries), floor)),
+        max_residual=(worst(r for r, _ in entries)
+                      / worst((p for _, p in entries), floor)),
         symbolic_zero=False,
         fd_cross_deviation=0.0,
         samples_used=len(entries),

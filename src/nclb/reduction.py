@@ -19,7 +19,7 @@ from . import expr as ex
 from .bilinear import laplacian_data
 from .diffop import DiffOp, SampleSpec, apply, commutator, compose, op_equal
 from .expr import Expr, Var, ZERO, simplify
-from .report import DEFAULT_SEED, FAIL, PASS, CheckRecord, VerificationError
+from .report import DEFAULT_SEED, FAIL, PASS, CheckRecord, VerificationError, worst
 
 
 class NotFirstOrderError(RuntimeError):
@@ -126,7 +126,7 @@ def verify_lambda_rep(model, n_samples=40, seed=DEFAULT_SEED, strict=False):
     spec = lrep.sample_spec(n=n_samples, seed=seed)
     records = []
 
-    worst = 0.0
+    devs = []
     bad_pairs = []
     used = skipped = 0
     for i in range(1, n + 1):
@@ -137,7 +137,7 @@ def verify_lambda_rep(model, n_samples=40, seed=DEFAULT_SEED, strict=False):
                     target = target + lrep.ops[k].scale(ex.Const(coeff))
             cmp = op_equal(commutator(lrep.ops[i - 1], lrep.ops[j - 1]), target,
                            spec, tol=1e-12)
-            worst = max(worst, cmp.max_deviation)
+            devs.append(cmp.max_deviation)
             used += cmp.samples_used
             skipped += cmp.skipped_samples
             if not cmp.equal:
@@ -145,7 +145,7 @@ def verify_lambda_rep(model, n_samples=40, seed=DEFAULT_SEED, strict=False):
     records.append(CheckRecord(
         check="lambda_rep_commutators",
         status=PASS if not bad_pairs else FAIL,
-        max_residual=worst, samples_used=used, seed=seed,
+        max_residual=worst(devs), samples_used=used, seed=seed,
         skipped_samples=skipped,
         detail={"failing_pairs": bad_pairs} if bad_pairs else {},
     ))
@@ -162,7 +162,7 @@ def verify_lambda_rep(model, n_samples=40, seed=DEFAULT_SEED, strict=False):
     # skew-symmetry witness for multiplication operators: the order-0
     # coefficient i*chi must be purely imaginary at real points
     rng = random.Random(seed)
-    worst_re = 0.0
+    real_parts = []
     names = sorted(set().union(*(
         ex.free_vars(lrep.ops[a - 1].coeff((0,) * lrep.dim_q))
         for a in lrep.mult_only
@@ -182,7 +182,8 @@ def verify_lambda_rep(model, n_samples=40, seed=DEFAULT_SEED, strict=False):
         args = [point[v] for v in names]
         for a, fn in fns.items():
             val = fn(*args)
-            worst_re = max(worst_re, abs(val.real) / (1.0 + abs(val)))
+            real_parts.append(abs(val.real) / (1.0 + abs(val)))
+    worst_re = worst(real_parts)
     records.append(CheckRecord(
         check="multiplication_operators_imaginary",
         status=PASS if worst_re <= 1e-12 else FAIL,
@@ -243,7 +244,7 @@ def local_lift_check(model, i, n_samples=30, seed=DEFAULT_SEED) -> float:
     gen = infinitesimal_action(model, i)
     op = lrep.ops[i - 1]
     rng = random.Random(seed)
-    worst = 0.0
+    devs = []
     for phi in _test_function_bank(lrep.q_vars):
         diff = simplify(apply(gen, phi) - apply(op, phi))
         if diff == ZERO:
@@ -266,8 +267,8 @@ def local_lift_check(model, i, n_samples=30, seed=DEFAULT_SEED) -> float:
                 rv = abs(fr(*args))
             except ex.DomainError:
                 continue
-            worst = max(worst, dv / max(1.0, rv))
-    return worst
+            devs.append(dv / max(1.0, rv))
+    return worst(devs)
 
 
 # --- assembly ---------------------------------------------------------------
@@ -348,20 +349,6 @@ def extract_first_order(red: ReducedOperator, normalizer: Expr,
 
 # --- characteristics --------------------------------------------------------
 
-def _compile_with_params(e, q_vars, params):
-    """Closure f(*q) of one expression or a tuple of them, with every other
-    free variable bound from params."""
-    free = set()
-    for x in (e if isinstance(e, tuple) else (e,)):
-        free |= ex.free_vars(x)
-    bind = {}
-    for name in sorted(free - set(q_vars)):
-        if name not in params:
-            raise ex.MissingVariableError(f"parameter {name!r} not supplied")
-        bind[name] = params[name]
-    return ex.compile_expr(e, q_vars, bind=bind)
-
-
 def _rk4(field, state, t0, t_end, step, domain=None, record=None):
     """Classical fixed-step RK4 from t0 to t_end (either direction)."""
     t = t0
@@ -400,7 +387,7 @@ def flow(Z, q0, t_end, step, params=None, domain=None) -> Characteristic:
     params = params or {}
     m = len(Z)
     q_vars = _chart_names(m)
-    rates = _compile_with_params(tuple(ex.as_expr(z) for z in Z), q_vars, params)
+    rates = ex.compile_expr(tuple(ex.as_expr(z) for z in Z), q_vars, bind=params)
 
     def field(_t, state):
         return rates(*state)
@@ -441,22 +428,21 @@ def invariant_residual(Z, u: Expr, samples, params=None) -> ResidualReport:
         ex.Product((ex.as_expr(z), ex.differentiate(ex.as_expr(u), v)))
         for z, v in zip(Z, q_vars)
     )))
-    f_zu = _compile_with_params(zu, q_vars, params)
-    f_u = _compile_with_params(ex.as_expr(u), q_vars, params)
-    f_z = _compile_with_params(tuple(ex.as_expr(z) for z in Z), q_vars, params)
-    worst = 0.0
-    used = skipped = 0
+    f_zu = ex.compile_expr(zu, q_vars, bind=params)
+    f_u = ex.compile_expr(ex.as_expr(u), q_vars, bind=params)
+    f_z = ex.compile_expr(tuple(ex.as_expr(z) for z in Z), q_vars, bind=params)
+    ratios = []
+    skipped = 0
     for q in samples:
         try:
-            znorm = max(abs(z) for z in f_z(*q))
+            znorm = worst(abs(z) for z in f_z(*q))
             scale = max(abs(f_u(*q)) * znorm, 1e-300)
-            worst = max(worst, abs(f_zu(*q)) / scale)
-            used += 1
+            ratios.append(abs(f_zu(*q)) / scale)
         except ex.DomainError:
             skipped += 1
-    if used == 0:
+    if not ratios:
         raise InconclusiveError("all invariant samples hit domain errors")
-    return ResidualReport(worst, used, skipped)
+    return ResidualReport(worst(ratios), len(ratios), skipped)
 
 
 @dataclass(frozen=True)
@@ -479,23 +465,18 @@ def rectify_check(Z, v: Expr, u, samples, params=None) -> RectifyReport:
             for z, var in zip(Z, q_vars)
         )))
 
-    zv = z_of(v)
-    f_zv = _compile_with_params(zv, q_vars, params)
-    worst_v = 0.0
-    used = skipped = 0
+    f_zv = ex.compile_expr(z_of(v), q_vars, bind=params)
+    devs_v = []
+    skipped = 0
     for q in samples:
         try:
-            worst_v = max(worst_v, abs(f_zv(*q) - 1.0))
-            used += 1
+            devs_v.append(abs(f_zv(*q) - 1.0))
         except ex.DomainError:
             skipped += 1
-    if used == 0:
+    if not devs_v:
         raise InconclusiveError("all rectification samples hit domain errors")
-    worst_u = 0.0
-    for ue in u:
-        rep = invariant_residual(Z, ue, samples, params)
-        worst_u = max(worst_u, rep.max_residual)
-    return RectifyReport(worst_v, worst_u, used, skipped)
+    devs_u = [invariant_residual(Z, ue, samples, params).max_residual for ue in u]
+    return RectifyReport(worst(devs_v), worst(devs_u), len(devs_v), skipped)
 
 
 def solve_reduced(Z, V, energy, phi, q_targets, step, *, v: Expr, u=(),
@@ -512,10 +493,10 @@ def solve_reduced(Z, V, energy, phi, q_targets, step, *, v: Expr, u=(),
     m = len(Z)
     q_vars = _chart_names(m)
     # one closure per stage: the rates of (q, phase) are (Z(q), V(q))
-    rates = _compile_with_params(tuple(ex.as_expr(z) for z in Z) + (ex.as_expr(V),),
-                                 q_vars, params)
-    v_fn = _compile_with_params(ex.as_expr(v), q_vars, params)
-    u_fn = _compile_with_params(tuple(ex.as_expr(ue) for ue in u), q_vars, params)
+    rates = ex.compile_expr(tuple(ex.as_expr(z) for z in Z) + (ex.as_expr(V),),
+                            q_vars, bind=params)
+    v_fn = ex.compile_expr(ex.as_expr(v), q_vars, bind=params)
+    u_fn = ex.compile_expr(tuple(ex.as_expr(ue) for ue in u), q_vars, bind=params)
 
     dom = None
     if domain is not None:
@@ -617,28 +598,19 @@ def reduced_residual(red: ReducedOperator, psi_hat, energy, samples,
         resid = simplify(apply(raw, psi_hat) - Var("E") * psi_hat)
         if resid == ZERO:
             return ResidualReport(0.0, len(list(samples)), 0)
-        f_res = _compile_with_params(resid, q_vars, params)
-        f_psi = _compile_with_params(psi_hat, q_vars, params)
-        worst = 0.0
-        used = skipped = 0
-        scale = floor
-        vals = []
+        f_res = ex.compile_expr(resid, q_vars, bind=params)
+        f_psi = ex.compile_expr(psi_hat, q_vars, bind=params)
+        entries = []
+        skipped = 0
         for q in samples:
             try:
-                vals.append((abs(f_res(*q)), abs(f_psi(*q))))
-                used += 1
+                entries.append((abs(f_res(*q)), abs(f_psi(*q))))
             except ex.DomainError:
                 skipped += 1
-        if used == 0:
-            raise InconclusiveError("all residual samples hit domain errors")
-        scale = max(scale, max(p for _, p in vals))
-        if scale <= floor:
-            raise InconclusiveError("field is numerically zero on all samples")
-        worst = max(r for r, _ in vals) / scale
-        return ResidualReport(worst, used, skipped)
+        return _relative_residual(entries, skipped, floor)
 
     coeff_fns = {
-        idx: _compile_with_params(c, q_vars, params)
+        idx: ex.compile_expr(c, q_vars, bind=params)
         for idx, c in raw.coefficients.items()
     }
     entries = []
@@ -659,9 +631,15 @@ def reduced_residual(red: ReducedOperator, psi_hat, energy, samples,
             entries.append((abs(lhs - e_val * pv), abs(pv)))
         except (ex.DomainError, DomainExitError):
             skipped += 1
+    return _relative_residual(entries, skipped, floor)
+
+
+def _relative_residual(entries, skipped, floor):
+    """Report of max |residual| / max(|psi|, floor) over (|residual|, |psi|)
+    pairs; a NaN or inf in either makes it NaN, whatever the sample order."""
     if not entries:
         raise InconclusiveError("all residual samples hit domain errors")
-    scale = max(floor, max(p for _, p in entries))
+    scale = worst((p for _, p in entries), floor)
     if scale <= floor:
         raise InconclusiveError("field is numerically zero on all samples")
-    return ResidualReport(max(r for r, _ in entries) / scale, len(entries), skipped)
+    return ResidualReport(worst(r for r, _ in entries) / scale, len(entries), skipped)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 PASS = "pass"
@@ -10,6 +11,21 @@ INCONCLUSIVE = "inconclusive"
 
 # seed of every sampled check unless a caller passes one
 DEFAULT_SEED = 0xC0FFEE
+
+
+def worst(values, floor=0.0):
+    """max(floor, *values), or NaN as soon as one value is NaN or infinite.
+
+    Plain max() drops a NaN anywhere but in first place, so a check fed
+    non-finite numbers could pass, or decide its verdict by sample order;
+    here they make the figure non-finite and any `<= tol` gate on it fail.
+    """
+    out = floor
+    for v in values:
+        if not math.isfinite(v):
+            return math.nan
+        out = max(out, v)
+    return out
 
 
 @dataclass

@@ -153,6 +153,24 @@ class TestModelCommands:
             want = ai * np.exp(1j * (0.5 * 0.5 - 0.5))
             assert abs(got - want) <= 1e-10 * math.hypot(ai, bi)
 
+    def test_residual_below_airy_cut_is_an_error_document(self, capsys):
+        # every Airy argument is near -6.3e8, below LEFT_CUT: each sample is
+        # a DomainError and the check cannot reach a verdict
+        argv = ["model", "residual", "heisenberg", "--psi", "mode",
+                "--E", "-1000000000"]
+        code, doc = run(argv)
+        assert code == 1
+        assert "checks" not in doc and "samples" in doc["error"]
+        assert main(argv + ["--json"]) == 1
+        assert json.loads(capsys.readouterr().out)["error"] == doc["error"]
+
+    def test_expression_error_exits_two(self, capsys):
+        # E = 10^400 does not fit a double: the mode cannot be compiled
+        code, doc = run(["model", "residual", "heisenberg", "--psi", "mode",
+                         "--E", "1e400"])
+        assert code == 2
+        assert "double range" in doc["error"]
+
     def test_residual_bad_grid(self):
         code, doc = run(["model", "residual", "heisenberg", "--psi", "mode",
                          "--grid", "y=0:1:oops"])
@@ -237,6 +255,27 @@ class TestDeterminism:
         assert first == second
         doc = json.loads(first)
         assert doc["seed"] == 11
+
+    def test_aggregated_checks_carry_the_seed(self):
+        _, doc = run(["model", "verify", "heisenberg", "--json", "--seed", "11"])
+        checks = {c["check"]: c for c in doc["checks"]}
+        assert checks["lambda_rep"]["samples_used"] == 40
+        assert checks["lambda_rep"]["seed"] == 11
+        assert checks["frames"]["seed"] == 11
+        assert checks["jacobi"]["seed"] is None  # exact, nothing sampled
+
+    def test_aggregate_is_nan_whatever_the_order(self):
+        from nclb.cli import _aggregate
+        from nclb.report import PASS, CheckRecord
+
+        recs = [CheckRecord("a", PASS, max_residual=1.0, seed=3),
+                CheckRecord("b", PASS, max_residual=math.nan, seed=3)]
+        for order in (recs, recs[::-1]):
+            agg = _aggregate("both", order)
+            assert math.isnan(agg.max_residual)
+            assert agg.seed == 3
+        recs[1].seed = 4
+        assert _aggregate("both", recs).seed is None
 
     def test_seed_resolution_order(self, monkeypatch):
         monkeypatch.setenv("NCLB_SEED", "21")

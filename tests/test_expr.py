@@ -190,6 +190,63 @@ class TestEvaluate:
             compile_expr((q, q * J), ["q"])
 
 
+class TestOneSemantics:
+    """`evaluate` and the closures of `compile_expr` come from one generator
+    and raise DomainError in the same places."""
+
+    @pytest.mark.parametrize("e, value", [
+        (q ** 2, 1e200),                # OverflowError of a power
+        (Exp(q), 1000.0),               # OverflowError of exp
+        (Airy("Ai", q), -2e5),          # below LEFT_CUT
+        (Airy("Ai", q), float("nan")),  # not a finite real argument
+        (Power(q, -1), 0.0),            # zero to a negative power
+        (Log(q), -2.0),
+        (Power(q, F(1, 2)), -1.0),
+    ])
+    def test_domain_errors_from_both_entry_points(self, e, value):
+        with pytest.raises(DomainError):
+            evaluate(e, {"q": value})
+        f = compile_expr(e, ["q"])
+        with pytest.raises(DomainError):
+            f(value)
+        with pytest.raises(DomainError):
+            f(complex(value))
+
+    def test_non_finite_value_raises_only_in_evaluate(self):
+        f = compile_expr(q ** 8, ["q"])
+        assert not cmath.isfinite(f(1e100))
+        with pytest.raises(DomainError):
+            evaluate(q ** 8, {"q": 1e100})
+
+    def test_simplify_may_drop_a_domain_restriction(self):
+        e = Log(q) - Log(q)
+        with pytest.raises(DomainError):
+            evaluate(e, {"q": -1.0})
+        assert compile_expr(e, ["q"])(-1.0) == 0
+
+    def test_constant_beyond_double_range(self):
+        huge = Const(F(10) ** 400) * q
+        with pytest.raises(DomainError):
+            compile_expr(huge, ["q"])
+        with pytest.raises(DomainError):
+            evaluate(huge, {"q": 1.0})
+
+    def test_float_and_complex_arguments_agree_bit_for_bit(self):
+        e = Power(q + x, 3) * Power(q * x, -2) + Power(q, 5)
+        f = compile_expr(e, ["q", "x"])
+        assert f(0.7, 1.3) == f(0.7 + 0j, 1.3 + 0j)
+        assert f(-0.7, 1.3) == f(-0.7 + 0j, 1.3 + 0j)
+
+    def test_cached_code_honours_each_bound_value(self):
+        e = Exp(q * J) + J
+        before = ex._closure_maker.cache_info().misses
+        f = compile_expr(e, ["q"], bind={"J": 0.5})
+        g = compile_expr(e, ["q"], bind={"J": -2.0})
+        assert ex._closure_maker.cache_info().misses <= before + 1
+        assert f(1.0) == cmath.exp(0.5) + 0.5
+        assert g(1.0) == cmath.exp(-2.0) - 2.0
+
+
 class TestSubst:
     def test_basic(self):
         assert subst(q * q + J, {"q": Var("a") + 1}) == simplify(

@@ -311,6 +311,34 @@ class TestSolveReduced:
         assert rep.max_residual <= 1e-6
 
 
+class TestCompiledOnce:
+    def test_second_solve_on_the_same_field_compiles_nothing(self, h3, monkeypatch):
+        red = extract_first_order(build_reduced(h3, verify=False), 2 * I * J)
+        generated = []
+        source = ex._source
+
+        def counting(*args):
+            generated.append(args)
+            return source(*args)
+
+        monkeypatch.setattr(ex, "_source", counting)
+        ex._closure_maker.cache_clear()
+
+        def solve(energy, target):
+            vals, _ = solve_reduced(red.first_order.Z, red.first_order.V, energy,
+                                    lambda u, p: 1.0, [target], 1e-2, v=q, u=(),
+                                    params={"J": 1.0})
+            return vals[0]
+
+        first = solve(1.0, (0.4,))
+        assert len(generated) == 3  # (Z, V), v and u
+        second = solve(2.0, (0.9,))
+        assert len(generated) == 3
+        # the energy is bound per call, not baked into the cached code
+        assert second != first
+        assert solve(1.0, (0.4,)) == first
+
+
 class TestReducedResidual:
     def test_h3_symbolic_zero(self, h3):
         red = extract_first_order(build_reduced(h3, verify=False), 2 * I * J)
@@ -351,3 +379,15 @@ class TestReducedResidual:
                                                   (2,): ex.ONE}))
         reduced_residual(red, psi, 0.0, [(0.3,), (0.9,)], fd_step=1e-2)
         assert len(calls) == len(set(calls)) == 2 * 5
+
+
+    @pytest.mark.parametrize("samples", [[(-1.0,), (0.5,)], [(0.5,), (-1.0,)]])
+    def test_nan_field_gives_nan_in_either_order(self, h3, samples):
+        def psi(pt):
+            if abs(pt[0] - 0.5) < 0.05:
+                return complex(math.nan, 0.0)
+            return cmath.exp(1j * pt[0])
+
+        red = build_reduced(h3, verify=False)
+        rep = reduced_residual(red, psi, 1.0, samples, params={"J": 1.0})
+        assert math.isnan(rep.max_residual)

@@ -1,0 +1,20 @@
+import math
+
+import pytest
+
+from nclb.report import worst
+
+
+class TestWorst:
+    def test_finite_values_fold_to_their_max(self):
+        assert worst([0.25, 3.0, 1.0]) == 3.0
+        assert worst([]) == 0.0
+        assert worst([1e-15], floor=1e-12) == 1e-12
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_non_finite_at_any_position_gives_nan(self, bad, position):
+        values = [0.5, 2.0, 1.0]
+        values.insert(position, bad)
+        assert math.isnan(worst(values))
+        assert math.isnan(worst(iter(values), floor=1e-12))
