@@ -28,17 +28,15 @@ from .algebra import (MalformedAlgebraError, Subspace, index_witness,
                       jacobi_defect, load_algebra)
 from .bilinear import DegenerateFormError, coisotropy_check, load_form
 from .expr import to_text
-from .models import (ModelParameterError, QuadSpec2D, ReductionInconclusive,
-                     casimir_scalar_check, chart_samples,
-                     inverse_gft_h3_evaluator, invariant_frame_check,
-                     load_model, mode_solution_h3, pde_residual,
-                     pde_residual_field, rectifying_coordinates,
+from .models import (ModelParameterError, QuadSpec2D, casimir_scalar_check,
+                     chart_samples, inverse_gft_h3_evaluator,
+                     invariant_frame_check, load_model, mode_solution_h3,
+                     pde_residual, pde_residual_field, rectifying_coordinates,
                      reduction_normalizer, validate_model)
-from .reduction import (InconclusiveError, NotFirstOrderError, build_reduced,
-                        extract_first_order, local_lift_check, rectify_check,
-                        verify_lambda_rep)
+from .reduction import (NotFirstOrderError, build_reduced, extract_first_order,
+                        local_lift_check, rectify_check, verify_lambda_rep)
 from .report import (DEFAULT_SEED, FAIL, INCONCLUSIVE, PASS, CheckRecord,
-                     overall_status, worst)
+                     InconclusiveError, overall_status, worst)
 
 
 class InputError(ValueError):
@@ -62,6 +60,15 @@ def _frac(text):
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"not a rational: {text!r}") from exc
+
+
+def _real(text):
+    """A rational option as a float; one beyond the double range is an
+    input error."""
+    try:
+        return float(_frac(text))
+    except OverflowError as exc:
+        raise InputError(f"beyond the double range: {text!r}") from exc
 
 
 def _parse_grid(spec_text):
@@ -200,11 +207,7 @@ def _cmd_coisotropic(args, seed):
 
 def _aggregate(name, records):
     seeds = {r.seed for r in records if r.seed is not None}
-    status = PASS
-    if any(r.status == FAIL for r in records):
-        status = FAIL
-    elif any(r.status == INCONCLUSIVE for r in records):
-        status = INCONCLUSIVE
+    status = overall_status(records)
     return CheckRecord(
         check=name, status=status,
         max_residual=worst((r.max_residual or 0.0) for r in records),
@@ -262,7 +265,11 @@ def _cmd_model_verify(args, seed):
 
 
 def _cmd_model_reduce(args, seed):
+    j_val, e_val = _frac(args.J), _real(args.E)
     model = _load_model_from_args(args)
+    if model.name == "g4_7" and j_val not in model.lrep.j_param.values:
+        raise InputError(f"--J must be an orbit label of {model.name}: "
+                         f"one of {list(model.lrep.j_param.values)}")
     red = build_reduced(model, verify=True)
     red = extract_first_order(red, reduction_normalizer(model))
     fo = red.first_order
@@ -277,7 +284,7 @@ def _cmd_model_reduce(args, seed):
         v_expr, u_exprs = rectifying_coordinates(model)
         samples = chart_samples(model, 100, seed=seed)
         rep = rectify_check(fo.Z, v_expr, u_exprs, samples,
-                            params={"J": float(args.J), "E": float(_frac(args.E))})
+                            params={"J": float(j_val), "E": e_val})
         dev = worst((rep.max_dev_v, rep.max_dev_u))
         records.append(CheckRecord(
             check="rectification",
@@ -314,7 +321,7 @@ def _cmd_model_residual(args, seed):
         return [rec], params
 
     rows = _read_csv_columns(args.file, model.dim + 2)
-    rec = _grid_field_residual(model, rows, float(_frac(args.E)))
+    rec = _grid_field_residual(model, rows, _real(args.E))
     params = {"model": args.model, "psi": "file", "file": args.file, "E": args.E}
     return [rec], params
 
@@ -352,7 +359,7 @@ def _grid_field_residual(model, rows, e_val):
     ]
     try:
         rep = pde_residual_field(model, psi, e_val, interior, fd_step=h)
-    except ReductionInconclusive:
+    except InconclusiveError:
         return CheckRecord(check="pde_residual", status=INCONCLUSIVE,
                            detail={"reason": "no interior grid points"})
     # a NaN or inf sample makes the figure NaN and the record a failure
@@ -376,7 +383,7 @@ def _cmd_model_reconstruct(args, seed):
     names, points = _parse_grid(args.grid)
     if list(names) != list(model.x_vars):
         raise InputError(f"grid axes must be {model.x_vars}")
-    e_val = float(_frac(args.E))
+    e_val = _real(args.E)
     evaluator = inverse_gft_h3_evaluator(phi, e_val, QuadSpec2D(box=box, n=args.nodes))
     if args.out:
         with open(args.out, "w", newline="") as fh:
@@ -483,11 +490,10 @@ def run(argv):
         records, params = args.fn(args, seed)
     except (InputError, MalformedAlgebraError, DegenerateFormError,
             ModelParameterError, OSError, json.JSONDecodeError, ex.ExprError,
-            ReductionInconclusive, InconclusiveError) as exc:
+            InconclusiveError) as exc:
         doc = {"tool_version": __version__, "command": " ".join(argv),
                "error": str(exc)}
-        inconclusive = isinstance(exc, (ReductionInconclusive, InconclusiveError))
-        return (1 if inconclusive else 2), doc
+        return (1 if isinstance(exc, InconclusiveError) else 2), doc
     overall = overall_status(records)
     doc = {
         "tool_version": __version__,

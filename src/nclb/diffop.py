@@ -16,16 +16,26 @@ import random
 from dataclasses import dataclass, field
 
 from . import expr as ex
+from .airyfun import AiryOverflowError
 from .expr import Expr, ZERO, simplify
-from .report import DEFAULT_SEED
+from .report import DEFAULT_SEED, InconclusiveError, worst
+
+# the name op_equal's callers know the inconclusive error by
+InconclusiveComparisonError = InconclusiveError
 
 
 class UnsupportedOrderError(ValueError):
     pass
 
 
-class InconclusiveComparisonError(RuntimeError):
-    pass
+class DomainExitError(RuntimeError):
+    """A characteristic left the evaluation domain (raised by the RK4 flows;
+    a sampled field that integrates one skips the sample)."""
+
+    def __init__(self, exit_time, point):
+        self.exit_time = exit_time
+        self.point = point
+        super().__init__(f"trajectory left the evaluation domain at t = {exit_time}")
 
 
 @dataclass(frozen=True)
@@ -207,6 +217,32 @@ class SampleSpec:
                     point[name] = rng.choice(list(spec))
             yield point
 
+    def points(self, names):
+        """The drawn points as tuples of the values of `names`, in draw order."""
+        return [tuple(point[n] for n in names) for point in self.draw()]
+
+
+def sampled(fn, points):
+    """(rows, skipped): fn(*p) at each point p, and the count of points skipped.
+
+    This is the one place that decides which errors skip a sample: a
+    DomainError from an expression, and AiryOverflowError or DomainExitError
+    from a callable field.  A skipped point contributes nothing, even when fn
+    raised part-way through its row.  Any other error propagates, and when no
+    point evaluates the check is inconclusive.  Callers fold the rows with
+    `report.worst`, so a NaN or inf in a row makes the figure NaN.
+    """
+    rows = []
+    skipped = 0
+    for p in points:
+        try:
+            rows.append(fn(*p))
+        except (ex.DomainError, AiryOverflowError, DomainExitError):
+            skipped += 1
+    if not rows:
+        raise InconclusiveError("all samples failed to evaluate")
+    return rows, skipped
+
 
 @dataclass(frozen=True)
 class OpComparison:
@@ -222,7 +258,12 @@ def op_equal(a: DiffOp, b: DiffOp, sample_spec: SampleSpec | None = None,
     """Decide a == b, symbolically when possible, else by seeded sampling.
 
     The deviation is max |a-b| over coefficients and samples, relative to
-    max(1, largest coefficient magnitude seen on either side).
+    max(1, largest coefficient magnitude seen on either side).  Samples are
+    taken through `sampled`: a point outside a coefficient's domain is
+    skipped and counted, and a NaN or inf coefficient value makes the
+    deviation NaN and the operators unequal, whatever the sample order.
+    Raises InconclusiveError when the operators differ symbolically and no
+    spec is given, or when no sample evaluates.
     """
     if a.variables != b.variables:
         raise ValueError("operator variable sets differ")
@@ -230,7 +271,7 @@ def op_equal(a: DiffOp, b: DiffOp, sample_spec: SampleSpec | None = None,
     if diff.is_zero():
         return OpComparison(True, 0.0, True, 0, 0)
     if sample_spec is None:
-        raise InconclusiveComparisonError(
+        raise InconclusiveError(
             "operators differ symbolically and no sample spec was given"
         )
     names = set()
@@ -243,28 +284,15 @@ def op_equal(a: DiffOp, b: DiffOp, sample_spec: SampleSpec | None = None,
 
     indices = sorted(set(a.coefficients) | set(b.coefficients) | set(diff.coefficients))
     arg_names = sorted(names)
-    compiled = []
-    for idx in indices:
-        compiled.append((
-            ex.compile_expr(a.coeff(idx), arg_names),
-            ex.compile_expr(b.coeff(idx), arg_names),
-        ))
-    max_dev = 0.0
-    scale = 1.0
-    used = 0
-    skipped = 0
-    for point in sample_spec.draw():
-        args = [point[n] for n in arg_names]
-        try:
-            for fa, fb in compiled:
-                va = fa(*args)
-                vb = fb(*args)
-                scale = max(scale, abs(va), abs(vb))
-                max_dev = max(max_dev, abs(va - vb))
-            used += 1
-        except ex.DomainError:
-            skipped += 1
-    if used == 0:
-        raise InconclusiveComparisonError("all samples hit evaluation domain errors")
-    rel = max_dev / scale
-    return OpComparison(rel <= tol, rel, False, used, skipped)
+    k = len(indices)
+    coeffs = ex.compile_expr(tuple(a.coeff(idx) for idx in indices)
+                             + tuple(b.coeff(idx) for idx in indices), arg_names)
+
+    def row(*args):
+        vals = coeffs(*args)
+        return (worst(abs(v) for v in vals),
+                worst(abs(va - vb) for va, vb in zip(vals[:k], vals[k:])))
+
+    rows, skipped = sampled(row, sample_spec.points(arg_names))
+    rel = worst(d for _, d in rows) / worst((s for s, _ in rows), 1.0)
+    return OpComparison(rel <= tol, rel, False, len(rows), skipped)

@@ -17,23 +17,23 @@ first-order reduction, and smeared orthogonality.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import expr as ex
-from .airyfun import AiryOverflowError, airy, airy_array
+from .airyfun import airy, airy_array
 from .algebra import (LieAlgebra, Subspace, g47_algebra, heisenberg_algebra,
                       jacobi_defect)
 from .bilinear import BilinearForm, CoisotropyError, coisotropy_check, laplacian_data
-from .diffop import DiffOp, SampleSpec, apply, commutator, compose, op_equal
+from .diffop import (DiffOp, SampleSpec, apply, commutator, compose, op_equal,
+                     sampled)
 from .expr import Expr, Exp, I, Log, Power, Var, ZERO, simplify
 from .quadrature import gl_nodes, oscillatory_cubic_phase
 from .reduction import JParam, LambdaRep, fd_apply
 from .report import (DEFAULT_SEED, FAIL, INCONCLUSIVE, PASS, CheckRecord,
-                     VerificationError, worst)
+                     InconclusiveError, VerificationError, worst)
 
 
 class ModelParameterError(ValueError):
@@ -356,9 +356,9 @@ def chart_domain(model):
 
 def chart_samples(model, n, seed=DEFAULT_SEED):
     """Seeded sample tuples drawn from the model's chart sampling box."""
-    rng = random.Random(seed)
-    ranges = [model.lrep.sample_ranges[v] for v in model.lrep.q_vars]
-    return [tuple(rng.uniform(lo, hi) for lo, hi in ranges) for _ in range(n)]
+    q_vars = model.lrep.q_vars
+    ranges = {v: model.lrep.sample_ranges[v] for v in q_vars}
+    return SampleSpec(ranges=ranges, n=n, seed=seed).points(q_vars)
 
 
 _BUILDERS = {"heisenberg": _heisenberg_model, "g4_7": _g47_model}
@@ -388,28 +388,19 @@ def load_model(name, alpha=Fraction(1), beta=Fraction(1), validate=True) -> Grou
 
 # --- structural validation --------------------------------------------------
 
-def _symbolic_or_sampled_zero(diff_exprs, spec, tol=1e-12):
+def _symbolic_or_sampled_zero(diff_exprs, spec):
     """(max_dev, used, skipped) for a family of expressions expected zero."""
-    pend = [simplify(d) for d in diff_exprs]
-    pend = [d for d in pend if d != ZERO]
+    pend = tuple(d for d in map(simplify, diff_exprs) if d != ZERO)
     if not pend:
         return 0.0, 0, 0
-    names = sorted(set().union(*(ex.free_vars(d) for d in pend)))
+    names = sorted(set().union(*map(ex.free_vars, pend)))
     missing = [n for n in names if n not in spec.ranges]
     if missing:
         raise ValueError(f"sample spec misses {missing}")
-    fns = [ex.compile_expr(d, names) for d in pend]
-    worst = 0.0
-    used = skipped = 0
-    for point in spec.draw():
-        args = [point[n] for n in names]
-        try:
-            for fn in fns:
-                worst = max(worst, abs(fn(*args)))
-            used += 1
-        except ex.DomainError:
-            skipped += 1
-    return worst, used, skipped
+    fn = ex.compile_expr(pend, names)
+    rows, skipped = sampled(lambda *p: worst(map(abs, fn(*p))),
+                            spec.points(names))
+    return worst(rows), len(rows), skipped
 
 
 def validate_model(model, n_samples=50, seed=DEFAULT_SEED):
@@ -436,10 +427,10 @@ def validate_model(model, n_samples=50, seed=DEFAULT_SEED):
             target = ex.ONE if i == j else ZERO
             diffs.append(pairing - target)
     spec = model.x_sample_spec(n=n_samples, seed=seed)
-    worst, used, skipped = _symbolic_or_sampled_zero(diffs, spec)
+    dev, used, skipped = _symbolic_or_sampled_zero(diffs, spec)
     records.append(CheckRecord(
-        check="coframe_duality", status=PASS if worst <= 1e-12 else FAIL,
-        max_residual=worst, samples_used=used, seed=seed, skipped_samples=skipped,
+        check="coframe_duality", status=PASS if dev <= 1e-12 else FAIL,
+        max_residual=dev, samples_used=used, seed=seed, skipped_samples=skipped,
     ))
 
     # z(0, y) = y exactly
@@ -474,11 +465,11 @@ def validate_model(model, n_samples=50, seed=DEFAULT_SEED):
                 **{v: (-1.2, 1.2) for v in w_names}},
         n=n_samples, seed=seed,
     )
-    worst, used, skipped = _symbolic_or_sampled_zero(
+    dev, used, skipped = _symbolic_or_sampled_zero(
         [l - r for l, r in zip(lhs, rhs)], assoc_spec)
     records.append(CheckRecord(
-        check="associativity", status=PASS if worst <= 1e-12 else FAIL,
-        max_residual=worst, samples_used=used, seed=seed, skipped_samples=skipped,
+        check="associativity", status=PASS if dev <= 1e-12 else FAIL,
+        max_residual=dev, samples_used=used, seed=seed, skipped_samples=skipped,
     ))
 
     inv_sub = {y_names[k]: model.inverse_law[k] for k in range(n)}
@@ -486,11 +477,11 @@ def validate_model(model, n_samples=50, seed=DEFAULT_SEED):
     swap = {**{model.x_vars[k]: model.inverse_law[k] for k in range(n)},
             **{y_names[k]: Var(model.x_vars[k]) for k in range(n)}}
     right_inv = [ex.subst(z, swap) for z in model.mult_law]
-    worst, used, skipped = _symbolic_or_sampled_zero(
+    dev, used, skipped = _symbolic_or_sampled_zero(
         left_inv + right_inv, model.x_sample_spec(n=n_samples, seed=seed))
     records.append(CheckRecord(
-        check="inverse_law", status=PASS if worst <= 1e-12 else FAIL,
-        max_residual=worst, samples_used=used, seed=seed, skipped_samples=skipped,
+        check="inverse_law", status=PASS if dev <= 1e-12 else FAIL,
+        max_residual=dev, samples_used=used, seed=seed, skipped_samples=skipped,
     ))
     return records
 
@@ -502,7 +493,7 @@ def invariant_frame_check(model, n_samples=40, seed=DEFAULT_SEED, strict=False):
     n = L.dim
     spec = model.x_sample_spec(n=n_samples, seed=seed)
     records = []
-    worst = 0.0
+    devs = []
     failing = []
     counts = {"left": 0, "right": 0, "mixed": 0}
     for i in range(1, n + 1):
@@ -520,7 +511,7 @@ def invariant_frame_check(model, n_samples=40, seed=DEFAULT_SEED, strict=False):
             ):
                 cmp = op_equal(commutator(a_, b_), tgt, spec, tol=1e-12)
                 counts[fam] += 1
-                worst = max(worst, cmp.max_deviation)
+                devs.append(cmp.max_deviation)
                 if not cmp.equal:
                     failing.append((fam, i, j))
     for i in range(1, n + 1):
@@ -528,13 +519,13 @@ def invariant_frame_check(model, n_samples=40, seed=DEFAULT_SEED, strict=False):
             cmp = op_equal(commutator(model.xi[i - 1], model.eta[j - 1]),
                            DiffOp.zero(model.x_vars), spec, tol=1e-12)
             counts["mixed"] += 1
-            worst = max(worst, cmp.max_deviation)
+            devs.append(cmp.max_deviation)
             if not cmp.equal:
                 failing.append(("mixed", i, j))
     records.append(CheckRecord(
         check="invariant_frame_relations",
         status=PASS if not failing else FAIL,
-        max_residual=worst, seed=seed,
+        max_residual=worst(devs), seed=seed,
         detail={"relation_counts": counts,
                 **({"failing": failing} if failing else {})},
     ))
@@ -549,36 +540,37 @@ def haar_invariance_check(model, n_pairs=20, seed=DEFAULT_SEED, tol=1e-10):
     n = model.dim
     y_names = [f"y{i + 1}" for i in range(n)]
     names = list(model.x_vars) + y_names
-    jac_fns = [[ex.compile_expr(ex.differentiate(z, y_names[j]), names)
-                for j in range(n)] for z in model.mult_law]
-    jac_right = [[ex.compile_expr(ex.differentiate(z, model.x_vars[j]), names)
-                  for j in range(n)] for z in model.mult_law]
-    mult_fns = [ex.compile_expr(z, names) for z in model.mult_law]
-    rho_l = ex.compile_expr(model.haar.left_density, list(model.x_vars))
-    rho_r = ex.compile_expr(model.haar.right_density, list(model.x_vars))
+    # z(x, y), then its Jacobians in y (left translation) and in x (right)
+    law = ex.compile_expr(
+        tuple(model.mult_law)
+        + tuple(ex.differentiate(z, y) for z in model.mult_law for y in y_names)
+        + tuple(ex.differentiate(z, x) for z in model.mult_law for x in model.x_vars),
+        names)
+    rho = ex.compile_expr((model.haar.left_density, model.haar.right_density),
+                          list(model.x_vars))
 
-    rng = random.Random(seed)
-    worst_l = worst_r = 0.0
-    for _ in range(n_pairs):
-        zpt = [rng.uniform(-1.0, 1.0) for _ in range(n)]
-        xpt = [rng.uniform(-1.0, 1.0) for _ in range(n)]
-        args_l = zpt + xpt          # translate x on the left by z
-        zx = [f(*args_l).real for f in mult_fns]
-        jl = np.array([[jac_fns[i][j](*args_l).real for j in range(n)]
-                       for i in range(n)])
-        ratio = rho_l(*zx).real / rho_l(*xpt).real
-        worst_l = max(worst_l, abs(np.linalg.det(jl) * ratio - 1.0))
+    def defect(args, jac, side, xpt):
+        """|det J * rho(x') / rho(x) - 1| for one translation x -> x'."""
+        vals = [v.real for v in law(*args)]
+        jm = np.array(vals[jac:jac + n * n]).reshape(n, n)
+        ratio = rho(*vals[:n])[side].real / rho(*xpt)[side].real
+        return abs(np.linalg.det(jm) * ratio - 1.0)
 
-        args_r = xpt + zpt          # translate x on the right by z
-        xz = [f(*args_r).real for f in mult_fns]
-        jr = np.array([[jac_right[i][j](*args_r).real for j in range(n)]
-                       for i in range(n)])
-        ratio = rho_r(*xz).real / rho_r(*xpt).real
-        worst_r = max(worst_r, abs(np.linalg.det(jr) * ratio - 1.0))
-    status = PASS if max(worst_l, worst_r) <= tol else FAIL
+    def row(*p):
+        zpt, xpt = p[:n], p[n:]
+        # translate x on the left by z, then on the right
+        return (defect(zpt + xpt, n, 0, xpt),
+                defect(xpt + zpt, n + n * n, 1, xpt))
+
+    spec = SampleSpec(ranges={v: (-1.0, 1.0) for v in names}, n=n_pairs, seed=seed)
+    rows, skipped = sampled(row, spec.points(names))
+    worst_l = worst(l for l, _ in rows)
+    worst_r = worst(r for _, r in rows)
+    dev = worst((worst_l, worst_r))
     return CheckRecord(
-        check="haar_invariance", status=status,
-        max_residual=max(worst_l, worst_r), samples_used=n_pairs, seed=seed,
+        check="haar_invariance", status=PASS if dev <= tol else FAIL,
+        max_residual=dev, samples_used=len(rows), seed=seed,
+        skipped_samples=skipped,
         detail={"left": worst_l, "right": worst_r,
                 "unimodular": model.haar.unimodular},
     )
@@ -653,8 +645,8 @@ def coordinate_expansion_report(model, n_samples=40, seed=DEFAULT_SEED):
         if diff == ZERO:
             rows.append({"index": idx, "match": True, "deviation": 0.0})
             continue
-        worst, used, _ = _symbolic_or_sampled_zero([diff], spec)
-        rows.append({"index": idx, "match": worst <= 1e-12, "deviation": worst})
+        dev, _, _ = _symbolic_or_sampled_zero([diff], spec)
+        rows.append({"index": idx, "match": dev <= 1e-12, "deviation": dev})
     return rows
 
 
@@ -707,43 +699,33 @@ def pde_residual(model, psi: Expr, energy, samples, fd_points=10,
 
     names = list(model.x_vars)
     f_psi = ex.compile_expr(psi, names)
-    entries = []
-    skipped = 0
-    if not symbolic_zero:
-        f_res = ex.compile_expr(resid, names)
-    for pt in samples:
-        try:
-            pv = abs(f_psi(*pt))
-            rv = 0.0 if symbolic_zero else abs(f_res(*pt))
-            entries.append((rv, pv))
-        except ex.DomainError:
-            skipped += 1
-    if not entries:
-        raise ReductionInconclusive("all samples failed to evaluate")
-    max_residual = (worst(r for r, _ in entries)
-                    / worst((p for _, p in entries), floor))
+    fn = ex.compile_expr((ZERO if symbolic_zero else resid, psi), names)
+    rows, skipped = sampled(lambda *pt: tuple(map(abs, fn(*pt))), samples)
 
     coeff_fns = {idx: ex.compile_expr(c, names)
                  for idx, c in delta.coefficients.items()}
     f_sym = ex.compile_expr(sym_delta, names)
-    fd_devs = []
-    for pt in list(samples)[:fd_points]:
-        try:
-            fd_val = fd_apply(coeff_fns, lambda p: f_psi(*p), pt, fd_step)
-            sym_val = f_sym(*pt)
-        except ex.DomainError:
-            continue
-        fd_devs.append(abs(fd_val - sym_val) / max(1.0, abs(sym_val)))
-    fd_dev = worst(fd_devs)
+
+    def fd_row(*pt):
+        fd_val = fd_apply(coeff_fns, lambda p: f_psi(*p), pt, fd_step)
+        sym_val = f_sym(*pt)
+        return abs(fd_val - sym_val) / worst((abs(sym_val),), 1.0)
+
+    fd_devs, _ = sampled(fd_row, list(samples)[:fd_points])
     return PdeResidualReport(
-        max_residual=max_residual, symbolic_zero=symbolic_zero,
-        fd_cross_deviation=fd_dev, samples_used=len(entries),
+        max_residual=_residual_ratio(rows, floor), symbolic_zero=symbolic_zero,
+        fd_cross_deviation=worst(fd_devs), samples_used=len(rows),
         skipped_samples=skipped,
     )
 
 
-class ReductionInconclusive(RuntimeError):
-    pass
+def _residual_ratio(rows, floor):
+    """max |residual| / max(|psi|, floor) over (|residual|, |psi|) rows."""
+    return worst(r for r, _ in rows) / worst((p for _, p in rows), floor)
+
+
+# the name the model pipelines' callers know the inconclusive error by
+ReductionInconclusive = InconclusiveError
 
 
 # --- generalized inverse transform (Heisenberg) -------------------------------
@@ -822,8 +804,8 @@ def inverse_gft_h3(phi_hat, energy, x_points, quad_spec: QuadSpec2D):
             if float(np.max(np.abs(new - vals))) <= quad_spec.tol * scale:
                 return new
             vals = new
-        raise ReductionInconclusive("mode superposition did not settle under "
-                                    "node doubling")
+        raise InconclusiveError("mode superposition did not settle under "
+                                "node doubling")
     return vals
 
 
@@ -859,23 +841,18 @@ def pde_residual_field(model, psi, energy, samples, fd_step=0.05, floor=1e-12):
     coeff_fns = {idx: ex.compile_expr(c, names)
                  for idx, c in delta.coefficients.items()}
     e_val = complex(energy)
-    entries = []
-    skipped = 0
-    for pt in samples:
-        try:
-            lhs = fd_apply(coeff_fns, psi, pt, fd_step)
-            pv = psi(tuple(float(c) for c in pt))
-            entries.append((abs(lhs - e_val * pv), abs(pv)))
-        except (ex.DomainError, AiryOverflowError):
-            skipped += 1
-    if not entries:
-        raise ReductionInconclusive("all samples failed to evaluate")
+
+    def row(*pt):
+        lhs = fd_apply(coeff_fns, psi, pt, fd_step)
+        pv = psi(tuple(float(c) for c in pt))
+        return abs(lhs - e_val * pv), abs(pv)
+
+    rows, skipped = sampled(row, samples)
     return PdeResidualReport(
-        max_residual=(worst(r for r, _ in entries)
-                      / worst((p for _, p in entries), floor)),
+        max_residual=_residual_ratio(rows, floor),
         symbolic_zero=False,
         fd_cross_deviation=0.0,
-        samples_used=len(entries),
+        samples_used=len(rows),
         skipped_samples=skipped,
     )
 

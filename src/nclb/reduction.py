@@ -12,28 +12,18 @@ characteristic field Z and potential V, rectifies, and integrates.
 from __future__ import annotations
 
 import cmath
-import random
 from dataclasses import dataclass, replace
 
 from . import expr as ex
 from .bilinear import laplacian_data
-from .diffop import DiffOp, SampleSpec, apply, commutator, compose, op_equal
+from .diffop import (DiffOp, DomainExitError, SampleSpec, apply, commutator,
+                     compose, op_equal, sampled)
 from .expr import Expr, Var, ZERO, simplify
-from .report import DEFAULT_SEED, FAIL, PASS, CheckRecord, VerificationError, worst
+from .report import (DEFAULT_SEED, FAIL, PASS, CheckRecord, InconclusiveError,
+                     VerificationError, worst)
 
 
 class NotFirstOrderError(RuntimeError):
-    pass
-
-
-class DomainExitError(RuntimeError):
-    def __init__(self, exit_time, point):
-        self.exit_time = exit_time
-        self.point = point
-        super().__init__(f"trajectory left the evaluation domain at t = {exit_time}")
-
-
-class InconclusiveError(RuntimeError):
     pass
 
 
@@ -44,12 +34,6 @@ class JParam:
     kind: str  # "discrete" | "real_nonzero"
     values: tuple = ()
     sample_range: tuple = (0.25, 2.0)  # |J| range used when sampling reals
-
-    def samples(self, rng):
-        if self.kind == "discrete":
-            return rng.choice(self.values)
-        lo, hi = self.sample_range
-        return rng.uniform(lo, hi) * rng.choice((-1.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -161,33 +145,18 @@ def verify_lambda_rep(model, n_samples=40, seed=DEFAULT_SEED, strict=False):
 
     # skew-symmetry witness for multiplication operators: the order-0
     # coefficient i*chi must be purely imaginary at real points
-    rng = random.Random(seed)
-    real_parts = []
-    names = sorted(set().union(*(
-        ex.free_vars(lrep.ops[a - 1].coeff((0,) * lrep.dim_q))
-        for a in lrep.mult_only
-    )) | set(lrep.q_vars))
-    fns = {
-        a: ex.compile_expr(lrep.ops[a - 1].coeff((0,) * lrep.dim_q), names)
-        for a in lrep.mult_only
-    }
-    for _ in range(n_samples):
-        point = {}
-        for v in names:
-            if v == "J":
-                point[v] = lrep.j_param.samples(rng)
-            else:
-                lo, hi = lrep.sample_ranges[v]
-                point[v] = rng.uniform(lo, hi)
-        args = [point[v] for v in names]
-        for a, fn in fns.items():
-            val = fn(*args)
-            real_parts.append(abs(val.real) / (1.0 + abs(val)))
-    worst_re = worst(real_parts)
+    chis = tuple(lrep.ops[a - 1].coeff((0,) * lrep.dim_q) for a in lrep.mult_only)
+    names = sorted(set().union(*map(ex.free_vars, chis)) | set(lrep.q_vars))
+    chi_fn = ex.compile_expr(chis, names)
+    rows, skipped = sampled(
+        lambda *p: worst(abs(v.real) / (1.0 + abs(v)) for v in chi_fn(*p)),
+        spec.points(names))
+    worst_re = worst(rows)
     records.append(CheckRecord(
         check="multiplication_operators_imaginary",
         status=PASS if worst_re <= 1e-12 else FAIL,
-        max_residual=worst_re, samples_used=n_samples, seed=seed,
+        max_residual=worst_re, samples_used=len(rows), seed=seed,
+        skipped_samples=skipped,
     ))
 
     if strict and any(not r.passed for r in records):
@@ -237,38 +206,32 @@ def _test_function_bank(q_vars):
 
 def local_lift_check(model, i, n_samples=30, seed=DEFAULT_SEED) -> float:
     """Max relative deviation between the collapsed-action generator and the
-    representation operator, probed on a bank of test functions."""
+    representation operator, probed on a bank of test functions at the
+    points of the representation's sample spec."""
     if model.kernel is None or model.kernel.collapsed is None:
         raise ValueError(f"model {model.name} ships no collapsed kernel action")
     lrep = model.lrep
     gen = infinitesimal_action(model, i)
     op = lrep.ops[i - 1]
-    rng = random.Random(seed)
-    devs = []
+    # (generator - operator, operator) applied to each probe that differs
+    pairs = []
     for phi in _test_function_bank(lrep.q_vars):
-        diff = simplify(apply(gen, phi) - apply(op, phi))
-        if diff == ZERO:
-            continue
         ref = apply(op, phi)
-        names = sorted(ex.free_vars(diff) | ex.free_vars(ref) | set(lrep.q_vars))
-        fd = ex.compile_expr(diff, names)
-        fr = ex.compile_expr(ref, names)
-        for _ in range(n_samples):
-            point = {}
-            for v in names:
-                if v == "J":
-                    point[v] = lrep.j_param.samples(rng)
-                else:
-                    lo, hi = lrep.sample_ranges[v]
-                    point[v] = rng.uniform(lo, hi)
-            args = [point[v] for v in names]
-            try:
-                dv = abs(fd(*args))
-                rv = abs(fr(*args))
-            except ex.DomainError:
-                continue
-            devs.append(dv / max(1.0, rv))
-    return worst(devs)
+        diff = simplify(apply(gen, phi) - ref)
+        if diff != ZERO:
+            pairs += [diff, ref]
+    if not pairs:
+        return 0.0
+    names = sorted(set().union(*map(ex.free_vars, pairs)) | set(lrep.q_vars))
+    fn = ex.compile_expr(tuple(pairs), names)
+
+    def row(*p):
+        vals = fn(*p)
+        return worst(abs(d) / worst((abs(r),), 1.0)
+                     for d, r in zip(vals[::2], vals[1::2]))
+
+    rows, _ = sampled(row, lrep.sample_spec(n=n_samples, seed=seed).points(names))
+    return worst(rows)
 
 
 # --- assembly ---------------------------------------------------------------
@@ -419,30 +382,34 @@ class ResidualReport:
     skipped_samples: int
 
 
+def _along(Z, e):
+    """Z e: the derivative of e along the field Z, in normal form."""
+    return simplify(ex.Sum(tuple(
+        ex.Product((ex.as_expr(z), ex.differentiate(ex.as_expr(e), var)))
+        for z, var in zip(Z, _chart_names(len(Z)))
+    )))
+
+
+def _invariants_family(Z, u):
+    """(Z u_1, u_1, ..., Z u_k, u_k, Z_1, ..., Z_m) for `_invariant_ratios`."""
+    return (tuple(e for ue in u for e in (_along(Z, ue), ex.as_expr(ue)))
+            + tuple(ex.as_expr(z) for z in Z))
+
+
+def _invariant_ratios(vals, k):
+    """max over the k invariants of |Z u| / (|u| * ||Z||), from the values
+    of `_invariants_family`."""
+    znorm = worst(abs(z) for z in vals[2 * k:])
+    return worst(abs(zu) / worst((abs(uv) * znorm,), 1e-300)
+                 for zu, uv in zip(vals[:2 * k:2], vals[1:2 * k:2]))
+
+
 def invariant_residual(Z, u: Expr, samples, params=None) -> ResidualReport:
     """max |Z u| / (|u| * ||Z||) over sample points; domain errors skipped."""
-    params = params or {}
-    m = len(Z)
-    q_vars = _chart_names(m)
-    zu = simplify(ex.Sum(tuple(
-        ex.Product((ex.as_expr(z), ex.differentiate(ex.as_expr(u), v)))
-        for z, v in zip(Z, q_vars)
-    )))
-    f_zu = ex.compile_expr(zu, q_vars, bind=params)
-    f_u = ex.compile_expr(ex.as_expr(u), q_vars, bind=params)
-    f_z = ex.compile_expr(tuple(ex.as_expr(z) for z in Z), q_vars, bind=params)
-    ratios = []
-    skipped = 0
-    for q in samples:
-        try:
-            znorm = worst(abs(z) for z in f_z(*q))
-            scale = max(abs(f_u(*q)) * znorm, 1e-300)
-            ratios.append(abs(f_zu(*q)) / scale)
-        except ex.DomainError:
-            skipped += 1
-    if not ratios:
-        raise InconclusiveError("all invariant samples hit domain errors")
-    return ResidualReport(worst(ratios), len(ratios), skipped)
+    fn = ex.compile_expr(_invariants_family(Z, (u,)), _chart_names(len(Z)),
+                         bind=params or {})
+    rows, skipped = sampled(lambda *q: _invariant_ratios(fn(*q), 1), samples)
+    return ResidualReport(worst(rows), len(rows), skipped)
 
 
 @dataclass(frozen=True)
@@ -455,28 +422,16 @@ class RectifyReport:
 
 def rectify_check(Z, v: Expr, u, samples, params=None) -> RectifyReport:
     """Certify flow-box coordinates: Zv = 1 and Zu = 0 on the sampled chart."""
-    params = params or {}
-    m = len(Z)
-    q_vars = _chart_names(m)
+    fn = ex.compile_expr((_along(Z, v),) + _invariants_family(Z, u),
+                         _chart_names(len(Z)), bind=params or {})
 
-    def z_of(e):
-        return simplify(ex.Sum(tuple(
-            ex.Product((ex.as_expr(z), ex.differentiate(ex.as_expr(e), var)))
-            for z, var in zip(Z, q_vars)
-        )))
+    def row(*q):
+        zv, *vals = fn(*q)
+        return abs(zv - 1.0), _invariant_ratios(vals, len(u))
 
-    f_zv = ex.compile_expr(z_of(v), q_vars, bind=params)
-    devs_v = []
-    skipped = 0
-    for q in samples:
-        try:
-            devs_v.append(abs(f_zv(*q) - 1.0))
-        except ex.DomainError:
-            skipped += 1
-    if not devs_v:
-        raise InconclusiveError("all rectification samples hit domain errors")
-    devs_u = [invariant_residual(Z, ue, samples, params).max_residual for ue in u]
-    return RectifyReport(worst(devs_v), worst(devs_u), len(devs_v), skipped)
+    rows, skipped = sampled(row, samples)
+    return RectifyReport(worst(d for d, _ in rows), worst(d for _, d in rows),
+                         len(rows), skipped)
 
 
 def solve_reduced(Z, V, energy, phi, q_targets, step, *, v: Expr, u=(),
@@ -598,24 +553,16 @@ def reduced_residual(red: ReducedOperator, psi_hat, energy, samples,
         resid = simplify(apply(raw, psi_hat) - Var("E") * psi_hat)
         if resid == ZERO:
             return ResidualReport(0.0, len(list(samples)), 0)
-        f_res = ex.compile_expr(resid, q_vars, bind=params)
-        f_psi = ex.compile_expr(psi_hat, q_vars, bind=params)
-        entries = []
-        skipped = 0
-        for q in samples:
-            try:
-                entries.append((abs(f_res(*q)), abs(f_psi(*q))))
-            except ex.DomainError:
-                skipped += 1
-        return _relative_residual(entries, skipped, floor)
+        fn = ex.compile_expr((resid, psi_hat), q_vars, bind=params)
+        rows, skipped = sampled(lambda *q: tuple(map(abs, fn(*q))), samples)
+        return _relative_residual(rows, skipped, floor)
 
     coeff_fns = {
         idx: ex.compile_expr(c, q_vars, bind=params)
         for idx, c in raw.coefficients.items()
     }
-    entries = []
-    skipped = 0
-    for q in samples:
+
+    def row(*q):
         # the stencil centre and psi at the sample are one point: evaluate
         # psi_hat once per distinct point of this sample
         memo = {}
@@ -625,20 +572,17 @@ def reduced_residual(red: ReducedOperator, psi_hat, energy, samples,
                 memo[p] = psi_hat(p)
             return memo[p]
 
-        try:
-            lhs = fd_apply(coeff_fns, psi, q, fd_step)
-            pv = psi(tuple(float(x) for x in q))
-            entries.append((abs(lhs - e_val * pv), abs(pv)))
-        except (ex.DomainError, DomainExitError):
-            skipped += 1
-    return _relative_residual(entries, skipped, floor)
+        lhs = fd_apply(coeff_fns, psi, q, fd_step)
+        pv = psi(tuple(float(x) for x in q))
+        return abs(lhs - e_val * pv), abs(pv)
+
+    rows, skipped = sampled(row, samples)
+    return _relative_residual(rows, skipped, floor)
 
 
 def _relative_residual(entries, skipped, floor):
     """Report of max |residual| / max(|psi|, floor) over (|residual|, |psi|)
     pairs; a NaN or inf in either makes it NaN, whatever the sample order."""
-    if not entries:
-        raise InconclusiveError("all residual samples hit domain errors")
     scale = worst((p for _, p in entries), floor)
     if scale <= floor:
         raise InconclusiveError("field is numerically zero on all samples")

@@ -56,6 +56,11 @@ class CheckRecord:
         return doc
 
 
+class InconclusiveError(RuntimeError):
+    """A check could not reach a verdict: no sample evaluated, a field was
+    numerically zero everywhere, or a quadrature did not settle."""
+
+
 class VerificationError(RuntimeError):
     """A strict verification run found failing checks."""
 

@@ -124,6 +124,23 @@ class TestModelCommands:
         assert detail["Z"] == ["q1 + (-1)*q2", "(-1)*q1"]
         assert "log(q2)" in detail["V"]
 
+    @pytest.mark.parametrize("flags", [["--E", "1e400"], ["--J", "abc"],
+                                       ["--J", "0"], ["--J", "1/2"]])
+    def test_reduce_bad_number_is_an_error_document(self, flags, capsys):
+        # a number beyond the double range, one that does not parse, and a
+        # J that is no orbit label of g4_7 (+-1): exit 2, no traceback
+        code, doc = run(["model", "reduce", "g4_7"] + flags)
+        assert code == 2
+        assert set(doc) == {"tool_version", "command", "error"}
+        assert main(["model", "reduce", "g4_7"] + flags) == 2
+        assert capsys.readouterr().out.startswith("error: ")
+
+    @pytest.mark.parametrize("model, j", [("g4_7", "-2/2"), ("heisenberg", "1/2")])
+    def test_reduce_takes_a_rational_j(self, model, j):
+        code, doc = run(["model", "reduce", model, f"--J={j}"])
+        assert code == 0
+        assert doc["parameters"]["J"] == j
+
     def test_residual_mode(self):
         code, doc = run(["model", "residual", "heisenberg", "--psi", "mode",
                          "--mu", "1/2", "--nu", "1", "--E", "1",

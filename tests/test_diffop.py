@@ -1,12 +1,14 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from nclb import expr as ex
-from nclb.diffop import (DiffOp, InconclusiveComparisonError, SampleSpec,
-                         UnsupportedOrderError, apply, commutator, compose,
-                         op_equal)
+from nclb.airyfun import AiryOverflowError
+from nclb.diffop import (DiffOp, DomainExitError, InconclusiveComparisonError,
+                         SampleSpec, UnsupportedOrderError, apply, commutator,
+                         compose, op_equal, sampled)
 from nclb.expr import Exp, I, Log, Power, Var, ZERO, simplify
 
 X3 = ("x1", "x2", "x3")
@@ -173,6 +175,53 @@ class TestOpEqual:
         assert cmp.skipped_samples > 0
         assert cmp.samples_used > 0
         assert not cmp.equal
+
+    @pytest.mark.parametrize("choices", [[0.5, 1e100], [1e100, 0.5]])
+    def test_nan_sample_is_unequal_in_either_order(self, choices):
+        # x1^8 at 1e100 is nan+nanj on both sides; the 1e-20 term is far
+        # below tol at 0.5, so only the NaN can decide the verdict
+        spec = SampleSpec(ranges={"x1": choices}, n=4, seed=1)
+        assert {p[0] for p in spec.points(["x1"])} == {0.5, 1e100}
+        a = DiffOp.scalar(("x1",), x1 ** 8)
+        b = DiffOp.scalar(("x1",), x1 ** 8 + F(1, 10 ** 20) * x1)
+        cmp = op_equal(a, b, spec)
+        assert not cmp.equal
+        assert math.isnan(cmp.max_deviation)
+
+    def test_points_follow_draw_order(self):
+        spec = q_spec(n=7, seed=11)
+        names = ["J", "q2", "q1"]
+        assert spec.points(names) == [tuple(p[v] for v in names)
+                                      for p in spec.draw()]
+
+
+class TestSampled:
+    def test_domain_errors_skip_and_count(self):
+        def fn(x):
+            if x == 1:
+                raise ex.DomainError("outside")
+            if x == 2:
+                raise AiryOverflowError("overflow")
+            if x == 3:
+                raise DomainExitError(0.5, (x,))
+            return x * 10
+
+        assert sampled(fn, [(0,), (1,), (2,), (3,), (4,)]) == ([0, 40], 3)
+
+    def test_other_errors_propagate(self):
+        def fn(x):
+            raise ZeroDivisionError("not a domain error")
+
+        with pytest.raises(ZeroDivisionError):
+            sampled(fn, [(0,)])
+
+    def test_no_evaluated_sample_is_inconclusive(self):
+        def fn(x):
+            raise ex.DomainError("outside")
+
+        with pytest.raises(InconclusiveComparisonError,
+                           match="all samples failed to evaluate"):
+            sampled(fn, [(0,), (1,)])
 
 
 def test_order_cap_enforced_at_construction():

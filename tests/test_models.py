@@ -10,15 +10,17 @@ import pytest
 from nclb import expr as ex
 from nclb.algebra import jacobi_defect
 from nclb.bilinear import form_from_json
-from nclb.diffop import DiffOp, apply, op_equal
+from nclb.diffop import DiffOp, SampleSpec, apply, op_equal
 from nclb.expr import Airy, Exp, I, Power, Var, evaluate, simplify
+from nclb import models
 from nclb.models import (CasimirReport, ModelParameterError,
                          airy_identity_check, casimir_scalar_check,
-                         coordinate_expansion_report, haar_invariance_check,
+                         chart_samples, coordinate_expansion_report,
+                         haar_invariance_check,
                          invariant_frame_check, lambda_roots, laplace_operator,
                          load_model, mode_solution_h3, pde_residual,
                          printed_coordinate_laplacian, validate_model)
-from nclb.report import VerificationError
+from nclb.report import DEFAULT_SEED, InconclusiveError, VerificationError
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -55,6 +57,23 @@ class TestLoadModel:
             assert all(r.passed for r in records)
             assert jacobi_defect(model.algebra) == []
 
+    def test_structural_check_on_no_evaluated_sample_is_inconclusive(self):
+        # validate_model's sampled path used to pass here on zero samples
+        spec = SampleSpec(ranges={"x1": (-2.0, -1.0)}, n=5, seed=3)
+        with pytest.raises(InconclusiveError):
+            models._symbolic_or_sampled_zero([ex.Log(Var("x1"))], spec)
+
+    def test_partly_evaluated_sample_contributes_nothing(self):
+        # 999 x1 evaluates everywhere, x1^(1/2) only for x1 >= 0: a negative
+        # sample is skipped whole, its 999 |x1| included
+        x1 = Var("x1")
+        spec = SampleSpec(ranges={"x1": (-2.0, 2.0)}, n=5, seed=3)
+        used = [x for (x,) in spec.points(["x1"]) if x >= 0]
+        dev, n_used, skipped = models._symbolic_or_sampled_zero(
+            [999 * x1, Power(x1, F(1, 2)) - x1], spec)
+        assert (n_used, skipped) == (len(used), 5 - len(used)) == (3, 2)
+        assert dev == max(max(999 * x, abs(math.sqrt(x) - x)) for x in used)
+
 
 class TestFrameChecks:
     def test_h3_counts(self, h3):
@@ -81,6 +100,22 @@ class TestFrameChecks:
         rec = haar_invariance_check(g47)
         assert rec.passed
         assert rec.max_residual <= 1e-10
+
+    def test_haar_figures_for_the_default_seed(self, h3, g47):
+        rec = haar_invariance_check(h3)
+        assert (rec.max_residual, rec.detail["left"], rec.detail["right"]) == (0.0, 0.0, 0.0)
+        rec = haar_invariance_check(g47)
+        assert rec.detail["left"] == rec.max_residual == 6.661338147750939e-16
+        assert rec.detail["right"] == 0.0
+        assert (rec.samples_used, rec.skipped_samples) == (20, 0)
+
+    def test_chart_samples_draw_the_box_coordinate_by_coordinate(self, h3, g47):
+        for model in (h3, g47):
+            rng = random.Random(DEFAULT_SEED)
+            ranges = [model.lrep.sample_ranges[v] for v in model.lrep.q_vars]
+            expected = [tuple(rng.uniform(lo, hi) for lo, hi in ranges)
+                        for _ in range(30)]
+            assert chart_samples(model, 30) == expected
 
 
 class TestLaplacian:

@@ -2,7 +2,15 @@ import math
 
 import pytest
 
-from nclb.report import worst
+from nclb.diffop import InconclusiveComparisonError
+from nclb.models import ReductionInconclusive
+from nclb.reduction import InconclusiveError as ReductionInconclusiveError
+from nclb.report import InconclusiveError, worst
+
+
+def test_every_inconclusive_name_is_the_one_class():
+    assert (InconclusiveComparisonError is ReductionInconclusive
+            is ReductionInconclusiveError is InconclusiveError)
 
 
 class TestWorst:
