@@ -71,6 +71,12 @@ def _real(text):
         raise InputError(f"beyond the double range: {text!r}") from exc
 
 
+def _check_count(value, flag):
+    """A count option below 1 is an input error."""
+    if value < 1:
+        raise InputError(f"{flag} must be >= 1, got {value}")
+
+
 def _parse_grid(spec_text):
     """'x1=-1:1:5,x2=0:2:3' -> list of coordinate tuples (row-major)."""
     axes = []
@@ -78,7 +84,7 @@ def _parse_grid(spec_text):
         for part in spec_text.split(","):
             name, rng = part.split("=")
             lo, hi, count = rng.split(":")
-            lo, hi, count = float(lo), float(hi), int(count)
+            lo, hi, count = _real(lo), _real(hi), int(count)
             if count < 1:
                 raise ValueError("count must be >= 1")
             if count == 1:
@@ -169,6 +175,7 @@ def _cmd_check_algebra(args, seed):
 
 
 def _cmd_index(args, seed):
+    _check_count(args.trials, "--trials")
     L = load_algebra(args.file)
     idx, witness = index_witness(L, trials=args.trials, seed=seed)
     rec = CheckRecord(
@@ -359,9 +366,9 @@ def _grid_field_residual(model, rows, e_val):
     ]
     try:
         rep = pde_residual_field(model, psi, e_val, interior, fd_step=h)
-    except InconclusiveError:
+    except InconclusiveError as exc:
         return CheckRecord(check="pde_residual", status=INCONCLUSIVE,
-                           detail={"reason": "no interior grid points"})
+                           detail={"reason": str(exc)})
     # a NaN or inf sample makes the figure NaN and the record a failure
     return CheckRecord(
         check="pde_residual",
@@ -384,6 +391,7 @@ def _cmd_model_reconstruct(args, seed):
     if list(names) != list(model.x_vars):
         raise InputError(f"grid axes must be {model.x_vars}")
     e_val = _real(args.E)
+    _check_count(args.nodes, "--nodes")
     evaluator = inverse_gft_h3_evaluator(phi, e_val, QuadSpec2D(box=box, n=args.nodes))
     if args.out:
         with open(args.out, "w", newline="") as fh:

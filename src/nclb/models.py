@@ -27,11 +27,11 @@ from .airyfun import airy, airy_array
 from .algebra import (LieAlgebra, Subspace, g47_algebra, heisenberg_algebra,
                       jacobi_defect)
 from .bilinear import BilinearForm, CoisotropyError, coisotropy_check, laplacian_data
-from .diffop import (DiffOp, SampleSpec, apply, commutator, compose, op_equal,
+from .diffop import (DiffOp, SampleSpec, commutator, compose, op_equal,
                      sampled)
 from .expr import Expr, Exp, I, Log, Power, Var, ZERO, simplify
 from .quadrature import gl_nodes, oscillatory_cubic_phase
-from .reduction import JParam, LambdaRep, fd_apply
+from .reduction import JParam, LambdaRep, ResidualReport, operator_residual
 from .report import (DEFAULT_SEED, FAIL, INCONCLUSIVE, PASS, CheckRecord,
                      InconclusiveError, VerificationError, worst)
 
@@ -673,55 +673,13 @@ def mode_solution_h3(mu, nu, energy, kind="Ai") -> Expr:
     return simplify(Exp(I * mu * x2 + I * nu * x3) * ex.Airy(kind, arg))
 
 
-@dataclass(frozen=True)
-class PdeResidualReport:
-    max_residual: float
-    symbolic_zero: bool
-    fd_cross_deviation: float
-    samples_used: int
-    skipped_samples: int
-
-
 def pde_residual(model, psi: Expr, energy, samples, fd_points=10,
-                 fd_step=0.02, floor=1e-12) -> PdeResidualReport:
-    """max |Delta psi - E psi| / max(|psi|, floor) over sample points.
-
-    Also cross-checks a 4th-order finite-difference application of Delta
-    against the symbolic value at a few points; disagreement there means the
-    symbolic derivative path and the numeric stencil path drifted apart.
-    A NaN or inf value of psi, the residual or a stencil makes the figure it
-    enters NaN, so no tolerance gate on it passes.
-    """
-    delta = laplace_operator(model)
-    sym_delta = simplify(apply(delta, psi))
-    resid = simplify(sym_delta - ex.as_expr(energy) * psi)
-    symbolic_zero = resid == ZERO
-
-    names = list(model.x_vars)
-    f_psi = ex.compile_expr(psi, names)
-    fn = ex.compile_expr((ZERO if symbolic_zero else resid, psi), names)
-    rows, skipped = sampled(lambda *pt: tuple(map(abs, fn(*pt))), samples)
-
-    coeff_fns = {idx: ex.compile_expr(c, names)
-                 for idx, c in delta.coefficients.items()}
-    f_sym = ex.compile_expr(sym_delta, names)
-
-    def fd_row(*pt):
-        fd_val = fd_apply(coeff_fns, lambda p: f_psi(*p), pt, fd_step)
-        sym_val = f_sym(*pt)
-        return abs(fd_val - sym_val) / worst((abs(sym_val),), 1.0)
-
-    fd_devs, _ = sampled(fd_row, list(samples)[:fd_points])
-    return PdeResidualReport(
-        max_residual=_residual_ratio(rows, floor), symbolic_zero=symbolic_zero,
-        fd_cross_deviation=worst(fd_devs), samples_used=len(rows),
-        skipped_samples=skipped,
-    )
-
-
-def _residual_ratio(rows, floor):
-    """max |residual| / max(|psi|, floor) over (|residual|, |psi|) rows."""
-    return worst(r for r, _ in rows) / worst((p for _, p in rows), floor)
+                 fd_step=0.02, floor=1e-12) -> ResidualReport:
+    """`operator_residual` of the model's Laplacian on an expression field:
+    max |Delta psi - E psi| / max(|psi|, floor) over sample points, with
+    Delta psi cross-checked against the stencils at the first fd_points."""
+    return operator_residual(laplace_operator(model), psi, energy, samples,
+                             fd_step=fd_step, floor=floor, fd_points=fd_points)
 
 
 # the name the model pipelines' callers know the inconclusive error by
@@ -828,33 +786,16 @@ def inverse_gft_h3_evaluator(phi_hat, energy, quad_spec: QuadSpec2D):
     return psi
 
 
-def pde_residual_field(model, psi, energy, samples, fd_step=0.05, floor=1e-12):
-    """FD analogue of `pde_residual` for sampled fields.
+def pde_residual_field(model, psi, energy, samples, fd_step=0.05,
+                       floor=1e-12) -> ResidualReport:
+    """`operator_residual` of the model's Laplacian on a sampled field.
 
     psi is a callable on coordinate tuples; the Laplacian is applied through
     4th-order stencils, so the reported residual carries the O(h^4)
     truncation of smooth fields on top of any model error.
-    A NaN or inf value of psi or a stencil makes max_residual NaN.
     """
-    delta = laplace_operator(model)
-    names = list(model.x_vars)
-    coeff_fns = {idx: ex.compile_expr(c, names)
-                 for idx, c in delta.coefficients.items()}
-    e_val = complex(energy)
-
-    def row(*pt):
-        lhs = fd_apply(coeff_fns, psi, pt, fd_step)
-        pv = psi(tuple(float(c) for c in pt))
-        return abs(lhs - e_val * pv), abs(pv)
-
-    rows, skipped = sampled(row, samples)
-    return PdeResidualReport(
-        max_residual=_residual_ratio(rows, floor),
-        symbolic_zero=False,
-        fd_cross_deviation=0.0,
-        samples_used=len(rows),
-        skipped_samples=skipped,
-    )
+    return operator_residual(laplace_operator(model), psi, energy, samples,
+                             fd_step=fd_step, floor=floor)
 
 
 def mode_superposition_h3(amplitude, energy, x_points, quad_spec: QuadSpec2D):

@@ -12,9 +12,11 @@ import functools
 
 import numpy as np
 
+from .report import InconclusiveError
 
-class QuadratureError(RuntimeError):
-    pass
+# a refinement that does not settle is an inconclusive check; the old name
+# stays for callers that catch it
+QuadratureError = InconclusiveError
 
 
 @functools.lru_cache(maxsize=64)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 from . import expr as ex
 from .bilinear import laplacian_data
@@ -377,9 +378,16 @@ def _chart_names(m):
 
 @dataclass(frozen=True)
 class ResidualReport:
+    """A sampled residual.  symbolic_zero says an expression field's
+    residual simplified to 0; fd_cross_deviation is the worst relative gap
+    between its symbolic operator value and the stencils (0.0 for a
+    callable field, which has no symbolic side)."""
+
     max_residual: float
     samples_used: int
     skipped_samples: int
+    symbolic_zero: bool = False
+    fd_cross_deviation: float = 0.0
 
 
 def _along(Z, e):
@@ -536,54 +544,80 @@ def fd_apply(coeff_fns, psi, point, h):
     return total
 
 
-def reduced_residual(red: ReducedOperator, psi_hat, energy, samples,
-                     params=None, fd_step=1e-2, floor=1e-12) -> ResidualReport:
-    """max |raw psi - E psi| / max(|psi|, floor) over samples.
+def operator_residual(op: DiffOp, psi, energy, samples, params=None,
+                      fd_step=1e-2, floor=1e-12, fd_points=10) -> ResidualReport:
+    """max |op psi - E psi| / max(|psi|, floor) over samples: the one residual
+    of an order-<=2 operator on a field.
 
-    psi_hat may be an expression (symbolic derivatives; exact zeros detected)
-    or a callable on coordinate tuples (4th-order finite differences).
+    psi is an expression or a callable on coordinate tuples of
+    op.variables; params binds any other free name.  For an expression, an
+    exact (int or Fraction) energy is folded into psi before op is applied;
+    any other energy stays the symbol E, bound through params unless they
+    already bind it.  op psi is built once, the residual simplified once,
+    and (residual, psi) sampled through `diffop.sampled`; the symbolic
+    op psi is cross-checked against `fd_apply`'s stencils at the first
+    fd_points samples.  A callable psi goes through the stencils alone, with
+    each distinct stencil point evaluated once per sample.  A NaN or inf
+    value makes the figure NaN; a field numerically zero on every sample
+    raises InconclusiveError.
     """
+    exact = isinstance(psi, Expr) and isinstance(energy, (int, Fraction))
     params = dict(params or {})
-    e_val = complex(energy)
-    params.setdefault("E", e_val)
-    raw = red.raw
-    q_vars = raw.variables
+    if not exact:
+        params.setdefault("E", complex(energy))
+    names = op.variables
+    samples = list(samples)
+    coeff_fns = {idx: ex.compile_expr(c, names, bind=params)
+                 for idx, c in op.coefficients.items()}
 
-    if isinstance(psi_hat, Expr):
-        resid = simplify(apply(raw, psi_hat) - Var("E") * psi_hat)
-        if resid == ZERO:
-            return ResidualReport(0.0, len(list(samples)), 0)
-        fn = ex.compile_expr((resid, psi_hat), q_vars, bind=params)
-        rows, skipped = sampled(lambda *q: tuple(map(abs, fn(*q))), samples)
-        return _relative_residual(rows, skipped, floor)
-
-    coeff_fns = {
-        idx: ex.compile_expr(c, q_vars, bind=params)
-        for idx, c in raw.coefficients.items()
-    }
-
-    def row(*q):
-        # the stencil centre and psi at the sample are one point: evaluate
-        # psi_hat once per distinct point of this sample
+    def stencil(field, q):
+        """(op field, field) at q, evaluating field once per distinct point."""
         memo = {}
 
-        def psi(p):
+        def at(p):
             if p not in memo:
-                memo[p] = psi_hat(p)
+                memo[p] = field(p)
             return memo[p]
 
-        lhs = fd_apply(coeff_fns, psi, q, fd_step)
-        pv = psi(tuple(float(x) for x in q))
-        return abs(lhs - e_val * pv), abs(pv)
+        return fd_apply(coeff_fns, at, q, fd_step), at(tuple(float(x) for x in q))
 
-    rows, skipped = sampled(row, samples)
-    return _relative_residual(rows, skipped, floor)
+    symbolic_zero, cross = False, 0.0
+    if isinstance(psi, Expr):
+        if exact and "E" in ex.free_vars(psi):
+            psi = ex.subst(psi, {"E": energy})
+        op_psi = apply(op, psi)
+        resid = simplify(op_psi - (ex.as_expr(energy) if exact else Var("E")) * psi)
+        symbolic_zero = resid == ZERO
+        fn = ex.compile_expr((resid, psi), names, bind=params)
+        rows, skipped = sampled(lambda *q: tuple(map(abs, fn(*q))), samples)
+        f_psi = ex.compile_expr(psi, names, bind=params)
+        f_op = ex.compile_expr(op_psi, names, bind=params)
 
+        def cross_row(*q):
+            fd_val, _ = stencil(lambda p: f_psi(*p), q)
+            sym_val = f_op(*q)
+            return abs(fd_val - sym_val) / worst((abs(sym_val),), 1.0)
 
-def _relative_residual(entries, skipped, floor):
-    """Report of max |residual| / max(|psi|, floor) over (|residual|, |psi|)
-    pairs; a NaN or inf in either makes it NaN, whatever the sample order."""
-    scale = worst((p for _, p in entries), floor)
+        cross = worst(sampled(cross_row, samples[:fd_points])[0])
+    else:
+        e_val = complex(energy)
+
+        def row(*q):
+            lhs, pv = stencil(psi, q)
+            return abs(lhs - e_val * pv), abs(pv)
+
+        rows, skipped = sampled(row, samples)
+
+    scale = worst((p for _, p in rows), floor)
     if scale <= floor:
         raise InconclusiveError("field is numerically zero on all samples")
-    return ResidualReport(worst(r for r, _ in entries) / scale, len(entries), skipped)
+    return ResidualReport(worst(r for r, _ in rows) / scale, len(rows), skipped,
+                          symbolic_zero, cross)
+
+
+def reduced_residual(red: ReducedOperator, psi_hat, energy, samples,
+                     params=None, fd_step=1e-2, floor=1e-12) -> ResidualReport:
+    """`operator_residual` of the raw reduced operator on the orbit chart:
+    max |raw psi_hat - E psi_hat| / max(|psi_hat|, floor) over samples."""
+    return operator_residual(red.raw, psi_hat, energy, samples, params=params,
+                             fd_step=fd_step, floor=floor)

@@ -242,6 +242,40 @@ class TestModelCommands:
         assert check["status"] == "fail"
         assert code == 1
 
+    def test_residual_zero_field_csv_is_inconclusive(self, tmp_path):
+        # the one interior point of a 5x5x5 grid of zeros reaches no verdict
+        h = 0.05
+        lines = ["x1,x2,x3,re,im"] + [
+            f"{i * h},{j * h},{k * h},0,0"
+            for i in range(-2, 3) for j in range(-2, 3) for k in range(-2, 3)]
+        p = tmp_path / "field.csv"
+        p.write_text("\n".join(lines))
+        code, doc = run(["model", "residual", "heisenberg", "--psi", "file",
+                         "--file", str(p), "--E", "1"])
+        check = doc["checks"][0]
+        assert check["status"] == "inconclusive"
+        assert check["detail"] == {
+            "reason": "field is numerically zero on all samples"}
+        assert code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["model", "residual", "heisenberg", "--psi", "mode",
+         "--grid", "x1=-1e400:1:5,x2=-1:1:5,x3=-1:1:5"],
+        ["index", fx("g47.json"), "--trials", "0"],
+        ["model", "reconstruct", "heisenberg", "--phi", "{phi}", "--nodes", "0"],
+    ])
+    def test_bad_number_is_an_input_error(self, argv, tmp_path, capsys):
+        # a grid bound beyond the double range and counts below one: exit 2
+        # with an error document, no traceback
+        phi = tmp_path / "phi.csv"
+        phi.write_text("\n".join(f"{k},{j},1,0" for k in (-1, 1) for j in (1, 2)))
+        argv = [a.format(phi=phi) for a in argv]
+        code, doc = run(argv)
+        assert code == 2
+        assert set(doc) == {"tool_version", "command", "error"}
+        assert main(argv) == 2
+        assert capsys.readouterr().out.startswith("error: ")
+
     def test_reconstruct(self, tmp_path):
         lines = ["k,J,re,im"]
         ks = np.linspace(-1.0, 1.0, 21)

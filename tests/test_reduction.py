@@ -10,7 +10,8 @@ from nclb import expr as ex
 from nclb.diffop import DiffOp, SampleSpec
 from nclb.expr import Exp, I, Log, Power, Var, evaluate, simplify, to_text
 from nclb.models import (chart_domain, chart_samples, lambda_roots, load_model,
-                         rectifying_coordinates, reduction_normalizer)
+                         pde_residual_field, rectifying_coordinates,
+                         reduction_normalizer)
 from nclb.reduction import (Characteristic, DomainExitError, InconclusiveError,
                             NotFirstOrderError, ReducedOperator, build_reduced,
                             conjugate_by_multiplier, extract_first_order, flow,
@@ -346,6 +347,17 @@ class TestReducedResidual:
                                [(-1.0,), (0.2,), (1.4,)], params={"J": 1.0})
         assert rep.max_residual == 0.0
 
+    @pytest.mark.parametrize("energy", [1.0, F(1), F(3, 2)])
+    def test_closed_form_is_an_exact_zero_for_every_energy(self, h3, energy):
+        # a float energy stays the symbol E; an exact one is folded into psi
+        red = extract_first_order(build_reduced(h3, verify=False), 2 * I * J)
+        rep = reduced_residual(red, h3_closed_form(), energy,
+                               [(-1.0,), (0.2,), (1.4,)], params={"J": 1.0})
+        assert rep.symbolic_zero
+        assert rep.max_residual == 0.0
+        assert rep.samples_used == 3
+        assert rep.fd_cross_deviation <= 1e-5
+
     def test_constant_field_flags(self, h3):
         red = build_reduced(h3, verify=False)
         rep = reduced_residual(red, ex.ONE, 0.0, [(0.5,), (1.0,)],
@@ -357,6 +369,8 @@ class TestReducedResidual:
         with pytest.raises(InconclusiveError):
             reduced_residual(red, lambda pt: 0.0, 0.0, [(0.3,), (0.9,)],
                              params={"J": 1.0})
+        with pytest.raises(InconclusiveError, match="numerically zero"):
+            pde_residual_field(h3, lambda pt: 0j, 1.0, [(0.1, 0.2, 0.3)])
 
     def test_each_stencil_point_evaluated_once(self, g47):
         calls = []
@@ -379,6 +393,14 @@ class TestReducedResidual:
                                                   (2,): ex.ONE}))
         reduced_residual(red, psi, 0.0, [(0.3,), (0.9,)], fd_step=1e-2)
         assert len(calls) == len(set(calls)) == 2 * 5
+
+        # the Heisenberg Laplacian: the centre, four shifts along x1 and x3,
+        # and the 4x4 block of its mixed x2 x3 term, 25 points per sample
+        calls.clear()
+        rep = pde_residual_field(load_model("heisenberg"), psi, 1.0,
+                                 [(0.1, 0.2, 0.3), (0.4, -0.2, 0.1)])
+        assert rep.samples_used == 2
+        assert len(calls) == len(set(calls)) == 2 * 25
 
 
     @pytest.mark.parametrize("samples", [[(-1.0,), (0.5,)], [(0.5,), (-1.0,)]])

@@ -4,13 +4,15 @@ import pytest
 
 from nclb.diffop import InconclusiveComparisonError
 from nclb.models import ReductionInconclusive
+from nclb.quadrature import QuadratureError
 from nclb.reduction import InconclusiveError as ReductionInconclusiveError
 from nclb.report import InconclusiveError, worst
 
 
 def test_every_inconclusive_name_is_the_one_class():
     assert (InconclusiveComparisonError is ReductionInconclusive
-            is ReductionInconclusiveError is InconclusiveError)
+            is ReductionInconclusiveError is QuadratureError
+            is InconclusiveError)
 
 
 class TestWorst:
