@@ -24,9 +24,9 @@ zeta itself is rounded to ~1.5 ulp.  exp(+-zeta) turns that into a relative
 error of ~2e-16 zeta on the right, and the phase zeta - pi/4 into an error
 of ~2e-16 zeta of the modulus on the left: ~2e-12 at x = -1000 and 1.3e-9
 at LEFT_CUT = -1e5.  Arguments below LEFT_CUT, where it would pass 1e-8,
-raise ValueError.  Bi overflows double precision near x = 104.  Past
-x = 103 it is +inf in `airy_all`; `airy` and `airy_array` raise
-AiryOverflowError instead.
+raise AiryDomainError (a ValueError).  Bi overflows double precision near
+x = 104.  Past x = 103 it is +inf in `airy_all`; `airy` and `airy_array`
+raise AiryOverflowError instead.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
+
+from .report import NclbError
 
 _BITS = 256
 _SCALE = 1 << _BITS
@@ -67,8 +69,12 @@ _ASYM_TINY = 1e-17
 _ALL = (0, 1, 2, 3)
 
 
-class AiryOverflowError(OverflowError):
+class AiryOverflowError(NclbError, OverflowError):
     pass
+
+
+class AiryDomainError(NclbError, ValueError):
+    """An Airy argument that is NaN, infinite or below LEFT_CUT."""
 
 
 # --- exact series (anchors) ----------------------------------------------------
@@ -297,9 +303,9 @@ def _oscillatory(x, comps, ops):
 
 def _eval_float(x, comps):
     if not math.isfinite(x):
-        raise ValueError(f"Airy argument must be finite, got {x!r}")
+        raise AiryDomainError(f"Airy argument must be finite, got {x!r}")
     if x < LEFT_CUT:
-        raise ValueError(f"Airy argument {x!r} is below the left cut {LEFT_CUT}")
+        raise AiryDomainError(f"Airy argument {x!r} is below the left cut {LEFT_CUT}")
     if -_SERIES_CUT <= x <= _SERIES_CUT:
         return _taylor(x, comps, _FLOAT)
     if x > 0:
@@ -335,7 +341,7 @@ def airy(kind: str, x) -> float:
     the same of the derivatives): ~2e-14 near the cut, then ~2e-16 zeta
     with zeta = (2/3)|x|^1.5, which is ~2e-12 at x = -1000 and 1.3e-9 at
     LEFT_CUT = -1e5.  Arguments below LEFT_CUT, NaN and inf raise
-    ValueError.  Bi and BiPrime overflow doubles near x = 104 and raise
+    AiryDomainError.  Bi and BiPrime overflow doubles near x = 104 and raise
     AiryOverflowError past x = 103.
     """
     comp = _kind_index(kind)
@@ -366,10 +372,10 @@ def airy_array(kind: str, x) -> np.ndarray:
     xa = np.asarray(x, dtype=float)
     flat = xa.ravel()
     if not np.all(np.isfinite(flat)):
-        raise ValueError("Airy arguments must be finite")
+        raise AiryDomainError("Airy arguments must be finite")
     if flat.size and flat.min() < LEFT_CUT:
-        raise ValueError(f"Airy argument {flat.min()!r} is below the left cut "
-                         f"{LEFT_CUT}")
+        raise AiryDomainError(f"Airy argument {flat.min()!r} is below the left "
+                              f"cut {LEFT_CUT}")
     if comp >= 2 and flat.size and flat.max() > _BI_OVERFLOW:
         raise AiryOverflowError(
             f"Bi overflows double precision at x = {flat.max()}")

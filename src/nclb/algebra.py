@@ -14,11 +14,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import ratlinalg as rl
-from .report import DEFAULT_SEED
+from .report import DEFAULT_SEED, NclbError
 
 
-class MalformedAlgebraError(ValueError):
-    """Raised when structure-constant data refers to out-of-range indices."""
+class MalformedAlgebraError(NclbError, ValueError):
+    """Raised when structure-constant or subspace data refers to out-of-range
+    or repeated basis indices."""
 
 
 @dataclass(frozen=True)
@@ -122,8 +123,15 @@ class Subspace:
 
     @staticmethod
     def spanned_by_indices(dim, indices):
+        """The coordinate subspace of the 1-based basis `indices`; an index
+        outside 1..dim or a repeated one is malformed."""
+        indices = tuple(indices)
         gens = []
-        for i in indices:
+        for pos, i in enumerate(indices):
+            if not 1 <= i <= dim:
+                raise MalformedAlgebraError(f"basis index {i} outside 1..{dim}")
+            if i in indices[:pos]:
+                raise MalformedAlgebraError(f"repeated basis index {i}")
             v = [Fraction(0)] * dim
             v[i - 1] = Fraction(1)
             gens.append(v)

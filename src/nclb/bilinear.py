@@ -15,13 +15,15 @@ from fractions import Fraction
 
 from . import ratlinalg as rl
 from .algebra import LieAlgebra, Subspace, adapted_basis, subspace_flags, transform_structure_constants
+from .report import NclbError
 
 
-class DegenerateFormError(ValueError):
-    pass
+class DegenerateFormError(NclbError, ValueError):
+    """A form that cannot serve as a metric: not square, not symmetric,
+    singular, or sized for another algebra."""
 
 
-class CoisotropyError(ValueError):
+class CoisotropyError(NclbError, ValueError):
     pass
 
 
@@ -95,6 +97,9 @@ def coisotropy_check(L: LieAlgebra, gm: BilinearForm, H: Subspace) -> Coisotropy
     adapted to H and inspects the bottom-right block.  The two booleans agree
     for every symmetric nondegenerate form; disagreement is a bug, not data.
     """
+    if gm.dim != L.dim:
+        raise DegenerateFormError(
+            f"form has dimension {gm.dim}, the algebra {L.dim}")
     flags = subspace_flags(L, H)
     is_ci = flags["is_ideal"] and flags["is_commutative"]
 

@@ -6,8 +6,9 @@ Heisenberg reconstruction.  Output is a table by default and a ReportDoc
 JSON document with --json; byte-identical output for fixed seed and inputs.
 
 Exit codes: 0 all checks pass, 1 any failure (or inconclusive), 2 usage or
-input errors.  Inconclusive computations and expression errors (inputs
-outside an expression's domain) end in an error document, with 1 and 2.
+input errors.  Every library error (`report.NclbError`) ends in an error
+document: an inconclusive computation or a failed strict verification with
+1, anything else (bad input, an expression error) with 2.
 """
 
 from __future__ import annotations
@@ -24,22 +25,22 @@ import numpy as np
 
 from . import __version__
 from . import expr as ex
-from .algebra import (MalformedAlgebraError, Subspace, index_witness,
-                      jacobi_defect, load_algebra)
-from .bilinear import DegenerateFormError, coisotropy_check, load_form
+from .algebra import Subspace, index_witness, jacobi_defect, load_algebra
+from .bilinear import coisotropy_check, load_form
 from .expr import to_text
-from .models import (ModelParameterError, QuadSpec2D, casimir_scalar_check,
-                     chart_samples, inverse_gft_h3_evaluator,
-                     invariant_frame_check, load_model, mode_solution_h3,
-                     pde_residual, pde_residual_field, rectifying_coordinates,
+from .models import (QuadSpec2D, casimir_scalar_check, chart_samples,
+                     inverse_gft_h3_evaluator, invariant_frame_check,
+                     load_model, mode_solution_h3, pde_residual,
+                     pde_residual_field, rectifying_coordinates,
                      reduction_normalizer, validate_model)
 from .reduction import (NotFirstOrderError, build_reduced, extract_first_order,
                         local_lift_check, rectify_check, verify_lambda_rep)
 from .report import (DEFAULT_SEED, FAIL, INCONCLUSIVE, PASS, CheckRecord,
-                     InconclusiveError, overall_status, worst)
+                     InconclusiveError, NclbError, VerificationError,
+                     overall_status, worst)
 
 
-class InputError(ValueError):
+class InputError(NclbError, ValueError):
     pass
 
 
@@ -385,8 +386,6 @@ def _cmd_model_reconstruct(args, seed):
         raise InputError("reconstruction is implemented for the heisenberg model")
     rows = _read_csv_columns(args.phi, 4)
     phi, box = _grid_interpolant(rows)
-    if box[1][0] <= 0.0 <= box[1][1]:
-        raise InputError("spectral support must exclude J = 0")
     names, points = _parse_grid(args.grid)
     if list(names) != list(model.x_vars):
         raise InputError(f"grid axes must be {model.x_vars}")
@@ -496,12 +495,11 @@ def run(argv):
     try:
         seed = _seed_from(args)
         records, params = args.fn(args, seed)
-    except (InputError, MalformedAlgebraError, DegenerateFormError,
-            ModelParameterError, OSError, json.JSONDecodeError, ex.ExprError,
-            InconclusiveError) as exc:
+    except (NclbError, OSError, json.JSONDecodeError) as exc:
         doc = {"tool_version": __version__, "command": " ".join(argv),
                "error": str(exc)}
-        return (1 if isinstance(exc, InconclusiveError) else 2), doc
+        failed = isinstance(exc, (InconclusiveError, VerificationError))
+        return (1 if failed else 2), doc
     overall = overall_status(records)
     doc = {
         "tool_version": __version__,

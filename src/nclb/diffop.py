@@ -6,7 +6,10 @@ parameters bound at sampling time.  Composition is Leibniz-exact, the
 commutator of first-order operators is again first-order (the second-order
 parts cancel identically and this is asserted), and operator equality is
 decided by a symbolic-zero fast path with seeded numeric sampling as the
-fallback.
+fallback.  Every family of operators realizing a Lie algebra (the invariant
+frames, the chart operators of a representation) has its bracket relations
+checked by `bracket_defects` and its Laplacian assembled by
+`laplacian_image`.
 """
 
 from __future__ import annotations
@@ -18,17 +21,17 @@ from dataclasses import dataclass, field
 from . import expr as ex
 from .airyfun import AiryOverflowError
 from .expr import Expr, ZERO, simplify
-from .report import DEFAULT_SEED, InconclusiveError, worst
+from .report import DEFAULT_SEED, InconclusiveError, NclbError, worst
 
 # the name op_equal's callers know the inconclusive error by
 InconclusiveComparisonError = InconclusiveError
 
 
-class UnsupportedOrderError(ValueError):
+class UnsupportedOrderError(NclbError, ValueError):
     pass
 
 
-class DomainExitError(RuntimeError):
+class DomainExitError(NclbError, RuntimeError):
     """A characteristic left the evaluation domain (raised by the RK4 flows;
     a sampled field that integrates one skips the sample)."""
 
@@ -296,3 +299,48 @@ def op_equal(a: DiffOp, b: DiffOp, sample_spec: SampleSpec | None = None,
     rows, skipped = sampled(row, sample_spec.points(arg_names))
     rel = worst(d for _, d in rows) / worst((s for s, _ in rows), 1.0)
     return OpComparison(rel <= tol, rel, False, len(rows), skipped)
+
+
+def bracket_defects(L, ops, spec: SampleSpec | None, sign=1):
+    """[A_i, A_j] against sign * sum_k c_ij^k A_k for each pair i < j.
+
+    ops realize the basis of the Lie algebra L in order (A_k = ops[k - 1]):
+    the left-invariant frame with sign +1, the right-invariant one with -1,
+    the chart operators of a representation with +1.  Each pair goes through
+    `op_equal`.  Returns (deviations, failing_pairs, samples_used,
+    skipped_samples): one deviation per pair in (i, j) order, the 1-based
+    pairs that fail, and the sample counts summed over the pairs.
+    """
+    devs, failing = [], []
+    used = skipped = 0
+    for i in range(1, L.dim + 1):
+        for j in range(i + 1, L.dim + 1):
+            target = DiffOp.zero(ops[0].variables)
+            for k, c in enumerate(L.bracket_basis(i, j)):
+                if c != 0:
+                    target = target + ops[k].scale(ex.Const(sign * c))
+            cmp = op_equal(commutator(ops[i - 1], ops[j - 1]), target, spec)
+            devs.append(cmp.max_deviation)
+            used += cmp.samples_used
+            skipped += cmp.skipped_samples
+            if not cmp.equal:
+                failing.append((i, j))
+    return devs, failing, used, skipped
+
+
+def laplacian_image(ops, data) -> DiffOp:
+    """sum_ij G^{ij} A_i A_j + sum_i C^i A_i for operators A_i realizing the
+    algebra's basis, with G and C from `bilinear.laplacian_data`.
+
+    The invariant Laplacian for the left-invariant frame, its image under the
+    generalized Fourier transform for the chart operators.
+    """
+    out = DiffOp.zero(ops[0].variables)
+    for i, a in enumerate(ops):
+        for j, b in enumerate(ops):
+            gij = data.g_inv[i][j]
+            if gij != 0:
+                out = out + compose(a, b).scale(ex.Const(gij))
+        if data.c_vec[i] != 0:
+            out = out + a.scale(ex.Const(data.c_vec[i]))
+    return out

@@ -30,9 +30,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .airyfun import LEFT_CUT, airy as _airy_numeric
+from .report import NclbError
 
 
-class ExprError(Exception):
+class ExprError(NclbError):
     pass
 
 

@@ -16,6 +16,7 @@ first-order reduction, and smeared orthogonality.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,20 +28,20 @@ from .airyfun import airy, airy_array
 from .algebra import (LieAlgebra, Subspace, g47_algebra, heisenberg_algebra,
                       jacobi_defect)
 from .bilinear import BilinearForm, CoisotropyError, coisotropy_check, laplacian_data
-from .diffop import (DiffOp, SampleSpec, commutator, compose, op_equal,
-                     sampled)
+from .diffop import (DiffOp, SampleSpec, bracket_defects, commutator,
+                     laplacian_image, op_equal, sampled)
 from .expr import Expr, Exp, I, Log, Power, Var, ZERO, simplify
 from .quadrature import gl_nodes, oscillatory_cubic_phase
 from .reduction import JParam, LambdaRep, ResidualReport, operator_residual
 from .report import (DEFAULT_SEED, FAIL, INCONCLUSIVE, PASS, CheckRecord,
-                     InconclusiveError, VerificationError, worst)
+                     InconclusiveError, NclbError, VerificationError, worst)
 
 
-class ModelParameterError(ValueError):
+class ModelParameterError(NclbError, ValueError):
     pass
 
 
-class SingularMeasureError(ValueError):
+class SingularMeasureError(NclbError, ValueError):
     pass
 
 
@@ -108,6 +109,12 @@ class GroupModel:
 
     def x_sample_spec(self, n=50, seed=DEFAULT_SEED):
         return SampleSpec(ranges=dict(self.x_sample_ranges), n=n, seed=seed)
+
+    @functools.cached_property
+    def laplacian(self) -> DiffOp:
+        """`laplace_operator(self)`, assembled on first use and kept; a model
+        built by `dataclasses.replace` assembles its own."""
+        return laplace_operator(self)
 
 
 # --- model builders ---------------------------------------------------------
@@ -489,36 +496,22 @@ def validate_model(model, n_samples=50, seed=DEFAULT_SEED):
 def invariant_frame_check(model, n_samples=40, seed=DEFAULT_SEED, strict=False):
     """Commutation relations of the two frames: left matches the structure
     constants, right matches their negatives, and the frames commute."""
-    L = model.algebra
-    n = L.dim
+    n = model.dim
     spec = model.x_sample_spec(n=n_samples, seed=seed)
     records = []
     devs = []
     failing = []
-    counts = {"left": 0, "right": 0, "mixed": 0}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            coeffs = L.bracket_basis(i, j)
-            target_xi = DiffOp.zero(model.x_vars)
-            target_eta = DiffOp.zero(model.x_vars)
-            for k, ck in enumerate(coeffs):
-                if ck != 0:
-                    target_xi = target_xi + model.xi[k].scale(ex.Const(ck))
-                    target_eta = target_eta + model.eta[k].scale(ex.Const(-ck))
-            for fam, a_, b_, tgt in (
-                ("left", model.xi[i - 1], model.xi[j - 1], target_xi),
-                ("right", model.eta[i - 1], model.eta[j - 1], target_eta),
-            ):
-                cmp = op_equal(commutator(a_, b_), tgt, spec, tol=1e-12)
-                counts[fam] += 1
-                devs.append(cmp.max_deviation)
-                if not cmp.equal:
-                    failing.append((fam, i, j))
+    counts = {}
+    for fam, frame, sign in (("left", model.xi, 1), ("right", model.eta, -1)):
+        fam_devs, pairs, _, _ = bracket_defects(model.algebra, frame, spec, sign)
+        counts[fam] = len(fam_devs)
+        devs += fam_devs
+        failing += [(fam, i, j) for i, j in pairs]
+    counts["mixed"] = n * n
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             cmp = op_equal(commutator(model.xi[i - 1], model.eta[j - 1]),
                            DiffOp.zero(model.x_vars), spec, tol=1e-12)
-            counts["mixed"] += 1
             devs.append(cmp.max_deviation)
             if not cmp.equal:
                 failing.append(("mixed", i, j))
@@ -588,17 +581,7 @@ def laplace_operator(model) -> DiffOp:
     if not rep.verdict:
         raise CoisotropyError(f"model {model.name}: ideal/form pair fails the "
                               "null-ideal criterion")
-    data = laplacian_data(model.algebra, model.form)
-    n = model.dim
-    out = DiffOp.zero(model.x_vars)
-    for i in range(n):
-        for j in range(n):
-            gij = data.g_inv[i][j]
-            if gij != 0:
-                out = out + compose(model.xi[i], model.xi[j]).scale(ex.Const(gij))
-        if data.c_vec[i] != 0:
-            out = out + model.xi[i].scale(ex.Const(data.c_vec[i]))
-    return out
+    return laplacian_image(model.xi, laplacian_data(model.algebra, model.form))
 
 
 def printed_coordinate_laplacian(model) -> DiffOp:
@@ -635,7 +618,7 @@ def printed_coordinate_laplacian(model) -> DiffOp:
 def coordinate_expansion_report(model, n_samples=40, seed=DEFAULT_SEED):
     """Term-by-term comparison of the frame-assembled Laplacian against the
     printed coordinate expansion; discrepancies are reported, not raised."""
-    ours = laplace_operator(model)
+    ours = model.laplacian
     printed = printed_coordinate_laplacian(model)
     spec = model.x_sample_spec(n=n_samples, seed=seed)
     indices = sorted(set(ours.coefficients) | set(printed.coefficients))
@@ -678,7 +661,7 @@ def pde_residual(model, psi: Expr, energy, samples, fd_points=10,
     """`operator_residual` of the model's Laplacian on an expression field:
     max |Delta psi - E psi| / max(|psi|, floor) over sample points, with
     Delta psi cross-checked against the stencils at the first fd_points."""
-    return operator_residual(laplace_operator(model), psi, energy, samples,
+    return operator_residual(model.laplacian, psi, energy, samples,
                              fd_step=fd_step, floor=floor, fd_points=fd_points)
 
 
@@ -794,7 +777,7 @@ def pde_residual_field(model, psi, energy, samples, fd_step=0.05,
     4th-order stencils, so the reported residual carries the O(h^4)
     truncation of smooth fields on top of any model error.
     """
-    return operator_residual(laplace_operator(model), psi, energy, samples,
+    return operator_residual(model.laplacian, psi, energy, samples,
                              fd_step=fd_step, floor=floor)
 
 

@@ -17,14 +17,15 @@ from fractions import Fraction
 
 from . import expr as ex
 from .bilinear import laplacian_data
-from .diffop import (DiffOp, DomainExitError, SampleSpec, apply, commutator,
-                     compose, op_equal, sampled)
+from .diffop import (DiffOp, DomainExitError, SampleSpec, apply,
+                     bracket_defects, compose, laplacian_image, op_equal,
+                     sampled)
 from .expr import Expr, Var, ZERO, simplify
 from .report import (DEFAULT_SEED, FAIL, PASS, CheckRecord, InconclusiveError,
-                     VerificationError, worst)
+                     NclbError, VerificationError, worst)
 
 
-class NotFirstOrderError(RuntimeError):
+class NotFirstOrderError(NclbError, RuntimeError):
     pass
 
 
@@ -106,27 +107,10 @@ def verify_lambda_rep(model, n_samples=40, seed=DEFAULT_SEED, strict=False):
     VerificationError naming the offending pairs.
     """
     lrep = model.lrep
-    L = model.algebra
-    n = L.dim
     spec = lrep.sample_spec(n=n_samples, seed=seed)
     records = []
 
-    devs = []
-    bad_pairs = []
-    used = skipped = 0
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            target = DiffOp.zero(lrep.q_vars)
-            for k, coeff in enumerate(L.bracket_basis(i, j)):
-                if coeff != 0:
-                    target = target + lrep.ops[k].scale(ex.Const(coeff))
-            cmp = op_equal(commutator(lrep.ops[i - 1], lrep.ops[j - 1]), target,
-                           spec, tol=1e-12)
-            devs.append(cmp.max_deviation)
-            used += cmp.samples_used
-            skipped += cmp.skipped_samples
-            if not cmp.equal:
-                bad_pairs.append((i, j))
+    devs, bad_pairs, used, skipped = bracket_defects(model.algebra, lrep.ops, spec)
     records.append(CheckRecord(
         check="lambda_rep_commutators",
         status=PASS if not bad_pairs else FAIL,
@@ -187,52 +171,16 @@ def infinitesimal_action(model, i) -> DiffOp:
     return DiffOp(q_vars, coeffs)
 
 
-def _test_function_bank(q_vars):
-    """Gaussians and polynomial-times-Gaussian probes on the orbit chart.
-
-    Charts with a positive coordinate (name starting with 'q2') are probed
-    through log coordinates so the bank lives where the operators do.
-    """
-    bank = []
-    for shift in (0, ex.const(1, 3)):
-        quad = []
-        for v in q_vars:
-            inner = Var(v) if not v.startswith("q2") else ex.Log(Var(v))
-            quad.append(ex.Power(inner - shift, 2))
-        gauss = ex.Exp(-ex.Sum(tuple(quad)))
-        bank.append(gauss)
-        bank.append(ex.Product((Var(q_vars[0]), gauss)))
-    return bank
-
-
 def local_lift_check(model, i, n_samples=30, seed=DEFAULT_SEED) -> float:
-    """Max relative deviation between the collapsed-action generator and the
-    representation operator, probed on a bank of test functions at the
-    points of the representation's sample spec."""
+    """`op_equal`'s deviation between the collapsed-action generator and the
+    representation operator for basis direction i: 0.0 when they agree
+    symbolically, else their relative coefficient gap at the points of the
+    representation's sample spec."""
     if model.kernel is None or model.kernel.collapsed is None:
         raise ValueError(f"model {model.name} ships no collapsed kernel action")
     lrep = model.lrep
-    gen = infinitesimal_action(model, i)
-    op = lrep.ops[i - 1]
-    # (generator - operator, operator) applied to each probe that differs
-    pairs = []
-    for phi in _test_function_bank(lrep.q_vars):
-        ref = apply(op, phi)
-        diff = simplify(apply(gen, phi) - ref)
-        if diff != ZERO:
-            pairs += [diff, ref]
-    if not pairs:
-        return 0.0
-    names = sorted(set().union(*map(ex.free_vars, pairs)) | set(lrep.q_vars))
-    fn = ex.compile_expr(tuple(pairs), names)
-
-    def row(*p):
-        vals = fn(*p)
-        return worst(abs(d) / worst((abs(r),), 1.0)
-                     for d, r in zip(vals[::2], vals[1::2]))
-
-    rows, _ = sampled(row, lrep.sample_spec(n=n_samples, seed=seed).points(names))
-    return worst(rows)
+    return op_equal(infinitesimal_action(model, i), lrep.ops[i - 1],
+                    lrep.sample_spec(n=n_samples, seed=seed)).max_deviation
 
 
 # --- assembly ---------------------------------------------------------------
@@ -258,23 +206,10 @@ def build_reduced(model, verify=True) -> ReducedOperator:
     """
     if verify:
         verify_lambda_rep(model, strict=True)
-    lrep = model.lrep
-    data = laplacian_data(model.algebra, model.form)
-    ops_t = tuple(
-        conjugate_by_multiplier(op, model.modular_multiplier) for op in lrep.ops
-    )
-    n = model.algebra.dim
-    raw = DiffOp.zero(lrep.q_vars)
-    for i in range(n):
-        for j in range(n):
-            gij = data.g_inv[i][j]
-            if gij == 0:
-                continue
-            raw = raw + compose(ops_t[i], ops_t[j]).scale(ex.Const(gij))
-        ci = data.c_vec[i]
-        if ci != 0:
-            raw = raw + ops_t[i].scale(ex.Const(ci))
-    return ReducedOperator(raw=raw)
+    ops_t = tuple(conjugate_by_multiplier(op, model.modular_multiplier)
+                  for op in model.lrep.ops)
+    return ReducedOperator(
+        raw=laplacian_image(ops_t, laplacian_data(model.algebra, model.form)))
 
 
 def extract_first_order(red: ReducedOperator, normalizer: Expr,

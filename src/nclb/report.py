@@ -13,6 +13,13 @@ INCONCLUSIVE = "inconclusive"
 DEFAULT_SEED = 0xC0FFEE
 
 
+class NclbError(Exception):
+    """Base of the library's own error classes; each subclass also keeps its
+    own builtin base (ValueError, RuntimeError, ...).  Plain ValueError and
+    TypeError are left for misuse of the API (operators over different
+    variables, a singular exact matrix, a non-expression argument)."""
+
+
 def worst(values, floor=0.0):
     """max(floor, *values), or NaN as soon as one value is NaN or infinite.
 
@@ -56,12 +63,12 @@ class CheckRecord:
         return doc
 
 
-class InconclusiveError(RuntimeError):
+class InconclusiveError(NclbError, RuntimeError):
     """A check could not reach a verdict: no sample evaluated, a field was
     numerically zero everywhere, or a quadrature did not settle."""
 
 
-class VerificationError(RuntimeError):
+class VerificationError(NclbError, RuntimeError):
     """A strict verification run found failing checks."""
 
     def __init__(self, records):

@@ -120,6 +120,22 @@ class TestIndex:
             index(heisenberg_algebra(), trials=0)
 
 
+class TestSpannedByIndices:
+    def test_coordinate_subspace(self):
+        assert Subspace.spanned_by_indices(3, [3, 1]).standard_indices() == [1, 3]
+
+    @pytest.mark.parametrize("indices, message", [
+        ([0], "basis index 0 outside 1..3"),
+        ([-1], "basis index -1 outside 1..3"),
+        ([1, 5], "basis index 5 outside 1..3"),
+        ([3, 3], "repeated basis index 3"),
+    ])
+    def test_out_of_range_or_repeated_index_is_malformed(self, indices, message):
+        # 0 and -1 used to reach e3 and e2 by negative indexing
+        with pytest.raises(MalformedAlgebraError, match=message):
+            Subspace.spanned_by_indices(3, indices)
+
+
 class TestSubspaceFlags:
     def test_heisenberg_ideal(self):
         flags = subspace_flags(heisenberg_algebra(), span(3, 1, 3))

@@ -6,7 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from nclb import cli
 from nclb.cli import main, run
+from nclb.reduction import NotFirstOrderError
+from nclb.report import CheckRecord, VerificationError
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -92,6 +95,25 @@ class TestCoisotropicCommand:
         code, doc = run(["coisotropic", fx("g47.json"),
                          "--form", fx("g47_g1.json"), "--ideal", "1,2"])
         assert code == 2
+
+    @pytest.mark.parametrize("ideal, form, error", [
+        # 0 and -1 used to reach e3 and e2 by negative indexing (exit 1),
+        # the others ended in a traceback
+        ("0", ["h3_null_center.json"], "basis index 0 outside 1..3"),
+        ("-1", ["h3_null_center.json"], "basis index -1 outside 1..3"),
+        ("1,5", ["h3_null_center.json"], "basis index 5 outside 1..3"),
+        ("3,3", ["h3_null_center.json"], "repeated basis index 3"),
+        ("1,3", ["g47_g1.json", "--alpha", "1", "--beta", "1"],
+         "form has dimension 4, the algebra 3"),
+    ])
+    def test_bad_ideal_or_form_is_an_input_error(self, ideal, form, error, capsys):
+        argv = ["coisotropic", fx("h3.json"), "--form", fx(form[0]),
+                "--ideal", ideal] + form[1:]
+        code, doc = run(argv)
+        assert code == 2
+        assert doc["error"] == error
+        assert main(argv) == 2
+        assert capsys.readouterr().out == f"error: {error}\n"
 
     def test_non_coisotropic_pair_fails(self, tmp_path):
         p = tmp_path / "euclid.json"
@@ -275,6 +297,39 @@ class TestModelCommands:
         assert set(doc) == {"tool_version", "command", "error"}
         assert main(argv) == 2
         assert capsys.readouterr().out.startswith("error: ")
+
+    def test_reconstruct_support_across_j_zero_is_an_input_error(self, tmp_path):
+        # the library's SingularMeasureError reaches the CLI as a document
+        phi = tmp_path / "phi.csv"
+        phi.write_text("\n".join(f"{k},{j},1,0" for k in (-1, 1) for j in (-1, 1)))
+        code, doc = run(["model", "reconstruct", "heisenberg", "--phi", str(phi)])
+        assert code == 2
+        assert doc["error"] == "spectral support must exclude J = 0"
+
+    def test_reconstruct_energy_past_the_airy_cut_is_an_input_error(self, tmp_path):
+        # E = -1e6 puts the Airy arguments below LEFT_CUT: a document, exit 2
+        phi = tmp_path / "phi.csv"
+        phi.write_text("\n".join(f"{k},{j},1,0" for k in (-1, 0, 1)
+                                 for j in (0.5, 1.0, 1.5)))
+        code, doc = run(["model", "reconstruct", "heisenberg", "--phi", str(phi),
+                         "--E=-1e6", "--nodes", "8",
+                         "--grid", "x1=-0.4:0.4:3,x2=-0.4:0.4:3,x3=-0.4:0.4:3"])
+        assert code == 2
+        assert "below the left cut" in doc["error"]
+
+    @pytest.mark.parametrize("error, code", [
+        (VerificationError([CheckRecord(check="lambda_rep_commutators",
+                                        status="fail")]), 1),
+        (NotFirstOrderError("second-order part is numerically nonzero"), 2),
+    ])
+    def test_library_errors_are_documents(self, error, code, monkeypatch):
+        # a failed strict verification exits 1, any other library error 2
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "build_reduced", fail)
+        got, doc = run(["model", "reduce", "heisenberg"])
+        assert (got, doc["error"]) == (code, str(error))
 
     def test_reconstruct(self, tmp_path):
         lines = ["k,J,re,im"]

@@ -1,14 +1,17 @@
 import math
 import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
 from nclb import expr as ex
 from nclb.airyfun import AiryOverflowError
+from nclb.algebra import heisenberg_algebra
 from nclb.diffop import (DiffOp, DomainExitError, InconclusiveComparisonError,
-                         SampleSpec, UnsupportedOrderError, apply, commutator,
-                         compose, op_equal, sampled)
+                         SampleSpec, UnsupportedOrderError, apply,
+                         bracket_defects, commutator, compose, laplacian_image,
+                         op_equal, sampled)
 from nclb.expr import Exp, I, Log, Power, Var, ZERO, simplify
 
 X3 = ("x1", "x2", "x3")
@@ -131,6 +134,33 @@ class TestCommutator:
                      + commutator(commutator(c, a), b))
             cmp = op_equal(total, DiffOp.zero(("x1", "x2")), spec, tol=1e-10)
             assert cmp.equal
+
+
+class TestRealizationCore:
+    def test_h3_frame_brackets_are_symbolic_zeros(self):
+        devs, failing, used, skipped = bracket_defects(heisenberg_algebra(),
+                                                       h3_xi(), None)
+        assert (devs, failing, used, skipped) == ([0.0, 0.0, 0.0], [], 0, 0)
+
+    def test_wrong_sign_fails_the_one_nonzero_bracket(self):
+        # [xi1, xi2] = d3 against -xi3 = -d3: a relative gap of 2 on the
+        # constant coefficient, read at each of the 5 samples
+        spec = SampleSpec(ranges={"x1": (-1.0, 1.0)}, n=5, seed=3)
+        devs, failing, used, skipped = bracket_defects(heisenberg_algebra(),
+                                                       h3_xi(), spec, sign=-1)
+        assert (devs, failing, used, skipped) == ([2.0, 0.0, 0.0], [(1, 2)], 5, 0)
+
+    def test_laplacian_image_sums_the_form_data(self):
+        xv = ("x", "y")
+        ops = (DiffOp.partial(xv, "x"), DiffOp.partial(xv, "y", Var("x")))
+        data = SimpleNamespace(g_inv=((1, F(1, 2)), (F(1, 2), 0)), c_vec=(0, 3))
+        # d_x d_x + (1/2)(d_x x d_y + x d_y d_x) + 3 x d_y
+        #   = d_x^2 + x d_x d_y + (1/2 + 3 x) d_y
+        image = laplacian_image(ops, data)
+        assert image.coefficients == DiffOp(xv, {
+            (2, 0): ex.ONE, (1, 1): Var("x"),
+            (0, 1): ex.const(1, 2) + 3 * Var("x"),
+        }).coefficients
 
 
 class TestOpEqual:

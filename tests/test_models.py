@@ -123,6 +123,27 @@ class TestLaplacian:
         delta = laplace_operator(h3)
         assert delta.coefficients == printed_coordinate_laplacian(h3).coefficients
 
+    def test_assembled_once_per_model(self, h3, monkeypatch):
+        calls = []
+        assemble = models.laplacian_image
+        monkeypatch.setattr(models, "laplacian_image",
+                            lambda *a: calls.append(a) or assemble(*a))
+        model = dc_replace(h3)  # a new model assembles its own Laplacian
+        psi = mode_solution_h3(F(1, 2), 1, 1)
+        for _ in range(2):
+            pde_residual(model, psi, 1, [(0.1, 0.2, 0.3)])
+        assert len(calls) == 1
+        assert (model.laplacian.coefficients
+                == printed_coordinate_laplacian(h3).coefficients)
+
+    def test_altered_frames_get_their_own_laplacian(self, h3):
+        # the shared model keeps its Laplacian; a copy with a rescaled xi1
+        # assembles 4 d1^2 in place of d1^2
+        assert h3.laplacian.coeff((2, 0, 0)) == ex.ONE
+        xi = (h3.xi[0].scale(2),) + h3.xi[1:]
+        assert dc_replace(h3, xi=xi).laplacian.coeff((2, 0, 0)) == ex.const(4)
+        assert h3.laplacian.coeff((2, 0, 0)) == ex.ONE
+
     def test_g47_expansion_report_clean(self, g47):
         rows = coordinate_expansion_report(g47)
         assert len(rows) == 9

@@ -70,6 +70,15 @@ class TestLocalLift:
         gen4 = infinitesimal_action(g47, 4)
         assert gen4.coeff((0, 1)) == simplify(-q2)
 
+    @pytest.mark.parametrize("name, i", [("heisenberg", 2), ("g4_7", 3)])
+    def test_scaled_operator_fails_the_lift(self, h3, g47, name, i):
+        # 2 lambda_i against the generator: a relative coefficient gap of 1/2
+        model = {"heisenberg": h3, "g4_7": g47}[name]
+        ops = tuple(op.scale(2) if k == i - 1 else op
+                    for k, op in enumerate(model.lrep.ops))
+        bad = dc_replace(model, lrep=dc_replace(model.lrep, ops=ops))
+        assert local_lift_check(bad, i) == 0.5
+
     def test_missing_kernel_rejected(self, h3):
         broken = dc_replace(h3, kernel=None)
         with pytest.raises(ValueError):

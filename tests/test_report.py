@@ -2,17 +2,40 @@ import math
 
 import pytest
 
-from nclb.diffop import InconclusiveComparisonError
-from nclb.models import ReductionInconclusive
+from nclb.airyfun import AiryDomainError, AiryOverflowError
+from nclb.algebra import MalformedAlgebraError
+from nclb.bilinear import CoisotropyError, DegenerateFormError
+from nclb.cli import InputError
+from nclb.diffop import (DomainExitError, InconclusiveComparisonError,
+                         UnsupportedOrderError)
+from nclb.expr import ExprError
+from nclb.models import (ModelParameterError, ReductionInconclusive,
+                         SingularMeasureError)
 from nclb.quadrature import QuadratureError
 from nclb.reduction import InconclusiveError as ReductionInconclusiveError
-from nclb.report import InconclusiveError, worst
+from nclb.reduction import NotFirstOrderError
+from nclb.report import InconclusiveError, NclbError, VerificationError, worst
 
 
 def test_every_inconclusive_name_is_the_one_class():
     assert (InconclusiveComparisonError is ReductionInconclusive
             is ReductionInconclusiveError is QuadratureError
             is InconclusiveError)
+
+
+@pytest.mark.parametrize("cls, base", [
+    (MalformedAlgebraError, ValueError), (DegenerateFormError, ValueError),
+    (CoisotropyError, ValueError), (ModelParameterError, ValueError),
+    (SingularMeasureError, ValueError), (NotFirstOrderError, RuntimeError),
+    (UnsupportedOrderError, ValueError), (DomainExitError, RuntimeError),
+    (AiryOverflowError, OverflowError), (AiryDomainError, ValueError),
+    (ExprError, Exception),
+    (InconclusiveError, RuntimeError), (VerificationError, RuntimeError),
+    (InputError, ValueError),
+])
+def test_every_library_error_is_an_nclb_error_and_keeps_its_base(cls, base):
+    assert issubclass(cls, NclbError)
+    assert issubclass(cls, base)
 
 
 class TestWorst:
