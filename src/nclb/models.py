@@ -502,23 +502,30 @@ def invariant_frame_check(model, n_samples=40, seed=DEFAULT_SEED, strict=False):
     devs = []
     failing = []
     counts = {}
+    used = skipped = 0
     for fam, frame, sign in (("left", model.xi, 1), ("right", model.eta, -1)):
-        fam_devs, pairs, _, _ = bracket_defects(model.algebra, frame, spec, sign)
+        fam_devs, pairs, fam_used, fam_skipped = bracket_defects(
+            model.algebra, frame, spec, sign)
         counts[fam] = len(fam_devs)
         devs += fam_devs
         failing += [(fam, i, j) for i, j in pairs]
+        used += fam_used
+        skipped += fam_skipped
     counts["mixed"] = n * n
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             cmp = op_equal(commutator(model.xi[i - 1], model.eta[j - 1]),
                            DiffOp.zero(model.x_vars), spec, tol=1e-12)
             devs.append(cmp.max_deviation)
+            used += cmp.samples_used
+            skipped += cmp.skipped_samples
             if not cmp.equal:
                 failing.append(("mixed", i, j))
     records.append(CheckRecord(
         check="invariant_frame_relations",
         status=PASS if not failing else FAIL,
-        max_residual=worst(devs), seed=seed,
+        max_residual=worst(devs), samples_used=used, seed=seed,
+        skipped_samples=skipped,
         detail={"relation_counts": counts,
                 **({"failing": failing} if failing else {})},
     ))
@@ -887,7 +894,7 @@ class SmokeSpec:
     n_inner: int = 64
     window: float = 3.0        # Heisenberg x3 window scale
     window_uv: float = 128.0   # 4d model x1/x2 window scales
-    n_uv: int = 20
+    n_uv: int = 20             # 4d model u-window nodes (t is closed form)
 
 
 def _smoke_heisenberg(model, a, b, j_val, jt_val, spec: SmokeSpec):
@@ -940,6 +947,29 @@ def _smoke_heisenberg(model, a, b, j_val, jt_val, spec: SmokeSpec):
     return dev, conv, complex(w3_hat * refined), complex(predicted), scale
 
 
+def _t_window_integral(t0, x3, q2t, st, s, jt_val, b, sw):
+    """The t integral of the 4d pairing's tilde side, exactly.
+
+    Along t the integrand is the nascent-delta window sqrt(2 pi) sw
+    e^{-(sw t)^2/2} times b's Gaussian in qt1 = (t0 + t)/(Jt qt2) + qt2 x3/2
+    times the phase e^{i x3 ((t0 + t) st - t0 s)}, which is
+    e^{-A t^2 + B t + C} with A = sw^2/2 + (1/(Jt qt2 wb))^2 > 0; its
+    integral over the line is sqrt(pi/A) e^{B^2/(4A) + C}.  The arguments
+    broadcast against each other.
+    """
+    cb1, cbs, cb1p, _ = b.centers
+    wb2 = b.width * b.width
+    beta = 1.0 / (jt_val * q2t)
+    d1 = t0 * beta + 0.5 * q2t * x3 - cb1          # qt1(t = 0) - cb1
+    d2 = d1 + cb1 - q2t * x3 - cb1p                # qt1 - qt2 x3 - cb1p
+    big_a = 0.5 * sw * sw + beta * beta / wb2
+    big_b = 1j * x3 * st - beta * (d1 + d2) / wb2
+    big_c = (1j * t0 * x3 * (st - s)
+             - (d1 * d1 + d2 * d2 + (st - cbs) ** 2) / (2.0 * wb2))
+    return (math.sqrt(2.0 * math.pi) * sw * np.sqrt(math.pi / big_a)
+            * np.exp(big_b * big_b / (4.0 * big_a) + big_c))
+
+
 def _smoke_g47(model, a, b, j_val, jt_val, spec: SmokeSpec):
     """The 4d-model pairing in collapsed coordinates.
 
@@ -947,82 +977,74 @@ def _smoke_g47(model, a, b, j_val, jt_val, spec: SmokeSpec):
     integrals act on pure phases with coefficients u = Jt qt2^2 - J q2^2 and
     t = Tt - T (T the x2-phase rate (J q2/2)(2 q1 - q2 x3)); their Gaussian
     windows are nascent 2 pi deltas, so the tilde side is integrated in the
-    narrow (u, t) window coordinates.  The Haar weight e^{4 x4} cancels the
-    x4 part of the twist Lambda(q2') = q2'^4 exactly, which this code uses.
+    narrow (u, t) window coordinates: t in closed form
+    (`_t_window_integral`), u and the a-side chart (q1, s) with its x3 and x4
+    boxes by quadrature.  The Haar weight e^{4 x4} cancels the x4 part of
+    the twist Lambda(q2') = q2'^4 exactly, which this code uses.
     """
+    # (q, x) node counts of the coarse and the refined pass
+    passes = ((spec.n_inner // 2, spec.n_outer // 4),
+              ((3 * spec.n_inner) // 4, spec.n_outer // 3))
+    if not all(fine > coarse for coarse, fine in zip(*passes)):
+        raise ModelParameterError(
+            f"{spec} gives the 4d smoke test (q, x) node counts {passes[0]} "
+            f"and {passes[1]}: the refined pass must add nodes on every axis")
     wa, wb = a.width, b.width
     ca1, cas, ca1p, casp = a.centers
-    cb1, cbs, cb1p, cbsp = b.centers
+    _, _, cb1p, cbsp = b.centers
     sw = spec.window_uv
 
     # mid grid over the a-side chart; the primed boxes use the a*b product
     # width (tails beyond ~6 sigma of the product are < 1e-15 of the peak)
     wc = wa * wb / math.sqrt(wa * wa + wb * wb)
-    q1_lo, q1_hi = ca1 - 6.5 * wa, ca1 + 6.5 * wa
-    s_lo, s_hi = cas - 6.5 * wa, cas + 6.5 * wa
     p_c = 0.5 * (ca1p + cb1p)
     p_half = 6.5 * wc + 0.5 * abs(ca1p - cb1p)
     sp_c = 0.5 * (casp + cbsp)
     sp_half = 6.5 * wc + 0.5 * abs(casp - cbsp)
 
-    def compute(n_q, n_x, n_uv):
-        q1n, wq1 = gl_nodes(n_q, q1_lo, q1_hi)
-        sn, wsn = gl_nodes(n_q, s_lo, s_hi)
-        un, wun = gl_nodes(n_uv, -6.0 / sw, 6.0 / sw)
-        tn, wtn = gl_nodes(n_uv, -6.0 / sw, 6.0 / sw)
-        what_u = math.sqrt(2.0 * math.pi) * sw * np.exp(-0.5 * (sw * un) ** 2)
-        what_t = math.sqrt(2.0 * math.pi) * sw * np.exp(-0.5 * (sw * tn) ** 2)
-        win_u = wun * what_u                      # (u,)
-        win_t = wtn * what_t                      # (t,)
+    def compute(n_q, n_x):
+        q1n, wq1 = gl_nodes(n_q, ca1 - 6.5 * wa, ca1 + 6.5 * wa)
+        sn, wsn = gl_nodes(n_q, cas - 6.5 * wa, cas + 6.5 * wa)
+        un, wun = gl_nodes(spec.n_uv, -6.0 / sw, 6.0 / sw)
+        win_u = wun * math.sqrt(2.0 * math.pi) * sw * np.exp(-0.5 * (sw * un) ** 2)
+        # arrays are laid out (s, u, x3 or x4)
+        s = sn[:, None, None]
+        q2 = np.exp(s)
+        # a u node off the physical region qt2^2 > 0 gets measure 0
+        q2t_sq = (un[:, None] + j_val * q2 * q2) / jt_val
+        valid = q2t_sq > 1e-12
+        q2t = np.sqrt(np.where(valid, q2t_sq, 1.0))
+        st = np.log(q2t)
+        # x4 shifts s -> s'; the Haar density e^{4 x4} cancels Lambda's
+        # e^{-4 x4}, leaving qt2^4 over the Jacobian 2 qt2^3
+        x4n, wx4 = gl_nodes(n_x, s - sp_c - sp_half, s - sp_c + sp_half)
+        a4 = np.exp(-((s - x4n - casp) ** 2) / (2.0 * wa * wa))
+        b_x4 = np.exp(-((st - x4n - cbsp) ** 2) / (2.0 * wb * wb))
+        x4_sum = np.sum(wx4 * a4 * b_x4, axis=2, keepdims=True)
+        # the q1-free factors: a's s Gaussian, the u window, measure, x4 sum
+        weight = (wsn[:, None, None] * np.exp(-((s - cas) ** 2) / (2.0 * wa * wa))
+                  * win_u[:, None] * np.where(valid, 0.5 * q2t, 0.0) * x4_sum)
 
+        # the (s, u, x3) arrays go in equal s blocks of about 8192
+        # elements, which bounds the memory their temporaries take
+        n_blocks = -(-n_q * spec.n_uv * n_x // 8192)
+        rows = -(-n_q // n_blocks)
+        blocks = [slice(i, i + rows) for i in range(0, n_q, rows)]
         total = 0j
         for q1v, wq in zip(q1n, wq1):
-            for sv, ws in zip(sn, wsn):
-                q2v = math.exp(sv)
-                # per-node boxes: x3 shifts q1 -> q1', x4 shifts s -> s'
-                x3n, wx3 = gl_nodes(n_x, (q1v - p_c - p_half) / q2v,
-                                    (q1v - p_c + p_half) / q2v)
-                x4n, wx4 = gl_nodes(n_x, sv - sp_c - sp_half,
-                                    sv - sp_c + sp_half)
-
-                a3 = np.exp(-((q1v - q2v * x3n - ca1p) ** 2) / (2.0 * wa * wa))
-                a4 = np.exp(-((sv - x4n - casp) ** 2) / (2.0 * wa * wa))
-                a0 = math.exp(-((q1v - ca1) ** 2 + (sv - cas) ** 2)
-                              / (2.0 * wa * wa))
-
-                # tilde side on the (u, t) window, per x3 node
-                q2t_sq = (un + j_val * q2v * q2v) / jt_val          # (u,)
-                valid = q2t_sq > 1e-12
-                if not np.any(valid):
-                    continue
-                q2t = np.sqrt(np.where(valid, q2t_sq, 1.0))         # (u,)
-                st = np.log(q2t)                                    # (u,)
-                t_base = 0.5 * j_val * q2v * (2.0 * q1v - q2v * x3n)  # (x3,)
-                tt_full = t_base[:, None, None] + tn[None, None, :]   # (x3,u,t)
-                q2t_b = q2t[None, :, None]
-                st_b = st[None, :, None]
-                q1t = tt_full / (jt_val * q2t_b) + 0.5 * q2t_b * x3n[:, None, None]
-                psi_b = tt_full * x3n[:, None, None] * st_b
-                psi_a = (t_base * x3n) * sv                          # (x3,)
-                # b factor split: x4-free part and the x4 coupling; the Haar
-                # density e^{4 x4} cancels Lambda's e^{-4 x4} leaving q2t^4
-                b_free = np.exp(
-                    -((q1t - cb1) ** 2 + (st_b - cbs) ** 2
-                      + (q1t - q2t_b * x3n[:, None, None] - cb1p) ** 2)
-                    / (2.0 * wb * wb))
-                b_x4 = np.exp(-((st[None, :] - x4n[:, None] - cbsp) ** 2)
-                              / (2.0 * wb * wb))                     # (x4,u)
-                x4_sum = (wx4 * a4) @ b_x4                           # (u,)
-                meas = np.where(valid, q2t ** 4 / (2.0 * q2t ** 3), 0.0)  # (u,)
-                phase = np.exp(1j * (psi_b - psi_a[:, None, None]))
-                core = b_free * phase                                # (x3,u,t)
-                over_t = core @ win_t                                # (x3,u)
-                mid = over_t * (win_u * meas * x4_sum)[None, :]      # (x3,u)
-                total += wq * ws * a0 * np.sum((wx3 * a3)[:, None] * mid)
+            # x3 shifts q1 -> q1'
+            x3n, wx3 = gl_nodes(n_x, (q1v - p_c - p_half) / q2,
+                                (q1v - p_c + p_half) / q2)
+            a3w = wx3 * np.exp(-((q1v - q2 * x3n - ca1p) ** 2) / (2.0 * wa * wa))
+            t0 = 0.5 * j_val * q2 * (2.0 * q1v - q2 * x3n)
+            a0 = math.exp(-((q1v - ca1) ** 2) / (2.0 * wa * wa))
+            for k in blocks:
+                over_t = _t_window_integral(t0[k], x3n[k], q2t[k], st[k], s[k],
+                                            jt_val, b, sw)
+                total += wq * a0 * np.sum(a3w[k] * over_t * weight[k])
         return total
 
-    coarse = compute(spec.n_inner // 2, spec.n_outer // 4, spec.n_uv)
-    refined = compute((3 * spec.n_inner) // 4, spec.n_outer // 3, spec.n_uv)
+    coarse, refined = (compute(*n) for n in passes)
     inner = _pair_inner_product(a, b)
     predicted = 2.0 * math.pi ** 2 * inner
     scale = 2.0 * math.pi ** 2 * math.sqrt(
@@ -1038,8 +1060,9 @@ def kernel_orthogonality_smoke(model, test_pairs, spec: SmokeSpec | None = None,
 
     Each test pair is (a, b, J, Jt) with smooth Gaussian smearing factors;
     the group-direction phases whose sharp limits are delta functions are
-    damped by wide Gaussian windows acting as nascent 2 pi deltas, all
-    remaining integrals are quadrature, and the result is compared against
+    damped by wide Gaussian windows acting as nascent 2 pi deltas, the 4d
+    model's t window is integrated in closed form, all remaining integrals
+    are quadrature, and the result is compared against
     the sharp-limit prediction: (2 pi)^2/|J| <a,b> for the Heisenberg model
     (per unit window mass), 2 pi^2 <a,b> with the Lambda twist for the 4d
     model, and 0 for distinct spectral parameters.

@@ -178,11 +178,13 @@ class TestModelCommands:
 
         code, doc = run(["model", "residual", "heisenberg", "--psi", "mode",
                          "--E", "-1000"])
-        assert code == 0
+        # the residual is exact, but at the fixed stencil step the
+        # cross-check deviates by ~1.7e-3, above c08's 1e-5: no verdict
+        assert code == 1
         check = doc["checks"][0]
-        assert check["status"] == "pass"
-        assert math.isfinite(check["max_residual"])
-        assert math.isfinite(check["detail"]["fd_cross_deviation"])
+        assert check["status"] == "inconclusive"
+        assert check["max_residual"] <= 1e-8
+        assert 1e-5 < check["detail"]["fd_cross_deviation"] < 1e-2
         # the mode's Airy arguments are near -629; its values against scipy
         f = compile_expr(mode_solution_h3(Fraction(1, 2), 1, -1000), ["x1", "x2", "x3"])
         for x1 in np.linspace(-1.0, 1.0, 5):

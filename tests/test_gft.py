@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from nclb.airyfun import airy
-from nclb.models import (QuadSpec2D, SingularMeasureError, SmearedGaussian,
-                         SmokeSpec, inverse_gft_h3, inverse_gft_h3_evaluator,
+from nclb import models
+from nclb.models import (ModelParameterError, QuadSpec2D, SingularMeasureError,
+                         SmearedGaussian, SmokeSpec, inverse_gft_h3,
+                         inverse_gft_h3_evaluator,
                          kernel_orthogonality_smoke, mode_solution_h3,
                          mode_superposition_h3, pde_residual_field)
 from nclb.expr import evaluate
@@ -86,6 +88,10 @@ class TestInverseGft:
         assert np.max(np.abs(direct - via_kernel)) <= 1e-6 * scale
 
 
+G47_A = SmearedGaussian(centers=(1.2, 0.1, 1.0, 0.0), width=0.3)
+G47_B = SmearedGaussian(centers=(1.1, 0.05, 1.05, -0.05), width=0.28)
+
+
 class TestKernelSmoke:
     def test_heisenberg_matching(self, h3):
         a = SmearedGaussian(centers=(0.1, -0.2), width=0.5)
@@ -115,3 +121,59 @@ class TestKernelSmoke:
         recs = kernel_orthogonality_smoke(
             h3, [(a, b, 1.0, 1.0)], spec=SmokeSpec(n_outer=8, n_inner=8))
         assert recs[0].status == "inconclusive"
+
+    def test_g47_under_resolved_is_inconclusive(self, g47):
+        recs = kernel_orthogonality_smoke(
+            g47, [(G47_A, G47_B, 1, 1)], spec=SmokeSpec(n_outer=12, n_inner=12))
+        assert recs[0].status == "inconclusive"
+
+    def test_g47_refinement_must_add_nodes(self, g47):
+        # n_outer 8 gives the coarse and the refined pass 2 x3 and x4 nodes
+        # each, so their agreement says nothing
+        with pytest.raises(ModelParameterError, match="refined pass"):
+            kernel_orthogonality_smoke(
+                g47, [(G47_A, G47_B, 1, 1)], spec=SmokeSpec(n_outer=8, n_inner=8))
+
+    @pytest.mark.parametrize("j_val, dev", [(-1, 5.047970918706612e-4),
+                                            (2, 1.2706667107758175e-4)])
+    def test_g47_deviation_is_kept(self, g47, j_val, dev):
+        # the deviations the 20-node t-window sum gave; the closed form adds
+        # the window's tail beyond 6 widths, ~1.5e-8 of scale
+        rec = kernel_orthogonality_smoke(g47, [(G47_A, G47_B, j_val, j_val)])[0]
+        assert rec.passed
+        assert abs(rec.max_residual - dev) <= 1e-7
+
+
+def _t_window_sum(q1v, sv, b, j_val, x3n, un, sw):
+    """The 4d smoke test's t integral at one (q1, s) node as a 20-node
+    Gauss-Legendre sum over +-6 window widths, on the (x3, u) grid."""
+    cb1, cbs, cb1p, _ = b.centers
+    tn, wtn = np.polynomial.legendre.leggauss(20)
+    tn, wtn = tn * 6.0 / sw, wtn * 6.0 / sw
+    win_t = wtn * math.sqrt(2.0 * math.pi) * sw * np.exp(-0.5 * (sw * tn) ** 2)
+    q2v = math.exp(sv)
+    q2t_sq = (un + j_val * q2v * q2v) / j_val
+    q2t = np.sqrt(np.where(q2t_sq > 1e-12, q2t_sq, 1.0))
+    st = np.log(q2t)
+    t_base = 0.5 * j_val * q2v * (2.0 * q1v - q2v * x3n)
+    tt = t_base[:, None, None] + tn
+    x3, q2t_b, st_b = x3n[:, None, None], q2t[None, :, None], st[None, :, None]
+    q1t = tt / (j_val * q2t_b) + 0.5 * q2t_b * x3
+    b_free = np.exp(-((q1t - cb1) ** 2 + (st_b - cbs) ** 2
+                      + (q1t - q2t_b * x3 - cb1p) ** 2) / (2.0 * b.width ** 2))
+    phase = np.exp(1j * (tt * x3 * st_b - (t_base * x3n * sv)[:, None, None]))
+    return (b_free * phase) @ win_t, q2t, st, t_base
+
+
+@pytest.mark.parametrize("q1v, sv, j_val", [(1.2, 0.1, 1), (0.5, -1.8, 1),
+                                            (1.9, 1.0, -1), (1.2, 0.1, 2)])
+def test_t_window_closed_form_matches_quadrature(q1v, sv, j_val):
+    # (0.5, -1.8) puts 6 of the 20 u nodes off the physical region
+    sw = SmokeSpec().window_uv
+    un = np.polynomial.legendre.leggauss(20)[0] * 6.0 / sw
+    q2v = math.exp(sv)
+    x3n = np.linspace((q1v - 2.4) / q2v, (q1v + 0.35) / q2v, 33)
+    want, q2t, st, t_base = _t_window_sum(q1v, sv, G47_B, j_val, x3n, un, sw)
+    got = models._t_window_integral(t_base[:, None], x3n[:, None], q2t, st,
+                                    sv, j_val, G47_B, sw)
+    assert np.max(np.abs(got - want)) <= 1e-7 * np.max(np.abs(want))

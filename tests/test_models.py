@@ -95,6 +95,16 @@ class TestFrameChecks:
         with pytest.raises(VerificationError):
             invariant_frame_check(bad, strict=True)
 
+    def test_failing_relation_counts_its_samples(self, h3):
+        # [2 eta_1, eta_2] = -2 eta_3 against the target -eta_3 is the one
+        # relation whose defect is not a symbolic zero, so it alone is sampled
+        bad = dc_replace(h3, eta=(h3.eta[0].scale(2),) + h3.eta[1:])
+        for n_samples in (40, 7):
+            rec = invariant_frame_check(bad, n_samples=n_samples)[0]
+            assert rec.max_residual == 0.5
+            assert rec.detail["failing"] == [("right", 1, 2)]
+            assert (rec.samples_used, rec.skipped_samples) == (n_samples, 0)
+
     def test_haar_invariance(self, h3, g47):
         assert haar_invariance_check(h3).passed
         rec = haar_invariance_check(g47)
