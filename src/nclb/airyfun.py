@@ -313,16 +313,6 @@ def _eval_float(x, comps):
     return _oscillatory(x, comps, _FLOAT)
 
 
-def _monotone_quad(x: float):
-    """Asymptotic (Ai, Ai', Bi, Bi') for large positive x."""
-    return tuple(_monotone(x, _ALL, _FLOAT))
-
-
-def _oscillatory_quad(x: float):
-    """Asymptotic (Ai, Ai', Bi, Bi') for large negative x."""
-    return tuple(_oscillatory(x, _ALL, _FLOAT))
-
-
 _KIND_INDEX = {"Ai": 0, "AiPrime": 1, "Bi": 2, "BiPrime": 3}
 
 

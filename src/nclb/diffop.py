@@ -23,9 +23,6 @@ from .airyfun import AiryOverflowError
 from .expr import Expr, ZERO, simplify
 from .report import DEFAULT_SEED, InconclusiveError, NclbError, worst
 
-# the name op_equal's callers know the inconclusive error by
-InconclusiveComparisonError = InconclusiveError
-
 
 class UnsupportedOrderError(NclbError, ValueError):
     pass

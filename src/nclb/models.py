@@ -119,7 +119,7 @@ class GroupModel:
 
 # --- model builders ---------------------------------------------------------
 
-def _heisenberg_model() -> GroupModel:
+def _heisenberg_model(_alpha, _beta) -> GroupModel:
     x1, x2, x3 = Var("x1"), Var("x2"), Var("x3")
     y1, y2, y3 = Var("y1"), Var("y2"), Var("y3")
     xv = ("x1", "x2", "x3")
@@ -368,6 +368,7 @@ def chart_samples(model, n, seed=DEFAULT_SEED):
     return SampleSpec(ranges=ranges, n=n, seed=seed).points(q_vars)
 
 
+# every builder takes (alpha, beta); heisenberg ignores them
 _BUILDERS = {"heisenberg": _heisenberg_model, "g4_7": _g47_model}
 
 
@@ -377,14 +378,11 @@ def load_model(name, alpha=Fraction(1), beta=Fraction(1), validate=True) -> Grou
     g4_7 takes rational alpha, beta with alpha*beta != 0 and
     alpha^2 + 4 beta > 0; heisenberg takes no parameters.
     """
-    if name == "heisenberg":
-        model = _heisenberg_model()
-    elif name == "g4_7":
-        model = _g47_model(alpha, beta)
-    else:
+    if name not in _BUILDERS:
         raise ModelParameterError(
             f"unknown model {name!r}; available: {sorted(_BUILDERS)}"
         )
+    model = _BUILDERS[name](alpha, beta)
     if validate:
         records = validate_model(model)
         bad = [r for r in records if not r.passed]
@@ -670,10 +668,6 @@ def pde_residual(model, psi: Expr, energy, samples, fd_points=10,
     Delta psi cross-checked against the stencils at the first fd_points."""
     return operator_residual(model.laplacian, psi, energy, samples,
                              fd_step=fd_step, floor=floor, fd_points=fd_points)
-
-
-# the name the model pipelines' callers know the inconclusive error by
-ReductionInconclusive = InconclusiveError
 
 
 # --- generalized inverse transform (Heisenberg) -------------------------------

@@ -14,10 +14,6 @@ import numpy as np
 
 from .report import InconclusiveError
 
-# a refinement that does not settle is an inconclusive check; the old name
-# stays for callers that catch it
-QuadratureError = InconclusiveError
-
 
 @functools.lru_cache(maxsize=64)
 def _reference_rule(n):
@@ -61,7 +57,7 @@ def integrate_1d(f, lo, hi, n=32, tol=None, max_doublings=6):
         if abs(new - val) <= tol * max(1.0, abs(new)):
             return new, n
         val = new
-    raise QuadratureError(f"1d quadrature did not settle below {tol} by n={n}")
+    raise InconclusiveError(f"1d quadrature did not settle below {tol} by n={n}")
 
 
 def oscillatory_cubic_phase(x, t, n=96, r_max=None):

@@ -248,63 +248,59 @@ def extract_first_order(red: ReducedOperator, normalizer: Expr,
 
 # --- characteristics --------------------------------------------------------
 
-def _rk4(field, state, t0, t_end, step, domain=None, record=None):
-    """Classical fixed-step RK4 from t0 to t_end (either direction)."""
-    t = t0
-    total = t_end - t0
-    if total == 0:
-        return state, t
-    nsteps = max(1, int(round(abs(total) / step)))
-    h = total / nsteps
+def _characteristic(rates, q0, t_end, step, domain=None, phase=False):
+    """Classical RK4 for dq/dt = rates(q) from t = 0 to t_end (either
+    direction), in round(|t_end| / step) equal steps (at least one unless
+    t_end is 0), recording the state after every step.
+
+    With phase=True rates also returns V(q) last, and the phase, with rate V,
+    rides as one more state component.  The domain predicate sees the real
+    parts of the chart point at the start and after every step; a point
+    outside raises DomainExitError with its time and chart point.
+    """
+    m = len(q0)
+    state = [complex(x) for x in q0] + ([0j] if phase else [])
+    t = 0.0
+    ts, qs, phases = [t], [tuple(state[:m])], [0j]
+
+    def check(t, q):
+        if domain is not None and not domain(tuple(s.real for s in q)):
+            raise DomainExitError(t, q)
+
+    check(t, qs[0])
+    nsteps = max(1, round(abs(t_end) / step)) if t_end else 0
+    h = t_end / max(nsteps, 1)
+    h2, h6 = h / 2, h / 6
     for _ in range(nsteps):
-        if domain is not None and not domain(state):
-            raise DomainExitError(t, state)
-        k1 = field(t, state)
-        k2 = field(t + h / 2, [s + h / 2 * k for s, k in zip(state, k1)])
-        k3 = field(t + h / 2, [s + h / 2 * k for s, k in zip(state, k2)])
-        k4 = field(t + h, [s + h * k for s, k in zip(state, k3)])
-        state = [
-            s + h / 6 * (a + 2 * b + 2 * c + d)
-            for s, a, b, c, d in zip(state, k1, k2, k3, k4)
-        ]
+        q = state[:m]
+        k1 = rates(*q)
+        k2 = rates(*[s + h2 * k for s, k in zip(q, k1)])
+        k3 = rates(*[s + h2 * k for s, k in zip(q, k2)])
+        k4 = rates(*[s + h * k for s, k in zip(q, k3)])
+        state = [s + h6 * (a + 2 * b + 2 * c + d)
+                 for s, a, b, c, d in zip(state, k1, k2, k3, k4)]
         t += h
-        if record is not None:
-            record(t, state)
-    if domain is not None and not domain(state):
-        raise DomainExitError(t, state)
-    return state, t
+        ts.append(t)
+        qs.append(tuple(state[:m]))
+        if phase:
+            phases.append(state[-1])
+        check(t, qs[-1])
+    return Characteristic(start=tuple(q0), step=step, ts=tuple(ts), qs=tuple(qs),
+                          phases=tuple(phases) if phase else None)
 
 
 def flow(Z, q0, t_end, step, params=None, domain=None) -> Characteristic:
-    """Integrate dq/dt = Z(q) from q0 with classical RK4 at fixed step.
+    """Integrate dq/dt = Z(q) from q0 to t = t_end with classical RK4 at
+    fixed step (`_characteristic`, the one RK4 driver).
 
     Z is a sequence of expressions over the chart variables named q1..qm (or
     a single 'q'); params binds any remaining parameters.  A domain predicate
-    over real coordinate tuples turns an excursion into DomainExitError with
-    the exit time attached.
+    over real coordinate tuples is tested at q0 and after every step; a point
+    outside raises DomainExitError with its time and chart point.
     """
-    params = params or {}
-    m = len(Z)
-    q_vars = _chart_names(m)
-    rates = ex.compile_expr(tuple(ex.as_expr(z) for z in Z), q_vars, bind=params)
-
-    def field(_t, state):
-        return rates(*state)
-
-    dom = None
-    if domain is not None:
-        dom = lambda state: domain(tuple(s.real if isinstance(s, complex) else s for s in state))
-
-    ts = [0.0]
-    qs = [tuple(complex(x) for x in q0)]
-
-    def rec(t, state):
-        ts.append(t)
-        qs.append(tuple(state))
-
-    state, _ = _rk4(field, list(qs[0]), 0.0, float(t_end), float(step),
-                    domain=dom, record=rec)
-    return Characteristic(start=tuple(q0), step=float(step), ts=tuple(ts), qs=tuple(qs))
+    rates = ex.compile_expr(tuple(ex.as_expr(z) for z in Z),
+                            _chart_names(len(Z)), bind=params or {})
+    return _characteristic(rates, q0, float(t_end), float(step), domain)
 
 
 def _chart_names(m):
@@ -382,26 +378,22 @@ def solve_reduced(Z, V, energy, phi, q_targets, step, *, v: Expr, u=(),
     """Values of the solution Phi(u) exp(-int_{v_ref}^{v(q)} V dv) at targets.
 
     The potential is integrated along the characteristic through each target
-    by flowing backwards to the reference section v = v_ref; the quadrature
-    rides inside the RK4 step, so the phase error is O(step^4).  The energy
-    value is bound into V's symbol E.  Returns (values, characteristics).
+    by flowing back to the reference section v = v_ref with `_characteristic`;
+    the phase rides as one more RK4 state component, so its error is
+    O(step^4).  v must be real at every target.  A domain predicate over
+    real coordinate tuples is tested at the target and after every step; a
+    point outside raises DomainExitError with its time and chart point.  The
+    energy value is bound into V's symbol E.  Returns (values,
+    characteristics).
     """
     params = dict(params or {})
     params.setdefault("E", energy)
-    m = len(Z)
-    q_vars = _chart_names(m)
-    # one closure per stage: the rates of (q, phase) are (Z(q), V(q))
+    q_vars = _chart_names(len(Z))
+    # the rates of (q, phase) are (Z(q), V(q))
     rates = ex.compile_expr(tuple(ex.as_expr(z) for z in Z) + (ex.as_expr(V),),
                             q_vars, bind=params)
     v_fn = ex.compile_expr(ex.as_expr(v), q_vars, bind=params)
     u_fn = ex.compile_expr(tuple(ex.as_expr(ue) for ue in u), q_vars, bind=params)
-
-    dom = None
-    if domain is not None:
-        dom = lambda state: domain(tuple(s.real for s in state[:-1]))
-
-    def field(_t, state):
-        return rates(*state[:-1])
 
     values = []
     chars = []
@@ -410,26 +402,11 @@ def solve_reduced(Z, V, energy, phi, q_targets, step, *, v: Expr, u=(),
         v_here = v_fn(*q0)
         if abs(v_here.imag) > 1e-9 * (1.0 + abs(v_here)):
             raise ex.DomainError(f"v is not real at {target}: {v_here}")
-        t_end = float(v_ref) - v_here.real
-        ts = [0.0]
-        qs = [tuple(q0)]
-        phases = [0j]
-
-        def rec(t, state):
-            ts.append(t)
-            qs.append(tuple(state[:-1]))
-            phases.append(state[-1])
-
-        state, _ = _rk4(field, q0 + [0j], 0.0, t_end, float(step),
-                        domain=dom, record=rec)
-        # phi(t_end) = -int_{v_ref}^{v(q)} V dv along the characteristic
-        phase = state[-1]
-        u_vals = u_fn(*q0)
-        values.append(phi(u_vals, params) * cmath.exp(phase))
-        chars.append(Characteristic(
-            start=tuple(target), step=float(step), ts=tuple(ts),
-            qs=tuple(qs), phases=tuple(phases),
-        ))
+        char = _characteristic(rates, target, float(v_ref) - v_here.real,
+                               float(step), domain, phase=True)
+        # the last phase is -int_{v_ref}^{v(q)} V dv along the characteristic
+        values.append(phi(u_fn(*q0), params) * cmath.exp(char.phases[-1]))
+        chars.append(char)
     return values, chars
 
 

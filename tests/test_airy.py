@@ -38,13 +38,14 @@ class TestAccuracy:
                 assert abs(o - r) <= 1e-10 * (1.0 + abs(r)), (x, o, r)
 
     def test_branch_switchover_agreement(self):
-        from nclb.airyfun import _monotone_quad, _oscillatory_quad, _series_quad
+        from nclb.airyfun import (_ALL, _FLOAT, _monotone, _oscillatory,
+                                  _series_quad)
         s = _series_quad(8.0)
-        m = _monotone_quad(8.0)
+        m = _monotone(8.0, _ALL, _FLOAT)
         for a, b in zip(s, m):
             assert abs(a - b) <= 1e-10 * (1.0 + abs(a))
         s = _series_quad(-8.25)
-        o = _oscillatory_quad(-8.25)
+        o = _oscillatory(-8.25, _ALL, _FLOAT)
         for a, b in zip(s, o):
             assert abs(a - b) <= 1e-10 * (1.0 + abs(a))
 

@@ -203,6 +203,24 @@ class TestFlow:
                  domain=chart_domain(g47))
         assert 0.0 < err.value.exit_time <= 6.0
 
+    def test_start_point_outside_the_domain_raises(self):
+        # tested before any step, so a zero-length characteristic raises too
+        def upper(q):
+            return q[1] > 1e-10
+
+        for t_end in (0.0, 1e-3):
+            with pytest.raises(DomainExitError) as err:
+                flow((ex.ONE, ex.ONE), (1.0, -0.5), t_end, 1e-2, domain=upper)
+            assert err.value.exit_time == 0.0
+            assert err.value.point == (1.0, -0.5)
+        # solve_reduced reports the chart point too, without its phase
+        for v_ref in (1.0, 2.0):
+            with pytest.raises(DomainExitError) as err:
+                solve_reduced((ex.ONE, ex.ONE), ex.ZERO, 0.0, lambda u, p: 1.0,
+                              [(1.0, -0.5)], 1e-2, v=q1, v_ref=v_ref,
+                              domain=upper)
+            assert err.value.point == (1.0, -0.5)
+
     def test_trajectory_recorded(self):
         ch = flow((ex.ONE,), (0.0,), 0.1, 1e-2)
         assert isinstance(ch, Characteristic)

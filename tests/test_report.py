@@ -6,21 +6,11 @@ from nclb.airyfun import AiryDomainError, AiryOverflowError
 from nclb.algebra import MalformedAlgebraError
 from nclb.bilinear import CoisotropyError, DegenerateFormError
 from nclb.cli import InputError
-from nclb.diffop import (DomainExitError, InconclusiveComparisonError,
-                         UnsupportedOrderError)
+from nclb.diffop import DomainExitError, UnsupportedOrderError
 from nclb.expr import ExprError
-from nclb.models import (ModelParameterError, ReductionInconclusive,
-                         SingularMeasureError)
-from nclb.quadrature import QuadratureError
-from nclb.reduction import InconclusiveError as ReductionInconclusiveError
+from nclb.models import ModelParameterError, SingularMeasureError
 from nclb.reduction import NotFirstOrderError
 from nclb.report import InconclusiveError, NclbError, VerificationError, worst
-
-
-def test_every_inconclusive_name_is_the_one_class():
-    assert (InconclusiveComparisonError is ReductionInconclusive
-            is ReductionInconclusiveError is QuadratureError
-            is InconclusiveError)
 
 
 @pytest.mark.parametrize("cls, base", [
