@@ -7,12 +7,19 @@ kernel provides exact differentiation, an expand-and-collect normal form
 syntax.
 
 Numeric evaluation has one code generator.  It turns an expression (or a
-tuple of them) into the source of a Python function over complex doubles,
-compiled once per expression, argument names and bound names.
-`compile_expr` returns such a closure for the normal form; `evaluate`
-compiles the tree as given and calls it once.  Both raise DomainError in the
-same places: log, fractional powers and Airy test their arguments inline,
-and an OverflowError or ZeroDivisionError of the arithmetic becomes one.
+tuple of them) into flat Python code over complex doubles, one local per
+distinct subtree, and wraps that body in one of two functions, compiled once
+per expression, argument names, bound names and wrapper:
+
+* a closure: `compile_expr` returns it for the normal form, and `evaluate`
+  compiles the tree as given and calls it once;
+* an RK4 loop: `compile_rk4` returns a function that runs n classical RK4
+  steps for a tuple of rates, with the body inlined in each of the four
+  stages, and appends every state to the caller's lists.
+
+Both raise DomainError in the same places: log, fractional powers and Airy
+test their arguments inline, and an OverflowError or ZeroDivisionError of
+the arithmetic becomes one.
 
 The normal form is a sum of monomials: rational coefficient times sorted
 factors, with same-base powers merged by exponent arithmetic, exponential
@@ -521,22 +528,32 @@ _RUNTIME = {"_exp": cmath.exp, "_log": cmath.log, "_airy": _airy_numeric,
             "DomainError": DomainError, "_LEFT_CUT": LEFT_CUT, "_INF": math.inf}
 
 
-def _source(e, varnames, bound):
-    """Source of `_make(*bound values)`, which returns `_f(*varnames)`.
+def _source(e, varnames, bound, loop):
+    """Source of `_make(*bound values)`, which returns `_f(*varnames)` or,
+    with loop, the RK4 loop `_run` of `compile_rk4`.
 
-    `_f` computes one local per inner node in evaluation order, so the
-    source stays flat however deep the tree is.
+    The body computes one local per inner node in evaluation order, so the
+    source stays flat however deep the tree is.  A node whose code text was
+    already emitted reuses that local (and its domain test), so each distinct
+    subtree is computed once per evaluation.
     """
     names = {v: f"_a{i}" for i, v in enumerate(varnames)}
     names.update((v, f"_b{i}") for i, v in enumerate(bound))
     lines = []
+    local_of = {}  # code text -> its local
+    checks = set()
 
     def local(code):
-        lines.append(f"_t{len(lines)} = {code}")
-        return f"_t{len(lines) - 1}"
+        if code not in local_of:
+            local_of[code] = f"_t{len(lines)}"
+            lines.append(f"{local_of[code]} = {code}")
+        return local_of[code]
 
     def check(test, what, t):
-        lines.append(f"if {test}: raise DomainError(f'{what}, got {{complex({t})!r}}')")
+        line = f"if {test}: raise DomainError(f'{what}, got {{complex({t})!r}}')"
+        if line not in checks:
+            checks.add(line)
+            lines.append(line)
 
     def real(t):
         return f"abs({t}.imag) > {_REAL_TOL!r} * (1.0 + abs({t}.real))"
@@ -589,25 +606,56 @@ def _source(e, varnames, bound):
             return local(f"_exp({ev!r} * _log({t}))")
         raise TypeError(f"not an expression: {x!r}")
 
-    if isinstance(e, tuple):
-        result = "(" + "".join(f"{gen(x)}, " for x in e) + ")"
-    else:
-        result = gen(e)
-    body = "".join(f"            {line}\n" for line in lines)
-    return (f"def _make({', '.join(names[v] for v in bound)}):\n"
-            f"    def _f({', '.join(names[v] for v in varnames)}):\n"
-            f"        try:\n{body}"
-            f"            return {result}\n"
-            f"        except (OverflowError, ZeroDivisionError) as exc:\n"
-            f"            raise DomainError(f'{{type(exc).__name__}}: {{exc}}') from None\n"
-            f"    return _f\n")
+    results = [gen(x) for x in e] if isinstance(e, tuple) else gen(e)
+    make = f"def _make({', '.join(names[v] for v in bound)}):\n"
+    arith = ("except (OverflowError, ZeroDivisionError) as exc:\n"
+             "    raise DomainError(f'{type(exc).__name__}: {exc}') from None\n")
+    if not loop:
+        result = ("(" + "".join(f"{r}, " for r in results) + ")"
+                  if isinstance(e, tuple) else results)
+        body = "".join(f"{line}\n" for line in lines) + f"return {result}\n"
+        return (make + f"    def _f({', '.join(names[v] for v in varnames)}):\n"
+                + _indent(f"try:\n{_indent(body, 4)}{arith}", 8) + "    return _f\n")
+    return make + _indent(_rk4_source(lines, results, len(varnames), arith), 4)
+
+
+def _indent(text, n):
+    return "".join(" " * n + line + "\n" for line in text.splitlines())
+
+
+def _rk4_source(lines, results, m, arith):
+    """`_run` for `compile_rk4`: the body `lines` (computing `results` from
+    the chart arguments `_a0.._a{m-1}`) inlined in each of the four stages,
+    with the driver's arithmetic in its order."""
+    n = len(results)
+    s = [f"_s{i}" for i in range(n)]
+    k = [[f"_k{j}_{i}" for i in range(n)] for j in range(4)]
+    body = "".join(f"{line}\n" for line in lines)
+    # stage j + 1 evaluates the rates at s + h_j * (stage j's rates)
+    stage_args = [s[:m]] + [[f"{s[i]} + {h} * {k[j][i]}" for i in range(m)]
+                            for j, h in enumerate(("_h2", "_h2", "_h"))]
+    stages = ["".join(f"_a{i} = {a}\n" for i, a in enumerate(args)) + body
+              + "".join(f"{k[j][i]} = {r}\n" for i, r in enumerate(results))
+              for j, args in enumerate(stage_args)]
+    update = "".join(f"{s[i]} = {s[i]} + _h6 * ({k[0][i]} + 2 * {k[1][i]} + 2 * {k[2][i]}"
+                     f" + {k[3][i]})\n" for i in range(n))
+    point = "(" + "".join(f"{x}, " for x in s[:m]) + ")"
+    extra = f"_phases.append({s[m]})\n" if n > m else ""
+    start = f"{s[m]} = _phases[-1]\n" if n > m else ""
+    step = (f"try:\n{_indent(''.join(stages) + update or 'pass', 4)}{arith}"
+            f"_time += _h\n_ts.append(_time)\n_q = {point}\n_qs.append(_q)\n{extra}"
+            f"if _check is not None:\n    _check(_time, _q)\n")
+    return ("def _run(_n, _h, _ts, _qs, _phases, _check):\n"
+            + _indent(f"_time = _ts[-1]\n{point} = _qs[-1]\n{start}"
+                      f"_h2, _h6 = _h / 2, _h / 6\nfor _ in range(_n):\n{_indent(step, 4)}", 4)
+            + "return _run\n")
 
 
 @functools.lru_cache(maxsize=64)
-def _closure_maker(e, varnames, bound):
+def _closure_maker(e, varnames, bound, loop):
     """`_make` for e, compiled as given; one code generation per key."""
     ns = dict(_RUNTIME)
-    exec(_source(e, varnames, bound), ns)  # noqa: S102 - generated from the tree
+    exec(_source(e, varnames, bound, loop), ns)  # noqa: S102 - generated from the tree
     return ns["_make"]
 
 
@@ -627,7 +675,7 @@ def evaluate(e: Expr, assignment=None) -> complex:
         args = [complex(a[v]) for v in names]
     except KeyError as exc:
         raise MissingVariableError(f"no value for variable {exc.args[0]!r}") from None
-    val = _closure_maker(e, names, ())()(*args)
+    val = _closure_maker(e, names, (), False)()(*args)
     if not cmath.isfinite(val):
         raise DomainError(f"evaluation produced a non-finite value: {val!r}")
     return val
@@ -656,11 +704,40 @@ def compile_expr(e, varnames, bind=None):
     MissingVariableError.  Code is generated once per (expressions,
     varnames, bound names) in a bounded cache; bound values are not code.
     """
+    return _compiled(e, tuple(varnames), bind, False)
+
+
+def compile_rk4(rates, varnames, bind=None):
+    """Compile classical RK4 for dq/dt = rates(q) to one loop function.
+
+    `rates` is a tuple of len(varnames) expressions, the rates of the chart
+    variables `varnames`, optionally followed by one more: the rate of an
+    extra state component (a phase) that rides along but is not an
+    argument of the rates.  The loop
+
+        run(n, h, ts, qs, phases, check)
+
+    continues the characteristic whose last time, chart point (a tuple) and,
+    with the extra component, phase end the lists ts, qs and phases, by n
+    steps of length h, appending each new state to them; check(t, q), unless
+    None, is called after every step and may raise.  The rates' body is
+    inlined in each of the four stages, which evaluate `s + h/2*k` (twice)
+    and `s + h*k`; a step ends with `s + h/6*(k1 + 2*k2 + 2*k3 + k4)` and
+    `t += h`.  The rates raise DomainError as `compile_expr`'s closure does,
+    and `bind` is handled, and code cached, as there.
+    """
     varnames = tuple(varnames)
+    if not len(varnames) <= len(rates) <= len(varnames) + 1:
+        raise ValueError(f"expected {len(varnames)} rates and at most one more, "
+                         f"got {len(rates)}")
+    return _compiled(tuple(rates), varnames, bind, True)
+
+
+def _compiled(e, varnames, bind, loop):
     e = tuple(simplify(x) for x in e) if isinstance(e, tuple) else simplify(e)
     free = free_vars(Sum(e) if isinstance(e, tuple) else e) - set(varnames)
     bound = tuple(sorted(v for v in free if v in (bind or {})))
-    return _closure_maker(e, varnames, bound)(*(complex(bind[v]) for v in bound))
+    return _closure_maker(e, varnames, bound, loop)(*(complex(bind[v]) for v in bound))
 
 
 # --- printing ---------------------------------------------------------------

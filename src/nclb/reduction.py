@@ -12,6 +12,7 @@ characteristic field Z and potential V, rectifies, and integrates.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -27,6 +28,10 @@ from .report import (DEFAULT_SEED, FAIL, PASS, CheckRecord, InconclusiveError,
 
 class NotFirstOrderError(NclbError, RuntimeError):
     pass
+
+
+class StepError(NclbError, ValueError):
+    """An RK4 step or end time that cannot give an accurate characteristic."""
 
 
 @dataclass(frozen=True)
@@ -248,43 +253,37 @@ def extract_first_order(red: ReducedOperator, normalizer: Expr,
 
 # --- characteristics --------------------------------------------------------
 
-def _characteristic(rates, q0, t_end, step, domain=None, phase=False):
-    """Classical RK4 for dq/dt = rates(q) from t = 0 to t_end (either
-    direction), in round(|t_end| / step) equal steps (at least one unless
-    t_end is 0), recording the state after every step.
+def _characteristic(run, q0, t_end, step, domain=None, phase=False):
+    """Classical RK4 from t = 0 to t_end (either direction), in
+    round(|t_end| / step) equal steps (at least one unless t_end is 0),
+    recording the state after every step.
 
-    With phase=True rates also returns V(q) last, and the phase, with rate V,
-    rides as one more state component.  The domain predicate sees the real
-    parts of the chart point at the start and after every step; a point
-    outside raises DomainExitError with its time and chart point.
+    `run` is the `expr.compile_rk4` loop of the rates; with phase=True they
+    end with V(q), and the phase, with rate V, rides as one more state
+    component.  The domain predicate sees the real parts of the chart point
+    at the start and after every step; a point outside raises
+    DomainExitError with its time and chart point.  A step that is not
+    positive and finite, a non-finite t_end, or a step count beyond the
+    float range raises StepError.
     """
-    m = len(q0)
-    state = [complex(x) for x in q0] + ([0j] if phase else [])
-    t = 0.0
-    ts, qs, phases = [t], [tuple(state[:m])], [0j]
+    if not (math.isfinite(step) and step > 0.0):
+        raise StepError(f"RK4 step must be positive and finite, got {step!r}")
+    if not math.isfinite(t_end):
+        raise StepError(f"RK4 end time must be finite, got {t_end!r}")
+    if not math.isfinite(abs(t_end) / step):
+        raise StepError(f"too many RK4 steps: |t_end| / step = {abs(t_end)!r} / {step!r}")
 
     def check(t, q):
-        if domain is not None and not domain(tuple(s.real for s in q)):
+        if not domain(tuple([s.real for s in q])):
             raise DomainExitError(t, q)
 
-    check(t, qs[0])
+    q = tuple(complex(x) for x in q0)
+    ts, qs, phases = [0.0], [q], [0j]
+    if domain is not None:
+        check(0.0, q)
     nsteps = max(1, round(abs(t_end) / step)) if t_end else 0
-    h = t_end / max(nsteps, 1)
-    h2, h6 = h / 2, h / 6
-    for _ in range(nsteps):
-        q = state[:m]
-        k1 = rates(*q)
-        k2 = rates(*[s + h2 * k for s, k in zip(q, k1)])
-        k3 = rates(*[s + h2 * k for s, k in zip(q, k2)])
-        k4 = rates(*[s + h * k for s, k in zip(q, k3)])
-        state = [s + h6 * (a + 2 * b + 2 * c + d)
-                 for s, a, b, c, d in zip(state, k1, k2, k3, k4)]
-        t += h
-        ts.append(t)
-        qs.append(tuple(state[:m]))
-        if phase:
-            phases.append(state[-1])
-        check(t, qs[-1])
+    run(nsteps, t_end / max(nsteps, 1), ts, qs, phases,
+        check if domain is not None else None)
     return Characteristic(start=tuple(q0), step=step, ts=tuple(ts), qs=tuple(qs),
                           phases=tuple(phases) if phase else None)
 
@@ -298,9 +297,9 @@ def flow(Z, q0, t_end, step, params=None, domain=None) -> Characteristic:
     over real coordinate tuples is tested at q0 and after every step; a point
     outside raises DomainExitError with its time and chart point.
     """
-    rates = ex.compile_expr(tuple(ex.as_expr(z) for z in Z),
-                            _chart_names(len(Z)), bind=params or {})
-    return _characteristic(rates, q0, float(t_end), float(step), domain)
+    run = ex.compile_rk4(tuple(ex.as_expr(z) for z in Z), _chart_names(len(Z)),
+                         bind=params or {})
+    return _characteristic(run, q0, float(t_end), float(step), domain)
 
 
 def _chart_names(m):
@@ -390,8 +389,8 @@ def solve_reduced(Z, V, energy, phi, q_targets, step, *, v: Expr, u=(),
     params.setdefault("E", energy)
     q_vars = _chart_names(len(Z))
     # the rates of (q, phase) are (Z(q), V(q))
-    rates = ex.compile_expr(tuple(ex.as_expr(z) for z in Z) + (ex.as_expr(V),),
-                            q_vars, bind=params)
+    run = ex.compile_rk4(tuple(ex.as_expr(z) for z in Z) + (ex.as_expr(V),),
+                         q_vars, bind=params)
     v_fn = ex.compile_expr(ex.as_expr(v), q_vars, bind=params)
     u_fn = ex.compile_expr(tuple(ex.as_expr(ue) for ue in u), q_vars, bind=params)
 
@@ -402,7 +401,7 @@ def solve_reduced(Z, V, energy, phi, q_targets, step, *, v: Expr, u=(),
         v_here = v_fn(*q0)
         if abs(v_here.imag) > 1e-9 * (1.0 + abs(v_here)):
             raise ex.DomainError(f"v is not real at {target}: {v_here}")
-        char = _characteristic(rates, target, float(v_ref) - v_here.real,
+        char = _characteristic(run, target, float(v_ref) - v_here.real,
                                float(step), domain, phase=True)
         # the last phase is -int_{v_ref}^{v(q)} V dv along the characteristic
         values.append(phi(u_fn(*q0), params) * cmath.exp(char.phases[-1]))

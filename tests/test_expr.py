@@ -255,6 +255,83 @@ class TestOneSemantics:
         assert g(1.0) == cmath.exp(-2.0) - 2.0
 
 
+class TestEachSubtreeOnce:
+    """A subtree that occurs twice in a field is computed, and its domain
+    tested, once per evaluation."""
+
+    def test_g47_potential_takes_one_log_per_evaluation(self, g47, monkeypatch):
+        from nclb.models import reduction_normalizer
+        from nclb.reduction import build_reduced, extract_first_order
+
+        red = extract_first_order(build_reduced(g47, verify=False),
+                                  reduction_normalizer(g47))
+        potential = red.first_order.V
+        assert to_text(potential).count("log(q2)") == 2
+        logs = []
+
+        def counting_log(z):
+            logs.append(z)
+            return cmath.log(z)
+
+        monkeypatch.setitem(ex._RUNTIME, "_log", counting_log)
+        ex._closure_maker.cache_clear()
+        try:
+            params = {"J": 1.0, "E": 0.7}
+            f = compile_expr(potential, ["q1", "q2"], bind=params)
+            f(1.2, 0.5)
+            assert len(logs) == 1
+            run = ex.compile_rk4(tuple(red.first_order.Z) + (potential,),
+                                 ["q1", "q2"], bind=params)
+            logs.clear()
+            run(3, 1e-2, [0.0], [(1.2 + 0j, 0.5 + 0j)], [0j], None)
+            assert len(logs) == 3 * 4
+        finally:
+            ex._closure_maker.cache_clear()
+
+    def test_repeated_domain_test_keeps_its_message(self):
+        e = Log(q) * Log(q) + Log(q)
+        f = compile_expr(e, ["q"])
+        with pytest.raises(DomainError, match="log requires positive real part"):
+            f(-1.0)
+        assert f(2.0) == cmath.log(2.0) * cmath.log(2.0) + cmath.log(2.0)
+
+
+class TestCompileRk4:
+    def test_rates_must_match_the_chart(self):
+        for rates in ((), (q, q, q)):
+            with pytest.raises(ValueError, match="rates"):
+                ex.compile_rk4(rates, ["q"])
+
+    def test_appends_each_state(self):
+        # dq/dt = 1 with phase rate q: q = t, phase = t^2 / 2 exactly in RK4
+        run = ex.compile_rk4((ex.ONE, q), ["q"])
+        ts, qs, phases = [0.0], [(0j,)], [0j]
+        run(4, 0.5, ts, qs, phases, None)
+        assert ts == [0.0, 0.5, 1.0, 1.5, 2.0]
+        assert qs == [(t,) for t in ts]
+        assert phases == [t * t / 2 for t in ts]
+
+    def test_check_sees_every_step_and_may_stop_the_loop(self):
+        seen = []
+
+        def check(t, point):
+            seen.append((t, point))
+            if t >= 1.0:
+                raise RuntimeError("stop")
+
+        run = ex.compile_rk4((ex.ONE,), ["q"])
+        ts, qs = [0.0], [(0j,)]
+        with pytest.raises(RuntimeError):
+            run(10, 0.5, ts, qs, [], check)
+        assert seen == [(0.5, (0.5 + 0j,)), (1.0, (1.0 + 0j,))]
+        assert ts == [0.0, 0.5, 1.0]
+
+    def test_overflow_becomes_a_domain_error(self):
+        run = ex.compile_rk4((q ** 2,), ["q"])
+        with pytest.raises(DomainError, match="OverflowError"):
+            run(1, 1.0, [0.0], [(1e200 + 0j,)], [], None)
+
+
 class TestSubst:
     def test_basic(self):
         assert subst(q * q + J, {"q": Var("a") + 1}) == simplify(

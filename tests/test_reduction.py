@@ -13,12 +13,13 @@ from nclb.models import (chart_domain, chart_samples, lambda_roots, load_model,
                          pde_residual_field, rectifying_coordinates,
                          reduction_normalizer)
 from nclb.reduction import (Characteristic, DomainExitError, InconclusiveError,
-                            NotFirstOrderError, ReducedOperator, build_reduced,
+                            NotFirstOrderError, ReducedOperator, StepError,
+                            _characteristic, build_reduced,
                             conjugate_by_multiplier, extract_first_order, flow,
                             infinitesimal_action, invariant_residual,
                             local_lift_check, rectify_check, reduced_residual,
                             solve_reduced, verify_lambda_rep)
-from nclb.report import VerificationError
+from nclb.report import NclbError, VerificationError
 
 q = Var("q")
 J = Var("J")
@@ -225,6 +226,144 @@ class TestFlow:
         ch = flow((ex.ONE,), (0.0,), 0.1, 1e-2)
         assert isinstance(ch, Characteristic)
         assert len(ch.ts) == len(ch.qs) == 11
+
+
+    @pytest.mark.parametrize("t_end, step", [
+        (1.0, 0.0), (1.0, -0.01), (1.0, math.inf), (1.0, math.nan),
+        (math.nan, 1e-2), (math.inf, 1e-2), (-math.inf, 1e-2),
+        (1e300, 1e-300),  # |t_end| / step beyond the float range
+    ])
+    def test_bad_step_or_end_time_raises(self, t_end, step):
+        with pytest.raises(StepError) as err:
+            flow((ex.ONE,), (0.0,), t_end, step)
+        assert isinstance(err.value, NclbError) and isinstance(err.value, ValueError)
+
+    def test_bad_step_raises_in_solve_reduced(self):
+        with pytest.raises(StepError):
+            solve_reduced((ex.ONE,), ex.ZERO, 0.0, lambda u, p: 1.0, [(0.7,)],
+                          -1e-2, v=q, u=())
+
+
+def scalar_characteristic(rates, q0, t_end, step, domain=None, phase=False):
+    """The reference RK4 driver: one `compile_expr` closure call per stage
+    and list arithmetic per step, as `_characteristic` ran before its loop
+    was generated."""
+    m = len(q0)
+    state = [complex(x) for x in q0] + ([0j] if phase else [])
+    t = 0.0
+    ts, qs, phases = [t], [tuple(state[:m])], [0j]
+
+    def check(t, q):
+        if domain is not None and not domain(tuple(s.real for s in q)):
+            raise DomainExitError(t, q)
+
+    check(t, qs[0])
+    nsteps = max(1, round(abs(t_end) / step)) if t_end else 0
+    h = t_end / max(nsteps, 1)
+    h2, h6 = h / 2, h / 6
+    for _ in range(nsteps):
+        q = state[:m]
+        k1 = rates(*q)
+        k2 = rates(*[s + h2 * k for s, k in zip(q, k1)])
+        k3 = rates(*[s + h2 * k for s, k in zip(q, k2)])
+        k4 = rates(*[s + h * k for s, k in zip(q, k3)])
+        state = [s + h6 * (a + 2 * b + 2 * c + d)
+                 for s, a, b, c, d in zip(state, k1, k2, k3, k4)]
+        t += h
+        ts.append(t)
+        qs.append(tuple(state[:m]))
+        if phase:
+            phases.append(state[-1])
+        check(t, qs[-1])
+    return Characteristic(start=tuple(q0), step=step, ts=tuple(ts), qs=tuple(qs),
+                          phases=tuple(phases) if phase else None)
+
+
+def outcome(driver, *args):
+    """A characteristic's fields, or the type, message, exit time and exit
+    point of the error it raised."""
+    try:
+        c = driver(*args)
+    except (DomainExitError, ex.DomainError) as err:
+        return (type(err), str(err), getattr(err, "exit_time", None),
+                getattr(err, "point", None))
+    return c.start, c.step, c.ts, c.qs, c.phases
+
+
+class TestGeneratedLoopMatchesScalarDriver:
+    """The generated RK4 loop gives `==` the values, exits and errors of the
+    scalar reference driver."""
+
+    def same(self, fields, names, q0, t_end, step, params, domain=None,
+             phase=False):
+        new = outcome(_characteristic, ex.compile_rk4(fields, names, bind=params),
+                      q0, t_end, step, domain, phase)
+        ref = outcome(scalar_characteristic,
+                      ex.compile_expr(fields, names, bind=params),
+                      q0, t_end, step, domain, phase)
+        assert new == ref
+        return new
+
+    def g47_field(self, g47):
+        red = extract_first_order(build_reduced(g47, verify=False),
+                                  reduction_normalizer(g47))
+        return red.first_order.Z, red.first_order.V
+
+    @pytest.mark.parametrize("t_end", [1.7, -1.3, 0.0])
+    def test_h3_with_phase(self, h3, t_end):
+        red = extract_first_order(build_reduced(h3, verify=False), 2 * I * J)
+        fields = tuple(red.first_order.Z) + (red.first_order.V,)
+        out = self.same(fields, ("q",), (0.3,), t_end, 1e-3,
+                        {"J": -1.0, "E": 0.8}, phase=True)
+        assert len(out[2]) == round(abs(t_end) / 1e-3) + 1
+
+    @pytest.mark.parametrize("with_domain", [False, True])
+    def test_g47_flow(self, g47, with_domain):
+        Z, _ = self.g47_field(g47)
+        domain = chart_domain(g47) if with_domain else None
+        # backward in time q2 grows, so the flow stays inside the chart
+        ch = flow(Z, (1.5, 0.7), -0.9, 1e-3, params={"J": 1.0}, domain=domain)
+        ref = scalar_characteristic(
+            ex.compile_expr(tuple(Z), ("q1", "q2"), bind={"J": 1.0}),
+            (1.5, 0.7), -0.9, 1e-3, domain)
+        assert (ch.start, ch.ts, ch.qs, ch.phases) == (ref.start, ref.ts,
+                                                       ref.qs, ref.phases)
+
+    @pytest.mark.parametrize("with_domain", [False, True])
+    def test_g47_solve_reduced(self, g47, with_domain):
+        Z, V = self.g47_field(g47)
+        domain = chart_domain(g47) if with_domain else None
+        v_expr, u_exprs = rectifying_coordinates(g47)
+        params = {"J": 1.0, "E": 1.3}
+        targets = [(1.2, 0.5), (2.2, 0.9)]
+        _, chars = solve_reduced(Z, V, 1.3, lambda u, p: 1.0, targets, 1e-3,
+                                 v=v_expr, u=u_exprs, v_ref=-1.0,
+                                 params=params, domain=domain)
+        v_fn = ex.compile_expr(v_expr, ("q1", "q2"), bind=params)
+        rates = ex.compile_expr(tuple(Z) + (V,), ("q1", "q2"), bind=params)
+        for target, ch in zip(targets, chars):
+            ref = scalar_characteristic(rates, target, -1.0 - v_fn(*target).real,
+                                        1e-3, domain, phase=True)
+            assert (ch.start, ch.ts, ch.qs, ch.phases) == (ref.start, ref.ts,
+                                                           ref.qs, ref.phases)
+
+    def test_domain_exit_time_and_point(self, g47):
+        Z, _ = self.g47_field(g47)
+        out = self.same(Z, ("q1", "q2"), (1.0, 0.4), 6.0, 1e-2, {"J": 1.0},
+                        chart_domain(g47))
+        assert out[0] is DomainExitError and 0.0 < out[2] <= 6.0
+
+    def test_domain_error_inside_the_field(self, g47):
+        # without a domain predicate the phase's log(q2) fails once q2 <= 0
+        Z, V = self.g47_field(g47)
+        out = self.same(tuple(Z) + (V,), ("q1", "q2"), (1.0, 0.4), 6.0, 1e-2,
+                        {"J": 1.0, "E": 1.0}, phase=True)
+        assert out[0] is ex.DomainError
+        assert out[1].startswith("log requires positive real part, got")
+        with pytest.raises(ex.DomainError) as err:
+            solve_reduced(Z, V, 1.0, lambda u, p: 1.0, [(1.0, 0.4)], 1e-2,
+                          v=q1, v_ref=7.0, params={"J": 1.0})
+        assert str(err.value) == out[1]
 
 
 class TestInvariantsAndRectify:
