@@ -19,7 +19,7 @@ from .models import (GroupModel, KernelD, QuadSpec2D, SmearedGaussian,
                      pde_residual, validate_model)
 from .reduction import (Characteristic, LambdaRep, ReducedOperator,
                         build_reduced, extract_first_order, flow,
-                        invariant_residual, local_lift_check, rectify_check,
-                        reduced_residual, solve_reduced, verify_lambda_rep)
+                        local_lift_check, rectify_check, reduced_residual,
+                        solve_reduced, verify_lambda_rep)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -333,15 +333,6 @@ def abelian_algebra(n):
 
 # --- JSON interchange -------------------------------------------------------
 
-def algebra_to_json(L: LieAlgebra):
-    brackets = []
-    for (i, j), comp in sorted(L.c.items()):
-        brackets.append(
-            {"i": i, "j": j, "c": {str(k): str(v) for k, v in sorted(comp.items())}}
-        )
-    return {"dim": L.dim, "basis": list(L.basis_names), "brackets": brackets}
-
-
 def algebra_from_json(doc) -> LieAlgebra:
     try:
         dim = int(doc["dim"])
@@ -360,10 +351,3 @@ def load_algebra(path) -> LieAlgebra:
     with open(path) as fh:
         return algebra_from_json(json.load(fh))
 
-
-def subspace_from_json(rows, dim) -> Subspace:
-    gens = tuple(tuple(rl.frac(x) for x in row) for row in rows)
-    for g in gens:
-        if len(g) != dim:
-            raise MalformedAlgebraError("subspace vector length != dim")
-    return Subspace(gens)

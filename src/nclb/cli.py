@@ -101,8 +101,10 @@ def _parse_grid(spec_text):
     return [name for name, _ in axes], points
 
 
-def _read_csv_columns(path, ncols):
-    rows = []
+def _read_points(path, n):
+    """{point: re + i im} from a CSV of n coordinate columns, re and im; a
+    point given twice with different values is an input error."""
+    table = {}
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -111,18 +113,22 @@ def _read_csv_columns(path, ncols):
                     continue
                 if lineno == 1 and not _is_float(row[0]):
                     continue  # header
-                if len(row) != ncols:
+                if len(row) != n + 2:
                     raise InputError(
-                        f"{path}:{lineno}: expected {ncols} columns, got {len(row)}")
+                        f"{path}:{lineno}: expected {n + 2} columns, got {len(row)}")
                 try:
-                    rows.append([float(v) for v in row])
+                    *pt, re_, im_ = (float(v) for v in row)
                 except ValueError as exc:
                     raise InputError(f"{path}:{lineno}: {exc}") from exc
+                pt, val = tuple(pt), complex(re_, im_)
+                if pt in table and table[pt] != val:
+                    raise InputError(f"point {pt} is given twice with different values")
+                table[pt] = val
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    if not rows:
+    if not table:
         raise InputError(f"{path}: no data rows")
-    return rows
+    return table
 
 
 def _is_float(text):
@@ -133,13 +139,12 @@ def _is_float(text):
         return False
 
 
-def _grid_interpolant(rows):
-    """Bilinear interpolant over a rectangular (k, J) grid from CSV rows."""
-    ks = sorted({r[0] for r in rows})
-    js = sorted({r[1] for r in rows})
-    table = {}
-    for k, j, re_, im_ in rows:
-        table[(k, j)] = complex(re_, im_)
+def _grid_interpolant(table):
+    """Bilinear interpolant over a rectangular (k, J) grid of `_read_points`."""
+    ks = sorted({k for k, _ in table})
+    js = sorted({j for _, j in table})
+    if len(ks) < 2 or len(js) < 2:
+        raise InputError("spectral samples need at least 2 distinct k and 2 distinct J values")
     if len(table) != len(ks) * len(js):
         raise InputError("spectral samples do not form a full rectangular grid")
     ka = np.array(ks)
@@ -334,17 +339,19 @@ def _cmd_model_residual(args, seed):
                   "nu": args.nu, "E": args.E, "grid": args.grid}
         return [rec], params
 
-    rows = _read_csv_columns(args.file, model.dim + 2)
-    rec = _grid_field_residual(model, rows, _real(args.E))
+    rec = _grid_field_residual(model, _read_points(args.file, model.dim), _real(args.E))
     params = {"model": args.model, "psi": "file", "file": args.file, "E": args.E}
     return [rec], params
 
 
-def _grid_field_residual(model, rows, e_val):
+def _grid_key(pt):
+    return tuple(round(c, 9) for c in pt)
+
+
+def _grid_field_residual(model, table, e_val):
     """FD residual of a sampled field given on a uniform rectangular grid."""
-    n = model.dim
-    axes = [sorted({r[i] for r in rows}) for i in range(n)]
-    table = {tuple(r[:n]): complex(r[n], r[n + 1]) for r in rows}
+    axes = [sorted(set(ax)) for ax in zip(*table)]
+    table = {_grid_key(pt): v for pt, v in table.items()}
     if len(table) != int(np.prod([len(a) for a in axes])):
         raise InputError("field samples do not form a full rectangular grid")
     steps = []
@@ -360,13 +367,11 @@ def _grid_field_residual(model, rows, e_val):
         raise InputError("grid spacing must match across axes")
 
     def psi(pt):
-        key = tuple(round(c, 9) for c in pt)
         try:
-            return table[key]
+            return table[_grid_key(pt)]
         except KeyError:
             raise ex.DomainError(f"point {pt} off the sampled grid") from None
 
-    table = {tuple(round(c, 9) for c in k): v for k, v in table.items()}
     interior = [
         pt for pt in table
         if all(ax[2] - 1e-9 <= c <= ax[-3] + 1e-9 for c, ax in zip(pt, axes))
@@ -390,8 +395,7 @@ def _cmd_model_reconstruct(args, seed):
     model = _load_model_from_args(args)
     if model.name != "heisenberg":
         raise InputError("reconstruction is implemented for the heisenberg model")
-    rows = _read_csv_columns(args.phi, 4)
-    phi, box = _grid_interpolant(rows)
+    phi, box = _grid_interpolant(_read_points(args.phi, 2))
     names, points = _parse_grid(args.grid)
     if list(names) != list(model.x_vars):
         raise InputError(f"grid axes must be {model.x_vars}")
@@ -532,12 +536,23 @@ def _print_human(doc, stream):
     print(f"overall: {doc['overall']}", file=stream)
 
 
+def _finite_json(obj):
+    """obj with each non-finite float written as the string "nan", "inf" or
+    "-inf", which strict JSON parsers accept."""
+    if isinstance(obj, dict):
+        return {k: _finite_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_json(v) for v in obj]
+    return str(float(obj)) if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     code, doc = run(argv)
     if doc is not None:
-        if "--json" in argv or any(a == "--json" for a in argv):
-            print(json.dumps(doc, sort_keys=True, indent=2))
+        if "--json" in argv:
+            print(json.dumps(_finite_json(doc), sort_keys=True, indent=2,
+                             allow_nan=False))
         else:
             _print_human(doc, sys.stdout)
     return code

@@ -64,9 +64,6 @@ class DiffOp:
     def coeff(self, idx):
         return self.coefficients.get(tuple(idx), ZERO)
 
-    def is_zero(self):
-        return not self.coefficients
-
     def is_multiplication(self):
         return all(sum(idx) == 0 for idx in self.coefficients)
 
@@ -268,7 +265,7 @@ def op_equal(a: DiffOp, b: DiffOp, sample_spec: SampleSpec | None = None,
     if a.variables != b.variables:
         raise ValueError("operator variable sets differ")
     diff = a - b
-    if diff.is_zero():
+    if not diff.coefficients:
         return OpComparison(True, 0.0, True, 0, 0)
     if sample_spec is None:
         raise InconclusiveError(

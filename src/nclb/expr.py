@@ -452,10 +452,6 @@ def simplify(e: Expr) -> Expr:
     return _emit(_norm(e))
 
 
-def is_zero(e: Expr) -> bool:
-    return simplify(e) == ZERO
-
-
 # --- differentiation --------------------------------------------------------
 
 _AIRY_DERIV = {"Ai": "AiPrime", "Bi": "BiPrime"}
@@ -651,12 +647,21 @@ def _rk4_source(lines, results, m, arith):
             + "return _run\n")
 
 
-@functools.lru_cache(maxsize=64)
-def _closure_maker(e, varnames, bound, loop):
-    """`_make` for e, compiled as given; one code generation per key."""
+@functools.lru_cache(maxsize=128)
+def _closure_maker(e, varnames, names, loop, normal):
+    """(bound names, `_make`) for e.  Without normal, e is compiled as given
+    with bound names `names`.  With normal, `names` are a caller's bind names
+    and the key shares the entry of e's normal form and the bound names among
+    them, so a repeated compile does no `simplify` and no free-variable walk.
+    """
+    if normal:
+        nf = tuple(simplify(x) for x in e) if isinstance(e, tuple) else simplify(e)
+        free = free_vars(Sum(nf) if isinstance(nf, tuple) else nf) - set(varnames)
+        bound = tuple(sorted(free.intersection(names)))
+        return _closure_maker(nf, varnames, bound, loop, False)
     ns = dict(_RUNTIME)
-    exec(_source(e, varnames, bound, loop), ns)  # noqa: S102 - generated from the tree
-    return ns["_make"]
+    exec(_source(e, varnames, names, loop), ns)  # noqa: S102 - generated from the tree
+    return names, ns["_make"]
 
 
 def evaluate(e: Expr, assignment=None) -> complex:
@@ -675,7 +680,7 @@ def evaluate(e: Expr, assignment=None) -> complex:
         args = [complex(a[v]) for v in names]
     except KeyError as exc:
         raise MissingVariableError(f"no value for variable {exc.args[0]!r}") from None
-    val = _closure_maker(e, names, (), False)()(*args)
+    val = _closure_maker(e, names, (), False, False)[1]()(*args)
     if not cmath.isfinite(val):
         raise DomainError(f"evaluation produced a non-finite value: {val!r}")
     return val
@@ -701,7 +706,7 @@ def compile_expr(e, varnames, bind=None):
     first failing entry raises.  `bind` maps names to numbers; e's free
     variables among them that are not in `varnames` are fixed into the
     closure as complex constants.  A free variable in neither raises
-    MissingVariableError.  Code is generated once per (expressions,
+    MissingVariableError.  Code is generated once per (normal form,
     varnames, bound names) in a bounded cache; bound values are not code.
     """
     return _compiled(e, tuple(varnames), bind, False)
@@ -734,10 +739,9 @@ def compile_rk4(rates, varnames, bind=None):
 
 
 def _compiled(e, varnames, bind, loop):
-    e = tuple(simplify(x) for x in e) if isinstance(e, tuple) else simplify(e)
-    free = free_vars(Sum(e) if isinstance(e, tuple) else e) - set(varnames)
-    bound = tuple(sorted(v for v in free if v in (bind or {})))
-    return _closure_maker(e, varnames, bound, loop)(*(complex(bind[v]) for v in bound))
+    bind = bind or {}
+    bound, make = _closure_maker(e, varnames, tuple(sorted(bind)), loop, True)
+    return make(*(complex(bind[v]) for v in bound))
 
 
 # --- printing ---------------------------------------------------------------

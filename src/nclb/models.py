@@ -34,7 +34,7 @@ from .expr import Expr, Exp, I, Log, Power, Var, ZERO, simplify
 from .quadrature import gl_nodes, oscillatory_cubic_phase
 from .reduction import JParam, LambdaRep, ResidualReport, operator_residual
 from .report import (DEFAULT_SEED, FAIL, INCONCLUSIVE, PASS, CheckRecord,
-                     InconclusiveError, NclbError, VerificationError, worst)
+                     NclbError, VerificationError, worst)
 
 
 class ModelParameterError(NclbError, ValueError):
@@ -55,16 +55,15 @@ class CollapsedAction:
 
 @dataclass(frozen=True)
 class KernelD:
-    """Distributional kernel: delta constraints, phase, and prefactor.
+    """Distributional kernel: delta constraints and phase.
 
-    The kernel is prefactor * exp(i phase) carried on the surface where every
-    constraint vanishes; it is only ever used through `collapsed`, the action
-    after the deltas have been integrated out.
+    The kernel is exp(i phase) carried on the surface where every constraint
+    vanishes; it is only ever used through `collapsed`, the action after the
+    deltas have been integrated out.
     """
 
     delta_constraints: tuple
     phase: Expr
-    prefactor: Expr
     collapsed: CollapsedAction
 
 
@@ -80,9 +79,7 @@ class GroupModel:
     """A bundled group: coordinates, laws, frames, metric, and orbit data.
 
     mult_law/inverse_law are coordinate expressions of z(x, y) and x^{-1};
-    dual_forms is the coframe matrix omega^i_j(x); j_measure, when present,
-    is the spectral density relative to dJ/(2 pi)^2 (discrete parameter sets
-    carry their weights inside the transform routines instead).
+    dual_forms is the coframe matrix omega^i_j(x).
     """
 
     name: str
@@ -99,7 +96,6 @@ class GroupModel:
     modular_multiplier: Expr
     kernel: KernelD
     haar: HaarData
-    j_measure: Expr | None
     params: dict
     x_sample_ranges: dict
 
@@ -157,7 +153,6 @@ def _heisenberg_model(_alpha, _beta) -> GroupModel:
             DiffOp.scalar(qv, I * J),
         ),
         j_param=JParam(kind="real_nonzero", sample_range=(0.25, 2.0)),
-        measure_density=one,
         mult_only=(1, 3),
         sample_ranges={"q": (-2.0, 2.0), "E": (-2.0, 2.0)},
     )
@@ -166,7 +161,6 @@ def _heisenberg_model(_alpha, _beta) -> GroupModel:
     kernel = KernelD(
         delta_constraints=(q + x2 - qp,),
         phase=-J * qp * x1 + J * x3,
-        prefactor=one,
         collapsed=CollapsedAction(
             substitutions=(q + x2,),
             phase=-J * (q + x2) * x1 + J * x3,
@@ -187,7 +181,6 @@ def _heisenberg_model(_alpha, _beta) -> GroupModel:
         modular_multiplier=one,
         kernel=kernel,
         haar=HaarData(left_density=one, right_density=one, unimodular=True),
-        j_measure=Power(J * J, Fraction(1, 2)),
         params={},
         x_sample_ranges={v: (-1.5, 1.5) for v in xv},
     )
@@ -269,7 +262,6 @@ def _g47_model(alpha, beta) -> GroupModel:
             DiffOp.partial(qv, "q2", -q2),
         ),
         j_param=JParam(kind="discrete", values=(-1, 1)),
-        measure_density=Power(q2, -1),
         mult_only=(1, 2),
         sample_ranges={"q1": (0.8, 3.0), "q2": (0.15, 1.2), "E": (-2.0, 2.0)},
     )
@@ -281,7 +273,6 @@ def _g47_model(alpha, beta) -> GroupModel:
             Log(q2) - Log(q2p) - x4,
         ),
         phase=J * x1 * q2 * q2 + half * J * q2 * (q1 + q1p) * (x2 + x3 * Log(q2)),
-        prefactor=ex.ONE,
         collapsed=CollapsedAction(
             substitutions=(q1 - q2 * x3, q2 * Exp(-x4)),
             phase=J * x1 * q2 * q2
@@ -303,7 +294,6 @@ def _g47_model(alpha, beta) -> GroupModel:
         modular_multiplier=Power(q2, 4),
         kernel=kernel,
         haar=HaarData(left_density=Exp(4 * x4), right_density=ex.ONE, unimodular=False),
-        j_measure=None,
         params={"alpha": alpha, "beta": beta},
         x_sample_ranges={v: (-1.2, 1.2) for v in xv},
     )
@@ -372,7 +362,7 @@ def chart_samples(model, n, seed=DEFAULT_SEED):
 _BUILDERS = {"heisenberg": _heisenberg_model, "g4_7": _g47_model}
 
 
-def load_model(name, alpha=Fraction(1), beta=Fraction(1), validate=True) -> GroupModel:
+def load_model(name, alpha=Fraction(1), beta=Fraction(1)) -> GroupModel:
     """Build and self-validate a bundled model.
 
     g4_7 takes rational alpha, beta with alpha*beta != 0 and
@@ -383,11 +373,9 @@ def load_model(name, alpha=Fraction(1), beta=Fraction(1), validate=True) -> Grou
             f"unknown model {name!r}; available: {sorted(_BUILDERS)}"
         )
     model = _BUILDERS[name](alpha, beta)
-    if validate:
-        records = validate_model(model)
-        bad = [r for r in records if not r.passed]
-        if bad:
-            raise VerificationError(records)
+    records = validate_model(model)
+    if not all(r.passed for r in records):
+        raise VerificationError(records)
     return model
 
 
@@ -408,7 +396,7 @@ def _symbolic_or_sampled_zero(diff_exprs, spec):
     return worst(rows), len(rows), skipped
 
 
-def validate_model(model, n_samples=50, seed=DEFAULT_SEED):
+def validate_model(model, seed=DEFAULT_SEED):
     """Frame duality, multiplication-law laws, and Jacobi, as CheckRecords."""
     records = []
     n = model.dim
@@ -431,7 +419,7 @@ def validate_model(model, n_samples=50, seed=DEFAULT_SEED):
             ))
             target = ex.ONE if i == j else ZERO
             diffs.append(pairing - target)
-    spec = model.x_sample_spec(n=n_samples, seed=seed)
+    spec = model.x_sample_spec(seed=seed)
     dev, used, skipped = _symbolic_or_sampled_zero(diffs, spec)
     records.append(CheckRecord(
         check="coframe_duality", status=PASS if dev <= 1e-12 else FAIL,
@@ -468,7 +456,7 @@ def validate_model(model, n_samples=50, seed=DEFAULT_SEED):
         ranges={**{v: (-1.2, 1.2) for v in model.x_vars},
                 **{v: (-1.2, 1.2) for v in y_names},
                 **{v: (-1.2, 1.2) for v in w_names}},
-        n=n_samples, seed=seed,
+        n=50, seed=seed,
     )
     dev, used, skipped = _symbolic_or_sampled_zero(
         [l - r for l, r in zip(lhs, rhs)], assoc_spec)
@@ -483,7 +471,7 @@ def validate_model(model, n_samples=50, seed=DEFAULT_SEED):
             **{y_names[k]: Var(model.x_vars[k]) for k in range(n)}}
     right_inv = [ex.subst(z, swap) for z in model.mult_law]
     dev, used, skipped = _symbolic_or_sampled_zero(
-        left_inv + right_inv, model.x_sample_spec(n=n_samples, seed=seed))
+        left_inv + right_inv, spec)
     records.append(CheckRecord(
         check="inverse_law", status=PASS if dev <= 1e-12 else FAIL,
         max_residual=dev, samples_used=used, seed=seed, skipped_samples=skipped,
@@ -491,11 +479,11 @@ def validate_model(model, n_samples=50, seed=DEFAULT_SEED):
     return records
 
 
-def invariant_frame_check(model, n_samples=40, seed=DEFAULT_SEED, strict=False):
+def invariant_frame_check(model, seed=DEFAULT_SEED):
     """Commutation relations of the two frames: left matches the structure
     constants, right matches their negatives, and the frames commute."""
     n = model.dim
-    spec = model.x_sample_spec(n=n_samples, seed=seed)
+    spec = model.x_sample_spec(n=40, seed=seed)
     records = []
     devs = []
     failing = []
@@ -527,12 +515,10 @@ def invariant_frame_check(model, n_samples=40, seed=DEFAULT_SEED, strict=False):
         detail={"relation_counts": counts,
                 **({"failing": failing} if failing else {})},
     ))
-    if strict and failing:
-        raise VerificationError(records)
     return records
 
 
-def haar_invariance_check(model, n_pairs=20, seed=DEFAULT_SEED, tol=1e-10):
+def haar_invariance_check(model, seed=DEFAULT_SEED):
     """Jacobian of left translation times the left-density ratio equals 1
     (and the mirror statement for right translations)."""
     n = model.dim
@@ -560,13 +546,13 @@ def haar_invariance_check(model, n_pairs=20, seed=DEFAULT_SEED, tol=1e-10):
         return (defect(zpt + xpt, n, 0, xpt),
                 defect(xpt + zpt, n + n * n, 1, xpt))
 
-    spec = SampleSpec(ranges={v: (-1.0, 1.0) for v in names}, n=n_pairs, seed=seed)
+    spec = SampleSpec(ranges={v: (-1.0, 1.0) for v in names}, n=20, seed=seed)
     rows, skipped = sampled(row, spec.points(names))
     worst_l = worst(l for l, _ in rows)
     worst_r = worst(r for _, r in rows)
     dev = worst((worst_l, worst_r))
     return CheckRecord(
-        check="haar_invariance", status=PASS if dev <= tol else FAIL,
+        check="haar_invariance", status=PASS if dev <= 1e-10 else FAIL,
         max_residual=dev, samples_used=len(rows), seed=seed,
         skipped_samples=skipped,
         detail={"left": worst_l, "right": worst_r,
@@ -620,12 +606,12 @@ def printed_coordinate_laplacian(model) -> DiffOp:
     raise ModelParameterError(f"no printed expansion recorded for {model.name}")
 
 
-def coordinate_expansion_report(model, n_samples=40, seed=DEFAULT_SEED):
+def coordinate_expansion_report(model, seed=DEFAULT_SEED):
     """Term-by-term comparison of the frame-assembled Laplacian against the
     printed coordinate expansion; discrepancies are reported, not raised."""
     ours = model.laplacian
     printed = printed_coordinate_laplacian(model)
-    spec = model.x_sample_spec(n=n_samples, seed=seed)
+    spec = model.x_sample_spec(n=40, seed=seed)
     indices = sorted(set(ours.coefficients) | set(printed.coefficients))
     rows = []
     for idx in indices:
@@ -661,13 +647,11 @@ def mode_solution_h3(mu, nu, energy, kind="Ai") -> Expr:
     return simplify(Exp(I * mu * x2 + I * nu * x3) * ex.Airy(kind, arg))
 
 
-def pde_residual(model, psi: Expr, energy, samples, fd_points=10,
-                 fd_step=0.02, floor=1e-12) -> ResidualReport:
+def pde_residual(model, psi: Expr, energy, samples) -> ResidualReport:
     """`operator_residual` of the model's Laplacian on an expression field:
-    max |Delta psi - E psi| / max(|psi|, floor) over sample points, with
-    Delta psi cross-checked against the stencils at the first fd_points."""
-    return operator_residual(model.laplacian, psi, energy, samples,
-                             fd_step=fd_step, floor=floor, fd_points=fd_points)
+    max |Delta psi - E psi| / max(|psi|, 1e-12) over sample points, with
+    Delta psi cross-checked against step-0.02 stencils at the first 10."""
+    return operator_residual(model.laplacian, psi, energy, samples, fd_step=0.02)
 
 
 # --- generalized inverse transform (Heisenberg) -------------------------------
@@ -678,13 +662,11 @@ class QuadSpec2D:
 
     box: tuple  # ((k_lo, k_hi), (J_lo, J_hi))
     n: int = 48
-    tol: float | None = None
-    max_doublings: int = 3
 
 
 class _GftGrid:
     """The inverse-GFT quadrature at one node count: nodes, weighted
-    prefactor and Airy rows, shared by `inverse_gft_h3` and its evaluator.
+    amplitude and Airy rows, shared by `inverse_gft_h3` and its evaluator.
 
     base = w phi_hat(k, J) (2 J^2)^(1/3) / (2 pi)^2 on the tensor
     Gauss-Legendre grid of the (k, J) box; a row is base times Ai of the
@@ -724,31 +706,14 @@ def inverse_gft_h3(phi_hat, energy, x_points, quad_spec: QuadSpec2D):
              * Ai((2 J^2 x1 + 2 k J + E)/(2 J^2)^(2/3)) * exp(i k x2 + i J x3)
 
     phi_hat is a callable on (k, J) grids, supported inside quad_spec.box,
-    which must stay away from J = 0.  With quad_spec.tol set, node counts
-    double until the values settle.  Returns a complex array over x_points.
+    which must stay away from J = 0.  Returns a complex array over x_points.
     """
     xs = [tuple(float(c) for c in p) for p in x_points]
     x1s = sorted({p[0] for p in xs})
-
-    def compute(n):
-        grid = _GftGrid(phi_hat, energy, quad_spec.box, n)
-        rows = dict(zip(x1s, grid.rows(x1s)))
-        return np.array([grid.value(rows[x1], x2, x3) for x1, x2, x3 in xs],
-                        dtype=complex)
-
-    vals = compute(quad_spec.n)
-    if quad_spec.tol is not None:
-        n = quad_spec.n
-        for _ in range(quad_spec.max_doublings):
-            n *= 2
-            new = compute(n)
-            scale = max(1e-300, float(np.max(np.abs(new))))
-            if float(np.max(np.abs(new - vals))) <= quad_spec.tol * scale:
-                return new
-            vals = new
-        raise InconclusiveError("mode superposition did not settle under "
-                                "node doubling")
-    return vals
+    grid = _GftGrid(phi_hat, energy, quad_spec.box, quad_spec.n)
+    rows = dict(zip(x1s, grid.rows(x1s)))
+    return np.array([grid.value(rows[x1], x2, x3) for x1, x2, x3 in xs],
+                    dtype=complex)
 
 
 def inverse_gft_h3_evaluator(phi_hat, energy, quad_spec: QuadSpec2D):
@@ -770,16 +735,14 @@ def inverse_gft_h3_evaluator(phi_hat, energy, quad_spec: QuadSpec2D):
     return psi
 
 
-def pde_residual_field(model, psi, energy, samples, fd_step=0.05,
-                       floor=1e-12) -> ResidualReport:
+def pde_residual_field(model, psi, energy, samples, fd_step=0.05) -> ResidualReport:
     """`operator_residual` of the model's Laplacian on a sampled field.
 
     psi is a callable on coordinate tuples; the Laplacian is applied through
     4th-order stencils, so the reported residual carries the O(h^4)
     truncation of smooth fields on top of any model error.
     """
-    return operator_residual(model.laplacian, psi, energy, samples,
-                             fd_step=fd_step, floor=floor)
+    return operator_residual(model.laplacian, psi, energy, samples, fd_step=fd_step)
 
 
 def mode_superposition_h3(amplitude, energy, x_points, quad_spec: QuadSpec2D):
@@ -807,11 +770,11 @@ def mode_superposition_h3(amplitude, energy, x_points, quad_spec: QuadSpec2D):
     return np.array(out)
 
 
-def airy_identity_check(x, t, n=96) -> float:
+def airy_identity_check(x, t) -> float:
     """|contour quadrature - Airy| for the cubic-phase Fourier identity."""
     if t == 0:
         raise ModelParameterError("identity needs t != 0")
-    lhs = oscillatory_cubic_phase(float(x), float(t), n=n)
+    lhs = oscillatory_cubic_phase(float(x), float(t))
     s = (3.0 * abs(t)) ** (1.0 / 3.0)
     rhs = airy("Ai", math.copysign(1.0, t) * float(x) / s) / s
     return abs(lhs - rhs)
@@ -886,16 +849,18 @@ def _pair_inner_product(a: SmearedGaussian, b: SmearedGaussian):
 class SmokeSpec:
     n_outer: int = 96
     n_inner: int = 64
-    window: float = 3.0        # Heisenberg x3 window scale
-    window_uv: float = 128.0   # 4d model x1/x2 window scales
-    n_uv: int = 20             # 4d model u-window nodes (t is closed form)
+
+
+_WINDOW = 3.0        # Heisenberg x3 window scale
+_WINDOW_UV = 128.0   # 4d model x1/x2 window scales
+_N_UV = 20           # 4d model u-window nodes (t is closed form)
 
 
 def _smoke_heisenberg(model, a, b, j_val, jt_val, spec: SmokeSpec):
     wq_a, wq_b = a.width, b.width
     ca1, ca2 = a.centers
     cb1, cb2 = b.centers
-    s3 = spec.window
+    s3 = _WINDOW
 
     # x1 decay scale ~ sqrt(2)/(|J| w); x2 support from q'-q offsets
     sx1 = math.sqrt(2.0) / (min(abs(j_val), abs(jt_val)) * min(wq_a, wq_b))
@@ -986,7 +951,7 @@ def _smoke_g47(model, a, b, j_val, jt_val, spec: SmokeSpec):
     wa, wb = a.width, b.width
     ca1, cas, ca1p, casp = a.centers
     _, _, cb1p, cbsp = b.centers
-    sw = spec.window_uv
+    sw = _WINDOW_UV
 
     # mid grid over the a-side chart; the primed boxes use the a*b product
     # width (tails beyond ~6 sigma of the product are < 1e-15 of the peak)
@@ -999,7 +964,7 @@ def _smoke_g47(model, a, b, j_val, jt_val, spec: SmokeSpec):
     def compute(n_q, n_x):
         q1n, wq1 = gl_nodes(n_q, ca1 - 6.5 * wa, ca1 + 6.5 * wa)
         sn, wsn = gl_nodes(n_q, cas - 6.5 * wa, cas + 6.5 * wa)
-        un, wun = gl_nodes(spec.n_uv, -6.0 / sw, 6.0 / sw)
+        un, wun = gl_nodes(_N_UV, -6.0 / sw, 6.0 / sw)
         win_u = wun * math.sqrt(2.0 * math.pi) * sw * np.exp(-0.5 * (sw * un) ** 2)
         # arrays are laid out (s, u, x3 or x4)
         s = sn[:, None, None]
@@ -1021,7 +986,7 @@ def _smoke_g47(model, a, b, j_val, jt_val, spec: SmokeSpec):
 
         # the (s, u, x3) arrays go in equal s blocks of about 8192
         # elements, which bounds the memory their temporaries take
-        n_blocks = -(-n_q * spec.n_uv * n_x // 8192)
+        n_blocks = -(-n_q * _N_UV * n_x // 8192)
         rows = -(-n_q // n_blocks)
         blocks = [slice(i, i + rows) for i in range(0, n_q, rows)]
         total = 0j
@@ -1048,8 +1013,7 @@ def _smoke_g47(model, a, b, j_val, jt_val, spec: SmokeSpec):
     return dev, conv, complex(refined), complex(predicted), scale
 
 
-def kernel_orthogonality_smoke(model, test_pairs, spec: SmokeSpec | None = None,
-                               tol=1e-3):
+def kernel_orthogonality_smoke(model, test_pairs, spec: SmokeSpec | None = None):
     """Smeared orthogonality of the representation kernels.
 
     Each test pair is (a, b, J, Jt) with smooth Gaussian smearing factors;
@@ -1059,7 +1023,7 @@ def kernel_orthogonality_smoke(model, test_pairs, spec: SmokeSpec | None = None,
     are quadrature, and the result is compared against
     the sharp-limit prediction: (2 pi)^2/|J| <a,b> for the Heisenberg model
     (per unit window mass), 2 pi^2 <a,b> with the Lambda twist for the 4d
-    model, and 0 for distinct spectral parameters.
+    model, and 0 for distinct spectral parameters, all at a tolerance of 1e-3.
     """
     spec = spec or SmokeSpec()
     records = []
@@ -1078,10 +1042,10 @@ def kernel_orthogonality_smoke(model, test_pairs, spec: SmokeSpec | None = None,
                 dev, conv, measured, predicted, scale = 0.0, 0.0, 0j, 0j, 1.0
         else:
             raise ModelParameterError(f"no smoke scheme for model {model.name}")
-        if conv > tol:
+        if conv > 1e-3:
             status = INCONCLUSIVE
         else:
-            status = PASS if dev <= tol else FAIL
+            status = PASS if dev <= 1e-3 else FAIL
         records.append(CheckRecord(
             check=f"kernel_orthogonality[{idx}]",
             status=status,

@@ -40,27 +40,23 @@ def gl_nodes(n, lo, hi):
     return mid + half * x, half * w
 
 
-def integrate_1d(f, lo, hi, n=32, tol=None, max_doublings=6):
+def integrate_1d(f, lo, hi):
     """Integrate a callable on [lo, hi]; vectorized over node arrays.
 
-    With tol set, doubles the node count until the result moves by less
-    than tol (relative to max(1, |result|)) and returns (value, n_used).
+    Starts at 96 nodes and doubles the count, at most 5 times, until the
+    result moves by less than 1e-12 relative to max(1, |result|).
     """
-    x, w = gl_nodes(n, float(lo), float(hi))
-    val = np.sum(w * f(x))
-    if tol is None:
-        return val, n
-    for _ in range(max_doublings):
-        n *= 2
+    val = None
+    for n in (96, 192, 384, 768, 1536, 3072):
         x, w = gl_nodes(n, float(lo), float(hi))
         new = np.sum(w * f(x))
-        if abs(new - val) <= tol * max(1.0, abs(new)):
-            return new, n
+        if val is not None and abs(new - val) <= 1e-12 * max(1.0, abs(new)):
+            return new
         val = new
-    raise InconclusiveError(f"1d quadrature did not settle below {tol} by n={n}")
+    raise InconclusiveError(f"1d quadrature did not settle below 1e-12 by n={n}")
 
 
-def oscillatory_cubic_phase(x, t, n=96, r_max=None):
+def oscillatory_cubic_phase(x, t):
     """(1/2pi) * integral of exp(i x tau + i t tau^3) over the real line.
 
     Evaluated on the rotated ray tau = r e^{i pi/6} (for t > 0), where the
@@ -71,15 +67,14 @@ def oscillatory_cubic_phase(x, t, n=96, r_max=None):
     if t == 0:
         raise ValueError("cubic coefficient t must be nonzero")
     if t < 0:
-        return oscillatory_cubic_phase(-x, -t, n=n, r_max=r_max)
-    if r_max is None:
-        # exp(-t r^3) below 1e-18, plus slack for the e^{|x| r / 2} factor
-        r_max = (45.0 / t) ** (1.0 / 3.0) + max(0.0, -x) * 0.75 + 3.0
+        return oscillatory_cubic_phase(-x, -t)
+    # exp(-t r^3) below 1e-18, plus slack for the e^{|x| r / 2} factor
+    r_max = (45.0 / t) ** (1.0 / 3.0) + max(0.0, -x) * 0.75 + 3.0
     rot = np.exp(1j * np.pi / 6)
 
     def integrand(r):
         tau = r * rot
         return np.exp(1j * x * tau - t * r ** 3)
 
-    val, _ = integrate_1d(integrand, 0.0, r_max, n=n, tol=1e-12, max_doublings=5)
+    val = integrate_1d(integrand, 0.0, r_max)
     return (2.0 * (rot * val).real) / (2.0 * np.pi)

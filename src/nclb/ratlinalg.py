@@ -152,16 +152,6 @@ def kernel(a):
     return basis
 
 
-def solve(a, b):
-    """Solve a @ x = b exactly; raises ValueError if inconsistent/singular."""
-    n = len(a)
-    aug = [row[:] + [bv] for row, bv in zip(copy_mat(a), b)]
-    r, pivots = rref(aug)
-    if len(pivots) != n or (pivots and pivots[-1] == n):
-        raise ValueError("system is singular or inconsistent")
-    return [r[i][n] for i in range(n)]
-
-
 def row_space_contains(basis_rref, pivots, v):
     """Membership of vector v in the row space described by its RREF basis."""
     w = list(v)

@@ -56,7 +56,6 @@ class LambdaRep:
     q_vars: tuple
     ops: tuple
     j_param: JParam
-    measure_density: Expr
     mult_only: tuple
     sample_ranges: dict
 
@@ -104,7 +103,7 @@ class Characteristic:
 
 # --- representation checks --------------------------------------------------
 
-def verify_lambda_rep(model, n_samples=40, seed=DEFAULT_SEED, strict=False):
+def verify_lambda_rep(model, seed=DEFAULT_SEED, strict=False):
     """Commutator closure, multiplication-index coverage, and the
     imaginary-multiplier check for the model's representation data.
 
@@ -112,7 +111,7 @@ def verify_lambda_rep(model, n_samples=40, seed=DEFAULT_SEED, strict=False):
     VerificationError naming the offending pairs.
     """
     lrep = model.lrep
-    spec = lrep.sample_spec(n=n_samples, seed=seed)
+    spec = lrep.sample_spec(n=40, seed=seed)
     records = []
 
     devs, bad_pairs, used, skipped = bracket_defects(model.algebra, lrep.ops, spec)
@@ -176,16 +175,16 @@ def infinitesimal_action(model, i) -> DiffOp:
     return DiffOp(q_vars, coeffs)
 
 
-def local_lift_check(model, i, n_samples=30, seed=DEFAULT_SEED) -> float:
+def local_lift_check(model, i, seed=DEFAULT_SEED) -> float:
     """`op_equal`'s deviation between the collapsed-action generator and the
     representation operator for basis direction i: 0.0 when they agree
-    symbolically, else their relative coefficient gap at the points of the
+    symbolically, else their relative coefficient gap at 30 points of the
     representation's sample spec."""
     if model.kernel is None or model.kernel.collapsed is None:
         raise ValueError(f"model {model.name} ships no collapsed kernel action")
     lrep = model.lrep
     return op_equal(infinitesimal_action(model, i), lrep.ops[i - 1],
-                    lrep.sample_spec(n=n_samples, seed=seed)).max_deviation
+                    lrep.sample_spec(n=30, seed=seed)).max_deviation
 
 
 # --- assembly ---------------------------------------------------------------
@@ -217,28 +216,17 @@ def build_reduced(model, verify=True) -> ReducedOperator:
         raw=laplacian_image(ops_t, laplacian_data(model.algebra, model.form)))
 
 
-def extract_first_order(red: ReducedOperator, normalizer: Expr,
-                        energy: Expr | None = None,
-                        sample_spec: SampleSpec | None = None) -> ReducedOperator:
-    """Split (raw - E)/normalizer into sum Z^A d_A + V.
+def extract_first_order(red: ReducedOperator, normalizer: Expr) -> ReducedOperator:
+    """Split (raw - E)/normalizer into sum Z^A d_A + V, E the symbol E.
 
-    Second-order coefficients of raw must vanish; symbolic zero is accepted
-    directly and anything else is sampled at 1e-12 before rejecting.
+    Every second-order coefficient of raw must have simplified to zero; one
+    that survives raises NotFirstOrderError.
     """
     raw = red.raw
-    second = {idx: c for idx, c in raw.coefficients.items() if sum(idx) == 2}
+    second = sorted(idx for idx in raw.coefficients if sum(idx) == 2)
     if second:
-        if sample_spec is None:
-            raise NotFirstOrderError(
-                f"second-order coefficients survive simplification: {sorted(second)}"
-            )
-        probe = DiffOp(raw.variables, second)
-        cmp = op_equal(probe, DiffOp.zero(raw.variables), sample_spec, tol=1e-12)
-        if not cmp.equal:
-            raise NotFirstOrderError(
-                f"second-order part is numerically nonzero (dev {cmp.max_deviation:.3e})"
-            )
-    energy = Var("E") if energy is None else ex.as_expr(energy)
+        raise NotFirstOrderError(
+            f"second-order coefficients survive simplification: {second}")
     normalizer = ex.as_expr(normalizer)
     inv = ex.Power(normalizer, -1)
     nvars = len(raw.variables)
@@ -247,7 +235,7 @@ def extract_first_order(red: ReducedOperator, normalizer: Expr,
         idx = tuple(1 if t == a else 0 for t in range(nvars))
         z.append(simplify(ex.Product((raw.coeff(idx), inv))))
     scalar = raw.coeff((0,) * nvars)
-    v = simplify(ex.Product((ex.Sum((scalar, -energy)), inv)))
+    v = simplify(ex.Product((ex.Sum((scalar, -Var("E"))), inv)))
     return replace(red, first_order=FirstOrderData(Z=tuple(z), V=v, normalizer=simplify(normalizer)))
 
 
@@ -342,14 +330,6 @@ def _invariant_ratios(vals, k):
                  for zu, uv in zip(vals[:2 * k:2], vals[1:2 * k:2]))
 
 
-def invariant_residual(Z, u: Expr, samples, params=None) -> ResidualReport:
-    """max |Z u| / (|u| * ||Z||) over sample points; domain errors skipped."""
-    fn = ex.compile_expr(_invariants_family(Z, (u,)), _chart_names(len(Z)),
-                         bind=params or {})
-    rows, skipped = sampled(lambda *q: _invariant_ratios(fn(*q), 1), samples)
-    return ResidualReport(worst(rows), len(rows), skipped)
-
-
 @dataclass(frozen=True)
 class RectifyReport:
     max_dev_v: float
@@ -359,7 +339,8 @@ class RectifyReport:
 
 
 def rectify_check(Z, v: Expr, u, samples, params=None) -> RectifyReport:
-    """Certify flow-box coordinates: Zv = 1 and Zu = 0 on the sampled chart."""
+    """Certify flow-box coordinates: Zv = 1 and Zu = 0 on the sampled chart,
+    max_dev_u being the worst |Z u| / (|u| * ||Z||); domain errors skipped."""
     fn = ex.compile_expr((_along(Z, v),) + _invariants_family(Z, u),
                          _chart_names(len(Z)), bind=params or {})
 
@@ -456,8 +437,8 @@ def fd_apply(coeff_fns, psi, point, h):
 
 
 def operator_residual(op: DiffOp, psi, energy, samples, params=None,
-                      fd_step=1e-2, floor=1e-12, fd_points=10) -> ResidualReport:
-    """max |op psi - E psi| / max(|psi|, floor) over samples: the one residual
+                      fd_step=1e-2) -> ResidualReport:
+    """max |op psi - E psi| / max(|psi|, 1e-12) over samples: the one residual
     of an order-<=2 operator on a field.
 
     psi is an expression or a callable on coordinate tuples of
@@ -466,8 +447,8 @@ def operator_residual(op: DiffOp, psi, energy, samples, params=None,
     any other energy stays the symbol E, bound through params unless they
     already bind it.  op psi is built once, the residual simplified once,
     and (residual, psi) sampled through `diffop.sampled`; the symbolic
-    op psi is cross-checked against `fd_apply`'s stencils at the first
-    fd_points samples.  A callable psi goes through the stencils alone, with
+    op psi is cross-checked against `fd_apply`'s stencils at the first 10
+    samples.  A callable psi goes through the stencils alone, with
     each distinct stencil point evaluated once per sample.  A NaN or inf
     value makes the figure NaN; a field numerically zero on every sample
     raises InconclusiveError.
@@ -509,7 +490,7 @@ def operator_residual(op: DiffOp, psi, energy, samples, params=None,
             sym_val = f_op(*q)
             return abs(fd_val - sym_val) / worst((abs(sym_val),), 1.0)
 
-        cross = worst(sampled(cross_row, samples[:fd_points])[0])
+        cross = worst(sampled(cross_row, samples[:10])[0])
     else:
         e_val = complex(energy)
 
@@ -519,16 +500,16 @@ def operator_residual(op: DiffOp, psi, energy, samples, params=None,
 
         rows, skipped = sampled(row, samples)
 
-    scale = worst((p for _, p in rows), floor)
-    if scale <= floor:
+    scale = worst((p for _, p in rows), 1e-12)
+    if scale <= 1e-12:
         raise InconclusiveError("field is numerically zero on all samples")
     return ResidualReport(worst(r for r, _ in rows) / scale, len(rows), skipped,
                           symbolic_zero, cross)
 
 
 def reduced_residual(red: ReducedOperator, psi_hat, energy, samples,
-                     params=None, fd_step=1e-2, floor=1e-12) -> ResidualReport:
+                     params=None, fd_step=1e-2) -> ResidualReport:
     """`operator_residual` of the raw reduced operator on the orbit chart:
-    max |raw psi_hat - E psi_hat| / max(|psi_hat|, floor) over samples."""
+    max |raw psi_hat - E psi_hat| / max(|psi_hat|, 1e-12) over samples."""
     return operator_residual(red.raw, psi_hat, energy, samples, params=params,
-                             fd_step=fd_step, floor=floor)
+                             fd_step=fd_step)

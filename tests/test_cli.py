@@ -282,6 +282,41 @@ class TestModelCommands:
             "reason": "field is numerically zero on all samples"}
         assert code == 1
 
+    def test_residual_field_csv_with_a_conflicting_point_is_an_input_error(
+            self, tmp_path):
+        # the zero field of a 5x5x5 grid, its centre given again as 1
+        h = 0.05
+        lines = ["x1,x2,x3,re,im"] + [
+            f"{i * h},{j * h},{k * h},0,0"
+            for i in range(-2, 3) for j in range(-2, 3) for k in range(-2, 3)]
+        p = tmp_path / "field.csv"
+        p.write_text("\n".join(lines + ["0.0,0.0,0.0,1,0"]))
+        code, doc = run(["model", "residual", "heisenberg", "--psi", "file",
+                         "--file", str(p), "--E", "1"])
+        assert code == 2
+        assert doc["error"] == (
+            "point (0.0, 0.0, 0.0) is given twice with different values")
+
+    def test_json_writes_a_nan_figure_as_a_string(self, tmp_path, capsys):
+        # a NaN residual must not become the bare token NaN, which strict
+        # JSON parsers reject
+        p = tmp_path / "field.csv"
+        h = 0.05
+        p.write_text("\n".join(
+            f"{i * h},{j * h},{k * h},{'nan' if (i, j, k) == (0, 0, 0) else 1},0"
+            for i in range(-2, 3) for j in range(-2, 3) for k in range(-2, 3)))
+        argv = ["model", "residual", "heisenberg", "--psi", "file",
+                "--file", str(p), "--E", "1", "--json"]
+        assert main(argv) == 1
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert doc["checks"][0]["max_residual"] == "nan"
+        assert cli._finite_json([math.inf, -math.inf, (1.5, math.nan)]) == [
+            "inf", "-inf", [1.5, "nan"]]
+
     @pytest.mark.parametrize("argv", [
         ["model", "residual", "heisenberg", "--psi", "mode",
          "--grid", "x1=-1e400:1:5,x2=-1:1:5,x3=-1:1:5"],
@@ -307,6 +342,28 @@ class TestModelCommands:
         code, doc = run(["model", "reconstruct", "heisenberg", "--phi", str(phi)])
         assert code == 2
         assert doc["error"] == "spectral support must exclude J = 0"
+
+    @pytest.mark.parametrize("rows, error", [
+        # one J value: the interpolant would divide by a zero J spacing
+        ([(-1, 1.0), (0, 1.0), (1, 1.0)],
+         "spectral samples need at least 2 distinct k and 2 distinct J values"),
+        ([(0, 0.5), (0, 1.5)],
+         "spectral samples need at least 2 distinct k and 2 distinct J values"),
+    ])
+    def test_reconstruct_one_value_axis_is_an_input_error(self, rows, error,
+                                                          tmp_path):
+        phi = tmp_path / "phi.csv"
+        phi.write_text("\n".join(f"{k},{j},1,0" for k, j in rows))
+        code, doc = run(["model", "reconstruct", "heisenberg", "--phi", str(phi)])
+        assert (code, doc["error"]) == (2, error)
+
+    def test_reconstruct_conflicting_point_is_an_input_error(self, tmp_path):
+        phi = tmp_path / "phi.csv"
+        rows = [f"{k},{j},1,0" for k in (-1, 1) for j in (0.5, 1.5)]
+        phi.write_text("\n".join(rows + ["1,1.5,2,0"]))
+        code, doc = run(["model", "reconstruct", "heisenberg", "--phi", str(phi)])
+        assert code == 2
+        assert doc["error"] == "point (1.0, 1.5) is given twice with different values"
 
     def test_reconstruct_energy_past_the_airy_cut_is_an_input_error(self, tmp_path):
         # E = -1e6 puts the Airy arguments below LEFT_CUT: a document, exit 2

@@ -245,14 +245,41 @@ class TestOneSemantics:
         assert f(0.7, 1.3) == f(0.7 + 0j, 1.3 + 0j)
         assert f(-0.7, 1.3) == f(-0.7 + 0j, 1.3 + 0j)
 
-    def test_cached_code_honours_each_bound_value(self):
+    def test_cached_code_honours_each_bound_value(self, monkeypatch):
         e = Exp(q * J) + J
-        before = ex._closure_maker.cache_info().misses
+        generated = []
+        source = ex._source
+        monkeypatch.setattr(ex, "_source", lambda *a: generated.append(a) or source(*a))
+        ex._closure_maker.cache_clear()
         f = compile_expr(e, ["q"], bind={"J": 0.5})
         g = compile_expr(e, ["q"], bind={"J": -2.0})
-        assert ex._closure_maker.cache_info().misses <= before + 1
+        assert len(generated) == 1
         assert f(1.0) == cmath.exp(0.5) + 0.5
         assert g(1.0) == cmath.exp(-2.0) - 2.0
+
+    def test_a_repeated_compile_neither_simplifies_nor_walks(self, monkeypatch):
+        rates = (q * J, Log(q) * J + Var("E"))
+        compile_expr(rates, ["q"], bind={"J": 1.0, "E": 0.5})
+        ex.compile_rk4(rates, ["q"], bind={"J": 1.0, "E": 0.5})
+        walks = []
+        free = ex.free_vars
+        monkeypatch.setattr(ex, "free_vars", lambda e: walks.append(e) or free(e))
+        before = ex.simplify.cache_info()
+        f = compile_expr(rates, ["q"], bind={"J": 2.0, "E": 0.5})
+        ex.compile_rk4(rates, ["q"], bind={"J": 2.0, "E": 0.5})
+        assert ex.simplify.cache_info() == before
+        assert walks == []
+        assert f(1.0) == (2.0, 0.5)
+
+    def test_trees_with_one_normal_form_share_one_code_generation(self, monkeypatch):
+        generated = []
+        source = ex._source
+        monkeypatch.setattr(ex, "_source", lambda *a: generated.append(a) or source(*a))
+        ex._closure_maker.cache_clear()
+        f = compile_expr(q + q, ["q"])
+        g = compile_expr(2 * q, ["q"])
+        assert len(generated) == 1
+        assert f(1.5) == g(1.5) == 3.0
 
 
 class TestEachSubtreeOnce:

@@ -20,7 +20,7 @@ from nclb.models import (CasimirReport, ModelParameterError,
                          invariant_frame_check, lambda_roots, laplace_operator,
                          load_model, mode_solution_h3, pde_residual,
                          printed_coordinate_laplacian, validate_model)
-from nclb.report import DEFAULT_SEED, InconclusiveError, VerificationError
+from nclb.report import DEFAULT_SEED, InconclusiveError
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -92,18 +92,15 @@ class TestFrameChecks:
         rec = invariant_frame_check(bad)[0]
         assert not rec.passed
         assert ("right", 1, 2) in rec.detail["failing"]
-        with pytest.raises(VerificationError):
-            invariant_frame_check(bad, strict=True)
 
     def test_failing_relation_counts_its_samples(self, h3):
         # [2 eta_1, eta_2] = -2 eta_3 against the target -eta_3 is the one
         # relation whose defect is not a symbolic zero, so it alone is sampled
         bad = dc_replace(h3, eta=(h3.eta[0].scale(2),) + h3.eta[1:])
-        for n_samples in (40, 7):
-            rec = invariant_frame_check(bad, n_samples=n_samples)[0]
-            assert rec.max_residual == 0.5
-            assert rec.detail["failing"] == [("right", 1, 2)]
-            assert (rec.samples_used, rec.skipped_samples) == (n_samples, 0)
+        rec = invariant_frame_check(bad)[0]
+        assert rec.max_residual == 0.5
+        assert rec.detail["failing"] == [("right", 1, 2)]
+        assert (rec.samples_used, rec.skipped_samples) == (40, 0)
 
     def test_haar_invariance(self, h3, g47):
         assert haar_invariance_check(h3).passed

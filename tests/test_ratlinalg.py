@@ -51,12 +51,6 @@ def test_det_multiplicative():
         assert rl.det(rl.mat_mul(a, b)) == rl.det(a) * rl.det(b)
 
 
-def test_solve_exact():
-    a = [[F(2), F(1)], [F(1), F(3)]]
-    x = rl.solve(a, [F(5), F(10)])
-    assert rl.mat_vec(a, x) == [F(5), F(10)]
-
-
 def test_congruent_diagonalization_signature():
     # x^2 + 2yz has signature (2, 1)
     m = [[F(1), F(0), F(0)], [F(0), F(0), F(1)], [F(0), F(1), F(0)]]

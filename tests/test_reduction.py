@@ -16,9 +16,9 @@ from nclb.reduction import (Characteristic, DomainExitError, InconclusiveError,
                             NotFirstOrderError, ReducedOperator, StepError,
                             _characteristic, build_reduced,
                             conjugate_by_multiplier, extract_first_order, flow,
-                            infinitesimal_action, invariant_residual,
-                            local_lift_check, rectify_check, reduced_residual,
-                            solve_reduced, verify_lambda_rep)
+                            infinitesimal_action, local_lift_check,
+                            rectify_check, reduced_residual, solve_reduced,
+                            verify_lambda_rep)
 from nclb.report import NclbError, VerificationError
 
 q = Var("q")
@@ -370,27 +370,25 @@ class TestInvariantsAndRectify:
     def samples(self, g47, n=100):
         return chart_samples(g47, n)
 
-    def test_u_is_invariant(self, g47):
+    def invariant_dev(self, g47, u):
+        """rectify_check's max |Z u| / (|u| * ||Z||) for one candidate u."""
         red = extract_first_order(build_reduced(g47, verify=False),
                                   reduction_normalizer(g47))
+        v, _ = rectifying_coordinates(g47)
+        rep = rectify_check(red.first_order.Z, v, (u,), self.samples(g47),
+                            params={"J": 1.0})
+        assert (rep.samples_used, rep.skipped_samples) == (100, 0)
+        return rep.max_dev_u
+
+    def test_u_is_invariant(self, g47):
         _, (u,) = rectifying_coordinates(g47)
-        rep = invariant_residual(red.first_order.Z, u, self.samples(g47),
-                                 params={"J": 1.0})
-        assert rep.max_residual <= 1e-12
+        assert self.invariant_dev(g47, u) <= 1e-12
 
     def test_constant_invariant(self, g47):
-        red = extract_first_order(build_reduced(g47, verify=False),
-                                  reduction_normalizer(g47))
-        rep = invariant_residual(red.first_order.Z, ex.const(7),
-                                 self.samples(g47), params={"J": 1.0})
-        assert rep.max_residual == 0.0
+        assert self.invariant_dev(g47, ex.const(7)) == 0.0
 
     def test_coordinate_not_invariant(self, g47):
-        red = extract_first_order(build_reduced(g47, verify=False),
-                                  reduction_normalizer(g47))
-        rep = invariant_residual(red.first_order.Z, q1, self.samples(g47),
-                                 params={"J": 1.0})
-        assert rep.max_residual > 1e-3
+        assert self.invariant_dev(g47, q1) > 1e-3
 
     def test_rectification(self, g47):
         red = extract_first_order(build_reduced(g47, verify=False),
