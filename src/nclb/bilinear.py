@@ -55,16 +55,6 @@ class BilinearForm:
     def dim(self):
         return len(self.matrix)
 
-    def pair(self, x, y):
-        acc = Fraction(0)
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                if yj != 0:
-                    acc += xi * self.matrix[i][j] * yj
-        return acc
-
     def signature(self):
         return rl.signature([list(r) for r in self.matrix])
 

@@ -28,11 +28,10 @@ from . import expr as ex
 from .algebra import Subspace, index_witness, jacobi_defect, load_algebra
 from .bilinear import coisotropy_check, load_form
 from .expr import to_text
-from .models import (QuadSpec2D, casimir_scalar_check, chart_samples,
-                     inverse_gft_h3_evaluator, invariant_frame_check,
-                     load_model, mode_solution_h3, pde_residual,
-                     pde_residual_field, rectifying_coordinates,
-                     reduction_normalizer, validate_model)
+from .models import (BUILDERS, QuadSpec2D, casimir_scalar_check,
+                     chart_samples, inverse_gft_h3_evaluator,
+                     invariant_frame_check, load_model, mode_solution_h3,
+                     pde_residual, pde_residual_field, validate_model)
 from .reduction import (NotFirstOrderError, build_reduced, extract_first_order,
                         local_lift_check, rectify_check, verify_lambda_rep)
 from .report import (DEFAULT_SEED, FAIL, INCONCLUSIVE, PASS, CheckRecord,
@@ -252,7 +251,7 @@ def _cmd_model_verify(args, seed):
     ))
     red = build_reduced(model, verify=False)
     try:
-        extract_first_order(red, reduction_normalizer(model))
+        extract_first_order(red, model.normalizer)
         records.append(CheckRecord(check="reduced_first_order", status=PASS,
                                    max_residual=0.0))
     except NotFirstOrderError as exc:
@@ -280,11 +279,12 @@ def _cmd_model_verify(args, seed):
 def _cmd_model_reduce(args, seed):
     j_val, e_val = _frac(args.J), _real(args.E)
     model = _load_model_from_args(args)
-    if model.name == "g4_7" and j_val not in model.lrep.j_param.values:
+    labels = model.lrep.j_values
+    if labels and j_val not in labels:
         raise InputError(f"--J must be an orbit label of {model.name}: "
-                         f"one of {list(model.lrep.j_param.values)}")
+                         f"one of {list(labels)}")
     red = build_reduced(model, verify=True)
-    red = extract_first_order(red, reduction_normalizer(model))
+    red = extract_first_order(red, model.normalizer)
     fo = red.first_order
     detail = {
         "normalizer": to_text(fo.normalizer),
@@ -293,8 +293,8 @@ def _cmd_model_reduce(args, seed):
     }
     records = [CheckRecord(check="reduced_first_order", status=PASS,
                            max_residual=0.0, detail=detail)]
-    if model.name == "g4_7":
-        v_expr, u_exprs = rectifying_coordinates(model)
+    v_expr, u_exprs = model.flow_box
+    if u_exprs:
         samples = chart_samples(model, 100, seed=seed)
         rep = rectify_check(fo.Z, v_expr, u_exprs, samples,
                             params={"J": float(j_val), "E": e_val})
@@ -459,7 +459,7 @@ def _build_parser():
     msub = mp.add_subparsers(dest="model_command", required=True)
 
     def add_model_args(s):
-        s.add_argument("model", choices=["heisenberg", "g4_7"])
+        s.add_argument("model", choices=list(BUILDERS))
         s.add_argument("--alpha", default="1")
         s.add_argument("--beta", default="1")
 
@@ -496,11 +496,17 @@ def _build_parser():
 
 def run(argv):
     """Execute a command; returns (exit_code, report_doc)."""
+    code, doc, _ = _run(argv)
+    return code, doc
+
+
+def _run(argv):
+    """(exit_code, report_doc, whether the parsed flags ask for JSON)."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return (int(exc.code) if exc.code else 0), None
+        return (int(exc.code) if exc.code else 0), None, False
     seed = None
     try:
         seed = _seed_from(args)
@@ -509,7 +515,7 @@ def run(argv):
         doc = {"tool_version": __version__, "command": " ".join(argv),
                "error": str(exc)}
         failed = isinstance(exc, (InconclusiveError, VerificationError))
-        return (1 if failed else 2), doc
+        return (1 if failed else 2), doc, args.json
     overall = overall_status(records)
     doc = {
         "tool_version": __version__,
@@ -519,7 +525,7 @@ def run(argv):
         "checks": [r.to_dict() for r in records],
         "overall": overall,
     }
-    return (0 if overall == PASS else 1), doc
+    return (0 if overall == PASS else 1), doc, args.json
 
 
 def _print_human(doc, stream):
@@ -548,13 +554,22 @@ def _finite_json(obj):
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    code, doc = run(argv)
-    if doc is not None:
-        if "--json" in argv:
+    code, doc, as_json = _run(argv)
+    if doc is None:
+        return code
+    try:
+        if as_json:
             print(json.dumps(_finite_json(doc), sort_keys=True, indent=2,
                              allow_nan=False))
         else:
             _print_human(doc, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: the flush at interpreter exit goes to devnull
+        # so that it cannot raise again, and the command's code stands
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

@@ -6,7 +6,9 @@ class g4,7) with a signature-(2,2) metric from its first canonical family.
 Each model carries global coordinates, the multiplication law, invariant
 frames and coframes, the metric, the commutative ideal, representation data
 on the orbit chart, the integral kernel of the lifted representation, Haar
-densities and the modular multiplier.
+densities and the modular multiplier, and the data of its worked example:
+the normalizer of the Z + V split, the flow-box chart, the chart domain,
+the printed coordinate Laplacian and the kernel smoke scheme.
 
 Everything printed here is data; the checks in this module and in
 `reduction` are what make it trustworthy: frame duality, associativity,
@@ -32,7 +34,7 @@ from .diffop import (DiffOp, SampleSpec, bracket_defects, commutator,
                      laplacian_image, op_equal, sampled)
 from .expr import Expr, Exp, I, Log, Power, Var, ZERO, simplify
 from .quadrature import gl_nodes, oscillatory_cubic_phase
-from .reduction import JParam, LambdaRep, ResidualReport, operator_residual
+from .reduction import LambdaRep, ResidualReport, operator_residual
 from .report import (DEFAULT_SEED, FAIL, INCONCLUSIVE, PASS, CheckRecord,
                      NclbError, VerificationError, worst)
 
@@ -79,7 +81,12 @@ class GroupModel:
     """A bundled group: coordinates, laws, frames, metric, and orbit data.
 
     mult_law/inverse_law are coordinate expressions of z(x, y) and x^{-1};
-    dual_forms is the coframe matrix omega^i_j(x).
+    dual_forms is the coframe matrix omega^i_j(x).  normalizer, flow_box
+    (v, invariants u), chart_domain (a predicate, or None) and
+    printed_laplacian are what `reduction_normalizer`,
+    `rectifying_coordinates`, `chart_domain` and
+    `printed_coordinate_laplacian` return; smoke_scheme computes one pairing
+    of `kernel_orthogonality_smoke`.
     """
 
     name: str
@@ -98,6 +105,11 @@ class GroupModel:
     haar: HaarData
     params: dict
     x_sample_ranges: dict
+    normalizer: Expr
+    flow_box: tuple
+    chart_domain: object
+    printed_laplacian: DiffOp
+    smoke_scheme: object
 
     @property
     def dim(self):
@@ -152,7 +164,7 @@ def _heisenberg_model(_alpha, _beta) -> GroupModel:
             DiffOp.partial(qv, "q"),
             DiffOp.scalar(qv, I * J),
         ),
-        j_param=JParam(kind="real_nonzero", sample_range=(0.25, 2.0)),
+        j_values=(),
         mult_only=(1, 3),
         sample_ranges={"q": (-2.0, 2.0), "E": (-2.0, 2.0)},
     )
@@ -183,6 +195,16 @@ def _heisenberg_model(_alpha, _beta) -> GroupModel:
         haar=HaarData(left_density=one, right_density=one, unimodular=True),
         params={},
         x_sample_ranges={v: (-1.5, 1.5) for v in xv},
+        normalizer=simplify(2 * I * J),
+        # the chart is already straight: v = q with no invariants left
+        flow_box=(q, ()),
+        chart_domain=None,
+        printed_laplacian=DiffOp(xv, {
+            (2, 0, 0): one,
+            (0, 1, 1): ex.const(2),
+            (0, 0, 2): 2 * x1,
+        }),
+        smoke_scheme=_smoke_heisenberg,
     )
 
 
@@ -261,10 +283,34 @@ def _g47_model(alpha, beta) -> GroupModel:
             DiffOp.partial(qv, "q1", -q2) + DiffOp.scalar(qv, I * J * q1 * q2 * Log(q2)),
             DiffOp.partial(qv, "q2", -q2),
         ),
-        j_param=JParam(kind="discrete", values=(-1, 1)),
+        j_values=(-1, 1),
         mult_only=(1, 2),
         sample_ranges={"q1": (0.8, 3.0), "q2": (0.15, 1.2), "E": (-2.0, 2.0)},
     )
+
+    # flow box: v = ln((q1 + lam2 q2)/(q1 + lam1 q2))/(lam1 - lam2) and
+    # u = (q1 + lam1 q2)^lam1 (q1 + lam2 q2)^(-lam2), valid on the chart
+    # where both linear forms and q2 are positive
+    lam1, lam2 = lambda_roots(alpha, beta)
+    p = q1 + lam1 * q2
+    m = q1 + lam2 * q2
+    dl = simplify(lam1 - lam2)
+    v = simplify(Power(dl, -1) * (Log(m) - Log(p)))
+    u = simplify(Power(p, lam1) * Power(m, -lam2))
+
+    binv = Power(b, -1)
+    e3, e2, e1 = Exp(-3 * x4), Exp(-2 * x4), Exp(-x4)
+    printed = DiffOp(xv, {
+        (2, 0, 0, 0): (e3 + half * a * binv * x3 * e2) * (x2 + x3 * x4),
+        (1, 1, 0, 0): -(2 * x4 * e3 + a * binv * (x2 + 2 * x3 * x4) * e2),
+        (1, 0, 1, 0): 2 * e3 + a * binv * x3 * e2,
+        (1, 0, 0, 1): -binv * x3 * e1,
+        (0, 2, 0, 0): 2 * a * binv * x4 * e2,
+        (0, 1, 1, 0): -2 * a * binv * e2,
+        (0, 1, 0, 1): 2 * binv * e1,
+        (1, 0, 0, 0): ex.const(-3, 2) * binv * x3 * e1,
+        (0, 1, 0, 0): 3 * binv * e1,
+    })
 
     q1p, q2p = Var("q1p"), Var("q2p")
     kernel = KernelD(
@@ -296,13 +342,23 @@ def _g47_model(alpha, beta) -> GroupModel:
         haar=HaarData(left_density=Exp(4 * x4), right_density=ex.ONE, unimodular=False),
         params={"alpha": alpha, "beta": beta},
         x_sample_ranges={v: (-1.2, 1.2) for v in xv},
+        normalizer=simplify(2 * I * J * q2 * q2 * binv),
+        flow_box=(v, (u,)),
+        chart_domain=_g47_chart_domain,
+        printed_laplacian=printed,
+        smoke_scheme=_smoke_g47,
     )
 
 
-def lambda_roots(model):
+def _g47_chart_domain(q):
+    """The 4d orbit chart is q2 > 0."""
+    return q[1] > 1e-10
+
+
+def lambda_roots(alpha, beta):
     """Roots of r^2 - alpha r - beta for the 4d model, as constant exprs."""
-    alpha = ex.Const(model.params["alpha"])
-    beta = ex.Const(model.params["beta"])
+    alpha = ex.Const(alpha)
+    beta = ex.Const(beta)
     disc = simplify(alpha * alpha + 4 * beta)
     root = Power(disc, Fraction(1, 2))
     lam1 = simplify((alpha + root) / 2)
@@ -311,44 +367,19 @@ def lambda_roots(model):
 
 
 def rectifying_coordinates(model):
-    """Flow-box chart (v, invariants u) for the model's characteristic field.
-
-    The Heisenberg chart is already straight: v = q with no invariants left.
-    For the 4d model, v = ln((q1 + lam2 q2)/(q1 + lam1 q2))/(lam1 - lam2) and
-    u = (q1 + lam1 q2)^lam1 (q1 + lam2 q2)^(-lam2), valid on the chart where
-    both linear forms and q2 are positive.
-    """
-    if model.name == "heisenberg":
-        return Var("q"), ()
-    lam1, lam2 = lambda_roots(model)
-    q1, q2 = Var("q1"), Var("q2")
-    p = q1 + lam1 * q2
-    m = q1 + lam2 * q2
-    dl = simplify(lam1 - lam2)
-    v = simplify(Power(dl, -1) * (Log(m) - Log(p)))
-    u = simplify(Power(p, lam1) * Power(m, -lam2))
-    return v, (u,)
+    """Flow-box chart (v, invariants u) for the model's characteristic field."""
+    return model.flow_box
 
 
 def reduction_normalizer(model) -> Expr:
-    """The bundled normalizer splitting the reduced operator into Z + V.
-
-    2iJ for the Heisenberg model; 2iJ q2^2/beta for the 4d model.  The split
-    depends on this choice, which is why the library keeps it model data
-    rather than picking one silently.
-    """
-    J = Var("J")
-    if model.name == "heisenberg":
-        return simplify(2 * I * J)
-    binv = Power(ex.Const(model.params["beta"]), -1)
-    return simplify(2 * I * J * Var("q2") * Var("q2") * binv)
+    """The normalizer splitting the reduced operator into Z + V.  The split
+    depends on this choice, which is why it is model data."""
+    return model.normalizer
 
 
 def chart_domain(model):
     """Real-coordinate predicate for the orbit chart (None if unconstrained)."""
-    if model.name == "g4_7":
-        return lambda q: q[1] > 1e-10
-    return None
+    return model.chart_domain
 
 
 def chart_samples(model, n, seed=DEFAULT_SEED):
@@ -359,7 +390,7 @@ def chart_samples(model, n, seed=DEFAULT_SEED):
 
 
 # every builder takes (alpha, beta); heisenberg ignores them
-_BUILDERS = {"heisenberg": _heisenberg_model, "g4_7": _g47_model}
+BUILDERS = {"heisenberg": _heisenberg_model, "g4_7": _g47_model}
 
 
 def load_model(name, alpha=Fraction(1), beta=Fraction(1)) -> GroupModel:
@@ -368,11 +399,11 @@ def load_model(name, alpha=Fraction(1), beta=Fraction(1)) -> GroupModel:
     g4_7 takes rational alpha, beta with alpha*beta != 0 and
     alpha^2 + 4 beta > 0; heisenberg takes no parameters.
     """
-    if name not in _BUILDERS:
+    if name not in BUILDERS:
         raise ModelParameterError(
-            f"unknown model {name!r}; available: {sorted(_BUILDERS)}"
+            f"unknown model {name!r}; available: {sorted(BUILDERS)}"
         )
-    model = _BUILDERS[name](alpha, beta)
+    model = BUILDERS[name](alpha, beta)
     records = validate_model(model)
     if not all(r.passed for r in records):
         raise VerificationError(records)
@@ -578,39 +609,14 @@ def laplace_operator(model) -> DiffOp:
 def printed_coordinate_laplacian(model) -> DiffOp:
     """Long-hand coordinate expansion of the Laplacian, entered independently
     of the frame assembly so the two can be compared term by term."""
-    if model.name == "heisenberg":
-        xv = model.x_vars
-        return DiffOp(xv, {
-            (2, 0, 0): ex.ONE,
-            (0, 1, 1): ex.const(2),
-            (0, 0, 2): 2 * Var("x1"),
-        })
-    if model.name == "g4_7":
-        a = ex.Const(model.params["alpha"])
-        binv = Power(ex.Const(model.params["beta"]), -1)
-        x2, x3, x4 = Var("x2"), Var("x3"), Var("x4")
-        e3, e2, e1 = Exp(-3 * x4), Exp(-2 * x4), Exp(-x4)
-        xv = model.x_vars
-        half = ex.const(1, 2)
-        return DiffOp(xv, {
-            (2, 0, 0, 0): (e3 + half * a * binv * x3 * e2) * (x2 + x3 * x4),
-            (1, 1, 0, 0): -(2 * x4 * e3 + a * binv * (x2 + 2 * x3 * x4) * e2),
-            (1, 0, 1, 0): 2 * e3 + a * binv * x3 * e2,
-            (1, 0, 0, 1): -binv * x3 * e1,
-            (0, 2, 0, 0): 2 * a * binv * x4 * e2,
-            (0, 1, 1, 0): -2 * a * binv * e2,
-            (0, 1, 0, 1): 2 * binv * e1,
-            (1, 0, 0, 0): ex.const(-3, 2) * binv * x3 * e1,
-            (0, 1, 0, 0): 3 * binv * e1,
-        })
-    raise ModelParameterError(f"no printed expansion recorded for {model.name}")
+    return model.printed_laplacian
 
 
 def coordinate_expansion_report(model, seed=DEFAULT_SEED):
     """Term-by-term comparison of the frame-assembled Laplacian against the
     printed coordinate expansion; discrepancies are reported, not raised."""
     ours = model.laplacian
-    printed = printed_coordinate_laplacian(model)
+    printed = model.printed_laplacian
     spec = model.x_sample_spec(n=40, seed=seed)
     indices = sorted(set(ours.coefficients) | set(printed.coefficients))
     rows = []
@@ -809,11 +815,7 @@ def casimir_scalar_check(model, element=3) -> CasimirReport:
     values = {}
     if acts_scalar:
         fn = ex.compile_expr(coeff, ["J"])
-        if model.lrep.j_param.kind == "discrete":
-            j_values = model.lrep.j_param.values
-        else:
-            j_values = (1, -1)
-        values = {jv: fn(float(jv)) for jv in j_values}
+        values = {jv: fn(float(jv)) for jv in model.lrep.j_values or (1, -1)}
     return CasimirReport(element=element, acts_as_scalar=acts_scalar, values=values)
 
 
@@ -856,7 +858,7 @@ _WINDOW_UV = 128.0   # 4d model x1/x2 window scales
 _N_UV = 20           # 4d model u-window nodes (t is closed form)
 
 
-def _smoke_heisenberg(model, a, b, j_val, jt_val, spec: SmokeSpec):
+def _smoke_heisenberg(a, b, j_val, jt_val, spec: SmokeSpec):
     wq_a, wq_b = a.width, b.width
     ca1, ca2 = a.centers
     cb1, cb2 = b.centers
@@ -929,7 +931,7 @@ def _t_window_integral(t0, x3, q2t, st, s, jt_val, b, sw):
             * np.exp(big_b * big_b / (4.0 * big_a) + big_c))
 
 
-def _smoke_g47(model, a, b, j_val, jt_val, spec: SmokeSpec):
+def _smoke_g47(a, b, j_val, jt_val, spec: SmokeSpec):
     """The 4d-model pairing in collapsed coordinates.
 
     Chart coordinates are (q1, s = ln q2) on each side.  The x1 and x2 group
@@ -941,6 +943,10 @@ def _smoke_g47(model, a, b, j_val, jt_val, spec: SmokeSpec):
     boxes by quadrature.  The Haar weight e^{4 x4} cancels the x4 part of
     the twist Lambda(q2') = q2'^4 exactly, which this code uses.
     """
+    if int(j_val) != int(jt_val):
+        # opposite orbits: the u-window never meets the physical
+        # region q2^2 > 0, so the pairing is identically zero
+        return 0.0, 0.0, 0j, 0j, 1.0
     # (q, x) node counts of the coarse and the refined pass
     passes = ((spec.n_inner // 2, spec.n_outer // 4),
               ((3 * spec.n_inner) // 4, spec.n_outer // 3))
@@ -1028,20 +1034,8 @@ def kernel_orthogonality_smoke(model, test_pairs, spec: SmokeSpec | None = None)
     spec = spec or SmokeSpec()
     records = []
     for idx, (a, b, j_val, jt_val) in enumerate(test_pairs):
-        if model.name == "heisenberg":
-            dev, conv, measured, predicted, scale = _smoke_heisenberg(
-                model, a, b, float(j_val), float(jt_val), spec)
-        elif model.name == "g4_7":
-            same_orbit = int(j_val) == int(jt_val)
-            if same_orbit:
-                dev, conv, measured, predicted, scale = _smoke_g47(
-                    model, a, b, float(j_val), float(jt_val), spec)
-            else:
-                # opposite orbits: the u-window never meets the physical
-                # region q2^2 > 0, so the pairing is identically zero
-                dev, conv, measured, predicted, scale = 0.0, 0.0, 0j, 0j, 1.0
-        else:
-            raise ModelParameterError(f"no smoke scheme for model {model.name}")
+        dev, conv, measured, predicted, scale = model.smoke_scheme(
+            a, b, float(j_val), float(jt_val), spec)
         if conv > 1e-3:
             status = INCONCLUSIVE
         else:

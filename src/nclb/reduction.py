@@ -34,13 +34,7 @@ class StepError(NclbError, ValueError):
     """An RK4 step or end time that cannot give an accurate characteristic."""
 
 
-@dataclass(frozen=True)
-class JParam:
-    """Spectral parameter descriptor: discrete values or a punctured line."""
-
-    kind: str  # "discrete" | "real_nonzero"
-    values: tuple = ()
-    sample_range: tuple = (0.25, 2.0)  # |J| range used when sampling reals
+_J_SAMPLE_RANGE = (0.25, 2.0)  # |J| range used when sampling the real line
 
 
 @dataclass(frozen=True)
@@ -50,12 +44,13 @@ class LambdaRep:
     ops[i] realizes basis element i+1; indices in mult_only act by
     multiplication (order 0).  sample_ranges feeds numeric comparisons and
     must cover the q variables and every coefficient parameter except J,
-    which is drawn from j_param.
+    which is drawn from the orbit labels j_values, or from the punctured
+    real line when j_values is empty.
     """
 
     q_vars: tuple
     ops: tuple
-    j_param: JParam
+    j_values: tuple
     mult_only: tuple
     sample_ranges: dict
 
@@ -65,11 +60,11 @@ class LambdaRep:
 
     def sample_spec(self, n=50, seed=DEFAULT_SEED):
         ranges = dict(self.sample_ranges)
-        if self.j_param.kind == "discrete":
-            ranges["J"] = list(self.j_param.values)
+        if self.j_values:
+            ranges["J"] = list(self.j_values)
         else:
             # a discrete spread of +-|J| values keeps samples away from 0
-            lo, hi = self.j_param.sample_range
+            lo, hi = _J_SAMPLE_RANGE
             mid = 0.5 * (lo + hi)
             ranges["J"] = [v * s for v in (lo, mid, hi) for s in (1, -1)]
         return SampleSpec(ranges=ranges, n=n, seed=seed)

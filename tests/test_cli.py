@@ -456,3 +456,85 @@ class TestDeterminism:
         monkeypatch.setenv("NCLB_SEED", "pony")
         code, doc = run(["index", fx("h3.json")])
         assert code == 2
+
+    def test_abbreviated_json_flag_prints_a_document(self, capsys):
+        code = main(["check-algebra", fx("h3.json"), "--js"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["overall"] == "pass"
+
+    def test_closed_stdout_exits_quietly_with_the_command_code(self):
+        import subprocess
+        import sys
+
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        # stdout is a pipe whose read end is closed before the command prints
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "nclb.cli", "check-algebra", fx("h3.json")],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.stderr == b""
+        assert proc.returncode == 0
+
+
+_H3_VERIFY = """\
+jacobi               pass          max_residual=0.000e+00
+frames               pass          max_residual=0.000e+00
+lambda_rep           pass          max_residual=0.000e+00
+lift                 pass          max_residual=0.000e+00
+reduced_first_order  pass          max_residual=0.000e+00
+casimir              pass        \n\
+                       values: {'1': [0.0, 1.0], '-1': [-0.0, -1.0]}
+overall: pass
+"""
+
+_G47_VERIFY = """\
+jacobi               pass          max_residual=0.000e+00
+frames               pass          max_residual=0.000e+00
+lambda_rep           pass          max_residual=0.000e+00
+lift                 pass          max_residual=0.000e+00
+reduced_first_order  pass          max_residual=0.000e+00
+coisotropy           pass        \n\
+                       verdict: True
+overall: pass
+"""
+
+_H3_REDUCE = """\
+reduced_first_order  pass          max_residual=0.000e+00
+                       normalizer: 2*I*J
+                       Z: ['1']
+                       V: (1/2)*I*E*J^(-1) + (1/2)*I*J*q^2
+overall: pass
+"""
+
+_G47_REDUCE = """\
+reduced_first_order  pass          max_residual=0.000e+00
+                       normalizer: 2*I*J*q2^2
+                       Z: ['q1 + (-1)*q2', '(-1)*q1']
+                       V: 1/2 + (1/2)*I*E*J^(-1)*q2^(-2) + I*J*q1*q2*log(q2) \
++ (-1)*I*J*q1^2*log(q2) + (-5/2)*q1*q2^(-1)
+rectification        pass          max_residual=5.336e-16
+                       v: (5^(1/2))^(-1)*log((-1/2)*5^(1/2)*q2 + q1 + (1/2)*q2) \
++ (-1)*(5^(1/2))^(-1)*log((1/2)*5^(1/2)*q2 + q1 + (1/2)*q2)
+                       u: ['((-1/2)*5^(1/2)*q2 + q1 + (1/2)*q2)^(-1/2 + (1/2)*5^(1/2))\
+*((1/2)*5^(1/2)*q2 + q1 + (1/2)*q2)^(1/2 + (1/2)*5^(1/2))']
+overall: pass
+"""
+
+
+@pytest.mark.parametrize("argv, table", [
+    (["model", "verify", "heisenberg"], _H3_VERIFY),
+    (["model", "verify", "g4_7"], _G47_VERIFY),
+    (["model", "reduce", "heisenberg"], _H3_REDUCE),
+    (["model", "reduce", "g4_7"], _G47_REDUCE),
+])
+def test_human_table(argv, table, capsys, monkeypatch):
+    monkeypatch.delenv("NCLB_SEED", raising=False)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == table

@@ -47,7 +47,7 @@ class TestLoadModel:
 
     def test_alternate_parameters_validate(self):
         m = load_model("g4_7", alpha=F(-1), beta=F(2))
-        lam1, lam2 = lambda_roots(m)
+        lam1, lam2 = lambda_roots(**m.params)
         assert abs(evaluate(lam1).real - 1.0) < 1e-14
         assert abs(evaluate(lam2).real + 2.0) < 1e-14
 

@@ -171,7 +171,7 @@ class TestFlow:
     def test_g47_eigenstructure(self, g47):
         red = extract_first_order(build_reduced(g47, verify=False),
                                   reduction_normalizer(g47))
-        lam1, lam2 = (evaluate(x).real for x in lambda_roots(g47))
+        lam1, lam2 = (evaluate(x).real for x in lambda_roots(**g47.params))
         q0 = (1.5, 0.9)
         ch = flow(red.first_order.Z, q0, 0.5, 1e-3, params={"J": 1.0})
         p_exact = (q0[0] + lam1 * q0[1]) * math.exp(lam2 * 0.5)
@@ -182,7 +182,7 @@ class TestFlow:
     def test_step_halving_fourth_order(self, g47):
         red = extract_first_order(build_reduced(g47, verify=False),
                                   reduction_normalizer(g47))
-        lam1, lam2 = (evaluate(x).real for x in lambda_roots(g47))
+        lam1, lam2 = (evaluate(x).real for x in lambda_roots(**g47.params))
         q0 = (1.5, 0.9)
 
         def err(step):
