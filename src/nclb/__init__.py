@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 from .algebra import (Covector, LieAlgebra, Subspace, adapted_basis,
                       annihilator, index, index_witness, is_polarization,
                       jacobi_defect, kirillov_matrix, subspace_flags)
-from .bilinear import (BilinearForm, LaplacianData, coisotropy_check, invert,
+from .bilinear import (BilinearForm, LaplacianData, coisotropy_check,
                        laplacian_data, orth_complement)
 from .diffop import DiffOp, SampleSpec, apply, commutator, compose, op_equal
 from .expr import (Airy, Const, Exp, Expr, I, Log, Power, Product, Sum, Var,

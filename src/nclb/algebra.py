@@ -94,13 +94,8 @@ class Subspace:
     def rank(self):
         return rl.rank([list(g) for g in self.generators])
 
-    def rref_basis(self):
-        r, pivots = rl.rref([list(g) for g in self.generators])
-        return [r[i] for i in range(len(pivots))], pivots
-
     def contains(self, v):
-        basis, pivots = self.rref_basis()
-        return rl.row_space_contains(basis, pivots, v)
+        return rl.rank([list(g) for g in self.generators] + [list(v)]) == self.rank
 
     def contains_subspace(self, other):
         return all(self.contains(list(g)) for g in other.generators)
@@ -113,9 +108,9 @@ class Subspace:
 
         Returns None if the subspace is not a coordinate subspace.
         """
-        basis, pivots = self.rref_basis()
+        r, pivots = rl.rref([list(g) for g in self.generators])
         idx = []
-        for row, p in zip(basis, pivots):
+        for row, p in zip(r, pivots):
             if any(x != 0 for i, x in enumerate(row) if i != p) or row[p] != 1:
                 return None
             idx.append(p + 1)

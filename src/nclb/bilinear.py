@@ -59,11 +59,6 @@ class BilinearForm:
         return rl.signature([list(r) for r in self.matrix])
 
 
-def invert(gm: BilinearForm):
-    """Exact inverse matrix (cached at construction, returned as lists)."""
-    return [list(r) for r in gm.inverse]
-
-
 def orth_complement(gm: BilinearForm, H: Subspace) -> Subspace:
     """{X : G(X, H) = 0}, exact."""
     rows = [rl.mat_vec([list(r) for r in gm.matrix], list(g)) for g in H.generators]

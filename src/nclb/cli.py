@@ -77,8 +77,9 @@ def _check_count(value, flag):
         raise InputError(f"{flag} must be >= 1, got {value}")
 
 
-def _parse_grid(spec_text):
-    """'x1=-1:1:5,x2=0:2:3' -> list of coordinate tuples (row-major)."""
+def _parse_grid(spec_text, names):
+    """'x1=-1:1:5,x2=0:2:3' -> list of coordinate tuples (row-major); axes
+    other than `names`, in that order, are an input error."""
     axes = []
     try:
         for part in spec_text.split(","):
@@ -94,10 +95,12 @@ def _parse_grid(spec_text):
                 axes.append((name.strip(), [lo + i * step for i in range(count)]))
     except ValueError as exc:
         raise InputError(f"bad grid spec {spec_text!r}: {exc}") from exc
+    if [name for name, _ in axes] != list(names):
+        raise InputError(f"grid axes must be {tuple(names)}")
     points = [()]
     for _, vals in axes:
         points = [p + (v,) for p in points for v in vals]
-    return [name for name, _ in axes], points
+    return points
 
 
 def _read_points(path, n):
@@ -277,12 +280,9 @@ def _cmd_model_verify(args, seed):
 
 
 def _cmd_model_reduce(args, seed):
-    j_val, e_val = _frac(args.J), _real(args.E)
+    j_val, e_val = _real(args.J), _real(args.E)
     model = _load_model_from_args(args)
-    labels = model.lrep.j_values
-    if labels and j_val not in labels:
-        raise InputError(f"--J must be an orbit label of {model.name}: "
-                         f"one of {list(labels)}")
+    model.lrep.check_j(j_val)
     red = build_reduced(model, verify=True)
     red = extract_first_order(red, model.normalizer)
     fo = red.first_order
@@ -297,7 +297,7 @@ def _cmd_model_reduce(args, seed):
     if u_exprs:
         samples = chart_samples(model, 100, seed=seed)
         rep = rectify_check(fo.Z, v_expr, u_exprs, samples,
-                            params={"J": float(j_val), "E": e_val})
+                            params={"J": j_val, "E": e_val})
         dev = worst((rep.max_dev_v, rep.max_dev_u))
         records.append(CheckRecord(
             check="rectification",
@@ -318,9 +318,7 @@ def _cmd_model_residual(args, seed):
         if model.name != "heisenberg":
             raise InputError("mode residuals are defined for the heisenberg model")
         psi = mode_solution_h3(_frac(args.mu), _frac(args.nu), _frac(args.E))
-        names, points = _parse_grid(args.grid)
-        if list(names) != list(model.x_vars):
-            raise InputError(f"grid axes must be {model.x_vars}")
+        points = _parse_grid(args.grid, model.x_vars)
         rep = pde_residual(model, psi, _frac(args.E), points)
         # c08's gates; a stencil cross-check above its gate cannot tell
         # stencil truncation from a drift of the symbolic path
@@ -339,6 +337,8 @@ def _cmd_model_residual(args, seed):
                   "nu": args.nu, "E": args.E, "grid": args.grid}
         return [rec], params
 
+    if args.file is None:
+        raise InputError("--psi file needs --file")
     rec = _grid_field_residual(model, _read_points(args.file, model.dim), _real(args.E))
     params = {"model": args.model, "psi": "file", "file": args.file, "E": args.E}
     return [rec], params
@@ -396,9 +396,7 @@ def _cmd_model_reconstruct(args, seed):
     if model.name != "heisenberg":
         raise InputError("reconstruction is implemented for the heisenberg model")
     phi, box = _grid_interpolant(_read_points(args.phi, 2))
-    names, points = _parse_grid(args.grid)
-    if list(names) != list(model.x_vars):
-        raise InputError(f"grid axes must be {model.x_vars}")
+    points = _parse_grid(args.grid, model.x_vars)
     e_val = _real(args.E)
     _check_count(args.nodes, "--nodes")
     evaluator = inverse_gft_h3_evaluator(phi, e_val, QuadSpec2D(box=box, n=args.nodes))

@@ -82,11 +82,12 @@ class GroupModel:
 
     mult_law/inverse_law are coordinate expressions of z(x, y) and x^{-1};
     dual_forms is the coframe matrix omega^i_j(x).  normalizer, flow_box
-    (v, invariants u), chart_domain (a predicate, or None) and
-    printed_laplacian are what `reduction_normalizer`,
-    `rectifying_coordinates`, `chart_domain` and
-    `printed_coordinate_laplacian` return; smoke_scheme computes one pairing
-    of `kernel_orthogonality_smoke`.
+    (v, invariants u) and chart_domain (a predicate, or None) are what
+    `reduction_normalizer`, `rectifying_coordinates` and `chart_domain`
+    return; printed_laplacian is the long-hand coordinate expansion of the
+    Laplacian, entered independently of the frame assembly so the two can be
+    compared term by term; smoke_scheme computes one pairing of
+    `kernel_orthogonality_smoke`.
     """
 
     name: str
@@ -606,12 +607,6 @@ def laplace_operator(model) -> DiffOp:
     return laplacian_image(model.xi, laplacian_data(model.algebra, model.form))
 
 
-def printed_coordinate_laplacian(model) -> DiffOp:
-    """Long-hand coordinate expansion of the Laplacian, entered independently
-    of the frame assembly so the two can be compared term by term."""
-    return model.printed_laplacian
-
-
 def coordinate_expansion_report(model, seed=DEFAULT_SEED):
     """Term-by-term comparison of the frame-assembled Laplacian against the
     printed coordinate expansion; discrepancies are reported, not raised."""
@@ -943,7 +938,7 @@ def _smoke_g47(a, b, j_val, jt_val, spec: SmokeSpec):
     boxes by quadrature.  The Haar weight e^{4 x4} cancels the x4 part of
     the twist Lambda(q2') = q2'^4 exactly, which this code uses.
     """
-    if int(j_val) != int(jt_val):
+    if j_val != jt_val:
         # opposite orbits: the u-window never meets the physical
         # region q2^2 > 0, so the pairing is identically zero
         return 0.0, 0.0, 0j, 0j, 1.0
@@ -1030,12 +1025,15 @@ def kernel_orthogonality_smoke(model, test_pairs, spec: SmokeSpec | None = None)
     the sharp-limit prediction: (2 pi)^2/|J| <a,b> for the Heisenberg model
     (per unit window mass), 2 pi^2 <a,b> with the Lambda twist for the 4d
     model, and 0 for distinct spectral parameters, all at a tolerance of 1e-3.
+    A J or Jt that is no spectral label of the model (`LambdaRep.check_j`)
+    raises SpectralLabelError.
     """
     spec = spec or SmokeSpec()
     records = []
     for idx, (a, b, j_val, jt_val) in enumerate(test_pairs):
         dev, conv, measured, predicted, scale = model.smoke_scheme(
-            a, b, float(j_val), float(jt_val), spec)
+            a, b, model.lrep.check_j(float(j_val)),
+            model.lrep.check_j(float(jt_val)), spec)
         if conv > 1e-3:
             status = INCONCLUSIVE
         else:

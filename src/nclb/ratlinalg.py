@@ -1,9 +1,9 @@
 """Exact linear algebra over the rationals.
 
 Matrices are plain lists of lists of :class:`fractions.Fraction`; vectors are
-lists of Fractions.  Everything here is small and dense, so Gaussian
-elimination with exact pivoting is the workhorse.  No floating point enters
-any routine in this module.
+lists of Fractions.  Everything here is small and dense, so one Gauss-Jordan
+elimination with exact pivoting (`_eliminate`) is the workhorse.  No floating
+point enters any routine in this module.
 """
 
 from __future__ import annotations
@@ -62,15 +62,19 @@ def transpose(a):
     return [list(col) for col in zip(*a)] if a else []
 
 
-def rref(a):
-    """Reduced row echelon form.
+def _eliminate(a):
+    """Gauss-Jordan elimination, the one row reduction of this module.
 
-    Returns (R, pivot_columns).  R is a new matrix; the input is not touched.
+    Returns (R, pivot_columns, d): R is the reduced row echelon form of a
+    (a new matrix; the input is not touched) and d the product of the
+    pivots, negated once per row swap, which is det(a) when a is square
+    and of full rank.
     """
     r = copy_mat(a)
     rows = len(r)
     cols = len(r[0]) if rows else 0
     pivots = []
+    d = Fraction(1)
     lead = 0
     for col in range(cols):
         if lead >= rows:
@@ -82,7 +86,10 @@ def rref(a):
                 break
         if piv is None:
             continue
-        r[lead], r[piv] = r[piv], r[lead]
+        if piv != lead:
+            r[lead], r[piv] = r[piv], r[lead]
+            d = -d
+        d *= r[lead][col]
         inv = Fraction(1) / r[lead][col]
         r[lead] = [x * inv for x in r[lead]]
         for i in range(rows):
@@ -91,6 +98,15 @@ def rref(a):
                 r[i] = [x - f * y for x, y in zip(r[i], r[lead])]
         pivots.append(col)
         lead += 1
+    return r, pivots, d
+
+
+def rref(a):
+    """Reduced row echelon form.
+
+    Returns (R, pivot_columns).  R is a new matrix; the input is not touched.
+    """
+    r, pivots, _ = _eliminate(a)
     return r, pivots
 
 
@@ -101,29 +117,10 @@ def rank(a):
 
 
 def det(a):
-    """Determinant by fraction-free-ish Gaussian elimination (exact)."""
-    n = len(a)
-    m = copy_mat(a)
-    sign = 1
-    d = Fraction(1)
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if m[i][k] != 0:
-                piv = i
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        d *= m[k][k]
-        inv = Fraction(1) / m[k][k]
-        for i in range(k + 1, n):
-            if m[i][k] != 0:
-                f = m[i][k] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[k])]
-    return d * sign
+    """Exact determinant: the signed pivot product of the elimination, or 0
+    when a pivot is missing."""
+    _, pivots, d = _eliminate(a)
+    return d if len(pivots) == len(a) else Fraction(0)
 
 
 def inverse(a):
@@ -152,77 +149,34 @@ def kernel(a):
     return basis
 
 
-def row_space_contains(basis_rref, pivots, v):
-    """Membership of vector v in the row space described by its RREF basis."""
-    w = list(v)
-    for i, pc in enumerate(pivots):
-        if w[pc] != 0:
-            f = w[pc]
-            w = [x - f * y for x, y in zip(w, basis_rref[i])]
-    return all(x == 0 for x in w)
-
-
-def congruent_diagonal(a):
-    """Diagonalize a symmetric matrix by congruence over the rationals.
-
-    Returns the diagonal entries of T^t A T for some invertible rational T.
-    Used for exact signature computation; never touches floats.
-    """
+def _charpoly(a):
+    """Coefficients [1, c1, ..., cn] of det(xI - a), highest power first,
+    by the Faddeev-LeVerrier recurrence."""
     n = len(a)
-    m = copy_mat(a)
-    t = eye(n)
+    coeffs = [Fraction(1)]
+    am = zeros(n, n)
+    for k in range(1, n + 1):
+        for i in range(n):
+            am[i][i] += coeffs[-1]
+        am = mat_mul(a, am)
+        coeffs.append(-sum(am[i][i] for i in range(n)) / k)
+    return coeffs
 
-    def add_row_col(dst, src, f):
-        # simultaneous row and column operation keeps symmetry
-        m[dst] = [x + f * y for x, y in zip(m[dst], m[src])]
-        for row in m:
-            row[dst] += f * row[src]
-        t[dst] = [x + f * y for x, y in zip(t[dst], t[src])]
 
-    def swap_row_col(i, j):
-        m[i], m[j] = m[j], m[i]
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-        t[i], t[j] = t[j], t[i]
-
-    for k in range(n):
-        if m[k][k] == 0:
-            swapped = False
-            for i in range(k + 1, n):
-                if m[i][i] != 0:
-                    swap_row_col(k, i)
-                    swapped = True
-                    break
-            if not swapped:
-                found = False
-                for i in range(k, n):
-                    for j in range(i + 1, n):
-                        if m[i][j] != 0:
-                            # fold the off-diagonal entry onto the diagonal
-                            add_row_col(i, j, Fraction(1))
-                            found = True
-                            break
-                    if found:
-                        break
-                if found and m[k][k] == 0:
-                    for i in range(k + 1, n):
-                        if m[i][i] != 0:
-                            swap_row_col(k, i)
-                            break
-                if m[k][k] == 0:
-                    continue  # the remaining block is zero in this column
-        if m[k][k] == 0:
-            continue
-        inv = Fraction(1) / m[k][k]
-        for i in range(k + 1, n):
-            if m[i][k] != 0:
-                add_row_col(i, k, -m[i][k] * inv)
-    return [m[i][i] for i in range(n)]
+def _sign_changes(seq):
+    signs = [x > 0 for x in seq if x != 0]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
 def signature(a):
-    """(n_plus, n_minus) of a symmetric rational matrix, computed exactly."""
-    diag = congruent_diagonal(a)
-    pos = sum(1 for d in diag if d > 0)
-    neg = sum(1 for d in diag if d < 0)
-    return pos, neg
+    """(n_plus, n_minus) of a symmetric rational matrix, computed exactly.
+
+    The characteristic polynomial p of a symmetric matrix has only real
+    roots, so Descartes' rule of signs counts them exactly: the sign
+    changes of p(x) are the positive eigenvalues, those of p(-x) the
+    negative ones.
+    """
+    p = _charpoly(a)
+    n = len(p) - 1
+    return _sign_changes(p), _sign_changes(
+        [c if (n - k) % 2 == 0 else -c for k, c in enumerate(p)])

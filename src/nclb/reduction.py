@@ -34,6 +34,10 @@ class StepError(NclbError, ValueError):
     """An RK4 step or end time that cannot give an accurate characteristic."""
 
 
+class SpectralLabelError(NclbError, ValueError):
+    """A J that labels no representation of the model."""
+
+
 _J_SAMPLE_RANGE = (0.25, 2.0)  # |J| range used when sampling the real line
 
 
@@ -57,6 +61,18 @@ class LambdaRep:
     @property
     def dim_q(self):
         return len(self.q_vars)
+
+    def check_j(self, j):
+        """j if it is a spectral label: one of j_values, or, when j_values
+        is empty, a finite nonzero real; otherwise SpectralLabelError."""
+        if self.j_values:
+            if j not in self.j_values:
+                raise SpectralLabelError(
+                    f"J = {j} is not an orbit label: one of {list(self.j_values)}")
+        elif not (math.isfinite(j) and j != 0):
+            raise SpectralLabelError(f"J = {j} is off the spectrum: it must be "
+                                     "finite and nonzero")
+        return j
 
     def sample_spec(self, n=50, seed=DEFAULT_SEED):
         ranges = dict(self.sample_ranges)

@@ -6,8 +6,9 @@ import pytest
 from nclb import ratlinalg as rl
 from nclb.algebra import Subspace, g47_algebra, heisenberg_algebra
 from nclb.bilinear import (BilinearForm, CoisotropyError, DegenerateFormError,
-                           coisotropy_check, form_from_json, invert,
-                           laplacian_data, orth_complement)
+                           coisotropy_check, form_from_json, laplacian_data,
+                           orth_complement)
+from nclb.models import load_model
 
 
 def span(dim, *indices):
@@ -30,15 +31,15 @@ def g1_form(alpha=F(1), beta=F(1)):
 class TestInvert:
     def test_h3_self_inverse(self):
         gm = h3_form()
-        assert invert(gm) == [list(r) for r in gm.matrix]
+        assert gm.inverse == gm.matrix
 
     def test_identity(self):
         gm = BilinearForm.from_matrix(rl.eye(4))
-        assert invert(gm) == rl.eye(4)
+        assert [list(r) for r in gm.inverse] == rl.eye(4)
 
     def test_g1_block_structure(self):
         for alpha, beta in ((F(1), F(1)), (F(2), F(3)), (F(-1), F(2))):
-            inv = invert(g1_form(alpha, beta))
+            inv = g1_form(alpha, beta).inverse
             assert inv[0][2] == 1
             assert inv[1][2] == -alpha / beta
             assert inv[1][3] == 1 / beta
@@ -137,6 +138,20 @@ class TestCoisotropy:
             assert rep.verdict
             p, q = gm.signature()
             assert H.rank >= L.dim - min(p, q)
+
+
+@pytest.mark.parametrize("name, alpha, beta, signature", [
+    ("heisenberg", F(1), F(1), (2, 1)),
+    ("heisenberg", F(2), F(-3), (2, 1)),
+    ("g4_7", F(1), F(1), (2, 2)),
+    ("g4_7", F(2), F(3), (2, 2)),
+    ("g4_7", F(-1), F(2), (2, 2)),
+    ("g4_7", F(3), F(-1), (2, 2)),
+    ("g4_7", F(1, 2), F(-1, 32), (2, 2)),
+])
+def test_bundled_form_signature(name, alpha, beta, signature):
+    # the Lorentzian metric of H3(R) and the split metric of g4,7
+    assert load_model(name, alpha=alpha, beta=beta).form.signature() == signature
 
 
 class TestLaplacianData:

@@ -18,6 +18,13 @@ def fx(name):
     return os.path.join(FIXTURES, name)
 
 
+def _field_csv(x1s, x2s=None, drop=0):
+    """A constant field on the grid x1s x x2s x x1s, less its last `drop`
+    points."""
+    pts = [(a, b, c) for a in x1s for b in (x2s or x1s) for c in x1s]
+    return "\n".join(f"{a},{b},{c},1,0" for a, b, c in pts[:len(pts) - drop])
+
+
 class TestExitCodes:
     def test_check_algebra_pass(self):
         code, doc = run(["check-algebra", fx("h3.json")])
@@ -146,15 +153,18 @@ class TestModelCommands:
         assert detail["Z"] == ["q1 + (-1)*q2", "(-1)*q1"]
         assert "log(q2)" in detail["V"]
 
-    @pytest.mark.parametrize("flags", [["--E", "1e400"], ["--J", "abc"],
-                                       ["--J", "0"], ["--J", "1/2"]])
+    @pytest.mark.parametrize("flags", [
+        ["g4_7", "--E", "1e400"], ["g4_7", "--J", "abc"], ["g4_7", "--J", "0"],
+        ["g4_7", "--J", "1/2"], ["heisenberg", "--J", "0"],
+        ["heisenberg", "--J", "1e400"]])
     def test_reduce_bad_number_is_an_error_document(self, flags, capsys):
-        # a number beyond the double range, one that does not parse, and a
-        # J that is no orbit label of g4_7 (+-1): exit 2, no traceback
-        code, doc = run(["model", "reduce", "g4_7"] + flags)
+        # numbers beyond the double range, one that does not parse, a J
+        # that is no orbit label of g4_7 (+-1), and J = 0, off the punctured
+        # line of heisenberg labels: exit 2, no traceback
+        code, doc = run(["model", "reduce"] + flags)
         assert code == 2
         assert set(doc) == {"tool_version", "command", "error"}
-        assert main(["model", "reduce", "g4_7"] + flags) == 2
+        assert main(["model", "reduce"] + flags) == 2
         assert capsys.readouterr().out.startswith("error: ")
 
     @pytest.mark.parametrize("model, j", [("g4_7", "-2/2"), ("heisenberg", "1/2")])
@@ -316,6 +326,66 @@ class TestModelCommands:
         assert doc["checks"][0]["max_residual"] == "nan"
         assert cli._finite_json([math.inf, -math.inf, (1.5, math.nan)]) == [
             "inf", "-inf", [1.5, "nan"]]
+
+    @pytest.mark.parametrize("argv, files, error", [
+        # _read_points: a ragged row and a non-numeric cell
+        (["model", "residual", "heisenberg", "--psi", "file", "--file", "{field}"],
+         {"field": "0,0,0,1"}, "field.csv:1: expected 5 columns, got 4"),
+        (["model", "residual", "heisenberg", "--psi", "file", "--file", "{field}"],
+         {"field": "0,0,0,abc,0"}, "could not convert string to float: 'abc'"),
+        (["model", "residual", "heisenberg", "--psi", "file"], {},
+         "--psi file needs --file"),
+        # the four grid guards of a --file field
+        (["model", "residual", "heisenberg", "--psi", "file", "--file", "{field}"],
+         {"field": _field_csv([0.1 * i for i in range(5)], drop=1)},
+         "field samples do not form a full rectangular grid"),
+        (["model", "residual", "heisenberg", "--psi", "file", "--file", "{field}"],
+         {"field": _field_csv([0.1 * i for i in range(4)])},
+         "need at least 5 samples per axis for 4th-order stencils"),
+        (["model", "residual", "heisenberg", "--psi", "file", "--file", "{field}"],
+         {"field": _field_csv([0.0, 0.1, 0.2, 0.3, 0.5])},
+         "grid spacing must be uniform per axis"),
+        (["model", "residual", "heisenberg", "--psi", "file", "--file", "{field}"],
+         {"field": _field_csv([0.1 * i for i in range(5)],
+                              [0.2 * i for i in range(5)])},
+         "grid spacing must match across axes"),
+        # a --phi table with a hole, and a bad --ideal
+        (["model", "reconstruct", "heisenberg", "--phi", "{phi}"],
+         {"phi": "\n".join(f"{k},{j},1,0" for k in (-1, 0, 1) for j in (0.5, 1.5)
+                           if (k, j) != (0, 1.5))},
+         "spectral samples do not form a full rectangular grid"),
+        (["coisotropic", fx("h3.json"), "--form", fx("h3_null_center.json"),
+          "--ideal", "1,x"], {}, "bad ideal spec '1,x'"),
+        # the H3-only commands on g4_7, and grids over other axes
+        (["model", "residual", "g4_7", "--psi", "mode"], {},
+         "mode residuals are defined for the heisenberg model"),
+        (["model", "reconstruct", "g4_7", "--phi", "{phi}"], {"phi": "-1,1,1,0"},
+         "reconstruction is implemented for the heisenberg model"),
+        (["model", "residual", "heisenberg", "--psi", "mode",
+          "--grid", "x1=-1:1:3,x3=-1:1:3,x2=-1:1:3"], {},
+         "grid axes must be ('x1', 'x2', 'x3')"),
+        (["model", "reconstruct", "heisenberg", "--phi", "{phi}",
+          "--grid", "x1=-0.4:0.4:3,x2=-0.4:0.4:3"],
+         {"phi": "\n".join(f"{k},{j},1,0" for k in (-1, 1) for j in (0.5, 1.5))},
+         "grid axes must be ('x1', 'x2', 'x3')"),
+    ])
+    def test_input_guards_are_error_documents(self, argv, files, error, tmp_path,
+                                              capsys):
+        paths = {}
+        for name, text in files.items():
+            paths[name] = tmp_path / f"{name}.csv"
+            paths[name].write_text(text)
+        argv = [a.format(**paths) for a in argv]
+        code, doc = run(argv)
+        assert code == 2
+        assert set(doc) == {"tool_version", "command", "error"}
+        assert error in doc["error"]
+        assert main(argv) == 2
+        assert capsys.readouterr().out.startswith("error: ")
+
+    def test_one_count_grid_axis_is_its_midpoint(self):
+        assert cli._parse_grid("x1=0:1:1,x2=-1:1:2", ("x1", "x2")) == [
+            (0.5, -1.0), (0.5, 1.0)]
 
     @pytest.mark.parametrize("argv", [
         ["model", "residual", "heisenberg", "--psi", "mode",

@@ -11,6 +11,8 @@ from nclb.models import (ModelParameterError, QuadSpec2D, SingularMeasureError,
                          kernel_orthogonality_smoke, mode_solution_h3,
                          mode_superposition_h3, pde_residual_field)
 from nclb.expr import evaluate
+from nclb.reduction import SpectralLabelError
+from nclb.report import NclbError
 
 
 def bump(center_k, center_j, width):
@@ -128,13 +130,27 @@ class TestKernelSmoke:
                 g47, [(G47_A, G47_B, 1, 1)], spec=SmokeSpec(n_outer=8, n_inner=8))
 
     @pytest.mark.parametrize("j_val, dev", [(-1, 5.047970918706612e-4),
-                                            (2, 1.2706667107758175e-4)])
+                                            (1, 5.047970918706612e-4)])
     def test_g47_deviation_is_kept(self, g47, j_val, dev):
-        # the deviations the 20-node t-window sum gave; the closed form adds
-        # the window's tail beyond 6 widths, ~1.5e-8 of scale
+        # the deviations the 20-node t-window sum gave on both orbits; the
+        # closed form adds the window's tail beyond 6 widths, ~1.5e-8 of scale
         rec = kernel_orthogonality_smoke(g47, [(G47_A, G47_B, j_val, j_val)])[0]
         assert rec.passed
         assert abs(rec.max_residual - dev) <= 1e-7
+
+    @pytest.mark.parametrize("name, j_val, jt_val", [
+        # 0.5 and -0.5 used to truncate to the same orbit and fail with
+        # residual 1.0; J = 0 divided by zero
+        ("g4_7", 0.5, -0.5), ("g4_7", 1, 2), ("heisenberg", 0.0, 1.0),
+        ("heisenberg", 1.0, math.inf), ("heisenberg", math.nan, 1.0),
+    ])
+    def test_off_label_j_is_an_input_error(self, name, j_val, jt_val, request):
+        model = request.getfixturevalue({"g4_7": "g47", "heisenberg": "h3"}[name])
+        a = G47_A if name == "g4_7" else SmearedGaussian(centers=(0.1, -0.2), width=0.5)
+        with pytest.raises(SpectralLabelError) as info:
+            kernel_orthogonality_smoke(model, [(a, a, j_val, jt_val)])
+        assert isinstance(info.value, NclbError)
+        assert isinstance(info.value, ValueError)
 
 
 def _t_window_sum(q1v, sv, b, j_val, x3n, un, sw):

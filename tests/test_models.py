@@ -19,7 +19,7 @@ from nclb.models import (CasimirReport, ModelParameterError,
                          haar_invariance_check,
                          invariant_frame_check, lambda_roots, laplace_operator,
                          load_model, mode_solution_h3, pde_residual,
-                         printed_coordinate_laplacian, validate_model)
+                         validate_model)
 from nclb.report import DEFAULT_SEED, InconclusiveError
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
@@ -128,7 +128,7 @@ class TestFrameChecks:
 class TestLaplacian:
     def test_h3_printed_exactly(self, h3):
         delta = laplace_operator(h3)
-        assert delta.coefficients == printed_coordinate_laplacian(h3).coefficients
+        assert delta.coefficients == h3.printed_laplacian.coefficients
 
     def test_assembled_once_per_model(self, h3, monkeypatch):
         calls = []
@@ -141,7 +141,7 @@ class TestLaplacian:
             pde_residual(model, psi, 1, [(0.1, 0.2, 0.3)])
         assert len(calls) == 1
         assert (model.laplacian.coefficients
-                == printed_coordinate_laplacian(h3).coefficients)
+                == h3.printed_laplacian.coefficients)
 
     def test_altered_frames_get_their_own_laplacian(self, h3):
         # the shared model keeps its Laplacian; a copy with a rescaled xi1

@@ -9,7 +9,7 @@ from nclb.cli import InputError
 from nclb.diffop import DomainExitError, UnsupportedOrderError
 from nclb.expr import ExprError
 from nclb.models import ModelParameterError, SingularMeasureError
-from nclb.reduction import NotFirstOrderError
+from nclb.reduction import NotFirstOrderError, SpectralLabelError
 from nclb.report import InconclusiveError, NclbError, VerificationError, worst
 
 
@@ -21,7 +21,7 @@ from nclb.report import InconclusiveError, NclbError, VerificationError, worst
     (AiryOverflowError, OverflowError), (AiryDomainError, ValueError),
     (ExprError, Exception),
     (InconclusiveError, RuntimeError), (VerificationError, RuntimeError),
-    (InputError, ValueError),
+    (InputError, ValueError), (SpectralLabelError, ValueError),
 ])
 def test_every_library_error_is_an_nclb_error_and_keeps_its_base(cls, base):
     assert issubclass(cls, NclbError)
