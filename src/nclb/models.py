@@ -671,7 +671,9 @@ class _GftGrid:
 
     base = w phi_hat(k, J) (2 J^2)^(1/3) / (2 pi)^2 on the tensor
     Gauss-Legendre grid of the (k, J) box; a row is base times Ai of the
-    kernel argument at one x1.
+    kernel argument at one x1.  The phase exp(i k x2 + i J x3) factors over
+    the grid's two axes, so a value is the separable sum
+    e^{i k x2}^T . row . e^{i J x3}: 2n exponentials per point, not n^2.
     """
 
     def __init__(self, phi_hat, energy, box, n):
@@ -679,12 +681,12 @@ class _GftGrid:
         if j_lo <= 0.0 <= j_hi:
             raise SingularMeasureError("spectral support must exclude J = 0")
         self.e_val = float(energy)
-        k, wk = gl_nodes(n, float(k_lo), float(k_hi))
-        j, wj = gl_nodes(n, float(j_lo), float(j_hi))
-        self.kg, self.jg = np.meshgrid(k, j, indexing="ij")
-        amp = np.asarray(phi_hat(self.kg, self.jg), dtype=complex)
-        self.two_j2 = 2.0 * self.jg * self.jg
-        self.kj2 = 2.0 * self.kg * self.jg
+        self.k, wk = gl_nodes(n, float(k_lo), float(k_hi))
+        self.j, wj = gl_nodes(n, float(j_lo), float(j_hi))
+        kg, jg = np.meshgrid(self.k, self.j, indexing="ij")
+        amp = np.asarray(phi_hat(kg, jg), dtype=complex)
+        self.two_j2 = 2.0 * jg * jg
+        self.kj2 = 2.0 * kg * jg
         self.scale = self.two_j2 ** (2.0 / 3.0)
         self.base = (np.outer(wk, wj) * amp * self.two_j2 ** (1.0 / 3.0)
                      / (2.0 * np.pi) ** 2)
@@ -697,7 +699,7 @@ class _GftGrid:
         return self.base * airy_array("Ai", arg)
 
     def value(self, row, x2, x3):
-        return np.sum(row * np.exp(1j * (self.kg * x2 + self.jg * x3)))
+        return np.exp(1j * x2 * self.k) @ row @ np.exp(1j * x3 * self.j)
 
 
 def inverse_gft_h3(phi_hat, energy, x_points, quad_spec: QuadSpec2D):

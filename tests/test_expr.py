@@ -1,4 +1,6 @@
 import cmath
+import dataclasses
+import pickle
 import random
 import sys
 from fractions import Fraction as F
@@ -418,6 +420,69 @@ def test_power_requires_constant_exponent():
 def test_float_coercion_rejected():
     with pytest.raises(TypeError):
         as_expr(0.5)
+
+
+# --- node hashing and depth --------------------------------------------------
+
+def _mode_like():
+    # built from fresh nodes on every call, so no two results share a node
+    return Exp(I * (Var("mu") * Var("x2") + F(-3, 7) * Var("x3"))) * Airy(
+        "Ai", parse("2*nu^2*x1 + 2*mu*nu + E") * Power(Const(F(2)), Const(F(-2, 3))))
+
+
+def _alternating(depth):
+    e = x
+    for i in range(depth):
+        e = (ex.Sum((x, e)), ex.Product((q, e)), Exp(e))[i % 3]
+    return e
+
+
+class TestNodeHash:
+    def test_equal_trees_have_equal_hashes(self):
+        a, b = _mode_like(), _mode_like()
+        assert a is not b
+        assert a == b
+        assert hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+
+    def test_printing_does_not_show_the_stored_hash(self):
+        e = _mode_like()
+        stored = str(hash(e))
+        assert stored not in repr(e)
+        assert stored not in to_text(e)
+
+    def test_nodes_are_slotted_and_frozen(self):
+        e = _mode_like()
+        for node in (e, Const(1), I, x, e.factors[1].arg):
+            assert not hasattr(node, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            e.factors = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            Const(1).value = F(2)
+
+    def test_distinct_constants_differ(self):
+        assert Const(1) != Const(2)
+        assert Const(F(2, 4)) == Const(F(1, 2))
+        assert hash(Const(F(2, 4))) == hash(Const(F(1, 2)))
+
+    def test_pickle_rebuilds_the_hash(self):
+        e = _mode_like()
+        back = pickle.loads(pickle.dumps(e))
+        assert back == e
+        assert hash(back) == hash(e)
+
+
+class TestDepth:
+    def test_deep_alternating_tree_evaluates_simplifies_and_compiles(self):
+        e = _alternating(250)
+        value = evaluate(e, {"x": 0.1, "q": 0.1})
+        assert cmath.isfinite(value)
+        assert compile_expr(e, ("x", "q"))(0.1, 0.1) == pytest.approx(value, rel=1e-12)
+        assert free_vars(simplify(e)) == {"x", "q"}
+
+    def test_hash_of_a_deep_chain_does_not_recurse(self):
+        a, b = _alternating(2000), _alternating(2000)
+        assert hash(a) == hash(b)
 
 
 # --- random expression generator ---------------------------------------------

@@ -82,6 +82,25 @@ class TestInverseGft:
         scale = float(np.max(np.abs(direct)))
         assert np.max(np.abs(direct - via_kernel)) <= 1e-6 * scale
 
+    @pytest.mark.parametrize("phi, box", [
+        (bump(0.0, 1.0, 0.2), ((-1.0, 1.0), (0.2, 1.8))),      # c10's
+        (bump(0.1, -1.0, 0.25), ((-0.8, 0.6), (-1.7, -0.3))),  # negative J
+    ])
+    def test_separable_sum_matches_the_full_phase_grid(self, phi, box):
+        grid = models._GftGrid(phi, 1.0, box, 64)
+        kg, jg = np.meshgrid(grid.k, grid.j, indexing="ij")
+        rng = np.random.default_rng(5)
+        x1s = rng.uniform(-1.5, 1.5, 8)
+        rows = grid.rows(x1s)
+        got, want = [], []
+        for row in rows:
+            for x2, x3 in rng.uniform(-3.0, 3.0, (8, 2)):
+                got.append(grid.value(row, x2, x3))
+                # the n^2 sum the separable form replaces
+                want.append(np.sum(row * np.exp(1j * (kg * x2 + jg * x3))))
+        got, want = np.array(got), np.array(want)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
 
 G47_A = SmearedGaussian(centers=(1.2, 0.1, 1.0, 0.0), width=0.3)
 G47_B = SmearedGaussian(centers=(1.1, 0.05, 1.05, -0.05), width=0.28)
