@@ -59,7 +59,7 @@ _BI0_FIX = int(_BI0 * _SCALE)
 _BIP0_FIX = int(_BIP0 * _SCALE)
 
 _SERIES_CUT = 8.25
-_BI_OVERFLOW = 103.0
+BI_OVERFLOW = 103.0
 LEFT_CUT = -1.0e5
 
 _ANCHORS_PER_UNIT = 8           # anchors at k/8, so |h| <= 1/16
@@ -165,19 +165,20 @@ def _anchor(k):
     return coefs
 
 
-def _anchor_rows(k):
-    """Coefficients for an array of anchor indices, shape (4, terms, len(k))."""
+def _anchor_rows(k, comp):
+    """Coefficients of component comp for an array of anchor indices, shape
+    (terms, len(k))."""
     for kk in np.unique(k).tolist():
         if kk not in _ANCHORS:
             _anchor(kk)
-    return _TABLE[:, :, k + _ANCHOR_MAX]
+    return _TABLE[comp][:, k + _ANCHOR_MAX]
 
 
 # --- one evaluation core for floats and arrays ---------------------------------
 
 _FLOAT = SimpleNamespace(
     exp=math.exp, sqrt=math.sqrt, cos=math.cos, sin=math.sin,
-    nearest=round, coefficients=_anchor,
+    nearest=round, coefficients=lambda k, comp: _anchor(k)[comp],
     least=lambda v: v, clip=min,
     where=lambda cond, a, b: a if cond else b,
 )
@@ -189,17 +190,16 @@ _ARRAY = SimpleNamespace(
 )
 _SQRT_PI = math.sqrt(math.pi)
 _HALF_SQRT2 = math.sqrt(0.5)
-_ZETA_BI_MAX = (2.0 / 3.0) * _BI_OVERFLOW ** 1.5
+_ZETA_BI_MAX = (2.0 / 3.0) * BI_OVERFLOW ** 1.5
 
 
 def _taylor(x, comps, ops):
     """Requested components at |x| <= 8.25, from the nearest anchor."""
     k = ops.nearest(x * _ANCHORS_PER_UNIT)
     h = x - k / _ANCHORS_PER_UNIT
-    coefs = ops.coefficients(k)
     out = []
     for comp in comps:
-        c = coefs[comp]
+        c = ops.coefficients(k, comp)
         acc = c[_TAYLOR_TERMS - 1]
         for n in range(_TAYLOR_TERMS - 2, -1, -1):
             acc = acc * h + c[n]
@@ -260,7 +260,7 @@ def _monotone(x, comps, ops):
     q = ops.sqrt(root)
     decay = ops.exp(-zeta)
     growth = ops.exp(ops.clip(zeta, _ZETA_BI_MAX))
-    beyond = x > _BI_OVERFLOW
+    beyond = x > BI_OVERFLOW
     vals = (
         decay / (2.0 * _SQRT_PI * q) * (su[0] - su[1] + su[2] - su[3]),
         -q * decay / (2.0 * _SQRT_PI) * (sv[0] - sv[1] + sv[2] - sv[3]),
@@ -336,7 +336,7 @@ def airy(kind: str, x) -> float:
     """
     comp = _kind_index(kind)
     xf = float(x)
-    if comp >= 2 and xf > _BI_OVERFLOW:
+    if comp >= 2 and xf > BI_OVERFLOW:
         raise AiryOverflowError(f"Bi overflows double precision at x = {xf}")
     return _eval_float(xf, (comp,))[0]
 
@@ -366,7 +366,7 @@ def airy_array(kind: str, x) -> np.ndarray:
     if flat.size and flat.min() < LEFT_CUT:
         raise AiryDomainError(f"Airy argument {flat.min()!r} is below the left "
                               f"cut {LEFT_CUT}")
-    if comp >= 2 and flat.size and flat.max() > _BI_OVERFLOW:
+    if comp >= 2 and flat.size and flat.max() > BI_OVERFLOW:
         raise AiryOverflowError(
             f"Bi overflows double precision at x = {flat.max()}")
     out = np.empty_like(flat)

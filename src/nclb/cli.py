@@ -404,8 +404,7 @@ def _cmd_model_reconstruct(args, seed):
         with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(list(model.x_vars) + ["re", "im"])
-            for pt in points:
-                v = evaluator(pt)
+            for pt, v in zip(points, evaluator.batch(points).tolist()):
                 writer.writerow([repr(c) for c in pt] + [repr(v.real), repr(v.imag)])
     rep = pde_residual_field(model, evaluator, e_val, points)
     rec = CheckRecord(

@@ -123,12 +123,24 @@ def _partial(e, variables, idx):
 
 
 def apply(op: DiffOp, e: Expr) -> Expr:
-    """Apply the operator to an expression; result is in normal form."""
+    """Apply the operator to an expression; result is in normal form.
+
+    Each partial derivative is taken once: d^alpha e is the derivative of
+    the memoized d^beta e along alpha's first variable, beta being alpha with
+    one order fewer there, so the mixed d2 d3 e of the Heisenberg Laplacian
+    reuses its d3 e.
+    """
     e = ex.as_expr(e)
-    terms = [
-        ex.Product((c, _partial(e, op.variables, idx)))
-        for idx, c in op.coefficients.items()
-    ]
+    partials = {(0,) * len(op.variables): e}
+
+    def partial(idx):
+        if idx not in partials:
+            axis = next(a for a, k in enumerate(idx) if k)
+            lower = idx[:axis] + (idx[axis] - 1,) + idx[axis + 1:]
+            partials[idx] = ex.differentiate(partial(lower), op.variables[axis])
+        return partials[idx]
+
+    terms = [ex.Product((c, partial(idx))) for idx, c in op.coefficients.items()]
     return simplify(ex.Sum(tuple(terms))) if terms else ZERO
 
 
@@ -219,22 +231,28 @@ class SampleSpec:
         return [tuple(point[n] for n in names) for point in self.draw()]
 
 
+# the errors that skip a sample: a DomainError from an expression, and
+# AiryOverflowError or DomainExitError from a callable field
+SKIPPED = (ex.DomainError, AiryOverflowError, DomainExitError)
+
+
 def sampled(fn, points):
     """(rows, skipped): fn(*p) at each point p, and the count of points skipped.
 
-    This is the one place that decides which errors skip a sample: a
-    DomainError from an expression, and AiryOverflowError or DomainExitError
-    from a callable field.  A skipped point contributes nothing, even when fn
-    raised part-way through its row.  Any other error propagates, and when no
-    point evaluates the check is inconclusive.  Callers fold the rows with
-    `report.worst`, so a NaN or inf in a row makes the figure NaN.
+    This is the one place that decides which errors skip a sample (SKIPPED),
+    for rows evaluated one at a time here and for the rows of an
+    `expr.compile_array` function called with skip=SKIPPED.  A skipped point
+    contributes nothing, even when fn raised part-way through its row.  Any
+    other error propagates, and when no point evaluates the check is
+    inconclusive.  Callers fold the rows with `report.worst`, so a NaN or inf
+    in a row makes the figure NaN.
     """
     rows = []
     skipped = 0
     for p in points:
         try:
             rows.append(fn(*p))
-        except (ex.DomainError, AiryOverflowError, DomainExitError):
+        except SKIPPED:
             skipped += 1
     if not rows:
         raise InconclusiveError("all samples failed to evaluate")

@@ -9,12 +9,13 @@ syntax.
 Nodes are frozen, slotted dataclasses compared structurally.  Each is
 hashed once, at construction, from its children's stored hashes, so hashing
 a node for a dict or cache lookup reads one attribute however deep the tree
-is, and never recurses.
+is, and never recurses; `==` compares the stored hashes first and walks both
+trees with an explicit stack.
 
 Numeric evaluation has one code generator.  It turns an expression (or a
-tuple of them) into flat Python code over complex doubles, one local per
-distinct subtree, and wraps that body in one of two functions, compiled once
-per expression, argument names, bound names and wrapper:
+tuple of them) into flat code, one local per distinct subtree, and wraps
+that body in one of three functions, compiled once per expression, argument
+names, bound names and wrapper.  Its scalar emit runs on complex doubles:
 
 * a closure: `compile_expr` returns it for the normal form, and `evaluate`
   compiles the tree as given and calls it once;
@@ -24,7 +25,12 @@ per expression, argument names, bound names and wrapper:
 
 Both raise DomainError in the same places: log, fractional powers and Airy
 test their arguments inline, and an OverflowError or ZeroDivisionError of
-the arithmetic becomes one.
+the arithmetic becomes one.  Its array emit runs the same body on numpy
+arrays of points, one row per point (`compile_array`): a domain test marks
+rows instead of raising, Airy runs as one `airy_array` call on the rows
+still valid, and every marked row, or row with a non-finite value the
+closure could have raised on, is handed to the closure, so the array form
+raises, skips and returns non-finite values where the closure does.
 
 The normal form is a sum of monomials: rational coefficient times sorted
 factors, with same-base powers merged by exponent arithmetic, exponential
@@ -41,7 +47,9 @@ import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
-from .airyfun import LEFT_CUT, airy as _airy_numeric
+import numpy as np
+
+from .airyfun import BI_OVERFLOW, LEFT_CUT, airy as _airy_numeric, airy_array
 from .report import NclbError
 
 
@@ -71,12 +79,44 @@ def _as_fraction(x):
 
 class Expr:
     """Base of the node classes.  The stored hash `_hash` is a slot, not a
-    dataclass field, so `==`, `repr` and `to_text` never see it."""
+    dataclass field, so `repr` and `to_text` never see it."""
 
     __slots__ = ("_hash",)
 
     def __hash__(self):
         return self._hash
+
+    def __eq__(self, other):
+        """Structural equality.  Stored hashes are compared first, and the two
+        trees are walked with an explicit stack, so comparing deep trees
+        (or meeting an equal but distinct deep key in a dict) never recurses."""
+        if self is other:
+            return True
+        if not isinstance(other, Expr):
+            return NotImplemented
+        if self.__class__ is not other.__class__ or self._hash != other._hash:
+            return False
+        stack = [(self, other)]
+        push = stack.append
+        while stack:
+            a, b = stack.pop()
+            if a.__class__ is not b.__class__ or a._hash != b._hash:
+                return False
+            for name in a.__slots__:
+                u, v = getattr(a, name), getattr(b, name)
+                if u is v:
+                    continue
+                if u.__class__ is tuple:
+                    if len(u) != len(v):
+                        return False
+                    for pair in zip(u, v):
+                        if pair[0] is not pair[1]:
+                            push(pair)
+                elif isinstance(u, Expr):
+                    push((u, v))
+                elif u != v:
+                    return False
+        return True
 
     def __reduce__(self):
         # rebuild through the constructor: a stored hash is per-process
@@ -117,11 +157,10 @@ class Expr:
 
 
 def _node(cls):
-    """A frozen, slotted dataclass node that keeps `Expr.__hash__` (a frozen
-    dataclass would otherwise get a hash that walks the whole subtree)."""
-    cls = dataclass(frozen=True, slots=True, repr=False)(cls)
-    cls.__hash__ = Expr.__hash__
-    return cls
+    """A frozen, slotted dataclass node that keeps `Expr.__eq__` and
+    `Expr.__hash__` (the generated ones would walk the whole subtree by
+    recursion)."""
+    return dataclass(frozen=True, slots=True, repr=False, eq=False)(cls)
 
 
 def _seal(node, key):
@@ -571,20 +610,41 @@ _RUNTIME = {"_exp": cmath.exp, "_log": cmath.log, "_airy": _airy_numeric,
             "DomainError": DomainError, "_LEFT_CUT": LEFT_CUT, "_INF": math.inf}
 
 
-def _source(e, varnames, bound, loop):
-    """Source of `_make(*bound values)`, which returns `_f(*varnames)` or,
-    with loop, the RK4 loop `_run` of `compile_rk4`.
+def _airy_rows(kind, t, bad):
+    """Airy values of the real parts of t on the rows not yet marked bad,
+    from one `airy_array` call; 0 on the bad rows."""
+    out = np.zeros(bad.shape, dtype=complex)
+    out[~bad] = airy_array(kind, np.broadcast_to(t.real, bad.shape)[~bad])
+    return out
+
+
+_ARRAY_RUNTIME = {"_exp": np.exp, "_log": np.log, "_airy": _airy_rows,
+                  "_LEFT_CUT": LEFT_CUT, "_INF": math.inf, "_BI_MAX": BI_OVERFLOW,
+                  "_isfinite": np.isfinite, "_zeros": np.zeros,
+                  "_shape": lambda *a: np.broadcast_shapes(*map(np.shape, a)),
+                  "_cx": lambda a: np.asarray(a, dtype=complex)}
+
+
+def _source(e, varnames, bound, wrapper):
+    """Source of `_make(*bound values)`, which returns the function of
+    `wrapper`: "closure" `_f(*varnames)`, "rk4" the loop `_run` of
+    `compile_rk4`, or "array" `_f(*columns) -> (bad, *values)`.
 
     The body computes one local per inner node in evaluation order, so the
     source stays flat however deep the tree is.  A node whose code text was
     already emitted reuses that local (and its domain test), so each distinct
-    subtree is computed once per evaluation.
+    subtree is computed once per evaluation.  The array body runs the same
+    code on numpy arrays: a failing domain test marks its rows in `_bad`
+    instead of raising, and so does a non-finite value at the arguments of
+    exp, log and powers or in a result.
     """
+    array = wrapper == "array"
     names = {v: f"_a{i}" for i, v in enumerate(varnames)}
     names.update((v, f"_b{i}") for i, v in enumerate(bound))
     lines = []
     local_of = {}  # code text -> its local
     checks = set()
+    watched = []  # array: locals whose non-finite rows go to the closure
 
     def local(code):
         if code not in local_of:
@@ -592,11 +652,21 @@ def _source(e, varnames, bound, loop):
             lines.append(f"{local_of[code]} = {code}")
         return local_of[code]
 
-    def check(test, what, t):
-        line = f"if {test}: raise DomainError(f'{what}, got {{complex({t})!r}}')"
+    def check(tests, what, t):
+        """Each of tests is true where t is outside the domain."""
+        if array:
+            line = "_bad = _bad | " + " | ".join(f"({c})" for c in tests)
+        else:
+            line = (f"if {' or '.join(tests)}: "
+                    f"raise DomainError(f'{what}, got {{complex({t})!r}}')")
         if line not in checks:
             checks.add(line)
             lines.append(line)
+
+    def watch(t):
+        if array and t not in watched:
+            watched.append(t)
+        return t
 
     def real(t):
         return f"abs({t}.imag) > {_REAL_TOL!r} * (1.0 + abs({t}.real))"
@@ -627,39 +697,54 @@ def _source(e, varnames, bound, loop):
         if isinstance(x, Product):
             return local("*".join(gen(f) for f in x.factors)) if x.factors else "(1+0j)"
         if isinstance(x, Exp):
-            return local(f"_exp({gen(x.arg)})")
+            return local(f"_exp({watch(gen(x.arg))})")
         if isinstance(x, Log):
-            t = gen(x.arg)
-            check(f"{t}.real <= 0.0", "log requires positive real part", t)
+            t = watch(gen(x.arg))
+            check([f"{t}.real <= 0.0"], "log requires positive real part", t)
             return local(f"_log({t})")
         if isinstance(x, Airy):
             t = gen(x.arg)
-            check(f"{real(t)} or not _LEFT_CUT <= {t}.real < _INF",
-                  f"Airy requires a finite real argument >= {LEFT_CUT!r}", t)
+            tests = [real(t), f"{t}.real < _LEFT_CUT", f"{t}.real != {t}.real",
+                     f"{t}.real == _INF"]
+            if array and x.kind.startswith("Bi"):
+                # the closure's `airy` raises AiryOverflowError there
+                tests.append(f"{t}.real > _BI_MAX")
+            check(tests, f"Airy requires a finite real argument >= {LEFT_CUT!r}", t)
+            if array:
+                return local(f"_airy({x.kind!r}, {t}, _bad)")
             return local(f"complex(_airy({x.kind!r}, {t}.real))")
         if isinstance(x, Power):
             ev = evaluate_const(x.exponent)
-            t = gen(x.base)
+            t = watch(gen(x.base))
             if ev.imag == 0.0 and ev.real == int(ev.real):
-                if maybe_real(x.base):
+                if maybe_real(x.base) and not array:
                     t = f"complex({t})"
                 return local(f"{t}**{int(ev.real)}")
-            check(f"{real(t)} or {t}.real <= 0.0",
+            check([real(t), f"{t}.real <= 0.0"],
                   "fractional power needs a positive real base", t)
             return local(f"_exp({ev!r} * _log({t}))")
         raise TypeError(f"not an expression: {x!r}")
 
-    results = [gen(x) for x in e] if isinstance(e, tuple) else gen(e)
+    results = [gen(x) for x in e] if isinstance(e, tuple) else [gen(e)]
     make = f"def _make({', '.join(names[v] for v in bound)}):\n"
+    args = ", ".join(names[v] for v in varnames)
     arith = ("except (OverflowError, ZeroDivisionError) as exc:\n"
              "    raise DomainError(f'{type(exc).__name__}: {exc}') from None\n")
-    if not loop:
-        result = ("(" + "".join(f"{r}, " for r in results) + ")"
-                  if isinstance(e, tuple) else results)
-        body = "".join(f"{line}\n" for line in lines) + f"return {result}\n"
-        return (make + f"    def _f({', '.join(names[v] for v in varnames)}):\n"
-                + _indent(f"try:\n{_indent(body, 4)}{arith}", 8) + "    return _f\n")
-    return make + _indent(_rk4_source(lines, results, len(varnames), arith), 4)
+    if wrapper == "rk4":
+        return make + _indent(_rk4_source(lines, results, len(varnames), arith), 4)
+    body = "".join(f"{line}\n" for line in lines)
+    if array:
+        head = "".join(f"{names[v]} = _cx({names[v]})\n" for v in varnames)
+        head += f"_bad = _zeros(_shape({args}), dtype=bool)\n"
+        seen = watched + [r for r in results if r not in watched]
+        body = (head + body + f"_bad = _bad | ~_isfinite({' + '.join(seen) or '0j'})\n"
+                + "return (_bad, " + "".join(f"{r}, " for r in results) + ")\n")
+        return make + f"    def _f({args}):\n" + _indent(body, 8) + "    return _f\n"
+    result = ("(" + "".join(f"{r}, " for r in results) + ")"
+              if isinstance(e, tuple) else results[0])
+    body += f"return {result}\n"
+    return (make + f"    def _f({args}):\n"
+            + _indent(f"try:\n{_indent(body, 4)}{arith}", 8) + "    return _f\n")
 
 
 def _indent(text, n):
@@ -695,7 +780,7 @@ def _rk4_source(lines, results, m, arith):
 
 
 @functools.lru_cache(maxsize=128)
-def _closure_maker(e, varnames, names, loop, normal):
+def _closure_maker(e, varnames, names, wrapper, normal):
     """(bound names, `_make`) for e.  Without normal, e is compiled as given
     with bound names `names`.  With normal, `names` are a caller's bind names
     and the key shares the entry of e's normal form and the bound names among
@@ -705,9 +790,9 @@ def _closure_maker(e, varnames, names, loop, normal):
         nf = tuple(simplify(x) for x in e) if isinstance(e, tuple) else simplify(e)
         free = free_vars(Sum(nf) if isinstance(nf, tuple) else nf) - set(varnames)
         bound = tuple(sorted(free.intersection(names)))
-        return _closure_maker(nf, varnames, bound, loop, False)
-    ns = dict(_RUNTIME)
-    exec(_source(e, varnames, names, loop), ns)  # noqa: S102 - generated from the tree
+        return _closure_maker(nf, varnames, bound, wrapper, False)
+    ns = dict(_ARRAY_RUNTIME if wrapper == "array" else _RUNTIME)
+    exec(_source(e, varnames, names, wrapper), ns)  # noqa: S102 - generated from the tree
     return names, ns["_make"]
 
 
@@ -727,7 +812,7 @@ def evaluate(e: Expr, assignment=None) -> complex:
         args = [complex(a[v]) for v in names]
     except KeyError as exc:
         raise MissingVariableError(f"no value for variable {exc.args[0]!r}") from None
-    val = _closure_maker(e, names, (), False, False)[1]()(*args)
+    val = _closure_maker(e, names, (), "closure", False)[1]()(*args)
     if not cmath.isfinite(val):
         raise DomainError(f"evaluation produced a non-finite value: {val!r}")
     return val
@@ -756,7 +841,7 @@ def compile_expr(e, varnames, bind=None):
     MissingVariableError.  Code is generated once per (normal form,
     varnames, bound names) in a bounded cache; bound values are not code.
     """
-    return _compiled(e, tuple(varnames), bind, False)
+    return _compiled(e, tuple(varnames), bind, "closure")
 
 
 def compile_rk4(rates, varnames, bind=None):
@@ -782,12 +867,56 @@ def compile_rk4(rates, varnames, bind=None):
     if not len(varnames) <= len(rates) <= len(varnames) + 1:
         raise ValueError(f"expected {len(varnames)} rates and at most one more, "
                          f"got {len(rates)}")
-    return _compiled(tuple(rates), varnames, bind, True)
+    return _compiled(tuple(rates), varnames, bind, "rk4")
 
 
-def _compiled(e, varnames, bind, loop):
+def compile_array(e, varnames, bind=None):
+    """Compile the normal form of e (or a tuple of them) to a function
+    f(*columns, skip=()) -> (values, ok) over arrays of points.
+
+    The columns are arrays (or numbers) of the values of `varnames` that
+    broadcast to one 1-D shape (N,).  values has shape (N,) for one
+    expression and (len(e), N) for a tuple; ok marks the rows that
+    evaluated.  The array code runs on all rows at once with numpy; a row
+    whose domain test fails or whose value it cannot vouch for (a
+    non-finite argument of exp, log or a power, or a non-finite result) is
+    evaluated by `compile_expr`'s closure instead, so every row raises,
+    returns a value or a non-finite number exactly where that closure does.
+    An error of that closure in `skip` leaves the row's ok False, any other
+    propagates.  `bind` is handled, and code cached, as in `compile_expr`.
+    """
+    varnames = tuple(varnames)
+    arr = _compiled(e, varnames, bind, "array")
+
+    def f(*columns, skip=()):
+        try:
+            with np.errstate(all="ignore"):
+                bad, *vals = arr(*columns)
+        except (OverflowError, ZeroDivisionError):
+            # Python arithmetic on constants: the closure decides every row
+            bad = np.ones(np.broadcast_shapes(*map(np.shape, columns)), dtype=bool)
+            vals = ()
+        out = np.empty((len(e) if isinstance(e, tuple) else 1,) + bad.shape, dtype=complex)
+        for row, v in zip(out, vals):
+            row[...] = v
+        ok = ~bad
+        if bad.any():
+            scalar = _compiled(e, varnames, bind, "closure")
+            cols = [np.broadcast_to(c, bad.shape) for c in columns]
+            for i in np.flatnonzero(bad):
+                try:
+                    out[:, i] = scalar(*(c[i].item() for c in cols))
+                except skip:
+                    continue
+                ok[i] = True
+        return (out if isinstance(e, tuple) else out[0]), ok
+
+    return f
+
+
+def _compiled(e, varnames, bind, wrapper):
     bind = bind or {}
-    bound, make = _closure_maker(e, varnames, tuple(sorted(bind)), loop, True)
+    bound, make = _closure_maker(e, varnames, tuple(sorted(bind)), wrapper, True)
     return make(*(complex(bind[v]) for v in bound))
 
 

@@ -676,6 +676,8 @@ class _GftGrid:
     e^{i k x2}^T . row . e^{i J x3}: 2n exponentials per point, not n^2.
     """
 
+    ROW_BUDGET = 1 << 13  # Airy arguments per `airy_array` call
+
     def __init__(self, phi_hat, energy, box, n):
         (k_lo, k_hi), (j_lo, j_hi) = box
         if j_lo <= 0.0 <= j_hi:
@@ -698,8 +700,21 @@ class _GftGrid:
         arg = (self.two_j2 * x1 + self.kj2 + self.e_val) / self.scale
         return self.base * airy_array("Ai", arg)
 
-    def value(self, row, x2, x3):
-        return np.exp(1j * x2 * self.k) @ row @ np.exp(1j * x3 * self.j)
+    def values(self, points):
+        """psi at each point of an (m, 3) array: the rows of the distinct x1
+        values (at most ROW_BUDGET Airy arguments per `rows` call), then the
+        separable sum of every point of each x1."""
+        pts = np.asarray(points, dtype=float).reshape(len(points), 3)
+        x1s, which = np.unique(pts[:, 0], return_inverse=True)
+        e2 = np.exp(1j * np.outer(pts[:, 1], self.k))
+        e3 = np.exp(1j * np.outer(pts[:, 2], self.j))
+        out = np.empty(len(pts), dtype=complex)
+        chunk = max(1, self.ROW_BUDGET // self.base.size)
+        for lo in range(0, len(x1s), chunk):
+            for i, row in enumerate(self.rows(x1s[lo:lo + chunk]), lo):
+                at = np.flatnonzero(which == i)
+                out[at] = np.sum((e2[at] @ row) * e3[at], axis=1)
+        return out
 
 
 def inverse_gft_h3(phi_hat, energy, x_points, quad_spec: QuadSpec2D):
@@ -711,39 +726,34 @@ def inverse_gft_h3(phi_hat, energy, x_points, quad_spec: QuadSpec2D):
     phi_hat is a callable on (k, J) grids, supported inside quad_spec.box,
     which must stay away from J = 0.  Returns a complex array over x_points.
     """
-    xs = [tuple(float(c) for c in p) for p in x_points]
-    x1s = sorted({p[0] for p in xs})
-    grid = _GftGrid(phi_hat, energy, quad_spec.box, quad_spec.n)
-    rows = dict(zip(x1s, grid.rows(x1s)))
-    return np.array([grid.value(rows[x1], x2, x3) for x1, x2, x3 in xs],
-                    dtype=complex)
+    return _GftGrid(phi_hat, energy, quad_spec.box, quad_spec.n).values(list(x_points))
 
 
 def inverse_gft_h3_evaluator(phi_hat, energy, quad_spec: QuadSpec2D):
-    """Pointwise evaluator x -> psi(x) over fixed quadrature nodes.
+    """Pointwise evaluator x -> psi(x) over fixed quadrature nodes, with the
+    batched entry psi.batch(points) -> values at an (m, 3) point array.
 
-    Suits finite-difference probing: repeated x1 values reuse their Airy row
-    via an internal cache, so stencil clouds cost little beyond the first
-    evaluation at each x1.
+    Both are `_GftGrid.values`: a call is a batch of one point, and a batch
+    computes the Airy rows of its distinct x1 values once, so a stencil
+    cloud handed to `batch` costs one `airy_array` call.  No row is kept
+    between calls.
     """
     grid = _GftGrid(phi_hat, energy, quad_spec.box, quad_spec.n)
-    cache = {}
 
     def psi(point):
-        x1, x2, x3 = (float(c) for c in point)
-        if x1 not in cache:
-            cache[x1] = grid.rows([x1])[0]
-        return complex(grid.value(cache[x1], x2, x3))
+        return complex(grid.values([point])[0])
 
+    psi.batch = grid.values
     return psi
 
 
 def pde_residual_field(model, psi, energy, samples, fd_step=0.05) -> ResidualReport:
     """`operator_residual` of the model's Laplacian on a sampled field.
 
-    psi is a callable on coordinate tuples; the Laplacian is applied through
-    4th-order stencils, so the reported residual carries the O(h^4)
-    truncation of smooth fields on top of any model error.
+    psi is a callable on coordinate tuples (evaluated through psi.batch when
+    it has one); the Laplacian is applied through 4th-order stencils, so the
+    reported residual carries the O(h^4) truncation of smooth fields on top
+    of any model error.
     """
     return operator_residual(model.laplacian, psi, energy, samples, fd_step=fd_step)
 
@@ -753,24 +763,26 @@ def mode_superposition_h3(amplitude, energy, x_points, quad_spec: QuadSpec2D):
 
     Same double quadrature as inverse_gft_h3 but routed through the symbolic
     mode solution; under A(mu,nu) = (2 nu^2)^(1/3)/(2 pi)^2 phi_hat(mu, nu)
-    the two agree pointwise.
+    the two agree pointwise.  The amplitude is called once, on the (mu, nu)
+    node grids, as inverse_gft_h3 calls phi_hat; the compiled mode family
+    (`expr.compile_array`) is evaluated over the whole node grid at each
+    output point.
     """
     (k_lo, k_hi), (j_lo, j_hi) = quad_spec.box
     if j_lo <= 0.0 <= j_hi:
         raise SingularMeasureError("spectral support must exclude nu = 0")
     mode = mode_solution_h3(Var("mu"), Var("nu"), ex.as_expr(energy))
-    f_mode = ex.compile_expr(mode, ["mu", "nu", "x1", "x2", "x3"])
+    f_mode = ex.compile_array(mode, ["mu", "nu", "x1", "x2", "x3"])
     k, wk = gl_nodes(quad_spec.n, float(k_lo), float(k_hi))
     j, wj = gl_nodes(quad_spec.n, float(j_lo), float(j_hi))
+    kg, jg = np.meshgrid(k, j, indexing="ij")
+    weighted = (np.outer(wk, wj) * np.asarray(amplitude(kg, jg))).ravel()
+    kg, jg = kg.ravel(), jg.ravel()
     out = []
     for (x1, x2, x3) in x_points:
-        acc = 0j
-        for ki, wki in zip(k, wk):
-            for ji, wji in zip(j, wj):
-                acc += wki * wji * amplitude(ki, ji) * f_mode(
-                    ki, ji, float(x1), float(x2), float(x3))
-        out.append(acc)
-    return np.array(out)
+        vals, _ = f_mode(kg, jg, float(x1), float(x2), float(x3))
+        out.append(np.sum(weighted * vals))
+    return np.array(out, dtype=complex)
 
 
 def airy_identity_check(x, t) -> float:

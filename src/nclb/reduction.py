@@ -16,9 +16,11 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
+import numpy as np
+
 from . import expr as ex
 from .bilinear import laplacian_data
-from .diffop import (DiffOp, DomainExitError, SampleSpec, apply,
+from .diffop import (SKIPPED, DiffOp, DomainExitError, SampleSpec, apply,
                      bracket_defects, compose, laplacian_image, op_equal,
                      sampled)
 from .expr import Expr, Var, ZERO, simplify
@@ -406,45 +408,83 @@ def solve_reduced(Z, V, energy, phi, q_targets, step, *, v: Expr, u=(),
 _FD1 = ((-2, 1.0 / 12.0), (-1, -8.0 / 12.0), (1, 8.0 / 12.0), (2, -1.0 / 12.0))
 _FD2 = ((-2, -1.0 / 12.0), (-1, 16.0 / 12.0), (0, -30.0 / 12.0),
         (1, 16.0 / 12.0), (2, -1.0 / 12.0))
+_FAILED = object()  # a stencil point whose field value raised a SKIPPED error
 
 
-def fd_apply(coeff_fns, psi, point, h):
-    """Apply an order-<=2 operator to a sampled field by 4th-order stencils.
+def _stencil(op):
+    """(offsets, weights, orders, centre): op's 4th-order stencils as one table.
 
-    coeff_fns maps multi-index -> callable(*point); psi is callable on
-    coordinate tuples; mixed second derivatives use the tensor product of
-    first-derivative stencils.
+    offsets is the (K, d) array of the distinct stencil points of all of op's
+    multi-indices, as integer multiples of the step, in the order the
+    stencils first use them; row `centre` is the zero offset.  The stencil of
+    multi-index i at q with step h is
+    sum_k weights[i, k] f(q + h offsets[k]) / h**orders[i].  Mixed second
+    derivatives use the tensor product of first-derivative stencils.
     """
-    point = tuple(float(x) for x in point)
-
-    def shifted(axis_offsets):
-        p = list(point)
-        for axis, k in axis_offsets:
-            p[axis] += k * h
-        return psi(tuple(p))
-
-    total = 0j
-    for idx, cf in coeff_fns.items():
-        order = sum(idx)
-        cval = cf(*point)
-        if order == 0:
-            total += cval * shifted([])
-        elif order == 1:
-            axis = idx.index(1)
-            acc = sum(w * shifted([(axis, k)]) for k, w in _FD1)
-            total += cval * acc / h
-        elif 2 in idx:
-            axis = idx.index(2)
-            acc = sum(w * shifted([(axis, k)]) for k, w in _FD2)
-            total += cval * acc / (h * h)
+    d = len(op.variables)
+    column = {}
+    table = []
+    for idx in op.coefficients:
+        axes = [a for a, k in enumerate(idx) if k]
+        if not axes:
+            terms = [((), 1.0)]
+        elif sum(idx) == 1:
+            terms = [(((axes[0], k),), w) for k, w in _FD1]
+        elif len(axes) == 1:
+            terms = [(((axes[0], k),), w) for k, w in _FD2]
         else:
-            axes = [a for a, v in enumerate(idx) if v == 1]
-            acc = 0j
-            for k1, w1 in _FD1:
-                for k2, w2 in _FD1:
-                    acc += w1 * w2 * shifted([(axes[0], k1), (axes[1], k2)])
-            total += cval * acc / (h * h)
-    return total
+            terms = [(((axes[0], k1), (axes[1], k2)), w1 * w2)
+                     for k1, w1 in _FD1 for k2, w2 in _FD1]
+        row = {}
+        for shift, w in terms:
+            off = [0] * d
+            for axis, k in shift:
+                off[axis] = k
+            row[column.setdefault(tuple(off), len(column))] = w
+        table.append(row)
+    centre = column.setdefault((0,) * d, len(column))
+    weights = np.zeros((len(table), len(column)))
+    for i, row in enumerate(table):
+        for k, w in row.items():
+            weights[i, k] = w
+    offsets = np.array(list(column), dtype=float).reshape(len(column), d)
+    return offsets, weights, np.array([sum(idx) for idx in op.coefficients]), centre
+
+
+def _field_at(psi):
+    """values(block, ok) -> (values, ok) of a callable field at the stencil
+    points block[s] (an (S, K, d) array) of the samples s marked in ok.
+
+    With a `batch` attribute, psi.batch(points) gives the values at an
+    (m, d) point array in one call, and its errors propagate.  Otherwise psi
+    is called once per distinct point, sample by sample, and a point that
+    raises skips exactly the samples whose stencils need it.
+    """
+    batch = getattr(psi, "batch", None)
+
+    def values(block, ok):
+        s_n, k_n, d = block.shape
+        out = np.zeros((s_n, k_n), dtype=complex)
+        rows = np.flatnonzero(ok)
+        if batch is not None:
+            out[rows] = np.reshape(batch(block[rows].reshape(-1, d)), (len(rows), k_n))
+            return out, ok
+        ok = ok.copy()
+        memo = {}
+        for s in rows:
+            for k, p in enumerate(map(tuple, block[s].tolist())):
+                if p not in memo:
+                    try:
+                        memo[p] = psi(p)
+                    except SKIPPED:
+                        memo[p] = _FAILED
+                if memo[p] is _FAILED:
+                    ok[s] = False
+                    break
+                out[s, k] = memo[p]
+        return out, ok
+
+    return values
 
 
 def operator_residual(op: DiffOp, psi, energy, samples, params=None,
@@ -457,64 +497,81 @@ def operator_residual(op: DiffOp, psi, energy, samples, params=None,
     exact (int or Fraction) energy is folded into psi before op is applied;
     any other energy stays the symbol E, bound through params unless they
     already bind it.  op psi is built once, the residual simplified once,
-    and (residual, psi) sampled through `diffop.sampled`; the symbolic
-    op psi is cross-checked against `fd_apply`'s stencils at the first 10
-    samples.  A callable psi goes through the stencils alone, with
-    each distinct stencil point evaluated once per sample.  A NaN or inf
-    value makes the figure NaN; a field numerically zero on every sample
-    raises InconclusiveError.
+    and (residual, psi) evaluated over all samples at once through
+    `expr.compile_array`; at the first 10 samples the symbolic op psi, as
+    residual + E psi, is cross-checked against the 4th-order stencils
+    (`_stencil`) of psi, whose points go through the same (residual, psi)
+    code.  A callable psi goes through the stencils alone, with each
+    distinct stencil point evaluated once per check (`_field_at`).  A
+    sample is skipped when a coefficient, psi or a stencil point it needs
+    raises one of `diffop.SKIPPED`.  A NaN or inf value makes the figure
+    NaN; a field numerically zero on every sample raises
+    InconclusiveError.  A stencil step that is not positive and finite
+    raises StepError.
     """
+    if not (math.isfinite(fd_step) and fd_step > 0.0):
+        raise StepError(f"stencil step must be positive and finite, got {fd_step!r}")
     exact = isinstance(psi, Expr) and isinstance(energy, (int, Fraction))
     params = dict(params or {})
     if not exact:
         params.setdefault("E", complex(energy))
     names = op.variables
-    samples = list(samples)
-    coeff_fns = {idx: ex.compile_expr(c, names, bind=params)
-                 for idx, c in op.coefficients.items()}
+    q = np.array([[float(x) for x in p] for p in samples], dtype=float)
+    q = q.reshape(len(q), len(names))
+    offsets, weights, orders, centre = _stencil(op)
+    coeffs = ex.compile_array(tuple(op.coefficients.values()), names, bind=params)
 
-    def stencil(field, q):
-        """(op field, field) at q, evaluating field once per distinct point."""
-        memo = {}
+    def stencil_values(field_at, pts):
+        """(coefficient values, field values at the stencil points, ok) at
+        the points pts, ok marking the points where all of them evaluate."""
+        c, ok = coeffs(*pts.T, skip=SKIPPED)
+        f, ok = field_at(pts[:, None, :] + fd_step * offsets, ok)
+        return c, f, ok
 
-        def at(p):
-            if p not in memo:
-                memo[p] = field(p)
-            return memo[p]
-
-        return fd_apply(coeff_fns, at, q, fd_step), at(tuple(float(x) for x in q))
+    def evaluated(ok):
+        if not ok.any():
+            raise InconclusiveError("all samples failed to evaluate")
+        return ok
 
     symbolic_zero, cross = False, 0.0
     if isinstance(psi, Expr):
         if exact and "E" in ex.free_vars(psi):
             psi = ex.subst(psi, {"E": energy})
-        op_psi = apply(op, psi)
-        resid = simplify(op_psi - (ex.as_expr(energy) if exact else Var("E")) * psi)
+        resid = simplify(apply(op, psi) - (ex.as_expr(energy) if exact else Var("E")) * psi)
         symbolic_zero = resid == ZERO
-        fn = ex.compile_expr((resid, psi), names, bind=params)
-        rows, skipped = sampled(lambda *q: tuple(map(abs, fn(*q))), samples)
-        f_psi = ex.compile_expr(psi, names, bind=params)
-        f_op = ex.compile_expr(op_psi, names, bind=params)
+        fn = ex.compile_array((resid, psi), names, bind=params)
+        (r, p), ok = fn(*q.T, skip=SKIPPED)
+        ok = evaluated(ok)
 
-        def cross_row(*q):
-            fd_val, _ = stencil(lambda p: f_psi(*p), q)
-            sym_val = f_op(*q)
-            return abs(fd_val - sym_val) / worst((abs(sym_val),), 1.0)
+        def psi_at(block, ok):
+            (_, v), v_ok = fn(*block.reshape(-1, len(names)).T, skip=SKIPPED)
+            return v.reshape(block.shape[:2]), ok & v_ok.reshape(block.shape[:2]).all(axis=1)
 
-        cross = worst(sampled(cross_row, samples[:10])[0])
+        c, f, ok10 = stencil_values(psi_at, q[:10])
+        ok10 = evaluated(ok10 & ok[:10])
+        e_val = complex(energy if exact else params["E"])
     else:
+        c, f, ok = stencil_values(_field_at(psi), q)
+        ok = evaluated(ok)
         e_val = complex(energy)
 
-        def row(*q):
-            lhs, pv = stencil(psi, q)
-            return abs(lhs - e_val * pv), abs(pv)
+    # a NaN or inf value makes the figure NaN, without a numpy warning
+    with np.errstate(all="ignore"):
+        lhs = (c.T * (f @ weights.T) / fd_step ** orders).sum(axis=1)
+        if isinstance(psi, Expr):
+            # the symbolic op psi is resid + E psi: the values the residual
+            # is made of
+            sym = (r[:10] + e_val * p[:10])[ok10]
+            scale = np.where(np.isfinite(abs(sym)), np.maximum(abs(sym), 1.0), np.nan)
+            cross = worst((abs(lhs[ok10] - sym) / scale).tolist())
+        else:
+            r, p = lhs - e_val * f[:, centre], f[:, centre]
+        r, p = abs(r[ok]).tolist(), abs(p[ok]).tolist()
 
-        rows, skipped = sampled(row, samples)
-
-    scale = worst((p for _, p in rows), 1e-12)
+    scale = worst(p, 1e-12)
     if scale <= 1e-12:
         raise InconclusiveError("field is numerically zero on all samples")
-    return ResidualReport(worst(r for r, _ in rows) / scale, len(rows), skipped,
+    return ResidualReport(worst(r) / scale, len(r), len(q) - len(r),
                           symbolic_zero, cross)
 
 

@@ -479,6 +479,13 @@ class TestModelCommands:
         body = out.read_text().splitlines()
         assert body[0] == "x1,x2,x3,re,im"
         assert len(body) == 1 + 27
+        # the rows are the inverse GFT at the same points
+        from nclb.models import QuadSpec2D, inverse_gft_h3
+        rows = np.array([[float(c) for c in line.split(",")] for line in body[1:]])
+        phi, box = cli._grid_interpolant(cli._read_points(str(p), 2))
+        want = inverse_gft_h3(phi, 1.0, rows[:, :3], QuadSpec2D(box=box, n=48))
+        got = rows[:, 3] + 1j * rows[:, 4]
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 class TestDeterminism:

@@ -60,6 +60,49 @@ class TestApply:
         assert apply(eta4, Var("x1")) == simplify(-2 * Var("x1"))
 
 
+def _apply_from_scratch(op, e):
+    """apply as it was: each partial taken from e itself, in variable order."""
+    from nclb.diffop import _partial
+    return simplify(ex.Sum(tuple(ex.Product((c, _partial(e, op.variables, idx)))
+                                 for idx, c in op.coefficients.items())))
+
+
+def _counting_differentiate(monkeypatch):
+    calls = []
+    real = ex.differentiate
+    monkeypatch.setattr(ex, "differentiate", lambda e, v: calls.append(v) or real(e, v))
+    return calls
+
+
+class TestApplyTakesEachPartialOnce:
+    def test_heisenberg_laplacian_takes_five_derivatives(self, h3, monkeypatch):
+        from nclb.models import mode_solution_h3
+        op, psi = h3.laplacian, mode_solution_h3(F(1, 2), F(1), F(1))
+        calls = _counting_differentiate(monkeypatch)
+        apply(op, psi)
+        assert sorted(calls) == ["x1", "x1", "x2", "x3", "x3"]
+
+    def test_g47_laplacian_takes_eleven_of_sixteen(self, g47, monkeypatch):
+        op = g47.laplacian
+        calls = _counting_differentiate(monkeypatch)
+        apply(op, Exp(x1 * x2) * Var("x4"))
+        assert len(calls) == 11
+
+    def test_same_trees_as_each_partial_from_scratch(self, h3, g47):
+        from nclb.models import mode_solution_h3
+        rng = random.Random(17)
+        for _ in range(20):
+            mu = F(rng.randint(-9, 9), rng.randint(1, 9))
+            nu = F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+            energy = F(rng.randint(-40, 40), rng.randint(1, 7))
+            psi = mode_solution_h3(mu, nu, energy, kind=rng.choice(("Ai", "Bi")))
+            assert apply(h3.laplacian, psi) == _apply_from_scratch(h3.laplacian, psi)
+        x4 = Var("x4")
+        for psi in (Exp(I * x2 - x1 * x3) * x4 ** 2, Log(x2) * x1 * x3 + Exp(x4 * x2),
+                    ex.Airy("Ai", x1 + 2 * x2 - x4) * Exp(I * x3)):
+            assert apply(g47.laplacian, psi) == _apply_from_scratch(g47.laplacian, psi)
+
+
 class TestCompose:
     def test_h3_second_order(self):
         _, xi2, xi3 = h3_xi()

@@ -5,11 +5,13 @@ import random
 import sys
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nclb import expr as ex
+from nclb.airyfun import AiryOverflowError, airy
 from nclb.expr import (Airy, Const, DomainError, Exp, I, Log,
                        MissingVariableError, Power, Var, ZERO, as_expr,
                        compile_expr, differentiate, evaluate, free_vars, parse,
@@ -284,6 +286,102 @@ class TestOneSemantics:
         assert f(1.5) == g(1.5) == 3.0
 
 
+ONE_SEMANTICS_CASES = [
+    (q ** 2, 1e200),                # OverflowError of a power
+    (Exp(q), 1000.0),               # OverflowError of exp
+    (Airy("Ai", q), -2e5),          # below LEFT_CUT
+    (Airy("Ai", q), float("nan")),  # not a finite real argument
+    (Power(q, -1), 0.0),            # zero to a negative power
+    (Log(q), -2.0),
+    (Power(q, F(1, 2)), -1.0),
+    (Exp(-Exp(q)), 1000.0),         # an overflow the array code would hide
+    (Power(Exp(q), -1), 1000.0),    # and one a negative power would hide
+]
+
+
+def _closure_outcome(f, value):
+    try:
+        return ("value", f(value))
+    except DomainError:
+        return ("raises", None)
+
+
+class TestArrayMode:
+    """`compile_array` runs the one generator over point arrays and agrees
+    with `compile_expr`'s closure on what raises, what is skipped and what
+    returns a non-finite value."""
+
+    @pytest.mark.parametrize("e, bad", ONE_SEMANTICS_CASES)
+    def test_rows_raise_or_skip_where_the_closure_raises(self, e, bad):
+        f, g = ex.compile_array(e, ["q"]), compile_expr(e, ["q"])
+        col = np.array([0.5, bad, 2.0])
+        vals, ok = f(col, skip=(DomainError,))
+        assert ok.tolist() == [True, False, True]
+        assert _closure_outcome(g, bad)[0] == "raises"
+        for v, got in zip(col[ok], vals[ok]):
+            assert got == pytest.approx(g(v), rel=1e-14)
+        with pytest.raises(DomainError):
+            f(col)
+
+    def test_non_finite_values_are_returned_as_the_closure_returns_them(self):
+        f, g = ex.compile_array(q ** 8, ["q"]), compile_expr(q ** 8, ["q"])
+        vals, ok = f(np.array([1e100, 2.0]))
+        assert ok.all()
+        assert not cmath.isfinite(vals[0]) and not cmath.isfinite(g(1e100))
+        assert vals[1] == g(2.0)
+
+    def test_simplify_may_drop_a_domain_restriction(self):
+        vals, ok = ex.compile_array(Log(q) - Log(q), ["q"])(np.array([-1.0, 2.0]))
+        assert ok.all() and vals.tolist() == [0, 0]
+
+    def test_bi_overflow_raises_where_the_closure_raises(self):
+        # airy_array would raise for the whole array; the closure turns
+        # the AiryOverflowError of its row into a DomainError
+        f = ex.compile_array(Airy("Bi", q), ["q"])
+        with pytest.raises(AiryOverflowError):
+            airy("Bi", 200.0)
+        vals, ok = f(np.array([1.0, 200.0]), skip=(DomainError,))
+        assert ok.tolist() == [True, False]
+        assert vals[0] == pytest.approx(airy("Bi", 1.0), rel=1e-14)
+        with pytest.raises(DomainError, match="Bi overflows"):
+            f(np.array([1.0, 200.0]))
+
+    def test_an_error_of_constant_arithmetic_hands_every_row_to_the_closure(self):
+        # 0^-1 stays atomic in the normal form; Python raises on it at once
+        f = ex.compile_array(q * Power(ex.ZERO, -1), ["q"])
+        vals, ok = f(np.array([1.0, 2.0]), skip=(DomainError,))
+        assert not ok.any()
+        with pytest.raises(DomainError, match="ZeroDivisionError"):
+            f(np.array([1.0, 2.0]))
+
+    def test_tuple_bound_values_and_broadcast_columns(self):
+        e = (Exp(q * J) * Airy("Ai", x), Log(x) + J)
+        f = ex.compile_array(e, ["q", "x"], bind={"J": 0.5})
+        g = compile_expr(e, ["q", "x"], bind={"J": 0.5})
+        xs = np.linspace(-3.0, 3.0, 13)
+        vals, ok = f(0.7, xs, skip=(DomainError,))
+        assert vals.shape == (2, 13)
+        for v, good, col in zip(xs, ok, vals.T):
+            assert good == (v > 0)
+            if good:
+                assert col == pytest.approx(g(0.7, v), rel=1e-13)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_random_trees_agree_with_the_closure(self, seed):
+        rng = random.Random(seed)
+        e = _random_expr(rng, 3)
+        names = ["q", "x", "y"]
+        g = compile_expr(e, names)
+        pts = np.array([[rng.uniform(-2, 2) for _ in names] for _ in range(6)])
+        vals, ok = ex.compile_array(e, names)(*pts.T, skip=(DomainError,))
+        for p, v, good in zip(pts, vals, ok):
+            kind, want = _closure_outcome(lambda a: g(*a), p.tolist())
+            assert good == (kind == "value")
+            if good and cmath.isfinite(want):
+                assert abs(v - want) <= 1e-12 * max(1.0, abs(want))
+
+
 class TestEachSubtreeOnce:
     """A subtree that occurs twice in a field is computed, and its domain
     tested, once per evaluation."""
@@ -483,6 +581,17 @@ class TestDepth:
     def test_hash_of_a_deep_chain_does_not_recurse(self):
         a, b = _alternating(2000), _alternating(2000)
         assert hash(a) == hash(b)
+
+    def test_equality_of_deep_trees_does_not_recurse(self):
+        a, b = _alternating(2000), _alternating(2000)
+        assert a is not b
+        assert a == b
+        assert not a != b
+        assert {a: 1}[b] == 1
+        assert a != _alternating(1999)
+        # equal hashes are no shortcut: one leaf deep down differs
+        assert ex.Sum((x, a)) != ex.Sum((q, b))
+        assert ex.Exp(ex.Sum((q, a))) != ex.Exp(ex.Sum((x, b)))
 
 
 # --- random expression generator ---------------------------------------------

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -82,6 +83,61 @@ class TestInverseGft:
         scale = float(np.max(np.abs(direct)))
         assert np.max(np.abs(direct - via_kernel)) <= 1e-6 * scale
 
+    def test_a_wrapped_evaluator_keeps_its_batch_and_its_report(self, h3):
+        # a functools.wraps wrapper, as a tracer puts around the evaluator,
+        # copies the batched entry, so the residual takes the same path
+        ev = inverse_gft_h3_evaluator(
+            bump(0.0, 1.0, 0.2), 1.0,
+            QuadSpec2D(box=((-1.0, 1.0), (0.2, 1.8)), n=32))
+        calls = []
+
+        @functools.wraps(ev)
+        def traced(point):
+            calls.append(point)
+            return ev(point)
+
+        assert traced.batch is ev.batch
+        bare = pde_residual_field(h3, ev, 1.0, GRID, fd_step=0.05)
+        assert pde_residual_field(h3, traced, 1.0, GRID, fd_step=0.05) == bare
+        assert calls == []
+
+    def test_a_call_is_a_batch_of_one_point(self):
+        spec = QuadSpec2D(box=((-1.0, 1.0), (0.2, 1.8)), n=24)
+        ev = inverse_gft_h3_evaluator(bump(0.0, 1.0, 0.2), 1.0, spec)
+        batch = ev.batch(GRID)
+        assert batch.tolist() == inverse_gft_h3(bump(0.0, 1.0, 0.2), 1.0, GRID,
+                                                spec).tolist()
+        # one point's sum is a vector-matrix product, a batch's a matrix one
+        single = np.array([ev(p) for p in GRID])
+        assert np.max(np.abs(single - batch)) <= 1e-15 * np.max(np.abs(batch))
+
+    def test_rows_come_in_bounded_airy_calls(self, monkeypatch):
+        sizes = []
+        real = models.airy_array
+        monkeypatch.setattr(models, "airy_array",
+                            lambda kind, x: sizes.append(np.size(x)) or real(kind, x))
+        spec = QuadSpec2D(box=((-1.0, 1.0), (0.2, 1.8)), n=64)
+        grid = models._GftGrid(bump(0.0, 1.0, 0.2), 1.0, spec.box, spec.n)
+        pts = [(0.01 * i, 0.1, -0.2) for i in range(5)] * 2
+        vals = grid.values(pts)
+        assert sum(sizes) == 5 * 64 * 64
+        assert max(sizes) <= models._GftGrid.ROW_BUDGET
+        assert vals[:5].tolist() == vals[5:].tolist()
+
+    def test_superposition_calls_the_amplitude_once_on_the_node_grids(self):
+        spec = QuadSpec2D(box=((-1.0, 1.0), (0.2, 1.8)), n=16)
+        phi = bump(0.0, 1.0, 0.2)
+        shapes = []
+
+        def amp(mu, nu):
+            shapes.append((np.shape(mu), np.shape(nu)))
+            return (2 * nu * nu) ** (1 / 3) / (2 * math.pi) ** 2 * phi(mu, nu)
+
+        direct = mode_superposition_h3(amp, 1, GRID[:9], spec)
+        assert shapes == [((16, 16), (16, 16))]
+        via = inverse_gft_h3(phi, 1.0, GRID[:9], spec)
+        assert np.max(np.abs(direct - via)) <= 1e-6 * np.max(np.abs(direct))
+
     @pytest.mark.parametrize("phi, box", [
         (bump(0.0, 1.0, 0.2), ((-1.0, 1.0), (0.2, 1.8))),      # c10's
         (bump(0.1, -1.0, 0.25), ((-0.8, 0.6), (-1.7, -0.3))),  # negative J
@@ -91,14 +147,13 @@ class TestInverseGft:
         kg, jg = np.meshgrid(grid.k, grid.j, indexing="ij")
         rng = np.random.default_rng(5)
         x1s = rng.uniform(-1.5, 1.5, 8)
-        rows = grid.rows(x1s)
-        got, want = [], []
-        for row in rows:
+        points, want = [], []
+        for x1, row in zip(x1s, grid.rows(x1s)):
             for x2, x3 in rng.uniform(-3.0, 3.0, (8, 2)):
-                got.append(grid.value(row, x2, x3))
+                points.append((x1, x2, x3))
                 # the n^2 sum the separable form replaces
                 want.append(np.sum(row * np.exp(1j * (kg * x2 + jg * x3))))
-        got, want = np.array(got), np.array(want)
+        got, want = grid.values(points), np.array(want)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 

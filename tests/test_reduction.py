@@ -17,7 +17,7 @@ from nclb.reduction import (Characteristic, DomainExitError, InconclusiveError,
                             _characteristic, build_reduced,
                             conjugate_by_multiplier, extract_first_order, flow,
                             infinitesimal_action, local_lift_check,
-                            rectify_check, reduced_residual, solve_reduced,
+                            operator_residual, rectify_check, reduced_residual, solve_reduced,
                             verify_lambda_rep)
 from nclb.report import NclbError, VerificationError
 
@@ -577,3 +577,112 @@ class TestReducedResidual:
         red = build_reduced(h3, verify=False)
         rep = reduced_residual(red, psi, 1.0, samples, params={"J": 1.0})
         assert math.isnan(rep.max_residual)
+
+
+class TestStencilTable:
+    """One stencil table per operator: every sample's stencil points in one
+    block, each distinct point evaluated once per check."""
+
+    PTS = [(0.1, 0.2, 0.3), (0.4, -0.2, 0.1), (0.7, 0.5, -0.3)]
+
+    @staticmethod
+    def plane_wave(pt):
+        return cmath.exp(1j * (0.3 * pt[1] + 0.7 * pt[2]) - pt[0] ** 2)
+
+    @pytest.mark.parametrize("step", [0.0, -0.05, math.nan, math.inf])
+    def test_a_step_that_is_not_positive_and_finite_raises(self, h3, step):
+        with pytest.raises(StepError, match="stencil step"):
+            pde_residual_field(h3, self.plane_wave, 1.0, self.PTS, fd_step=step)
+        red = extract_first_order(build_reduced(h3, verify=False), 2 * I * J)
+        with pytest.raises(StepError, match="stencil step"):
+            reduced_residual(red, h3_closed_form(), 1.0, [(0.5,)],
+                             params={"J": 1.0}, fd_step=step)
+
+    def test_a_point_that_raises_skips_exactly_the_samples_that_need_it(self, h3):
+        # (0.1 + 2 * 0.05, 0.2, 0.3) is a stencil point of the first sample
+        # and the centre of the last one
+        pts = self.PTS + [(0.2, 0.2, 0.3)]
+        calls = []
+
+        def psi(pt):
+            calls.append(pt)
+            if pt in ((0.2, 0.2, 0.3), (0.4, -0.2, 0.1 - 0.05)):
+                raise ex.DomainError("off the field")
+            return self.plane_wave(pt)
+
+        rep = pde_residual_field(h3, psi, 1.0, pts, fd_step=0.05)
+        assert (rep.samples_used, rep.skipped_samples) == (1, 3)
+        assert calls.count((0.2, 0.2, 0.3)) == 1
+        assert len(calls) == len(set(calls))
+
+    def test_batch_entry_gives_the_per_point_report(self, h3):
+        batches = []
+
+        def psi(pt):
+            return self.plane_wave(pt)
+
+        def batch(points):
+            batches.append(len(points))
+            return [self.plane_wave(p) for p in points.tolist()]
+
+        plain = pde_residual_field(h3, psi, 1.0, self.PTS)
+        psi.batch = batch
+        assert pde_residual_field(h3, psi, 1.0, self.PTS) == plain
+        assert batches == [3 * 25]
+
+    def test_expression_field_skips_where_its_closure_raises(self, h3):
+        x1, x2 = Var("x1"), Var("x2")
+        psi = Log(x1) * Exp(I * x2)
+        pts = [(a, 0.1 * a, -0.2) for a in (-0.6, -0.1, 0.3, 0.8, 1.5)]
+        rep = operator_residual(h3.laplacian, psi, 1.0, pts)
+        f = ex.compile_expr(psi, h3.x_vars)
+        expected = 0
+        for p in pts:
+            try:
+                f(*p)
+            except ex.DomainError:
+                expected += 1
+        assert (rep.samples_used, rep.skipped_samples) == (5 - expected, expected) == (3, 2)
+        assert rep.max_residual > 0.1
+
+    def test_matches_the_per_point_stencil_loop(self, h3, g47):
+        # the reference: each multi-index's stencil summed point by point
+        def loop_residual(op, psi, energy, samples, h, params):
+            coeffs = {idx: ex.compile_expr(c, op.variables, bind=params)
+                      for idx, c in op.coefficients.items()}
+            fd1 = ((-2, 1 / 12), (-1, -8 / 12), (1, 8 / 12), (2, -1 / 12))
+            fd2 = ((-2, -1 / 12), (-1, 16 / 12), (0, -30 / 12), (1, 16 / 12), (2, -1 / 12))
+
+            def at(q, shifts):
+                p = list(q)
+                for axis, k in shifts:
+                    p[axis] += k * h
+                return psi(tuple(p))
+
+            rows = []
+            for q in samples:
+                total = 0j
+                for idx, cf in coeffs.items():
+                    axes = [a for a, k in enumerate(idx) if k]
+                    if not axes:
+                        acc, div = at(q, ()), 1.0
+                    elif sum(idx) == 1:
+                        acc, div = sum(w * at(q, ((axes[0], k),)) for k, w in fd1), h
+                    elif len(axes) == 1:
+                        acc, div = sum(w * at(q, ((axes[0], k),)) for k, w in fd2), h * h
+                    else:
+                        acc = sum(w1 * w2 * at(q, ((axes[0], k1), (axes[1], k2)))
+                                  for k1, w1 in fd1 for k2, w2 in fd1)
+                        div = h * h
+                    total += cf(*q) * acc / div
+                rows.append((abs(total - energy * at(q, ())), abs(at(q, ()))))
+            return max(r for r, _ in rows) / max(p for _, p in rows)
+
+        red = build_reduced(g47, verify=False)
+        g47_field = lambda pt: cmath.exp(1j * pt[0] - pt[-1] ** 2)  # noqa: E731
+        for op, psi, pts, params in (
+                (h3.laplacian, self.plane_wave, self.PTS, {}),
+                (red.raw, g47_field, [(1.2, 0.5), (1.8, 0.7), (2.2, 0.9)], {"J": 1.0})):
+            rep = operator_residual(op, psi, 1.0, pts, params=params, fd_step=0.05)
+            want = loop_residual(op, psi, 1.0, pts, 0.05, dict(params, E=1.0))
+            assert rep.max_residual == pytest.approx(want, rel=1e-12)
