@@ -135,9 +135,11 @@ def _series_quad(x: float):
 
 
 # anchor k -> Taylor coefficients of (Ai, Ai', Bi, Bi') about k/8, as tuples
-# for floats; the array path reads the same numbers from _TABLE[:, :, k + _ANCHOR_MAX]
+# for floats; the array path reads the same numbers from _TABLE[:, :, k + _ANCHOR_MAX],
+# whose column k + _ANCHOR_MAX is filled once _BUILT says so
 _ANCHORS = {}
 _TABLE = np.zeros((4, _TAYLOR_TERMS, 2 * _ANCHOR_MAX + 1))
+_BUILT = np.zeros(2 * _ANCHOR_MAX + 1, dtype=bool)
 
 
 def _taylor_coefficients(x0, w, wp):
@@ -161,17 +163,20 @@ def _anchor(k):
         coefs = (_taylor_coefficients(x0, ai, aip)
                  + _taylor_coefficients(x0, bi, bip))
         _TABLE[:, :, k + _ANCHOR_MAX] = coefs
+        _BUILT[k + _ANCHOR_MAX] = True
         coefs = _ANCHORS[k] = tuple(tuple(c) for c in coefs)
     return coefs
 
 
 def _anchor_rows(k, comp):
     """Coefficients of component comp for an array of anchor indices, shape
-    (terms, len(k))."""
-    for kk in np.unique(k).tolist():
-        if kk not in _ANCHORS:
+    (terms, len(k)); only anchors not yet built are built."""
+    col = k + _ANCHOR_MAX
+    missing = ~_BUILT[col]
+    if missing.any():
+        for kk in set(k[missing].tolist()):
             _anchor(kk)
-    return _TABLE[comp][:, k + _ANCHOR_MAX]
+    return _TABLE[comp][:, col]
 
 
 # --- one evaluation core for floats and arrays ---------------------------------

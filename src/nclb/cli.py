@@ -18,6 +18,7 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -28,12 +29,9 @@ from . import expr as ex
 from .algebra import Subspace, index_witness, jacobi_defect, load_algebra
 from .bilinear import coisotropy_check, load_form
 from .expr import to_text
-from .models import (BUILDERS, QuadSpec2D, casimir_scalar_check,
-                     chart_samples, inverse_gft_h3_evaluator,
-                     invariant_frame_check, load_model, mode_solution_h3,
-                     pde_residual, pde_residual_field, validate_model)
-from .reduction import (NotFirstOrderError, build_reduced, extract_first_order,
-                        local_lift_check, rectify_check, verify_lambda_rep)
+from .models import (BUILDERS, QuadSpec2D, chart_samples, load_model,
+                     pde_residual, pde_residual_field)
+from .reduction import build_reduced, extract_first_order, rectify_check
 from .report import (DEFAULT_SEED, FAIL, INCONCLUSIVE, PASS, CheckRecord,
                      InconclusiveError, NclbError, VerificationError,
                      overall_status, worst)
@@ -60,6 +58,23 @@ def _frac(text):
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"not a rational: {text!r}") from exc
+
+
+# argparse reads a dash-led token as an option unless it looks like -1 or
+# -0.5, so `--E -1/2` and `--E -1e-3` would stop at a usage error
+_RATIONAL_OPTIONS = ("--alpha", "--beta", "--mu", "--nu", "--J", "--E")
+
+
+def _attach_negative_values(argv):
+    """argv with each negative number that follows a rational option joined
+    to it: `--E -1/2` -> `--E=-1/2`, which `_frac` then parses."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in _RATIONAL_OPTIONS and re.match(r"-[\d.]", tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
 
 
 def _real(text):
@@ -220,61 +235,13 @@ def _cmd_coisotropic(args, seed):
     return [rec], {"file": args.file, "form": args.form, "ideal": args.ideal}
 
 
-def _aggregate(name, records):
-    seeds = {r.seed for r in records if r.seed is not None}
-    status = overall_status(records)
-    return CheckRecord(
-        check=name, status=status,
-        max_residual=worst((r.max_residual or 0.0) for r in records),
-        samples_used=sum(r.samples_used for r in records),
-        seed=seeds.pop() if len(seeds) == 1 else None,
-        skipped_samples=sum(r.skipped_samples for r in records),
-        detail={"subchecks": [r.check for r in records if r.status != PASS]}
-        if status != PASS else {},
-    )
-
-
 def _load_model_from_args(args):
     return load_model(args.model, alpha=_frac(args.alpha), beta=_frac(args.beta))
 
 
 def _cmd_model_verify(args, seed):
     model = _load_model_from_args(args)
-    structural = validate_model(model, seed=seed)
-    records = []
-    records.append(_aggregate("jacobi", structural[:1]))
-    frame_recs = structural[1:] + invariant_frame_check(model, seed=seed)
-    records.append(_aggregate("frames", frame_recs))
-    records.append(_aggregate("lambda_rep", verify_lambda_rep(model, seed=seed)))
-    lift_worst = worst([local_lift_check(model, i, seed=seed)
-                        for i in range(1, model.dim + 1)])
-    records.append(CheckRecord(
-        check="lift", status=PASS if lift_worst <= 1e-12 else FAIL,
-        max_residual=lift_worst, seed=seed,
-    ))
-    red = build_reduced(model, verify=False)
-    try:
-        extract_first_order(red, model.normalizer)
-        records.append(CheckRecord(check="reduced_first_order", status=PASS,
-                                   max_residual=0.0))
-    except NotFirstOrderError as exc:
-        records.append(CheckRecord(check="reduced_first_order", status=FAIL,
-                                   detail={"error": str(exc)}))
-    if model.name == "heisenberg":
-        cas = casimir_scalar_check(model, element=3)
-        ok = cas.acts_as_scalar and all(
-            abs(v - 1j * jv) <= 1e-12 for jv, v in cas.values.items())
-        records.append(CheckRecord(
-            check="casimir", status=PASS if ok else FAIL,
-            detail={"values": {str(k): [v.real, v.imag]
-                               for k, v in cas.values.items()}},
-        ))
-    else:
-        rep = coisotropy_check(model.algebra, model.form, model.ideal)
-        records.append(CheckRecord(
-            check="coisotropy", status=PASS if rep.verdict else FAIL,
-            detail={"verdict": rep.verdict},
-        ))
+    records = [check(model, seed) for _, check in model.checks]
     params = {"model": args.model, "alpha": args.alpha, "beta": args.beta}
     return records, params
 
@@ -315,9 +282,9 @@ def _cmd_model_reduce(args, seed):
 def _cmd_model_residual(args, seed):
     model = _load_model_from_args(args)
     if args.psi == "mode":
-        if model.name != "heisenberg":
-            raise InputError("mode residuals are defined for the heisenberg model")
-        psi = mode_solution_h3(_frac(args.mu), _frac(args.nu), _frac(args.E))
+        if model.mode_solution is None:
+            raise InputError(f"model {args.model} has no closed-form mode family")
+        psi = model.mode_solution(_frac(args.mu), _frac(args.nu), _frac(args.E))
         points = _parse_grid(args.grid, model.x_vars)
         rep = pde_residual(model, psi, _frac(args.E), points)
         # c08's gates; a stencil cross-check above its gate cannot tell
@@ -393,13 +360,13 @@ def _grid_field_residual(model, table, e_val):
 
 def _cmd_model_reconstruct(args, seed):
     model = _load_model_from_args(args)
-    if model.name != "heisenberg":
-        raise InputError("reconstruction is implemented for the heisenberg model")
+    if model.inverse_gft is None:
+        raise InputError(f"model {args.model} has no inverse GFT")
     phi, box = _grid_interpolant(_read_points(args.phi, 2))
     points = _parse_grid(args.grid, model.x_vars)
     e_val = _real(args.E)
     _check_count(args.nodes, "--nodes")
-    evaluator = inverse_gft_h3_evaluator(phi, e_val, QuadSpec2D(box=box, n=args.nodes))
+    evaluator = model.inverse_gft(phi, e_val, QuadSpec2D(box=box, n=args.nodes))
     if args.out:
         with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -501,7 +468,7 @@ def _run(argv):
     """(exit_code, report_doc, whether the parsed flags ask for JSON)."""
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_values(argv))
     except SystemExit as exc:
         return (int(exc.code) if exc.code else 0), None, False
     seed = None

@@ -13,7 +13,8 @@ the printed coordinate Laplacian and the kernel smoke scheme.
 Everything printed here is data; the checks in this module and in
 `reduction` are what make it trustworthy: frame duality, associativity,
 Jacobi, commutation relations, Haar invariance, kernel lift generators,
-first-order reduction, and smeared orthogonality.
+first-order reduction, and smeared orthogonality.  Each builder lists the
+checks that apply to its model, which `nclb model verify` runs in order.
 """
 
 from __future__ import annotations
@@ -34,9 +35,11 @@ from .diffop import (DiffOp, SampleSpec, bracket_defects, commutator,
                      laplacian_image, op_equal, sampled)
 from .expr import Expr, Exp, I, Log, Power, Var, ZERO, simplify
 from .quadrature import gl_nodes, oscillatory_cubic_phase
-from .reduction import LambdaRep, ResidualReport, operator_residual
+from .reduction import (LambdaRep, NotFirstOrderError, ResidualReport,
+                        build_reduced, extract_first_order, local_lift_check,
+                        operator_residual, verify_lambda_rep)
 from .report import (DEFAULT_SEED, FAIL, INCONCLUSIVE, PASS, CheckRecord,
-                     NclbError, VerificationError, worst)
+                     NclbError, VerificationError, overall_status, worst)
 
 
 class ModelParameterError(NclbError, ValueError):
@@ -88,6 +91,12 @@ class GroupModel:
     Laplacian, entered independently of the frame assembly so the two can be
     compared term by term; smoke_scheme computes one pairing of
     `kernel_orthogonality_smoke`.
+
+    checks lists the records `nclb model verify` prints, in order, as
+    (name, check) pairs; check(model, seed) returns the CheckRecord of that
+    name.  mode_solution (mu, nu, E) -> Expr is the model's closed-form
+    mode family and inverse_gft (phi_hat, E, QuadSpec2D) -> evaluator its
+    inverse generalized Fourier transform; None where the model has none.
     """
 
     name: str
@@ -111,6 +120,9 @@ class GroupModel:
     chart_domain: object
     printed_laplacian: DiffOp
     smoke_scheme: object
+    checks: tuple
+    mode_solution: object
+    inverse_gft: object
 
     @property
     def dim(self):
@@ -206,6 +218,9 @@ def _heisenberg_model(_alpha, _beta) -> GroupModel:
             (0, 0, 2): 2 * x1,
         }),
         smoke_scheme=_smoke_heisenberg,
+        checks=_SHARED_CHECKS + (("casimir", _casimir),),
+        mode_solution=mode_solution_h3,
+        inverse_gft=inverse_gft_h3_evaluator,
     )
 
 
@@ -348,6 +363,9 @@ def _g47_model(alpha, beta) -> GroupModel:
         chart_domain=_g47_chart_domain,
         printed_laplacian=printed,
         smoke_scheme=_smoke_g47,
+        checks=_SHARED_CHECKS + (("coisotropy", _coisotropy),),
+        mode_solution=None,
+        inverse_gft=None,
     )
 
 
@@ -428,17 +446,19 @@ def _symbolic_or_sampled_zero(diff_exprs, spec):
     return worst(rows), len(rows), skipped
 
 
-def validate_model(model, seed=DEFAULT_SEED):
-    """Frame duality, multiplication-law laws, and Jacobi, as CheckRecords."""
-    records = []
-    n = model.dim
-
-    bad = jacobi_defect(model.algebra)
-    records.append(CheckRecord(
+def _jacobi_record(algebra):
+    bad = jacobi_defect(algebra)
+    return CheckRecord(
         check="jacobi", status=PASS if not bad else FAIL,
         max_residual=0.0 if not bad else 1.0,
         detail={"violations": [t for t, _ in bad]} if bad else {},
-    ))
+    )
+
+
+def validate_model(model, seed=DEFAULT_SEED):
+    """Frame duality, multiplication-law laws, and Jacobi, as CheckRecords."""
+    records = [_jacobi_record(model.algebra)]
+    n = model.dim
 
     # coframe duality <omega^i, xi_j> = delta^i_j
     diffs = []
@@ -826,6 +846,93 @@ def casimir_scalar_check(model, element=3) -> CasimirReport:
         fn = ex.compile_expr(coeff, ["J"])
         values = {jv: fn(float(jv)) for jv in model.lrep.j_values or (1, -1)}
     return CasimirReport(element=element, acts_as_scalar=acts_scalar, values=values)
+
+
+# --- the records of `nclb model verify` ---------------------------------------
+
+def _aggregate(name, records):
+    """One record for a family of subchecks: the worst figure, the summed
+    counts, the seed they share, and the names of those that did not pass."""
+    seeds = {r.seed for r in records if r.seed is not None}
+    status = overall_status(records)
+    return CheckRecord(
+        check=name, status=status,
+        max_residual=worst((r.max_residual or 0.0) for r in records),
+        samples_used=sum(r.samples_used for r in records),
+        seed=seeds.pop() if len(seeds) == 1 else None,
+        skipped_samples=sum(r.skipped_samples for r in records),
+        detail={"subchecks": [r.check for r in records if r.status != PASS]}
+        if status != PASS else {},
+    )
+
+
+def _jacobi(model, seed):
+    return _aggregate("jacobi", [_jacobi_record(model.algebra)])
+
+
+def _frames(model, seed):
+    return _aggregate("frames", validate_model(model, seed=seed)[1:]
+                      + invariant_frame_check(model, seed=seed))
+
+
+def _lambda_rep(model, seed):
+    return _aggregate("lambda_rep", verify_lambda_rep(model, seed=seed))
+
+
+def _lift(model, seed):
+    dev = worst([local_lift_check(model, i, seed=seed)
+                 for i in range(1, model.dim + 1)])
+    return CheckRecord(check="lift", status=PASS if dev <= 1e-12 else FAIL,
+                       max_residual=dev, seed=seed)
+
+
+def _reduced_first_order(model, seed):
+    try:
+        extract_first_order(build_reduced(model, verify=False), model.normalizer)
+    except NotFirstOrderError as exc:
+        return CheckRecord(check="reduced_first_order", status=FAIL,
+                           detail={"error": str(exc)})
+    return CheckRecord(check="reduced_first_order", status=PASS, max_residual=0.0)
+
+
+def _coordinate_expansion(model, seed):
+    rows = coordinate_expansion_report(model, seed=seed)
+    bad = [row["index"] for row in rows if not row["match"]]
+    return CheckRecord(
+        check="coordinate_expansion", status=PASS if not bad else FAIL,
+        max_residual=worst(row["deviation"] for row in rows), seed=seed,
+        detail={"terms": len(rows), **({"mismatched": bad} if bad else {})},
+    )
+
+
+def _casimir(model, seed):
+    """The centre e3 acts as i J."""
+    cas = casimir_scalar_check(model, element=3)
+    ok = cas.acts_as_scalar and all(
+        abs(v - 1j * jv) <= 1e-12 for jv, v in cas.values.items())
+    return CheckRecord(
+        check="casimir", status=PASS if ok else FAIL,
+        detail={"values": {str(k): [v.real, v.imag]
+                           for k, v in cas.values.items()}},
+    )
+
+
+def _coisotropy(model, seed):
+    rep = coisotropy_check(model.algebra, model.form, model.ideal)
+    return CheckRecord(check="coisotropy", status=PASS if rep.verdict else FAIL,
+                       detail={"verdict": rep.verdict})
+
+
+# every bundled model runs these; each builder appends its own
+_SHARED_CHECKS = (
+    ("jacobi", _jacobi),
+    ("frames", _frames),
+    ("lambda_rep", _lambda_rep),
+    ("lift", _lift),
+    ("reduced_first_order", _reduced_first_order),
+    ("haar_invariance", haar_invariance_check),
+    ("coordinate_expansion", _coordinate_expansion),
+)
 
 
 # --- smeared kernel orthogonality --------------------------------------------

@@ -115,3 +115,17 @@ def test_import_and_load_model_build_no_anchors():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0"
+
+
+def test_array_call_does_not_load_numpy_ma():
+    # the anchor lookup is a boolean index, not np.unique, whose first call
+    # imports numpy.ma (10-13 ms)
+    code = ("import sys\n"
+            "from nclb.airyfun import airy_array\n"
+            "airy_array('Ai', [0.3, 5.0])\n"
+            "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -1,12 +1,14 @@
+import dataclasses
 import json
 import math
 import os
+import shlex
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from nclb import cli
+from nclb import cli, models
 from nclb.cli import main, run
 from nclb.reduction import NotFirstOrderError
 from nclb.report import CheckRecord, VerificationError
@@ -16,6 +18,33 @@ FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
 def fx(name):
     return os.path.join(FIXTURES, name)
+
+
+def _write_mode_field(path):
+    """The H3 mode (mu, nu, E) = (1/2, 1, 1) on a 9^3 grid of step 0.05."""
+    from nclb.expr import compile_expr
+    from nclb.models import mode_solution_h3
+    f = compile_expr(mode_solution_h3(Fraction(1, 2), Fraction(1), Fraction(1)),
+                     ["x1", "x2", "x3"])
+    h = 0.05
+    lines = ["x1,x2,x3,re,im"]
+    rng = range(-4, 5)
+    for i in rng:
+        for j in rng:
+            for k in rng:
+                v = f(i * h, j * h, k * h)
+                lines.append(f"{i * h},{j * h},{k * h},{v.real},{v.imag}")
+    path.write_text("\n".join(lines))
+
+
+def _write_gaussian_phi(path):
+    """A Gaussian spectral amplitude about (k, J) = (0, 1) on a 21^2 grid."""
+    lines = ["k,J,re,im"]
+    for k in np.linspace(-1.0, 1.0, 21):
+        for j in np.linspace(0.2, 1.8, 21):
+            v = math.exp(-((k) ** 2 + (j - 1.0) ** 2) / (2 * 0.2 ** 2))
+            lines.append(f"{k},{j},{v},0.0")
+    path.write_text("\n".join(lines))
 
 
 def _field_csv(x1s, x2s=None, drop=0):
@@ -138,7 +167,8 @@ class TestModelCommands:
         assert code == 0
         names = [c["check"] for c in doc["checks"]]
         assert names == ["jacobi", "frames", "lambda_rep", "lift",
-                         "reduced_first_order", "casimir"]
+                         "reduced_first_order", "haar_invariance",
+                         "coordinate_expansion", "casimir"]
 
     def test_verify_g47(self):
         code, doc = run(["model", "verify", "g4_7"])
@@ -155,7 +185,7 @@ class TestModelCommands:
 
     @pytest.mark.parametrize("flags", [
         ["g4_7", "--E", "1e400"], ["g4_7", "--J", "abc"], ["g4_7", "--J", "0"],
-        ["g4_7", "--J", "1/2"], ["heisenberg", "--J", "0"],
+        ["g4_7", "--J", "1/2"], ["g4_7", "--J", "-1/2"], ["heisenberg", "--J", "0"],
         ["heisenberg", "--J", "1e400"]])
     def test_reduce_bad_number_is_an_error_document(self, flags, capsys):
         # numbers beyond the double range, one that does not parse, a J
@@ -172,6 +202,24 @@ class TestModelCommands:
         code, doc = run(["model", "reduce", model, f"--J={j}"])
         assert code == 0
         assert doc["parameters"]["J"] == j
+
+    @pytest.mark.parametrize("value", ["-1/2", "-1e-3"])
+    @pytest.mark.parametrize("argv", [
+        ["model", "reduce", "g4_7", "--alpha"],
+        ["model", "reduce", "g4_7", "--alpha", "3", "--beta"],
+        ["model", "residual", "heisenberg", "--psi", "mode", "--mu"],
+        ["model", "residual", "heisenberg", "--psi", "mode", "--nu"],
+        ["model", "reduce", "heisenberg", "--J"],
+        ["model", "reduce", "heisenberg", "--E"],
+    ], ids=" ".join)
+    def test_negative_rational_after_its_option(self, argv, value):
+        # argparse takes a dash-led token for a flag unless it reads as -1 or
+        # -0.5; the command must see the value as `--option=value` does
+        code, doc = run(argv + [value])
+        want_code, want = run(argv[:-1] + [f"{argv[-1]}={value}"])
+        assert doc is not None
+        assert code == want_code
+        assert {**doc, "command": ""} == {**want, "command": ""}
 
     def test_residual_mode(self):
         code, doc = run(["model", "residual", "heisenberg", "--psi", "mode",
@@ -233,21 +281,8 @@ class TestModelCommands:
 
     def test_residual_field_csv(self, h3, tmp_path):
         # sample the closed-form mode on a uniform grid and feed it back
-        from nclb.expr import compile_expr
-        from nclb.models import mode_solution_h3
-        from fractions import Fraction as F
-        psi = mode_solution_h3(F(1, 2), F(1), F(1))
-        f = compile_expr(psi, ["x1", "x2", "x3"])
-        h = 0.05
-        lines = ["x1,x2,x3,re,im"]
-        rng = range(-4, 5)
-        for i in rng:
-            for j in rng:
-                for k in rng:
-                    v = f(i * h, j * h, k * h)
-                    lines.append(f"{i * h},{j * h},{k * h},{v.real},{v.imag}")
         p = tmp_path / "field.csv"
-        p.write_text("\n".join(lines))
+        _write_mode_field(p)
         code, doc = run(["model", "residual", "heisenberg", "--psi", "file",
                          "--file", str(p), "--E", "1"])
         assert code == 0
@@ -356,11 +391,11 @@ class TestModelCommands:
          "spectral samples do not form a full rectangular grid"),
         (["coisotropic", fx("h3.json"), "--form", fx("h3_null_center.json"),
           "--ideal", "1,x"], {}, "bad ideal spec '1,x'"),
-        # the H3-only commands on g4_7, and grids over other axes
+        # g4_7 has no mode family and no inverse GFT; grids over other axes
         (["model", "residual", "g4_7", "--psi", "mode"], {},
-         "mode residuals are defined for the heisenberg model"),
+         "model g4_7 has no closed-form mode family"),
         (["model", "reconstruct", "g4_7", "--phi", "{phi}"], {"phi": "-1,1,1,0"},
-         "reconstruction is implemented for the heisenberg model"),
+         "model g4_7 has no inverse GFT"),
         (["model", "residual", "heisenberg", "--psi", "mode",
           "--grid", "x1=-1:1:3,x3=-1:1:3,x2=-1:1:3"], {},
          "grid axes must be ('x1', 'x2', 'x3')"),
@@ -461,15 +496,8 @@ class TestModelCommands:
         assert (got, doc["error"]) == (code, str(error))
 
     def test_reconstruct(self, tmp_path):
-        lines = ["k,J,re,im"]
-        ks = np.linspace(-1.0, 1.0, 21)
-        js = np.linspace(0.2, 1.8, 21)
-        for k in ks:
-            for j in js:
-                v = math.exp(-((k) ** 2 + (j - 1.0) ** 2) / (2 * 0.2 ** 2))
-                lines.append(f"{k},{j},{v},0.0")
         p = tmp_path / "phi.csv"
-        p.write_text("\n".join(lines))
+        _write_gaussian_phi(p)
         out = tmp_path / "psi.csv"
         code, doc = run(["model", "reconstruct", "heisenberg", "--phi", str(p),
                          "--E", "1", "--grid", "x1=-0.4:0.4:3,x2=-0.4:0.4:3,x3=-0.4:0.4:3",
@@ -507,7 +535,7 @@ class TestDeterminism:
         assert checks["jacobi"]["seed"] is None  # exact, nothing sampled
 
     def test_aggregate_is_nan_whatever_the_order(self):
-        from nclb.cli import _aggregate
+        from nclb.models import _aggregate
         from nclb.report import PASS, CheckRecord
 
         recs = [CheckRecord("a", PASS, max_residual=1.0, seed=3),
@@ -561,24 +589,36 @@ class TestDeterminism:
 
 
 _H3_VERIFY = """\
-jacobi               pass          max_residual=0.000e+00
-frames               pass          max_residual=0.000e+00
-lambda_rep           pass          max_residual=0.000e+00
-lift                 pass          max_residual=0.000e+00
-reduced_first_order  pass          max_residual=0.000e+00
-casimir              pass        \n\
-                       values: {'1': [0.0, 1.0], '-1': [-0.0, -1.0]}
+jacobi                pass          max_residual=0.000e+00
+frames                pass          max_residual=0.000e+00
+lambda_rep            pass          max_residual=0.000e+00
+lift                  pass          max_residual=0.000e+00
+reduced_first_order   pass          max_residual=0.000e+00
+haar_invariance       pass          max_residual=0.000e+00
+                        left: 0.0
+                        right: 0.0
+                        unimodular: True
+coordinate_expansion  pass          max_residual=0.000e+00
+                        terms: 3
+casimir               pass        \n\
+                        values: {'1': [0.0, 1.0], '-1': [-0.0, -1.0]}
 overall: pass
 """
 
 _G47_VERIFY = """\
-jacobi               pass          max_residual=0.000e+00
-frames               pass          max_residual=0.000e+00
-lambda_rep           pass          max_residual=0.000e+00
-lift                 pass          max_residual=0.000e+00
-reduced_first_order  pass          max_residual=0.000e+00
-coisotropy           pass        \n\
-                       verdict: True
+jacobi                pass          max_residual=0.000e+00
+frames                pass          max_residual=0.000e+00
+lambda_rep            pass          max_residual=0.000e+00
+lift                  pass          max_residual=0.000e+00
+reduced_first_order   pass          max_residual=0.000e+00
+haar_invariance       pass          max_residual=6.661e-16
+                        left: 6.661338147750939e-16
+                        right: 0.0
+                        unimodular: False
+coordinate_expansion  pass          max_residual=0.000e+00
+                        terms: 9
+coisotropy            pass        \n\
+                        verdict: True
 overall: pass
 """
 
@@ -615,3 +655,45 @@ def test_human_table(argv, table, capsys, monkeypatch):
     monkeypatch.delenv("NCLB_SEED", raising=False)
     assert main(argv) == 0
     assert capsys.readouterr().out == table
+
+
+@pytest.mark.parametrize("argv", [
+    ["model", "verify", "{model}"],
+    ["model", "residual", "{model}", "--psi", "mode",
+     "--grid", "x1=-1:1:3,x2=-1:1:3,x3=-1:1:3"],
+    ["model", "reconstruct", "{model}", "--phi", "{phi}", "--nodes", "16"],
+], ids=lambda argv: argv[1])
+def test_a_renamed_heisenberg_model_gives_the_same_records(argv, tmp_path,
+                                                           monkeypatch):
+    # the CLI reads what a model offers from its fields, never its name
+    monkeypatch.setitem(models.BUILDERS, "h3_copy", lambda a, b: dataclasses.replace(
+        models._heisenberg_model(a, b), name="h3_copy"))
+    phi = tmp_path / "phi.csv"
+    _write_gaussian_phi(phi)
+    (code, doc), (code_copy, doc_copy) = (
+        run([a.format(model=name, phi=phi) for a in argv])
+        for name in ("heisenberg", "h3_copy"))
+    assert code == code_copy == 0
+    assert doc_copy["checks"] == doc["checks"]
+
+
+def _readme_cli_commands():
+    """The commands of the README's `## CLI` block, as argv lists without the
+    leading `nclb`."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        text = fh.read()
+    block = text.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+    return [shlex.split(line)[1:]
+            for line in block.replace("\\\n", " ").splitlines() if line.strip()]
+
+
+@pytest.mark.parametrize("argv", _readme_cli_commands(), ids=" ".join)
+def test_readme_cli_commands_run(argv, tmp_path, monkeypatch):
+    _write_mode_field(tmp_path / "field.csv")
+    _write_gaussian_phi(tmp_path / "phi.csv")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("NCLB_SEED", raising=False)
+    argv = [fx(a[len("fixtures/"):]) if a.startswith("fixtures/") else a
+            for a in argv]
+    code, doc = run(argv)
+    assert code == 0, doc

@@ -328,3 +328,21 @@ class TestCanonicalFormFixtures:
         rep = coisotropy_check(g47.algebra, gm,
                                Subspace.spanned_by_indices(4, (1, 2)))
         assert rep.verdict
+
+
+class TestVerifyChecks:
+    def test_each_entry_names_its_record_and_passes(self, h3, g47):
+        for model in (h3, g47):
+            records = [check(model, DEFAULT_SEED) for _, check in model.checks]
+            assert [r.check for r in records] == [name for name, _ in model.checks]
+            assert all(r.passed for r in records)
+        assert g47.mode_solution is None and g47.inverse_gft is None
+
+    def test_a_wrong_printed_term_fails_the_coordinate_expansion(self, h3):
+        printed = DiffOp(h3.x_vars, {**h3.printed_laplacian.coefficients,
+                                     (0, 0, 2): 3 * Var("x1")})
+        bad = dc_replace(h3, printed_laplacian=printed)
+        rec = dict(bad.checks)["coordinate_expansion"](bad, DEFAULT_SEED)
+        assert rec.status == "fail"
+        assert rec.detail == {"terms": 3, "mismatched": [(0, 0, 2)]}
+        assert 1.0 < rec.max_residual <= 1.5  # |x1| on [-1.5, 1.5]
