@@ -1,25 +1,51 @@
 """Exact algebraic checks and first-order reduction of invariant Laplacians
-on Lie groups, with explicit integration along characteristics."""
+on Lie groups, with explicit integration along characteristics.
+
+Every exported name resolves on first access (PEP 562), and only then is
+its module imported: `import nclb` alone loads no submodule, and the exact
+layer (`algebra`, `bilinear`, `ratlinalg`) runs without numpy.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .algebra import (Covector, LieAlgebra, Subspace, adapted_basis,
-                      annihilator, index, index_witness, is_polarization,
-                      jacobi_defect, kirillov_matrix, subspace_flags)
-from .bilinear import (BilinearForm, LaplacianData, coisotropy_check,
-                       laplacian_data, orth_complement)
-from .diffop import DiffOp, SampleSpec, apply, commutator, compose, op_equal
-from .expr import (Airy, Const, Exp, Expr, I, Log, Power, Product, Sum, Var,
-                   compile_expr, differentiate, evaluate, parse, simplify,
-                   subst, to_text)
-from .models import (GroupModel, KernelD, QuadSpec2D, SmearedGaussian,
-                     airy_identity_check, casimir_scalar_check,
-                     invariant_frame_check, inverse_gft_h3, kernel_orthogonality_smoke,
-                     laplace_operator, load_model, mode_solution_h3,
-                     pde_residual, validate_model)
-from .reduction import (Characteristic, LambdaRep, ReducedOperator,
-                        build_reduced, extract_first_order, flow,
-                        local_lift_check, rectify_check, reduced_residual,
-                        solve_reduced, verify_lambda_rep)
+# defining module -> the names this package exports from it
+_EXPORTS = {
+    "algebra": ("Covector", "LieAlgebra", "Subspace", "adapted_basis",
+                "annihilator", "index", "index_witness", "is_polarization",
+                "jacobi_defect", "kirillov_matrix", "subspace_flags"),
+    "bilinear": ("BilinearForm", "LaplacianData", "coisotropy_check",
+                 "laplacian_data", "orth_complement"),
+    "diffop": ("DiffOp", "SampleSpec", "apply", "commutator", "compose",
+               "op_equal"),
+    "expr": ("Airy", "Const", "Exp", "Expr", "I", "Log", "Power", "Product",
+             "Sum", "Var", "compile_expr", "differentiate", "evaluate",
+             "parse", "simplify", "subst", "to_text"),
+    "models": ("GroupModel", "KernelD", "QuadSpec2D", "SmearedGaussian",
+               "airy_identity_check", "casimir_scalar_check",
+               "invariant_frame_check", "inverse_gft_h3",
+               "kernel_orthogonality_smoke", "laplace_operator", "load_model",
+               "mode_solution_h3", "pde_residual", "validate_model"),
+    "reduction": ("Characteristic", "LambdaRep", "ReducedOperator",
+                  "build_reduced", "extract_first_order", "flow",
+                  "local_lift_check", "rectify_check", "reduced_residual",
+                  "solve_reduced", "verify_lambda_rep"),
+}
+_SUBMODULES = ("airyfun", "algebra", "bilinear", "diffop", "expr", "models",
+               "quadrature", "ratlinalg", "reduction", "report")
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted([*_ORIGIN, *_SUBMODULES])
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return import_module(f"{__name__}.{name}")
+    if name in _ORIGIN:
+        return getattr(import_module(f"{__name__}.{_ORIGIN[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -22,16 +22,9 @@ import re
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import __version__
-from . import expr as ex
 from .algebra import Subspace, index_witness, jacobi_defect, load_algebra
 from .bilinear import coisotropy_check, load_form
-from .expr import to_text
-from .models import (BUILDERS, QuadSpec2D, chart_samples, load_model,
-                     pde_residual, pde_residual_field)
-from .reduction import build_reduced, extract_first_order, rectify_check
 from .report import (DEFAULT_SEED, FAIL, INCONCLUSIVE, PASS, CheckRecord,
                      InconclusiveError, NclbError, VerificationError,
                      overall_status, worst)
@@ -158,6 +151,8 @@ def _is_float(text):
 
 def _grid_interpolant(table):
     """Bilinear interpolant over a rectangular (k, J) grid of `_read_points`."""
+    import numpy as np
+
     ks = sorted({k for k, _ in table})
     js = sorted({j for _, j in table})
     if len(ks) < 2 or len(js) < 2:
@@ -236,6 +231,7 @@ def _cmd_coisotropic(args, seed):
 
 
 def _load_model_from_args(args):
+    from .models import load_model
     return load_model(args.model, alpha=_frac(args.alpha), beta=_frac(args.beta))
 
 
@@ -247,6 +243,10 @@ def _cmd_model_verify(args, seed):
 
 
 def _cmd_model_reduce(args, seed):
+    from .expr import to_text
+    from .models import chart_samples
+    from .reduction import build_reduced, extract_first_order, rectify_check
+
     j_val, e_val = _real(args.J), _real(args.E)
     model = _load_model_from_args(args)
     model.lrep.check_j(j_val)
@@ -280,6 +280,8 @@ def _cmd_model_reduce(args, seed):
 
 
 def _cmd_model_residual(args, seed):
+    from .models import pde_residual
+
     model = _load_model_from_args(args)
     if args.psi == "mode":
         if model.mode_solution is None:
@@ -317,9 +319,12 @@ def _grid_key(pt):
 
 def _grid_field_residual(model, table, e_val):
     """FD residual of a sampled field given on a uniform rectangular grid."""
+    from .expr import DomainError
+    from .models import pde_residual_field
+
     axes = [sorted(set(ax)) for ax in zip(*table)]
     table = {_grid_key(pt): v for pt, v in table.items()}
-    if len(table) != int(np.prod([len(a) for a in axes])):
+    if len(table) != math.prod(len(a) for a in axes):
         raise InputError("field samples do not form a full rectangular grid")
     steps = []
     for ax in axes:
@@ -337,7 +342,7 @@ def _grid_field_residual(model, table, e_val):
         try:
             return table[_grid_key(pt)]
         except KeyError:
-            raise ex.DomainError(f"point {pt} off the sampled grid") from None
+            raise DomainError(f"point {pt} off the sampled grid") from None
 
     interior = [
         pt for pt in table
@@ -359,6 +364,8 @@ def _grid_field_residual(model, table, e_val):
 
 
 def _cmd_model_reconstruct(args, seed):
+    from .models import QuadSpec2D, pde_residual_field
+
     model = _load_model_from_args(args)
     if model.inverse_gft is None:
         raise InputError(f"model {args.model} has no inverse GFT")
@@ -386,6 +393,25 @@ def _cmd_model_reconstruct(args, seed):
 
 
 # --- driver -------------------------------------------------------------------
+
+class _ModelParser(argparse.ArgumentParser):
+    """A `model` leaf: the model name, --alpha and --beta.  The name's
+    choices are read from `models.BUILDERS` when the leaf parses, its help
+    and usage errors included, so that the other commands never import the
+    model stack.  argparse iterates `choices` as soon as an argument is
+    added, so a lazy container would not defer the import."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self._model = self.add_argument("model")
+        self.add_argument("--alpha", default="1")
+        self.add_argument("--beta", default="1")
+
+    def parse_known_args(self, args=None, namespace=None):
+        from .models import BUILDERS
+        self._model.choices = list(BUILDERS)
+        return super().parse_known_args(args, namespace)
+
 
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
@@ -420,25 +446,18 @@ def _build_parser():
     sp.set_defaults(fn=_cmd_coisotropic)
 
     mp = sub.add_parser("model", help="bundled model pipelines")
-    msub = mp.add_subparsers(dest="model_command", required=True)
-
-    def add_model_args(s):
-        s.add_argument("model", choices=list(BUILDERS))
-        s.add_argument("--alpha", default="1")
-        s.add_argument("--beta", default="1")
+    msub = mp.add_subparsers(dest="model_command", required=True,
+                             parser_class=_ModelParser)
 
     sp = leaf(msub, "verify", help="structural + representation checks")
-    add_model_args(sp)
     sp.set_defaults(fn=_cmd_model_verify)
 
     sp = leaf(msub, "reduce", help="assemble and split the reduced operator")
-    add_model_args(sp)
     sp.add_argument("--J", default="1")
     sp.add_argument("--E", default="1")
     sp.set_defaults(fn=_cmd_model_reduce)
 
     sp = leaf(msub, "residual", help="PDE residual of a candidate solution")
-    add_model_args(sp)
     sp.add_argument("--psi", choices=["mode", "file"], required=True)
     sp.add_argument("--mu", default="1/2")
     sp.add_argument("--nu", default="1")
@@ -448,7 +467,6 @@ def _build_parser():
     sp.set_defaults(fn=_cmd_model_residual)
 
     sp = leaf(msub, "reconstruct", help="inverse transform of a spectral amplitude")
-    add_model_args(sp)
     sp.add_argument("--phi", required=True, help="CSV of k,J,re,im on a grid")
     sp.add_argument("--E", default="1")
     sp.add_argument("--grid", default="x1=-0.4:0.4:3,x2=-0.4:0.4:3,x3=-0.4:0.4:3")

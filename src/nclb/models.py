@@ -132,6 +132,13 @@ class GroupModel:
         return SampleSpec(ranges=dict(self.x_sample_ranges), n=n, seed=seed)
 
     @functools.cached_property
+    def validations(self) -> dict:
+        """seed -> the records of `validate_model(self, seed)`, filled as
+        each seed is first validated; a copy made by `dataclasses.replace`
+        validates afresh."""
+        return {}
+
+    @functools.cached_property
     def laplacian(self) -> DiffOp:
         """`laplace_operator(self)`, assembled on first use and kept; a model
         built by `dataclasses.replace` assembles its own."""
@@ -456,7 +463,16 @@ def _jacobi_record(algebra):
 
 
 def validate_model(model, seed=DEFAULT_SEED):
-    """Frame duality, multiplication-law laws, and Jacobi, as CheckRecords."""
+    """Jacobi, frame duality and the multiplication-law laws, as
+    CheckRecords.  A model runs them once per seed and keeps the records
+    (`GroupModel.validations`); a later call with that seed returns them
+    again."""
+    if seed not in model.validations:
+        model.validations[seed] = tuple(_structural_records(model, seed))
+    return list(model.validations[seed])
+
+
+def _structural_records(model, seed):
     records = [_jacobi_record(model.algebra)]
     n = model.dim
 
@@ -629,19 +645,19 @@ def laplace_operator(model) -> DiffOp:
 
 def coordinate_expansion_report(model, seed=DEFAULT_SEED):
     """Term-by-term comparison of the frame-assembled Laplacian against the
-    printed coordinate expansion; discrepancies are reported, not raised."""
+    printed coordinate expansion; discrepancies are reported, not raised.
+    A term that does not match symbolically is sampled, and its row counts
+    the samples used and skipped."""
     ours = model.laplacian
     printed = model.printed_laplacian
     spec = model.x_sample_spec(n=40, seed=seed)
     indices = sorted(set(ours.coefficients) | set(printed.coefficients))
     rows = []
     for idx in indices:
-        diff = simplify(ours.coeff(idx) - printed.coeff(idx))
-        if diff == ZERO:
-            rows.append({"index": idx, "match": True, "deviation": 0.0})
-            continue
-        dev, _, _ = _symbolic_or_sampled_zero([diff], spec)
-        rows.append({"index": idx, "match": dev <= 1e-12, "deviation": dev})
+        dev, used, skipped = _symbolic_or_sampled_zero(
+            [ours.coeff(idx) - printed.coeff(idx)], spec)
+        rows.append({"index": idx, "match": dev <= 1e-12, "deviation": dev,
+                     "samples_used": used, "skipped_samples": skipped})
     return rows
 
 
@@ -867,7 +883,7 @@ def _aggregate(name, records):
 
 
 def _jacobi(model, seed):
-    return _aggregate("jacobi", [_jacobi_record(model.algebra)])
+    return _aggregate("jacobi", validate_model(model, seed=seed)[:1])
 
 
 def _frames(model, seed):
@@ -900,7 +916,9 @@ def _coordinate_expansion(model, seed):
     bad = [row["index"] for row in rows if not row["match"]]
     return CheckRecord(
         check="coordinate_expansion", status=PASS if not bad else FAIL,
-        max_residual=worst(row["deviation"] for row in rows), seed=seed,
+        max_residual=worst(row["deviation"] for row in rows),
+        samples_used=sum(row["samples_used"] for row in rows), seed=seed,
+        skipped_samples=sum(row["skipped_samples"] for row in rows),
         detail={"terms": len(rows), **({"mismatched": bad} if bad else {})},
     )
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nclb import cli, models
+from nclb import cli, models, reduction
 from nclb.cli import main, run
 from nclb.reduction import NotFirstOrderError
 from nclb.report import CheckRecord, VerificationError
@@ -96,6 +96,42 @@ class TestExitCodes:
     def test_unknown_flag_usage_error(self):
         code, doc = run(["index", fx("h3.json"), "--bogus"])
         assert code == 2
+
+
+_VERIFY_USAGE = """\
+usage: nclb model verify [-h] [--json] [--seed SEED] [--alpha ALPHA]
+                         [--beta BETA]
+                         {heisenberg,g4_7}
+"""
+
+_VERIFY_HELP = _VERIFY_USAGE + """
+positional arguments:
+  {heisenberg,g4_7}
+
+options:
+  -h, --help         show this help message and exit
+  --json             emit a JSON ReportDoc
+  --seed SEED        sampling seed (overrides NCLB_SEED; default 0xC0FFEE)
+  --alpha ALPHA
+  --beta BETA
+"""
+
+
+class TestUsageText:
+    # the model choices come from models.BUILDERS; the text is pinned whole
+    @pytest.fixture(autouse=True)
+    def _columns(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    def test_model_verify_help(self, capsys):
+        assert main(["model", "verify", "--help"]) == 0
+        assert capsys.readouterr() == (_VERIFY_HELP, "")
+
+    def test_invalid_model_choice(self, capsys):
+        assert main(["model", "verify", "nope"]) == 2
+        assert capsys.readouterr() == ("", _VERIFY_USAGE + (
+            "nclb model verify: error: argument model: invalid choice: 'nope' "
+            "(choose from 'heisenberg', 'g4_7')\n"))
 
 
 class TestIndexCommand:
@@ -481,6 +517,23 @@ class TestModelCommands:
         assert code == 2
         assert "below the left cut" in doc["error"]
 
+    def test_verify_runs_each_structural_check_once_per_seed(self, monkeypatch):
+        # load_model validates at the default seed, and verify reuses those
+        # records at that seed; another seed is validated once more
+        monkeypatch.delenv("NCLB_SEED", raising=False)
+        jacobi_defect = models.jacobi_defect
+        calls = []
+
+        def counting(algebra):
+            calls.append(algebra)
+            return jacobi_defect(algebra)
+
+        monkeypatch.setattr(models, "jacobi_defect", counting)
+        assert run(["model", "verify", "g4_7"])[0] == 0
+        assert len(calls) == 1
+        assert run(["model", "verify", "g4_7", "--seed", "7"])[0] == 0
+        assert len(calls) == 3
+
     @pytest.mark.parametrize("error, code", [
         (VerificationError([CheckRecord(check="lambda_rep_commutators",
                                         status="fail")]), 1),
@@ -491,7 +544,7 @@ class TestModelCommands:
         def fail(*args, **kwargs):
             raise error
 
-        monkeypatch.setattr(cli, "build_reduced", fail)
+        monkeypatch.setattr(reduction, "build_reduced", fail)
         got, doc = run(["model", "reduce", "heisenberg"])
         assert (got, doc["error"]) == (code, str(error))
 

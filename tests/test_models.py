@@ -346,3 +346,6 @@ class TestVerifyChecks:
         assert rec.status == "fail"
         assert rec.detail == {"terms": 3, "mismatched": [(0, 0, 2)]}
         assert 1.0 < rec.max_residual <= 1.5  # |x1| on [-1.5, 1.5]
+        # the one mismatched term is sampled at the spec's 40 points
+        assert (rec.samples_used, rec.skipped_samples, rec.seed) == (
+            40, 0, DEFAULT_SEED)
