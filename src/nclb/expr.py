@@ -21,7 +21,9 @@ names, bound names and wrapper.  Its scalar emit runs on complex doubles:
   compiles the tree as given and calls it once;
 * an RK4 loop: `compile_rk4` returns a function that runs n classical RK4
   steps for a tuple of rates, with the body inlined in each of the four
-  stages, and appends every state to the caller's lists.
+  stages, and appends every state to the caller's lists.  The locals that
+  read only bound values and constants, and the leading runs of such
+  factors or terms, are computed once per call, before the loop.
 
 Both raise DomainError in the same places: log, fractional powers and Airy
 test their arguments inline, and an OverflowError or ZeroDivisionError of
@@ -636,21 +638,46 @@ def _source(e, varnames, bound, wrapper):
     subtree is computed once per evaluation.  The array body runs the same
     code on numpy arrays: a failing domain test marks its rows in `_bad`
     instead of raising, and so does a non-finite value at the arguments of
-    exp, log and powers or in a result.
+    exp, log and powers or in a result.  The RK4 body moves each local that
+    reads only constants, bound values and such locals, and each leading
+    run of 2 or more such parts of a sum or product, to a prologue run once
+    per call; nodes with a domain test stay in the body.
     """
-    array = wrapper == "array"
+    array, rk4 = wrapper == "array", wrapper == "rk4"
     names = {v: f"_a{i}" for i, v in enumerate(varnames)}
     names.update((v, f"_b{i}") for i, v in enumerate(bound))
     lines = []
+    prologue = []  # rk4: the locals that read only invariant code
+    invariant = set()  # rk4: code of constants, bound values and those locals
     local_of = {}  # code text -> its local
     checks = set()
     watched = []  # array: locals whose non-finite rows go to the closure
 
-    def local(code):
+    def fixed(code):
+        if rk4:
+            invariant.add(code)
+        return code
+
+    def local(code, once=False):
         if code not in local_of:
-            local_of[code] = f"_t{len(lines)}"
-            lines.append(f"{local_of[code]} = {code}")
+            local_of[code] = f"_t{len(local_of)}"
+            (prologue if once else lines).append(f"{local_of[code]} = {code}")
+            if once:
+                invariant.add(local_of[code])
         return local_of[code]
+
+    def chain(parts, op):
+        """A local for parts joined by op.  Python evaluates the chain left
+        to right, so its longest leading run of 2 or more invariant parts
+        goes to the prologue without changing a float operation."""
+        n = 0
+        while n < len(parts) and parts[n] in invariant:
+            n += 1
+        if n == len(parts):
+            return local(op.join(parts), once=True)
+        if n >= 2:
+            parts = [local(op.join(parts[:n]), once=True)] + parts[n:]
+        return local(op.join(parts))
 
     def check(tests, what, t):
         """Each of tests is true where t is outside the domain."""
@@ -673,7 +700,8 @@ def _source(e, varnames, bound, wrapper):
 
     def maybe_real(x):
         # float arguments stay floats through their sums and products, and
-        # a power must see a complex base to round the same for any caller
+        # a power must see a complex base to round the same for any caller;
+        # the RK4 loop's chart arguments are complex already
         if isinstance(x, (Sum, Product)):
             return all(maybe_real(t) for t in (x.terms if isinstance(x, Sum) else x.factors))
         return isinstance(x, Var) and x.name in varnames
@@ -681,23 +709,24 @@ def _source(e, varnames, bound, wrapper):
     def gen(x):
         if isinstance(x, Const):
             try:
-                return f"({float(x.value)!r}+0j)"
+                return fixed(f"({float(x.value)!r}+0j)")
             except OverflowError:
                 raise DomainError("a constant is outside the double range") from None
         if isinstance(x, ImagUnit):
-            return "1j"
+            return fixed("1j")
         if isinstance(x, Var):
             if x.name not in names:
                 raise MissingVariableError(
                     f"free variable {x.name!r} not among compile arguments {list(varnames)}"
                 )
-            return names[x.name]
+            return fixed(names[x.name]) if x.name in bound else names[x.name]
         if isinstance(x, Sum):
-            return local("+".join(gen(t) for t in x.terms)) if x.terms else "0j"
+            return chain([gen(t) for t in x.terms], "+") if x.terms else fixed("0j")
         if isinstance(x, Product):
-            return local("*".join(gen(f) for f in x.factors)) if x.factors else "(1+0j)"
+            return chain([gen(f) for f in x.factors], "*") if x.factors else fixed("(1+0j)")
         if isinstance(x, Exp):
-            return local(f"_exp({watch(gen(x.arg))})")
+            t = watch(gen(x.arg))
+            return local(f"_exp({t})", once=t in invariant)
         if isinstance(x, Log):
             t = watch(gen(x.arg))
             check([f"{t}.real <= 0.0"], "log requires positive real part", t)
@@ -717,9 +746,9 @@ def _source(e, varnames, bound, wrapper):
             ev = evaluate_const(x.exponent)
             t = watch(gen(x.base))
             if ev.imag == 0.0 and ev.real == int(ev.real):
-                if maybe_real(x.base) and not array:
+                if maybe_real(x.base) and wrapper == "closure":
                     t = f"complex({t})"
-                return local(f"{t}**{int(ev.real)}")
+                return local(f"{t}**{int(ev.real)}", once=t in invariant)
             check([real(t), f"{t}.real <= 0.0"],
                   "fractional power needs a positive real base", t)
             return local(f"_exp({ev!r} * _log({t}))")
@@ -730,8 +759,8 @@ def _source(e, varnames, bound, wrapper):
     args = ", ".join(names[v] for v in varnames)
     arith = ("except (OverflowError, ZeroDivisionError) as exc:\n"
              "    raise DomainError(f'{type(exc).__name__}: {exc}') from None\n")
-    if wrapper == "rk4":
-        return make + _indent(_rk4_source(lines, results, len(varnames), arith), 4)
+    if rk4:
+        return make + _indent(_rk4_source(prologue, lines, results, len(varnames), arith), 4)
     body = "".join(f"{line}\n" for line in lines)
     if array:
         head = "".join(f"{names[v]} = _cx({names[v]})\n" for v in varnames)
@@ -751,10 +780,11 @@ def _indent(text, n):
     return "".join(" " * n + line + "\n" for line in text.splitlines())
 
 
-def _rk4_source(lines, results, m, arith):
-    """`_run` for `compile_rk4`: the body `lines` (computing `results` from
-    the chart arguments `_a0.._a{m-1}`) inlined in each of the four stages,
-    with the driver's arithmetic in its order."""
+def _rk4_source(prologue, lines, results, m, arith):
+    """`_run` for `compile_rk4`: the `prologue` lines once per call, then
+    the body `lines` (computing `results` from the chart arguments
+    `_a0.._a{m-1}`) inlined in each of the four stages, with the driver's
+    arithmetic in its order."""
     n = len(results)
     s = [f"_s{i}" for i in range(n)]
     k = [[f"_k{j}_{i}" for i in range(n)] for j in range(4)]
@@ -768,14 +798,20 @@ def _rk4_source(lines, results, m, arith):
     update = "".join(f"{s[i]} = {s[i]} + _h6 * ({k[0][i]} + 2 * {k[1][i]} + 2 * {k[2][i]}"
                      f" + {k[3][i]})\n" for i in range(n))
     point = "(" + "".join(f"{x}, " for x in s[:m]) + ")"
-    extra = f"_phases.append({s[m]})\n" if n > m else ""
-    start = f"{s[m]} = _phases[-1]\n" if n > m else ""
+    real = "(" + "".join(f"{x}.real, " for x in s[:m]) + ")"
+    start = f"{point} = map(complex, _qs[-1])\n"
+    if n > m:
+        start += f"{s[m]} = complex(_phases[-1])\n"
+    if prologue:
+        once = "".join(f"{line}\n" for line in prologue)
+        start += "if _n > 0:\n" + _indent(f"try:\n{_indent(once, 4)}{arith}", 4)
     step = (f"try:\n{_indent(''.join(stages) + update or 'pass', 4)}{arith}"
-            f"_time += _h\n_ts.append(_time)\n_q = {point}\n_qs.append(_q)\n{extra}"
-            f"if _check is not None:\n    _check(_time, _q)\n")
-    return ("def _run(_n, _h, _ts, _qs, _phases, _check):\n"
-            + _indent(f"_time = _ts[-1]\n{point} = _qs[-1]\n{start}"
-                      f"_h2, _h6 = _h / 2, _h / 6\nfor _ in range(_n):\n{_indent(step, 4)}", 4)
+            f"_time += _h\n_ts.append(_time)\n_qs.append({point})\n"
+            + (f"_phases.append({s[m]})\n" if n > m else "")
+            + f"if _domain is not None and not _domain({real}):\n    return _time\n")
+    return ("def _run(_n, _h, _ts, _qs, _phases, _domain):\n"
+            + _indent(f"_time = _ts[-1]\n{start}_h2, _h6 = _h / 2, _h / 6\n"
+                      f"for _ in range(_n):\n{_indent(step, 4)}return None\n", 4)
             + "return _run\n")
 
 
@@ -852,16 +888,26 @@ def compile_rk4(rates, varnames, bind=None):
     extra state component (a phase) that rides along but is not an
     argument of the rates.  The loop
 
-        run(n, h, ts, qs, phases, check)
+        run(n, h, ts, qs, phases, domain) -> exit time or None
 
     continues the characteristic whose last time, chart point (a tuple) and,
     with the extra component, phase end the lists ts, qs and phases, by n
-    steps of length h, appending each new state to them; check(t, q), unless
-    None, is called after every step and may raise.  The rates' body is
-    inlined in each of the four stages, which evaluate `s + h/2*k` (twice)
-    and `s + h*k`; a step ends with `s + h/6*(k1 + 2*k2 + 2*k3 + k4)` and
-    `t += h`.  The rates raise DomainError as `compile_expr`'s closure does,
-    and `bind` is handled, and code cached, as there.
+    steps of length h, appending each new state to them.  The state is made
+    complex once, when it is read.  Unless None, domain(real parts of the
+    chart point) is called after every step; at the first point where it is
+    false the loop stops, with that state appended, and returns its time.
+    The rates' body is inlined in each of the four stages, which evaluate
+    `s + h/2*k` (twice) and `s + h*k`; a step ends with
+    `s + h/6*(k1 + 2*k2 + 2*k3 + k4)` and `t += h`.
+
+    The work that reads only bound values and constants runs once per call
+    with n > 0, in a prologue before the first step; a chain `a*b*c` runs as
+    `(a*b)*c`, so its leading run of such factors (or terms) is hoisted
+    without changing a float operation, and every value is `==` to that of
+    calling `compile_expr`'s closure once per stage.  The rates raise
+    DomainError as that closure does, the prologue's before anything is
+    appended; domain tests (log, fractional powers, Airy) stay in the loop.
+    `bind` is handled, and code cached, as in `compile_expr`.
     """
     varnames = tuple(varnames)
     if not len(varnames) <= len(rates) <= len(varnames) + 1:

@@ -986,10 +986,24 @@ class SmokeSpec:
     n_outer: int = 96
     n_inner: int = 64
 
+    def __post_init__(self):
+        if not all(isinstance(n, int) and n > 0 for n in (self.n_outer, self.n_inner)):
+            raise ModelParameterError(f"{self}: the node counts must be positive integers")
+
 
 _WINDOW = 3.0        # Heisenberg x3 window scale
 _WINDOW_UV = 128.0   # 4d model x1/x2 window scales
 _N_UV = 20           # 4d model u-window nodes (t is closed form)
+
+
+def _blocks(n, item_size):
+    """Slices of range(n) in equal blocks, so that an array of item_size
+    elements per index of a block holds at most 8192 elements (one index
+    where item_size is larger); this bounds the memory a block's
+    temporaries take."""
+    n_blocks = -(-n // max(1, 8192 // item_size))
+    size = -(-n // n_blocks)
+    return [slice(i, i + size) for i in range(0, n, size)]
 
 
 def _smoke_heisenberg(a, b, j_val, jt_val, spec: SmokeSpec):
@@ -1014,17 +1028,16 @@ def _smoke_heisenberg(a, b, j_val, jt_val, spec: SmokeSpec):
 
         # F(x1, x2) = int ds a(s - x2, s) e^{+i J s x1}
         # G(x1, x2) = int ds b(s - x2, s) e^{-i Jt s x1}
-        phase_a = np.exp(1j * j_val * np.outer(s, x1))
-        phase_b = np.exp(-1j * jt_val * np.outer(s, x1))
+        # as matrix products over blocks of x1 columns, so no (s, x1) phase
+        # matrix is held whole
+        d = s - x2[:, None]
+        fa = np.exp(-((d - ca1) ** 2 + (s - ca2) ** 2) / (2.0 * wq_a ** 2)) * ws
+        fb = np.exp(-((d - cb1) ** 2 + (s - cb2) ** 2) / (2.0 * wq_b ** 2)) * ws
         total = 0j
-        for x2v, w2v in zip(x2, w2):
-            fa = np.exp(-((s - x2v - ca1) ** 2 + (s - ca2) ** 2)
-                        / (2.0 * wq_a ** 2)) * ws
-            fb = np.exp(-((s - x2v - cb1) ** 2 + (s - cb2) ** 2)
-                        / (2.0 * wq_b ** 2)) * ws
-            f_row = fa @ phase_a
-            g_row = fb @ phase_b
-            total += w2v * np.sum(w1 * f_row * g_row)
+        for k in _blocks(len(x1), len(x2)):
+            f = fa @ np.exp(1j * j_val * np.outer(s, x1[k]))
+            f *= fb @ np.exp(-1j * jt_val * np.outer(s, x1[k]))
+            total += w2 @ (f @ w1[k])
         return total
 
     coarse = compute(spec.n_outer, spec.n_inner)
@@ -1084,10 +1097,11 @@ def _smoke_g47(a, b, j_val, jt_val, spec: SmokeSpec):
     # (q, x) node counts of the coarse and the refined pass
     passes = ((spec.n_inner // 2, spec.n_outer // 4),
               ((3 * spec.n_inner) // 4, spec.n_outer // 3))
-    if not all(fine > coarse for coarse, fine in zip(*passes)):
+    if not all(0 < coarse < fine for coarse, fine in zip(*passes)):
         raise ModelParameterError(
             f"{spec} gives the 4d smoke test (q, x) node counts {passes[0]} "
-            f"and {passes[1]}: the refined pass must add nodes on every axis")
+            f"and {passes[1]}: the coarse pass needs nodes and the refined pass "
+            f"must add nodes on every axis")
     wa, wb = a.width, b.width
     ca1, cas, ca1p, casp = a.centers
     _, _, cb1p, cbsp = b.centers
@@ -1124,11 +1138,8 @@ def _smoke_g47(a, b, j_val, jt_val, spec: SmokeSpec):
         weight = (wsn[:, None, None] * np.exp(-((s - cas) ** 2) / (2.0 * wa * wa))
                   * win_u[:, None] * np.where(valid, 0.5 * q2t, 0.0) * x4_sum)
 
-        # the (s, u, x3) arrays go in equal s blocks of about 8192
-        # elements, which bounds the memory their temporaries take
-        n_blocks = -(-n_q * _N_UV * n_x // 8192)
-        rows = -(-n_q // n_blocks)
-        blocks = [slice(i, i + rows) for i in range(0, n_q, rows)]
+        # the (s, u, x3) arrays go in s blocks
+        blocks = _blocks(n_q, _N_UV * n_x)
         total = 0j
         for q1v, wq in zip(q1n, wq1):
             # x3 shifts q1 -> q1'

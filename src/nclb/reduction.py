@@ -262,8 +262,9 @@ def _characteristic(run, q0, t_end, step, domain=None, phase=False):
     `run` is the `expr.compile_rk4` loop of the rates; with phase=True they
     end with V(q), and the phase, with rate V, rides as one more state
     component.  The domain predicate sees the real parts of the chart point
-    at the start and after every step; a point outside raises
-    DomainExitError with its time and chart point.  A step that is not
+    at the start, here, and after every step, in `run`, which stops at the
+    first point outside with that state recorded; either raises
+    DomainExitError with the exit time and chart point.  A step that is not
     positive and finite, a non-finite t_end, or a step count beyond the
     float range raises StepError.
     """
@@ -273,18 +274,14 @@ def _characteristic(run, q0, t_end, step, domain=None, phase=False):
         raise StepError(f"RK4 end time must be finite, got {t_end!r}")
     if not math.isfinite(abs(t_end) / step):
         raise StepError(f"too many RK4 steps: |t_end| / step = {abs(t_end)!r} / {step!r}")
-
-    def check(t, q):
-        if not domain(tuple([s.real for s in q])):
-            raise DomainExitError(t, q)
-
     q = tuple(complex(x) for x in q0)
+    if domain is not None and not domain(tuple([s.real for s in q])):
+        raise DomainExitError(0.0, q)
     ts, qs, phases = [0.0], [q], [0j]
-    if domain is not None:
-        check(0.0, q)
     nsteps = max(1, round(abs(t_end) / step)) if t_end else 0
-    run(nsteps, t_end / max(nsteps, 1), ts, qs, phases,
-        check if domain is not None else None)
+    exit_time = run(nsteps, t_end / max(nsteps, 1), ts, qs, phases, domain)
+    if exit_time is not None:
+        raise DomainExitError(exit_time, qs[-1])
     return Characteristic(start=tuple(q0), step=step, ts=tuple(ts), qs=tuple(qs),
                           phases=tuple(phases) if phase else None)
 

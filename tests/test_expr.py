@@ -1,3 +1,4 @@
+import ast
 import cmath
 import dataclasses
 import pickle
@@ -439,24 +440,83 @@ class TestCompileRk4:
         assert phases == [t * t / 2 for t in ts]
 
     def test_check_sees_every_step_and_may_stop_the_loop(self):
+        # the domain predicate sees the real parts of every step's point, in
+        # order; the first point outside ends the loop, recorded, and `run`
+        # returns its time
         seen = []
 
-        def check(t, point):
-            seen.append((t, point))
-            if t >= 1.0:
-                raise RuntimeError("stop")
+        def inside(point):
+            seen.append(point)
+            return point[0] < 1.0
 
-        run = ex.compile_rk4((ex.ONE,), ["q"])
+        run = ex.compile_rk4((1 + I,), ["q"])
         ts, qs = [0.0], [(0j,)]
-        with pytest.raises(RuntimeError):
-            run(10, 0.5, ts, qs, [], check)
-        assert seen == [(0.5, (0.5 + 0j,)), (1.0, (1.0 + 0j,))]
+        assert run(10, 0.5, ts, qs, [], inside) == 1.0
+        assert seen == [(0.5,), (1.0,)]
+        assert all(type(x) is float for point in seen for x in point)
         assert ts == [0.0, 0.5, 1.0]
+        assert qs == [(0j,), (0.5 + 0.5j,), (1.0 + 1.0j,)]
+        seen.clear()
+        assert run(3, 0.25, [0.0], [(0j,)], [], inside) is None
+        assert seen == [(0.25,), (0.5,), (0.75,)]
 
     def test_overflow_becomes_a_domain_error(self):
         run = ex.compile_rk4((q ** 2,), ["q"])
         with pytest.raises(DomainError, match="OverflowError"):
             run(1, 1.0, [0.0], [(1e200 + 0j,)], [], None)
+
+    def test_a_bad_bound_value_raises_before_the_first_step(self):
+        run = ex.compile_rk4((ex.ONE, q * Power(J, -1)), ["q"], bind={"J": 0.0})
+        ts, qs, phases = [0.0], [(0.5 + 0j,)], [0j]
+        with pytest.raises(DomainError, match="^ZeroDivisionError"):
+            run(1, 0.1, ts, qs, phases, None)
+        assert (ts, qs, phases) == ([0.0], [(0.5 + 0j,)], [0j])
+        assert run(0, 0.1, ts, qs, phases, None) is None
+        assert (ts, qs, phases) == ([0.0], [(0.5 + 0j,)], [0j])
+
+    @pytest.mark.parametrize("fixture", ["h3", "g47"])
+    def test_no_bound_only_line_runs_in_the_loop(self, fixture, request, monkeypatch):
+        from nclb.models import reduction_normalizer
+        from nclb.reduction import _chart_names, build_reduced, extract_first_order
+
+        model = request.getfixturevalue(fixture)
+        red = extract_first_order(build_reduced(model, verify=False),
+                                  reduction_normalizer(model))
+        rates = tuple(red.first_order.Z) + (red.first_order.V,)
+        generated = []
+        source = ex._source
+        monkeypatch.setattr(ex, "_source", lambda *a: generated.append(a) or source(*a))
+        ex._closure_maker.cache_clear()
+        try:
+            ex.compile_rk4(rates, _chart_names(len(rates) - 1), bind={"J": 1.0, "E": 0.5})
+        finally:
+            ex._closure_maker.cache_clear()
+        run = next(node for node in ast.walk(ast.parse(source(*generated[0])))
+                   if isinstance(node, ast.FunctionDef) and node.name == "_run")
+        loop = next(node for node in run.body if isinstance(node, ast.For))
+        prologue = [node for node in run.body if isinstance(node, ast.If)]
+        once = {t.id for node in prologue for a in ast.walk(node)
+                if isinstance(a, ast.Assign) for t in a.targets}
+        assert once  # something was hoisted
+        for node in ast.walk(loop):
+            if isinstance(node, ast.Assign) and node.targets[0].id.startswith("_t"):
+                reads = {n.id for n in ast.walk(node.value) if isinstance(n, ast.Name)}
+                assert not reads <= once | {n for n in reads if n.startswith("_b")}, \
+                    ast.unparse(node)
+
+    def test_a_float_start_gives_the_values_of_a_complex_one(self):
+        # from 0.565 and 0.65 a float power in the first stage would round
+        # differently and change the states
+        rates = (J * q ** 5, Power(q, -3) + J * Exp(q))
+        run = ex.compile_rk4(rates, ["q"], bind={"J": 0.7})
+        for x0 in (0.565, 0.65, 0.9):
+            lists = []
+            for start, phase in (((x0,), 0.0), ((complex(x0),), 0j)):
+                ts, qs, phases = [0.0], [start], [phase]
+                run(5, 0.01, ts, qs, phases, None)
+                lists.append((ts, qs[1:], phases[1:]))
+            assert lists[0] == lists[1]
+            assert all(type(z) is complex for point in lists[0][1] for z in point)
 
 
 class TestSubst:

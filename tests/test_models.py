@@ -5,6 +5,7 @@ import random
 from dataclasses import replace as dc_replace
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from nclb import expr as ex
@@ -13,13 +14,16 @@ from nclb.bilinear import form_from_json
 from nclb.diffop import DiffOp, SampleSpec, apply, op_equal
 from nclb.expr import Airy, Exp, I, Power, Var, evaluate, simplify
 from nclb import models
-from nclb.models import (CasimirReport, ModelParameterError,
+from nclb.models import (CasimirReport, ModelParameterError, SmearedGaussian,
+                         SmokeSpec,
                          airy_identity_check, casimir_scalar_check,
                          chart_samples, coordinate_expansion_report,
                          haar_invariance_check,
-                         invariant_frame_check, lambda_roots, laplace_operator,
+                         invariant_frame_check, kernel_orthogonality_smoke,
+                         lambda_roots, laplace_operator,
                          load_model, mode_solution_h3, pde_residual,
                          validate_model)
+from nclb.quadrature import gl_nodes
 from nclb.report import DEFAULT_SEED, InconclusiveError
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
@@ -349,3 +353,93 @@ class TestVerifyChecks:
         # the one mismatched term is sampled at the spec's 40 points
         assert (rec.samples_used, rec.skipped_samples, rec.seed) == (
             40, 0, DEFAULT_SEED)
+
+
+# --- kernel smoke ------------------------------------------------------------
+
+def _smoke_heisenberg_per_x2(a, b, j_val, jt_val, spec):
+    """The Heisenberg smoke pairing as it was computed before it went in
+    blocks of matrix products: two matrix-vector products per x2 node."""
+    wq_a, wq_b = a.width, b.width
+    ca1, ca2 = a.centers
+    cb1, cb2 = b.centers
+    s3 = models._WINDOW
+    sx1 = math.sqrt(2.0) / (min(abs(j_val), abs(jt_val)) * min(wq_a, wq_b))
+    lx1 = 7.0 * sx1
+    c_x2 = [ca2 - ca1, cb2 - cb1]
+    lo_x2 = min(c_x2) - 7.0 * (wq_a + wq_b)
+    hi_x2 = max(c_x2) + 7.0 * (wq_a + wq_b)
+    q_lo = min(ca1, cb1, ca2, cb2) - 7.0 * max(wq_a, wq_b)
+    q_hi = max(ca1, cb1, ca2, cb2) + 7.0 * max(wq_a, wq_b)
+
+    def compute(n_outer, n_inner):
+        x1, w1 = gl_nodes(n_outer, -lx1, lx1)
+        x2, w2 = gl_nodes(n_outer, lo_x2, hi_x2)
+        s, ws = gl_nodes(n_inner, q_lo, q_hi)
+        phase_a = np.exp(1j * j_val * np.outer(s, x1))
+        phase_b = np.exp(-1j * jt_val * np.outer(s, x1))
+        total = 0j
+        for x2v, w2v in zip(x2, w2):
+            fa = np.exp(-((s - x2v - ca1) ** 2 + (s - ca2) ** 2)
+                        / (2.0 * wq_a ** 2)) * ws
+            fb = np.exp(-((s - x2v - cb1) ** 2 + (s - cb2) ** 2)
+                        / (2.0 * wq_b ** 2)) * ws
+            total += w2v * np.sum(w1 * (fa @ phase_a) * (fb @ phase_b))
+        return total
+
+    coarse = compute(spec.n_outer, spec.n_inner)
+    refined = compute(spec.n_outer * 2, spec.n_inner * 2)
+    w3_hat = math.sqrt(2.0 * math.pi) * s3 * math.exp(-0.5 * (s3 * (jt_val - j_val)) ** 2)
+    inner = models._pair_inner_product(a, b)
+    predicted = (2.0 * math.pi / abs(j_val)) * w3_hat * inner
+    w3_hat0 = math.sqrt(2.0 * math.pi) * s3
+    scale = (2.0 * math.pi / abs(j_val)) * w3_hat0 * math.sqrt(
+        models._pair_inner_product(a, a) * models._pair_inner_product(b, b))
+    conv = abs(refined - coarse) * w3_hat0 / scale
+    dev = abs(w3_hat * refined - predicted) / scale
+    return dev, conv, complex(w3_hat * refined), complex(predicted), scale
+
+
+C12_H3 = (SmearedGaussian(centers=(0.1, -0.2), width=0.5),
+          SmearedGaussian(centers=(-0.1, 0.15), width=0.45))
+
+
+class TestSmoke:
+    @pytest.mark.parametrize("jt_val", [1.0, -1.0])
+    @pytest.mark.parametrize("spec", [SmokeSpec(), SmokeSpec(n_outer=97, n_inner=40)])
+    def test_blocked_heisenberg_matches_the_per_x2_loop(self, jt_val, spec):
+        # c12's pairs, and 97 and 194 x1 and x2 nodes, which split into
+        # blocks of 49 and 39 nodes with a short last block
+        got = models._smoke_heisenberg(*C12_H3, 1.0, jt_val, spec)
+        want = _smoke_heisenberg_per_x2(*C12_H3, 1.0, jt_val, spec)
+        # the measured value relative to itself; the deviations, which are
+        # in units of the pairing's scale, to 1e-13 of that scale
+        assert abs(got[2] - want[2]) <= 1e-13 * abs(want[2])
+        assert abs(got[0] - want[0]) <= 1e-13 and abs(got[1] - want[1]) <= 1e-13
+        assert got[3:] == want[3:]
+
+    def test_blocks_cover_every_index_once_within_the_bound(self):
+        assert models._blocks(97, 97) == [slice(0, 49), slice(49, 98)]
+        assert models._blocks(194, 194)[-1] == slice(156, 195)
+        for n in (96, 97, 192, 194):
+            blocks = models._blocks(n, n)
+            assert [i for k in blocks for i in range(n)[k]] == list(range(n))
+            assert all(len(range(n)[k]) * n <= 8192 for k in blocks)
+        # an index whose items exceed the bound gets a block of its own
+        assert models._blocks(3, 10000) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+
+    @pytest.mark.parametrize("name", ["heisenberg", "g4_7"])
+    @pytest.mark.parametrize("counts", [{"n_outer": 0}, {"n_inner": -3},
+                                        {"n_outer": 9.5}])
+    def test_a_bad_node_count_is_a_parameter_error(self, name, counts, request):
+        model = request.getfixturevalue({"g4_7": "g47", "heisenberg": "h3"}[name])
+        a = (SmearedGaussian(centers=(1.2, 0.1, 1.0, 0.0), width=0.3)
+             if name == "g4_7" else C12_H3[0])
+        with pytest.raises(ModelParameterError, match="SmokeSpec"):
+            kernel_orthogonality_smoke(model, [(a, a, 1, 1)], SmokeSpec(**counts))
+
+    def test_a_g47_pass_without_nodes_is_a_parameter_error(self, g47):
+        # n_outer 3 leaves the coarse pass no x3 or x4 node
+        a = SmearedGaussian(centers=(1.2, 0.1, 1.0, 0.0), width=0.3)
+        with pytest.raises(ModelParameterError, match="SmokeSpec"):
+            kernel_orthogonality_smoke(g47, [(a, a, 1, 1)], SmokeSpec(n_outer=3))
