@@ -284,7 +284,7 @@ def _cmd_model_residual(args, seed):
 
     model = _load_model_from_args(args)
     if args.psi == "mode":
-        if model.mode_solution is None:
+        if model.mode_family is None:
             raise InputError(f"model {args.model} has no closed-form mode family")
         psi = model.mode_solution(_frac(args.mu), _frac(args.nu), _frac(args.E))
         points = _parse_grid(args.grid, model.x_vars)

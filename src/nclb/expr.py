@@ -14,8 +14,11 @@ trees with an explicit stack.
 
 Numeric evaluation has one code generator.  It turns an expression (or a
 tuple of them) into flat code, one local per distinct subtree, and wraps
-that body in one of three functions, compiled once per expression, argument
-names, bound names and wrapper.  Its scalar emit runs on complex doubles:
+that body in one of three functions.  Constants are bound values, not code
+(exponents excepted), so code is compiled once per shape (the tree up to
+its constants), argument names, bound names and wrapper, and trees that
+differ only in their constants share it.  Its scalar emit runs on complex
+doubles:
 
 * a closure: `compile_expr` returns it for the normal form, and `evaluate`
   compiles the tree as given and calls it once;
@@ -582,27 +585,30 @@ def differentiate(e: Expr, var: str) -> Expr:
 
 # --- substitution -----------------------------------------------------------
 
-def subst(e: Expr, mapping) -> Expr:
-    """Replace variables by expressions; result is simplified."""
+def _rebuild(e, leaf):
+    """e with each leaf x (a constant, I or a variable) replaced by leaf(x);
+    a power's exponent is kept as it is."""
 
     def rec(x):
-        if isinstance(x, Var):
-            return as_expr(mapping.get(x.name, x))
         if isinstance(x, Sum):
             return Sum(tuple(rec(t) for t in x.terms))
         if isinstance(x, Product):
             return Product(tuple(rec(f) for f in x.factors))
         if isinstance(x, Power):
             return Power(rec(x.base), x.exponent)
-        if isinstance(x, Exp):
-            return Exp(rec(x.arg))
-        if isinstance(x, Log):
-            return Log(rec(x.arg))
+        if isinstance(x, (Exp, Log)):
+            return type(x)(rec(x.arg))
         if isinstance(x, Airy):
             return Airy(x.kind, rec(x.arg))
-        return x
+        return leaf(x)
 
-    return simplify(rec(e))
+    return rec(e)
+
+
+def subst(e: Expr, mapping) -> Expr:
+    """Replace variables by expressions; result is simplified."""
+    return simplify(_rebuild(e, lambda x: as_expr(mapping.get(x.name, x))
+                             if isinstance(x, Var) else x))
 
 
 # --- evaluation -------------------------------------------------------------
@@ -620,6 +626,39 @@ def _airy_rows(kind, t, bad):
     return out
 
 
+@_node
+class _Slot(Expr):
+    """The code generator's stand-in for the constant bound as `_c{index}`."""
+
+    index: int
+
+    def __post_init__(self):
+        _seal(self, (_Slot, self.index))
+
+
+def _lift(e):
+    """(shape, constants): e (or a tuple of them) with each constant outside
+    a power's exponent replaced by a `_Slot`, one per distinct value in
+    first-seen order, and those values.  Trees that differ only in such
+    constants have one shape."""
+    slots = {}
+
+    def leaf(x):
+        if isinstance(x, Const):
+            return _Slot(slots.setdefault(x.value, len(slots)))
+        return x
+
+    shape = tuple(_rebuild(x, leaf) for x in e) if isinstance(e, tuple) else _rebuild(e, leaf)
+    return shape, tuple(slots)
+
+
+def _double(c):
+    try:
+        return complex(float(c))
+    except OverflowError:
+        raise DomainError("a constant is outside the double range") from None
+
+
 _ARRAY_RUNTIME = {"_exp": np.exp, "_log": np.log, "_airy": _airy_rows,
                   "_LEFT_CUT": LEFT_CUT, "_INF": math.inf, "_BI_MAX": BI_OVERFLOW,
                   "_isfinite": np.isfinite, "_zeros": np.zeros,
@@ -628,9 +667,11 @@ _ARRAY_RUNTIME = {"_exp": np.exp, "_log": np.log, "_airy": _airy_rows,
 
 
 def _source(e, varnames, bound, wrapper):
-    """Source of `_make(*bound values)`, which returns the function of
-    `wrapper`: "closure" `_f(*varnames)`, "rk4" the loop `_run` of
-    `compile_rk4`, or "array" `_f(*columns) -> (bad, *values)`.
+    """Source of `_make(*bound values, *constants)`, which returns the
+    function of `wrapper`: "closure" `_f(*varnames)`, "rk4" the loop `_run`
+    of `compile_rk4`, or "array" `_f(*columns) -> (bad, *values)`.  e is a
+    shape (`_lift`): its constants are the `_Slot`s bound as `_c0, _c1, ...`;
+    the exponents of powers stay in the code.
 
     The body computes one local per inner node in evaluation order, so the
     source stays flat however deep the tree is.  A node whose code text was
@@ -651,6 +692,7 @@ def _source(e, varnames, bound, wrapper):
     invariant = set()  # rk4: code of constants, bound values and those locals
     local_of = {}  # code text -> its local
     checks = set()
+    slots = set()
     watched = []  # array: locals whose non-finite rows go to the closure
 
     def fixed(code):
@@ -707,11 +749,9 @@ def _source(e, varnames, bound, wrapper):
         return isinstance(x, Var) and x.name in varnames
 
     def gen(x):
-        if isinstance(x, Const):
-            try:
-                return fixed(f"({float(x.value)!r}+0j)")
-            except OverflowError:
-                raise DomainError("a constant is outside the double range") from None
+        if isinstance(x, _Slot):
+            slots.add(x.index)
+            return fixed(f"_c{x.index}")
         if isinstance(x, ImagUnit):
             return fixed("1j")
         if isinstance(x, Var):
@@ -755,7 +795,8 @@ def _source(e, varnames, bound, wrapper):
         raise TypeError(f"not an expression: {x!r}")
 
     results = [gen(x) for x in e] if isinstance(e, tuple) else [gen(e)]
-    make = f"def _make({', '.join(names[v] for v in bound)}):\n"
+    params = [names[v] for v in bound] + [f"_c{i}" for i in range(len(slots))]
+    make = f"def _make({', '.join(params)}):\n"
     args = ", ".join(names[v] for v in varnames)
     arith = ("except (OverflowError, ZeroDivisionError) as exc:\n"
              "    raise DomainError(f'{type(exc).__name__}: {exc}') from None\n")
@@ -816,20 +857,30 @@ def _rk4_source(prologue, lines, results, m, arith):
 
 
 @functools.lru_cache(maxsize=128)
-def _closure_maker(e, varnames, names, wrapper, normal):
-    """(bound names, `_make`) for e.  Without normal, e is compiled as given
-    with bound names `names`.  With normal, `names` are a caller's bind names
-    and the key shares the entry of e's normal form and the bound names among
-    them, so a repeated compile does no `simplify` and no free-variable walk.
+def _lifted(e, varnames, names, normal):
+    """(bound names, shape, constant values) of e.  Without normal, e is
+    compiled as given with bound names `names`.  With normal, `names` are a
+    caller's bind names and the key shares the entry of e's normal form and
+    the bound names among them, so a repeated compile does no `simplify` and
+    no free-variable walk.  A constant outside the double range raises
+    DomainError here, when its value is bound.
     """
     if normal:
         nf = tuple(simplify(x) for x in e) if isinstance(e, tuple) else simplify(e)
         free = free_vars(Sum(nf) if isinstance(nf, tuple) else nf) - set(varnames)
         bound = tuple(sorted(free.intersection(names)))
-        return _closure_maker(nf, varnames, bound, wrapper, False)
+        return _lifted(nf, varnames, bound, False)
+    shape, consts = _lift(e)
+    return names, shape, tuple(_double(c) for c in consts)
+
+
+@functools.lru_cache(maxsize=128)
+def _closure_maker(shape, varnames, names, wrapper):
+    """`_make` of a shape: code is generated and compiled once per shape,
+    argument names, bound names and wrapper."""
     ns = dict(_ARRAY_RUNTIME if wrapper == "array" else _RUNTIME)
-    exec(_source(e, varnames, names, wrapper), ns)  # noqa: S102 - generated from the tree
-    return names, ns["_make"]
+    exec(_source(shape, varnames, names, wrapper), ns)  # noqa: S102 - generated from the tree
+    return ns["_make"]
 
 
 def evaluate(e: Expr, assignment=None) -> complex:
@@ -848,7 +899,8 @@ def evaluate(e: Expr, assignment=None) -> complex:
         args = [complex(a[v]) for v in names]
     except KeyError as exc:
         raise MissingVariableError(f"no value for variable {exc.args[0]!r}") from None
-    val = _closure_maker(e, names, (), "closure", False)[1]()(*args)
+    _, shape, consts = _lifted(e, names, (), False)
+    val = _closure_maker(shape, names, (), "closure")(*consts)(*args)
     if not cmath.isfinite(val):
         raise DomainError(f"evaluation produced a non-finite value: {val!r}")
     return val
@@ -874,8 +926,11 @@ def compile_expr(e, varnames, bind=None):
     first failing entry raises.  `bind` maps names to numbers; e's free
     variables among them that are not in `varnames` are fixed into the
     closure as complex constants.  A free variable in neither raises
-    MissingVariableError.  Code is generated once per (normal form,
-    varnames, bound names) in a bounded cache; bound values are not code.
+    MissingVariableError.  Code is generated once per (shape of the normal
+    form, varnames, bound names) in a bounded cache: bound values and the
+    normal form's constants, each bound as complex(float(c)), are not code,
+    but the exponents of powers are.  A constant outside the double range
+    raises DomainError.
     """
     return _compiled(e, tuple(varnames), bind, "closure")
 
@@ -962,8 +1017,9 @@ def compile_array(e, varnames, bind=None):
 
 def _compiled(e, varnames, bind, wrapper):
     bind = bind or {}
-    bound, make = _closure_maker(e, varnames, tuple(sorted(bind)), wrapper, True)
-    return make(*(complex(bind[v]) for v in bound))
+    bound, shape, consts = _lifted(e, varnames, tuple(sorted(bind)), True)
+    return _closure_maker(shape, varnames, bound, wrapper)(
+        *(complex(bind[v]) for v in bound), *consts)
 
 
 # --- printing ---------------------------------------------------------------
@@ -986,6 +1042,8 @@ def to_text(e: Expr) -> str:
         return "I"
     if isinstance(e, Var):
         return e.name
+    if isinstance(e, _Slot):
+        return f"_c{e.index}"
     if isinstance(e, Exp):
         return f"exp({to_text(e.arg)})"
     if isinstance(e, Log):

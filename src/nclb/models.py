@@ -31,7 +31,7 @@ from .airyfun import airy, airy_array
 from .algebra import (LieAlgebra, Subspace, g47_algebra, heisenberg_algebra,
                       jacobi_defect)
 from .bilinear import BilinearForm, CoisotropyError, coisotropy_check, laplacian_data
-from .diffop import (DiffOp, SampleSpec, bracket_defects, commutator,
+from .diffop import (DiffOp, SampleSpec, apply, bracket_defects, commutator,
                      laplacian_image, op_equal, sampled)
 from .expr import Expr, Exp, I, Log, Power, Var, ZERO, simplify
 from .quadrature import gl_nodes, oscillatory_cubic_phase
@@ -94,9 +94,11 @@ class GroupModel:
 
     checks lists the records `nclb model verify` prints, in order, as
     (name, check) pairs; check(model, seed) returns the CheckRecord of that
-    name.  mode_solution (mu, nu, E) -> Expr is the model's closed-form
-    mode family and inverse_gft (phi_hat, E, QuadSpec2D) -> evaluator its
-    inverse generalized Fourier transform; None where the model has none.
+    name.  mode_solution (mu, nu, E, kind) -> Expr builds one member of the
+    model's closed-form mode family, and `mode_family` is that family as one
+    expression in the symbols mu, nu and E per Airy kind; inverse_gft
+    (phi_hat, E, QuadSpec2D) -> evaluator is its inverse generalized Fourier
+    transform.  Each is None where the model has none.
     """
 
     name: str
@@ -136,6 +138,22 @@ class GroupModel:
         """seed -> the records of `validate_model(self, seed)`, filled as
         each seed is first validated; a copy made by `dataclasses.replace`
         validates afresh."""
+        return {}
+
+    @functools.cached_property
+    def mode_family(self) -> dict | None:
+        """kind -> `mode_solution` at the symbols mu, nu and E, for each of
+        MODE_KINDS; None without a mode solution.  Built on first use."""
+        if self.mode_solution is None:
+            return None
+        mu, nu, energy = Var("mu"), Var("nu"), Var("E")
+        return {kind: self.mode_solution(mu, nu, energy, kind) for kind in MODE_KINDS}
+
+    @functools.cached_property
+    def mode_proofs(self) -> dict:
+        """kind -> whether the Laplacian maps that `mode_family` member f to
+        E f, symbolically; filled by `pde_residual` as each kind is first
+        met."""
         return {}
 
     @functools.cached_property
@@ -663,6 +681,18 @@ def coordinate_expansion_report(model, seed=DEFAULT_SEED):
 
 # --- closed-form mode solutions ----------------------------------------------
 
+MODE_KINDS = ("Ai", "Bi")
+_MEMBERS = {}  # member tree -> (builder, kind, exact E), oldest first
+_MEMBERS_CAP = 64
+
+
+def _keep(memo, key, value, cap):
+    """memo[key] = value, dropping the oldest entries beyond cap."""
+    memo[key] = value
+    while len(memo) > cap:
+        del memo[next(iter(memo))]
+
+
 def mode_solution_h3(mu, nu, energy, kind="Ai") -> Expr:
     """Airy-profile plane-wave mode for the Heisenberg Laplacian.
 
@@ -670,25 +700,52 @@ def mode_solution_h3(mu, nu, energy, kind="Ai") -> Expr:
     mu, nu, energy may be exact rationals or expression atoms; a numeric nu
     must be nonzero.  The Bi-branch profile is constructible but grows as
     x1 -> +infinity, so decaying-solution checks use the default Ai branch.
+    A member built at exact mu, nu and E is remembered, for `pde_residual`,
+    among the last 64.
     """
     mu = ex.as_expr(mu)
     nu = ex.as_expr(nu)
     energy = ex.as_expr(energy)
     if isinstance(nu, ex.Const) and nu.value == 0:
         raise ModelParameterError("mode requires nu != 0")
-    if kind not in ("Ai", "Bi"):
+    if kind not in MODE_KINDS:
         raise ModelParameterError("mode kind must be 'Ai' or 'Bi'")
     x1, x2, x3 = Var("x1"), Var("x2"), Var("x3")
     two_nu2 = 2 * nu * nu
     arg = (two_nu2 * x1 + 2 * mu * nu + energy) * Power(two_nu2, Fraction(-2, 3))
-    return simplify(Exp(I * mu * x2 + I * nu * x3) * ex.Airy(kind, arg))
+    psi = simplify(Exp(I * mu * x2 + I * nu * x3) * ex.Airy(kind, arg))
+    if all(isinstance(c, ex.Const) for c in (mu, nu, energy)):
+        _keep(_MEMBERS, psi, (mode_solution_h3, kind, energy.value), _MEMBERS_CAP)
+    return psi
+
+
+def _family_solves(model, kind):
+    """Whether simplify(Delta f - E f) is 0 for the model's `mode_family`
+    member f of this kind; proved once per model and kind."""
+    proofs = model.mode_proofs
+    if kind not in proofs:
+        f = model.mode_family[kind]
+        proofs[kind] = simplify(apply(model.laplacian, f) - Var("E") * f) == ZERO
+    return proofs[kind]
 
 
 def pde_residual(model, psi: Expr, energy, samples) -> ResidualReport:
     """`operator_residual` of the model's Laplacian on an expression field:
     max |Delta psi - E psi| / max(|psi|, 1e-12) over sample points, with
-    Delta psi cross-checked against step-0.02 stencils at the first 10."""
-    return operator_residual(model.laplacian, psi, energy, samples, fd_step=0.02)
+    Delta psi cross-checked against step-0.02 stencils at the first 10.
+
+    A psi equal to a member that the model's `mode_solution` built at exact
+    parameters, checked at that member's exact energy, is not
+    differentiated: its family's identity is proved once per model and kind
+    (`_family_solves`), so its residual is that proof's 0, and the report is
+    the one the member's own proof gives.
+    """
+    member = _MEMBERS.get(psi) if isinstance(psi, Expr) else None
+    proved = (member is not None and member[0] is model.mode_solution
+              and isinstance(energy, (int, Fraction)) and energy == member[2]
+              and _family_solves(model, member[1]))
+    return operator_residual(model.laplacian, psi, energy, samples, fd_step=0.02,
+                             proved=proved)
 
 
 # --- generalized inverse transform (Heisenberg) -------------------------------
@@ -713,6 +770,7 @@ class _GftGrid:
     """
 
     ROW_BUDGET = 1 << 13  # Airy arguments per `airy_array` call
+    ROWS_KEPT = 16  # rows a pointwise evaluator keeps
 
     def __init__(self, phi_hat, energy, box, n):
         (k_lo, k_hi), (j_lo, j_hi) = box
@@ -742,8 +800,7 @@ class _GftGrid:
         separable sum of every point of each x1."""
         pts = np.asarray(points, dtype=float).reshape(len(points), 3)
         x1s, which = np.unique(pts[:, 0], return_inverse=True)
-        e2 = np.exp(1j * np.outer(pts[:, 1], self.k))
-        e3 = np.exp(1j * np.outer(pts[:, 2], self.j))
+        e2, e3 = self.phases(pts)
         out = np.empty(len(pts), dtype=complex)
         chunk = max(1, self.ROW_BUDGET // self.base.size)
         for lo in range(0, len(x1s), chunk):
@@ -751,6 +808,11 @@ class _GftGrid:
                 at = np.flatnonzero(which == i)
                 out[at] = np.sum((e2[at] @ row) * e3[at], axis=1)
         return out
+
+    def phases(self, pts):
+        """e^{i k x2} and e^{i J x3} at each point of an (m, 3) array."""
+        return (np.exp(1j * np.outer(pts[:, 1], self.k)),
+                np.exp(1j * np.outer(pts[:, 2], self.j)))
 
 
 def inverse_gft_h3(phi_hat, energy, x_points, quad_spec: QuadSpec2D):
@@ -769,15 +831,22 @@ def inverse_gft_h3_evaluator(phi_hat, energy, quad_spec: QuadSpec2D):
     """Pointwise evaluator x -> psi(x) over fixed quadrature nodes, with the
     batched entry psi.batch(points) -> values at an (m, 3) point array.
 
-    Both are `_GftGrid.values`: a call is a batch of one point, and a batch
-    computes the Airy rows of its distinct x1 values once, so a stencil
-    cloud handed to `batch` costs one `airy_array` call.  No row is kept
-    between calls.
+    A batch is `_GftGrid.values`, which computes the Airy rows of its
+    distinct x1 values once, so a stencil cloud handed to `batch` costs one
+    `airy_array` call.  A call computes the value as a batch of one point
+    would, from the row of its x1; the evaluator keeps its last 16 rows, by
+    the exact float x1, so calls at a repeated x1 make no Airy call.
     """
     grid = _GftGrid(phi_hat, energy, quad_spec.box, quad_spec.n)
+    rows = {}
 
     def psi(point):
-        return complex(grid.values([point])[0])
+        pt = np.asarray(point, dtype=float).reshape(1, 3)
+        x1 = float(pt[0, 0])
+        if x1 not in rows:
+            _keep(rows, x1, grid.rows([x1])[0], grid.ROWS_KEPT)
+        e2, e3 = grid.phases(pt)
+        return complex(np.sum((e2 @ rows[x1]) * e3))
 
     psi.batch = grid.values
     return psi
@@ -800,15 +869,15 @@ def mode_superposition_h3(amplitude, energy, x_points, quad_spec: QuadSpec2D):
     Same double quadrature as inverse_gft_h3 but routed through the symbolic
     mode solution; under A(mu,nu) = (2 nu^2)^(1/3)/(2 pi)^2 phi_hat(mu, nu)
     the two agree pointwise.  The amplitude is called once, on the (mu, nu)
-    node grids, as inverse_gft_h3 calls phi_hat; the compiled mode family
-    (`expr.compile_array`) is evaluated over the whole node grid at each
-    output point.
+    node grids, as inverse_gft_h3 calls phi_hat; the Ai mode family, compiled
+    once (`expr.compile_array`) with the energy bound, is evaluated over the
+    whole node grid at each output point.
     """
     (k_lo, k_hi), (j_lo, j_hi) = quad_spec.box
     if j_lo <= 0.0 <= j_hi:
         raise SingularMeasureError("spectral support must exclude nu = 0")
-    mode = mode_solution_h3(Var("mu"), Var("nu"), ex.as_expr(energy))
-    f_mode = ex.compile_array(mode, ["mu", "nu", "x1", "x2", "x3"])
+    mode = mode_solution_h3(Var("mu"), Var("nu"), Var("E"))
+    f_mode = ex.compile_array(mode, ["mu", "nu", "x1", "x2", "x3"], bind={"E": energy})
     k, wk = gl_nodes(quad_spec.n, float(k_lo), float(k_hi))
     j, wj = gl_nodes(quad_spec.n, float(j_lo), float(j_hi))
     kg, jg = np.meshgrid(k, j, indexing="ij")

@@ -485,7 +485,7 @@ def _field_at(psi):
 
 
 def operator_residual(op: DiffOp, psi, energy, samples, params=None,
-                      fd_step=1e-2) -> ResidualReport:
+                      fd_step=1e-2, proved=False) -> ResidualReport:
     """max |op psi - E psi| / max(|psi|, 1e-12) over samples: the one residual
     of an order-<=2 operator on a field.
 
@@ -493,12 +493,13 @@ def operator_residual(op: DiffOp, psi, energy, samples, params=None,
     op.variables; params binds any other free name.  For an expression, an
     exact (int or Fraction) energy is folded into psi before op is applied;
     any other energy stays the symbol E, bound through params unless they
-    already bind it.  op psi is built once, the residual simplified once,
-    and (residual, psi) evaluated over all samples at once through
-    `expr.compile_array`; at the first 10 samples the symbolic op psi, as
-    residual + E psi, is cross-checked against the 4th-order stencils
-    (`_stencil`) of psi, whose points go through the same (residual, psi)
-    code.  A callable psi goes through the stencils alone, with each
+    already bind it.  op psi is built once and the residual simplified once
+    (with proved=True it is taken as 0 unbuilt: the caller has proved
+    op psi = energy psi symbolically); (residual, psi) is evaluated over all
+    samples at once through `expr.compile_array`; at the first 10 samples
+    the symbolic op psi, as residual + E psi, is cross-checked against the
+    4th-order stencils (`_stencil`) of psi, whose points go through the same
+    (residual, psi) code.  A callable psi goes through the stencils alone, with each
     distinct stencil point evaluated once per check (`_field_at`).  A
     sample is skipped when a coefficient, psi or a stencil point it needs
     raises one of `diffop.SKIPPED`.  A NaN or inf value makes the figure
@@ -534,7 +535,8 @@ def operator_residual(op: DiffOp, psi, energy, samples, params=None,
     if isinstance(psi, Expr):
         if exact and "E" in ex.free_vars(psi):
             psi = ex.subst(psi, {"E": energy})
-        resid = simplify(apply(op, psi) - (ex.as_expr(energy) if exact else Var("E")) * psi)
+        resid = ZERO if proved else simplify(
+            apply(op, psi) - (ex.as_expr(energy) if exact else Var("E")) * psi)
         symbolic_zero = resid == ZERO
         fn = ex.compile_array((resid, psi), names, bind=params)
         (r, p), ok = fn(*q.T, skip=SKIPPED)

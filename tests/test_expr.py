@@ -3,6 +3,7 @@ import cmath
 import dataclasses
 import pickle
 import random
+import re
 import sys
 from fractions import Fraction as F
 
@@ -517,6 +518,98 @@ class TestCompileRk4:
                 lists.append((ts, qs[1:], phases[1:]))
             assert lists[0] == lists[1]
             assert all(type(z) is complex for point in lists[0][1] for z in point)
+
+
+def _with_literal_constants(e, varnames, bind, wrapper):
+    """e compiled as the generator emitted it before constants were bound:
+    the shape's code with each `_c{i}` written as its `(float+0j)` literal."""
+    bound, shape, consts = ex._lifted(e, tuple(varnames), tuple(sorted(bind)), True)
+    head, body = ex._source(shape, tuple(varnames), bound, wrapper).split("\n", 1)
+    body = re.sub(r"\b_c(\d+)\b",
+                  lambda m: f"({consts[int(m.group(1))].real!r}+0j)", body)
+    assert "_c" not in body.replace("_cx(", "")
+    ns = dict(ex._ARRAY_RUNTIME if wrapper == "array" else ex._RUNTIME)
+    exec(head + "\n" + body, ns)
+    return ns["_make"](*(complex(bind[v]) for v in bound), *consts)
+
+
+def _mode(mu, nu, e_val):
+    from nclb.models import mode_solution_h3
+    return mode_solution_h3(mu, nu, e_val)
+
+
+class TestConstantLifting:
+    def test_a_constant_beyond_the_double_range_raises_when_bound(self):
+        huge = Const(F(10) ** 400)
+        with pytest.raises(DomainError, match="double range"):
+            compile_expr(huge * q, ["q"])
+        with pytest.raises(DomainError, match="double range"):
+            ex.compile_array((q, huge * q), ["q"])
+        with pytest.raises(DomainError, match="double range"):
+            ex.compile_rk4((ex.ONE, huge * q), ["q"])
+        # the same shape with a constant in range compiles and runs
+        assert compile_expr(Const(F(10) ** 300) * q, ["q"])(2.0) == 2e300
+
+    def test_one_shape_one_code_generation(self, monkeypatch):
+        generated = []
+        source = ex._source
+        monkeypatch.setattr(ex, "_source", lambda *a: generated.append(a) or source(*a))
+        ex._closure_maker.cache_clear()
+        names = ["x1", "x2", "x3"]
+        members = [_mode(F(1, 3), F(4, 5), F(7, 6)), _mode(F(-2, 9), F(5, 3), F(-3, 4))]
+        pts = [(0.3, -0.2, 0.5), (-1.1, 0.4, 0.0)]
+        lifted = [[compile_expr(psi, names)(*p) for p in pts] for psi in members]
+        # (evaluating the exponent -2/3 may generate code of its own)
+        assert len([a for a in generated if a[1] == tuple(names)]) == 1
+        for psi, values in zip(members, lifted):
+            ex._closure_maker.cache_clear()
+            ex._lifted.cache_clear()
+            assert [compile_expr(psi, names)(*p) for p in pts] == values
+
+    def test_equal_constants_share_a_slot_and_exponents_stay_in_the_code(self):
+        same, consts = ex._lift(2 * q + 2 * x)
+        assert consts == (2,)
+        assert ex._lift(3 * q + 3 * x)[0] == same
+        assert ex._lift(2 * q + 3 * x)[0] != same
+        assert ex._lift(Power(q, 2))[0] != ex._lift(Power(q, 3))[0]
+        assert ex._lift(Power(q, 2))[1] == ()
+        assert compile_expr(2 * q + 3 * x, ["q", "x"])(1.0, 1.0) == 5.0
+
+    def test_values_are_those_of_literal_constants(self):
+        # a bound complex(float(c)) is the literal (float+0j), so no float
+        # operation changes: closure and array code of modes
+        names = ("x1", "x2", "x3")
+        pts = np.array([(a, b, c) for a in (-1.3, 0.2, 0.9) for b in (-0.7, 0.4)
+                        for c in (0.1, 1.2)])
+        for psi in (_mode(F(1, 3), F(4, 5), F(7, 6)), _mode(F(0), F(-5, 3), F(-3, 4)),
+                    _mode(F(0.3), F(0.7), F(1.1))):
+            f, g = compile_expr(psi, names), _with_literal_constants(psi, names, {}, "closure")
+            assert [f(*p) for p in pts.tolist()] == [g(*p) for p in pts.tolist()]
+            arr = ex._compiled((ZERO, psi), names, {}, "array")
+            lit = _with_literal_constants((ZERO, psi), names, {}, "array")
+            for u, v in zip(arr(*pts.T), lit(*pts.T)):
+                assert np.array_equal(u, v)
+
+    @pytest.mark.parametrize("fixture", ["h3", "g47"])
+    def test_rk4_states_are_those_of_literal_constants(self, fixture, request):
+        from nclb.models import reduction_normalizer
+        from nclb.reduction import _chart_names, build_reduced, extract_first_order
+
+        model = request.getfixturevalue(fixture)
+        red = extract_first_order(build_reduced(model, verify=False),
+                                  reduction_normalizer(model))
+        rates = tuple(red.first_order.Z) + (red.first_order.V,)
+        names = _chart_names(len(rates) - 1)
+        bind = {"J": 1.0, "E": 0.7}
+        start = [(1.2 + 0j, 0.5 + 0j)[:len(names)]]
+        runs = []
+        for run in (ex.compile_rk4(rates, names, bind=bind),
+                    _with_literal_constants(rates, names, bind, "rk4")):
+            ts, qs, phases = [0.0], list(start), [0j]
+            run(40, -1e-2, ts, qs, phases, None)
+            runs.append((ts, qs, phases))
+        assert runs[0] == runs[1]
+        assert len(runs[0][0]) == 41
 
 
 class TestSubst:

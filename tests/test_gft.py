@@ -111,6 +111,37 @@ class TestInverseGft:
         single = np.array([ev(p) for p in GRID])
         assert np.max(np.abs(single - batch)) <= 1e-15 * np.max(np.abs(batch))
 
+    def test_pointwise_calls_compute_each_x1_row_once(self, monkeypatch):
+        spec = QuadSpec2D(box=((-1.0, 1.0), (0.2, 1.8)), n=16)
+        ev = inverse_gft_h3_evaluator(bump(0.0, 1.0, 0.2), 1.0, spec)
+        sizes = []
+        real = models.airy_array
+        monkeypatch.setattr(models, "airy_array",
+                            lambda kind, x: sizes.append(np.size(x)) or real(kind, x))
+        single = [ev(p) for p in GRID]
+        assert sizes == [16 * 16] * 3  # GRID has 3 distinct x1 values
+        monkeypatch.setattr(models, "airy_array", real)
+        # each value is the one a batch of that point alone gives; a larger
+        # batch multiplies matrices and agrees to rounding (above)
+        assert single == [ev.batch([p])[0] for p in GRID]
+        assert [ev(p) for p in GRID] == single
+
+    def test_pointwise_rows_are_bounded(self, monkeypatch):
+        spec = QuadSpec2D(box=((-1.0, 1.0), (0.2, 1.8)), n=16)
+        ev = inverse_gft_h3_evaluator(bump(0.0, 1.0, 0.2), 1.0, spec)
+        calls = []
+        real = models.airy_array
+        monkeypatch.setattr(models, "airy_array",
+                            lambda kind, x: calls.append(1) or real(kind, x))
+        pts = [(0.01 * i, 0.1, -0.2) for i in range(20)]
+        first = [ev(p) for p in pts]
+        assert len(calls) == 20
+        # the last 16 rows are kept: the first 4 points need theirs again
+        assert [ev(p) for p in pts[4:]] == first[4:]
+        assert len(calls) == 20
+        assert [ev(p) for p in pts[:4]] == first[:4]
+        assert len(calls) == 24
+
     def test_rows_come_in_bounded_airy_calls(self, monkeypatch):
         sizes = []
         real = models.airy_array

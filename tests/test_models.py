@@ -241,6 +241,91 @@ class TestModeSolution:
         assert flagged.max_residual > 0.5
 
 
+def _drawn_members(seed, n):
+    rng = random.Random(seed)
+    for _ in range(n):
+        # |mu| <= 2, 1/4 <= |nu| <= 3 and |E| <= 5 keep the Airy argument
+        # moderate on grid3, so the field is not numerically zero
+        mu = F(rng.randint(-400, 400), 200)
+        nu = F(rng.choice((-1, 1)) * rng.randint(50, 600), 200)
+        yield mu, nu, F(rng.randint(-900, 900), 180), "Ai"
+    # nu < 0, nu = 1, mu = 0 (the 2 mu nu term drops) and the Bi kind
+    yield F(1, 3), F(-5, 4), F(2), "Ai"
+    yield F(3, 7), F(1), F(-1, 2), "Ai"
+    yield F(0), F(2, 3), F(5, 2), "Ai"
+    yield F(-3, 5), F(7, 4), F(-1, 3), "Bi"
+    yield F(0.3), F(0.7), F(1.1), "Ai"  # float-exact rationals
+
+
+class TestModeFamily:
+    def test_fields(self, h3, g47):
+        mu, nu, e = Var("mu"), Var("nu"), Var("E")
+        assert h3.mode_family == {kind: mode_solution_h3(mu, nu, e, kind)
+                                  for kind in models.MODE_KINDS}
+        assert g47.mode_family is None
+
+    def test_the_proof_is_not_part_of_loading(self):
+        model = load_model("heisenberg")
+        assert "mode_family" not in vars(model) and "mode_proofs" not in vars(model)
+        assert models._family_solves(model, "Ai") and models._family_solves(model, "Bi")
+        assert model.mode_proofs == {"Ai": True, "Bi": True}
+
+    @pytest.mark.parametrize("mu,nu,e_val,kind", list(_drawn_members(21, 6)))
+    def test_family_path_gives_the_members_own_report(self, h3, monkeypatch,
+                                                      mu, nu, e_val, kind):
+        # the oracle proves the member itself: operator_residual on its tree
+        from nclb import reduction
+        psi = mode_solution_h3(mu, nu, e_val, kind)
+        pts = grid3(n=3)
+        oracle = reduction.operator_residual(h3.laplacian, psi, e_val, pts,
+                                             fd_step=0.02)
+        assert oracle.symbolic_zero
+        applied = []
+        monkeypatch.setattr(reduction, "apply",
+                            lambda op, f: applied.append(f) or apply(op, f))
+        assert pde_residual(h3, psi, e_val, pts) == oracle
+        assert applied == []
+        # a tree equal to the member, built apart from it, takes the same path
+        assert pde_residual(h3, ex.subst(psi, {}), e_val, pts) == oracle
+
+    def test_another_energy_takes_the_concrete_path(self, h3, monkeypatch):
+        from nclb import reduction
+        psi = mode_solution_h3(F(1, 2), F(3, 2), F(1))
+        applied = []
+        monkeypatch.setattr(reduction, "apply",
+                            lambda op, f: applied.append(f) or apply(op, f))
+        for energy in (F(2), 1.0):
+            applied.clear()
+            rep = pde_residual(h3, psi, energy, grid3(n=3))
+            assert applied == [psi]
+            assert not rep.symbolic_zero
+            # (E_member - energy) psi, relative to psi
+            assert rep.max_residual == pytest.approx(float(energy) - 1.0, abs=1e-12)
+
+    def test_a_new_member_runs_no_apply_and_no_exec(self, h3, monkeypatch):
+        import builtins
+        from nclb import diffop, reduction
+        pts = grid3(n=3)
+        names = list(h3.x_vars)
+        for mu, nu, e_val in ((F(1, 3), F(4, 5), F(7, 6)), (F(-2, 9), F(5, 3), F(-3, 4))):
+            psi = mode_solution_h3(mu, nu, e_val)
+            pde_residual(h3, psi, e_val, pts)
+            ex.compile_expr(psi, names)
+        calls = []
+        real_exec = builtins.exec
+        monkeypatch.setattr(builtins, "exec",
+                            lambda *a: calls.append("exec") or real_exec(*a))
+        for mod in (diffop, reduction, models):
+            monkeypatch.setattr(mod, "apply",
+                                lambda op, f: calls.append("apply") or apply(op, f))
+        psi = mode_solution_h3(F(5, 11), F(-6, 7), F(9, 4))
+        rep = pde_residual(h3, psi, F(9, 4), pts)
+        values = [ex.compile_expr(psi, names)(*p) for p in pts]
+        assert calls == []
+        assert rep.symbolic_zero and rep.max_residual == 0.0
+        assert values == [evaluate(psi, dict(zip(names, p))) for p in pts]
+
+
 class TestAiryIdentity:
     def test_unit_scale_point(self):
         # at t = 1/3 the scale factor collapses to 1 and both sides are Ai(0)
