@@ -6,11 +6,12 @@ kernel provides exact differentiation, an expand-and-collect normal form
 (`simplify`), numeric evaluation, and a parse/print pair for a plain infix
 syntax.
 
-Nodes are frozen, slotted dataclasses compared structurally.  Each is
-hashed once, at construction, from its children's stored hashes, so hashing
-a node for a dict or cache lookup reads one attribute however deep the tree
-is, and never recurses; `==` compares the stored hashes first and walks both
-trees with an explicit stack.
+Nodes are frozen, slotted and interned (hash-consed): a constructor returns
+the live node with equal fields if there is one, from one table of weak
+references keyed by the class and the fields, so equal trees are one
+object, `==` is `is` and the hash is the object's, and neither walks a
+tree.  A node lives while something outside the table holds it, and a
+pickle round trip returns the live node.
 
 Numeric evaluation has one code generator.  It turns an expression (or a
 tuple of them) into flat code, one local per distinct subtree, and wraps
@@ -38,10 +39,16 @@ closure could have raised on, is handed to the closure, so the array form
 raises, skips and returns non-finite values where the closure does.
 
 The normal form is a sum of monomials: rational coefficient times sorted
-factors, with same-base powers merged by exponent arithmetic, exponential
+factors, with same-base powers merged by exponent arithmetic (a merged
+power of a base other than a variable is normalized again), exponential
 factors merged by argument addition, and powers of the imaginary unit folded
-mod 4.  It is idempotent and strong enough to cancel every operator identity
-the rest of the library relies on symbolically.
+mod 4.  It is strong enough to cancel every operator identity the rest of
+the library relies on symbolically, and it is kept: a tree `simplify`
+returns records the map from monomials to coefficients it was built from,
+normalizing reads that map back instead of rebuilding it, and `simplify`
+returns a normal tree unchanged, so it is idempotent and sums, products and
+powers of normal trees merge their stored maps.  A stored map is shared and
+never mutated: `_nf_add` copies before it writes.
 """
 
 from __future__ import annotations
@@ -49,7 +56,9 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, fields
+import threading
+import weakref
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import numpy as np
@@ -83,49 +92,21 @@ def _as_fraction(x):
 
 
 class Expr:
-    """Base of the node classes.  The stored hash `_hash` is a slot, not a
-    dataclass field, so `repr` and `to_text` never see it."""
+    """Base of the node classes.  `_nf` is the normal-form map `simplify`
+    built the node from, or None; it is a slot, not a field, so `repr`,
+    `to_text` and pickling never see it."""
 
-    __slots__ = ("_hash",)
+    __slots__ = ("_nf", "__weakref__")
 
-    def __hash__(self):
-        return self._hash
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
-    def __eq__(self, other):
-        """Structural equality.  Stored hashes are compared first, and the two
-        trees are walked with an explicit stack, so comparing deep trees
-        (or meeting an equal but distinct deep key in a dict) never recurses."""
-        if self is other:
-            return True
-        if not isinstance(other, Expr):
-            return NotImplemented
-        if self.__class__ is not other.__class__ or self._hash != other._hash:
-            return False
-        stack = [(self, other)]
-        push = stack.append
-        while stack:
-            a, b = stack.pop()
-            if a.__class__ is not b.__class__ or a._hash != b._hash:
-                return False
-            for name in a.__slots__:
-                u, v = getattr(a, name), getattr(b, name)
-                if u is v:
-                    continue
-                if u.__class__ is tuple:
-                    if len(u) != len(v):
-                        return False
-                    for pair in zip(u, v):
-                        if pair[0] is not pair[1]:
-                            push(pair)
-                elif isinstance(u, Expr):
-                    push((u, v))
-                elif u != v:
-                    return False
-        return True
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        # rebuild through the constructor: a stored hash is per-process
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+        # rebuild through the constructor, which returns the live node
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
     def __add__(self, other):
         return Sum((self, as_expr(other)))
@@ -161,112 +142,103 @@ class Expr:
         return f"<expr {to_text(self)}>"
 
 
-def _node(cls):
-    """A frozen, slotted dataclass node that keeps `Expr.__eq__` and
-    `Expr.__hash__` (the generated ones would walk the whole subtree by
-    recursion)."""
-    return dataclass(frozen=True, slots=True, repr=False, eq=False)(cls)
+_NODES = weakref.WeakValueDictionary()  # (class, *fields) -> the live node
+_NODES_LOCK = threading.Lock()  # one live node per key in every thread
 
 
-def _seal(node, key):
-    object.__setattr__(node, "_hash", hash(key))
+def _intern(key, *values):
+    """The live node keyed by key, else a new node of class key[0] whose
+    fields, in slot order, are values."""
+    with _NODES_LOCK:
+        node = _NODES.get(key)
+        if node is None:
+            node = object.__new__(key[0])
+            for name, value in zip(node.__slots__, values):
+                object.__setattr__(node, name, value)
+            object.__setattr__(node, "_nf", None)
+            _NODES[key] = node
+    return node
 
 
-@_node
 class Const(Expr):
-    value: Fraction
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        v = _as_fraction(self.value)
-        object.__setattr__(self, "value", v)
-        _seal(self, (Const, v.numerator, v.denominator))
+    def __new__(cls, value):
+        # keyed by the integers: hashing a Fraction costs about a microsecond
+        v = _as_fraction(value)
+        return _intern((cls, v.numerator, v.denominator), v)
 
 
-@_node
 class ImagUnit(Expr):
-    def __post_init__(self):
-        _seal(self, (ImagUnit,))
+    __slots__ = ()
+
+    def __new__(cls):
+        return _intern((cls,))
 
 
 I = ImagUnit()
 
 
-@_node
 class Var(Expr):
-    name: str
+    __slots__ = ("name",)
 
-    def __post_init__(self):
-        _seal(self, (Var, self.name))
+    def __new__(cls, name):
+        return _intern((cls, name), name)
 
 
-@_node
 class Sum(Expr):
-    terms: tuple
+    __slots__ = ("terms",)
 
-    def __post_init__(self):
-        terms = tuple(as_expr(t) for t in self.terms)
-        object.__setattr__(self, "terms", terms)
-        _seal(self, (Sum, terms))
+    def __new__(cls, terms):
+        terms = tuple(as_expr(t) for t in terms)
+        return _intern((cls, terms), terms)
 
 
-@_node
 class Product(Expr):
-    factors: tuple
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
-        factors = tuple(as_expr(f) for f in self.factors)
-        object.__setattr__(self, "factors", factors)
-        _seal(self, (Product, factors))
+    def __new__(cls, factors):
+        factors = tuple(as_expr(f) for f in factors)
+        return _intern((cls, factors), factors)
 
 
-@_node
 class Power(Expr):
-    base: Expr
-    exponent: Expr
+    __slots__ = ("base", "exponent")
 
-    def __post_init__(self):
-        base, exponent = as_expr(self.base), as_expr(self.exponent)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "exponent", exponent)
+    def __new__(cls, base, exponent):
+        base, exponent = as_expr(base), as_expr(exponent)
         if free_vars(exponent):
             raise ValueError("power exponents must be constant expressions")
-        _seal(self, (Power, base, exponent))
+        return _intern((cls, base, exponent), base, exponent)
 
 
-@_node
 class Exp(Expr):
-    arg: Expr
+    __slots__ = ("arg",)
 
-    def __post_init__(self):
-        arg = as_expr(self.arg)
-        object.__setattr__(self, "arg", arg)
-        _seal(self, (Exp, arg))
+    def __new__(cls, arg):
+        arg = as_expr(arg)
+        return _intern((cls, arg), arg)
 
 
-@_node
 class Log(Expr):
-    arg: Expr
+    __slots__ = ("arg",)
 
-    def __post_init__(self):
-        arg = as_expr(self.arg)
-        object.__setattr__(self, "arg", arg)
-        _seal(self, (Log, arg))
+    def __new__(cls, arg):
+        arg = as_expr(arg)
+        return _intern((cls, arg), arg)
 
 
 AIRY_KINDS = ("Ai", "AiPrime", "Bi", "BiPrime")
 
 
-@_node
 class Airy(Expr):
-    kind: str
-    arg: Expr
+    __slots__ = ("kind", "arg")
 
-    def __post_init__(self):
-        arg = as_expr(self.arg)
-        object.__setattr__(self, "arg", arg)
-        if self.kind not in AIRY_KINDS:
-            raise ValueError(f"unknown Airy kind {self.kind!r}")
-        _seal(self, (Airy, self.kind, arg))
+    def __new__(cls, kind, arg):
+        arg = as_expr(arg)
+        if kind not in AIRY_KINDS:
+            raise ValueError(f"unknown Airy kind {kind!r}")
+        return _intern((cls, kind, arg), kind, arg)
 
 
 ZERO = Const(Fraction(0))
@@ -358,62 +330,51 @@ def _nf_add(a, b):
 
 
 def _merge_monomials(m1, m2):
-    """Combine two factor tuples; returns (coeff_multiplier, monomial)."""
-    mult = Fraction(1)
+    """The normal form of the product of two factor tuples.  A merged power
+    of a base other than a variable goes back through `_norm_power`: the
+    result may be a constant, an expanded sum or a factor of another kind."""
     i_count = 0
     exp_args = []
-    pows = {}  # base expr -> list of exponent exprs
-    order = []  # first-seen bases, for stable grouping
+    pows = {}  # base expr -> its exponent exprs, in first-seen order
     for f in m1 + m2:
         if f[0] == "i":
             i_count += 1
         elif f[0] == "exp":
             exp_args.append(f[1])
         else:
-            _, base, ex = f
-            if base not in pows:
-                pows[base] = []
-                order.append(base)
-            pows[base].append(ex)
-    i_count %= 4
-    if i_count == 2:
-        mult = -mult
-        i_count = 0
-    elif i_count == 3:
-        mult = -mult
-        i_count = 1
-    factors = []
-    if i_count:
-        factors.append(("i",))
+            pows.setdefault(f[1], []).append(f[2])
+    factors = [("i",)] if i_count % 2 else []
     if exp_args:
         total = simplify(Sum(tuple(exp_args))) if len(exp_args) > 1 else exp_args[0]
         if total != ZERO:
             factors.append(("exp", total))
-    for base in order:
-        exps = pows[base]
-        ex = simplify(Sum(tuple(exps))) if len(exps) > 1 else exps[0]
-        if ex == ZERO:
+    renormed = []
+    for base, exps in pows.items():
+        if len(exps) == 1:
+            factors.append(("pow", base, exps[0]))
             continue
-        if (isinstance(base, Const) and isinstance(ex, Const)
-                and ex.value.denominator == 1
-                and not (base.value == 0 and ex.value < 0)):
-            mult *= base.value ** int(ex.value)
-            continue
-        factors.append(("pow", base, ex))
+        ex = simplify(Sum(tuple(exps)))
+        if not isinstance(base, Var):
+            renormed.append(_norm_power(Power(base, ex)))
+        elif ex != ZERO:
+            factors.append(("pow", base, ex))
     factors.sort(key=_factor_key)
-    return mult, tuple(factors)
+    out = {tuple(factors): Fraction(-1 if i_count % 4 >= 2 else 1)}
+    for nf in renormed:
+        out = _nf_mul(out, nf)
+    return out
 
 
 def _nf_mul(a, b):
     out = {}
     for m1, c1 in a.items():
         for m2, c2 in b.items():
-            mult, mono = _merge_monomials(m1, m2)
-            acc = out.get(mono, Fraction(0)) + c1 * c2 * mult
-            if acc == 0:
-                out.pop(mono, None)
-            else:
-                out[mono] = acc
+            for mono, mult in _merge_monomials(m1, m2).items():
+                acc = out.get(mono, Fraction(0)) + c1 * c2 * mult
+                if acc == 0:
+                    out.pop(mono, None)
+                else:
+                    out[mono] = acc
     return out
 
 
@@ -429,6 +390,10 @@ def _atom_nf(factor):
 
 
 def _norm(e):
+    """The normal-form map of e; for a tree `simplify` returned, the map it
+    recorded.  The map may be shared, so no caller mutates it."""
+    if e._nf is not None:
+        return e._nf
     if isinstance(e, Const):
         return _nf_const(e.value)
     if isinstance(e, ImagUnit):
@@ -516,8 +481,8 @@ def _emit_factor(f):
 
 
 def _emit(nf):
-    if not nf:
-        return ZERO
+    """The tree of the map nf, which records nf as its `_nf` unless it is a
+    variable, log or Airy atom."""
     terms = []
     for mono in sorted(nf, key=lambda m: tuple(_factor_key(f) for f in m)):
         coeff = nf[mono]
@@ -527,20 +492,26 @@ def _emit(nf):
             parts.append(Const(coeff))
         parts.extend(factors)
         terms.append(parts[0] if len(parts) == 1 else Product(tuple(parts)))
-    return terms[0] if len(terms) == 1 else Sum(tuple(terms))
+    tree = ZERO if not terms else terms[0] if len(terms) == 1 else Sum(tuple(terms))
+    if not isinstance(tree, (Var, Log, Airy)):
+        # the map of such an atom holds the atom: recorded, it would make a
+        # reference cycle, which only the cyclic collector frees
+        object.__setattr__(tree, "_nf", nf)
+    return tree
 
 
 @functools.lru_cache(maxsize=512)
 def simplify(e: Expr) -> Expr:
-    """Expand-and-collect normal form; idempotent.
+    """Expand-and-collect normal form; idempotent: a normal tree is
+    returned unchanged.
 
     The result has the value of e wherever e evaluates.  It may evaluate
     where e does not: cancelling log q - log q to 0, for one, drops the
     restriction q > 0.  Results are cached for the 512 most recently used
-    trees, which keeps every repeat inside one verdict or command: a g4,7
-    `model verify` simplifies 584 distinct trees and recomputes none.
+    trees, which keeps nearly every repeat inside one verdict or command: a
+    g4,7 `model verify` simplifies 662 distinct trees and recomputes 8.
     """
-    return _emit(_norm(e))
+    return e if e._nf is not None else _emit(_norm(e))
 
 
 # --- differentiation --------------------------------------------------------
@@ -626,14 +597,13 @@ def _airy_rows(kind, t, bad):
     return out
 
 
-@_node
 class _Slot(Expr):
     """The code generator's stand-in for the constant bound as `_c{index}`."""
 
-    index: int
+    __slots__ = ("index",)
 
-    def __post_init__(self):
-        _seal(self, (_Slot, self.index))
+    def __new__(cls, index):
+        return _intern((cls, index), index)
 
 
 def _lift(e):

@@ -1,10 +1,12 @@
 import ast
 import cmath
 import dataclasses
+import gc
 import pickle
 import random
 import re
 import sys
+import threading
 from fractions import Fraction as F
 
 import numpy as np
@@ -59,6 +61,31 @@ class TestSimplify:
         for e in _random_exprs(rng, 40):
             s = simplify(e)
             assert simplify(s) == s
+
+    @pytest.mark.parametrize("e, text", [
+        (ex.Product((Power(2 * Var("nu") ** 2, F(-2, 3)),) * 3), "(1/4)*nu^(-4)"),
+        (Var("y") * Power(x + 1, F(1, 2)) * Power(x + 1, F(1, 2)), "x*y + y"),
+        (Var("y") * Power(2 * x, F(1, 3)) * Power(2 * x, F(2, 3)), "2*x*y"),
+    ])
+    def test_merged_powers_are_normalized_again(self, e, text):
+        """A merged power of a base other than a variable is normal: the
+        second simplify neither changes nor rebuilds it."""
+        s = simplify(e)
+        assert to_text(s) == text
+        assert simplify(s) is s
+
+    @pytest.mark.parametrize("fixture", ["h3", "g47"])
+    def test_the_operators_of_both_models_are_fixed_points(self, fixture, request):
+        from nclb.reduction import build_reduced, extract_first_order
+
+        model = request.getfixturevalue(fixture)
+        first_order = extract_first_order(build_reduced(model, verify=False),
+                                          model.normalizer).first_order
+        trees = [*model.laplacian.coefficients.values(), *first_order.Z,
+                 first_order.V, *(model.mode_family or {}).values()]
+        assert len(trees) > 5
+        for c in trees:
+            assert simplify(c) is c
 
     def test_preserves_value(self):
         rng = random.Random(4)
@@ -691,7 +718,7 @@ def _alternating(depth):
 class TestNodeHash:
     def test_equal_trees_have_equal_hashes(self):
         a, b = _mode_like(), _mode_like()
-        assert a is not b
+        assert a is b
         assert a == b
         assert hash(a) == hash(b)
         assert {a: 1}[b] == 1
@@ -722,6 +749,49 @@ class TestNodeHash:
         assert back == e
         assert hash(back) == hash(e)
 
+    def test_a_pickle_round_trip_returns_the_live_node(self):
+        e = simplify(_mode_like())
+        assert pickle.loads(pickle.dumps(e)) is e
+        assert pickle.loads(pickle.dumps((e, e.factors[0]))) == (e, e.factors[0])
+
+    def test_dropped_trees_leave_the_intern_table(self):
+        def drop_and_count():
+            simplify.cache_clear()
+            gc.collect()
+            return len(ex._NODES)
+
+        def build_and_simplify():
+            rng = random.Random(5)
+            for _ in range(1000):
+                c = Const(F(rng.randrange(10 ** 9), rng.randrange(1, 10 ** 9)))
+                simplify(Exp(I * c * x) * Airy("Ai", c * q + 1) + Log(c + x))
+            return len(ex._NODES)
+
+        before = drop_and_count()
+        assert build_and_simplify() > before
+        assert drop_and_count() == before
+
+    def test_threads_building_one_tree_get_one_node(self):
+        def build(out):
+            for i in range(500):
+                out.append(Exp(Var("t") * Const(F(i, 7919))) + Const(F(i, 7907)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            built = [[] for _ in range(4)]
+            threads = [threading.Thread(target=build, args=(out,)) for out in built]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(len(out) == 500 for out in built)
+        for trees in zip(*built):
+            assert all(t is trees[0] for t in trees)
+
 
 class TestDepth:
     def test_deep_alternating_tree_evaluates_simplifies_and_compiles(self):
@@ -737,7 +807,7 @@ class TestDepth:
 
     def test_equality_of_deep_trees_does_not_recurse(self):
         a, b = _alternating(2000), _alternating(2000)
-        assert a is not b
+        assert a is b
         assert a == b
         assert not a != b
         assert {a: 1}[b] == 1
