@@ -26,6 +26,32 @@ x = Var("x")
 J = Var("J")
 
 
+def _assert_normal(s):
+    """Normalize s again from scratch, with every stored map and the
+    `simplify` cache cleared, and check the result is s itself."""
+    nodes, stack = {}, [s]
+    while stack:
+        n = stack.pop()
+        if id(n) in nodes:
+            continue
+        nodes[id(n)] = n
+        for name in n.__slots__:
+            v = getattr(n, name)
+            stack.extend(c for c in (v if isinstance(v, tuple) else (v,))
+                         if isinstance(c, ex.Expr))
+    saved = [(n, n._nf) for n in nodes.values()]
+    try:
+        for n, _ in saved:
+            object.__setattr__(n, "_nf", None)
+        simplify.cache_clear()
+        again = ex._emit(ex._norm(s))
+    finally:
+        for n, nf in saved:
+            object.__setattr__(n, "_nf", nf)
+        simplify.cache_clear()
+    assert again is s, f"{to_text(s)} normalizes again to {to_text(again)}"
+
+
 class TestSimplify:
     def test_cancel_to_zero(self):
         assert simplify(x + (-1) * x) == ZERO
@@ -61,6 +87,7 @@ class TestSimplify:
         for e in _random_exprs(rng, 40):
             s = simplify(e)
             assert simplify(s) == s
+            _assert_normal(s)
 
     @pytest.mark.parametrize("e, text", [
         (ex.Product((Power(2 * Var("nu") ** 2, F(-2, 3)),) * 3), "(1/4)*nu^(-4)"),
@@ -68,11 +95,12 @@ class TestSimplify:
         (Var("y") * Power(2 * x, F(1, 3)) * Power(2 * x, F(2, 3)), "2*x*y"),
     ])
     def test_merged_powers_are_normalized_again(self, e, text):
-        """A merged power of a base other than a variable is normal: the
-        second simplify neither changes nor rebuilds it."""
+        """A merged power of a base other than a variable is normal:
+        normalizing the result again from scratch gives it back."""
         s = simplify(e)
         assert to_text(s) == text
         assert simplify(s) is s
+        _assert_normal(s)
 
     @pytest.mark.parametrize("fixture", ["h3", "g47"])
     def test_the_operators_of_both_models_are_fixed_points(self, fixture, request):
@@ -86,6 +114,7 @@ class TestSimplify:
         assert len(trees) > 5
         for c in trees:
             assert simplify(c) is c
+            _assert_normal(c)
 
     def test_preserves_value(self):
         rng = random.Random(4)
@@ -703,7 +732,7 @@ def test_float_coercion_rejected():
 # --- node hashing and depth --------------------------------------------------
 
 def _mode_like():
-    # built from fresh nodes on every call, so no two results share a node
+    # built from scratch on every call; interning makes the results one object
     return Exp(I * (Var("mu") * Var("x2") + F(-3, 7) * Var("x3"))) * Airy(
         "Ai", parse("2*nu^2*x1 + 2*mu*nu + E") * Power(Const(F(2)), Const(F(-2, 3))))
 
@@ -724,10 +753,14 @@ class TestNodeHash:
         assert {a: 1}[b] == 1
 
     def test_printing_does_not_show_the_stored_hash(self):
-        e = _mode_like()
-        stored = str(hash(e))
-        assert stored not in repr(e)
-        assert stored not in to_text(e)
+        """A node stores no hash, only its normal-form map; neither the
+        object hash nor the map shows in the printed forms."""
+        e = simplify(_mode_like())
+        assert e._nf is not None
+        object_hash = str(hash(e))
+        assert object_hash not in repr(e)
+        assert object_hash not in to_text(e)
+        assert repr(e) == f"<expr {to_text(e)}>"
 
     def test_nodes_are_slotted_and_frozen(self):
         e = _mode_like()
@@ -744,6 +777,8 @@ class TestNodeHash:
         assert hash(Const(F(2, 4))) == hash(Const(F(1, 2)))
 
     def test_pickle_rebuilds_the_hash(self):
+        """The object hash survives a pickle round trip, because the
+        constructor returns the live node."""
         e = _mode_like()
         back = pickle.loads(pickle.dumps(e))
         assert back == e
@@ -812,7 +847,7 @@ class TestDepth:
         assert not a != b
         assert {a: 1}[b] == 1
         assert a != _alternating(1999)
-        # equal hashes are no shortcut: one leaf deep down differs
+        # one leaf deep down differs
         assert ex.Sum((x, a)) != ex.Sum((q, b))
         assert ex.Exp(ex.Sum((q, a))) != ex.Exp(ex.Sum((x, b)))
 
