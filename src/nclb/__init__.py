@@ -3,7 +3,9 @@ on Lie groups, with explicit integration along characteristics.
 
 Every exported name resolves on first access (PEP 562), and only then is
 its module imported: `import nclb` alone loads no submodule, and the exact
-layer (`algebra`, `bilinear`, `ratlinalg`) runs without numpy.
+layer (`algebra`, `bilinear`, `ratlinalg`) runs without numpy, as do
+`load_model` and the symbolic model checks; numpy is imported by the
+functions that build arrays.
 """
 
 from importlib import import_module

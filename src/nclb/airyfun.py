@@ -27,6 +27,12 @@ at LEFT_CUT = -1e5.  Arguments below LEFT_CUT, where it would pass 1e-8,
 raise AiryDomainError (a ValueError).  Bi overflows double precision near
 x = 104.  Past x = 103 it is +inf in `airy_all`; `airy` and `airy_array`
 raise AiryOverflowError instead.
+
+This module binds numpy when it is imported, and only the numeric work
+imports it: `expr` on its first Airy emit or evaluation, `models` in the
+functions that compute Airy values.  The domain names LEFT_CUT, BI_OVERFLOW
+and AiryOverflowError live in `report`, which the symbolic layer reads
+without numpy; they are re-exported here as the same objects.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .report import NclbError
+from .report import BI_OVERFLOW, LEFT_CUT, AiryOverflowError, NclbError
 
 _BITS = 256
 _SCALE = 1 << _BITS
@@ -59,18 +65,12 @@ _BI0_FIX = int(_BI0 * _SCALE)
 _BIP0_FIX = int(_BIP0 * _SCALE)
 
 _SERIES_CUT = 8.25
-BI_OVERFLOW = 103.0
-LEFT_CUT = -1.0e5
 
 _ANCHORS_PER_UNIT = 8           # anchors at k/8, so |h| <= 1/16
 _ANCHOR_MAX = 66                # 66/8 = 8.25
 _TAYLOR_TERMS = 16
 _ASYM_TINY = 1e-17
 _ALL = (0, 1, 2, 3)
-
-
-class AiryOverflowError(NclbError, OverflowError):
-    pass
 
 
 class AiryDomainError(NclbError, ValueError):

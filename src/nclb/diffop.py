@@ -19,9 +19,9 @@ import random
 from dataclasses import dataclass, field
 
 from . import expr as ex
-from .airyfun import AiryOverflowError
 from .expr import Expr, ZERO, simplify
-from .report import DEFAULT_SEED, InconclusiveError, NclbError, worst
+from .report import (DEFAULT_SEED, AiryOverflowError, InconclusiveError, NclbError,
+                     worst)
 
 
 class UnsupportedOrderError(NclbError, ValueError):

@@ -38,6 +38,13 @@ still valid, and every marked row, or row with a non-finite value the
 closure could have raised on, is handed to the closure, so the array form
 raises, skips and returns non-finite values where the closure does.
 
+Importing this module imports neither numpy nor `airyfun`, so the exact
+work (normal forms, derivatives, closures without Airy nodes) runs without
+them.  The scalar emit binds `airyfun.airy`, which imports numpy, when it
+first emits an Airy node; the array emit binds numpy and
+`airyfun.airy_array` on the first `compile_array`.  Each binds the modules'
+own functions once, into the namespace generated code runs in.
+
 The normal form is a sum of monomials: rational coefficient times sorted
 factors, with same-base powers merged by exponent arithmetic (a merged
 power of a base other than a variable is normalized again), exponential
@@ -61,10 +68,7 @@ import weakref
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
-import numpy as np
-
-from .airyfun import BI_OVERFLOW, LEFT_CUT, airy as _airy_numeric, airy_array
-from .report import NclbError
+from .report import BI_OVERFLOW, LEFT_CUT, NclbError
 
 
 class ExprError(NclbError):
@@ -93,10 +97,11 @@ def _as_fraction(x):
 
 class Expr:
     """Base of the node classes.  `_nf` is the normal-form map `simplify`
-    built the node from, or None; it is a slot, not a field, so `repr`,
-    `to_text` and pickling never see it."""
+    built the node from, or None, and `_key` the node's canonical sort key
+    once `_sort_key` has computed it, or None; they are slots, not fields,
+    so `repr`, `to_text` and pickling never see them."""
 
-    __slots__ = ("_nf", "__weakref__")
+    __slots__ = ("_nf", "_key", "__weakref__")
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -115,10 +120,10 @@ class Expr:
         return Sum((as_expr(other), self))
 
     def __sub__(self, other):
-        return Sum((self, Product((Const(Fraction(-1)), as_expr(other)))))
+        return Sum((self, Product((MINUS_ONE, as_expr(other)))))
 
     def __rsub__(self, other):
-        return Sum((as_expr(other), Product((Const(Fraction(-1)), self))))
+        return Sum((as_expr(other), Product((MINUS_ONE, self))))
 
     def __mul__(self, other):
         return Product((self, as_expr(other)))
@@ -127,13 +132,13 @@ class Expr:
         return Product((as_expr(other), self))
 
     def __truediv__(self, other):
-        return Product((self, Power(as_expr(other), Const(Fraction(-1)))))
+        return Product((self, Power(as_expr(other), MINUS_ONE)))
 
     def __rtruediv__(self, other):
-        return Product((as_expr(other), Power(self, Const(Fraction(-1)))))
+        return Product((as_expr(other), Power(self, MINUS_ONE)))
 
     def __neg__(self):
-        return Product((Const(Fraction(-1)), self))
+        return Product((MINUS_ONE, self))
 
     def __pow__(self, other):
         return Power(self, as_expr(other))
@@ -156,6 +161,7 @@ def _intern(key, *values):
             for name, value in zip(node.__slots__, values):
                 object.__setattr__(node, name, value)
             object.__setattr__(node, "_nf", None)
+            object.__setattr__(node, "_key", None)
             _NODES[key] = node
     return node
 
@@ -243,6 +249,7 @@ class Airy(Expr):
 
 ZERO = Const(Fraction(0))
 ONE = Const(Fraction(1))
+MINUS_ONE = Const(Fraction(-1))
 
 
 def as_expr(x) -> Expr:
@@ -281,6 +288,15 @@ def free_vars(e) -> frozenset:
 # --- canonical ordering -----------------------------------------------------
 
 def _sort_key(e):
+    """e's canonical sort key, computed once per node and kept on it."""
+    key = e._key
+    if key is None:
+        key = _new_sort_key(e)
+        object.__setattr__(e, "_key", key)
+    return key
+
+
+def _new_sort_key(e):
     if isinstance(e, Const):
         return (0, e.value.numerator, e.value.denominator)
     if isinstance(e, ImagUnit):
@@ -313,6 +329,10 @@ def _factor_key(f):
 # --- normal form ------------------------------------------------------------
 # NF is a dict {monomial: Fraction}; a monomial is a sorted tuple of factors
 # ("i",), ("exp", arg) or ("pow", base, exponent) with canonical sub-exprs.
+# The coefficients 0 and +-1 are these shared values, never built anew.
+
+_Q0, _Q1, _QM1 = Fraction(0), Fraction(1), Fraction(-1)
+
 
 def _nf_const(c):
     return {(): c} if c != 0 else {}
@@ -321,7 +341,7 @@ def _nf_const(c):
 def _nf_add(a, b):
     out = dict(a)
     for mono, coeff in b.items():
-        acc = out.get(mono, Fraction(0)) + coeff
+        acc = out.get(mono, _Q0) + coeff
         if acc == 0:
             out.pop(mono, None)
         else:
@@ -359,7 +379,7 @@ def _merge_monomials(m1, m2):
         elif ex != ZERO:
             factors.append(("pow", base, ex))
     factors.sort(key=_factor_key)
-    out = {tuple(factors): Fraction(-1 if i_count % 4 >= 2 else 1)}
+    out = {tuple(factors): _QM1 if i_count % 4 >= 2 else _Q1}
     for nf in renormed:
         out = _nf_mul(out, nf)
     return out
@@ -370,7 +390,7 @@ def _nf_mul(a, b):
     for m1, c1 in a.items():
         for m2, c2 in b.items():
             for mono, mult in _merge_monomials(m1, m2).items():
-                acc = out.get(mono, Fraction(0)) + c1 * c2 * mult
+                acc = out.get(mono, _Q0) + c1 * c2 * mult
                 if acc == 0:
                     out.pop(mono, None)
                 else:
@@ -379,14 +399,14 @@ def _nf_mul(a, b):
 
 
 def _nf_pow_int(a, n):
-    out = _nf_const(Fraction(1))
+    out = _nf_const(_Q1)
     for _ in range(n):
         out = _nf_mul(out, a)
     return out
 
 
 def _atom_nf(factor):
-    return {(factor,): Fraction(1)}
+    return {(factor,): _Q1}
 
 
 def _norm(e):
@@ -406,14 +426,14 @@ def _norm(e):
             out = _nf_add(out, _norm(t))
         return out
     if isinstance(e, Product):
-        out = _nf_const(Fraction(1))
+        out = _nf_const(_Q1)
         for f in e.factors:
             out = _nf_mul(out, _norm(f))
         return out
     if isinstance(e, Exp):
         na = simplify(e.arg)
         if na == ZERO:
-            return _nf_const(Fraction(1))
+            return _nf_const(_Q1)
         return _atom_nf(("exp", na))
     if isinstance(e, Log):
         na = simplify(e.arg)
@@ -431,7 +451,7 @@ def _norm_power(e):
     nb = simplify(e.base)
     ne = simplify(e.exponent)
     if ne == ZERO:
-        return _nf_const(Fraction(1))
+        return _nf_const(_Q1)
     if ne == ONE:
         return _norm(nb)
     int_exp = isinstance(ne, Const) and ne.value.denominator == 1
@@ -443,12 +463,12 @@ def _norm_power(e):
                 return _atom_nf(("pow", nb, ne))
             return _nf_const(nb.value ** n)
         if nb.value == 1:
-            return _nf_const(Fraction(1))
+            return _nf_const(_Q1)
         return _atom_nf(("pow", nb, ne))
     if isinstance(nb, ImagUnit) and int_exp:
         k = int(ne.value) % 4
-        table = {0: _nf_const(Fraction(1)), 1: _atom_nf(("i",)),
-                 2: _nf_const(Fraction(-1)), 3: _nf_mul(_nf_const(Fraction(-1)), _atom_nf(("i",)))}
+        table = {0: _nf_const(_Q1), 1: _atom_nf(("i",)),
+                 2: _nf_const(_QM1), 3: _nf_mul(_nf_const(_QM1), _atom_nf(("i",)))}
         return table[k]
     if isinstance(nb, Power):
         inner = nb.exponent
@@ -457,7 +477,7 @@ def _norm_power(e):
             return _norm(Power(nb.base, merged))
         return _atom_nf(("pow", nb, ne))
     if isinstance(nb, Product) and int_exp:
-        out = _nf_const(Fraction(1))
+        out = _nf_const(_Q1)
         for f in nb.factors:
             out = _nf_mul(out, _norm(Power(f, ne)))
         return out
@@ -535,11 +555,11 @@ def _diff(e, var):
     if isinstance(e, Power):
         # exponent is constant, so only the base varies
         c = e.exponent
-        return Product((c, Power(e.base, Sum((c, Const(Fraction(-1))))), _diff(e.base, var)))
+        return Product((c, Power(e.base, Sum((c, MINUS_ONE))), _diff(e.base, var)))
     if isinstance(e, Exp):
         return Product((_diff(e.arg, var), e))
     if isinstance(e, Log):
-        return Product((_diff(e.arg, var), Power(e.arg, Const(Fraction(-1)))))
+        return Product((_diff(e.arg, var), Power(e.arg, MINUS_ONE)))
     if isinstance(e, Airy):
         du = _diff(e.arg, var)
         if e.kind in _AIRY_DERIV:
@@ -585,16 +605,38 @@ def subst(e: Expr, mapping) -> Expr:
 # --- evaluation -------------------------------------------------------------
 
 _REAL_TOL = 1e-10
-_RUNTIME = {"_exp": cmath.exp, "_log": cmath.log, "_airy": _airy_numeric,
+# the scalar emit's names; `_bind_airy` adds `_airy` when it is first needed
+_RUNTIME = {"_exp": cmath.exp, "_log": cmath.log,
             "DomainError": DomainError, "_LEFT_CUT": LEFT_CUT, "_INF": math.inf}
 
 
-def _airy_rows(kind, t, bad):
-    """Airy values of the real parts of t on the rows not yet marked bad,
-    from one `airy_array` call; 0 on the bad rows."""
-    out = np.zeros(bad.shape, dtype=complex)
-    out[~bad] = airy_array(kind, np.broadcast_to(t.real, bad.shape)[~bad])
-    return out
+def _bind_airy():
+    """Bind `airyfun.airy`, and with it numpy, as the scalar emit's `_airy`;
+    the code generator calls this when it emits its first Airy node."""
+    if "_airy" not in _RUNTIME:
+        from .airyfun import airy
+        _RUNTIME["_airy"] = airy
+
+
+@functools.cache
+def _array_runtime():
+    """The array emit's names, bound on the first array compile: numpy's
+    ufuncs and `_airy`, the Airy values of the real parts of t on the rows
+    not yet marked bad, from one `airy_array` call (0 on the bad rows)."""
+    import numpy as np
+
+    from .airyfun import airy_array
+
+    def airy_rows(kind, t, bad):
+        out = np.zeros(bad.shape, dtype=complex)
+        out[~bad] = airy_array(kind, np.broadcast_to(t.real, bad.shape)[~bad])
+        return out
+
+    return {"_exp": np.exp, "_log": np.log, "_airy": airy_rows,
+            "_LEFT_CUT": LEFT_CUT, "_INF": math.inf, "_BI_MAX": BI_OVERFLOW,
+            "_isfinite": np.isfinite, "_zeros": np.zeros,
+            "_shape": lambda *a: np.broadcast_shapes(*map(np.shape, a)),
+            "_cx": lambda a: np.asarray(a, dtype=complex)}
 
 
 class _Slot(Expr):
@@ -627,13 +669,6 @@ def _double(c):
         return complex(float(c))
     except OverflowError:
         raise DomainError("a constant is outside the double range") from None
-
-
-_ARRAY_RUNTIME = {"_exp": np.exp, "_log": np.log, "_airy": _airy_rows,
-                  "_LEFT_CUT": LEFT_CUT, "_INF": math.inf, "_BI_MAX": BI_OVERFLOW,
-                  "_isfinite": np.isfinite, "_zeros": np.zeros,
-                  "_shape": lambda *a: np.broadcast_shapes(*map(np.shape, a)),
-                  "_cx": lambda a: np.asarray(a, dtype=complex)}
 
 
 def _source(e, varnames, bound, wrapper):
@@ -742,6 +777,7 @@ def _source(e, varnames, bound, wrapper):
             check([f"{t}.real <= 0.0"], "log requires positive real part", t)
             return local(f"_log({t})")
         if isinstance(x, Airy):
+            _bind_airy()
             t = gen(x.arg)
             tests = [real(t), f"{t}.real < _LEFT_CUT", f"{t}.real != {t}.real",
                      f"{t}.real == _INF"]
@@ -848,8 +884,9 @@ def _lifted(e, varnames, names, normal):
 def _closure_maker(shape, varnames, names, wrapper):
     """`_make` of a shape: code is generated and compiled once per shape,
     argument names, bound names and wrapper."""
-    ns = dict(_ARRAY_RUNTIME if wrapper == "array" else _RUNTIME)
-    exec(_source(shape, varnames, names, wrapper), ns)  # noqa: S102 - generated from the tree
+    src = _source(shape, varnames, names, wrapper)  # binds `_airy` if it needs it
+    ns = dict(_array_runtime() if wrapper == "array" else _RUNTIME)
+    exec(src, ns)  # noqa: S102 - generated from the tree
     return ns["_make"]
 
 
@@ -956,6 +993,8 @@ def compile_array(e, varnames, bind=None):
     An error of that closure in `skip` leaves the row's ok False, any other
     propagates.  `bind` is handled, and code cached, as in `compile_expr`.
     """
+    import numpy as np  # once per compile: `f` reads it per batch
+
     varnames = tuple(varnames)
     arr = _compiled(e, varnames, bind, "array")
 

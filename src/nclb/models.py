@@ -21,13 +21,11 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import expr as ex
-from .airyfun import airy, airy_array
 from .algebra import (LieAlgebra, Subspace, g47_algebra, heisenberg_algebra,
                       jacobi_defect)
 from .bilinear import BilinearForm, CoisotropyError, coisotropy_check, laplacian_data
@@ -604,6 +602,57 @@ def invariant_frame_check(model, seed=DEFAULT_SEED):
     return records
 
 
+def _fma(a, b, c):
+    """a * b + c rounded once, as a fused multiply-add rounds it."""
+    try:
+        return float(Fraction(a) * Fraction(b) + Fraction(c))
+    except (ValueError, OverflowError):  # a NaN or inf operand, or result
+        return a * b + c
+
+
+def _lu_det(rows):
+    """The determinant of a small float matrix, given as a list of rows.
+
+    LU with partial pivoting (the first row of largest magnitude), then
+    sign * exp(sum of log|u_ii|), the way numpy's det is computed from its
+    slogdet.  The elimination runs column by column, each entry less one
+    inner product accumulated by fused multiply-adds, and the multipliers
+    are scaled by the pivot's reciprocal: the order of the LAPACK getf2 of
+    OpenBLAS with FMA kernels, so the value is == to `numpy.linalg.det`
+    there (a subnormal pivot divides its column instead, as the reference
+    getf2 does).  A singular matrix gives 0.0 and one with a NaN entry NaN.
+    """
+    a = [[float(x) for x in row] for row in rows]
+    if any(x != x for row in a for x in row):
+        return math.nan
+    n, sign = len(a), 1.0
+    for j in range(n):
+        for i in range(n):
+            acc = 0.0
+            for k in range(min(i, j)):
+                acc = _fma(a[i][k], a[k][j], acc)
+            a[i][j] -= acc
+        p = max(range(j, n), key=lambda i: abs(a[i][j]))
+        if p != j:
+            a[j], a[p], sign = a[p], a[j], -sign
+        pivot = a[j][j]
+        if pivot == 0.0:
+            return 0.0
+        r = 1.0 / pivot
+        tiny = abs(pivot) < sys.float_info.min  # r may overflow: divide
+        for i in range(j + 1, n):
+            a[i][j] = a[i][j] / pivot if tiny else a[i][j] * r
+    log_abs = 0.0
+    for i in range(n):
+        if a[i][i] < 0.0:
+            sign = -sign
+        log_abs += math.log(abs(a[i][i]))
+    try:
+        return sign * math.exp(log_abs)
+    except OverflowError:
+        return sign * math.inf
+
+
 def haar_invariance_check(model, seed=DEFAULT_SEED):
     """Jacobian of left translation times the left-density ratio equals 1
     (and the mirror statement for right translations)."""
@@ -622,9 +671,9 @@ def haar_invariance_check(model, seed=DEFAULT_SEED):
     def defect(args, jac, side, xpt):
         """|det J * rho(x') / rho(x) - 1| for one translation x -> x'."""
         vals = [v.real for v in law(*args)]
-        jm = np.array(vals[jac:jac + n * n]).reshape(n, n)
+        jm = [vals[jac + n * i:jac + n * (i + 1)] for i in range(n)]
         ratio = rho(*vals[:n])[side].real / rho(*xpt)[side].real
-        return abs(np.linalg.det(jm) * ratio - 1.0)
+        return abs(_lu_det(jm) * ratio - 1.0)
 
     def row(*p):
         zpt, xpt = p[:n], p[n:]
@@ -773,6 +822,8 @@ class _GftGrid:
     ROWS_KEPT = 16  # rows a pointwise evaluator keeps
 
     def __init__(self, phi_hat, energy, box, n):
+        import numpy as np
+
         (k_lo, k_hi), (j_lo, j_hi) = box
         if j_lo <= 0.0 <= j_hi:
             raise SingularMeasureError("spectral support must exclude J = 0")
@@ -790,6 +841,10 @@ class _GftGrid:
     def rows(self, x1s):
         """base * Ai((2 J^2 x1 + 2 k J + E)/(2 J^2)^(2/3)) for each x1, from
         one `airy_array` call; shape (len(x1s), n, n)."""
+        import numpy as np
+
+        from .airyfun import airy_array
+
         x1 = np.asarray(x1s, dtype=float).reshape(-1, 1, 1)
         arg = (self.two_j2 * x1 + self.kj2 + self.e_val) / self.scale
         return self.base * airy_array("Ai", arg)
@@ -798,6 +853,8 @@ class _GftGrid:
         """psi at each point of an (m, 3) array: the rows of the distinct x1
         values (at most ROW_BUDGET Airy arguments per `rows` call), then the
         separable sum of every point of each x1."""
+        import numpy as np
+
         pts = np.asarray(points, dtype=float).reshape(len(points), 3)
         x1s, which = np.unique(pts[:, 0], return_inverse=True)
         e2, e3 = self.phases(pts)
@@ -811,6 +868,8 @@ class _GftGrid:
 
     def phases(self, pts):
         """e^{i k x2} and e^{i J x3} at each point of an (m, 3) array."""
+        import numpy as np
+
         return (np.exp(1j * np.outer(pts[:, 1], self.k)),
                 np.exp(1j * np.outer(pts[:, 2], self.j)))
 
@@ -837,6 +896,8 @@ def inverse_gft_h3_evaluator(phi_hat, energy, quad_spec: QuadSpec2D):
     would, from the row of its x1; the evaluator keeps its last 16 rows, by
     the exact float x1, so calls at a repeated x1 make no Airy call.
     """
+    import numpy as np
+
     grid = _GftGrid(phi_hat, energy, quad_spec.box, quad_spec.n)
     rows = {}
 
@@ -873,6 +934,8 @@ def mode_superposition_h3(amplitude, energy, x_points, quad_spec: QuadSpec2D):
     once (`expr.compile_array`) with the energy bound, is evaluated over the
     whole node grid at each output point.
     """
+    import numpy as np
+
     (k_lo, k_hi), (j_lo, j_hi) = quad_spec.box
     if j_lo <= 0.0 <= j_hi:
         raise SingularMeasureError("spectral support must exclude nu = 0")
@@ -892,6 +955,8 @@ def mode_superposition_h3(amplitude, energy, x_points, quad_spec: QuadSpec2D):
 
 def airy_identity_check(x, t) -> float:
     """|contour quadrature - Airy| for the cubic-phase Fourier identity."""
+    from .airyfun import airy
+
     if t == 0:
         raise ModelParameterError("identity needs t != 0")
     lhs = oscillatory_cubic_phase(float(x), float(t))
@@ -1076,6 +1141,8 @@ def _blocks(n, item_size):
 
 
 def _smoke_heisenberg(a, b, j_val, jt_val, spec: SmokeSpec):
+    import numpy as np
+
     wq_a, wq_b = a.width, b.width
     ca1, ca2 = a.centers
     cb1, cb2 = b.centers
@@ -1134,6 +1201,8 @@ def _t_window_integral(t0, x3, q2t, st, s, jt_val, b, sw):
     integral over the line is sqrt(pi/A) e^{B^2/(4A) + C}.  The arguments
     broadcast against each other.
     """
+    import numpy as np
+
     cb1, cbs, cb1p, _ = b.centers
     wb2 = b.width * b.width
     beta = 1.0 / (jt_val * q2t)
@@ -1159,6 +1228,8 @@ def _smoke_g47(a, b, j_val, jt_val, spec: SmokeSpec):
     boxes by quadrature.  The Haar weight e^{4 x4} cancels the x4 part of
     the twist Lambda(q2') = q2'^4 exactly, which this code uses.
     """
+    import numpy as np
+
     if j_val != jt_val:
         # opposite orbits: the u-window never meets the physical
         # region q2^2 > 0, so the pairing is identically zero

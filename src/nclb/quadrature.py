@@ -4,13 +4,13 @@ Integrands are smooth and at most mildly oscillatory at desk scale, so
 plain tensor GL panels refined by doubling the node count until successive
 results agree are accurate and, importantly, reproducible: node layouts are
 functions of the requested counts only.
+
+numpy is imported by the functions that build arrays, not with the module.
 """
 
 from __future__ import annotations
 
 import functools
-
-import numpy as np
 
 from .report import InconclusiveError
 
@@ -21,6 +21,8 @@ def _reference_rule(n):
 
     The arrays are read-only, so no caller can alter a later rule.
     """
+    import numpy as np
+
     x, w = np.polynomial.legendre.leggauss(n)
     x.flags.writeable = False
     w.flags.writeable = False
@@ -46,6 +48,8 @@ def integrate_1d(f, lo, hi):
     Starts at 96 nodes and doubles the count, at most 5 times, until the
     result moves by less than 1e-12 relative to max(1, |result|).
     """
+    import numpy as np
+
     val = None
     for n in (96, 192, 384, 768, 1536, 3072):
         x, w = gl_nodes(n, float(lo), float(hi))
@@ -64,6 +68,8 @@ def oscillatory_cubic_phase(x, t):
     2 Re of the rotated half-line integral.  For t < 0 the substitution
     tau -> -tau maps to the (x, t) -> (-x, -t) case.
     """
+    import numpy as np
+
     if t == 0:
         raise ValueError("cubic coefficient t must be nonzero")
     if t < 0:

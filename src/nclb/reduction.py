@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-import numpy as np
-
 from . import expr as ex
 from .bilinear import laplacian_data
 from .diffop import (SKIPPED, DiffOp, DomainExitError, SampleSpec, apply,
@@ -418,6 +416,8 @@ def _stencil(op):
     sum_k weights[i, k] f(q + h offsets[k]) / h**orders[i].  Mixed second
     derivatives use the tensor product of first-derivative stencils.
     """
+    import numpy as np
+
     d = len(op.variables)
     column = {}
     table = []
@@ -457,6 +457,8 @@ def _field_at(psi):
     is called once per distinct point, sample by sample, and a point that
     raises skips exactly the samples whose stencils need it.
     """
+    import numpy as np
+
     batch = getattr(psi, "batch", None)
 
     def values(block, ok):
@@ -507,6 +509,8 @@ def operator_residual(op: DiffOp, psi, energy, samples, params=None,
     InconclusiveError.  A stencil step that is not positive and finite
     raises StepError.
     """
+    import numpy as np
+
     if not (math.isfinite(fd_step) and fd_step > 0.0):
         raise StepError(f"stencil step must be positive and finite, got {fd_step!r}")
     exact = isinstance(psi, Expr) and isinstance(energy, (int, Fraction))

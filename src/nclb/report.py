@@ -1,4 +1,5 @@
-"""Check-report records shared by the verification pipelines and the CLI."""
+"""Check-report records shared by the verification pipelines and the CLI,
+with the library's base error and the names every layer shares."""
 
 from __future__ import annotations
 
@@ -61,6 +62,17 @@ class CheckRecord:
         if self.detail:
             doc["detail"] = self.detail
         return doc
+
+
+# The Airy domain, here so that the symbolic layer can test it and skip
+# overflowing samples without importing `airyfun` (and numpy); `airyfun`
+# re-exports these three names.
+LEFT_CUT = -1.0e5  # Airy arguments below it raise AiryDomainError
+BI_OVERFLOW = 103.0  # Bi and Bi' raise AiryOverflowError past it
+
+
+class AiryOverflowError(NclbError, OverflowError):
+    pass
 
 
 class InconclusiveError(NclbError, RuntimeError):

@@ -584,7 +584,7 @@ def _with_literal_constants(e, varnames, bind, wrapper):
     body = re.sub(r"\b_c(\d+)\b",
                   lambda m: f"({consts[int(m.group(1))].real!r}+0j)", body)
     assert "_c" not in body.replace("_cx(", "")
-    ns = dict(ex._ARRAY_RUNTIME if wrapper == "array" else ex._RUNTIME)
+    ns = dict(ex._array_runtime() if wrapper == "array" else ex._RUNTIME)
     exec(head + "\n" + body, ns)
     return ns["_make"](*(complex(bind[v]) for v in bound), *consts)
 
@@ -788,6 +788,20 @@ class TestNodeHash:
         e = simplify(_mode_like())
         assert pickle.loads(pickle.dumps(e)) is e
         assert pickle.loads(pickle.dumps((e, e.factors[0]))) == (e, e.factors[0])
+
+    def test_the_sort_key_is_computed_once_per_node(self, monkeypatch):
+        calls = []
+        build = ex._new_sort_key
+        monkeypatch.setattr(ex, "_new_sort_key", lambda e: calls.append(e) or build(e))
+        u = Var("u_sort_key")
+        e = Exp(I * u) * Airy("Ai", 3 * u + 1) + Power(u + 2, F(1, 2)) + u
+        key = ex._sort_key(e)
+        assert len(calls) == len(set(calls))  # each distinct subtree once
+        assert u in calls and e in calls
+        calls.clear()
+        assert ex._sort_key(e) is key
+        assert ex._sort_key(e.terms[0]) is e.terms[0]._key
+        assert calls == []
 
     def test_dropped_trees_leave_the_intern_table(self):
         def drop_and_count():

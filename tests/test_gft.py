@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nclb.airyfun import airy
-from nclb import models
+from nclb import airyfun, models
 from nclb.models import (ModelParameterError, QuadSpec2D, SingularMeasureError,
                          SmearedGaussian, SmokeSpec, inverse_gft_h3,
                          inverse_gft_h3_evaluator,
@@ -115,12 +115,12 @@ class TestInverseGft:
         spec = QuadSpec2D(box=((-1.0, 1.0), (0.2, 1.8)), n=16)
         ev = inverse_gft_h3_evaluator(bump(0.0, 1.0, 0.2), 1.0, spec)
         sizes = []
-        real = models.airy_array
-        monkeypatch.setattr(models, "airy_array",
+        real = airyfun.airy_array
+        monkeypatch.setattr(airyfun, "airy_array",
                             lambda kind, x: sizes.append(np.size(x)) or real(kind, x))
         single = [ev(p) for p in GRID]
         assert sizes == [16 * 16] * 3  # GRID has 3 distinct x1 values
-        monkeypatch.setattr(models, "airy_array", real)
+        monkeypatch.setattr(airyfun, "airy_array", real)
         # each value is the one a batch of that point alone gives; a larger
         # batch multiplies matrices and agrees to rounding (above)
         assert single == [ev.batch([p])[0] for p in GRID]
@@ -130,8 +130,8 @@ class TestInverseGft:
         spec = QuadSpec2D(box=((-1.0, 1.0), (0.2, 1.8)), n=16)
         ev = inverse_gft_h3_evaluator(bump(0.0, 1.0, 0.2), 1.0, spec)
         calls = []
-        real = models.airy_array
-        monkeypatch.setattr(models, "airy_array",
+        real = airyfun.airy_array
+        monkeypatch.setattr(airyfun, "airy_array",
                             lambda kind, x: calls.append(1) or real(kind, x))
         pts = [(0.01 * i, 0.1, -0.2) for i in range(20)]
         first = [ev(p) for p in pts]
@@ -144,8 +144,8 @@ class TestInverseGft:
 
     def test_rows_come_in_bounded_airy_calls(self, monkeypatch):
         sizes = []
-        real = models.airy_array
-        monkeypatch.setattr(models, "airy_array",
+        real = airyfun.airy_array
+        monkeypatch.setattr(airyfun, "airy_array",
                             lambda kind, x: sizes.append(np.size(x)) or real(kind, x))
         spec = QuadSpec2D(box=((-1.0, 1.0), (0.2, 1.8)), n=64)
         grid = models._GftGrid(bump(0.0, 1.0, 0.2), 1.0, spec.box, spec.n)

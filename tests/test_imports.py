@@ -1,8 +1,11 @@
 """What `import nclb` and each CLI command load.
 
 The exact algebra commands run on `algebra`, `bilinear` and `ratlinalg`
-alone; the package resolves its exported names on first access, each to
-the object of its defining module.
+alone.  Loading a model and the symbolic model commands (`verify`,
+`reduce`) run the expression, model and reduction modules without numpy;
+only the commands that build arrays (`residual`, `reconstruct`) import it.
+The package resolves its exported names on first access, each to the
+object of its defining module.
 """
 
 import importlib
@@ -16,6 +19,7 @@ import nclb
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 NUMERIC_STACK = ("numpy", "nclb.expr", "nclb.models", "nclb.reduction")
+SYMBOLIC_STACK = {"nclb.expr", "nclb.models", "nclb.reduction"}
 
 # the exported names, by defining module, as the package has always had them
 EXPORTS = {
@@ -56,12 +60,12 @@ sys.exit(code)
 """
 
 
-def _loaded_by(argv):
+def _loaded_by(argv, probe=_PROBE):
     src = os.path.join(ROOT, "src")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(
                filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run([sys.executable, "-c", _PROBE] + argv, cwd=ROOT,
+    proc = subprocess.run([sys.executable, "-c", probe] + argv, cwd=ROOT,
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     return set(proc.stderr.splitlines())
@@ -81,8 +85,34 @@ def test_algebra_commands_leave_out_the_numeric_stack(argv):
     assert loaded.isdisjoint(NUMERIC_STACK)
 
 
-def test_a_model_command_loads_the_numeric_stack():
-    assert set(NUMERIC_STACK) <= _loaded_by(["model", "verify", "g4_7"])
+@pytest.mark.parametrize("argv", [
+    ["model", "verify", "heisenberg"],
+    ["model", "verify", "g4_7"],
+    ["model", "reduce", "g4_7", "--alpha", "1", "--beta", "1", "--J=1", "--E=3/4"],
+], ids=lambda argv: " ".join(argv[1:3]))
+def test_symbolic_model_commands_leave_out_numpy(argv):
+    loaded = _loaded_by(argv)
+    assert SYMBOLIC_STACK <= loaded
+    assert "numpy" not in loaded
+
+
+def test_loading_the_models_leaves_out_numpy():
+    probe = ("import sys\nimport nclb\n"
+             "nclb.load_model('heisenberg')\nnclb.load_model('g4_7')\n"
+             "sys.stderr.write('\\n'.join(sorted(sys.modules)))\n")
+    loaded = _loaded_by([], probe)
+    assert {"nclb.models", "nclb.reduction"} <= loaded
+    assert "numpy" not in loaded
+
+
+def test_array_model_commands_load_the_numeric_stack(tmp_path):
+    phi = tmp_path / "phi.csv"
+    phi.write_text("\n".join(f"{k},{j},1,0" for k in (-1, 1) for j in (0.5, 1.5)))
+    for argv in (["model", "residual", "heisenberg", "--psi", "mode"],
+                 ["model", "reconstruct", "heisenberg", "--phi", str(phi),
+                  "--E", "1", "--nodes", "8",
+                  "--grid", "x1=-0.4:0.4:3,x2=-0.4:0.4:3,x3=-0.4:0.4:3"]):
+        assert set(NUMERIC_STACK) <= _loaded_by(argv), argv[1]
 
 
 def test_all_is_unchanged():
@@ -109,3 +139,47 @@ def test_star_import_binds_every_name():
 def test_an_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'nope'"):
         nclb.nope
+
+
+# the first numeric act of a fresh interpreter is one of evaluate,
+# compile_expr or compile_array on Airy trees; then every value is checked
+# against `airyfun`, and an argument below LEFT_CUT against DomainError
+_AIRY_PROBE = """\
+import sys
+from nclb import expr as ex
+from nclb.report import LEFT_CUT
+assert "nclb.airyfun" not in sys.modules and "numpy" not in sys.modules
+act = sys.argv[1]
+x = ex.Var("x")
+kinds = ex.AIRY_KINDS
+trees = tuple(ex.Airy(k, x) for k in kinds)
+xs = [-30.5, -3.25, 0.0, 1.5, 9.0]
+if act == "evaluate":
+    got = [[ex.evaluate(t, {"x": v}) for v in xs] for t in trees]
+    closure = ex.compile_expr(trees, ["x"])
+elif act == "compile_expr":
+    closure = ex.compile_expr(trees, ["x"])
+    got = [list(col) for col in zip(*(closure(v) for v in xs))]
+else:
+    values, ok = ex.compile_array(trees, ["x"])(xs)
+    assert ok.all()
+    got = values.tolist()
+    closure = ex.compile_array(trees, ["x"])
+from nclb import airyfun
+if act == "compile_array":
+    assert got == [airyfun.airy_array(k, xs).astype(complex).tolist() for k in kinds]
+else:
+    assert got == [[complex(airyfun.airy(k, v)) for v in xs] for k in kinds]
+try:
+    closure([2 * LEFT_CUT] if act == "compile_array" else 2 * LEFT_CUT)
+except ex.DomainError:
+    pass
+else:
+    raise AssertionError("no DomainError below LEFT_CUT")
+sys.stderr.write("\\n".join(sorted(sys.modules)))
+"""
+
+
+@pytest.mark.parametrize("act", ["evaluate", "compile_expr", "compile_array"])
+def test_airy_is_bound_on_first_use(act):
+    assert {"nclb.airyfun", "numpy"} <= _loaded_by([act], _AIRY_PROBE)

@@ -129,6 +129,64 @@ class TestFrameChecks:
             assert chart_samples(model, 30) == expected
 
 
+def _translation_jacobians(model, n_points, seed):
+    """The Jacobians of z(x, y) in y and in x at drawn points of [-1, 1],
+    each as a list of rows."""
+    n = model.dim
+    y_names = [f"y{i + 1}" for i in range(n)]
+    law = ex.compile_expr(
+        tuple(ex.differentiate(z, v) for z in model.mult_law
+              for v in y_names + list(model.x_vars)),
+        list(model.x_vars) + y_names)
+    rng = random.Random(seed)
+    out = []
+    for _ in range(n_points):
+        vals = [v.real for v in law(*(rng.uniform(-1.0, 1.0) for _ in range(2 * n)))]
+        rows = [vals[2 * n * i:2 * n * (i + 1)] for i in range(n)]
+        out += [[row[:n] for row in rows], [row[n:] for row in rows]]
+    return out
+
+
+class TestLuDet:
+    """`models._lu_det` against numpy's det, the oracle: numpy factors the
+    matrix with OpenBLAS, whose getf2 accumulates with fused multiply-adds
+    in the order `_lu_det` follows, so the values are `==`."""
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_random_matrices_give_numpys_det(self, n):
+        rng = random.Random(n)
+        for _ in range(500):
+            m = [[rng.uniform(-1.0, 1.0) for _ in range(n)] for _ in range(n)]
+            assert models._lu_det(m) == np.linalg.det(np.array(m)), m
+
+    def test_translation_jacobians_give_numpys_det(self, h3, g47):
+        for model in (h3, g47):
+            for m in _translation_jacobians(model, 100, DEFAULT_SEED):
+                assert models._lu_det(m) == np.linalg.det(np.array(m)), m
+
+    def test_singular_matrices_give_zero(self):
+        for m in ([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [1.0, 0.0, 1.0]],
+                  [[0.0, 1.0, 2.0], [0.0, 3.0, 4.0], [0.0, 5.0, 6.0]],
+                  [[0.0] * 4 for _ in range(4)]):
+            assert models._lu_det(m) == 0.0 == np.linalg.det(np.array(m))
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_a_nan_entry_gives_nan(self, n):
+        rng = random.Random(n)
+        for i in range(n):
+            for j in range(n):
+                m = [[rng.uniform(-1.0, 1.0) for _ in range(n)] for _ in range(n)]
+                m[i][j] = math.nan
+                assert math.isnan(models._lu_det(m)), (i, j)
+                m[(i + 1) % n] = [0.0] * n  # singular as well
+                assert math.isnan(models._lu_det(m)), (i, j)
+
+    def test_the_haar_figure_of_a_nan_jacobian_fails(self, g47, monkeypatch):
+        monkeypatch.setattr(models, "_lu_det", lambda rows: math.nan)
+        rec = haar_invariance_check(g47)
+        assert not rec.passed and math.isnan(rec.max_residual)
+
+
 class TestLaplacian:
     def test_h3_printed_exactly(self, h3):
         delta = laplace_operator(h3)
