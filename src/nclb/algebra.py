@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import ratlinalg as rl
-from .report import DEFAULT_SEED, NclbError
+from .report import DEFAULT_SEED, NclbError, factory, record
 
 
 class MalformedAlgebraError(NclbError, ValueError):
@@ -22,13 +21,13 @@ class MalformedAlgebraError(NclbError, ValueError):
     or repeated basis indices."""
 
 
-@dataclass(frozen=True)
+@record
 class LieAlgebra:
     """dim, basis names, and C[i,j] -> {k: rational} for i < j (1-based)."""
 
     dim: int
     basis_names: tuple
-    c: dict = field(default_factory=dict)
+    c: dict = factory(dict)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -80,7 +79,7 @@ class LieAlgebra:
         return t
 
 
-@dataclass(frozen=True)
+@record
 class Subspace:
     """Subspace of the ambient algebra, given by rational generator vectors."""
 
@@ -133,7 +132,7 @@ class Subspace:
         return Subspace(tuple(tuple(g) for g in gens))
 
 
-@dataclass(frozen=True)
+@record
 class Covector:
     components: tuple
 

@@ -10,12 +10,11 @@ and must agree exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ratlinalg as rl
 from .algebra import LieAlgebra, Subspace, adapted_basis, subspace_flags, transform_structure_constants
-from .report import NclbError
+from .report import NclbError, record
 
 
 class DegenerateFormError(NclbError, ValueError):
@@ -27,7 +26,7 @@ class CoisotropyError(NclbError, ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class BilinearForm:
     """Symmetric nondegenerate rational matrix with its cached exact inverse."""
 
@@ -66,7 +65,7 @@ def orth_complement(gm: BilinearForm, H: Subspace) -> Subspace:
     return Subspace(tuple(tuple(v) for v in ker))
 
 
-@dataclass(frozen=True)
+@record
 class CoisotropyReport:
     is_commutative_ideal: bool
     hperp_in_h: bool
@@ -111,7 +110,7 @@ def coisotropy_check(L: LieAlgebra, gm: BilinearForm, H: Subspace) -> Coisotropy
     )
 
 
-@dataclass(frozen=True)
+@record
 class LaplacianData:
     """Inverse form, divergence coefficients, and (optionally) the reduced
     first-order coefficients in a basis adapted to the supplied ideal."""

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 
 from . import expr as ex
 from .expr import Expr, ZERO, simplify
 from .report import (DEFAULT_SEED, AiryOverflowError, InconclusiveError, NclbError,
-                     worst)
+                     factory, record, worst)
 
 
 class UnsupportedOrderError(NclbError, ValueError):
@@ -38,10 +37,10 @@ class DomainExitError(NclbError, RuntimeError):
         super().__init__(f"trajectory left the evaluation domain at t = {exit_time}")
 
 
-@dataclass(frozen=True)
+@record
 class DiffOp:
     variables: tuple
-    coefficients: dict = field(default_factory=dict)
+    coefficients: dict = factory(dict)
 
     def __post_init__(self):
         cleaned = {}
@@ -198,7 +197,7 @@ def commutator(a: DiffOp, b: DiffOp) -> DiffOp:
     return out
 
 
-@dataclass(frozen=True)
+@record
 class SampleSpec:
     """Seeded sampling box for numeric operator comparison.
 
@@ -259,7 +258,7 @@ def sampled(fn, points):
     return rows, skipped
 
 
-@dataclass(frozen=True)
+@record
 class OpComparison:
     equal: bool
     max_deviation: float

@@ -65,10 +65,9 @@ import functools
 import math
 import threading
 import weakref
-from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
-from .report import BI_OVERFLOW, LEFT_CUT, NclbError
+from .report import BI_OVERFLOW, LEFT_CUT, NclbError, frozen_delattr, frozen_setattr
 
 
 class ExprError(NclbError):
@@ -103,11 +102,8 @@ class Expr:
 
     __slots__ = ("_nf", "_key", "__weakref__")
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    __setattr__ = frozen_setattr
+    __delattr__ = frozen_delattr
 
     def __reduce__(self):
         # rebuild through the constructor, which returns the live node
@@ -985,13 +981,15 @@ def compile_array(e, varnames, bind=None):
     The columns are arrays (or numbers) of the values of `varnames` that
     broadcast to one 1-D shape (N,).  values has shape (N,) for one
     expression and (len(e), N) for a tuple; ok marks the rows that
-    evaluated.  The array code runs on all rows at once with numpy; a row
-    whose domain test fails or whose value it cannot vouch for (a
-    non-finite argument of exp, log or a power, or a non-finite result) is
-    evaluated by `compile_expr`'s closure instead, so every row raises,
-    returns a value or a non-finite number exactly where that closure does.
-    An error of that closure in `skip` leaves the row's ok False, any other
-    propagates.  `bind` is handled, and code cached, as in `compile_expr`.
+    evaluated.  Columns that are all numbers are one point, N = 1: the call
+    returns what the call with one-element lists returns.  The array code
+    runs on all rows at once with numpy; a row whose domain test fails or
+    whose value it cannot vouch for (a non-finite argument of exp, log or a
+    power, or a non-finite result) is evaluated by `compile_expr`'s closure
+    instead, so every row raises, returns a value or a non-finite number
+    exactly where that closure does.  An error of that closure in `skip`
+    leaves the row's ok False, any other propagates.  `bind` is handled,
+    and code cached, as in `compile_expr`.
     """
     import numpy as np  # once per compile: `f` reads it per batch
 
@@ -1006,6 +1004,8 @@ def compile_array(e, varnames, bind=None):
             # Python arithmetic on constants: the closure decides every row
             bad = np.ones(np.broadcast_shapes(*map(np.shape, columns)), dtype=bool)
             vals = ()
+        if not bad.ndim:  # every column a number
+            return f(*([c] for c in columns), skip=skip)
         out = np.empty((len(e) if isinstance(e, tuple) else 1,) + bad.shape, dtype=complex)
         for row, v in zip(out, vals):
             row[...] = v

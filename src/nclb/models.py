@@ -22,7 +22,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import expr as ex
@@ -37,7 +36,7 @@ from .reduction import (LambdaRep, NotFirstOrderError, ResidualReport,
                         build_reduced, extract_first_order, local_lift_check,
                         operator_residual, verify_lambda_rep)
 from .report import (DEFAULT_SEED, FAIL, INCONCLUSIVE, PASS, CheckRecord,
-                     NclbError, VerificationError, overall_status, worst)
+                     NclbError, VerificationError, overall_status, record, worst)
 
 
 class ModelParameterError(NclbError, ValueError):
@@ -48,7 +47,7 @@ class SingularMeasureError(NclbError, ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class CollapsedAction:
     """phi -> exp(i phase(q, x)) phi(substitutions(q, x))."""
 
@@ -56,7 +55,7 @@ class CollapsedAction:
     phase: Expr
 
 
-@dataclass(frozen=True)
+@record
 class KernelD:
     """Distributional kernel: delta constraints and phase.
 
@@ -70,14 +69,14 @@ class KernelD:
     collapsed: CollapsedAction
 
 
-@dataclass(frozen=True)
+@record
 class HaarData:
     left_density: Expr
     right_density: Expr
     unimodular: bool
 
 
-@dataclass(frozen=True)
+@record
 class GroupModel:
     """A bundled group: coordinates, laws, frames, metric, and orbit data.
 
@@ -134,7 +133,7 @@ class GroupModel:
     @functools.cached_property
     def validations(self) -> dict:
         """seed -> the records of `validate_model(self, seed)`, filled as
-        each seed is first validated; a copy made by `dataclasses.replace`
+        each seed is first validated; a copy made by `report.replace`
         validates afresh."""
         return {}
 
@@ -157,7 +156,7 @@ class GroupModel:
     @functools.cached_property
     def laplacian(self) -> DiffOp:
         """`laplace_operator(self)`, assembled on first use and kept; a model
-        built by `dataclasses.replace` assembles its own."""
+        built by `report.replace` assembles its own."""
         return laplace_operator(self)
 
 
@@ -799,7 +798,7 @@ def pde_residual(model, psi: Expr, energy, samples) -> ResidualReport:
 
 # --- generalized inverse transform (Heisenberg) -------------------------------
 
-@dataclass(frozen=True)
+@record
 class QuadSpec2D:
     """Tensor Gauss-Legendre spec over a (k, J) support box."""
 
@@ -967,7 +966,7 @@ def airy_identity_check(x, t) -> float:
 
 # --- scalar action of the center ---------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class CasimirReport:
     element: int
     acts_as_scalar: bool
@@ -1089,7 +1088,7 @@ _SHARED_CHECKS = (
 
 # --- smeared kernel orthogonality --------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class SmearedGaussian:
     """Gaussian test function on (q, q') in chart coordinates.
 
@@ -1115,7 +1114,7 @@ def _pair_inner_product(a: SmearedGaussian, b: SmearedGaussian):
     )
 
 
-@dataclass(frozen=True)
+@record
 class SmokeSpec:
     n_outer: int = 96
     n_inner: int = 64

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import expr as ex
@@ -23,7 +22,7 @@ from .diffop import (SKIPPED, DiffOp, DomainExitError, SampleSpec, apply,
                      sampled)
 from .expr import Expr, Var, ZERO, simplify
 from .report import (DEFAULT_SEED, FAIL, PASS, CheckRecord, InconclusiveError,
-                     NclbError, VerificationError, worst)
+                     NclbError, VerificationError, record, replace, worst)
 
 
 class NotFirstOrderError(NclbError, RuntimeError):
@@ -41,7 +40,7 @@ class SpectralLabelError(NclbError, ValueError):
 _J_SAMPLE_RANGE = (0.25, 2.0)  # |J| range used when sampling the real line
 
 
-@dataclass(frozen=True)
+@record
 class LambdaRep:
     """First-order operator representation on functions over the orbit chart.
 
@@ -86,20 +85,20 @@ class LambdaRep:
         return SampleSpec(ranges=ranges, n=n, seed=seed)
 
 
-@dataclass(frozen=True)
+@record
 class FirstOrderData:
     Z: tuple
     V: Expr
     normalizer: Expr
 
 
-@dataclass(frozen=True)
+@record
 class ReducedOperator:
     raw: DiffOp
     first_order: FirstOrderData | None = None
 
 
-@dataclass(frozen=True)
+@record
 class Characteristic:
     start: tuple
     step: float
@@ -302,7 +301,7 @@ def _chart_names(m):
     return ("q",) if m == 1 else tuple(f"q{i + 1}" for i in range(m))
 
 
-@dataclass(frozen=True)
+@record
 class ResidualReport:
     """A sampled residual.  symbolic_zero says an expression field's
     residual simplified to 0; fd_cross_deviation is the worst relative gap
@@ -338,7 +337,7 @@ def _invariant_ratios(vals, k):
                  for zu, uv in zip(vals[:2 * k:2], vals[1:2 * k:2]))
 
 
-@dataclass(frozen=True)
+@record
 class RectifyReport:
     max_dev_v: float
     max_dev_u: float

@@ -1,10 +1,10 @@
 """Check-report records shared by the verification pipelines and the CLI,
-with the library's base error and the names every layer shares."""
+with the library's base error and the names every layer shares, among them
+the `record` class decorator that every record class of the library uses."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 PASS = "pass"
 FAIL = "fail"
@@ -19,6 +19,112 @@ class NclbError(Exception):
     own builtin base (ValueError, RuntimeError, ...).  Plain ValueError and
     TypeError are left for misuse of the API (operators over different
     variables, a singular exact matrix, a non-expression argument)."""
+
+
+class factory:
+    """A record field's default made afresh for each instance, as in
+    `c: dict = factory(dict)`."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        self.make = make
+
+
+_MISSING = object()
+
+
+def _frozen_error(verb, name):
+    # imported on the raising path only: `dataclasses` pulls in `inspect`,
+    # which nothing else on the symbolic paths loads
+    from dataclasses import FrozenInstanceError
+    return FrozenInstanceError(f"cannot {verb} field {name!r}")
+
+
+def frozen_setattr(self, name, value):
+    """`__setattr__` of an immutable class: every assignment raises
+    `dataclasses.FrozenInstanceError`."""
+    raise _frozen_error("assign to", name)
+
+
+def frozen_delattr(self, name):
+    """`__delattr__` of an immutable class: every deletion raises
+    `dataclasses.FrozenInstanceError`."""
+    raise _frozen_error("delete", name)
+
+
+def record(cls=None, *, frozen=True):
+    """Class decorator making `cls` a record of its annotated fields, in
+    order, with the semantics of `dataclasses.dataclass(frozen=frozen)`.
+
+    It adds `__init__` (positional or keyword fields; a class attribute is
+    the field's default, a `factory` one makes a default per instance; then
+    `__post_init__` when the class has one), `__repr__`
+    (`Name(field=value!r, ...)`), `__eq__` (same class and equal field
+    tuples, else NotImplemented) and, on a frozen record, `__hash__` of the
+    field tuple and the `frozen_setattr` and `frozen_delattr` guards; a
+    mutable record is unhashable.  A method the class defines itself is
+    kept.  The generated methods come from one source compiled once per
+    class, so an instance costs what a hand-written one does.
+    """
+    if cls is None:
+        return lambda cls: record(cls, frozen=frozen)
+    names = tuple(cls.__annotations__)
+    env = {"__name__": cls.__module__, "_setattr": object.__setattr__,
+           "_MISSING": _MISSING}
+    params, body = ["self"], []
+    for name in names:
+        default = vars(cls).get(name, _MISSING)
+        value = name
+        if isinstance(default, factory):
+            delattr(cls, name)
+            env[f"_make_{name}"] = default.make
+            params.append(f"{name}=_MISSING")
+            value = f"_make_{name}() if {name} is _MISSING else {name}"
+        elif default is not _MISSING:
+            env[f"_default_{name}"] = default
+            params.append(f"{name}=_default_{name}")
+        else:
+            params.append(name)
+        body.append(f"_setattr(self, {name!r}, {value})" if frozen
+                    else f"self.{name} = {value}")
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    own = "".join(f"self.{name}, " for name in names)
+    their = "".join(f"other.{name}, " for name in names)
+    shown = ", ".join(f"{name}={{self.{name}!r}}" for name in names)
+    sources = {
+        "__init__": f"def __init__({', '.join(params)}):\n"
+                    + "".join(f"    {line}\n" for line in body),
+        "__repr__": "def __repr__(self):\n"
+                    f"    return f'{{type(self).__qualname__}}({shown})'\n",
+        "__eq__": "def __eq__(self, other):\n"
+                  f"    if other.__class__ is self.__class__: return ({own}) == ({their})\n"
+                  "    return NotImplemented\n",
+        "__hash__": f"def __hash__(self):\n    return hash(({own}))\n",
+    }
+    if not frozen:
+        del sources["__hash__"]
+    new = [name for name in sources if name not in vars(cls)]
+    exec("".join(sources[name] for name in new), env)  # noqa: S102 - generated from the fields
+    for name in new:
+        env[name].__qualname__ = f"{cls.__qualname__}.{name}"
+        setattr(cls, name, env[name])
+    if frozen:
+        cls.__setattr__, cls.__delattr__ = frozen_setattr, frozen_delattr
+    else:
+        cls.__hash__ = None
+    cls._record_fields = names
+    return cls
+
+
+def replace(obj, /, **changes):
+    """A copy of the record `obj` with the fields named in `changes` set to
+    their values, built through `__init__`, so `__post_init__` checks it
+    again; cached properties of `obj` are not carried over."""
+    for name in obj._record_fields:
+        changes.setdefault(name, getattr(obj, name))
+    return type(obj)(**changes)
 
 
 def worst(values, floor=0.0):
@@ -36,7 +142,7 @@ def worst(values, floor=0.0):
     return out
 
 
-@dataclass
+@record(frozen=False)
 class CheckRecord:
     check: str
     status: str
@@ -44,7 +150,7 @@ class CheckRecord:
     samples_used: int = 0
     seed: int | None = None
     skipped_samples: int = 0
-    detail: dict = field(default_factory=dict)
+    detail: dict = factory(dict)
 
     @property
     def passed(self):

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -11,7 +10,7 @@ import pytest
 from nclb import cli, models, reduction
 from nclb.cli import main, run
 from nclb.reduction import NotFirstOrderError
-from nclb.report import CheckRecord, VerificationError
+from nclb.report import CheckRecord, VerificationError, replace
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -719,7 +718,7 @@ def test_human_table(argv, table, capsys, monkeypatch):
 def test_a_renamed_heisenberg_model_gives_the_same_records(argv, tmp_path,
                                                            monkeypatch):
     # the CLI reads what a model offers from its fields, never its name
-    monkeypatch.setitem(models.BUILDERS, "h3_copy", lambda a, b: dataclasses.replace(
+    monkeypatch.setitem(models.BUILDERS, "h3_copy", lambda a, b: replace(
         models._heisenberg_model(a, b), name="h3_copy"))
     phi = tmp_path / "phi.csv"
     _write_gaussian_phi(phi)

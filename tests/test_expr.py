@@ -424,6 +424,18 @@ class TestArrayMode:
             if good:
                 assert col == pytest.approx(g(0.7, v), rel=1e-13)
 
+    @pytest.mark.parametrize("e, value", [
+        (tuple(Airy(k, x) for k in ex.AIRY_KINDS), -2.0),
+        (x ** 2, 3.0),
+    ], ids=["airy tuple", "square"])
+    def test_number_columns_are_one_point(self, e, value):
+        f = ex.compile_array(e, ["x"])
+        vals, ok = f(value)
+        want_vals, want_ok = f([value])
+        assert vals.shape == want_vals.shape and vals.dtype == want_vals.dtype
+        assert vals.tolist() == want_vals.tolist()
+        assert ok.tolist() == want_ok.tolist() == [True]
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10 ** 6))
     def test_random_trees_agree_with_the_closure(self, seed):

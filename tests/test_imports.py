@@ -4,8 +4,9 @@ The exact algebra commands run on `algebra`, `bilinear` and `ratlinalg`
 alone.  Loading a model and the symbolic model commands (`verify`,
 `reduce`) run the expression, model and reduction modules without numpy;
 only the commands that build arrays (`residual`, `reconstruct`) import it.
-The package resolves its exported names on first access, each to the
-object of its defining module.
+No command loads `dataclasses`: the record classes are built by
+`report.record`.  The package resolves its exported names on first access,
+each to the object of its defining module.
 """
 
 import importlib
@@ -20,6 +21,9 @@ import nclb
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 NUMERIC_STACK = ("numpy", "nclb.expr", "nclb.models", "nclb.reduction")
 SYMBOLIC_STACK = {"nclb.expr", "nclb.models", "nclb.reduction"}
+# the records are built by `report.record`, not by `dataclasses`, which
+# would also import `inspect` (numpy imports that on its own)
+RECORD_MACHINERY = ("dataclasses", "inspect")
 
 # the exported names, by defining module, as the package has always had them
 EXPORTS = {
@@ -83,6 +87,7 @@ def test_algebra_commands_leave_out_the_numeric_stack(argv):
     loaded = _loaded_by(argv)
     assert {"nclb.algebra", "nclb.bilinear", "nclb.ratlinalg"} <= loaded
     assert loaded.isdisjoint(NUMERIC_STACK)
+    assert loaded.isdisjoint(RECORD_MACHINERY)
 
 
 @pytest.mark.parametrize("argv", [
@@ -94,6 +99,7 @@ def test_symbolic_model_commands_leave_out_numpy(argv):
     loaded = _loaded_by(argv)
     assert SYMBOLIC_STACK <= loaded
     assert "numpy" not in loaded
+    assert loaded.isdisjoint(RECORD_MACHINERY)
 
 
 def test_loading_the_models_leaves_out_numpy():
@@ -103,6 +109,7 @@ def test_loading_the_models_leaves_out_numpy():
     loaded = _loaded_by([], probe)
     assert {"nclb.models", "nclb.reduction"} <= loaded
     assert "numpy" not in loaded
+    assert loaded.isdisjoint(RECORD_MACHINERY)
 
 
 def test_array_model_commands_load_the_numeric_stack(tmp_path):
@@ -112,7 +119,9 @@ def test_array_model_commands_load_the_numeric_stack(tmp_path):
                  ["model", "reconstruct", "heisenberg", "--phi", str(phi),
                   "--E", "1", "--nodes", "8",
                   "--grid", "x1=-0.4:0.4:3,x2=-0.4:0.4:3,x3=-0.4:0.4:3"]):
-        assert set(NUMERIC_STACK) <= _loaded_by(argv), argv[1]
+        loaded = _loaded_by(argv)
+        assert set(NUMERIC_STACK) <= loaded, argv[1]
+        assert "dataclasses" not in loaded, argv[1]
 
 
 def test_all_is_unchanged():

@@ -2,7 +2,6 @@ import json
 import math
 import os
 import random
-from dataclasses import replace as dc_replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -24,7 +23,7 @@ from nclb.models import (CasimirReport, ModelParameterError, SmearedGaussian,
                          load_model, mode_solution_h3, pde_residual,
                          validate_model)
 from nclb.quadrature import gl_nodes
-from nclb.report import DEFAULT_SEED, InconclusiveError
+from nclb.report import DEFAULT_SEED, InconclusiveError, replace
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -92,7 +91,7 @@ class TestFrameChecks:
 
     def test_corrupted_eta_detected(self, h3):
         bad_eta1 = DiffOp.partial(h3.x_vars, "x1")  # drop the x2 d/dx3 term
-        bad = dc_replace(h3, eta=(bad_eta1,) + h3.eta[1:])
+        bad = replace(h3, eta=(bad_eta1,) + h3.eta[1:])
         rec = invariant_frame_check(bad)[0]
         assert not rec.passed
         assert ("right", 1, 2) in rec.detail["failing"]
@@ -100,7 +99,7 @@ class TestFrameChecks:
     def test_failing_relation_counts_its_samples(self, h3):
         # [2 eta_1, eta_2] = -2 eta_3 against the target -eta_3 is the one
         # relation whose defect is not a symbolic zero, so it alone is sampled
-        bad = dc_replace(h3, eta=(h3.eta[0].scale(2),) + h3.eta[1:])
+        bad = replace(h3, eta=(h3.eta[0].scale(2),) + h3.eta[1:])
         rec = invariant_frame_check(bad)[0]
         assert rec.max_residual == 0.5
         assert rec.detail["failing"] == [("right", 1, 2)]
@@ -197,7 +196,7 @@ class TestLaplacian:
         assemble = models.laplacian_image
         monkeypatch.setattr(models, "laplacian_image",
                             lambda *a: calls.append(a) or assemble(*a))
-        model = dc_replace(h3)  # a new model assembles its own Laplacian
+        model = replace(h3)  # a new model assembles its own Laplacian
         psi = mode_solution_h3(F(1, 2), 1, 1)
         for _ in range(2):
             pde_residual(model, psi, 1, [(0.1, 0.2, 0.3)])
@@ -210,7 +209,7 @@ class TestLaplacian:
         # assembles 4 d1^2 in place of d1^2
         assert h3.laplacian.coeff((2, 0, 0)) == ex.ONE
         xi = (h3.xi[0].scale(2),) + h3.xi[1:]
-        assert dc_replace(h3, xi=xi).laplacian.coeff((2, 0, 0)) == ex.const(4)
+        assert replace(h3, xi=xi).laplacian.coeff((2, 0, 0)) == ex.const(4)
         assert h3.laplacian.coeff((2, 0, 0)) == ex.ONE
 
     def test_g47_expansion_report_clean(self, g47):
@@ -488,7 +487,7 @@ class TestVerifyChecks:
     def test_a_wrong_printed_term_fails_the_coordinate_expansion(self, h3):
         printed = DiffOp(h3.x_vars, {**h3.printed_laplacian.coefficients,
                                      (0, 0, 2): 3 * Var("x1")})
-        bad = dc_replace(h3, printed_laplacian=printed)
+        bad = replace(h3, printed_laplacian=printed)
         rec = dict(bad.checks)["coordinate_expansion"](bad, DEFAULT_SEED)
         assert rec.status == "fail"
         assert rec.detail == {"terms": 3, "mismatched": [(0, 0, 2)]}

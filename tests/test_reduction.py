@@ -1,7 +1,6 @@
 import cmath
 import math
 import random
-from dataclasses import replace as dc_replace
 from fractions import Fraction as F
 
 import pytest
@@ -19,7 +18,7 @@ from nclb.reduction import (Characteristic, DomainExitError, InconclusiveError,
                             infinitesimal_action, local_lift_check,
                             operator_residual, rectify_check, reduced_residual, solve_reduced,
                             verify_lambda_rep)
-from nclb.report import NclbError, VerificationError
+from nclb.report import NclbError, VerificationError, replace
 
 q = Var("q")
 J = Var("J")
@@ -38,7 +37,7 @@ class TestVerifyLambdaRep:
 
     def test_sign_flip_fails_on_first_pair(self, h3):
         bad_ops = (h3.lrep.ops[0], h3.lrep.ops[1], h3.lrep.ops[2].scale(-1))
-        bad = dc_replace(h3, lrep=dc_replace(h3.lrep, ops=bad_ops))
+        bad = replace(h3, lrep=replace(h3.lrep, ops=bad_ops))
         records = verify_lambda_rep(bad)
         comm = next(r for r in records if r.check == "lambda_rep_commutators")
         assert not comm.passed
@@ -48,7 +47,7 @@ class TestVerifyLambdaRep:
 
     def test_real_multiplier_fails_imaginary_check(self, h3):
         bad_ops = (DiffOp.scalar(("q",), J * q), h3.lrep.ops[1], h3.lrep.ops[2])
-        bad = dc_replace(h3, lrep=dc_replace(h3.lrep, ops=bad_ops))
+        bad = replace(h3, lrep=replace(h3.lrep, ops=bad_ops))
         records = verify_lambda_rep(bad)
         imag = next(r for r in records
                     if r.check == "multiplication_operators_imaginary")
@@ -77,11 +76,11 @@ class TestLocalLift:
         model = {"heisenberg": h3, "g4_7": g47}[name]
         ops = tuple(op.scale(2) if k == i - 1 else op
                     for k, op in enumerate(model.lrep.ops))
-        bad = dc_replace(model, lrep=dc_replace(model.lrep, ops=ops))
+        bad = replace(model, lrep=replace(model.lrep, ops=ops))
         assert local_lift_check(bad, i) == 0.5
 
     def test_missing_kernel_rejected(self, h3):
-        broken = dc_replace(h3, kernel=None)
+        broken = replace(h3, kernel=None)
         with pytest.raises(ValueError):
             local_lift_check(broken, 1)
 
@@ -117,7 +116,7 @@ class TestBuildReduced:
 
     def test_verify_gate(self, h3):
         bad_ops = (h3.lrep.ops[0], h3.lrep.ops[1], h3.lrep.ops[2].scale(-1))
-        bad = dc_replace(h3, lrep=dc_replace(h3.lrep, ops=bad_ops))
+        bad = replace(h3, lrep=replace(h3.lrep, ops=bad_ops))
         with pytest.raises(VerificationError):
             build_reduced(bad, verify=True)
 
