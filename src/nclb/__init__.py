@@ -8,7 +8,7 @@ layer (`algebra`, `bilinear`, `ratlinalg`) runs without numpy, as do
 functions that build arrays.
 """
 
-from importlib import import_module
+import sys
 
 __version__ = "0.1.0"
 
@@ -41,11 +41,18 @@ _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted([*_ORIGIN, *_SUBMODULES])
 
 
+def _submodule(name):
+    # `__import__` rather than `importlib.import_module`: only the import
+    # statement's path is timed by `python -X importtime`
+    __import__(f"{__name__}.{name}")
+    return sys.modules[f"{__name__}.{name}"]
+
+
 def __getattr__(name):
     if name in _SUBMODULES:
-        return import_module(f"{__name__}.{name}")
+        return _submodule(name)
     if name in _ORIGIN:
-        return getattr(import_module(f"{__name__}.{_ORIGIN[name]}"), name)
+        return getattr(_submodule(_ORIGIN[name]), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

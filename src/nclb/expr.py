@@ -24,10 +24,12 @@ doubles:
 * a closure: `compile_expr` returns it for the normal form, and `evaluate`
   compiles the tree as given and calls it once;
 * an RK4 loop: `compile_rk4` returns a function that runs n classical RK4
-  steps for a tuple of rates, with the body inlined in each of the four
-  stages, and appends every state to the caller's lists.  The locals that
-  read only bound values and constants, and the leading runs of such
-  factors or terms, are computed once per call, before the loop.
+  steps for the rates of the chart variables, with the body inlined in
+  each of the four stages, and appends every state to the caller's lists.
+  It carries the chart alone: a path integral such as a phase is a
+  quadrature over the recorded points, one `compile_array` call.  The
+  locals that read only bound values and constants, and the leading runs
+  of such factors or terms, are computed once per call, before the loop.
 
 Both raise DomainError in the same places: log, fractional powers and Airy
 test their arguments inline, and an OverflowError or ZeroDivisionError of
@@ -803,7 +805,7 @@ def _source(e, varnames, bound, wrapper):
     arith = ("except (OverflowError, ZeroDivisionError) as exc:\n"
              "    raise DomainError(f'{type(exc).__name__}: {exc}') from None\n")
     if rk4:
-        return make + _indent(_rk4_source(prologue, lines, results, len(varnames), arith), 4)
+        return make + _indent(_rk4_source(prologue, lines, results, arith), 4)
     body = "".join(f"{line}\n" for line in lines)
     if array:
         head = "".join(f"{names[v]} = _cx({names[v]})\n" for v in varnames)
@@ -823,36 +825,33 @@ def _indent(text, n):
     return "".join(" " * n + line + "\n" for line in text.splitlines())
 
 
-def _rk4_source(prologue, lines, results, m, arith):
+def _rk4_source(prologue, lines, results, arith):
     """`_run` for `compile_rk4`: the `prologue` lines once per call, then
-    the body `lines` (computing `results` from the chart arguments
+    the body `lines` (computing the m `results` from the chart arguments
     `_a0.._a{m-1}`) inlined in each of the four stages, with the driver's
     arithmetic in its order."""
-    n = len(results)
-    s = [f"_s{i}" for i in range(n)]
-    k = [[f"_k{j}_{i}" for i in range(n)] for j in range(4)]
+    m = len(results)
+    s = [f"_s{i}" for i in range(m)]
+    k = [[f"_k{j}_{i}" for i in range(m)] for j in range(4)]
     body = "".join(f"{line}\n" for line in lines)
     # stage j + 1 evaluates the rates at s + h_j * (stage j's rates)
-    stage_args = [s[:m]] + [[f"{s[i]} + {h} * {k[j][i]}" for i in range(m)]
-                            for j, h in enumerate(("_h2", "_h2", "_h"))]
+    stage_args = [s] + [[f"{s[i]} + {h} * {k[j][i]}" for i in range(m)]
+                        for j, h in enumerate(("_h2", "_h2", "_h"))]
     stages = ["".join(f"_a{i} = {a}\n" for i, a in enumerate(args)) + body
               + "".join(f"{k[j][i]} = {r}\n" for i, r in enumerate(results))
               for j, args in enumerate(stage_args)]
     update = "".join(f"{s[i]} = {s[i]} + _h6 * ({k[0][i]} + 2 * {k[1][i]} + 2 * {k[2][i]}"
-                     f" + {k[3][i]})\n" for i in range(n))
-    point = "(" + "".join(f"{x}, " for x in s[:m]) + ")"
-    real = "(" + "".join(f"{x}.real, " for x in s[:m]) + ")"
+                     f" + {k[3][i]})\n" for i in range(m))
+    point = "(" + "".join(f"{x}, " for x in s) + ")"
+    real = "(" + "".join(f"{x}.real, " for x in s) + ")"
     start = f"{point} = map(complex, _qs[-1])\n"
-    if n > m:
-        start += f"{s[m]} = complex(_phases[-1])\n"
     if prologue:
         once = "".join(f"{line}\n" for line in prologue)
         start += "if _n > 0:\n" + _indent(f"try:\n{_indent(once, 4)}{arith}", 4)
     step = (f"try:\n{_indent(''.join(stages) + update or 'pass', 4)}{arith}"
             f"_time += _h\n_ts.append(_time)\n_qs.append({point})\n"
-            + (f"_phases.append({s[m]})\n" if n > m else "")
-            + f"if _domain is not None and not _domain({real}):\n    return _time\n")
-    return ("def _run(_n, _h, _ts, _qs, _phases, _domain):\n"
+            f"if _domain is not None and not _domain({real}):\n    return _time\n")
+    return ("def _run(_n, _h, _ts, _qs, _domain):\n"
             + _indent(f"_time = _ts[-1]\n{start}_h2, _h6 = _h / 2, _h / 6\n"
                       f"for _ in range(_n):\n{_indent(step, 4)}return None\n", 4)
             + "return _run\n")
@@ -942,21 +941,22 @@ def compile_rk4(rates, varnames, bind=None):
     """Compile classical RK4 for dq/dt = rates(q) to one loop function.
 
     `rates` is a tuple of len(varnames) expressions, the rates of the chart
-    variables `varnames`, optionally followed by one more: the rate of an
-    extra state component (a phase) that rides along but is not an
-    argument of the rates.  The loop
+    variables `varnames`.  The loop
 
-        run(n, h, ts, qs, phases, domain) -> exit time or None
+        run(n, h, ts, qs, domain) -> exit time or None
 
-    continues the characteristic whose last time, chart point (a tuple) and,
-    with the extra component, phase end the lists ts, qs and phases, by n
-    steps of length h, appending each new state to them.  The state is made
-    complex once, when it is read.  Unless None, domain(real parts of the
-    chart point) is called after every step; at the first point where it is
-    false the loop stops, with that state appended, and returns its time.
-    The rates' body is inlined in each of the four stages, which evaluate
-    `s + h/2*k` (twice) and `s + h*k`; a step ends with
-    `s + h/6*(k1 + 2*k2 + 2*k3 + k4)` and `t += h`.
+    continues the characteristic whose last time and chart point (a tuple)
+    end the lists ts and qs, by n steps of length h, appending each new
+    state to them.  The state is made complex once, when it is read.
+    Unless None, domain(real parts of the chart point) is called after
+    every step; at the first point where it is false the loop stops, with
+    that state appended, and returns its time.  The rates' body is inlined
+    in each of the four stages, which evaluate `s + h/2*k` (twice) and
+    `s + h*k`; a step ends with `s + h/6*(k1 + 2*k2 + 2*k3 + k4)` and
+    `t += h`.  A quantity that does not feed back into the rates, such as a
+    phase integrated along the path, is not carried here: its integrand
+    can be evaluated afterwards at the recorded points (see
+    `reduction.solve_reduced`).
 
     The work that reads only bound values and constants runs once per call
     with n > 0, in a prologue before the first step; a chain `a*b*c` runs as
@@ -968,9 +968,8 @@ def compile_rk4(rates, varnames, bind=None):
     `bind` is handled, and code cached, as in `compile_expr`.
     """
     varnames = tuple(varnames)
-    if not len(varnames) <= len(rates) <= len(varnames) + 1:
-        raise ValueError(f"expected {len(varnames)} rates and at most one more, "
-                         f"got {len(rates)}")
+    if len(rates) != len(varnames):
+        raise ValueError(f"expected {len(varnames)} rates, got {len(rates)}")
     return _compiled(tuple(rates), varnames, bind, "rk4")
 
 

@@ -12,6 +12,7 @@ characteristic field Z and potential V, rectifies, and integrates.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from fractions import Fraction
 
@@ -251,36 +252,52 @@ def extract_first_order(red: ReducedOperator, normalizer: Expr) -> ReducedOperat
 
 # --- characteristics --------------------------------------------------------
 
-def _characteristic(run, q0, t_end, step, domain=None, phase=False):
+# a ceiling on one characteristic's steps, far above the 2 000 the largest
+# caller takes, so a step too small for its end time raises instead of looping
+MAX_RK4_STEPS = 10**6
+
+
+def _characteristic(run, q0, t_end, step, domain=None, phases=None):
     """Classical RK4 from t = 0 to t_end (either direction), in
     round(|t_end| / step) equal steps (at least one unless t_end is 0),
     recording the state after every step.
 
-    `run` is the `expr.compile_rk4` loop of the rates; with phase=True they
-    end with V(q), and the phase, with rate V, rides as one more state
-    component.  The domain predicate sees the real parts of the chart point
-    at the start, here, and after every step, in `run`, which stops at the
-    first point outside with that state recorded; either raises
-    DomainExitError with the exit time and chart point.  A step that is not
-    positive and finite, a non-finite t_end, or a step count beyond the
-    float range raises StepError.
+    `run` is the `expr.compile_rk4` loop of the chart rates.  With
+    `phases`, a function (qs, h) -> the phase at every recorded state, the
+    phase is integrated after the loop, over every step it took; when the
+    loop raised DomainError or left the domain, that integration runs first,
+    so an error of the phase's integrand on an earlier step raises instead.
+    The domain predicate sees the real parts of the chart point at the
+    start, here, and after every step, in `run`, which stops at the first
+    point outside with that state recorded; either raises DomainExitError
+    with the exit time and chart point.  A step that is not positive and
+    finite, a non-finite t_end, or more than MAX_RK4_STEPS steps raises
+    StepError before any work.
     """
     if not (math.isfinite(step) and step > 0.0):
         raise StepError(f"RK4 step must be positive and finite, got {step!r}")
     if not math.isfinite(t_end):
         raise StepError(f"RK4 end time must be finite, got {t_end!r}")
-    if not math.isfinite(abs(t_end) / step):
-        raise StepError(f"too many RK4 steps: |t_end| / step = {abs(t_end)!r} / {step!r}")
+    if not abs(t_end) / step <= MAX_RK4_STEPS:
+        raise StepError(f"too many RK4 steps: |t_end| / step = {abs(t_end)!r} / {step!r}"
+                        f" = {abs(t_end) / step:.6g}, more than {MAX_RK4_STEPS}")
     q = tuple(complex(x) for x in q0)
     if domain is not None and not domain(tuple([s.real for s in q])):
         raise DomainExitError(0.0, q)
-    ts, qs, phases = [0.0], [q], [0j]
+    ts, qs = [0.0], [q]
     nsteps = max(1, round(abs(t_end) / step)) if t_end else 0
-    exit_time = run(nsteps, t_end / max(nsteps, 1), ts, qs, phases, domain)
+    h = t_end / max(nsteps, 1)
+    try:
+        exit_time = run(nsteps, h, ts, qs, domain)
+    except ex.DomainError:
+        if phases is not None:
+            phases(qs, h)
+        raise
+    phase = None if phases is None else tuple(phases(qs, h))
     if exit_time is not None:
         raise DomainExitError(exit_time, qs[-1])
     return Characteristic(start=tuple(q0), step=step, ts=tuple(ts), qs=tuple(qs),
-                          phases=tuple(phases) if phase else None)
+                          phases=phase)
 
 
 def flow(Z, q0, t_end, step, params=None, domain=None) -> Characteristic:
@@ -365,22 +382,48 @@ def solve_reduced(Z, V, energy, phi, q_targets, step, *, v: Expr, u=(),
     """Values of the solution Phi(u) exp(-int_{v_ref}^{v(q)} V dv) at targets.
 
     The potential is integrated along the characteristic through each target
-    by flowing back to the reference section v = v_ref with `_characteristic`;
-    the phase rides as one more RK4 state component, so its error is
-    O(step^4).  v must be real at every target.  A domain predicate over
-    real coordinate tuples is tested at the target and after every step; a
-    point outside raises DomainExitError with its time and chart point.  The
-    energy value is bound into V's symbol E.  Returns (values,
-    characteristics).
+    by flowing back to the reference section v = v_ref with `_characteristic`.
+    V does not feed back into the chart, so its loop carries the chart
+    alone, and the phase is RK4's own quadrature of V along the recorded
+    steps, so its error is O(step^4): one `expr.compile_array` call of V
+    covers the four stage points q, q + h/2 k1, q + h/2 k2 and q + h k3 of
+    every step, in step-major order, and each step adds
+    h/6 (V1 + 2 V2 + 2 V3 + V4).  The stage points are recomputed from the
+    recorded states with the array form of Z.  A DomainError of V raises for
+    the first failing stage in time, with the closure's message, and wins
+    over a domain exit or a DomainError of Z on a later step.  v must be
+    real at every target.  A domain predicate over real coordinate tuples is
+    tested at the target and after every step; a point outside raises
+    DomainExitError with its time and chart point.  The energy value is
+    bound into V's symbol E.  Returns (values, characteristics).
     """
+    import numpy as np
+
     params = dict(params or {})
     params.setdefault("E", energy)
     q_vars = _chart_names(len(Z))
-    # the rates of (q, phase) are (Z(q), V(q))
-    run = ex.compile_rk4(tuple(ex.as_expr(z) for z in Z) + (ex.as_expr(V),),
-                         q_vars, bind=params)
+    Z = tuple(ex.as_expr(z) for z in Z)
+    run = ex.compile_rk4(Z, q_vars, bind=params)
+    rates = ex.compile_array(Z, q_vars, bind=params)
+    potential = ex.compile_array(ex.as_expr(V), q_vars, bind=params)
     v_fn = ex.compile_expr(ex.as_expr(v), q_vars, bind=params)
     u_fn = ex.compile_expr(tuple(ex.as_expr(ue) for ue in u), q_vars, bind=params)
+
+    def phases(qs, h):
+        """0 and the phase after each step of the states qs, as complexes."""
+        m, n = len(q_vars), len(qs) - 1
+        # (chart variable, step, stage): step-major, so that the first
+        # failing point in time raises
+        pts = np.empty((m, n, 4), dtype=complex)
+        pts[..., 0] = np.fromiter(itertools.chain.from_iterable(qs[:-1]), complex,
+                                  count=m * n).reshape(n, m).T
+        for j, c in enumerate((h / 2, h / 2, h)):
+            k, _ = rates(*pts[..., j])
+            pts[..., j + 1] = pts[..., 0] + c * k
+        w, _ = potential(*pts.reshape(m, -1))
+        w = w.reshape(n, 4)
+        inc = h / 6 * (w[:, 0] + 2 * w[:, 1] + 2 * w[:, 2] + w[:, 3])
+        return np.cumsum(np.concatenate(([0j], inc))).tolist()
 
     values = []
     chars = []
@@ -390,7 +433,7 @@ def solve_reduced(Z, V, energy, phi, q_targets, step, *, v: Expr, u=(),
         if abs(v_here.imag) > 1e-9 * (1.0 + abs(v_here)):
             raise ex.DomainError(f"v is not real at {target}: {v_here}")
         char = _characteristic(run, target, float(v_ref) - v_here.real,
-                               float(step), domain, phase=True)
+                               float(step), domain, phases)
         # the last phase is -int_{v_ref}^{v(q)} V dv along the characteristic
         values.append(phi(u_fn(*q0), params) * cmath.exp(char.phases[-1]))
         chars.append(char)

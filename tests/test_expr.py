@@ -322,13 +322,13 @@ class TestOneSemantics:
     def test_a_repeated_compile_neither_simplifies_nor_walks(self, monkeypatch):
         rates = (q * J, Log(q) * J + Var("E"))
         compile_expr(rates, ["q"], bind={"J": 1.0, "E": 0.5})
-        ex.compile_rk4(rates, ["q"], bind={"J": 1.0, "E": 0.5})
+        ex.compile_rk4(rates, ["q", "x"], bind={"J": 1.0, "E": 0.5})
         walks = []
         free = ex.free_vars
         monkeypatch.setattr(ex, "free_vars", lambda e: walks.append(e) or free(e))
         before = ex.simplify.cache_info()
         f = compile_expr(rates, ["q"], bind={"J": 2.0, "E": 0.5})
-        ex.compile_rk4(rates, ["q"], bind={"J": 2.0, "E": 0.5})
+        ex.compile_rk4(rates, ["q", "x"], bind={"J": 2.0, "E": 0.5})
         assert ex.simplify.cache_info() == before
         assert walks == []
         assert f(1.0) == (2.0, 0.5)
@@ -477,10 +477,11 @@ class TestEachSubtreeOnce:
             f = compile_expr(potential, ["q1", "q2"], bind=params)
             f(1.2, 0.5)
             assert len(logs) == 1
+            # the potential as the rate of one more chart variable
             run = ex.compile_rk4(tuple(red.first_order.Z) + (potential,),
-                                 ["q1", "q2"], bind=params)
+                                 ["q1", "q2", "x"], bind=params)
             logs.clear()
-            run(3, 1e-2, [0.0], [(1.2 + 0j, 0.5 + 0j)], [0j], None)
+            run(3, 1e-2, [0.0], [(1.2 + 0j, 0.5 + 0j, 0j)], None)
             assert len(logs) == 3 * 4
         finally:
             ex._closure_maker.cache_clear()
@@ -495,18 +496,17 @@ class TestEachSubtreeOnce:
 
 class TestCompileRk4:
     def test_rates_must_match_the_chart(self):
-        for rates in ((), (q, q, q)):
+        for rates in ((), (q, q), (q, q, q)):
             with pytest.raises(ValueError, match="rates"):
                 ex.compile_rk4(rates, ["q"])
 
     def test_appends_each_state(self):
-        # dq/dt = 1 with phase rate q: q = t, phase = t^2 / 2 exactly in RK4
-        run = ex.compile_rk4((ex.ONE, q), ["q"])
-        ts, qs, phases = [0.0], [(0j,)], [0j]
-        run(4, 0.5, ts, qs, phases, None)
+        # dq/dt = 1, dx/dt = q: q = t, x = t^2 / 2 exactly in RK4
+        run = ex.compile_rk4((ex.ONE, q), ["q", "x"])
+        ts, qs = [0.0], [(0j, 0j)]
+        run(4, 0.5, ts, qs, None)
         assert ts == [0.0, 0.5, 1.0, 1.5, 2.0]
-        assert qs == [(t,) for t in ts]
-        assert phases == [t * t / 2 for t in ts]
+        assert qs == [(t, t * t / 2) for t in ts]
 
     def test_check_sees_every_step_and_may_stop_the_loop(self):
         # the domain predicate sees the real parts of every step's point, in
@@ -520,28 +520,28 @@ class TestCompileRk4:
 
         run = ex.compile_rk4((1 + I,), ["q"])
         ts, qs = [0.0], [(0j,)]
-        assert run(10, 0.5, ts, qs, [], inside) == 1.0
+        assert run(10, 0.5, ts, qs, inside) == 1.0
         assert seen == [(0.5,), (1.0,)]
         assert all(type(x) is float for point in seen for x in point)
         assert ts == [0.0, 0.5, 1.0]
         assert qs == [(0j,), (0.5 + 0.5j,), (1.0 + 1.0j,)]
         seen.clear()
-        assert run(3, 0.25, [0.0], [(0j,)], [], inside) is None
+        assert run(3, 0.25, [0.0], [(0j,)], inside) is None
         assert seen == [(0.25,), (0.5,), (0.75,)]
 
     def test_overflow_becomes_a_domain_error(self):
         run = ex.compile_rk4((q ** 2,), ["q"])
         with pytest.raises(DomainError, match="OverflowError"):
-            run(1, 1.0, [0.0], [(1e200 + 0j,)], [], None)
+            run(1, 1.0, [0.0], [(1e200 + 0j,)], None)
 
     def test_a_bad_bound_value_raises_before_the_first_step(self):
-        run = ex.compile_rk4((ex.ONE, q * Power(J, -1)), ["q"], bind={"J": 0.0})
-        ts, qs, phases = [0.0], [(0.5 + 0j,)], [0j]
+        run = ex.compile_rk4((ex.ONE, q * Power(J, -1)), ["q", "x"], bind={"J": 0.0})
+        ts, qs = [0.0], [(0.5 + 0j, 0j)]
         with pytest.raises(DomainError, match="^ZeroDivisionError"):
-            run(1, 0.1, ts, qs, phases, None)
-        assert (ts, qs, phases) == ([0.0], [(0.5 + 0j,)], [0j])
-        assert run(0, 0.1, ts, qs, phases, None) is None
-        assert (ts, qs, phases) == ([0.0], [(0.5 + 0j,)], [0j])
+            run(1, 0.1, ts, qs, None)
+        assert (ts, qs) == ([0.0], [(0.5 + 0j, 0j)])
+        assert run(0, 0.1, ts, qs, None) is None
+        assert (ts, qs) == ([0.0], [(0.5 + 0j, 0j)])
 
     @pytest.mark.parametrize("fixture", ["h3", "g47"])
     def test_no_bound_only_line_runs_in_the_loop(self, fixture, request, monkeypatch):
@@ -551,13 +551,15 @@ class TestCompileRk4:
         model = request.getfixturevalue(fixture)
         red = extract_first_order(build_reduced(model, verify=False),
                                   reduction_normalizer(model))
+        # the potential as the rate of one more chart variable
         rates = tuple(red.first_order.Z) + (red.first_order.V,)
+        names = _chart_names(len(rates) - 1) + ("x",)
         generated = []
         source = ex._source
         monkeypatch.setattr(ex, "_source", lambda *a: generated.append(a) or source(*a))
         ex._closure_maker.cache_clear()
         try:
-            ex.compile_rk4(rates, _chart_names(len(rates) - 1), bind={"J": 1.0, "E": 0.5})
+            ex.compile_rk4(rates, names, bind={"J": 1.0, "E": 0.5})
         finally:
             ex._closure_maker.cache_clear()
         run = next(node for node in ast.walk(ast.parse(source(*generated[0])))
@@ -577,13 +579,13 @@ class TestCompileRk4:
         # from 0.565 and 0.65 a float power in the first stage would round
         # differently and change the states
         rates = (J * q ** 5, Power(q, -3) + J * Exp(q))
-        run = ex.compile_rk4(rates, ["q"], bind={"J": 0.7})
+        run = ex.compile_rk4(rates, ["q", "x"], bind={"J": 0.7})
         for x0 in (0.565, 0.65, 0.9):
             lists = []
-            for start, phase in (((x0,), 0.0), ((complex(x0),), 0j)):
-                ts, qs, phases = [0.0], [start], [phase]
-                run(5, 0.01, ts, qs, phases, None)
-                lists.append((ts, qs[1:], phases[1:]))
+            for start in ((x0, 0.0), (complex(x0), 0j)):
+                ts, qs = [0.0], [start]
+                run(5, 0.01, ts, qs, None)
+                lists.append((ts, qs[1:]))
             assert lists[0] == lists[1]
             assert all(type(z) is complex for point in lists[0][1] for z in point)
 
@@ -614,7 +616,7 @@ class TestConstantLifting:
         with pytest.raises(DomainError, match="double range"):
             ex.compile_array((q, huge * q), ["q"])
         with pytest.raises(DomainError, match="double range"):
-            ex.compile_rk4((ex.ONE, huge * q), ["q"])
+            ex.compile_rk4((ex.ONE, huge * q), ["q", "x"])
         # the same shape with a constant in range compiles and runs
         assert compile_expr(Const(F(10) ** 300) * q, ["q"])(2.0) == 2e300
 
@@ -666,16 +668,17 @@ class TestConstantLifting:
         model = request.getfixturevalue(fixture)
         red = extract_first_order(build_reduced(model, verify=False),
                                   reduction_normalizer(model))
+        # the potential as the rate of one more chart variable
         rates = tuple(red.first_order.Z) + (red.first_order.V,)
-        names = _chart_names(len(rates) - 1)
+        names = _chart_names(len(rates) - 1) + ("x",)
         bind = {"J": 1.0, "E": 0.7}
-        start = [(1.2 + 0j, 0.5 + 0j)[:len(names)]]
+        start = [(1.2 + 0j, 0.5 + 0j)[:len(names) - 1] + (0j,)]
         runs = []
         for run in (ex.compile_rk4(rates, names, bind=bind),
                     _with_literal_constants(rates, names, bind, "rk4")):
-            ts, qs, phases = [0.0], list(start), [0j]
-            run(40, -1e-2, ts, qs, phases, None)
-            runs.append((ts, qs, phases))
+            ts, qs = [0.0], list(start)
+            run(40, -1e-2, ts, qs, None)
+            runs.append((ts, qs))
         assert runs[0] == runs[1]
         assert len(runs[0][0]) == 41
 

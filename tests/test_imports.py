@@ -64,15 +64,20 @@ sys.exit(code)
 """
 
 
-def _loaded_by(argv, probe=_PROBE):
+def _stderr_of(args):
+    """stderr of a fresh interpreter run with args from the checkout root."""
     src = os.path.join(ROOT, "src")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(
                filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run([sys.executable, "-c", probe] + argv, cwd=ROOT,
+    proc = subprocess.run([sys.executable] + args, cwd=ROOT,
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    return set(proc.stderr.splitlines())
+    return proc.stderr
+
+
+def _loaded_by(argv, probe=_PROBE):
+    return set(_stderr_of(["-c", probe] + argv).splitlines())
 
 
 @pytest.mark.parametrize("argv", [
@@ -110,6 +115,15 @@ def test_loading_the_models_leaves_out_numpy():
     assert {"nclb.models", "nclb.reduction"} <= loaded
     assert "numpy" not in loaded
     assert loaded.isdisjoint(RECORD_MACHINERY)
+
+
+def test_importtime_lists_the_submodules_the_package_imports():
+    # `python -X importtime` times only the import statement's path
+    err = _stderr_of(["-X", "importtime", "-c",
+                      "import nclb; nclb.load_model('g4_7')"])
+    timed = {line.rsplit("|", 1)[-1].strip() for line in err.splitlines()
+             if line.startswith("import time:")}
+    assert {"nclb.expr", "nclb.ratlinalg", "nclb.models"} <= timed
 
 
 def test_array_model_commands_load_the_numeric_stack(tmp_path):

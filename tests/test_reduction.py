@@ -1,11 +1,13 @@
 import cmath
 import math
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
 
 from nclb import expr as ex
+from nclb import reduction
 from nclb.diffop import DiffOp, SampleSpec
 from nclb.expr import Exp, I, Log, Power, Var, evaluate, simplify, to_text
 from nclb.models import (chart_domain, chart_samples, lambda_roots, load_model,
@@ -231,6 +233,7 @@ class TestFlow:
         (1.0, 0.0), (1.0, -0.01), (1.0, math.inf), (1.0, math.nan),
         (math.nan, 1e-2), (math.inf, 1e-2), (-math.inf, 1e-2),
         (1e300, 1e-300),  # |t_end| / step beyond the float range
+        (1.0, 1e-300),  # finite, but far more than MAX_RK4_STEPS steps
     ])
     def test_bad_step_or_end_time_raises(self, t_end, step):
         with pytest.raises(StepError) as err:
@@ -238,15 +241,24 @@ class TestFlow:
         assert isinstance(err.value, NclbError) and isinstance(err.value, ValueError)
 
     def test_bad_step_raises_in_solve_reduced(self):
-        with pytest.raises(StepError):
-            solve_reduced((ex.ONE,), ex.ZERO, 0.0, lambda u, p: 1.0, [(0.7,)],
-                          -1e-2, v=q, u=())
+        for step in (-1e-2, 1e-300):
+            with pytest.raises(StepError):
+                solve_reduced((ex.ONE,), ex.ZERO, 0.0, lambda u, p: 1.0, [(0.7,)],
+                              step, v=q, u=())
+
+    def test_step_count_ceiling(self, monkeypatch):
+        monkeypatch.setattr(reduction, "MAX_RK4_STEPS", 4)
+        assert len(flow((ex.ONE,), (0.0,), 1.0, 0.25).ts) == 5
+        with pytest.raises(StepError, match="more than 4"):
+            flow((ex.ONE,), (0.0,), 1.0, 0.2)
 
 
 def scalar_characteristic(rates, q0, t_end, step, domain=None, phase=False):
     """The reference RK4 driver: one `compile_expr` closure call per stage
     and list arithmetic per step, as `_characteristic` ran before its loop
-    was generated."""
+    was generated.  With phase=True the last rate is the phase's, carried
+    as one more state component, as `solve_reduced` ran before its phase
+    became a quadrature after the loop."""
     m = len(q0)
     state = [complex(x) for x in q0] + ([0j] if phase else [])
     t = 0.0
@@ -291,34 +303,52 @@ def outcome(driver, *args):
 
 class TestGeneratedLoopMatchesScalarDriver:
     """The generated RK4 loop gives `==` the values, exits and errors of the
-    scalar reference driver."""
+    scalar reference driver, and `solve_reduced`, which integrates the phase
+    after the loop, the same times, points and errors, with the phase
+    carried as one more state component in the reference."""
 
-    def same(self, fields, names, q0, t_end, step, params, domain=None,
-             phase=False):
+    def same(self, fields, names, q0, t_end, step, params, domain=None):
         new = outcome(_characteristic, ex.compile_rk4(fields, names, bind=params),
-                      q0, t_end, step, domain, phase)
+                      q0, t_end, step, domain)
         ref = outcome(scalar_characteristic,
                       ex.compile_expr(fields, names, bind=params),
-                      q0, t_end, step, domain, phase)
+                      q0, t_end, step, domain)
         assert new == ref
         return new
 
-    def g47_field(self, g47):
-        red = extract_first_order(build_reduced(g47, verify=False),
-                                  reduction_normalizer(g47))
+    def solved(self, Z, V, target, v_ref, step, params, domain=None):
+        """The outcomes of `solve_reduced` through target, with v its first
+        chart variable, and of the scalar driver over (Z, V) with the phase."""
+        names = ("q",) if len(Z) == 1 else ("q1", "q2")
+
+        def solve():
+            _, chars = solve_reduced(Z, V, params["E"], lambda u, p: 1.0, [target],
+                                     step, v=Var(names[0]), v_ref=v_ref,
+                                     params=params, domain=domain)
+            return chars[0]
+
+        rates = ex.compile_expr(tuple(Z) + (V,), names, bind=params)
+        return (outcome(solve), outcome(scalar_characteristic, rates, target,
+                                        v_ref - target[0], step, domain, True))
+
+    def field(self, model):
+        red = extract_first_order(build_reduced(model, verify=False),
+                                  reduction_normalizer(model))
         return red.first_order.Z, red.first_order.V
 
     @pytest.mark.parametrize("t_end", [1.7, -1.3, 0.0])
     def test_h3_with_phase(self, h3, t_end):
-        red = extract_first_order(build_reduced(h3, verify=False), 2 * I * J)
-        fields = tuple(red.first_order.Z) + (red.first_order.V,)
-        out = self.same(fields, ("q",), (0.3,), t_end, 1e-3,
-                        {"J": -1.0, "E": 0.8}, phase=True)
-        assert len(out[2]) == round(abs(t_end) / 1e-3) + 1
+        Z, V = self.field(h3)
+        v_ref = 0.3 + t_end
+        new, ref = self.solved(Z, V, (0.3,), v_ref, 1e-3, {"J": -1.0, "E": 0.8})
+        assert new == ref
+        assert len(new[2]) == round(abs(v_ref - 0.3) / 1e-3) + 1
+        if t_end == 0.0:
+            assert new[4] == (0j,)
 
     @pytest.mark.parametrize("with_domain", [False, True])
     def test_g47_flow(self, g47, with_domain):
-        Z, _ = self.g47_field(g47)
+        Z, _ = self.field(g47)
         domain = chart_domain(g47) if with_domain else None
         # backward in time q2 grows, so the flow stays inside the chart
         ch = flow(Z, (1.5, 0.7), -0.9, 1e-3, params={"J": 1.0}, domain=domain)
@@ -330,7 +360,7 @@ class TestGeneratedLoopMatchesScalarDriver:
 
     @pytest.mark.parametrize("with_domain", [False, True])
     def test_g47_solve_reduced(self, g47, with_domain):
-        Z, V = self.g47_field(g47)
+        Z, V = self.field(g47)
         domain = chart_domain(g47) if with_domain else None
         v_expr, u_exprs = rectifying_coordinates(g47)
         params = {"J": 1.0, "E": 1.3}
@@ -343,26 +373,57 @@ class TestGeneratedLoopMatchesScalarDriver:
         for target, ch in zip(targets, chars):
             ref = scalar_characteristic(rates, target, -1.0 - v_fn(*target).real,
                                         1e-3, domain, phase=True)
-            assert (ch.start, ch.ts, ch.qs, ch.phases) == (ref.start, ref.ts,
-                                                           ref.qs, ref.phases)
+            assert (ch.start, ch.ts, ch.qs) == (ref.start, ref.ts, ref.qs)
+            # numpy's complex log rounds differently from cmath's on some
+            # arguments, so each phase is within a few ulps of the path's
+            # total variation up to its step
+            bound = 0.0
+            assert ch.phases[0] == ref.phases[0] == 0j
+            for i in range(1, len(ref.phases)):
+                bound += abs(ref.phases[i] - ref.phases[i - 1])
+                assert abs(ch.phases[i] - ref.phases[i]) <= 4 * sys.float_info.epsilon * bound
 
     def test_domain_exit_time_and_point(self, g47):
-        Z, _ = self.g47_field(g47)
+        Z, V = self.field(g47)
         out = self.same(Z, ("q1", "q2"), (1.0, 0.4), 6.0, 1e-2, {"J": 1.0},
                         chart_domain(g47))
         assert out[0] is DomainExitError and 0.0 < out[2] <= 6.0
+        # solve_reduced evaluates the potential on the step that leaves the
+        # chart too: g4,7's log(q2) fails there, and a potential defined on
+        # every step taken exits at the same time and point
+        for potential, error in ((V, ex.DomainError), (I * J * q1 * q2, DomainExitError)):
+            new, ref = self.solved(Z, potential, (1.0, 0.4), 7.0, 1e-2,
+                                   {"J": 1.0, "E": 1.0}, chart_domain(g47))
+            assert new == ref
+            assert new[0] is error
+        assert new[2:] == out[2:]
+
+    def test_a_bad_bound_value_of_the_potential_raises(self, h3):
+        # 1/J in the potential fails with J = 0 on the first step taken, and
+        # a characteristic of length zero takes none
+        Z, V = self.field(h3)
+        params = {"J": 0.0, "E": 0.8}
+        new, ref = self.solved(Z, V, (0.3,), 1.0, 1e-3, params)
+        assert new == ref
+        assert new[0] is ex.DomainError and new[1].startswith("ZeroDivisionError")
+        new, ref = self.solved(Z, V, (0.3,), 0.3, 1e-3, params)
+        assert new == ref and new[4] == (0j,)
 
     def test_domain_error_inside_the_field(self, g47):
-        # without a domain predicate the phase's log(q2) fails once q2 <= 0
-        Z, V = self.g47_field(g47)
-        out = self.same(tuple(Z) + (V,), ("q1", "q2"), (1.0, 0.4), 6.0, 1e-2,
-                        {"J": 1.0, "E": 1.0}, phase=True)
-        assert out[0] is ex.DomainError
-        assert out[1].startswith("log requires positive real part, got")
+        # without a domain predicate the phase's log(q2) fails once q2 <= 0;
+        # with one that lets q2 go below 0 the failure comes first, and it
+        # comes before a domain exit found after it
+        Z, V = self.field(g47)
+        params = {"J": 1.0, "E": 1.0}
+        for domain in (None, lambda p: p[1] > -0.5):
+            new, ref = self.solved(Z, V, (1.0, 0.4), 7.0, 1e-2, params, domain)
+            assert new == ref
+            assert new[0] is ex.DomainError
+            assert new[1].startswith("log requires positive real part, got")
         with pytest.raises(ex.DomainError) as err:
             solve_reduced(Z, V, 1.0, lambda u, p: 1.0, [(1.0, 0.4)], 1e-2,
                           v=q1, v_ref=7.0, params={"J": 1.0})
-        assert str(err.value) == out[1]
+        assert str(err.value) == ref[1]
 
 
 class TestInvariantsAndRectify:
@@ -495,9 +556,9 @@ class TestCompiledOnce:
             return vals[0]
 
         first = solve(1.0, (0.4,))
-        assert len(generated) == 3  # (Z, V), v and u
+        assert len(generated) == 5  # Z's loop and array form, V's, v and u
         second = solve(2.0, (0.9,))
-        assert len(generated) == 3
+        assert len(generated) == 5
         # the energy is bound per call, not baked into the cached code
         assert second != first
         assert solve(1.0, (0.4,)) == first
