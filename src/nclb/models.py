@@ -20,8 +20,8 @@ checks that apply to its model, which `nclb model verify` runs in order.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-import sys
 from fractions import Fraction
 
 from . import expr as ex
@@ -73,7 +73,6 @@ class KernelD:
 class HaarData:
     left_density: Expr
     right_density: Expr
-    unimodular: bool
 
 
 @record
@@ -227,7 +226,7 @@ def _heisenberg_model(_alpha, _beta) -> GroupModel:
         lrep=lrep,
         modular_multiplier=one,
         kernel=kernel,
-        haar=HaarData(left_density=one, right_density=one, unimodular=True),
+        haar=HaarData(left_density=one, right_density=one),
         params={},
         x_sample_ranges={v: (-1.5, 1.5) for v in xv},
         normalizer=simplify(2 * I * J),
@@ -377,7 +376,7 @@ def _g47_model(alpha, beta) -> GroupModel:
         lrep=lrep,
         modular_multiplier=Power(q2, 4),
         kernel=kernel,
-        haar=HaarData(left_density=Exp(4 * x4), right_density=ex.ONE, unimodular=False),
+        haar=HaarData(left_density=Exp(4 * x4), right_density=ex.ONE),
         params={"alpha": alpha, "beta": beta},
         x_sample_ranges={v: (-1.2, 1.2) for v in xv},
         normalizer=simplify(2 * I * J * q2 * q2 * binv),
@@ -601,96 +600,49 @@ def invariant_frame_check(model, seed=DEFAULT_SEED):
     return records
 
 
-def _fma(a, b, c):
-    """a * b + c rounded once, as a fused multiply-add rounds it."""
-    try:
-        return float(Fraction(a) * Fraction(b) + Fraction(c))
-    except (ValueError, OverflowError):  # a NaN or inf operand, or result
-        return a * b + c
-
-
-def _lu_det(rows):
-    """The determinant of a small float matrix, given as a list of rows.
-
-    LU with partial pivoting (the first row of largest magnitude), then
-    sign * exp(sum of log|u_ii|), the way numpy's det is computed from its
-    slogdet.  The elimination runs column by column, each entry less one
-    inner product accumulated by fused multiply-adds, and the multipliers
-    are scaled by the pivot's reciprocal: the order of the LAPACK getf2 of
-    OpenBLAS with FMA kernels, so the value is == to `numpy.linalg.det`
-    there (a subnormal pivot divides its column instead, as the reference
-    getf2 does).  A singular matrix gives 0.0 and one with a NaN entry NaN.
-    """
-    a = [[float(x) for x in row] for row in rows]
-    if any(x != x for row in a for x in row):
-        return math.nan
-    n, sign = len(a), 1.0
-    for j in range(n):
-        for i in range(n):
-            acc = 0.0
-            for k in range(min(i, j)):
-                acc = _fma(a[i][k], a[k][j], acc)
-            a[i][j] -= acc
-        p = max(range(j, n), key=lambda i: abs(a[i][j]))
-        if p != j:
-            a[j], a[p], sign = a[p], a[j], -sign
-        pivot = a[j][j]
-        if pivot == 0.0:
-            return 0.0
-        r = 1.0 / pivot
-        tiny = abs(pivot) < sys.float_info.min  # r may overflow: divide
-        for i in range(j + 1, n):
-            a[i][j] = a[i][j] / pivot if tiny else a[i][j] * r
-    log_abs = 0.0
-    for i in range(n):
-        if a[i][i] < 0.0:
-            sign = -sign
-        log_abs += math.log(abs(a[i][i]))
-    try:
-        return sign * math.exp(log_abs)
-    except OverflowError:
-        return sign * math.inf
+def _det(rows):
+    """The determinant of a small square matrix of expressions, given as a
+    list of rows: Leibniz's signed sum over the permutations, in normal
+    form (n <= 4 gives at most 24 products)."""
+    n = len(rows)
+    terms = []
+    for p in itertools.permutations(range(n)):
+        factors = tuple(rows[i][p[i]] for i in range(n))
+        if ZERO not in factors:
+            odd = sum(p[i] > p[j] for j in range(n) for i in range(j)) % 2
+            terms.append(ex.Product((ex.MINUS_ONE if odd else ex.ONE,) + factors))
+    return simplify(ex.Sum(tuple(terms)))
 
 
 def haar_invariance_check(model, seed=DEFAULT_SEED):
-    """Jacobian of left translation times the left-density ratio equals 1
-    (and the mirror statement for right translations)."""
+    """The Haar densities against the multiplication law z = x.y:
+    det(dz/dy) rho_L(z) = rho_L(y) for left translations, and
+    det(dz/dx) rho_R(z) = rho_R(x) for right ones.  Each remainder is
+    proved zero symbolically, or sampled over x and y in [-1, 1]."""
     n = model.dim
+    x_names = list(model.x_vars)
     y_names = [f"y{i + 1}" for i in range(n)]
-    names = list(model.x_vars) + y_names
-    # z(x, y), then its Jacobians in y (left translation) and in x (right)
-    law = ex.compile_expr(
-        tuple(model.mult_law)
-        + tuple(ex.differentiate(z, y) for z in model.mult_law for y in y_names)
-        + tuple(ex.differentiate(z, x) for z in model.mult_law for x in model.x_vars),
-        names)
-    rho = ex.compile_expr((model.haar.left_density, model.haar.right_density),
-                          list(model.x_vars))
-
-    def defect(args, jac, side, xpt):
-        """|det J * rho(x') / rho(x) - 1| for one translation x -> x'."""
-        vals = [v.real for v in law(*args)]
-        jm = [vals[jac + n * i:jac + n * (i + 1)] for i in range(n)]
-        ratio = rho(*vals[:n])[side].real / rho(*xpt)[side].real
-        return abs(_lu_det(jm) * ratio - 1.0)
-
-    def row(*p):
-        zpt, xpt = p[:n], p[n:]
-        # translate x on the left by z, then on the right
-        return (defect(zpt + xpt, n, 0, xpt),
-                defect(xpt + zpt, n + n * n, 1, xpt))
-
-    spec = SampleSpec(ranges={v: (-1.0, 1.0) for v in names}, n=20, seed=seed)
-    rows, skipped = sampled(row, spec.points(names))
-    worst_l = worst(l for l, _ in rows)
-    worst_r = worst(r for _, r in rows)
-    dev = worst((worst_l, worst_r))
+    at_z = dict(zip(x_names, model.mult_law))
+    left, right = model.haar.left_density, model.haar.right_density
+    spec = SampleSpec(ranges={v: (-1.0, 1.0) for v in x_names + y_names},
+                      n=20, seed=seed)
+    devs, used, skipped = {}, 0, 0
+    for side, wrt, rho, untranslated in (
+            ("left", y_names, left,
+             ex.subst(left, {x: Var(y) for x, y in zip(x_names, y_names)})),
+            ("right", x_names, right, right)):
+        det = _det([[ex.differentiate(z, v) for v in wrt] for z in model.mult_law])
+        devs[side], side_used, side_skipped = _symbolic_or_sampled_zero(
+            [det * ex.subst(rho, at_z) - untranslated], spec)
+        used += side_used
+        skipped += side_skipped
+    dev = worst(devs.values())
     return CheckRecord(
         check="haar_invariance", status=PASS if dev <= 1e-10 else FAIL,
-        max_residual=dev, samples_used=len(rows), seed=seed,
+        max_residual=dev, samples_used=used, seed=seed,
         skipped_samples=skipped,
-        detail={"left": worst_l, "right": worst_r,
-                "unimodular": model.haar.unimodular},
+        detail={**devs, "unimodular": all(
+            model.algebra.ad_trace(j) == 0 for j in range(1, n + 1))},
     )
 
 

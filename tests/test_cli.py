@@ -663,8 +663,8 @@ frames                pass          max_residual=0.000e+00
 lambda_rep            pass          max_residual=0.000e+00
 lift                  pass          max_residual=0.000e+00
 reduced_first_order   pass          max_residual=0.000e+00
-haar_invariance       pass          max_residual=6.661e-16
-                        left: 6.661338147750939e-16
+haar_invariance       pass          max_residual=0.000e+00
+                        left: 0.0
                         right: 0.0
                         unimodular: False
 coordinate_expansion  pass          max_residual=0.000e+00
@@ -702,6 +702,7 @@ overall: pass
     (["model", "verify", "g4_7"], _G47_VERIFY),
     (["model", "reduce", "heisenberg"], _H3_REDUCE),
     (["model", "reduce", "g4_7"], _G47_REDUCE),
+    (["model", "verify", "g4_7", "--alpha", "3", "--beta", "-1/8"], _G47_VERIFY),
 ])
 def test_human_table(argv, table, capsys, monkeypatch):
     monkeypatch.delenv("NCLB_SEED", raising=False)

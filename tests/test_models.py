@@ -33,12 +33,12 @@ class TestLoadModel:
         assert apply(h3.xi[1], Var("x3")) == Var("x1")
         eta1 = h3.eta[0]
         assert eta1.coeff((0, 0, 1)) == Var("x2")
-        assert h3.haar.unimodular
+        assert haar_invariance_check(h3).detail["unimodular"] is True
 
     def test_g47_twist_and_haar(self, g47):
         assert g47.modular_multiplier == Power(Var("q2"), 4)
         assert g47.haar.left_density == Exp(4 * Var("x4"))
-        assert not g47.haar.unimodular
+        assert haar_invariance_check(g47).detail["unimodular"] is False
 
     def test_bad_parameters(self):
         with pytest.raises(ModelParameterError):
@@ -111,13 +111,27 @@ class TestFrameChecks:
         assert rec.passed
         assert rec.max_residual <= 1e-10
 
-    def test_haar_figures_for_the_default_seed(self, h3, g47):
-        rec = haar_invariance_check(h3)
-        assert (rec.max_residual, rec.detail["left"], rec.detail["right"]) == (0.0, 0.0, 0.0)
-        rec = haar_invariance_check(g47)
-        assert rec.detail["left"] == rec.max_residual == 6.661338147750939e-16
-        assert rec.detail["right"] == 0.0
-        assert (rec.samples_used, rec.skipped_samples) == (20, 0)
+    def test_haar_figures_for_the_default_seed(self, h3):
+        # proved exactly: no sample is drawn, on H3 and on g4,7 at three (alpha, beta)
+        for model in [h3] + [load_model("g4_7", alpha=F(a), beta=F(b))
+                             for a, b in ((1, 1), (3, F(-1, 8)), (1, 2))]:
+            rec = haar_invariance_check(model)
+            assert (rec.max_residual, rec.detail["left"], rec.detail["right"]) == (0.0, 0.0, 0.0)
+            assert (rec.samples_used, rec.skipped_samples) == (0, 0)
+
+    @pytest.mark.parametrize("name, side, density", [
+        ("g4_7", "left", Exp(3 * Var("x4"))),
+        ("heisenberg", "right", Exp(Var("x1"))),
+    ], ids=["g4_7-left", "heisenberg-right"])
+    def test_a_wrong_density_fails_with_a_sampled_deviation(self, name, side, density):
+        model = load_model(name)
+        bad = replace(model, haar=replace(model.haar, **{f"{side}_density": density}))
+        rec = haar_invariance_check(bad)
+        assert not rec.passed
+        assert math.isfinite(rec.max_residual) and rec.max_residual > 0.0
+        assert rec.detail[side] == rec.max_residual
+        assert rec.detail["right" if side == "left" else "left"] == 0.0
+        assert rec.samples_used > 0
 
     def test_chart_samples_draw_the_box_coordinate_by_coordinate(self, h3, g47):
         for model in (h3, g47):
@@ -128,62 +142,37 @@ class TestFrameChecks:
             assert chart_samples(model, 30) == expected
 
 
-def _translation_jacobians(model, n_points, seed):
-    """The Jacobians of z(x, y) in y and in x at drawn points of [-1, 1],
-    each as a list of rows."""
-    n = model.dim
-    y_names = [f"y{i + 1}" for i in range(n)]
-    law = ex.compile_expr(
-        tuple(ex.differentiate(z, v) for z in model.mult_law
-              for v in y_names + list(model.x_vars)),
-        list(model.x_vars) + y_names)
-    rng = random.Random(seed)
-    out = []
-    for _ in range(n_points):
-        vals = [v.real for v in law(*(rng.uniform(-1.0, 1.0) for _ in range(2 * n)))]
-        rows = [vals[2 * n * i:2 * n * (i + 1)] for i in range(n)]
-        out += [[row[:n] for row in rows], [row[n:] for row in rows]]
-    return out
+class TestTranslationDeterminant:
+    """`models._det` of the translation Jacobians against numpy's det of the
+    evaluated Jacobians, the oracle."""
 
-
-class TestLuDet:
-    """`models._lu_det` against numpy's det, the oracle: numpy factors the
-    matrix with OpenBLAS, whose getf2 accumulates with fused multiply-adds
-    in the order `_lu_det` follows, so the values are `==`."""
-
-    @pytest.mark.parametrize("n", [3, 4])
-    def test_random_matrices_give_numpys_det(self, n):
-        rng = random.Random(n)
-        for _ in range(500):
-            m = [[rng.uniform(-1.0, 1.0) for _ in range(n)] for _ in range(n)]
-            assert models._lu_det(m) == np.linalg.det(np.array(m)), m
-
-    def test_translation_jacobians_give_numpys_det(self, h3, g47):
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_symbolic_det_matches_numpy(self, h3, g47, side):
         for model in (h3, g47):
-            for m in _translation_jacobians(model, 100, DEFAULT_SEED):
-                assert models._lu_det(m) == np.linalg.det(np.array(m)), m
+            n = model.dim
+            x_names = list(model.x_vars)
+            y_names = [f"y{i + 1}" for i in range(n)]
+            wrt = y_names if side == "left" else x_names
+            jac = [[ex.differentiate(z, v) for v in wrt] for z in model.mult_law]
+            det = models._det(jac)
+            fn = ex.compile_expr((det,) + tuple(e for row in jac for e in row),
+                                 x_names + y_names)
+            rng = random.Random(DEFAULT_SEED)
+            for _ in range(100):
+                vals = [v.real for v in fn(*(rng.uniform(-1.0, 1.0)
+                                             for _ in range(2 * n)))]
+                oracle = np.linalg.det(np.array(vals[1:]).reshape(n, n))
+                assert abs(vals[0] - oracle) <= 1e-13 * abs(oracle), (model.name, vals)
 
-    def test_singular_matrices_give_zero(self):
-        for m in ([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [1.0, 0.0, 1.0]],
-                  [[0.0, 1.0, 2.0], [0.0, 3.0, 4.0], [0.0, 5.0, 6.0]],
-                  [[0.0] * 4 for _ in range(4)]):
-            assert models._lu_det(m) == 0.0 == np.linalg.det(np.array(m))
-
-    @pytest.mark.parametrize("n", [3, 4])
-    def test_a_nan_entry_gives_nan(self, n):
-        rng = random.Random(n)
-        for i in range(n):
-            for j in range(n):
-                m = [[rng.uniform(-1.0, 1.0) for _ in range(n)] for _ in range(n)]
-                m[i][j] = math.nan
-                assert math.isnan(models._lu_det(m)), (i, j)
-                m[(i + 1) % n] = [0.0] * n  # singular as well
-                assert math.isnan(models._lu_det(m)), (i, j)
-
-    def test_the_haar_figure_of_a_nan_jacobian_fails(self, g47, monkeypatch):
-        monkeypatch.setattr(models, "_lu_det", lambda rows: math.nan)
-        rec = haar_invariance_check(g47)
-        assert not rec.passed and math.isnan(rec.max_residual)
+    def test_small_matrices(self):
+        x, y = Var("x"), Var("y")
+        assert models._det([]) == ex.ONE
+        assert models._det([[ex.ZERO]]) == ex.ZERO
+        assert models._det([[x, y], [y, x]]) == simplify(x * x - y * y)
+        assert models._det([[x, y, ex.ONE], [2 * x, 2 * y, ex.ONE],
+                            [ex.ONE, x, y]]) == simplify(x * x - y)
+        assert models._det([[x, y, ex.ONE], [2 * x, 2 * y, 2 * ex.ONE],
+                            [ex.ONE, x, y]]) == ex.ZERO  # singular
 
 
 class TestLaplacian:
