@@ -29,7 +29,8 @@ doubles:
   It carries the chart alone: a path integral such as a phase is a
   quadrature over the recorded points, one `compile_array` call.  The
   locals that read only bound values and constants, and the leading runs
-  of such factors or terms, are computed once per call, before the loop.
+  of such factors or terms, are computed once per call, before the loop;
+  rates that are all such work give the step's increment there too.
 
 Both raise DomainError in the same places: log, fractional powers and Airy
 test their arguments inline, and an OverflowError or ZeroDivisionError of
@@ -696,6 +697,7 @@ def _source(e, varnames, bound, wrapper):
     local_of = {}  # code text -> its local
     checks = set()
     slots = set()
+    read = set()  # indices of the chart arguments the code reads
     watched = []  # array: locals whose non-finite rows go to the closure
 
     def fixed(code):
@@ -762,7 +764,10 @@ def _source(e, varnames, bound, wrapper):
                 raise MissingVariableError(
                     f"free variable {x.name!r} not among compile arguments {list(varnames)}"
                 )
-            return fixed(names[x.name]) if x.name in bound else names[x.name]
+            if x.name in bound:
+                return fixed(names[x.name])
+            read.add(varnames.index(x.name))
+            return names[x.name]
         if isinstance(x, Sum):
             return chain([gen(t) for t in x.terms], "+") if x.terms else fixed("0j")
         if isinstance(x, Product):
@@ -805,7 +810,9 @@ def _source(e, varnames, bound, wrapper):
     arith = ("except (OverflowError, ZeroDivisionError) as exc:\n"
              "    raise DomainError(f'{type(exc).__name__}: {exc}') from None\n")
     if rk4:
-        return make + _indent(_rk4_source(prologue, lines, results, arith), 4)
+        constant = not lines and all(r in invariant for r in results)
+        return make + _indent(_rk4_source(prologue, lines, results, arith, read,
+                                          constant), 4)
     body = "".join(f"{line}\n" for line in lines)
     if array:
         head = "".join(f"{names[v]} = _cx({names[v]})\n" for v in varnames)
@@ -825,35 +832,44 @@ def _indent(text, n):
     return "".join(" " * n + line + "\n" for line in text.splitlines())
 
 
-def _rk4_source(prologue, lines, results, arith):
+def _rk4_source(prologue, lines, results, arith, read, constant):
     """`_run` for `compile_rk4`: the `prologue` lines once per call, then
     the body `lines` (computing the m `results` from the chart arguments
-    `_a0.._a{m-1}`) inlined in each of the four stages, with the driver's
-    arithmetic in its order."""
+    `_a{i}`, i in `read`) inlined in each of the four stages, with the
+    driver's arithmetic in its order.  When the results are all computed
+    in the prologue (`constant`), every stage has the same rates k, so the
+    prologue also computes the increment h/6 (k + 2k + 2k + k) and a step
+    adds it."""
     m = len(results)
     s = [f"_s{i}" for i in range(m)]
-    k = [[f"_k{j}_{i}" for i in range(m)] for j in range(4)]
-    body = "".join(f"{line}\n" for line in lines)
-    # stage j + 1 evaluates the rates at s + h_j * (stage j's rates)
-    stage_args = [s] + [[f"{s[i]} + {h} * {k[j][i]}" for i in range(m)]
-                        for j, h in enumerate(("_h2", "_h2", "_h"))]
-    stages = ["".join(f"_a{i} = {a}\n" for i, a in enumerate(args)) + body
-              + "".join(f"{k[j][i]} = {r}\n" for i, r in enumerate(results))
-              for j, args in enumerate(stage_args)]
-    update = "".join(f"{s[i]} = {s[i]} + _h6 * ({k[0][i]} + 2 * {k[1][i]} + 2 * {k[2][i]}"
-                     f" + {k[3][i]})\n" for i in range(m))
+    if constant:
+        prologue = prologue + [f"_d{i} = _h6 * ({r} + 2 * {r} + 2 * {r} + {r})"
+                               for i, r in enumerate(results)]
+        step = "".join(f"{s[i]} = {s[i]} + _d{i}\n" for i in range(m))
+        sizes = "_h6 = _h / 6\n"
+    else:
+        k = [[f"_k{j}_{i}" for i in range(m)] for j in range(4)]
+        body = "".join(f"{line}\n" for line in lines)
+        # stage j + 1 evaluates the rates at s + h_j * (stage j's rates)
+        stage_args = [s] + [[f"{s[i]} + {h} * {k[j][i]}" for i in range(m)]
+                            for j, h in enumerate(("_h2", "_h2", "_h"))]
+        stages = ["".join(f"_a{i} = {args[i]}\n" for i in sorted(read)) + body
+                  + "".join(f"{k[j][i]} = {r}\n" for i, r in enumerate(results))
+                  for j, args in enumerate(stage_args)]
+        update = "".join(f"{s[i]} = {s[i]} + _h6 * ({k[0][i]} + 2 * {k[1][i]}"
+                         f" + 2 * {k[2][i]} + {k[3][i]})\n" for i in range(m))
+        step = f"try:\n{_indent(''.join(stages) + update, 4)}{arith}"
+        sizes = "_h2, _h6 = _h / 2, _h / 6\n"
     point = "(" + "".join(f"{x}, " for x in s) + ")"
     real = "(" + "".join(f"{x}.real, " for x in s) + ")"
-    start = f"{point} = map(complex, _qs[-1])\n"
+    start = f"_time = _ts[-1]\n{point} = map(complex, _qs[-1])\n{sizes}"
     if prologue:
         once = "".join(f"{line}\n" for line in prologue)
         start += "if _n > 0:\n" + _indent(f"try:\n{_indent(once, 4)}{arith}", 4)
-    step = (f"try:\n{_indent(''.join(stages) + update or 'pass', 4)}{arith}"
-            f"_time += _h\n_ts.append(_time)\n_qs.append({point})\n"
-            f"if _domain is not None and not _domain({real}):\n    return _time\n")
+    step += (f"_time += _h\n_ts.append(_time)\n_qs.append({point})\n"
+             f"if _domain is not None and not _domain({real}):\n    return _time\n")
     return ("def _run(_n, _h, _ts, _qs, _domain):\n"
-            + _indent(f"_time = _ts[-1]\n{start}_h2, _h6 = _h / 2, _h / 6\n"
-                      f"for _ in range(_n):\n{_indent(step, 4)}return None\n", 4)
+            + _indent(f"{start}for _ in range(_n):\n{_indent(step, 4)}return None\n", 4)
             + "return _run\n")
 
 
@@ -962,7 +978,11 @@ def compile_rk4(rates, varnames, bind=None):
     with n > 0, in a prologue before the first step; a chain `a*b*c` runs as
     `(a*b)*c`, so its leading run of such factors (or terms) is hoisted
     without changing a float operation, and every value is `==` to that of
-    calling `compile_expr`'s closure once per stage.  The rates raise
+    calling `compile_expr`'s closure once per stage.  When that is all of
+    the rates' work (they read no chart variable and have no domain test,
+    as the Heisenberg field Z = 1), every stage has the same k, so the
+    prologue also computes the increment `h/6*(k + 2*k + 2*k + k)` and a
+    step is one add per component, with the same states.  The rates raise
     DomainError as that closure does, the prologue's before anything is
     appended; domain tests (log, fractional powers, Airy) stay in the loop.
     `bind` is handled, and code cached, as in `compile_expr`.

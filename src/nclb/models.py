@@ -757,6 +757,15 @@ class QuadSpec2D:
     box: tuple  # ((k_lo, k_hi), (J_lo, J_hi))
     n: int = 48
 
+    def __post_init__(self):
+        if not _is_count(self.n):
+            raise ModelParameterError(f"{self}: the node count must be a positive integer")
+
+
+def _is_count(n):
+    """n is a positive int and not a bool."""
+    return isinstance(n, int) and not isinstance(n, bool) and n > 0
+
 
 class _GftGrid:
     """The inverse-GFT quadrature at one node count: nodes, weighted
@@ -1072,7 +1081,7 @@ class SmokeSpec:
     n_inner: int = 64
 
     def __post_init__(self):
-        if not all(isinstance(n, int) and n > 0 for n in (self.n_outer, self.n_inner)):
+        if not (_is_count(self.n_outer) and _is_count(self.n_inner)):
             raise ModelParameterError(f"{self}: the node counts must be positive integers")
 
 
@@ -1142,29 +1151,42 @@ def _smoke_heisenberg(a, b, j_val, jt_val, spec: SmokeSpec):
     return dev, conv, complex(w3_hat * refined), complex(predicted), scale
 
 
-def _t_window_integral(t0, x3, q2t, st, s, jt_val, b, sw):
-    """The t integral of the 4d pairing's tilde side, exactly.
+def _t_window_exponent(eta, q2, s, q2t, st, j_val, b, sw):
+    """The t integral of the 4d pairing's tilde side, exactly, as a
+    function of q1 at x3 = (q1 + eta)/q2: (factor, e0, e1, e2), the
+    integral being factor exp(e0 + e1 q1 + e2 q1^2).
 
     Along t the integrand is the nascent-delta window sqrt(2 pi) sw
-    e^{-(sw t)^2/2} times b's Gaussian in qt1 = (t0 + t)/(Jt qt2) + qt2 x3/2
-    times the phase e^{i x3 ((t0 + t) st - t0 s)}, which is
-    e^{-A t^2 + B t + C} with A = sw^2/2 + (1/(Jt qt2 wb))^2 > 0; its
-    integral over the line is sqrt(pi/A) e^{B^2/(4A) + C}.  The arguments
-    broadcast against each other.
+    e^{-(sw t)^2/2} times b's Gaussian in qt1 = (t0 + t)/(J qt2) + qt2 x3/2
+    times the phase e^{i x3 ((t0 + t) st - t0 s)}, with t0 = (J q2/2)(2 q1 -
+    q2 x3) = (J q2/2)(q1 - eta).  That is e^{-A t^2 + B t + C} with A = sw^2/2
+    + (1/(J qt2 wb))^2 > 0, so the integral over the line is sqrt(pi/A)
+    e^{B^2/(4A) + C}: A is free of q1, t0, x3 and B are linear in it and C
+    is quadratic.  The arguments broadcast against each other.
     """
     import numpy as np
 
     cb1, cbs, cb1p, _ = b.centers
     wb2 = b.width * b.width
-    beta = 1.0 / (jt_val * q2t)
-    d1 = t0 * beta + 0.5 * q2t * x3 - cb1          # qt1(t = 0) - cb1
-    d2 = d1 + cb1 - q2t * x3 - cb1p                # qt1 - qt2 x3 - cb1p
+    beta = 1.0 / (j_val * q2t)
+    # (constant, q1 coefficient) of each linear quantity
+    t0 = (-0.5 * j_val * q2 * eta, 0.5 * j_val * q2)
+    x3 = (eta / q2, 1.0 / q2)
+    d1 = (t0[0] * beta + 0.5 * q2t * x3[0] - cb1,   # qt1(t = 0) - cb1
+          t0[1] * beta + 0.5 * q2t * x3[1])
+    d2 = (d1[0] + cb1 - q2t * x3[0] - cb1p,         # qt1 - qt2 x3 - cb1p
+          d1[1] - q2t * x3[1])
     big_a = 0.5 * sw * sw + beta * beta / wb2
-    big_b = 1j * x3 * st - beta * (d1 + d2) / wb2
-    big_c = (1j * t0 * x3 * (st - s)
-             - (d1 * d1 + d2 * d2 + (st - cbs) ** 2) / (2.0 * wb2))
-    return (math.sqrt(2.0 * math.pi) * sw * np.sqrt(math.pi / big_a)
-            * np.exp(big_b * big_b / (4.0 * big_a) + big_c))
+    b0, b1 = (1j * x * st - beta * (u + v) / wb2 for x, u, v in zip(x3, d1, d2))
+    phase = 1j * (st - s)
+    four_a = 4.0 * big_a
+    e0 = (b0 * b0 / four_a + phase * t0[0] * x3[0]
+          - (d1[0] * d1[0] + d2[0] * d2[0] + (st - cbs) ** 2) / (2.0 * wb2))
+    e1 = (2.0 * b0 * b1 / four_a + phase * (t0[0] * x3[1] + t0[1] * x3[0])
+          - (d1[0] * d1[1] + d2[0] * d2[1]) / wb2)
+    e2 = (b1 * b1 / four_a + phase * t0[1] * x3[1]
+          - (d1[1] * d1[1] + d2[1] * d2[1]) / (2.0 * wb2))
+    return math.sqrt(2.0 * math.pi) * sw * np.sqrt(math.pi / big_a), e0, e1, e2
 
 
 def _smoke_g47(a, b, j_val, jt_val, spec: SmokeSpec):
@@ -1174,10 +1196,17 @@ def _smoke_g47(a, b, j_val, jt_val, spec: SmokeSpec):
     integrals act on pure phases with coefficients u = Jt qt2^2 - J q2^2 and
     t = Tt - T (T the x2-phase rate (J q2/2)(2 q1 - q2 x3)); their Gaussian
     windows are nascent 2 pi deltas, so the tilde side is integrated in the
-    narrow (u, t) window coordinates: t in closed form
-    (`_t_window_integral`), u and the a-side chart (q1, s) with its x3 and x4
-    boxes by quadrature.  The Haar weight e^{4 x4} cancels the x4 part of
-    the twist Lambda(q2') = q2'^4 exactly, which this code uses.
+    narrow (u, t) window coordinates: t in closed form, u and the a-side
+    chart (q1, s) with its x3 and x4 boxes by quadrature.  The Haar weight
+    e^{4 x4} cancels the x4 part of the twist Lambda(q2') = q2'^4 exactly,
+    which this code uses.
+
+    The x3 box is that of x3 = (q1 + eta)/q2 with eta on a fixed box, so
+    the a-side x3 factor is free of q1 and the closed-form t integral is
+    factor e^{e0 + e1 q1 + e2 q1^2} (`_t_window_exponent`).  Per block of
+    s nodes the coefficients and the q1-free product g of factor and
+    weights are computed once; each q1 node then adds a0(q1) times the dot
+    product of g with one array exponential.
     """
     import numpy as np
 
@@ -1229,20 +1258,19 @@ def _smoke_g47(a, b, j_val, jt_val, spec: SmokeSpec):
         weight = (wsn[:, None, None] * np.exp(-((s - cas) ** 2) / (2.0 * wa * wa))
                   * win_u[:, None] * np.where(valid, 0.5 * q2t, 0.0) * x4_sum)
 
+        # x3 = (q1 + eta)/q2 shifts q1 -> q1' = -eta, on a q1-free eta box
+        eta, w_eta = gl_nodes(n_x, -p_c - p_half, -p_c + p_half)
+        a3w = w_eta / q2 * np.exp(-((eta + ca1p) ** 2) / (2.0 * wa * wa))
+        a0w = (wq1 * np.exp(-((q1n - ca1) ** 2) / (2.0 * wa * wa))).tolist()
+
         # the (s, u, x3) arrays go in s blocks
-        blocks = _blocks(n_q, _N_UV * n_x)
         total = 0j
-        for q1v, wq in zip(q1n, wq1):
-            # x3 shifts q1 -> q1'
-            x3n, wx3 = gl_nodes(n_x, (q1v - p_c - p_half) / q2,
-                                (q1v - p_c + p_half) / q2)
-            a3w = wx3 * np.exp(-((q1v - q2 * x3n - ca1p) ** 2) / (2.0 * wa * wa))
-            t0 = 0.5 * j_val * q2 * (2.0 * q1v - q2 * x3n)
-            a0 = math.exp(-((q1v - ca1) ** 2) / (2.0 * wa * wa))
-            for k in blocks:
-                over_t = _t_window_integral(t0[k], x3n[k], q2t[k], st[k], s[k],
-                                            jt_val, b, sw)
-                total += wq * a0 * np.sum(a3w[k] * over_t * weight[k])
+        for k in _blocks(n_q, _N_UV * n_x):
+            factor, e0, e1, e2 = _t_window_exponent(eta, q2[k], s[k], q2t[k],
+                                                    st[k], j_val, b, sw)
+            g = (factor * a3w[k] * weight[k]).ravel()
+            for q1v, w in zip(q1n.tolist(), a0w):
+                total += w * np.dot(np.exp(e0 + q1v * (e1 + q1v * e2)).ravel(), g)
         return total
 
     coarse, refined = (compute(*n) for n in passes)

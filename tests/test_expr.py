@@ -543,6 +543,51 @@ class TestCompileRk4:
         assert run(0, 0.1, ts, qs, None) is None
         assert (ts, qs) == ([0.0], [(0.5 + 0j, 0j)])
 
+    @pytest.mark.parametrize("rates, bad", [((Power(J, -1),), 0.0),
+                                            ((J ** 2,), 1e200)])
+    def test_a_bad_bound_value_of_a_constant_field_raises_before_the_first_step(
+            self, rates, bad):
+        # 1/J at J = 0 divides by zero and complex ** overflows at 1e200
+        run = ex.compile_rk4(rates, ["q"], bind={"J": bad})
+        ts, qs = [0.0], [(0.5 + 0j,)]
+        with pytest.raises(DomainError, match="^(ZeroDivision|Overflow)Error"):
+            run(3, 0.1, ts, qs, None)
+        assert (ts, qs) == ([0.0], [(0.5 + 0j,)])
+        assert run(0, 0.1, ts, qs, None) is None
+        assert (ts, qs) == ([0.0], [(0.5 + 0j,)])
+
+    @staticmethod
+    def _run_of(rates, names, bind, monkeypatch):
+        """The syntax tree of the `_run` compile_rk4 generates for rates."""
+        generated = []
+        source = ex._source
+        monkeypatch.setattr(ex, "_source", lambda *a: generated.append(a) or source(*a))
+        ex._closure_maker.cache_clear()
+        try:
+            ex.compile_rk4(rates, names, bind=bind)
+        finally:
+            ex._closure_maker.cache_clear()
+        return next(node for node in ast.walk(ast.parse(source(*generated[0])))
+                    if isinstance(node, ast.FunctionDef) and node.name == "_run")
+
+    @staticmethod
+    def _stored(tree):
+        return {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+
+    @pytest.mark.parametrize("rates, names", [((ex.ONE,), ["q"]), ((1 + I,), ["q"]),
+                                              ((J * J, ex.const(2)), ["q", "x"])])
+    def test_a_constant_field_steps_by_one_add(self, rates, names, monkeypatch):
+        run = self._run_of(rates, names, {"J": 1.3}, monkeypatch)
+        assert not {n for n in self._stored(run) if n.startswith(("_k", "_a"))}
+        loop = next(node for node in run.body if isinstance(node, ast.For))
+        adds = [ast.unparse(node) for node in loop.body if isinstance(node, ast.Assign)]
+        assert adds == [f"_s{i} = _s{i} + _d{i}" for i in range(len(names))]
+
+    def test_an_argument_the_rates_do_not_read_is_not_assigned(self, monkeypatch):
+        stored = self._stored(self._run_of((ex.ONE, q), ["q", "x"], {}, monkeypatch))
+        assert "_a0" in stored and "_a1" not in stored
+
     @pytest.mark.parametrize("fixture", ["h3", "g47"])
     def test_no_bound_only_line_runs_in_the_loop(self, fixture, request, monkeypatch):
         from nclb.models import reduction_normalizer
@@ -554,16 +599,7 @@ class TestCompileRk4:
         # the potential as the rate of one more chart variable
         rates = tuple(red.first_order.Z) + (red.first_order.V,)
         names = _chart_names(len(rates) - 1) + ("x",)
-        generated = []
-        source = ex._source
-        monkeypatch.setattr(ex, "_source", lambda *a: generated.append(a) or source(*a))
-        ex._closure_maker.cache_clear()
-        try:
-            ex.compile_rk4(rates, names, bind={"J": 1.0, "E": 0.5})
-        finally:
-            ex._closure_maker.cache_clear()
-        run = next(node for node in ast.walk(ast.parse(source(*generated[0])))
-                   if isinstance(node, ast.FunctionDef) and node.name == "_run")
+        run = self._run_of(rates, names, {"J": 1.0, "E": 0.5}, monkeypatch)
         loop = next(node for node in run.body if isinstance(node, ast.For))
         prologue = [node for node in run.body if isinstance(node, ast.If)]
         once = {t.id for node in prologue for a in ast.walk(node)

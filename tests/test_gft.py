@@ -38,6 +38,14 @@ class TestInverseGft:
         with pytest.raises(SingularMeasureError):
             inverse_gft_h3(bump(0, 1, 0.2), 1.0, GRID, spec)
 
+    @pytest.mark.parametrize("n", [0, -3, 2.5, True, False, "16", None])
+    def test_a_bad_node_count_is_a_parameter_error(self, n):
+        # 0 and -3 reached leggauss's bare ValueError, 2.5 a TypeError, and
+        # True integrated with one node
+        with pytest.raises(ModelParameterError, match="QuadSpec2D.*node count"):
+            QuadSpec2D(box=((-1.0, 1.0), (0.2, 1.8)), n=n)
+        assert QuadSpec2D(box=((-1.0, 1.0), (0.2, 1.8)), n=1).n == 1
+
     def test_reconstruction_pde_residual(self, h3):
         ev = inverse_gft_h3_evaluator(
             bump(0.0, 1.0, 0.2), 1.0,
@@ -276,7 +284,7 @@ def _t_window_sum(q1v, sv, b, j_val, x3n, un, sw):
     b_free = np.exp(-((q1t - cb1) ** 2 + (st_b - cbs) ** 2
                       + (q1t - q2t_b * x3 - cb1p) ** 2) / (2.0 * b.width ** 2))
     phase = np.exp(1j * (tt * x3 * st_b - (t_base * x3n * sv)[:, None, None]))
-    return (b_free * phase) @ win_t, q2t, st, t_base
+    return (b_free * phase) @ win_t, q2t, st
 
 
 @pytest.mark.parametrize("q1v, sv, j_val", [(1.2, 0.1, 1), (0.5, -1.8, 1),
@@ -286,8 +294,10 @@ def test_t_window_closed_form_matches_quadrature(q1v, sv, j_val):
     sw = models._WINDOW_UV
     un = np.polynomial.legendre.leggauss(20)[0] * 6.0 / sw
     q2v = math.exp(sv)
-    x3n = np.linspace((q1v - 2.4) / q2v, (q1v + 0.35) / q2v, 33)
-    want, q2t, st, t_base = _t_window_sum(q1v, sv, G47_B, j_val, x3n, un, sw)
-    got = models._t_window_integral(t_base[:, None], x3n[:, None], q2t, st,
-                                    sv, j_val, G47_B, sw)
+    # x3 = (q1 + eta)/q2 across the x3 box, the smoke's exponent at this q1
+    eta = np.linspace(-2.4, 0.35, 33)
+    want, q2t, st = _t_window_sum(q1v, sv, G47_B, j_val, (q1v + eta) / q2v, un, sw)
+    factor, e0, e1, e2 = models._t_window_exponent(eta[:, None], q2v, sv, q2t, st,
+                                                   j_val, G47_B, sw)
+    got = factor * np.exp(e0 + q1v * (e1 + q1v * e2))
     assert np.max(np.abs(got - want)) <= 1e-7 * np.max(np.abs(want))

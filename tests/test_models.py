@@ -535,6 +535,89 @@ C12_H3 = (SmearedGaussian(centers=(0.1, -0.2), width=0.5),
           SmearedGaussian(centers=(-0.1, 0.15), width=0.45))
 
 
+def _t_window_integral(t0, x3, q2t, st, s, jt_val, b, sw):
+    """The 4d pairing's t integral of the tilde side at given t0 and x3,
+    sqrt(2 pi) sw sqrt(pi/A) e^{B^2/(4A) + C}, as the smoke test computed
+    it before its exponent became a polynomial in q1."""
+    cb1, cbs, cb1p, _ = b.centers
+    wb2 = b.width * b.width
+    beta = 1.0 / (jt_val * q2t)
+    d1 = t0 * beta + 0.5 * q2t * x3 - cb1
+    d2 = d1 + cb1 - q2t * x3 - cb1p
+    big_a = 0.5 * sw * sw + beta * beta / wb2
+    big_b = 1j * x3 * st - beta * (d1 + d2) / wb2
+    big_c = (1j * t0 * x3 * (st - s)
+             - (d1 * d1 + d2 * d2 + (st - cbs) ** 2) / (2.0 * wb2))
+    return (math.sqrt(2.0 * math.pi) * sw * np.sqrt(math.pi / big_a)
+            * np.exp(big_b * big_b / (4.0 * big_a) + big_c))
+
+
+def _smoke_g47_per_q1(a, b, j_val, jt_val, spec):
+    """The 4d smoke pairing as it was computed before its t-window exponent
+    became a polynomial in q1: per q1 node, the x3 box (q1 - p_c +- p_half)/q2
+    and the t integral of every (s, u, x3) node."""
+    if j_val != jt_val:
+        return 0.0, 0.0, 0j, 0j, 1.0
+    passes = ((spec.n_inner // 2, spec.n_outer // 4),
+              ((3 * spec.n_inner) // 4, spec.n_outer // 3))
+    wa, wb = a.width, b.width
+    ca1, cas, ca1p, casp = a.centers
+    _, _, cb1p, cbsp = b.centers
+    sw = models._WINDOW_UV
+    n_uv = models._N_UV
+    wc = wa * wb / math.sqrt(wa * wa + wb * wb)
+    p_c = 0.5 * (ca1p + cb1p)
+    p_half = 6.5 * wc + 0.5 * abs(ca1p - cb1p)
+    sp_c = 0.5 * (casp + cbsp)
+    sp_half = 6.5 * wc + 0.5 * abs(casp - cbsp)
+
+    def compute(n_q, n_x):
+        q1n, wq1 = gl_nodes(n_q, ca1 - 6.5 * wa, ca1 + 6.5 * wa)
+        sn, wsn = gl_nodes(n_q, cas - 6.5 * wa, cas + 6.5 * wa)
+        un, wun = gl_nodes(n_uv, -6.0 / sw, 6.0 / sw)
+        win_u = wun * math.sqrt(2.0 * math.pi) * sw * np.exp(-0.5 * (sw * un) ** 2)
+        s = sn[:, None, None]
+        q2 = np.exp(s)
+        q2t_sq = (un[:, None] + j_val * q2 * q2) / jt_val
+        valid = q2t_sq > 1e-12
+        q2t = np.sqrt(np.where(valid, q2t_sq, 1.0))
+        st = np.log(q2t)
+        x4n, wx4 = gl_nodes(n_x, s - sp_c - sp_half, s - sp_c + sp_half)
+        a4 = np.exp(-((s - x4n - casp) ** 2) / (2.0 * wa * wa))
+        b_x4 = np.exp(-((st - x4n - cbsp) ** 2) / (2.0 * wb * wb))
+        x4_sum = np.sum(wx4 * a4 * b_x4, axis=2, keepdims=True)
+        weight = (wsn[:, None, None] * np.exp(-((s - cas) ** 2) / (2.0 * wa * wa))
+                  * win_u[:, None] * np.where(valid, 0.5 * q2t, 0.0) * x4_sum)
+        blocks = models._blocks(n_q, n_uv * n_x)
+        total = 0j
+        for q1v, wq in zip(q1n, wq1):
+            x3n, wx3 = gl_nodes(n_x, (q1v - p_c - p_half) / q2,
+                                (q1v - p_c + p_half) / q2)
+            a3w = wx3 * np.exp(-((q1v - q2 * x3n - ca1p) ** 2) / (2.0 * wa * wa))
+            t0 = 0.5 * j_val * q2 * (2.0 * q1v - q2 * x3n)
+            a0 = math.exp(-((q1v - ca1) ** 2) / (2.0 * wa * wa))
+            for k in blocks:
+                over_t = _t_window_integral(t0[k], x3n[k], q2t[k], st[k], s[k],
+                                            jt_val, b, sw)
+                total += wq * a0 * np.sum(a3w[k] * over_t * weight[k])
+        return total
+
+    coarse, refined = (compute(*n) for n in passes)
+    predicted = 2.0 * math.pi ** 2 * models._pair_inner_product(a, b)
+    scale = 2.0 * math.pi ** 2 * math.sqrt(
+        models._pair_inner_product(a, a) * models._pair_inner_product(b, b))
+    conv = abs(refined - coarse) / scale
+    dev = abs(refined - predicted) / scale
+    return dev, conv, complex(refined), complex(predicted), scale
+
+
+# c12's g4,7 pair, and a pair drawn as the benchmark draws its smoke pairs
+C12_G47 = (SmearedGaussian(centers=(1.2, 0.1, 1.0, 0.0), width=0.3),
+           SmearedGaussian(centers=(1.1, 0.05, 1.05, -0.05), width=0.28))
+BENCH_G47 = (SmearedGaussian(centers=(1.23, 0.07, 0.98, 0.04), width=0.31),
+             SmearedGaussian(centers=(1.08, 0.09, 1.02, -0.01), width=0.265))
+
+
 class TestSmoke:
     @pytest.mark.parametrize("jt_val", [1.0, -1.0])
     @pytest.mark.parametrize("spec", [SmokeSpec(), SmokeSpec(n_outer=97, n_inner=40)])
@@ -549,6 +632,18 @@ class TestSmoke:
         assert abs(got[0] - want[0]) <= 1e-13 and abs(got[1] - want[1]) <= 1e-13
         assert got[3:] == want[3:]
 
+    @pytest.mark.parametrize("pair", [C12_G47, BENCH_G47])
+    @pytest.mark.parametrize("j_val", [1.0, -1.0])
+    @pytest.mark.parametrize("spec", [SmokeSpec(), SmokeSpec(72, 48), SmokeSpec(96, 70)])
+    def test_g47_q1_polynomial_matches_the_per_q1_loop(self, pair, j_val, spec):
+        # c12's pair on both orbits; SmokeSpec(96, 70) ends its s blocks in
+        # a short block in both passes
+        got = models._smoke_g47(*pair, j_val, j_val, spec)
+        want = _smoke_g47_per_q1(*pair, j_val, j_val, spec)
+        assert abs(got[2] - want[2]) <= 1e-13 * abs(want[2])
+        assert abs(got[0] - want[0]) <= 1e-13 and abs(got[1] - want[1]) <= 1e-13
+        assert got[3:] == want[3:]
+
     def test_blocks_cover_every_index_once_within_the_bound(self):
         assert models._blocks(97, 97) == [slice(0, 49), slice(49, 98)]
         assert models._blocks(194, 194)[-1] == slice(156, 195)
@@ -556,12 +651,17 @@ class TestSmoke:
             blocks = models._blocks(n, n)
             assert [i for k in blocks for i in range(n)[k]] == list(range(n))
             assert all(len(range(n)[k]) * n <= 8192 for k in blocks)
+        # the g4,7 smoke's passes at SmokeSpec(96, 70): (q, x) node counts
+        # (35, 24) and (52, 32) over 20 u nodes end in s blocks of 11 and 8
+        assert models._blocks(35, 20 * 24)[-1] == slice(24, 36)
+        assert models._blocks(52, 20 * 32)[-1] == slice(44, 55)
         # an index whose items exceed the bound gets a block of its own
         assert models._blocks(3, 10000) == [slice(0, 1), slice(1, 2), slice(2, 3)]
 
     @pytest.mark.parametrize("name", ["heisenberg", "g4_7"])
     @pytest.mark.parametrize("counts", [{"n_outer": 0}, {"n_inner": -3},
-                                        {"n_outer": 9.5}])
+                                        {"n_outer": 9.5}, {"n_outer": True},
+                                        {"n_inner": False}])
     def test_a_bad_node_count_is_a_parameter_error(self, name, counts, request):
         model = request.getfixturevalue({"g4_7": "g47", "heisenberg": "h3"}[name])
         a = (SmearedGaussian(centers=(1.2, 0.1, 1.0, 0.0), width=0.3)

@@ -398,6 +398,24 @@ class TestGeneratedLoopMatchesScalarDriver:
             assert new[0] is error
         assert new[2:] == out[2:]
 
+    @pytest.mark.parametrize("fields, names, q0, params", [
+        ((ex.ONE,), ("q",), (0.2,), {}),
+        ((1 + I,), ("q",), (0.2,), {}),
+        # 8.41 + 2*8.41 + 2*8.41 + 8.41 is not 6 * 8.41 in floating point
+        ((J * J, ex.const(2)), ("q1", "q2"), (0.2, -0.1), {"J": 2.9}),
+    ])
+    @pytest.mark.parametrize("t_end", [1.7, -1.3, 0.0])
+    @pytest.mark.parametrize("with_domain", [False, True])
+    def test_constant_field(self, fields, names, q0, params, t_end, with_domain):
+        # the loop of a field that reads no chart variable adds one
+        # increment per step; a domain of |Re q1| < 0.9 is left either way
+        domain = (lambda p: abs(p[0]) < 0.9) if with_domain else None
+        out = self.same(fields, names, q0, t_end, 1e-3, params, domain)
+        if with_domain and t_end:
+            assert out[0] is DomainExitError
+        else:
+            assert len(out[2]) == round(abs(t_end) / 1e-3) + 1
+
     def test_a_bad_bound_value_of_the_potential_raises(self, h3):
         # 1/J in the potential fails with J = 0 on the first step taken, and
         # a characteristic of length zero takes none
