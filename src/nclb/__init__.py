@@ -15,15 +15,15 @@ __version__ = "0.1.0"
 # defining module -> the names this package exports from it
 _EXPORTS = {
     "algebra": ("Covector", "LieAlgebra", "Subspace", "adapted_basis",
-                "annihilator", "index", "index_witness", "is_polarization",
-                "jacobi_defect", "kirillov_matrix", "subspace_flags"),
+                "index", "index_witness", "jacobi_defect", "kirillov_matrix",
+                "subspace_flags"),
     "bilinear": ("BilinearForm", "LaplacianData", "coisotropy_check",
                  "laplacian_data", "orth_complement"),
     "diffop": ("DiffOp", "SampleSpec", "apply", "commutator", "compose",
                "op_equal"),
     "expr": ("Airy", "Const", "Exp", "Expr", "I", "Log", "Power", "Product",
              "Sum", "Var", "compile_expr", "differentiate", "evaluate",
-             "parse", "simplify", "subst", "to_text"),
+             "simplify", "subst", "to_text"),
     "models": ("GroupModel", "KernelD", "QuadSpec2D", "SmearedGaussian",
                "airy_identity_check", "casimir_scalar_check",
                "invariant_frame_check", "inverse_gft_h3",

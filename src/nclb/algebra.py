@@ -185,12 +185,6 @@ def kirillov_matrix(L: LieAlgebra, lam: Covector):
     return b
 
 
-def annihilator(L: LieAlgebra, lam: Covector) -> Subspace:
-    """Kernel of the Kirillov form at lam, as an exact subspace."""
-    b = kirillov_matrix(L, lam)
-    return Subspace(tuple(tuple(v) for v in rl.kernel(b)))
-
-
 INDEX_TRIALS = 32
 _INDEX_BOUND = 10
 
@@ -243,23 +237,6 @@ def subspace_flags(L: LieAlgebra, H: Subspace):
     return {"is_subalgebra": is_sub, "is_ideal": is_ideal, "is_commutative": is_comm}
 
 
-def is_polarization(L: LieAlgebra, lam: Covector, P: Subspace, ind: int):
-    """Subordination and dimension tests for a candidate polarization.
-
-    P must already be a subalgebra; subordinate means <lam,[P,P]> = 0 and
-    dim_ok means 2 rank(P) = dim + ind.
-    """
-    flags = subspace_flags(L, P)
-    if not flags["is_subalgebra"]:
-        raise ValueError("P is not a subalgebra")
-    gens = [list(g) for g in P.generators]
-    subordinate = all(
-        lam.pair(L.bracket(a, b)) == 0 for a in gens for b in gens
-    )
-    dim_ok = 2 * P.rank == L.dim + ind
-    return {"subordinate": subordinate, "dim_ok": dim_ok}
-
-
 def adapted_basis(L: LieAlgebra, H: Subspace):
     """Invertible matrix whose first rank(H) columns span H.
 
@@ -280,22 +257,6 @@ def adapted_basis(L: LieAlgebra, H: Subspace):
     t = rl.transpose(cols)
     assert rl.det(t) != 0
     return t
-
-
-def transform_structure_constants(L: LieAlgebra, t):
-    """Structure constants in the basis f_j = sum_i t[i][j] e_i."""
-    n = L.dim
-    tinv = rl.inverse(t)
-    cols = rl.transpose(t)
-    new_c = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            br = L.bracket(list(cols[i - 1]), list(cols[j - 1]))
-            comps = rl.mat_vec(tinv, br)
-            entry = {k + 1: comps[k] for k in range(n) if comps[k] != 0}
-            if entry:
-                new_c[(i, j)] = entry
-    return LieAlgebra(dim=n, basis_names=tuple(f"f{i}" for i in range(1, n + 1)), c=new_c)
 
 
 # --- bundled algebras -------------------------------------------------------

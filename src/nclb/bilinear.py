@@ -13,7 +13,7 @@ import json
 from fractions import Fraction
 
 from . import ratlinalg as rl
-from .algebra import LieAlgebra, Subspace, adapted_basis, subspace_flags, transform_structure_constants
+from .algebra import LieAlgebra, Subspace, adapted_basis, subspace_flags
 from .report import NclbError, record
 
 
@@ -112,61 +112,23 @@ def coisotropy_check(L: LieAlgebra, gm: BilinearForm, H: Subspace) -> Coisotropy
 
 @record
 class LaplacianData:
-    """Inverse form, divergence coefficients, and (optionally) the reduced
-    first-order coefficients in a basis adapted to the supplied ideal."""
+    """Inverse form and divergence coefficients of the invariant Laplacian,
+    in the algebra's basis."""
 
     g_inv: tuple
     c_vec: tuple
-    b_vec: tuple | None = None
-    adapted: tuple | None = None  # change-of-basis used for b_vec
 
 
-def laplacian_data(L: LieAlgebra, gm: BilinearForm, H: Subspace | None = None) -> LaplacianData:
-    """Coefficient data of the invariant Laplacian.
-
-    c_vec[i] = -sum_j G^{ij} tr(ad_{e_j}) in the original basis.  When a
-    coisotropic ideal H is supplied, b_vec holds the first-order coefficients
-    B^alpha = C^alpha - sum_{beta<=s, b>s} C_{beta b}^alpha G^{beta b},
-    computed in the adapted basis returned alongside.
-    """
+def laplacian_data(L: LieAlgebra, gm: BilinearForm) -> LaplacianData:
+    """Coefficient data of the invariant Laplacian:
+    c_vec[i] = -sum_j G^{ij} tr(ad_{e_j})."""
     n = L.dim
-    g_inv = [list(r) for r in gm.inverse]
     traces = [L.ad_trace(j) for j in range(1, n + 1)]
     c_vec = tuple(
-        -sum((g_inv[i][j] * traces[j] for j in range(n)), Fraction(0))
+        -sum((gm.inverse[i][j] * traces[j] for j in range(n)), Fraction(0))
         for i in range(n)
     )
-    if H is None:
-        return LaplacianData(g_inv=tuple(tuple(r) for r in g_inv), c_vec=c_vec)
-
-    rep = coisotropy_check(L, gm, H)
-    if not rep.verdict:
-        raise CoisotropyError("supplied subspace is not a coisotropic commutative ideal")
-
-    t = adapted_basis(L, H)
-    la = transform_structure_constants(L, t)
-    g_new = rl.mat_mul(rl.transpose(t), rl.mat_mul([list(r) for r in gm.matrix], t))
-    g_new_inv = rl.inverse(g_new)
-    traces_new = [la.ad_trace(j) for j in range(1, n + 1)]
-    c_new = [
-        -sum((g_new_inv[i][j] * traces_new[j] for j in range(n)), Fraction(0))
-        for i in range(n)
-    ]
-    s = H.rank
-    b_vec = []
-    for alpha in range(1, s + 1):
-        corr = Fraction(0)
-        for beta in range(1, s + 1):
-            for b in range(s + 1, n + 1):
-                cb = la.bracket_basis(beta, b)[alpha - 1]
-                corr += cb * g_new_inv[beta - 1][b - 1]
-        b_vec.append(c_new[alpha - 1] - corr)
-    return LaplacianData(
-        g_inv=tuple(tuple(r) for r in g_inv),
-        c_vec=c_vec,
-        b_vec=tuple(b_vec),
-        adapted=tuple(tuple(r) for r in t),
-    )
+    return LaplacianData(g_inv=gm.inverse, c_vec=c_vec)
 
 
 # --- JSON interchange -------------------------------------------------------

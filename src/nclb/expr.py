@@ -3,8 +3,8 @@
 Nodes: rational constants, the imaginary unit, variables, sums, products,
 powers with constant exponents, exp, log, and the four Airy kinds.  The
 kernel provides exact differentiation, an expand-and-collect normal form
-(`simplify`), numeric evaluation, and a parse/print pair for a plain infix
-syntax.
+(`simplify`), numeric evaluation, and a printer to a plain infix syntax
+(`to_text`).
 
 Nodes are frozen, slotted and interned (hash-consed): a constructor returns
 the live node with equal fields if there is one, from one table of weak
@@ -82,10 +82,6 @@ class MissingVariableError(ExprError):
 
 
 class DomainError(ExprError):
-    pass
-
-
-class ExprSyntaxError(ExprError):
     pass
 
 
@@ -1104,125 +1100,3 @@ def to_text(e: Expr) -> str:
                 out += f" + {txt}"
         return out
     raise TypeError(f"not an expression: {e!r}")
-
-
-# --- parsing ----------------------------------------------------------------
-
-_FUNCTIONS = {"exp": Exp, "log": Log}
-_AIRY_FUNCS = {"Ai": "Ai", "Ai'": "AiPrime", "Bi": "Bi", "Bi'": "BiPrime"}
-
-
-def _tokenize(text):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("num", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            if j < n and text[j] == "'":
-                j += 1
-            tokens.append(("name", text[i:j], i))
-            i = j
-            continue
-        if ch in "+-*/^()":
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r} at position {i}")
-    tokens.append(("end", "", n))
-    return tokens
-
-
-def parse(text: str) -> Expr:
-    """Parse the infix syntax emitted by `to_text`."""
-    tokens = _tokenize(text)
-    pos = 0
-
-    def peek():
-        return tokens[pos]
-
-    def take(kind=None):
-        nonlocal pos
-        tok = tokens[pos]
-        if kind is not None and tok[0] != kind:
-            raise ExprSyntaxError(f"expected {kind!r} at position {tok[2]}, got {tok[1]!r}")
-        pos += 1
-        return tok
-
-    def parse_sum():
-        node = parse_term()
-        while peek()[0] in ("+", "-"):
-            op = take()[0]
-            rhs = parse_term()
-            node = node + rhs if op == "+" else node - rhs
-        return node
-
-    def parse_term():
-        node = parse_unary()
-        while peek()[0] in ("*", "/"):
-            op = take()[0]
-            rhs = parse_unary()
-            node = node * rhs if op == "*" else node / rhs
-        return node
-
-    def parse_unary():
-        if peek()[0] == "-":
-            take()
-            return -parse_unary()
-        if peek()[0] == "+":
-            take()
-            return parse_unary()
-        return parse_power()
-
-    def parse_power():
-        base = parse_atom()
-        if peek()[0] == "^":
-            take()
-            expo = parse_unary()  # right-assoc, allows x^-2 and x^(a+b)
-            return Power(base, expo)
-        return base
-
-    def parse_atom():
-        tok = peek()
-        if tok[0] == "num":
-            take()
-            return Const(Fraction(int(tok[1])))
-        if tok[0] == "(":
-            take()
-            node = parse_sum()
-            take(")")
-            return node
-        if tok[0] == "name":
-            take()
-            name = tok[1]
-            if peek()[0] == "(":
-                take()
-                arg = parse_sum()
-                take(")")
-                if name in _FUNCTIONS:
-                    return _FUNCTIONS[name](arg)
-                if name in _AIRY_FUNCS:
-                    return Airy(_AIRY_FUNCS[name], arg)
-                raise ExprSyntaxError(f"unknown function {name!r} at position {tok[2]}")
-            if name == "I":
-                return I
-            if name.endswith("'"):
-                raise ExprSyntaxError(f"stray prime in name {name!r} at position {tok[2]}")
-            return Var(name)
-        raise ExprSyntaxError(f"unexpected token {tok[1]!r} at position {tok[2]}")
-
-    node = parse_sum()
-    take("end")
-    return node

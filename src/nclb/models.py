@@ -23,6 +23,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
+from numbers import Real
 
 from . import expr as ex
 from .algebra import (LieAlgebra, Subspace, g47_algebra, heisenberg_algebra,
@@ -760,11 +761,25 @@ class QuadSpec2D:
     def __post_init__(self):
         if not _is_count(self.n):
             raise ModelParameterError(f"{self}: the node count must be a positive integer")
+        if not _is_box(self.box):
+            raise ModelParameterError(
+                f"{self}: the box must be two (lo, hi) pairs of finite numbers with lo < hi")
 
 
 def _is_count(n):
     """n is a positive int and not a bool."""
     return isinstance(n, int) and not isinstance(n, bool) and n > 0
+
+
+def _is_box(box):
+    """box is ((k_lo, k_hi), (J_lo, J_hi)) of finite reals, lo < hi."""
+    try:
+        (k_lo, k_hi), (j_lo, j_hi) = box
+    except (TypeError, ValueError):
+        return False
+    bounds = (k_lo, k_hi, j_lo, j_hi)
+    return (all(isinstance(v, Real) and math.isfinite(v) for v in bounds)
+            and k_lo < k_hi and j_lo < j_hi)
 
 
 class _GftGrid:
@@ -917,6 +932,8 @@ def airy_identity_check(x, t) -> float:
     """|contour quadrature - Airy| for the cubic-phase Fourier identity."""
     from .airyfun import airy
 
+    if not (math.isfinite(x) and math.isfinite(t)):
+        raise ModelParameterError(f"identity needs finite x and t, got x={x!r}, t={t!r}")
     if t == 0:
         raise ModelParameterError("identity needs t != 0")
     lhs = oscillatory_cubic_phase(float(x), float(t))
@@ -929,7 +946,6 @@ def airy_identity_check(x, t) -> float:
 
 @record
 class CasimirReport:
-    element: int
     acts_as_scalar: bool
     values: dict
 
@@ -955,7 +971,7 @@ def casimir_scalar_check(model, element=3) -> CasimirReport:
     if acts_scalar:
         fn = ex.compile_expr(coeff, ["J"])
         values = {jv: fn(float(jv)) for jv in model.lrep.j_values or (1, -1)}
-    return CasimirReport(element=element, acts_as_scalar=acts_scalar, values=values)
+    return CasimirReport(acts_as_scalar=acts_scalar, values=values)
 
 
 # --- the records of `nclb model verify` ---------------------------------------
@@ -1060,6 +1076,10 @@ class SmearedGaussian:
 
     centers: tuple
     width: float = 0.35
+
+    def __post_init__(self):
+        if not (isinstance(self.width, Real) and 0 < self.width < math.inf):
+            raise ModelParameterError(f"{self}: the width must be a finite number > 0")
 
 
 def _gauss_overlap_1d(c1, w1, c2, w2):
@@ -1298,8 +1318,14 @@ def kernel_orthogonality_smoke(model, test_pairs, spec: SmokeSpec | None = None)
     raises SpectralLabelError.
     """
     spec = spec or SmokeSpec()
+    n_centers = 2 * model.lrep.dim_q
     records = []
     for idx, (a, b, j_val, jt_val) in enumerate(test_pairs):
+        for g in (a, b):
+            if len(g.centers) != n_centers:
+                raise ModelParameterError(
+                    f"{g}: the {model.name} smoke test needs {n_centers} centres, "
+                    "one per chart coordinate of (q, q')")
         dev, conv, measured, predicted, scale = model.smoke_scheme(
             a, b, model.lrep.check_j(float(j_val)),
             model.lrep.check_j(float(jt_val)), spec)

@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 from nclb import ratlinalg as rl
 from nclb.algebra import (Covector, LieAlgebra, MalformedAlgebraError, Subspace,
                           abelian_algebra, adapted_basis, algebra_from_json,
-                          annihilator, g47_algebra,
-                          heisenberg_algebra, index, index_witness,
-                          is_polarization, jacobi_defect, kirillov_matrix,
-                          subspace_flags, transform_structure_constants)
+                          g47_algebra, heisenberg_algebra, index, index_witness,
+                          jacobi_defect, kirillov_matrix, subspace_flags)
 
 
 def span(dim, *indices):
@@ -70,19 +68,23 @@ class TestKirillov:
         assert b == [[-b[j][i] for j in range(4)] for i in range(4)]
 
 
+def annihilator_rank(L, lam):
+    """dim of the annihilator of lam: the kernel of its Kirillov form."""
+    return L.dim - rl.rank(kirillov_matrix(L, lam))
+
+
 class TestAnnihilator:
     def test_heisenberg_center(self):
-        ann = annihilator(heisenberg_algebra(), Covector((0, 0, 1)))
+        b = kirillov_matrix(heisenberg_algebra(), Covector((0, 0, 1)))
+        ann = Subspace(tuple(tuple(v) for v in rl.kernel(b)))
         assert ann.same_as(span(3, 3))
         assert ann.rank == 1
 
     def test_zero_covector_full(self):
-        ann = annihilator(g47_algebra(), Covector((0, 0, 0, 0)))
-        assert ann.rank == 4
+        assert annihilator_rank(g47_algebra(), Covector((0, 0, 0, 0))) == 4
 
     def test_g47_regular_trivial(self):
-        ann = annihilator(g47_algebra(), Covector((1, 0, 0, 0)))
-        assert ann.rank == 0
+        assert annihilator_rank(g47_algebra(), Covector((1, 0, 0, 0))) == 0
 
     def test_rank_sum_random(self):
         rng = random.Random(11)
@@ -92,7 +94,7 @@ class TestAnnihilator:
                     F(rng.randint(-9, 9), rng.randint(1, 9))
                     for _ in range(L.dim)))
                 b = kirillov_matrix(L, lam)
-                assert annihilator(L, lam).rank + rl.rank(b) == L.dim
+                assert len(rl.kernel(b)) + rl.rank(b) == L.dim
 
 
 class TestIndex:
@@ -113,7 +115,7 @@ class TestIndex:
     def test_witness_attains_minimum(self):
         L = g47_algebra()
         idx, lam = index_witness(L)
-        assert annihilator(L, lam).rank == idx
+        assert annihilator_rank(L, lam) == idx
 
     def test_trials_validation(self):
         with pytest.raises(ValueError):
@@ -160,25 +162,22 @@ class TestSubspaceFlags:
         assert flags["is_commutative"] is False
 
 
+def assert_polarization(L, lam, indices):
+    """span{e_i : i in indices} is a subalgebra on which lam's Kirillov form
+    vanishes, of dimension (dim + index)/2."""
+    P = span(L.dim, *indices)
+    assert subspace_flags(L, P)["is_subalgebra"]
+    b = kirillov_matrix(L, lam)
+    assert all(b[i - 1][j - 1] == 0 for i in indices for j in indices)
+    assert 2 * P.rank == L.dim + index(L)
+
+
 class TestPolarization:
     def test_heisenberg(self):
-        L = heisenberg_algebra()
-        rep = is_polarization(L, Covector((0, 0, 1)), span(3, 1, 3), ind=1)
-        assert rep == {"subordinate": True, "dim_ok": True}
+        assert_polarization(heisenberg_algebra(), Covector((0, 0, 1)), (1, 3))
 
     def test_g47(self):
-        L = g47_algebra()
-        rep = is_polarization(L, Covector((1, 0, 0, 0)), span(4, 1, 2), ind=0)
-        assert rep == {"subordinate": True, "dim_ok": True}
-
-    def test_not_subordinate(self):
-        L = heisenberg_algebra()
-        # the horizontal plane is not even a subalgebra here
-        with pytest.raises(ValueError):
-            is_polarization(L, Covector((0, 0, 1)), span(3, 1, 2), ind=1)
-        # span{e2, e3} is a subalgebra subordinate to e^3 but of honest use:
-        rep = is_polarization(L, Covector((0, 0, 1)), span(3, 2, 3), ind=1)
-        assert rep == {"subordinate": True, "dim_ok": True}
+        assert_polarization(g47_algebra(), Covector((1, 0, 0, 0)), (1, 2))
 
     def test_dimension_counts(self):
         # 2 dim P = dim + ind and dim Q = (dim - ind)/2 for both models
@@ -209,12 +208,6 @@ class TestAdaptedBasis:
         H = Subspace(((F(1), F(0), F(0)), (F(2), F(0), F(0))))
         with pytest.raises(ValueError):
             adapted_basis(heisenberg_algebra(), H)
-
-    def test_transformed_constants_stay_lie(self):
-        L = g47_algebra()
-        t = adapted_basis(L, Subspace(((F(1), F(1), F(0), F(0)),
-                                       (F(0), F(1), F(1), F(0)))))
-        assert jacobi_defect(transform_structure_constants(L, t)) == []
 
 
 def _to_json(L):

@@ -5,9 +5,8 @@ import pytest
 
 from nclb import ratlinalg as rl
 from nclb.algebra import Subspace, g47_algebra, heisenberg_algebra
-from nclb.bilinear import (BilinearForm, CoisotropyError, DegenerateFormError,
-                           coisotropy_check, form_from_json, laplacian_data,
-                           orth_complement)
+from nclb.bilinear import (BilinearForm, DegenerateFormError, coisotropy_check,
+                           form_from_json, laplacian_data, orth_complement)
 from nclb.models import load_model
 
 
@@ -159,28 +158,16 @@ class TestLaplacianData:
         data = laplacian_data(heisenberg_algebra(), h3_form())
         assert data.c_vec == (0, 0, 0)
 
-    def test_h3_b_vanishes(self):
-        data = laplacian_data(heisenberg_algebra(), h3_form(), span(3, 1, 3))
-        assert data.b_vec == (0, 0)
-
     def test_g47_values(self):
         for alpha, beta in ((F(1), F(1)), (F(2), F(3)), (F(-1), F(2))):
-            data = laplacian_data(g47_algebra(), g1_form(alpha, beta),
-                                  span(4, 1, 2))
+            data = laplacian_data(g47_algebra(), g1_form(alpha, beta))
             assert data.c_vec == (0, 4 / beta, 0, 0)
-            assert data.b_vec == (alpha / beta, 3 / beta)
 
     def test_abelian_all_zero(self):
         from nclb.algebra import abelian_algebra
         gm = BilinearForm.from_matrix(rl.eye(3))
-        data = laplacian_data(abelian_algebra(3), gm, span(3, 1, 2, 3))
+        data = laplacian_data(abelian_algebra(3), gm)
         assert data.c_vec == (0, 0, 0)
-        assert data.b_vec == (0, 0, 0)
-
-    def test_non_coisotropic_rejected(self):
-        gm = BilinearForm.from_matrix(rl.eye(3))
-        with pytest.raises(CoisotropyError):
-            laplacian_data(heisenberg_algebra(), gm, span(3, 1, 3))
 
 
 class TestFormJson:

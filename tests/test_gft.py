@@ -1,5 +1,6 @@
 import functools
 import math
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
@@ -45,6 +46,19 @@ class TestInverseGft:
         with pytest.raises(ModelParameterError, match="QuadSpec2D.*node count"):
             QuadSpec2D(box=((-1.0, 1.0), (0.2, 1.8)), n=n)
         assert QuadSpec2D(box=((-1.0, 1.0), (0.2, 1.8)), n=1).n == 1
+
+    @pytest.mark.parametrize("box", [
+        ((0.0, 1.0), (2.0, 0.5)), ((1.0, 0.0), (0.5, 2.0)),  # inverted
+        ((0.0, 0.0), (0.5, 2.0)),                            # empty
+        ((0.0, math.nan), (0.5, 2.0)), ((-math.inf, 1.0), (0.5, 2.0)),
+        ((0.0, 1.0),), ((0.0, 1.0, 2.0), (0.5, 2.0)), None, (("0", "1"), (0.5, 2.0)),
+    ])
+    def test_a_bad_box_is_a_parameter_error(self, box):
+        # an inverted box gave -psi from both the kernel and the mode
+        # superposition, and a NaN bound an AiryDomainError
+        with pytest.raises(ModelParameterError, match="QuadSpec2D.*box"):
+            QuadSpec2D(box=box, n=8)
+        assert QuadSpec2D(box=((0, 1), (F(1, 2), 2)), n=8).box == ((0, 1), (F(1, 2), 2))
 
     def test_reconstruction_pde_residual(self, h3):
         ev = inverse_gft_h3_evaluator(

@@ -387,6 +387,15 @@ class TestAiryIdentity:
         with pytest.raises(ModelParameterError):
             airy_identity_check(1.0, 0.0)
 
+    @pytest.mark.parametrize("x,t", [(1.0, math.inf), (1.0, -math.inf),
+                                     (1.0, math.nan), (math.nan, 1.0),
+                                     (math.inf, 1.0)])
+    def test_non_finite_arguments_rejected(self, x, t):
+        # an infinite t passed vacuously with 0.0, and a NaN ran six
+        # quadrature doublings before giving up
+        with pytest.raises(ModelParameterError, match="finite"):
+            airy_identity_check(x, t)
+
 
 class TestKernelData:
     def test_identity_collapse(self, h3, g47):
@@ -668,6 +677,27 @@ class TestSmoke:
              if name == "g4_7" else C12_H3[0])
         with pytest.raises(ModelParameterError, match="SmokeSpec"):
             kernel_orthogonality_smoke(model, [(a, a, 1, 1)], SmokeSpec(**counts))
+
+    @pytest.mark.parametrize("width", [0, 0.0, -0.3, math.inf, math.nan, None, "0.3"])
+    def test_a_bad_width_is_a_parameter_error(self, width):
+        # width 0 raised a bare ZeroDivisionError, and a negative one passed
+        with pytest.raises(ModelParameterError, match="SmearedGaussian.*width"):
+            SmearedGaussian(centers=(0.1, -0.2), width=width)
+
+    @pytest.mark.parametrize("name, centers", [
+        ("heisenberg", (0.1, -0.2, 0.3)), ("heisenberg", (0.1,)),
+        ("g4_7", (1.2, 0.1)), ("g4_7", (1.2, 0.1, 1.0, 0.0, 0.5)),
+    ])
+    def test_centres_of_the_wrong_length_are_a_parameter_error(self, name, centers,
+                                                                request):
+        # the wrong count raised an unpacking ValueError, or was truncated
+        # by the overlap's zip
+        model = request.getfixturevalue({"g4_7": "g47", "heisenberg": "h3"}[name])
+        good = C12_G47[0] if name == "g4_7" else C12_H3[0]
+        bad = SmearedGaussian(centers=centers, width=0.3)
+        for pair in ((bad, good), (good, bad)):
+            with pytest.raises(ModelParameterError, match="centres"):
+                kernel_orthogonality_smoke(model, [(*pair, 1, 1)])
 
     def test_a_g47_pass_without_nodes_is_a_parameter_error(self, g47):
         # n_outer 3 leaves the coarse pass no x3 or x4 node

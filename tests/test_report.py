@@ -66,7 +66,7 @@ def _records(h3):
     return [
         h3.algebra, h3.ideal, Covector((1, 0, F(1, 2))),
         h3.form, coisotropy_check(h3.algebra, h3.form, h3.ideal),
-        laplacian_data(h3.algebra, h3.form, h3.ideal),
+        laplacian_data(h3.algebra, h3.form),
         h3.printed_laplacian, h3.x_sample_spec(n=4), op_equal(h3.xi[0], h3.xi[0]),
         h3.kernel.collapsed, h3.kernel, h3.haar, h3,
         QuadSpec2D(((-1.0, 1.0), (0.5, 2.0)), n=8), casimir_scalar_check(h3),
