@@ -27,10 +27,9 @@ doubles:
   steps for the rates of the chart variables, with the body inlined in
   each of the four stages, and appends every state to the caller's lists.
   It carries the chart alone: a path integral such as a phase is a
-  quadrature over the recorded points, one `compile_array` call.  The
-  locals that read only bound values and constants, and the leading runs
-  of such factors or terms, are computed once per call, before the loop;
-  rates that are all such work give the step's increment there too.
+  quadrature over the recorded points, one `compile_array` call.  Rates
+  that read no chart variable and test no domain are computed once per
+  call, before the loop, with the step's increment.
 
 Both raise DomainError in the same places: log, fractional powers and Airy
 test their arguments inline, and an OverflowError or ZeroDivisionError of
@@ -679,48 +678,23 @@ def _source(e, varnames, bound, wrapper):
     subtree is computed once per evaluation.  The array body runs the same
     code on numpy arrays: a failing domain test marks its rows in `_bad`
     instead of raising, and so does a non-finite value at the arguments of
-    exp, log and powers or in a result.  The RK4 body moves each local that
-    reads only constants, bound values and such locals, and each leading
-    run of 2 or more such parts of a sum or product, to a prologue run once
-    per call; nodes with a domain test stay in the body.
+    exp, log and powers or in a result.
     """
     array, rk4 = wrapper == "array", wrapper == "rk4"
     names = {v: f"_a{i}" for i, v in enumerate(varnames)}
     names.update((v, f"_b{i}") for i, v in enumerate(bound))
     lines = []
-    prologue = []  # rk4: the locals that read only invariant code
-    invariant = set()  # rk4: code of constants, bound values and those locals
     local_of = {}  # code text -> its local
     checks = set()
     slots = set()
     read = set()  # indices of the chart arguments the code reads
     watched = []  # array: locals whose non-finite rows go to the closure
 
-    def fixed(code):
-        if rk4:
-            invariant.add(code)
-        return code
-
-    def local(code, once=False):
+    def local(code):
         if code not in local_of:
             local_of[code] = f"_t{len(local_of)}"
-            (prologue if once else lines).append(f"{local_of[code]} = {code}")
-            if once:
-                invariant.add(local_of[code])
+            lines.append(f"{local_of[code]} = {code}")
         return local_of[code]
-
-    def chain(parts, op):
-        """A local for parts joined by op.  Python evaluates the chain left
-        to right, so its longest leading run of 2 or more invariant parts
-        goes to the prologue without changing a float operation."""
-        n = 0
-        while n < len(parts) and parts[n] in invariant:
-            n += 1
-        if n == len(parts):
-            return local(op.join(parts), once=True)
-        if n >= 2:
-            parts = [local(op.join(parts[:n]), once=True)] + parts[n:]
-        return local(op.join(parts))
 
     def check(tests, what, t):
         """Each of tests is true where t is outside the domain."""
@@ -752,25 +726,25 @@ def _source(e, varnames, bound, wrapper):
     def gen(x):
         if isinstance(x, _Slot):
             slots.add(x.index)
-            return fixed(f"_c{x.index}")
+            return f"_c{x.index}"
         if isinstance(x, ImagUnit):
-            return fixed("1j")
+            return "1j"
         if isinstance(x, Var):
             if x.name not in names:
                 raise MissingVariableError(
                     f"free variable {x.name!r} not among compile arguments {list(varnames)}"
                 )
             if x.name in bound:
-                return fixed(names[x.name])
+                return names[x.name]
             read.add(varnames.index(x.name))
             return names[x.name]
         if isinstance(x, Sum):
-            return chain([gen(t) for t in x.terms], "+") if x.terms else fixed("0j")
+            return local("+".join(gen(t) for t in x.terms)) if x.terms else "0j"
         if isinstance(x, Product):
-            return chain([gen(f) for f in x.factors], "*") if x.factors else fixed("(1+0j)")
+            return local("*".join(gen(f) for f in x.factors)) if x.factors else "(1+0j)"
         if isinstance(x, Exp):
             t = watch(gen(x.arg))
-            return local(f"_exp({t})", once=t in invariant)
+            return local(f"_exp({t})")
         if isinstance(x, Log):
             t = watch(gen(x.arg))
             check([f"{t}.real <= 0.0"], "log requires positive real part", t)
@@ -793,7 +767,7 @@ def _source(e, varnames, bound, wrapper):
             if ev.imag == 0.0 and ev.real == int(ev.real):
                 if maybe_real(x.base) and wrapper == "closure":
                     t = f"complex({t})"
-                return local(f"{t}**{int(ev.real)}", once=t in invariant)
+                return local(f"{t}**{int(ev.real)}")
             check([real(t), f"{t}.real <= 0.0"],
                   "fractional power needs a positive real base", t)
             return local(f"_exp({ev!r} * _log({t}))")
@@ -806,9 +780,9 @@ def _source(e, varnames, bound, wrapper):
     arith = ("except (OverflowError, ZeroDivisionError) as exc:\n"
              "    raise DomainError(f'{type(exc).__name__}: {exc}') from None\n")
     if rk4:
-        constant = not lines and all(r in invariant for r in results)
-        return make + _indent(_rk4_source(prologue, lines, results, arith, read,
-                                          constant), 4)
+        # rates that read no chart argument and test no domain are one k
+        constant = not read and not checks
+        return make + _indent(_rk4_source(lines, results, arith, read, constant), 4)
     body = "".join(f"{line}\n" for line in lines)
     if array:
         head = "".join(f"{names[v]} = _cx({names[v]})\n" for v in varnames)
@@ -828,24 +802,23 @@ def _indent(text, n):
     return "".join(" " * n + line + "\n" for line in text.splitlines())
 
 
-def _rk4_source(prologue, lines, results, arith, read, constant):
-    """`_run` for `compile_rk4`: the `prologue` lines once per call, then
-    the body `lines` (computing the m `results` from the chart arguments
-    `_a{i}`, i in `read`) inlined in each of the four stages, with the
-    driver's arithmetic in its order.  When the results are all computed
-    in the prologue (`constant`), every stage has the same rates k, so the
-    prologue also computes the increment h/6 (k + 2k + 2k + k) and a step
-    adds it."""
+def _rk4_source(lines, results, arith, read, constant):
+    """`_run` for `compile_rk4`: the body `lines` (computing the m `results`
+    from the chart arguments `_a{i}`, i in `read`) inlined in each of the
+    four stages, with the driver's arithmetic in its order.  When the rates
+    are `constant`, every stage has the same k, so the body runs once per
+    call with n > 0, before the first step, with the increment
+    h/6 (k + 2k + 2k + k), and a step adds it."""
     m = len(results)
     s = [f"_s{i}" for i in range(m)]
+    body = "".join(f"{line}\n" for line in lines)
     if constant:
-        prologue = prologue + [f"_d{i} = _h6 * ({r} + 2 * {r} + 2 * {r} + {r})"
-                               for i, r in enumerate(results)]
+        body += "".join(f"_d{i} = _h6 * ({r} + 2 * {r} + 2 * {r} + {r})\n"
+                        for i, r in enumerate(results))
         step = "".join(f"{s[i]} = {s[i]} + _d{i}\n" for i in range(m))
-        sizes = "_h6 = _h / 6\n"
+        before = "_h6 = _h / 6\nif _n > 0:\n" + _indent(f"try:\n{_indent(body, 4)}{arith}", 4)
     else:
         k = [[f"_k{j}_{i}" for i in range(m)] for j in range(4)]
-        body = "".join(f"{line}\n" for line in lines)
         # stage j + 1 evaluates the rates at s + h_j * (stage j's rates)
         stage_args = [s] + [[f"{s[i]} + {h} * {k[j][i]}" for i in range(m)]
                             for j, h in enumerate(("_h2", "_h2", "_h"))]
@@ -855,13 +828,10 @@ def _rk4_source(prologue, lines, results, arith, read, constant):
         update = "".join(f"{s[i]} = {s[i]} + _h6 * ({k[0][i]} + 2 * {k[1][i]}"
                          f" + 2 * {k[2][i]} + {k[3][i]})\n" for i in range(m))
         step = f"try:\n{_indent(''.join(stages) + update, 4)}{arith}"
-        sizes = "_h2, _h6 = _h / 2, _h / 6\n"
+        before = "_h2, _h6 = _h / 2, _h / 6\n"
     point = "(" + "".join(f"{x}, " for x in s) + ")"
     real = "(" + "".join(f"{x}.real, " for x in s) + ")"
-    start = f"_time = _ts[-1]\n{point} = map(complex, _qs[-1])\n{sizes}"
-    if prologue:
-        once = "".join(f"{line}\n" for line in prologue)
-        start += "if _n > 0:\n" + _indent(f"try:\n{_indent(once, 4)}{arith}", 4)
+    start = f"_time = _ts[-1]\n{point} = map(complex, _qs[-1])\n{before}"
     step += (f"_time += _h\n_ts.append(_time)\n_qs.append({point})\n"
              f"if _domain is not None and not _domain({real}):\n    return _time\n")
     return ("def _run(_n, _h, _ts, _qs, _domain):\n"
@@ -970,18 +940,15 @@ def compile_rk4(rates, varnames, bind=None):
     can be evaluated afterwards at the recorded points (see
     `reduction.solve_reduced`).
 
-    The work that reads only bound values and constants runs once per call
-    with n > 0, in a prologue before the first step; a chain `a*b*c` runs as
-    `(a*b)*c`, so its leading run of such factors (or terms) is hoisted
-    without changing a float operation, and every value is `==` to that of
-    calling `compile_expr`'s closure once per stage.  When that is all of
-    the rates' work (they read no chart variable and have no domain test,
-    as the Heisenberg field Z = 1), every stage has the same k, so the
-    prologue also computes the increment `h/6*(k + 2*k + 2*k + k)` and a
-    step is one add per component, with the same states.  The rates raise
-    DomainError as that closure does, the prologue's before anything is
-    appended; domain tests (log, fractional powers, Airy) stay in the loop.
-    `bind` is handled, and code cached, as in `compile_expr`.
+    Every value is `==` to that of calling `compile_expr`'s closure once
+    per stage.  When the rates read no chart variable and have no domain
+    test (log, fractional powers, Airy), as the Heisenberg field Z = 1,
+    every stage has the same k, so they and the increment
+    `h/6*(k + 2*k + 2*k + k)` are computed once per call with n > 0, before
+    the first step, and a step is one add per component, with the same
+    states.  The rates raise DomainError as that closure does, before
+    anything is appended when they fail before the first step.  `bind` is
+    handled, and code cached, as in `compile_expr`.
     """
     varnames = tuple(varnames)
     if len(rates) != len(varnames):

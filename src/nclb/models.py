@@ -953,14 +953,16 @@ class CasimirReport:
 def casimir_scalar_check(model, element=3) -> CasimirReport:
     """Verify that a central basis element is represented by a constant.
 
-    The element must be central in the algebra (errors otherwise); the report
-    carries the scalar at representative parameter values.
+    The element, a basis index 1..dim, must be central in the algebra
+    (ValueError otherwise); the report carries the scalar at representative
+    parameter values.
     """
     L = model.algebra
     n = L.dim
-    for j in range(1, n + 1):
-        if any(c != 0 for c in L.bracket_basis(element, j)):
-            raise ValueError(f"basis element {element} is not central")
+    if not (isinstance(element, int) and 1 <= element <= n) or any(
+            c != 0 for j in range(1, n + 1) for c in L.bracket_basis(element, j)):
+        raise ValueError(f"basis element {element} is not central (the basis is "
+                         f"e1..e{n})")
     op = model.lrep.ops[element - 1]
     zero_idx = (0,) * model.lrep.dim_q
     coeff = op.coeff(zero_idx)
@@ -1078,6 +1080,10 @@ class SmearedGaussian:
     width: float = 0.35
 
     def __post_init__(self):
+        if not (isinstance(self.centers, (tuple, list))
+                and all(isinstance(c, Real) and math.isfinite(c) for c in self.centers)):
+            raise ModelParameterError(f"{self}: the centres must be a sequence of "
+                                      "finite numbers")
         if not (isinstance(self.width, Real) and 0 < self.width < math.inf):
             raise ModelParameterError(f"{self}: the width must be a finite number > 0")
 
@@ -1089,6 +1095,9 @@ def _gauss_overlap_1d(c1, w1, c2, w2):
 
 
 def _pair_inner_product(a: SmearedGaussian, b: SmearedGaussian):
+    if len(a.centers) != len(b.centers):
+        raise ModelParameterError(f"{a} and {b}: the centre counts "
+                                  f"{len(a.centers)} and {len(b.centers)} differ")
     return math.prod(
         _gauss_overlap_1d(ca, a.width, cb, b.width)
         for ca, cb in zip(a.centers, b.centers)

@@ -307,8 +307,10 @@ def flow(Z, q0, t_end, step, params=None, domain=None) -> Characteristic:
     Z is a sequence of expressions over the chart variables named q1..qm (or
     a single 'q'); params binds any remaining parameters.  A domain predicate
     over real coordinate tuples is tested at q0 and after every step; a point
-    outside raises DomainExitError with its time and chart point.
+    outside raises DomainExitError with its time and chart point.  A q0
+    whose length is not len(Z) raises ValueError.
     """
+    _check_length(q0, len(Z), "start point")
     run = ex.compile_rk4(tuple(ex.as_expr(z) for z in Z), _chart_names(len(Z)),
                          bind=params or {})
     return _characteristic(run, q0, float(t_end), float(step), domain)
@@ -316,6 +318,11 @@ def flow(Z, q0, t_end, step, params=None, domain=None) -> Characteristic:
 
 def _chart_names(m):
     return ("q",) if m == 1 else tuple(f"q{i + 1}" for i in range(m))
+
+
+def _check_length(point, m, what):
+    if len(point) != m:
+        raise ValueError(f"the {what} has {len(point)} coordinates, Z has {m}")
 
 
 @record
@@ -395,10 +402,14 @@ def solve_reduced(Z, V, energy, phi, q_targets, step, *, v: Expr, u=(),
     real at every target.  A domain predicate over real coordinate tuples is
     tested at the target and after every step; a point outside raises
     DomainExitError with its time and chart point.  The energy value is
-    bound into V's symbol E.  Returns (values, characteristics).
+    bound into V's symbol E.  A target whose length is not len(Z) raises
+    ValueError before any is evaluated.  Returns (values, characteristics).
     """
     import numpy as np
 
+    q_targets = list(q_targets)
+    for target in q_targets:
+        _check_length(target, len(Z), "target")
     params = dict(params or {})
     params.setdefault("E", energy)
     q_vars = _chart_names(len(Z))

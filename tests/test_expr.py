@@ -546,13 +546,16 @@ class TestCompileRk4:
         assert (ts, qs) == ([0.0], [(0.5 + 0j, 0j)])
 
     @pytest.mark.parametrize("rates, bad", [((Power(J, -1),), 0.0),
-                                            ((J ** 2,), 1e200)])
+                                            ((J ** 2,), 1e200), ((Log(J),), -1.0)])
     def test_a_bad_bound_value_of_a_constant_field_raises_before_the_first_step(
             self, rates, bad):
-        # 1/J at J = 0 divides by zero and complex ** overflows at 1e200
+        # 1/J at J = 0 divides by zero and complex ** overflows at 1e200, in
+        # the one-add loop's set-up; log J tests its domain, so its loop is
+        # staged and the first stage raises
         run = ex.compile_rk4(rates, ["q"], bind={"J": bad})
         ts, qs = [0.0], [(0.5 + 0j,)]
-        with pytest.raises(DomainError, match="^(ZeroDivision|Overflow)Error"):
+        with pytest.raises(DomainError, match="^((ZeroDivision|Overflow)Error"
+                                              "|log requires positive real part)"):
             run(3, 0.1, ts, qs, None)
         assert (ts, qs) == ([0.0], [(0.5 + 0j,)])
         assert run(0, 0.1, ts, qs, None) is None
@@ -590,28 +593,29 @@ class TestCompileRk4:
         stored = self._stored(self._run_of((ex.ONE, q), ["q", "x"], {}, monkeypatch))
         assert "_a0" in stored and "_a1" not in stored
 
-    @pytest.mark.parametrize("fixture", ["h3", "g47"])
-    def test_no_bound_only_line_runs_in_the_loop(self, fixture, request, monkeypatch):
-        from nclb.models import reduction_normalizer
+    @pytest.mark.parametrize("name, alpha, beta", [("heisenberg", 1, 1), ("g4_7", 1, 1),
+                                                   ("g4_7", 3, F(-1, 8)), ("g4_7", 1, 2)])
+    def test_each_bundled_field_gets_the_loop_of_its_rule(self, name, alpha, beta,
+                                                          monkeypatch):
+        # Heisenberg's Z = 1 reads no chart argument and tests no domain, so
+        # a step is one add; g4,7's linear Z reads the chart, so every stage
+        # runs the body and nothing runs before the loop
+        from nclb.models import load_model, reduction_normalizer
         from nclb.reduction import _chart_names, build_reduced, extract_first_order
 
-        model = request.getfixturevalue(fixture)
-        red = extract_first_order(build_reduced(model, verify=False),
-                                  reduction_normalizer(model))
-        # the potential as the rate of one more chart variable
-        rates = tuple(red.first_order.Z) + (red.first_order.V,)
-        names = _chart_names(len(rates) - 1) + ("x",)
-        run = self._run_of(rates, names, {"J": 1.0, "E": 0.5}, monkeypatch)
+        model = load_model(name, F(alpha), F(beta))
+        Z = tuple(extract_first_order(build_reduced(model, verify=False),
+                                      reduction_normalizer(model)).first_order.Z)
+        run = self._run_of(Z, _chart_names(len(Z)), {"J": 1.0, "E": 0.5}, monkeypatch)
         loop = next(node for node in run.body if isinstance(node, ast.For))
-        prologue = [node for node in run.body if isinstance(node, ast.If)]
-        once = {t.id for node in prologue for a in ast.walk(node)
-                if isinstance(a, ast.Assign) for t in a.targets}
-        assert once  # something was hoisted
-        for node in ast.walk(loop):
-            if isinstance(node, ast.Assign) and node.targets[0].id.startswith("_t"):
-                reads = {n.id for n in ast.walk(node.value) if isinstance(n, ast.Name)}
-                assert not reads <= once | {n for n in reads if n.startswith("_b")}, \
-                    ast.unparse(node)
+        stored = self._stored(loop)
+        if name == "heisenberg":
+            assert [ast.unparse(node) for node in loop.body
+                    if isinstance(node, ast.Assign)] == ["_s0 = _s0 + _d0"]
+            assert not {n for n in stored if n.startswith(("_k", "_a"))}
+        else:
+            assert not any(isinstance(node, ast.If) for node in run.body)
+            assert {f"_k{j}_{i}" for j in range(4) for i in range(len(Z))} <= stored
 
     def test_a_float_start_gives_the_values_of_a_complex_one(self):
         # from 0.565 and 0.65 a float power in the first stage would round

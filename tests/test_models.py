@@ -21,7 +21,7 @@ from nclb.models import (CasimirReport, ModelParameterError, SmearedGaussian,
                          invariant_frame_check, kernel_orthogonality_smoke,
                          lambda_roots, laplace_operator,
                          load_model, mode_solution_h3, pde_residual,
-                         validate_model)
+                         _pair_inner_product, validate_model)
 from nclb.quadrature import gl_nodes
 from nclb.report import DEFAULT_SEED, InconclusiveError, replace
 
@@ -450,8 +450,11 @@ class TestCasimir:
         assert abs(rep.values[-1] + 1j) <= 1e-15
 
     def test_non_central_rejected(self, h3):
-        with pytest.raises(ValueError):
-            casimir_scalar_check(h3, element=2)
+        # 0 reported e3's values, -1 e2's verdict, 7 raised IndexError and
+        # 3.0 TypeError
+        for element in (2, 0, -1, 4, 7, 3.0):
+            with pytest.raises(ValueError, match=f"basis element {element} is not central"):
+                casimir_scalar_check(h3, element=element)
 
 
 class TestCanonicalFormFixtures:
@@ -698,6 +701,22 @@ class TestSmoke:
         for pair in ((bad, good), (good, bad)):
             with pytest.raises(ModelParameterError, match="centres"):
                 kernel_orthogonality_smoke(model, [(*pair, 1, 1)])
+
+    @pytest.mark.parametrize("centers", [(0.1, math.nan), (0.1, math.inf),
+                                         (-math.inf, 0.2), (0.1, "0.2"), (None, 0.2),
+                                         0.1, None])
+    def test_a_bad_centre_is_a_parameter_error(self, centers):
+        # a NaN or infinite centre gave a failed verdict with a NaN residual,
+        # and a string centre or a number for the centres a bare TypeError
+        with pytest.raises(ModelParameterError, match="SmearedGaussian.*centres"):
+            SmearedGaussian(centers=centers)
+
+    def test_unequal_centre_counts_are_a_parameter_error(self):
+        # the overlap's zip truncated 1 centre against 3 to a value of 0.620
+        one, three = SmearedGaussian(centers=(0.1,)), SmearedGaussian(centers=(0.1, 0.2, 0.3))
+        for a, b in ((one, three), (three, one)):
+            with pytest.raises(ModelParameterError, match="centre counts"):
+                _pair_inner_product(a, b)
 
     def test_a_g47_pass_without_nodes_is_a_parameter_error(self, g47):
         # n_outer 3 leaves the coarse pass no x3 or x4 node

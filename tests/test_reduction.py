@@ -15,7 +15,7 @@ from nclb.models import (chart_domain, chart_samples, lambda_roots, load_model,
                          reduction_normalizer)
 from nclb.reduction import (Characteristic, DomainExitError, InconclusiveError,
                             NotFirstOrderError, ReducedOperator, StepError,
-                            _characteristic, build_reduced,
+                            _characteristic, _chart_names, build_reduced,
                             conjugate_by_multiplier, extract_first_order, flow,
                             infinitesimal_action, local_lift_check,
                             operator_residual, rectify_check, reduced_residual, solve_reduced,
@@ -222,6 +222,22 @@ class TestFlow:
                               [(1.0, -0.5)], 1e-2, v=q1, v_ref=v_ref,
                               domain=upper)
             assert err.value.point == (1.0, -0.5)
+
+    @pytest.mark.parametrize("Z, q0", [((ex.ONE,), (0.0, 1.0)), ((ex.ONE, q1), (0.5,)),
+                                       ((ex.ONE, q1), (0.5, 0.1, 0.2))])
+    def test_a_start_point_of_the_wrong_length_raises(self, Z, q0):
+        # the generated loop raised an unpacking error, or solve_reduced's
+        # compiled v a TypeError; each target is checked before the first
+        # is evaluated
+        names = f"{len(q0)} coordinates, Z has {len(Z)}"
+        with pytest.raises(ValueError, match=f"start point has {names}"):
+            flow(Z, q0, 1.0, 0.1)
+        calls = []
+        good = (0.0,) * len(Z)
+        with pytest.raises(ValueError, match=f"target has {names}"):
+            solve_reduced(Z, ex.ZERO, 0.0, lambda u, p: calls.append(u) or 1.0,
+                          [good, q0], 1e-2, v=Var(_chart_names(len(Z))[0]))
+        assert calls == []
 
     def test_trajectory_recorded(self):
         ch = flow((ex.ONE,), (0.0,), 0.1, 1e-2)
