@@ -19,7 +19,8 @@ that body in one of three functions.  Constants are bound values, not code
 (exponents excepted), so code is compiled once per shape (the tree up to
 its constants), argument names, bound names and wrapper, and trees that
 differ only in their constants share it.  Its scalar emit runs on complex
-doubles:
+doubles; the RK4 loop runs on floats instead when the values fed to it are
+real and its rates make no complex value:
 
 * a closure: `compile_expr` returns it for the normal form, and `evaluate`
   compiles the tree as given and calls it once;
@@ -65,6 +66,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import numbers
 import threading
 import weakref
 from fractions import Fraction
@@ -718,7 +720,7 @@ def _source(e, varnames, bound, wrapper):
     def maybe_real(x):
         # float arguments stay floats through their sums and products, and
         # a power must see a complex base to round the same for any caller;
-        # the RK4 loop's chart arguments are complex already
+        # in the RK4 loop any value may be a float, so every base is made complex
         if isinstance(x, (Sum, Product)):
             return all(maybe_real(t) for t in (x.terms if isinstance(x, Sum) else x.factors))
         return isinstance(x, Var) and x.name in varnames
@@ -765,7 +767,7 @@ def _source(e, varnames, bound, wrapper):
             ev = evaluate_const(x.exponent)
             t = watch(gen(x.base))
             if ev.imag == 0.0 and ev.real == int(ev.real):
-                if maybe_real(x.base) and wrapper == "closure":
+                if rk4 or (wrapper == "closure" and maybe_real(x.base)):
                     t = f"complex({t})"
                 return local(f"{t}**{int(ev.real)}")
             check([real(t), f"{t}.real <= 0.0"],
@@ -831,7 +833,7 @@ def _rk4_source(lines, results, arith, read, constant):
         before = "_h2, _h6 = _h / 2, _h / 6\n"
     point = "(" + "".join(f"{x}, " for x in s) + ")"
     real = "(" + "".join(f"{x}.real, " for x in s) + ")"
-    start = f"_time = _ts[-1]\n{point} = map(complex, _qs[-1])\n{before}"
+    start = f"_time = _ts[-1]\n{point} = _qs[-1]\n{before}"
     step += (f"_time += _h\n_ts.append(_time)\n_qs.append({point})\n"
              f"if _domain is not None and not _domain({real}):\n    return _time\n")
     return ("def _run(_n, _h, _ts, _qs, _domain):\n"
@@ -912,9 +914,10 @@ def compile_expr(e, varnames, bind=None):
     closure as complex constants.  A free variable in neither raises
     MissingVariableError.  Code is generated once per (shape of the normal
     form, varnames, bound names) in a bounded cache: bound values and the
-    normal form's constants, each bound as complex(float(c)), are not code,
-    but the exponents of powers are.  A constant outside the double range
-    raises DomainError.
+    normal form's constants, each bound as complex(float(c)) here and in
+    `compile_array` (`compile_rk4` binds a real one as float(c)), are not
+    code, but the exponents of powers are.  A constant outside the double
+    range raises DomainError.
     """
     return _compiled(e, tuple(varnames), bind, "closure")
 
@@ -929,7 +932,13 @@ def compile_rk4(rates, varnames, bind=None):
 
     continues the characteristic whose last time and chart point (a tuple)
     end the lists ts and qs, by n steps of length h, appending each new
-    state to them.  The state is made complex once, when it is read.
+    state to them.  The loop computes with the numbers it is given: a real
+    bound value or constant is bound as a float, so with a float start
+    point and step and rates with no I, exp, log, power or Airy node (their
+    values are complex) every state is a float, and otherwise the states
+    turn complex where a complex value enters.  A float state is `==` to
+    the state of a complex start: every integer power is taken of a complex
+    base, as floats and complexes round `x**n` differently.
     Unless None, domain(real parts of the chart point) is called after
     every step; at the first point where it is false the loop stops, with
     that state appended, and returns its time.  The rates' body is inlined
@@ -1006,11 +1015,21 @@ def compile_array(e, varnames, bind=None):
     return f
 
 
+def real_or_complex(x):
+    """x as a float when it is a real number, else as a complex."""
+    return float(x) if isinstance(x, numbers.Real) else complex(x)
+
+
 def _compiled(e, varnames, bind, wrapper):
     bind = bind or {}
     bound, shape, consts = _lifted(e, varnames, tuple(sorted(bind)), True)
-    return _closure_maker(shape, varnames, bound, wrapper)(
-        *(complex(bind[v]) for v in bound), *consts)
+    if wrapper == "rk4":
+        # real values keep the loop on floats (see compile_rk4)
+        values = [real_or_complex(bind[v]) for v in bound]
+        consts = [c.real for c in consts]
+    else:
+        values = [complex(bind[v]) for v in bound]
+    return _closure_maker(shape, varnames, bound, wrapper)(*values, *consts)
 
 
 # --- printing ---------------------------------------------------------------

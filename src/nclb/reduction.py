@@ -101,6 +101,12 @@ class ReducedOperator:
 
 @record
 class Characteristic:
+    """One RK4 characteristic: the start point as given, the step, and the
+    time and chart point of every recorded state.  The states are floats
+    when the start point and every constant and bound value of the rates
+    are real and the rates have no I, exp, log, power or Airy node; else
+    every state, the first included, is complex."""
+
     start: tuple
     step: float
     ts: tuple
@@ -270,9 +276,14 @@ def _characteristic(run, q0, t_end, step, domain=None, phases=None):
     The domain predicate sees the real parts of the chart point at the
     start, here, and after every step, in `run`, which stops at the first
     point outside with that state recorded; either raises DomainExitError
-    with the exit time and chart point.  A step that is not positive and
+    with the exit time and chart point.  A recorded state that is not
+    finite raises DomainError with the time of the first such state, before
+    a domain exit; a state that overflows stays non-finite, so the loop
+    runs to its end or its exit first.  A step that is not positive and
     finite, a non-finite t_end, or more than MAX_RK4_STEPS steps raises
-    StepError before any work.
+    StepError before any work.  A real q0 runs the loop on floats (see
+    `expr.compile_rk4`); when it or the rates are complex, every recorded
+    state is made complex after the loop.
     """
     if not (math.isfinite(step) and step > 0.0):
         raise StepError(f"RK4 step must be positive and finite, got {step!r}")
@@ -281,7 +292,7 @@ def _characteristic(run, q0, t_end, step, domain=None, phases=None):
     if not abs(t_end) / step <= MAX_RK4_STEPS:
         raise StepError(f"too many RK4 steps: |t_end| / step = {abs(t_end)!r} / {step!r}"
                         f" = {abs(t_end) / step:.6g}, more than {MAX_RK4_STEPS}")
-    q = tuple(complex(x) for x in q0)
+    q = tuple(map(ex.real_or_complex, q0))
     if domain is not None and not domain(tuple([s.real for s in q])):
         raise DomainExitError(0.0, q)
     ts, qs = [0.0], [q]
@@ -289,10 +300,15 @@ def _characteristic(run, q0, t_end, step, domain=None, phases=None):
     h = t_end / max(nsteps, 1)
     try:
         exit_time = run(nsteps, h, ts, qs, domain)
+        if not all(map(cmath.isfinite, qs[-1])):
+            first = next(i for i, p in enumerate(qs) if not all(map(cmath.isfinite, p)))
+            raise ex.DomainError(f"the RK4 state is not finite at t = {ts[first]!r}")
     except ex.DomainError:
         if phases is not None:
             phases(qs, h)
         raise
+    if len({type(x) for x in q + qs[-1]}) > 1:  # floats left beside complexes
+        qs = [tuple(map(complex, p)) for p in qs]
     phase = None if phases is None else tuple(phases(qs, h))
     if exit_time is not None:
         raise DomainExitError(exit_time, qs[-1])
@@ -308,9 +324,10 @@ def flow(Z, q0, t_end, step, params=None, domain=None) -> Characteristic:
     a single 'q'); params binds any remaining parameters.  A domain predicate
     over real coordinate tuples is tested at q0 and after every step; a point
     outside raises DomainExitError with its time and chart point.  A q0
-    whose length is not len(Z) raises ValueError.
+    whose length is not len(Z), or with a coordinate that is not finite,
+    raises ValueError.
     """
-    _check_length(q0, len(Z), "start point")
+    _check_point(q0, len(Z), "start point")
     run = ex.compile_rk4(tuple(ex.as_expr(z) for z in Z), _chart_names(len(Z)),
                          bind=params or {})
     return _characteristic(run, q0, float(t_end), float(step), domain)
@@ -320,9 +337,12 @@ def _chart_names(m):
     return ("q",) if m == 1 else tuple(f"q{i + 1}" for i in range(m))
 
 
-def _check_length(point, m, what):
+def _check_point(point, m, what):
     if len(point) != m:
         raise ValueError(f"the {what} has {len(point)} coordinates, Z has {m}")
+    for name, x in zip(_chart_names(m), point):
+        if not cmath.isfinite(complex(x)):
+            raise ValueError(f"the {what}'s coordinate {name} is not finite, got {x!r}")
 
 
 @record
@@ -402,14 +422,15 @@ def solve_reduced(Z, V, energy, phi, q_targets, step, *, v: Expr, u=(),
     real at every target.  A domain predicate over real coordinate tuples is
     tested at the target and after every step; a point outside raises
     DomainExitError with its time and chart point.  The energy value is
-    bound into V's symbol E.  A target whose length is not len(Z) raises
-    ValueError before any is evaluated.  Returns (values, characteristics).
+    bound into V's symbol E.  A target whose length is not len(Z), or with
+    a coordinate that is not finite, raises ValueError before any is
+    evaluated.  Returns (values, characteristics).
     """
     import numpy as np
 
     q_targets = list(q_targets)
     for target in q_targets:
-        _check_length(target, len(Z), "target")
+        _check_point(target, len(Z), "target")
     params = dict(params or {})
     params.setdefault("E", energy)
     q_vars = _chart_names(len(Z))

@@ -609,6 +609,11 @@ class TestCompileRk4:
         run = self._run_of(Z, _chart_names(len(Z)), {"J": 1.0, "E": 0.5}, monkeypatch)
         loop = next(node for node in run.body if isinstance(node, ast.For))
         stored = self._stored(loop)
+        # both fields are real, so nothing in the loop makes a complex: no
+        # complex(...) call or map(complex, ...), and no imaginary literal
+        assert not [node for node in ast.walk(run)
+                    if isinstance(node, ast.Name) and node.id == "complex"
+                    or isinstance(node, ast.Constant) and isinstance(node.value, complex)]
         if name == "heisenberg":
             assert [ast.unparse(node) for node in loop.body
                     if isinstance(node, ast.Assign)] == ["_s0 = _s0 + _d0"]
@@ -616,6 +621,27 @@ class TestCompileRk4:
         else:
             assert not any(isinstance(node, ast.If) for node in run.body)
             assert {f"_k{j}_{i}" for j in range(4) for i in range(len(Z))} <= stored
+
+    @pytest.mark.parametrize("alpha, beta", [(1, 1), (3, F(-1, 8)), (1, 2)])
+    def test_a_real_field_from_a_float_start_runs_on_floats(self, alpha, beta):
+        # g4,7's Z: the states of a float start are floats, `==` to the
+        # complex states of a complex start
+        from nclb.models import chart_domain, load_model, reduction_normalizer
+        from nclb.reduction import build_reduced, extract_first_order
+
+        model = load_model("g4_7", F(alpha), F(beta))
+        Z = tuple(extract_first_order(build_reduced(model, verify=False),
+                                      reduction_normalizer(model)).first_order.Z)
+        run = ex.compile_rk4(Z, ["q1", "q2"], bind={"J": 1.0})
+        for domain in (None, chart_domain(model)):
+            lists = []
+            for start in ((1.5, 0.7), (1.5 + 0j, 0.7 + 0j)):
+                ts, qs = [0.0], [start]
+                assert run(300, -1e-3, ts, qs, domain) is None
+                lists.append((ts, qs))
+            assert lists[0] == lists[1]
+            assert all(type(x) is float for point in lists[0][1] for x in point)
+            assert all(type(x) is complex for point in lists[1][1] for x in point)
 
     def test_a_float_start_gives_the_values_of_a_complex_one(self):
         # from 0.565 and 0.65 a float power in the first stage would round

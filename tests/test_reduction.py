@@ -239,6 +239,36 @@ class TestFlow:
                           [good, q0], 1e-2, v=Var(_chart_names(len(Z))[0]))
         assert calls == []
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.nan)])
+    def test_a_start_point_that_is_not_finite_raises(self, bad):
+        # the loop carried it to NaN states, and solve_reduced solved the
+        # targets before it, then raised a StepError about the end time
+        with pytest.raises(ValueError, match="start point's coordinate q2 is not finite"):
+            flow((ex.ONE, q1), (0.5, bad), 1.0, 0.5)
+        calls = []
+        with pytest.raises(ValueError, match="target's coordinate q is not finite"):
+            solve_reduced((ex.ONE,), ex.ZERO, 0.0, lambda u, p: calls.append(u) or 1.0,
+                          [(0.5,), (bad,)], 1e-2, v=q)
+        assert calls == []
+
+    def test_a_state_that_overflows_raises(self):
+        # dq/dt = c q from a real start runs on floats and overflows to inf;
+        # with c bound as a complex, or a complex start, the states overflow
+        # to NaN on the same step.  Each raises, naming that step's time,
+        # whether the domain is left there (NaN > 0 is false) or not
+        for c, q0, t_end, step, time in ((1e200, 1e200, 1.0, 0.25, 0.25),
+                                         (2000.0, 1.0, 1.0, 0.01, 0.7900000000000005)):
+            outcomes = set()
+            for c_val, start in ((c, q0), (complex(c), q0), (c, complex(q0))):
+                for domain in (None, lambda p: p[0] > 0.0):
+                    with pytest.raises(ex.DomainError) as err:
+                        flow((J * q,), (start,), t_end, step, params={"J": c_val},
+                             domain=domain)
+                    outcomes.add(str(err.value))
+            assert outcomes == {f"the RK4 state is not finite at t = {time!r}"}
+        with pytest.raises(ex.DomainError, match="not finite at t = 0.25$"):
+            flow((ex.Const(10 ** 200) * q,), (1e200,), 1.0, 0.25)
+
     def test_trajectory_recorded(self):
         ch = flow((ex.ONE,), (0.0,), 0.1, 1e-2)
         assert isinstance(ch, Characteristic)
@@ -398,6 +428,30 @@ class TestGeneratedLoopMatchesScalarDriver:
             for i in range(1, len(ref.phases)):
                 bound += abs(ref.phases[i] - ref.phases[i - 1])
                 assert abs(ch.phases[i] - ref.phases[i]) <= 4 * sys.float_info.epsilon * bound
+
+    @pytest.mark.parametrize("alpha, beta", [(1, 1), (3, F(-1, 8)), (1, 2)])
+    @pytest.mark.parametrize("with_domain", [False, True])
+    def test_a_real_field_runs_on_floats(self, alpha, beta, with_domain):
+        # g4,7's real Z from a real start point: float states, `==` to the
+        # complex states of the scalar driver
+        g47 = load_model("g4_7", F(alpha), F(beta))
+        Z, _ = self.field(g47)
+        domain = chart_domain(g47) if with_domain else None
+        out = self.same(tuple(Z), ("q1", "q2"), (1.5, 0.7), -0.9, 1e-3, {"J": 1.0}, domain)
+        assert len(out[3]) == 901
+        assert all(type(x) is float for point in out[3] for x in point)
+
+    @pytest.mark.parametrize("fields, q0, params", [
+        ((q2, -q1), (1.5 + 0j, 0.7), {}),
+        ((J * q2, -q1), (1.5, 0.7), {"J": 1 + 0j}),
+        ((J * J, ex.const(2)), (0.2, -0.1), {"J": 2.9 + 0j}),
+        ((1 + I, ex.ONE), (0.2, -0.1), {}),
+    ])
+    def test_complex_inputs_keep_every_state_complex(self, fields, q0, params):
+        # a complex start coordinate, bound value or I in the field: the
+        # states, the start included, are complex
+        out = self.same(fields, ("q1", "q2"), q0, 0.5, 1e-2, params)
+        assert all(type(x) is complex for point in out[3] for x in point)
 
     def test_domain_exit_time_and_point(self, g47):
         Z, V = self.field(g47)
