@@ -30,9 +30,9 @@ _EXPORTS = {
                "kernel_orthogonality_smoke", "laplace_operator", "load_model",
                "mode_solution_h3", "pde_residual", "validate_model"),
     "reduction": ("Characteristic", "LambdaRep", "ReducedOperator",
-                  "build_reduced", "extract_first_order", "flow",
-                  "local_lift_check", "rectify_check", "reduced_residual",
-                  "solve_reduced", "verify_lambda_rep"),
+                  "build_reduced", "extract_first_order", "local_lift_check",
+                  "rectify_check", "reduced_residual", "solve_reduced",
+                  "verify_lambda_rep"),
 }
 _SUBMODULES = ("airyfun", "algebra", "bilinear", "diffop", "expr", "models",
                "quadrature", "ratlinalg", "reduction", "report")

@@ -28,8 +28,9 @@ class UnsupportedOrderError(NclbError, ValueError):
 
 
 class DomainExitError(NclbError, RuntimeError):
-    """A characteristic left the evaluation domain (raised by the RK4 flows;
-    a sampled field that integrates one skips the sample)."""
+    """A characteristic left the evaluation domain (raised by
+    `reduction.solve_reduced`; a sampled field that integrates one skips
+    the sample)."""
 
     def __init__(self, exit_time, point):
         self.exit_time = exit_time

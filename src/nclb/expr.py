@@ -15,31 +15,22 @@ pickle round trip returns the live node.
 
 Numeric evaluation has one code generator.  It turns an expression (or a
 tuple of them) into flat code, one local per distinct subtree, and wraps
-that body in one of three functions.  Constants are bound values, not code
-(exponents excepted), so code is compiled once per shape (the tree up to
-its constants), argument names, bound names and wrapper, and trees that
-differ only in their constants share it.  Its scalar emit runs on complex
-doubles; the RK4 loop runs on floats instead when the values fed to it are
-real and its rates make no complex value:
+that body in a function.  Constants and bound values are complex doubles
+passed in, not code (exponents excepted), so code is compiled once per
+shape (the tree up to its constants), argument names, bound names and
+wrapper, and trees that differ only in their constants share it.
 
-* a closure: `compile_expr` returns it for the normal form, and `evaluate`
-  compiles the tree as given and calls it once;
-* an RK4 loop: `compile_rk4` returns a function that runs n classical RK4
-  steps for the rates of the chart variables, with the body inlined in
-  each of the four stages, and appends every state to the caller's lists.
-  It carries the chart alone: a path integral such as a phase is a
-  quadrature over the recorded points, one `compile_array` call.  Rates
-  that read no chart variable and test no domain are computed once per
-  call, before the loop, with the step's increment.
-
-Both raise DomainError in the same places: log, fractional powers and Airy
-test their arguments inline, and an OverflowError or ZeroDivisionError of
-the arithmetic becomes one.  Its array emit runs the same body on numpy
-arrays of points, one row per point (`compile_array`): a domain test marks
-rows instead of raising, Airy runs as one `airy_array` call on the rows
-still valid, and every marked row, or row with a non-finite value the
-closure could have raised on, is handed to the closure, so the array form
-raises, skips and returns non-finite values where the closure does.
+Its scalar emit gives a closure on complex doubles: `compile_expr` returns
+it for the normal form, and `evaluate` compiles the tree as given and
+calls it once.  Both raise DomainError in the same places: log, fractional
+powers and Airy test their arguments inline, and an OverflowError or
+ZeroDivisionError of the arithmetic becomes one.  Its array emit runs the
+same body on numpy arrays of points, one row per point (`compile_array`):
+a domain test marks rows instead of raising, Airy runs as one `airy_array`
+call on the rows still valid, and every marked row, or row with a
+non-finite value the closure could have raised on, is handed to the
+closure, so the array form raises, skips and returns non-finite values
+where the closure does.
 
 Importing this module imports neither numpy nor `airyfun`, so the exact
 work (normal forms, derivatives, closures without Airy nodes) runs without
@@ -66,7 +57,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import numbers
 import threading
 import weakref
 from fractions import Fraction
@@ -660,19 +650,21 @@ def _lift(e):
     return shape, tuple(slots)
 
 
-def _double(c):
+def _double(x, what="a constant"):
+    """x as a complex double; one outside the double range raises
+    DomainError naming it as what."""
     try:
-        return complex(float(c))
+        return complex(x)
     except OverflowError:
-        raise DomainError("a constant is outside the double range") from None
+        raise DomainError(f"{what} is outside the double range") from None
 
 
 def _source(e, varnames, bound, wrapper):
     """Source of `_make(*bound values, *constants)`, which returns the
-    function of `wrapper`: "closure" `_f(*varnames)`, "rk4" the loop `_run`
-    of `compile_rk4`, or "array" `_f(*columns) -> (bad, *values)`.  e is a
-    shape (`_lift`): its constants are the `_Slot`s bound as `_c0, _c1, ...`;
-    the exponents of powers stay in the code.
+    function of `wrapper`: "closure" `_f(*varnames)` or "array"
+    `_f(*columns) -> (bad, *values)`.  e is a shape (`_lift`): its
+    constants are the `_Slot`s bound as `_c0, _c1, ...`; the exponents of
+    powers stay in the code.
 
     The body computes one local per inner node in evaluation order, so the
     source stays flat however deep the tree is.  A node whose code text was
@@ -682,14 +674,13 @@ def _source(e, varnames, bound, wrapper):
     instead of raising, and so does a non-finite value at the arguments of
     exp, log and powers or in a result.
     """
-    array, rk4 = wrapper == "array", wrapper == "rk4"
+    array = wrapper == "array"
     names = {v: f"_a{i}" for i, v in enumerate(varnames)}
     names.update((v, f"_b{i}") for i, v in enumerate(bound))
     lines = []
     local_of = {}  # code text -> its local
     checks = set()
     slots = set()
-    read = set()  # indices of the chart arguments the code reads
     watched = []  # array: locals whose non-finite rows go to the closure
 
     def local(code):
@@ -719,8 +710,7 @@ def _source(e, varnames, bound, wrapper):
 
     def maybe_real(x):
         # float arguments stay floats through their sums and products, and
-        # a power must see a complex base to round the same for any caller;
-        # in the RK4 loop any value may be a float, so every base is made complex
+        # a power must see a complex base to round the same for any caller
         if isinstance(x, (Sum, Product)):
             return all(maybe_real(t) for t in (x.terms if isinstance(x, Sum) else x.factors))
         return isinstance(x, Var) and x.name in varnames
@@ -736,9 +726,6 @@ def _source(e, varnames, bound, wrapper):
                 raise MissingVariableError(
                     f"free variable {x.name!r} not among compile arguments {list(varnames)}"
                 )
-            if x.name in bound:
-                return names[x.name]
-            read.add(varnames.index(x.name))
             return names[x.name]
         if isinstance(x, Sum):
             return local("+".join(gen(t) for t in x.terms)) if x.terms else "0j"
@@ -767,7 +754,7 @@ def _source(e, varnames, bound, wrapper):
             ev = evaluate_const(x.exponent)
             t = watch(gen(x.base))
             if ev.imag == 0.0 and ev.real == int(ev.real):
-                if rk4 or (wrapper == "closure" and maybe_real(x.base)):
+                if not array and maybe_real(x.base):
                     t = f"complex({t})"
                 return local(f"{t}**{int(ev.real)}")
             check([real(t), f"{t}.real <= 0.0"],
@@ -781,10 +768,6 @@ def _source(e, varnames, bound, wrapper):
     args = ", ".join(names[v] for v in varnames)
     arith = ("except (OverflowError, ZeroDivisionError) as exc:\n"
              "    raise DomainError(f'{type(exc).__name__}: {exc}') from None\n")
-    if rk4:
-        # rates that read no chart argument and test no domain are one k
-        constant = not read and not checks
-        return make + _indent(_rk4_source(lines, results, arith, read, constant), 4)
     body = "".join(f"{line}\n" for line in lines)
     if array:
         head = "".join(f"{names[v]} = _cx({names[v]})\n" for v in varnames)
@@ -802,43 +785,6 @@ def _source(e, varnames, bound, wrapper):
 
 def _indent(text, n):
     return "".join(" " * n + line + "\n" for line in text.splitlines())
-
-
-def _rk4_source(lines, results, arith, read, constant):
-    """`_run` for `compile_rk4`: the body `lines` (computing the m `results`
-    from the chart arguments `_a{i}`, i in `read`) inlined in each of the
-    four stages, with the driver's arithmetic in its order.  When the rates
-    are `constant`, every stage has the same k, so the body runs once per
-    call with n > 0, before the first step, with the increment
-    h/6 (k + 2k + 2k + k), and a step adds it."""
-    m = len(results)
-    s = [f"_s{i}" for i in range(m)]
-    body = "".join(f"{line}\n" for line in lines)
-    if constant:
-        body += "".join(f"_d{i} = _h6 * ({r} + 2 * {r} + 2 * {r} + {r})\n"
-                        for i, r in enumerate(results))
-        step = "".join(f"{s[i]} = {s[i]} + _d{i}\n" for i in range(m))
-        before = "_h6 = _h / 6\nif _n > 0:\n" + _indent(f"try:\n{_indent(body, 4)}{arith}", 4)
-    else:
-        k = [[f"_k{j}_{i}" for i in range(m)] for j in range(4)]
-        # stage j + 1 evaluates the rates at s + h_j * (stage j's rates)
-        stage_args = [s] + [[f"{s[i]} + {h} * {k[j][i]}" for i in range(m)]
-                            for j, h in enumerate(("_h2", "_h2", "_h"))]
-        stages = ["".join(f"_a{i} = {args[i]}\n" for i in sorted(read)) + body
-                  + "".join(f"{k[j][i]} = {r}\n" for i, r in enumerate(results))
-                  for j, args in enumerate(stage_args)]
-        update = "".join(f"{s[i]} = {s[i]} + _h6 * ({k[0][i]} + 2 * {k[1][i]}"
-                         f" + 2 * {k[2][i]} + {k[3][i]})\n" for i in range(m))
-        step = f"try:\n{_indent(''.join(stages) + update, 4)}{arith}"
-        before = "_h2, _h6 = _h / 2, _h / 6\n"
-    point = "(" + "".join(f"{x}, " for x in s) + ")"
-    real = "(" + "".join(f"{x}.real, " for x in s) + ")"
-    start = f"_time = _ts[-1]\n{point} = _qs[-1]\n{before}"
-    step += (f"_time += _h\n_ts.append(_time)\n_qs.append({point})\n"
-             f"if _domain is not None and not _domain({real}):\n    return _time\n")
-    return ("def _run(_n, _h, _ts, _qs, _domain):\n"
-            + _indent(f"{start}for _ in range(_n):\n{_indent(step, 4)}return None\n", 4)
-            + "return _run\n")
 
 
 @functools.lru_cache(maxsize=128)
@@ -914,55 +860,11 @@ def compile_expr(e, varnames, bind=None):
     closure as complex constants.  A free variable in neither raises
     MissingVariableError.  Code is generated once per (shape of the normal
     form, varnames, bound names) in a bounded cache: bound values and the
-    normal form's constants, each bound as complex(float(c)) here and in
-    `compile_array` (`compile_rk4` binds a real one as float(c)), are not
-    code, but the exponents of powers are.  A constant outside the double
-    range raises DomainError.
+    normal form's constants, each bound as a complex double, are not code,
+    but the exponents of powers are.  A constant or bound value outside the
+    double range raises DomainError.
     """
     return _compiled(e, tuple(varnames), bind, "closure")
-
-
-def compile_rk4(rates, varnames, bind=None):
-    """Compile classical RK4 for dq/dt = rates(q) to one loop function.
-
-    `rates` is a tuple of len(varnames) expressions, the rates of the chart
-    variables `varnames`.  The loop
-
-        run(n, h, ts, qs, domain) -> exit time or None
-
-    continues the characteristic whose last time and chart point (a tuple)
-    end the lists ts and qs, by n steps of length h, appending each new
-    state to them.  The loop computes with the numbers it is given: a real
-    bound value or constant is bound as a float, so with a float start
-    point and step and rates with no I, exp, log, power or Airy node (their
-    values are complex) every state is a float, and otherwise the states
-    turn complex where a complex value enters.  A float state is `==` to
-    the state of a complex start: every integer power is taken of a complex
-    base, as floats and complexes round `x**n` differently.
-    Unless None, domain(real parts of the chart point) is called after
-    every step; at the first point where it is false the loop stops, with
-    that state appended, and returns its time.  The rates' body is inlined
-    in each of the four stages, which evaluate `s + h/2*k` (twice) and
-    `s + h*k`; a step ends with `s + h/6*(k1 + 2*k2 + 2*k3 + k4)` and
-    `t += h`.  A quantity that does not feed back into the rates, such as a
-    phase integrated along the path, is not carried here: its integrand
-    can be evaluated afterwards at the recorded points (see
-    `reduction.solve_reduced`).
-
-    Every value is `==` to that of calling `compile_expr`'s closure once
-    per stage.  When the rates read no chart variable and have no domain
-    test (log, fractional powers, Airy), as the Heisenberg field Z = 1,
-    every stage has the same k, so they and the increment
-    `h/6*(k + 2*k + 2*k + k)` are computed once per call with n > 0, before
-    the first step, and a step is one add per component, with the same
-    states.  The rates raise DomainError as that closure does, before
-    anything is appended when they fail before the first step.  `bind` is
-    handled, and code cached, as in `compile_expr`.
-    """
-    varnames = tuple(varnames)
-    if len(rates) != len(varnames):
-        raise ValueError(f"expected {len(varnames)} rates, got {len(rates)}")
-    return _compiled(tuple(rates), varnames, bind, "rk4")
 
 
 def compile_array(e, varnames, bind=None):
@@ -1015,20 +917,10 @@ def compile_array(e, varnames, bind=None):
     return f
 
 
-def real_or_complex(x):
-    """x as a float when it is a real number, else as a complex."""
-    return float(x) if isinstance(x, numbers.Real) else complex(x)
-
-
 def _compiled(e, varnames, bind, wrapper):
     bind = bind or {}
     bound, shape, consts = _lifted(e, varnames, tuple(sorted(bind)), True)
-    if wrapper == "rk4":
-        # real values keep the loop on floats (see compile_rk4)
-        values = [real_or_complex(bind[v]) for v in bound]
-        consts = [c.real for c in consts]
-    else:
-        values = [complex(bind[v]) for v in bound]
+    values = [_double(bind[v], f"the value bound to {v}") for v in bound]
     return _closure_maker(shape, varnames, bound, wrapper)(*values, *consts)
 
 

@@ -12,7 +12,7 @@ characteristic field Z and potential V, rectifies, and integrates.
 from __future__ import annotations
 
 import cmath
-import itertools
+import functools
 import math
 from fractions import Fraction
 
@@ -22,6 +22,7 @@ from .diffop import (SKIPPED, DiffOp, DomainExitError, SampleSpec, apply,
                      bracket_defects, compose, laplacian_image, op_equal,
                      sampled)
 from .expr import Expr, Var, ZERO, simplify
+from .quadrature import _reference_rule
 from .report import (DEFAULT_SEED, FAIL, PASS, CheckRecord, InconclusiveError,
                      NclbError, VerificationError, record, replace, worst)
 
@@ -31,7 +32,11 @@ class NotFirstOrderError(NclbError, RuntimeError):
 
 
 class StepError(NclbError, ValueError):
-    """An RK4 step or end time that cannot give an accurate characteristic."""
+    """A step, end time or step count that gives no characteristic grid."""
+
+
+class ChartFieldError(NclbError, ValueError):
+    """A chart field whose characteristics have no closed form here."""
 
 
 class SpectralLabelError(NclbError, ValueError):
@@ -101,21 +106,16 @@ class ReducedOperator:
 
 @record
 class Characteristic:
-    """One RK4 characteristic: the start point as given, the step, and the
-    time and chart point of every recorded state.  The states are floats
-    when the start point and every constant and bound value of the rates
-    are real and the rates have no I, exp, log, power or Airy node; else
-    every state, the first included, is complex."""
+    """The characteristic through one target: the target as given, the step
+    asked for, the times of the grid from 0 to the end time, and at the end
+    time the chart point, as complexes, and the phase, the integral of the
+    potential along the way."""
 
     start: tuple
     step: float
     ts: tuple
-    qs: tuple
-    phases: tuple | None = None
-
-    @property
-    def end(self):
-        return self.qs[-1]
+    end: tuple
+    phase: complex
 
 
 # --- representation checks --------------------------------------------------
@@ -259,78 +259,9 @@ def extract_first_order(red: ReducedOperator, normalizer: Expr) -> ReducedOperat
 # --- characteristics --------------------------------------------------------
 
 # a ceiling on one characteristic's steps, far above the 2 000 the largest
-# caller takes, so a step too small for its end time raises instead of looping
-MAX_RK4_STEPS = 10**6
-
-
-def _characteristic(run, q0, t_end, step, domain=None, phases=None):
-    """Classical RK4 from t = 0 to t_end (either direction), in
-    round(|t_end| / step) equal steps (at least one unless t_end is 0),
-    recording the state after every step.
-
-    `run` is the `expr.compile_rk4` loop of the chart rates.  With
-    `phases`, a function (qs, h) -> the phase at every recorded state, the
-    phase is integrated after the loop, over every step it took; when the
-    loop raised DomainError or left the domain, that integration runs first,
-    so an error of the phase's integrand on an earlier step raises instead.
-    The domain predicate sees the real parts of the chart point at the
-    start, here, and after every step, in `run`, which stops at the first
-    point outside with that state recorded; either raises DomainExitError
-    with the exit time and chart point.  A recorded state that is not
-    finite raises DomainError with the time of the first such state, before
-    a domain exit; a state that overflows stays non-finite, so the loop
-    runs to its end or its exit first.  A step that is not positive and
-    finite, a non-finite t_end, or more than MAX_RK4_STEPS steps raises
-    StepError before any work.  A real q0 runs the loop on floats (see
-    `expr.compile_rk4`); when it or the rates are complex, every recorded
-    state is made complex after the loop.
-    """
-    if not (math.isfinite(step) and step > 0.0):
-        raise StepError(f"RK4 step must be positive and finite, got {step!r}")
-    if not math.isfinite(t_end):
-        raise StepError(f"RK4 end time must be finite, got {t_end!r}")
-    if not abs(t_end) / step <= MAX_RK4_STEPS:
-        raise StepError(f"too many RK4 steps: |t_end| / step = {abs(t_end)!r} / {step!r}"
-                        f" = {abs(t_end) / step:.6g}, more than {MAX_RK4_STEPS}")
-    q = tuple(map(ex.real_or_complex, q0))
-    if domain is not None and not domain(tuple([s.real for s in q])):
-        raise DomainExitError(0.0, q)
-    ts, qs = [0.0], [q]
-    nsteps = max(1, round(abs(t_end) / step)) if t_end else 0
-    h = t_end / max(nsteps, 1)
-    try:
-        exit_time = run(nsteps, h, ts, qs, domain)
-        if not all(map(cmath.isfinite, qs[-1])):
-            first = next(i for i, p in enumerate(qs) if not all(map(cmath.isfinite, p)))
-            raise ex.DomainError(f"the RK4 state is not finite at t = {ts[first]!r}")
-    except ex.DomainError:
-        if phases is not None:
-            phases(qs, h)
-        raise
-    if len({type(x) for x in q + qs[-1]}) > 1:  # floats left beside complexes
-        qs = [tuple(map(complex, p)) for p in qs]
-    phase = None if phases is None else tuple(phases(qs, h))
-    if exit_time is not None:
-        raise DomainExitError(exit_time, qs[-1])
-    return Characteristic(start=tuple(q0), step=step, ts=tuple(ts), qs=tuple(qs),
-                          phases=phase)
-
-
-def flow(Z, q0, t_end, step, params=None, domain=None) -> Characteristic:
-    """Integrate dq/dt = Z(q) from q0 to t = t_end with classical RK4 at
-    fixed step (`_characteristic`, the one RK4 driver).
-
-    Z is a sequence of expressions over the chart variables named q1..qm (or
-    a single 'q'); params binds any remaining parameters.  A domain predicate
-    over real coordinate tuples is tested at q0 and after every step; a point
-    outside raises DomainExitError with its time and chart point.  A q0
-    whose length is not len(Z), or with a coordinate that is not finite,
-    raises ValueError.
-    """
-    _check_point(q0, len(Z), "start point")
-    run = ex.compile_rk4(tuple(ex.as_expr(z) for z in Z), _chart_names(len(Z)),
-                         bind=params or {})
-    return _characteristic(run, q0, float(t_end), float(step), domain)
+# caller takes, so a step too small for its end time raises instead of
+# filling memory
+MAX_STEPS = 10**6
 
 
 def _chart_names(m):
@@ -343,6 +274,78 @@ def _check_point(point, m, what):
     for name, x in zip(_chart_names(m), point):
         if not cmath.isfinite(complex(x)):
             raise ValueError(f"the {what}'s coordinate {name} is not finite, got {x!r}")
+
+
+def _named(Z):
+    return f"Z = ({', '.join(map(ex.to_text, Z))})"
+
+
+@functools.lru_cache(maxsize=32)
+def _affine_parts(Z, q_vars):
+    """The entries of A, row by row, then those of c, for a field
+    Z = A q + c over the chart variables q_vars, as expressions in its
+    parameters.  Any other field raises ChartFieldError."""
+    if len(q_vars) > 2:
+        raise ChartFieldError(f"{_named(Z)} has {len(q_vars)} chart variables; closed-form "
+                              "characteristics take at most 2")
+    jacobian = tuple(ex.differentiate(z, var) for z in Z for var in q_vars)
+    if any(ex.free_vars(a) & set(q_vars) for a in jacobian):
+        raise ChartFieldError(f"{_named(Z)} is not affine in {', '.join(q_vars)}")
+    return jacobian + tuple(ex.subst(z, dict.fromkeys(q_vars, ZERO)) for z in Z)
+
+
+def _eigen(a, Z):
+    """(eigenvalues, P, P^-1) of the m x m matrix A (m <= 2) whose entries,
+    row by row, are a: A = P diag(eigenvalues) P^-1, with P's columns of
+    unit length.  An A that is defective, or so nearly that P's condition
+    number exceeds 2e8, raises ChartFieldError naming the field Z."""
+    if len(a) == 1:
+        return a, ((1,),), ((1,),)
+    a11, a12, a21, a22 = a
+    if a12 == 0 and a21 == 0:
+        return (a11, a22), ((1, 0), (0, 1)), ((1, 0), (0, 1))
+    # the root of larger modulus first, the other from the determinant,
+    # so neither loses digits to cancellation
+    tr, det = a11 + a22, a11 * a22 - a12 * a21
+    root = cmath.sqrt((a11 - a22) ** 2 + 4 * a12 * a21)
+    big = (tr + root if abs(tr + root) >= abs(tr - root) else tr - root) / 2
+    lams = (big, det / big if big else 0j)
+    cols = []
+    for lam in lams:
+        # (A - lam) annihilates both; at least one is nonzero, as A is not
+        # diagonal
+        v = max(((a12, lam - a11), (lam - a22, a21)), key=lambda p: abs(p[0]) + abs(p[1]))
+        norm = math.hypot(abs(v[0]), abs(v[1]))
+        cols.append((v[0] / norm, v[1] / norm))
+    (p11, p21), (p12, p22) = cols
+    d = p11 * p22 - p12 * p21
+    # with unit columns, P's condition number is (1 + sqrt(1 - |d|^2)) / |d|
+    if not abs(d) >= 1e-8:
+        raise ChartFieldError(f"{_named(Z)} has a defective linear part A = "
+                              f"[[{a11}, {a12}], [{a21}, {a22}]]")
+    return lams, ((p11, p12), (p21, p22)), ((p22 / d, -p12 / d), (-p21 / d, p11 / d))
+
+
+def _affine_flow(eigen, c, q0, times):
+    """The chart points q(t), one row per chart variable, at the float
+    array `times` of the flow dq/dt = A q + c from q0, with `eigen` the
+    `_eigen` decomposition of A.  In the eigenbasis of A,
+    dy_i/dt = lam_i y_i + d_i with d = P^-1 c, so
+    y_i(t) = y_i(0) e^(lam_i t) + d_i expm1(lam_i t) / lam_i (d_i t when
+    lam_i is 0), and q = P y."""
+    import numpy as np
+
+    lams, p, p_inv = eigen
+    m = len(lams)
+    ys = []
+    for i, lam in enumerate(lams):
+        y0 = sum(p_inv[i][j] * q0[j] for j in range(m))
+        d = sum(p_inv[i][j] * c[j] for j in range(m))
+        # e^(lam t) y0 = y0 + expm1(lam t) y0, grouped with d's term
+        growth = np.expm1(lam * times) / lam if lam else times
+        ys.append(y0 + (lam * y0 + d) * growth)
+    return np.array([sum(p[r][i] * ys[i] for i in range(m)) for r in range(m)],
+                    dtype=complex)
 
 
 @record
@@ -408,54 +411,50 @@ def solve_reduced(Z, V, energy, phi, q_targets, step, *, v: Expr, u=(),
                   v_ref=0.0, params=None, domain=None):
     """Values of the solution Phi(u) exp(-int_{v_ref}^{v(q)} V dv) at targets.
 
-    The potential is integrated along the characteristic through each target
-    by flowing back to the reference section v = v_ref with `_characteristic`.
-    V does not feed back into the chart, so its loop carries the chart
-    alone, and the phase is RK4's own quadrature of V along the recorded
-    steps, so its error is O(step^4): one `expr.compile_array` call of V
-    covers the four stage points q, q + h/2 k1, q + h/2 k2 and q + h k3 of
-    every step, in step-major order, and each step adds
-    h/6 (V1 + 2 V2 + 2 V3 + V4).  The stage points are recomputed from the
-    recorded states with the array form of Z.  A DomainError of V raises for
-    the first failing stage in time, with the closure's message, and wins
-    over a domain exit or a DomainError of Z on a later step.  v must be
-    real at every target.  A domain predicate over real coordinate tuples is
-    tested at the target and after every step; a point outside raises
-    DomainExitError with its time and chart point.  The energy value is
-    bound into V's symbol E.  A target whose length is not len(Z), or with
-    a coordinate that is not finite, raises ValueError before any is
-    evaluated.  Returns (values, characteristics).
+    The potential is integrated along the characteristic through each
+    target, back to the reference section v = v_ref, so over the time
+    t_end = v_ref - v(target).  Z must be affine, Z = A q + c, over at most
+    two chart variables, with an A that is not defective; any other field
+    raises ChartFieldError.  A and c are read once per field from its
+    Jacobian, and the chart points come in closed form from the
+    eigen-decomposition of A (`_affine_flow`).  The time runs over a grid
+    of round(|t_end| / step) equal steps (at least one unless t_end is 0),
+    and the phase is the sum over the steps of the 4-point Gauss-Legendre
+    rule of V, one `expr.compile_array` call over all the nodes in time
+    order.  v must be real at every target.
+
+    A domain predicate over real coordinate tuples is tested at the target
+    and at every grid point; the first point outside raises
+    DomainExitError with its time and chart point, a target outside before
+    any phase is taken.  A grid point that is not finite raises
+    DomainError with its time instead.  Either error comes after the phase
+    over the steps before it, so a DomainError of V on those steps wins.
+    The energy value is bound into V's symbol E.  A target whose length is
+    not len(Z), or with a coordinate that is not finite, raises ValueError
+    before any is evaluated.  A step that is not positive and finite, an
+    end time that is not finite, or more than MAX_STEPS steps raises
+    StepError before that target's characteristic is computed.  Returns
+    (values, characteristics).
     """
     import numpy as np
 
     q_targets = list(q_targets)
     for target in q_targets:
         _check_point(target, len(Z), "target")
+    step = float(step)
+    if not (math.isfinite(step) and step > 0.0):
+        raise StepError(f"the step must be positive and finite, got {step!r}")
     params = dict(params or {})
     params.setdefault("E", energy)
     q_vars = _chart_names(len(Z))
     Z = tuple(ex.as_expr(z) for z in Z)
-    run = ex.compile_rk4(Z, q_vars, bind=params)
-    rates = ex.compile_array(Z, q_vars, bind=params)
+    parts = ex.compile_expr(_affine_parts(Z, q_vars), (), bind=params)()
+    m = len(q_vars)
+    eigen, c = _eigen(parts[:m * m], Z), parts[m * m:]
     potential = ex.compile_array(ex.as_expr(V), q_vars, bind=params)
     v_fn = ex.compile_expr(ex.as_expr(v), q_vars, bind=params)
     u_fn = ex.compile_expr(tuple(ex.as_expr(ue) for ue in u), q_vars, bind=params)
-
-    def phases(qs, h):
-        """0 and the phase after each step of the states qs, as complexes."""
-        m, n = len(q_vars), len(qs) - 1
-        # (chart variable, step, stage): step-major, so that the first
-        # failing point in time raises
-        pts = np.empty((m, n, 4), dtype=complex)
-        pts[..., 0] = np.fromiter(itertools.chain.from_iterable(qs[:-1]), complex,
-                                  count=m * n).reshape(n, m).T
-        for j, c in enumerate((h / 2, h / 2, h)):
-            k, _ = rates(*pts[..., j])
-            pts[..., j + 1] = pts[..., 0] + c * k
-        w, _ = potential(*pts.reshape(m, -1))
-        w = w.reshape(n, 4)
-        inc = h / 6 * (w[:, 0] + 2 * w[:, 1] + 2 * w[:, 2] + w[:, 3])
-        return np.cumsum(np.concatenate(([0j], inc))).tolist()
+    nodes, weights = _reference_rule(4)
 
     values = []
     chars = []
@@ -464,10 +463,43 @@ def solve_reduced(Z, V, energy, phi, q_targets, step, *, v: Expr, u=(),
         v_here = v_fn(*q0)
         if abs(v_here.imag) > 1e-9 * (1.0 + abs(v_here)):
             raise ex.DomainError(f"v is not real at {target}: {v_here}")
-        char = _characteristic(run, target, float(v_ref) - v_here.real,
-                               float(step), domain, phases)
-        # the last phase is -int_{v_ref}^{v(q)} V dv along the characteristic
-        values.append(phi(u_fn(*q0), params) * cmath.exp(char.phases[-1]))
+        t_end = float(v_ref) - v_here.real
+        if not math.isfinite(t_end):
+            raise StepError(f"the end time must be finite, got {t_end!r}")
+        if not abs(t_end) / step <= MAX_STEPS:
+            raise StepError(f"too many steps: |t_end| / step = {abs(t_end)!r} / {step!r}"
+                            f" = {abs(t_end) / step:.6g}, more than {MAX_STEPS}")
+        if domain is not None and not domain(tuple(x.real for x in q0)):
+            raise DomainExitError(0.0, tuple(target))
+        n = max(1, round(abs(t_end) / step)) if t_end else 0
+        h = t_end / max(n, 1)
+        # the grid's n + 1 points, then the nodes of each step in time order
+        frac = np.concatenate((np.arange(n + 1.0),
+                               (np.arange(n)[:, None] + (1 + nodes) / 2).ravel()))
+        with np.errstate(all="ignore"):
+            qs = _affine_flow(eigen, c, q0, h * frac)
+        grid, ts = qs[:, :n + 1], (h * frac[:n + 1]).tolist()
+        # the first grid point that is not finite or is outside the domain
+        finite = np.isfinite(grid).all(axis=0)
+        stop, exited = (n + 1 if finite.all() else int(finite.argmin())), False
+        if domain is not None:
+            for k, point in enumerate(zip(*grid[:, 1:stop].real.tolist()), 1):
+                if not domain(point):
+                    stop, exited = k, True
+                    break
+        taken = min(stop, n)
+        phase = 0j
+        if taken:
+            w, _ = potential(*qs[:, n + 1:n + 1 + 4 * taken])
+            phase = complex(h / 2 * (w.reshape(taken, 4) * weights).sum())
+        if exited:
+            raise DomainExitError(ts[stop], tuple(grid[:, stop].tolist()))
+        if stop <= n:
+            raise ex.DomainError(f"the chart point is not finite at t = {ts[stop]!r}")
+        char = Characteristic(start=tuple(target), step=step, ts=tuple(ts),
+                              end=tuple(grid[:, n].tolist()), phase=phase)
+        # the phase is -int_{v_ref}^{v(q)} V dv along the characteristic
+        values.append(phi(u_fn(*q0), params) * cmath.exp(phase))
         chars.append(char)
     return values, chars
 

@@ -324,13 +324,11 @@ class TestOneSemantics:
     def test_a_repeated_compile_neither_simplifies_nor_walks(self, monkeypatch):
         rates = (q * J, Log(q) * J + Var("E"))
         compile_expr(rates, ["q"], bind={"J": 1.0, "E": 0.5})
-        ex.compile_rk4(rates, ["q", "x"], bind={"J": 1.0, "E": 0.5})
         walks = []
         free = ex.free_vars
         monkeypatch.setattr(ex, "free_vars", lambda e: walks.append(e) or free(e))
         before = ex.simplify.cache_info()
         f = compile_expr(rates, ["q"], bind={"J": 2.0, "E": 0.5})
-        ex.compile_rk4(rates, ["q", "x"], bind={"J": 2.0, "E": 0.5})
         assert ex.simplify.cache_info() == before
         assert walks == []
         assert f(1.0) == (2.0, 0.5)
@@ -479,12 +477,6 @@ class TestEachSubtreeOnce:
             f = compile_expr(potential, ["q1", "q2"], bind=params)
             f(1.2, 0.5)
             assert len(logs) == 1
-            # the potential as the rate of one more chart variable
-            run = ex.compile_rk4(tuple(red.first_order.Z) + (potential,),
-                                 ["q1", "q2", "x"], bind=params)
-            logs.clear()
-            run(3, 1e-2, [0.0], [(1.2 + 0j, 0.5 + 0j, 0j)], None)
-            assert len(logs) == 3 * 4
         finally:
             ex._closure_maker.cache_clear()
 
@@ -494,168 +486,6 @@ class TestEachSubtreeOnce:
         with pytest.raises(DomainError, match="log requires positive real part"):
             f(-1.0)
         assert f(2.0) == cmath.log(2.0) * cmath.log(2.0) + cmath.log(2.0)
-
-
-class TestCompileRk4:
-    def test_rates_must_match_the_chart(self):
-        for rates in ((), (q, q), (q, q, q)):
-            with pytest.raises(ValueError, match="rates"):
-                ex.compile_rk4(rates, ["q"])
-
-    def test_appends_each_state(self):
-        # dq/dt = 1, dx/dt = q: q = t, x = t^2 / 2 exactly in RK4
-        run = ex.compile_rk4((ex.ONE, q), ["q", "x"])
-        ts, qs = [0.0], [(0j, 0j)]
-        run(4, 0.5, ts, qs, None)
-        assert ts == [0.0, 0.5, 1.0, 1.5, 2.0]
-        assert qs == [(t, t * t / 2) for t in ts]
-
-    def test_check_sees_every_step_and_may_stop_the_loop(self):
-        # the domain predicate sees the real parts of every step's point, in
-        # order; the first point outside ends the loop, recorded, and `run`
-        # returns its time
-        seen = []
-
-        def inside(point):
-            seen.append(point)
-            return point[0] < 1.0
-
-        run = ex.compile_rk4((1 + I,), ["q"])
-        ts, qs = [0.0], [(0j,)]
-        assert run(10, 0.5, ts, qs, inside) == 1.0
-        assert seen == [(0.5,), (1.0,)]
-        assert all(type(x) is float for point in seen for x in point)
-        assert ts == [0.0, 0.5, 1.0]
-        assert qs == [(0j,), (0.5 + 0.5j,), (1.0 + 1.0j,)]
-        seen.clear()
-        assert run(3, 0.25, [0.0], [(0j,)], inside) is None
-        assert seen == [(0.25,), (0.5,), (0.75,)]
-
-    def test_overflow_becomes_a_domain_error(self):
-        run = ex.compile_rk4((q ** 2,), ["q"])
-        with pytest.raises(DomainError, match="OverflowError"):
-            run(1, 1.0, [0.0], [(1e200 + 0j,)], None)
-
-    def test_a_bad_bound_value_raises_before_the_first_step(self):
-        run = ex.compile_rk4((ex.ONE, q * Power(J, -1)), ["q", "x"], bind={"J": 0.0})
-        ts, qs = [0.0], [(0.5 + 0j, 0j)]
-        with pytest.raises(DomainError, match="^ZeroDivisionError"):
-            run(1, 0.1, ts, qs, None)
-        assert (ts, qs) == ([0.0], [(0.5 + 0j, 0j)])
-        assert run(0, 0.1, ts, qs, None) is None
-        assert (ts, qs) == ([0.0], [(0.5 + 0j, 0j)])
-
-    @pytest.mark.parametrize("rates, bad", [((Power(J, -1),), 0.0),
-                                            ((J ** 2,), 1e200), ((Log(J),), -1.0)])
-    def test_a_bad_bound_value_of_a_constant_field_raises_before_the_first_step(
-            self, rates, bad):
-        # 1/J at J = 0 divides by zero and complex ** overflows at 1e200, in
-        # the one-add loop's set-up; log J tests its domain, so its loop is
-        # staged and the first stage raises
-        run = ex.compile_rk4(rates, ["q"], bind={"J": bad})
-        ts, qs = [0.0], [(0.5 + 0j,)]
-        with pytest.raises(DomainError, match="^((ZeroDivision|Overflow)Error"
-                                              "|log requires positive real part)"):
-            run(3, 0.1, ts, qs, None)
-        assert (ts, qs) == ([0.0], [(0.5 + 0j,)])
-        assert run(0, 0.1, ts, qs, None) is None
-        assert (ts, qs) == ([0.0], [(0.5 + 0j,)])
-
-    @staticmethod
-    def _run_of(rates, names, bind, monkeypatch):
-        """The syntax tree of the `_run` compile_rk4 generates for rates."""
-        generated = []
-        source = ex._source
-        monkeypatch.setattr(ex, "_source", lambda *a: generated.append(a) or source(*a))
-        ex._closure_maker.cache_clear()
-        try:
-            ex.compile_rk4(rates, names, bind=bind)
-        finally:
-            ex._closure_maker.cache_clear()
-        return next(node for node in ast.walk(ast.parse(source(*generated[0])))
-                    if isinstance(node, ast.FunctionDef) and node.name == "_run")
-
-    @staticmethod
-    def _stored(tree):
-        return {n.id for n in ast.walk(tree)
-                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
-
-    @pytest.mark.parametrize("rates, names", [((ex.ONE,), ["q"]), ((1 + I,), ["q"]),
-                                              ((J * J, ex.const(2)), ["q", "x"])])
-    def test_a_constant_field_steps_by_one_add(self, rates, names, monkeypatch):
-        run = self._run_of(rates, names, {"J": 1.3}, monkeypatch)
-        assert not {n for n in self._stored(run) if n.startswith(("_k", "_a"))}
-        loop = next(node for node in run.body if isinstance(node, ast.For))
-        adds = [ast.unparse(node) for node in loop.body if isinstance(node, ast.Assign)]
-        assert adds == [f"_s{i} = _s{i} + _d{i}" for i in range(len(names))]
-
-    def test_an_argument_the_rates_do_not_read_is_not_assigned(self, monkeypatch):
-        stored = self._stored(self._run_of((ex.ONE, q), ["q", "x"], {}, monkeypatch))
-        assert "_a0" in stored and "_a1" not in stored
-
-    @pytest.mark.parametrize("name, alpha, beta", [("heisenberg", 1, 1), ("g4_7", 1, 1),
-                                                   ("g4_7", 3, F(-1, 8)), ("g4_7", 1, 2)])
-    def test_each_bundled_field_gets_the_loop_of_its_rule(self, name, alpha, beta,
-                                                          monkeypatch):
-        # Heisenberg's Z = 1 reads no chart argument and tests no domain, so
-        # a step is one add; g4,7's linear Z reads the chart, so every stage
-        # runs the body and nothing runs before the loop
-        from nclb.models import load_model, reduction_normalizer
-        from nclb.reduction import _chart_names, build_reduced, extract_first_order
-
-        model = load_model(name, F(alpha), F(beta))
-        Z = tuple(extract_first_order(build_reduced(model, verify=False),
-                                      reduction_normalizer(model)).first_order.Z)
-        run = self._run_of(Z, _chart_names(len(Z)), {"J": 1.0, "E": 0.5}, monkeypatch)
-        loop = next(node for node in run.body if isinstance(node, ast.For))
-        stored = self._stored(loop)
-        # both fields are real, so nothing in the loop makes a complex: no
-        # complex(...) call or map(complex, ...), and no imaginary literal
-        assert not [node for node in ast.walk(run)
-                    if isinstance(node, ast.Name) and node.id == "complex"
-                    or isinstance(node, ast.Constant) and isinstance(node.value, complex)]
-        if name == "heisenberg":
-            assert [ast.unparse(node) for node in loop.body
-                    if isinstance(node, ast.Assign)] == ["_s0 = _s0 + _d0"]
-            assert not {n for n in stored if n.startswith(("_k", "_a"))}
-        else:
-            assert not any(isinstance(node, ast.If) for node in run.body)
-            assert {f"_k{j}_{i}" for j in range(4) for i in range(len(Z))} <= stored
-
-    @pytest.mark.parametrize("alpha, beta", [(1, 1), (3, F(-1, 8)), (1, 2)])
-    def test_a_real_field_from_a_float_start_runs_on_floats(self, alpha, beta):
-        # g4,7's Z: the states of a float start are floats, `==` to the
-        # complex states of a complex start
-        from nclb.models import chart_domain, load_model, reduction_normalizer
-        from nclb.reduction import build_reduced, extract_first_order
-
-        model = load_model("g4_7", F(alpha), F(beta))
-        Z = tuple(extract_first_order(build_reduced(model, verify=False),
-                                      reduction_normalizer(model)).first_order.Z)
-        run = ex.compile_rk4(Z, ["q1", "q2"], bind={"J": 1.0})
-        for domain in (None, chart_domain(model)):
-            lists = []
-            for start in ((1.5, 0.7), (1.5 + 0j, 0.7 + 0j)):
-                ts, qs = [0.0], [start]
-                assert run(300, -1e-3, ts, qs, domain) is None
-                lists.append((ts, qs))
-            assert lists[0] == lists[1]
-            assert all(type(x) is float for point in lists[0][1] for x in point)
-            assert all(type(x) is complex for point in lists[1][1] for x in point)
-
-    def test_a_float_start_gives_the_values_of_a_complex_one(self):
-        # from 0.565 and 0.65 a float power in the first stage would round
-        # differently and change the states
-        rates = (J * q ** 5, Power(q, -3) + J * Exp(q))
-        run = ex.compile_rk4(rates, ["q", "x"], bind={"J": 0.7})
-        for x0 in (0.565, 0.65, 0.9):
-            lists = []
-            for start in ((x0, 0.0), (complex(x0), 0j)):
-                ts, qs = [0.0], [start]
-                run(5, 0.01, ts, qs, None)
-                lists.append((ts, qs[1:]))
-            assert lists[0] == lists[1]
-            assert all(type(z) is complex for point in lists[0][1] for z in point)
 
 
 def _with_literal_constants(e, varnames, bind, wrapper):
@@ -683,10 +513,16 @@ class TestConstantLifting:
             compile_expr(huge * q, ["q"])
         with pytest.raises(DomainError, match="double range"):
             ex.compile_array((q, huge * q), ["q"])
-        with pytest.raises(DomainError, match="double range"):
-            ex.compile_rk4((ex.ONE, huge * q), ["q", "x"])
         # the same shape with a constant in range compiles and runs
         assert compile_expr(Const(F(10) ** 300) * q, ["q"])(2.0) == 2e300
+
+    @pytest.mark.parametrize("big", [10 ** 400, F(10) ** 400, -(10 ** 400)])
+    def test_a_bound_value_beyond_the_double_range_raises(self, big):
+        # as a constant of the same size does, not as a bare OverflowError
+        for compile_ in (compile_expr, ex.compile_array):
+            with pytest.raises(DomainError, match="value bound to J is outside the double range"):
+                compile_(J * q, ["q"], bind={"J": big})
+        assert compile_expr(J * q, ["q"], bind={"J": 10 ** 300})(2.0) == 2e300
 
     def test_one_shape_one_code_generation(self, monkeypatch):
         generated = []
@@ -729,26 +565,22 @@ class TestConstantLifting:
                 assert np.array_equal(u, v)
 
     @pytest.mark.parametrize("fixture", ["h3", "g47"])
-    def test_rk4_states_are_those_of_literal_constants(self, fixture, request):
+    def test_affine_parts_are_those_of_literal_constants(self, fixture, request):
+        # the entries of A and c that the characteristics are solved from
         from nclb.models import reduction_normalizer
-        from nclb.reduction import _chart_names, build_reduced, extract_first_order
+        from nclb.reduction import (_affine_parts, _chart_names, build_reduced,
+                                    extract_first_order)
 
         model = request.getfixturevalue(fixture)
         red = extract_first_order(build_reduced(model, verify=False),
                                   reduction_normalizer(model))
-        # the potential as the rate of one more chart variable
-        rates = tuple(red.first_order.Z) + (red.first_order.V,)
-        names = _chart_names(len(rates) - 1) + ("x",)
+        Z = tuple(red.first_order.Z)
+        parts = _affine_parts(Z, _chart_names(len(Z)))
+        assert len(parts) == len(Z) ** 2 + len(Z)
         bind = {"J": 1.0, "E": 0.7}
-        start = [(1.2 + 0j, 0.5 + 0j)[:len(names) - 1] + (0j,)]
-        runs = []
-        for run in (ex.compile_rk4(rates, names, bind=bind),
-                    _with_literal_constants(rates, names, bind, "rk4")):
-            ts, qs = [0.0], list(start)
-            run(40, -1e-2, ts, qs, None)
-            runs.append((ts, qs))
-        assert runs[0] == runs[1]
-        assert len(runs[0][0]) == 41
+        values = compile_expr(parts, (), bind=bind)()
+        assert values == _with_literal_constants(parts, (), bind, "closure")()
+        assert all(v.imag == 0.0 for v in values)
 
 
 class TestSubst:

@@ -44,7 +44,7 @@ EXPORTS = {
                     "load_model", "mode_solution_h3", "pde_residual",
                     "validate_model"],
     "nclb.reduction": ["Characteristic", "LambdaRep", "ReducedOperator",
-                       "build_reduced", "extract_first_order", "flow",
+                       "build_reduced", "extract_first_order",
                        "local_lift_check", "rectify_check",
                        "reduced_residual", "solve_reduced",
                        "verify_lambda_rep"],
