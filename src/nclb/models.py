@@ -19,6 +19,7 @@ checks that apply to its model, which `nclb model verify` runs in order.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import math
@@ -45,6 +46,10 @@ class ModelParameterError(NclbError, ValueError):
 
 
 class SingularMeasureError(NclbError, ValueError):
+    pass
+
+
+class SmokeQuadratureError(NclbError, ArithmeticError):
     pass
 
 
@@ -1116,7 +1121,7 @@ class SmokeSpec:
 
 _WINDOW = 3.0        # Heisenberg x3 window scale
 _WINDOW_UV = 128.0   # 4d model x1/x2 window scales
-_N_UV = 20           # 4d model u-window nodes (t is closed form)
+_N_UV = 20           # 4d model u-window nodes (t and q1 are closed form)
 
 
 def _blocks(n, item_size):
@@ -1191,7 +1196,9 @@ def _t_window_exponent(eta, q2, s, q2t, st, j_val, b, sw):
     q2 x3) = (J q2/2)(q1 - eta).  That is e^{-A t^2 + B t + C} with A = sw^2/2
     + (1/(J qt2 wb))^2 > 0, so the integral over the line is sqrt(pi/A)
     e^{B^2/(4A) + C}: A is free of q1, t0, x3 and B are linear in it and C
-    is quadratic.  The arguments broadcast against each other.
+    is quadratic.  The arguments broadcast against each other; `_smoke_g47`
+    then integrates the result times a's q1 Gaussian over the q1 line
+    (`_gaussian_line_integral`).
     """
     import numpy as np
 
@@ -1218,6 +1225,20 @@ def _t_window_exponent(eta, q2, s, q2t, st, j_val, b, sw):
     return math.sqrt(2.0 * math.pi) * sw * np.sqrt(math.pi / big_a), e0, e1, e2
 
 
+def _gaussian_line_integral(big_a, big_b, big_c):
+    """The integral over the real line of e^{-A x^2 + B x + C},
+    sqrt(pi/A) e^{B^2/(4A) + C} (principal root), elementwise over complex
+    arrays.  It converges only where Re A > 0; an A anywhere else, or a
+    NaN, raises SmokeQuadratureError rather than give a divergent value."""
+    import numpy as np
+
+    if not np.all(big_a.real > 0):
+        raise SmokeQuadratureError(
+            "the Gaussian line integral needs Re A > 0; the smallest Re A "
+            f"is {np.min(big_a.real)!r}")
+    return np.sqrt(math.pi / big_a) * np.exp(big_b * big_b / (4.0 * big_a) + big_c)
+
+
 def _smoke_g47(a, b, j_val, jt_val, spec: SmokeSpec):
     """The 4d-model pairing in collapsed coordinates.
 
@@ -1225,17 +1246,19 @@ def _smoke_g47(a, b, j_val, jt_val, spec: SmokeSpec):
     integrals act on pure phases with coefficients u = Jt qt2^2 - J q2^2 and
     t = Tt - T (T the x2-phase rate (J q2/2)(2 q1 - q2 x3)); their Gaussian
     windows are nascent 2 pi deltas, so the tilde side is integrated in the
-    narrow (u, t) window coordinates: t in closed form, u and the a-side
-    chart (q1, s) with its x3 and x4 boxes by quadrature.  The Haar weight
+    narrow (u, t) window coordinates: t and the a-side q1 in closed form, u,
+    the a-side s and the x3 and x4 boxes by quadrature.  The Haar weight
     e^{4 x4} cancels the x4 part of the twist Lambda(q2') = q2'^4 exactly,
     which this code uses.
 
     The x3 box is that of x3 = (q1 + eta)/q2 with eta on a fixed box, so
     the a-side x3 factor is free of q1 and the closed-form t integral is
-    factor e^{e0 + e1 q1 + e2 q1^2} (`_t_window_exponent`).  Per block of
-    s nodes the coefficients and the q1-free product g of factor and
-    weights are computed once; each q1 node then adds a0(q1) times the dot
-    product of g with one array exponential.
+    factor e^{e0 + e1 q1 + e2 q1^2} (`_t_window_exponent`).  Times a's q1
+    Gaussian that is the exponential of a quadratic in q1, and the q1 chart
+    axis is the whole line, so per block of s nodes the q1 integral is one
+    array exponential (`_gaussian_line_integral`), exact with no q1 box.
+    The coarse and refined passes differ in the s, x3 and x4 rules only;
+    both use the same u rule.
     """
     import numpy as np
 
@@ -1243,7 +1266,8 @@ def _smoke_g47(a, b, j_val, jt_val, spec: SmokeSpec):
         # opposite orbits: the u-window never meets the physical
         # region q2^2 > 0, so the pairing is identically zero
         return 0.0, 0.0, 0j, 0j, 1.0
-    # (q, x) node counts of the coarse and the refined pass
+    # (q, x) node counts of the coarse and the refined pass: q sets the s
+    # rule, x the x3 and x4 rules
     passes = ((spec.n_inner // 2, spec.n_outer // 4),
               ((3 * spec.n_inner) // 4, spec.n_outer // 3))
     if not all(0 < coarse < fine for coarse, fine in zip(*passes)):
@@ -1265,7 +1289,6 @@ def _smoke_g47(a, b, j_val, jt_val, spec: SmokeSpec):
     sp_half = 6.5 * wc + 0.5 * abs(casp - cbsp)
 
     def compute(n_q, n_x):
-        q1n, wq1 = gl_nodes(n_q, ca1 - 6.5 * wa, ca1 + 6.5 * wa)
         sn, wsn = gl_nodes(n_q, cas - 6.5 * wa, cas + 6.5 * wa)
         un, wun = gl_nodes(_N_UV, -6.0 / sw, 6.0 / sw)
         win_u = wun * math.sqrt(2.0 * math.pi) * sw * np.exp(-0.5 * (sw * un) ** 2)
@@ -1290,16 +1313,20 @@ def _smoke_g47(a, b, j_val, jt_val, spec: SmokeSpec):
         # x3 = (q1 + eta)/q2 shifts q1 -> q1' = -eta, on a q1-free eta box
         eta, w_eta = gl_nodes(n_x, -p_c - p_half, -p_c + p_half)
         a3w = w_eta / q2 * np.exp(-((eta + ca1p) ** 2) / (2.0 * wa * wa))
-        a0w = (wq1 * np.exp(-((q1n - ca1) ** 2) / (2.0 * wa * wa))).tolist()
 
-        # the (s, u, x3) arrays go in s blocks
+        # the (s, u, x3) arrays go in s blocks; a's q1 Gaussian times
+        # e^{e0 + e1 q1 + e2 q1^2} is integrated over the q1 line exactly;
+        # a u node of measure 0 gets A = 1 and C = -inf, so it adds an exact
+        # 0 and cannot overflow
         total = 0j
         for k in _blocks(n_q, _N_UV * n_x):
             factor, e0, e1, e2 = _t_window_exponent(eta, q2[k], s[k], q2t[k],
                                                     st[k], j_val, b, sw)
-            g = (factor * a3w[k] * weight[k]).ravel()
-            for q1v, w in zip(q1n.tolist(), a0w):
-                total += w * np.dot(np.exp(e0 + q1v * (e1 + q1v * e2)).ravel(), g)
+            over_q1 = _gaussian_line_integral(
+                np.where(valid[k], 0.5 / (wa * wa) - e2, 1.0),
+                e1 + ca1 / (wa * wa),
+                np.where(valid[k], e0 - 0.5 * (ca1 / wa) ** 2, -np.inf))
+            total += np.sum(factor * a3w[k] * weight[k] * over_q1)
         return total
 
     coarse, refined = (compute(*n) for n in passes)
@@ -1318,13 +1345,17 @@ def kernel_orthogonality_smoke(model, test_pairs, spec: SmokeSpec | None = None)
     Each test pair is (a, b, J, Jt) with smooth Gaussian smearing factors;
     the group-direction phases whose sharp limits are delta functions are
     damped by wide Gaussian windows acting as nascent 2 pi deltas, the 4d
-    model's t window is integrated in closed form, all remaining integrals
-    are quadrature, and the result is compared against
+    model's t window and its a-side q1 direction are integrated in closed
+    form, all remaining integrals are quadrature, and the result is
+    compared against
     the sharp-limit prediction: (2 pi)^2/|J| <a,b> for the Heisenberg model
     (per unit window mass), 2 pi^2 <a,b> with the Lambda twist for the 4d
     model, and 0 for distinct spectral parameters, all at a tolerance of 1e-3.
     A J or Jt that is no spectral label of the model (`LambdaRep.check_j`)
-    raises SpectralLabelError.
+    raises SpectralLabelError.  A record whose refinement change between
+    the coarse and the refined pass exceeds 1e-3, or is not finite, is
+    inconclusive; a non-finite deviation, measured or predicted value or
+    scale fails.
     """
     spec = spec or SmokeSpec()
     n_centers = 2 * model.lrep.dim_q
@@ -1338,7 +1369,10 @@ def kernel_orthogonality_smoke(model, test_pairs, spec: SmokeSpec | None = None)
         dev, conv, measured, predicted, scale = model.smoke_scheme(
             a, b, model.lrep.check_j(float(j_val)),
             model.lrep.check_j(float(jt_val)), spec)
-        if conv > 1e-3:
+        # finiteness first: every comparison with a NaN is False
+        if not all(map(cmath.isfinite, (dev, measured, predicted, scale))):
+            status = FAIL
+        elif not (math.isfinite(conv) and conv <= 1e-3):
             status = INCONCLUSIVE
         else:
             status = PASS if dev <= 1e-3 else FAIL

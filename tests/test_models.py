@@ -14,7 +14,7 @@ from nclb.diffop import DiffOp, SampleSpec, apply, op_equal
 from nclb.expr import Airy, Exp, I, Power, Var, evaluate, simplify
 from nclb import models
 from nclb.models import (CasimirReport, ModelParameterError, SmearedGaussian,
-                         SmokeSpec,
+                         SmokeQuadratureError, SmokeSpec,
                          airy_identity_check, casimir_scalar_check,
                          chart_samples, coordinate_expansion_report,
                          haar_invariance_check,
@@ -567,7 +567,10 @@ def _t_window_integral(t0, x3, q2t, st, s, jt_val, b, sw):
 def _smoke_g47_per_q1(a, b, j_val, jt_val, spec):
     """The 4d smoke pairing as it was computed before its t-window exponent
     became a polynomial in q1: per q1 node, the x3 box (q1 - p_c +- p_half)/q2
-    and the t integral of every (s, u, x3) node."""
+    and the t integral of every (s, u, x3) node.  Its q1 rule has three
+    times the s nodes on ca1 +- 10 wa, so it converges to the integral over
+    the whole q1 line, which the smoke now takes in closed form; the
+    ca1 +- 6.5 wa box of the s rule would drop ~1e-10 of it."""
     if j_val != jt_val:
         return 0.0, 0.0, 0j, 0j, 1.0
     passes = ((spec.n_inner // 2, spec.n_outer // 4),
@@ -584,7 +587,7 @@ def _smoke_g47_per_q1(a, b, j_val, jt_val, spec):
     sp_half = 6.5 * wc + 0.5 * abs(casp - cbsp)
 
     def compute(n_q, n_x):
-        q1n, wq1 = gl_nodes(n_q, ca1 - 6.5 * wa, ca1 + 6.5 * wa)
+        q1n, wq1 = gl_nodes(3 * n_q, ca1 - 10.0 * wa, ca1 + 10.0 * wa)
         sn, wsn = gl_nodes(n_q, cas - 6.5 * wa, cas + 6.5 * wa)
         un, wun = gl_nodes(n_uv, -6.0 / sw, 6.0 / sw)
         win_u = wun * math.sqrt(2.0 * math.pi) * sw * np.exp(-0.5 * (sw * un) ** 2)
@@ -655,6 +658,69 @@ class TestSmoke:
         assert abs(got[2] - want[2]) <= 1e-13 * abs(want[2])
         assert abs(got[0] - want[0]) <= 1e-13 and abs(got[1] - want[1]) <= 1e-13
         assert got[3:] == want[3:]
+
+    @pytest.mark.parametrize("big_a, big_b, big_c", [
+        (1.0, 0.0, 0.0),
+        (2.5, 1.0 - 0.5j, 0.3j),
+        (1.0 + 0.01j, -0.3 + 1.5j, 0.2),
+        # |Im A| >> Re A: a chirp under a wide envelope
+        (0.5 + 6.0j, 0.7 + 2.0j, -0.2 + 1.0j),
+        (0.3 - 4.0j, -1.5 + 0.5j, 0.1),
+        (0.2 + 3.0j, 0.0, 0.0),
+    ])
+    def test_gaussian_line_integral_matches_quad(self, big_a, big_b, big_c):
+        from scipy.integrate import quad
+
+        def f(x):
+            return np.exp(-big_a * x * x + big_b * x + big_c)
+
+        # the envelope e^{-Re A x^2 + Re B x} is below e^{-80} of its peak
+        # outside this box
+        mid = np.real(big_b) / (2.0 * np.real(big_a))
+        half = math.sqrt(80.0 / np.real(big_a))
+        re, im = (quad(lambda x: part(f(x)), mid - half, mid + half,
+                       limit=2000, epsabs=1e-15, epsrel=1e-12)[0]
+                  for part in (np.real, np.imag))
+        got = complex(models._gaussian_line_integral(
+            np.array([big_a], complex), np.array([big_b], complex),
+            np.array([big_c], complex))[0])
+        assert got.real == pytest.approx(re, rel=1e-12, abs=1e-300)
+        assert got.imag == pytest.approx(im, rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize("big_a", [0.0, -1.0, 2.0j, -0.5 + 3.0j, math.nan])
+    def test_gaussian_line_integral_raises_unless_re_a_is_positive(self, big_a):
+        # a good A beside the bad one does not hide it
+        with pytest.raises(SmokeQuadratureError, match="Re A > 0"):
+            models._gaussian_line_integral(np.array([1.0, big_a], complex),
+                                           np.zeros(2, complex), np.zeros(2, complex))
+
+    def test_the_q1_integral_is_one_closed_form_per_s_block(self, monkeypatch):
+        # at the benchmark's spec the passes have (s, x) node counts (24, 18)
+        # and (36, 24): 2 and 3 s blocks of 12, and no q1 nodes
+        calls = []
+        line = models._gaussian_line_integral
+        monkeypatch.setattr(models, "_gaussian_line_integral",
+                            lambda *abc: calls.append(abc[0].shape) or line(*abc))
+        models._smoke_g47(*BENCH_G47, 1.0, 1.0, SmokeSpec(72, 48))
+        assert calls == [(12, models._N_UV, 1)] * 5
+
+    @pytest.mark.parametrize("changes, status", [
+        ({0: math.nan}, "fail"), ({0: math.inf}, "fail"),
+        ({1: math.nan}, "inconclusive"), ({1: -math.inf}, "inconclusive"),
+        ({2: complex(math.nan, 0.0)}, "fail"), ({2: complex(1.0, math.inf)}, "fail"),
+        ({3: complex(math.nan, 0.0)}, "fail"),
+        ({4: math.nan}, "fail"), ({4: math.inf}, "fail"),
+        # a non-finite deviation fails even when the passes disagree
+        ({0: math.nan, 1: 1.0}, "fail"), ({0: math.nan, 1: math.nan}, "fail"),
+    ])
+    def test_a_non_finite_smoke_value_decides_no_pass(self, h3, changes, status):
+        # a NaN refinement change read `pass`, since NaN > 1e-3 is False
+        result = [0.0, 0.0, 1.0 + 0j, 1.0 + 0j, 1.0]
+        for slot, value in changes.items():
+            result[slot] = value
+        model = replace(h3, smoke_scheme=lambda *args: tuple(result))
+        (rec,) = kernel_orthogonality_smoke(model, [(*C12_H3, 1, 1)])
+        assert rec.status == status
 
     def test_blocks_cover_every_index_once_within_the_bound(self):
         assert models._blocks(97, 97) == [slice(0, 49), slice(49, 98)]
