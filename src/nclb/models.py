@@ -87,12 +87,15 @@ class GroupModel:
 
     mult_law/inverse_law are coordinate expressions of z(x, y) and x^{-1};
     dual_forms is the coframe matrix omega^i_j(x).  normalizer, flow_box
-    (v, invariants u) and chart_domain (a predicate, or None) are what
-    `reduction_normalizer`, `rectifying_coordinates` and `chart_domain`
-    return; printed_laplacian is the long-hand coordinate expansion of the
-    Laplacian, entered independently of the frame assembly so the two can be
-    compared term by term; smoke_scheme computes one pairing of
-    `kernel_orthogonality_smoke`.
+    (v, invariants u) and chart_domain are what `reduction_normalizer`,
+    `rectifying_coordinates` and `chart_domain` return.  chart_domain is
+    None or a predicate that takes one real coordinate tuple, or an (m, N)
+    float array of N chart points, one per column, for which it returns a
+    boolean array of shape (N,), each point's verdict, as
+    `reduction.solve_reduced` calls it.  printed_laplacian is the long-hand
+    coordinate expansion of the Laplacian, entered independently of the
+    frame assembly so the two can be compared term by term; smoke_scheme
+    computes one pairing of `kernel_orthogonality_smoke`.
 
     checks lists the records `nclb model verify` prints, in order, as
     (name, check) pairs; check(model, seed) returns the CheckRecord of that
@@ -397,7 +400,7 @@ def _g47_model(alpha, beta) -> GroupModel:
 
 
 def _g47_chart_domain(q):
-    """The 4d orbit chart is q2 > 0."""
+    """The 4d orbit chart is q2 > 0, for one point or an array of columns."""
     return q[1] > 1e-10
 
 
@@ -424,7 +427,8 @@ def reduction_normalizer(model) -> Expr:
 
 
 def chart_domain(model):
-    """Real-coordinate predicate for the orbit chart (None if unconstrained)."""
+    """The orbit chart's domain predicate, on one real point or an array of
+    them (`GroupModel`), or None if unconstrained."""
     return model.chart_domain
 
 

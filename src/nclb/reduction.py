@@ -276,6 +276,22 @@ def _check_point(point, m, what):
             raise ValueError(f"the {what}'s coordinate {name} is not finite, got {x!r}")
 
 
+def _inside(domain, points):
+    """The domain predicate's verdicts on the (m, N) float array of chart
+    points, one column each: a boolean array of shape (N,), or ValueError
+    naming what came back instead."""
+    import numpy as np
+
+    inside = domain(points)
+    shape = (points.shape[1],)
+    if not (isinstance(inside, np.ndarray) and inside.dtype == bool and inside.shape == shape):
+        got = np.asarray(inside)
+        raise ValueError(f"the domain predicate must return a boolean array of shape {shape}, "
+                         f"one entry per grid point; got {type(inside).__name__} of shape "
+                         f"{got.shape} and dtype {got.dtype}")
+    return inside
+
+
 def _named(Z):
     return f"Z = ({', '.join(map(ex.to_text, Z))})"
 
@@ -297,8 +313,15 @@ def _affine_parts(Z, q_vars):
 def _eigen(a, Z):
     """(eigenvalues, P, P^-1) of the m x m matrix A (m <= 2) whose entries,
     row by row, are a: A = P diag(eigenvalues) P^-1, with P's columns of
-    unit length.  An A that is defective, or so nearly that P's condition
-    number exceeds 2e8, raises ChartFieldError naming the field Z."""
+    unit length.  A real A with real eigenvalues gives them, P and P^-1 as
+    floats; any other A gives complexes.  An A that is defective, or so
+    nearly that P's condition number exceeds 2e8, raises ChartFieldError
+    naming the field Z."""
+    a = tuple(map(complex, a))
+    if not any(x.imag for x in a):
+        real = tuple(x.real for x in a)
+        if len(a) == 1 or (real[0] - real[3]) ** 2 + 4 * real[1] * real[2] >= 0:
+            a = real
     if len(a) == 1:
         return a, ((1,),), ((1,),)
     a11, a12, a21, a22 = a
@@ -306,10 +329,10 @@ def _eigen(a, Z):
         return (a11, a22), ((1, 0), (0, 1)), ((1, 0), (0, 1))
     # the root of larger modulus first, the other from the determinant,
     # so neither loses digits to cancellation
-    tr, det = a11 + a22, a11 * a22 - a12 * a21
-    root = cmath.sqrt((a11 - a22) ** 2 + 4 * a12 * a21)
+    tr, det, disc = a11 + a22, a11 * a22 - a12 * a21, (a11 - a22) ** 2 + 4 * a12 * a21
+    root = math.sqrt(disc) if isinstance(disc, float) else cmath.sqrt(disc)
     big = (tr + root if abs(tr + root) >= abs(tr - root) else tr - root) / 2
-    lams = (big, det / big if big else 0j)
+    lams = (big, det / big if big else 0 * big)
     cols = []
     for lam in lams:
         # (A - lam) annihilates both; at least one is nonzero, as A is not
@@ -332,7 +355,8 @@ def _affine_flow(eigen, c, q0, times):
     `_eigen` decomposition of A.  In the eigenbasis of A,
     dy_i/dt = lam_i y_i + d_i with d = P^-1 c, so
     y_i(t) = y_i(0) e^(lam_i t) + d_i expm1(lam_i t) / lam_i (d_i t when
-    lam_i is 0), and q = P y."""
+    lam_i is 0), and q = P y.  The rows are float64 when `eigen`, c and q0
+    are all real numbers, and complex otherwise."""
     import numpy as np
 
     lams, p, p_inv = eigen
@@ -344,8 +368,7 @@ def _affine_flow(eigen, c, q0, times):
         # e^(lam t) y0 = y0 + expm1(lam t) y0, grouped with d's term
         growth = np.expm1(lam * times) / lam if lam else times
         ys.append(y0 + (lam * y0 + d) * growth)
-    return np.array([sum(p[r][i] * ys[i] for i in range(m)) for r in range(m)],
-                    dtype=complex)
+    return np.array([sum(p[r][i] * ys[i] for i in range(m)) for r in range(m)])
 
 
 @record
@@ -417,17 +440,21 @@ def solve_reduced(Z, V, energy, phi, q_targets, step, *, v: Expr, u=(),
     two chart variables, with an A that is not defective; any other field
     raises ChartFieldError.  A and c are read once per field from its
     Jacobian, and the chart points come in closed form from the
-    eigen-decomposition of A (`_affine_flow`).  The time runs over a grid
-    of round(|t_end| / step) equal steps (at least one unless t_end is 0),
-    and the phase is the sum over the steps of the 4-point Gauss-Legendre
-    rule of V, one `expr.compile_array` call over all the nodes in time
-    order.  v must be real at every target.
+    eigen-decomposition of A (`_affine_flow`): in float64 when A, c and the
+    target are real and A's eigenvalues are real, in complex arithmetic
+    otherwise.  The time runs over a grid of round(|t_end| / step) equal
+    steps (at least one unless t_end is 0), and the phase is the sum over
+    the steps of the 4-point Gauss-Legendre rule of V, one
+    `expr.compile_array` call over all the nodes in time order.  v must be
+    real at every target.
 
-    A domain predicate over real coordinate tuples is tested at the target
-    and at every grid point; the first point outside raises
-    DomainExitError with its time and chart point, a target outside before
-    any phase is taken.  A grid point that is not finite raises
-    DomainError with its time instead.  Either error comes after the phase
+    The domain predicate is called once per target, on the (m, N) float
+    array of the real parts of the target (column 0) and of the finite grid
+    points after it, one point per column; it must return a boolean array
+    of shape (N,), or ValueError names what it returned.  The first column
+    outside raises DomainExitError with its time and chart point, a target
+    outside before any phase is taken.  A grid point that is not finite
+    raises DomainError with its time instead.  Either error comes after the phase
     over the steps before it, so a DomainError of V on those steps wins.
     The energy value is bound into V's symbol E.  A target whose length is
     not len(Z), or with a coordinate that is not finite, raises ValueError
@@ -451,6 +478,10 @@ def solve_reduced(Z, V, energy, phi, q_targets, step, *, v: Expr, u=(),
     parts = ex.compile_expr(_affine_parts(Z, q_vars), (), bind=params)()
     m = len(q_vars)
     eigen, c = _eigen(parts[:m * m], Z), parts[m * m:]
+    # real eigenvalues, c and start points keep the flow in float64
+    real = not any(isinstance(x, complex) for x in eigen[0]) and not any(x.imag for x in c)
+    if real:
+        c = tuple(x.real for x in c)
     potential = ex.compile_array(ex.as_expr(V), q_vars, bind=params)
     v_fn = ex.compile_expr(ex.as_expr(v), q_vars, bind=params)
     u_fn = ex.compile_expr(tuple(ex.as_expr(ue) for ue in u), q_vars, bind=params)
@@ -469,35 +500,38 @@ def solve_reduced(Z, V, energy, phi, q_targets, step, *, v: Expr, u=(),
         if not abs(t_end) / step <= MAX_STEPS:
             raise StepError(f"too many steps: |t_end| / step = {abs(t_end)!r} / {step!r}"
                             f" = {abs(t_end) / step:.6g}, more than {MAX_STEPS}")
-        if domain is not None and not domain(tuple(x.real for x in q0)):
-            raise DomainExitError(0.0, tuple(target))
         n = max(1, round(abs(t_end) / step)) if t_end else 0
         h = t_end / max(n, 1)
         # the grid's n + 1 points, then the nodes of each step in time order
         frac = np.concatenate((np.arange(n + 1.0),
                                (np.arange(n)[:, None] + (1 + nodes) / 2).ravel()))
+        start = [x.real for x in q0] if real and not any(x.imag for x in q0) else q0
         with np.errstate(all="ignore"):
-            qs = _affine_flow(eigen, c, q0, h * frac)
+            qs = _affine_flow(eigen, c, start, h * frac)
         grid, ts = qs[:, :n + 1], (h * frac[:n + 1]).tolist()
         # the first grid point that is not finite or is outside the domain
         finite = np.isfinite(grid).all(axis=0)
         stop, exited = (n + 1 if finite.all() else int(finite.argmin())), False
         if domain is not None:
-            for k, point in enumerate(zip(*grid[:, 1:stop].real.tolist()), 1):
-                if not domain(point):
-                    stop, exited = k, True
-                    break
+            # the target itself, then the finite grid points after it
+            points = np.array(grid[:, :max(stop, 1)].real)
+            points[:, 0] = [x.real for x in q0]
+            inside = _inside(domain, points)
+            if not inside[0]:
+                raise DomainExitError(0.0, tuple(target))
+            if not inside.all():
+                stop, exited = int(inside.argmin()), True
         taken = min(stop, n)
         phase = 0j
         if taken:
             w, _ = potential(*qs[:, n + 1:n + 1 + 4 * taken])
             phase = complex(h / 2 * (w.reshape(taken, 4) * weights).sum())
         if exited:
-            raise DomainExitError(ts[stop], tuple(grid[:, stop].tolist()))
+            raise DomainExitError(ts[stop], tuple(map(complex, grid[:, stop].tolist())))
         if stop <= n:
             raise ex.DomainError(f"the chart point is not finite at t = {ts[stop]!r}")
         char = Characteristic(start=tuple(target), step=step, ts=tuple(ts),
-                              end=tuple(grid[:, n].tolist()), phase=phase)
+                              end=tuple(map(complex, grid[:, n].tolist())), phase=phase)
         # the phase is -int_{v_ref}^{v(q)} V dv along the characteristic
         values.append(phi(u_fn(*q0), params) * cmath.exp(phase))
         chars.append(char)

@@ -141,6 +141,36 @@ class TestFrameChecks:
                         for _ in range(30)]
             assert chart_samples(model, 30) == expected
 
+    def test_every_chart_domain_answers_an_array_as_it_answers_points(self):
+        # `solve_reduced` calls the domain once on the (m, N) float array of
+        # a characteristic's points; each column must get the verdict its
+        # point gets as a tuple, inside and just outside the chart
+        checked = 0
+        for name in sorted(models.BUILDERS):
+            model = load_model(name)
+            domain = model.chart_domain
+            if domain is None:
+                continue
+            points = [np.array(p) for p in chart_samples(model, 30)]
+            for p in list(points):
+                for step in np.concatenate((np.eye(len(p)), -np.eye(len(p)))):
+                    out = next((p + 2.0 ** k * step for k in range(-3, 12)
+                                if not domain(tuple(p + 2.0 ** k * step))), None)
+                    if out is None:
+                        continue
+                    lo, hi = p, out  # bisect to the boundary: lo inside, hi outside
+                    for _ in range(80):
+                        mid = (lo + hi) / 2
+                        lo, hi = (mid, hi) if domain(tuple(mid)) else (lo, mid)
+                    points += [lo, hi]
+            each = [bool(domain(tuple(p.tolist()))) for p in points]
+            assert any(each) and not all(each)
+            verdicts = domain(np.array(points).T)
+            assert isinstance(verdicts, np.ndarray) and verdicts.dtype == bool
+            assert verdicts.tolist() == each
+            checked += 1
+        assert checked
+
 
 class TestTranslationDeterminant:
     """`models._det` of the translation Jacobians against numpy's det of the

@@ -467,6 +467,18 @@ class TestClosedFormFlow:
             assert end == pytest.approx(ends[0], rel=1e-14, abs=1e-15)
 
 
+G47_PAIRS = [(1, 1), (3, F(-1, 8)), (1, 2)]
+
+
+def field_parts(Z, params):
+    """(A's entries row by row, c) of an affine field Z = A q + c, bound
+    and compiled as `solve_reduced` reads them."""
+    m = len(Z)
+    parts = ex.compile_expr(reduction._affine_parts(tuple(Z), _chart_names(m)), (),
+                            bind=params)()
+    return parts[:m * m], parts[m * m:]
+
+
 class TestEigen:
     """`_eigen`'s decomposition A = P diag(lam) P^-1 of at most 2 x 2
     matrices, whose entries come row by row."""
@@ -508,6 +520,122 @@ class TestEigen:
     def test_a_defective_matrix_raises_naming_the_field(self, a):
         with pytest.raises(ChartFieldError, match=r"^Z = \(q1, 1\) has a defective linear part"):
             _eigen(tuple(complex(x) for x in a), (q1, ex.ONE))
+
+    @pytest.mark.parametrize("alpha, beta", G47_PAIRS)
+    def test_g47_gives_floats(self, alpha, beta):
+        Z, _ = first_order(load_model("g4_7", F(alpha), F(beta)))
+        a, _ = field_parts(Z, {"J": 1.0})
+        assert all(type(x) is complex for x in a)  # as `solve_reduced` reads them
+        lams, p, p_inv = _eigen(a, Z)
+        assert all(type(x) is float for x in lams + p[0] + p[1] + p_inv[0] + p_inv[1])
+        assert lams[0] * lams[1] == pytest.approx(-float(beta), rel=1e-14)
+
+    @pytest.mark.parametrize("a", [(0.0, -1.0, 1.0, 0.0), (0j, -1 + 0j, 1 + 0j, 0j),
+                                   (1.0, 1j, 0.0, 2.0)], ids=str)
+    def test_complex_eigenvalues_or_entries_give_complexes(self, a):
+        # the rotation's +-i, as floats or complexes, and a complex entry
+        lams, p, p_inv = _eigen(a, (q1, ex.ONE))
+        assert all(type(x) is complex for x in lams + p[0] + p[1] + p_inv[0] + p_inv[1])
+        assert np.abs(np.array(p) @ np.diag(lams) @ np.array(p_inv)
+                      - np.array(a).reshape(2, 2)).max() <= 1e-14
+
+
+class TestRealPath:
+    """Real A, c and start points run the flow on float64 arrays; anything
+    complex keeps the complex path, and both give the same chart points."""
+
+    @pytest.fixture
+    def flow_dtypes(self, monkeypatch):
+        """The dtype of each `_affine_flow` result, in call order."""
+        dtypes = []
+        flow = reduction._affine_flow
+
+        def recorded(*args):
+            qs = flow(*args)
+            dtypes.append(qs.dtype)
+            return qs
+
+        monkeypatch.setattr(reduction, "_affine_flow", recorded)
+        return dtypes
+
+    @pytest.mark.parametrize("case", G47_PAIRS + ["singular"], ids=str)
+    def test_the_real_flow_matches_the_matrix_exponential(self, case):
+        from scipy.linalg import expm
+
+        if case == "singular":  # eigenvalue 0 with c outside A's range
+            Z = (q1 + q2 + 1, (q1 + q2) / 2 - 2)
+        else:
+            Z, _ = first_order(load_model("g4_7", F(case[0]), F(case[1])))
+        a, c = field_parts(Z, {"J": 1.0})
+        eigen = _eigen(a, Z)
+        q0, times = (1.2, 0.5), np.linspace(-0.9, 0.7, 9)
+        qs = reduction._affine_flow(eigen, tuple(x.real for x in c), q0, times)
+        assert qs.dtype == np.float64 and qs.shape == (2, len(times))
+        gen = np.zeros((3, 3))
+        gen[:2, :2], gen[:2, 2] = np.array(a).real.reshape(2, 2), np.array(c).real
+        for k, t in enumerate(times):
+            want = (expm(t * gen) @ np.array(q0 + (1.0,)))[:2]
+            assert np.abs(qs[:, k] - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("alpha, beta", G47_PAIRS)
+    def test_a_start_with_a_tiny_imaginary_part_takes_the_complex_path(
+            self, alpha, beta, flow_dtypes):
+        Z, V = first_order(load_model("g4_7", F(alpha), F(beta)))
+        real, tiny = (solve_one(Z, V, (1.2, q2_0), 0.9, step=1e-3, params={"J": 1.0})
+                      for q2_0 in (0.5, 0.5 + 1e-30j))
+        assert flow_dtypes == [np.float64, np.complex128]
+        assert all(type(x) is complex for x in real.end + tiny.end)
+        assert real.ts == tiny.ts
+        assert np.abs(np.array(real.end) - np.array(tiny.end)).max() <= 1e-13
+        assert abs(real.phase - tiny.phase) <= 1e-13 * (1 + abs(real.phase))
+
+    def test_a_complex_field_or_bound_value_keeps_the_complex_path(self, flow_dtypes):
+        for Z, params in (((1 + I, ex.ONE), {}), ((J * q2, -q1), {"J": 1 + 0.5j}),
+                          ((q2, -q1), {})):
+            solve_one(Z, ex.ZERO, (0.2, 0.1), 0.7, params=params)
+        assert flow_dtypes == [np.complex128] * 3
+
+
+class TestDomainCalls:
+    """`solve_reduced` calls the domain predicate once per target, on the
+    (m, N) float array of the target and the grid points after it."""
+
+    def test_one_call_per_target_on_every_grid_point(self, g47):
+        shapes = []
+
+        def counting(p):
+            shapes.append((type(p), p.dtype, p.shape))
+            return g47.chart_domain(p)
+
+        Z, V = first_order(g47)
+        targets = [(1.2, 0.5), (2.2, 0.9), (1.5, 0.7), (0.9, 0.6)]
+        _, chars = solve_reduced(Z, V, 1.3, lambda u, p: 1.0, targets, 1e-3,
+                                 v=g47.flow_box[0], v_ref=-1.0, params={"J": 1.0},
+                                 domain=counting)
+        assert shapes == [(np.ndarray, np.float64, (2, len(ch.ts))) for ch in chars]
+
+    def test_one_call_for_an_exit(self, g47):
+        calls = []
+        Z, _ = first_order(g47)
+        with pytest.raises(DomainExitError):
+            solve_one(Z, I * J * q1 * q2, (1.0, 0.4), 7.0, params={"J": 1.0},
+                      domain=lambda p: calls.append(p.shape) or g47.chart_domain(p))
+        assert calls == [(2, 601)]
+
+    @pytest.mark.parametrize("domain, got", [
+        (lambda p: True, r"bool of shape \(\) and dtype bool"),
+        (lambda p: np.bool_(True), r"bool_? of shape \(\) and dtype bool"),
+        (lambda p: p > 0.0, r"ndarray of shape \(2, 11\) and dtype bool"),
+        (lambda p: (p[1] > 0.0)[1:], r"ndarray of shape \(10,\) and dtype bool"),
+        (lambda p: np.where(p[1] > 0.0, 1.0, np.nan),
+         r"ndarray of shape \(11,\) and dtype float64"),
+        (lambda p: list(p[1] > 0.0), r"list of shape \(11,\) and dtype bool"),
+    ], ids=["bool", "numpy-bool", "per-coordinate", "short", "float", "list"])
+    def test_a_result_that_is_not_one_boolean_per_point_raises(self, domain, got):
+        # before any phase: the potential would fail on the first step
+        with pytest.raises(ValueError, match=r"^the domain predicate must return a boolean "
+                                             rf"array of shape \(11,\).*; got {got}$"):
+            solve_one((ex.ONE, ex.ONE), Log(q1 - 5), (1.0, 0.5), 1.1, domain=domain)
 
 
 @pytest.mark.parametrize("t_end, step", [(1.7, 1e-3), (-1.3, 1e-3), (0.6, 0.25),
