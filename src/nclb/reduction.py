@@ -22,7 +22,7 @@ from .diffop import (SKIPPED, DiffOp, DomainExitError, SampleSpec, apply,
                      bracket_defects, compose, laplacian_image, op_equal,
                      sampled)
 from .expr import Expr, Var, ZERO, simplify
-from .quadrature import _reference_rule
+from .quadrature import _COUNTS, gl_nodes, integrate_1d
 from .report import (DEFAULT_SEED, FAIL, PASS, CheckRecord, InconclusiveError,
                      NclbError, VerificationError, record, replace, worst)
 
@@ -109,13 +109,18 @@ class Characteristic:
     """The characteristic through one target: the target as given, the step
     asked for, the times of the grid from 0 to the end time, and at the end
     time the chart point, as complexes, and the phase, the integral of the
-    potential along the way."""
+    potential along the way.  phase_nodes is the node count of the
+    Gauss-Legendre rule the phase settled at, and phase_change how far that
+    rule moved it from the rule of half as many nodes (both 0 for a
+    characteristic of length zero)."""
 
     start: tuple
     step: float
     ts: tuple
     end: tuple
     phase: complex
+    phase_nodes: int
+    phase_change: float
 
 
 # --- representation checks --------------------------------------------------
@@ -443,10 +448,14 @@ def solve_reduced(Z, V, energy, phi, q_targets, step, *, v: Expr, u=(),
     eigen-decomposition of A (`_affine_flow`): in float64 when A, c and the
     target are real and A's eigenvalues are real, in complex arithmetic
     otherwise.  The time runs over a grid of round(|t_end| / step) equal
-    steps (at least one unless t_end is 0), and the phase is the sum over
-    the steps of the 4-point Gauss-Legendre rule of V, one
-    `expr.compile_array` call over all the nodes in time order.  v must be
-    real at every target.
+    steps (at least one unless t_end is 0), on which the chart domain and
+    finiteness are tested.  The phase does not depend on the step: it is
+    `quadrature.integrate_1d` of V over [0, t_end], Gauss-Legendre rules of
+    96 nodes, then 192, doubling up to 3072 until the result settles to
+    1e-12 relative, else InconclusiveError.  The grid and the first two
+    rules' 288 nodes take one `_affine_flow` call, and V one
+    `expr.compile_array` call on those nodes.  v must be real at every
+    target.
 
     The domain predicate is called once per target, on the (m, N) float
     array of the real parts of the target (column 0) and of the finite grid
@@ -454,8 +463,9 @@ def solve_reduced(Z, V, energy, phi, q_targets, step, *, v: Expr, u=(),
     of shape (N,), or ValueError names what it returned.  The first column
     outside raises DomainExitError with its time and chart point, a target
     outside before any phase is taken.  A grid point that is not finite
-    raises DomainError with its time instead.  Either error comes after the phase
-    over the steps before it, so a DomainError of V on those steps wins.
+    raises DomainError with its time instead.  Either error comes after V
+    is evaluated on the 96-node rule's nodes from the target to that point,
+    so a DomainError of V on the way wins; V is not evaluated beyond it.
     The energy value is bound into V's symbol E.  A target whose length is
     not len(Z), or with a coordinate that is not finite, raises ValueError
     before any is evaluated.  A step that is not positive and finite, an
@@ -485,7 +495,6 @@ def solve_reduced(Z, V, energy, phi, q_targets, step, *, v: Expr, u=(),
     potential = ex.compile_array(ex.as_expr(V), q_vars, bind=params)
     v_fn = ex.compile_expr(ex.as_expr(v), q_vars, bind=params)
     u_fn = ex.compile_expr(tuple(ex.as_expr(ue) for ue in u), q_vars, bind=params)
-    nodes, weights = _reference_rule(4)
 
     values = []
     chars = []
@@ -501,40 +510,60 @@ def solve_reduced(Z, V, energy, phi, q_targets, step, *, v: Expr, u=(),
             raise StepError(f"too many steps: |t_end| / step = {abs(t_end)!r} / {step!r}"
                             f" = {abs(t_end) / step:.6g}, more than {MAX_STEPS}")
         n = max(1, round(abs(t_end) / step)) if t_end else 0
-        h = t_end / max(n, 1)
-        # the grid's n + 1 points, then the nodes of each step in time order
-        frac = np.concatenate((np.arange(n + 1.0),
-                               (np.arange(n)[:, None] + (1 + nodes) / 2).ravel()))
+        ts = t_end / max(n, 1) * np.arange(n + 1.0)
         start = [x.real for x in q0] if real and not any(x.imag for x in q0) else q0
-        with np.errstate(all="ignore"):
-            qs = _affine_flow(eigen, c, start, h * frac)
-        grid, ts = qs[:, :n + 1], (h * frac[:n + 1]).tolist()
-        # the first grid point that is not finite or is outside the domain
-        finite = np.isfinite(grid).all(axis=0)
-        stop, exited = (n + 1 if finite.all() else int(finite.argmin())), False
-        if domain is not None:
-            # the target itself, then the finite grid points after it
-            points = np.array(grid[:, :max(stop, 1)].real)
-            points[:, 0] = [x.real for x in q0]
-            inside = _inside(domain, points)
-            if not inside[0]:
-                raise DomainExitError(0.0, tuple(target))
-            if not inside.all():
-                stop, exited = int(inside.argmin()), True
-        taken = min(stop, n)
-        phase = 0j
-        if taken:
-            w, _ = potential(*qs[:, n + 1:n + 1 + 4 * taken])
-            phase = complex(h / 2 * (w.reshape(taken, 4) * weights).sum())
-        if exited:
-            raise DomainExitError(ts[stop], tuple(map(complex, grid[:, stop].tolist())))
-        if stop <= n:
-            raise ex.DomainError(f"the chart point is not finite at t = {ts[stop]!r}")
-        char = Characteristic(start=tuple(target), step=step, ts=tuple(ts),
-                              end=tuple(map(complex, grid[:, n].tolist())), phase=phase)
+
+        def flow(times):
+            with np.errstate(all="ignore"):
+                return _affine_flow(eigen, c, start, times)
+
+        def checked(grid):
+            """The grid's chart points, once all are finite and inside the
+            domain.  Else V on the first rule's nodes up to the first one
+            that is not, so that a DomainError of V there wins, and then its
+            exit."""
+            finite = np.isfinite(grid).all(axis=0)
+            stop, exited = (len(ts) if finite.all() else int(finite.argmin())), False
+            if domain is not None:
+                # the target itself, then the finite grid points after it
+                points = np.array(grid[:, :max(stop, 1)].real)
+                points[:, 0] = [x.real for x in q0]
+                inside = _inside(domain, points)
+                if not inside[0]:
+                    raise DomainExitError(0.0, tuple(target))
+                if not inside.all():
+                    stop, exited = int(inside.argmin()), True
+            if stop == len(ts):
+                return grid
+            potential(*flow(gl_nodes(_COUNTS[0], 0.0, ts[stop])[0]))
+            if exited:
+                raise DomainExitError(float(ts[stop]),
+                                      tuple(map(complex, grid[:, stop].tolist())))
+            raise ex.DomainError(f"the chart point is not finite at t = {float(ts[stop])!r}")
+
+        if n:
+            grid = None
+
+            def along(times):
+                # V at the times; the first call takes the grid's points in
+                # the same flow call, and checks them before V
+                nonlocal grid
+                if grid is not None:
+                    return potential(*flow(times))[0]
+                qs = flow(np.concatenate((ts, times)))
+                grid = checked(qs[:, :n + 1])
+                return potential(*qs[:, n + 1:])[0]
+
+            phase, nodes, change = integrate_1d(along, 0.0, t_end)
+        else:
+            grid, phase, nodes, change = checked(flow(ts)), 0j, 0, 0.0
+        phase = complex(phase)
         # the phase is -int_{v_ref}^{v(q)} V dv along the characteristic
         values.append(phi(u_fn(*q0), params) * cmath.exp(phase))
-        chars.append(char)
+        chars.append(Characteristic(start=tuple(target), step=step, ts=tuple(ts.tolist()),
+                                    end=tuple(map(complex, grid[:, n].tolist())),
+                                    phase=phase, phase_nodes=nodes,
+                                    phase_change=float(change)))
     return values, chars
 
 

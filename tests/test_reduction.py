@@ -651,6 +651,91 @@ def test_grid_step_count(t_end, step):
     assert (ch.ts, ch.end, ch.phase) == ((0.0,), (0.3 + 0j,), 0j)
 
 
+def per_step_phase(Z, V, params, start, t_end, step):
+    """An oracle for the phase: the 4-point Gauss-Legendre rule on each of
+    round(|t_end| / step) equal steps, summed, at chart points from numpy's
+    eigen-decomposition of an invertible A."""
+    m = len(Z)
+    names = _chart_names(m)
+    z = ex.compile_expr(tuple(Z), names, bind=params)
+    c = np.array(z(*[0.0] * m))
+    a = np.array([np.array(z(*np.eye(m)[j])) - c for j in range(m)]).T
+    lams, p = np.linalg.eig(a)
+    shift = np.linalg.solve(a, c)  # q + A^-1 c grows as e^(tA)
+    n = max(1, round(abs(t_end) / step))
+    x, w = np.polynomial.legendre.leggauss(4)
+    times = t_end / n * (np.arange(n)[:, None] + (1 + x) / 2).ravel()
+    y0 = np.linalg.solve(p, np.array(start) + shift)
+    qs = p @ (np.exp(np.outer(lams, times)) * y0[:, None]) - shift[:, None]
+    values, ok = ex.compile_array(V, names, bind=params)(*qs)
+    assert ok.all()
+    return complex(t_end / n / 2 * (values.reshape(n, 4) * w).sum())
+
+
+class TestPhaseRule:
+    """The phase is one Gauss-Legendre rule over the whole characteristic,
+    doubled from 96 nodes until it settles; each Characteristic records the
+    rule's node count and the change it settled with."""
+
+    def test_h3_settles_at_192_nodes(self, h3):
+        Z, V = first_order(h3)
+        ch = solve_one(Z, V, (0.3,), 1.7, step=1e-3, params={"J": -1.0, "E": 0.8})
+        assert ch.phase_nodes == 192
+        assert 0.0 <= ch.phase_change <= 1e-12
+        ch = solve_one(Z, V, (0.3,), 0.3, params={"J": -1.0})
+        assert (ch.phase, ch.phase_nodes, ch.phase_change) == (0j, 0, 0.0)
+
+    def test_one_flow_call_and_one_potential_call_per_characteristic(self, h3, monkeypatch):
+        # the grid and the first two rules' 96 + 192 nodes in one flow call;
+        # an exit adds one flow call and one potential call on the 96-node
+        # rule up to it
+        calls = []
+        flow, compile_array = reduction._affine_flow, ex.compile_array
+
+        def counted_flow(*args):
+            qs = flow(*args)
+            calls.append(("flow", qs.shape[1]))
+            return qs
+
+        def counted_compile(*args, **kwargs):
+            f = compile_array(*args, **kwargs)
+
+            def g(*columns, **kw):
+                values, ok = f(*columns, **kw)
+                calls.append(("V", values.shape[-1]))
+                return values, ok
+
+            return g
+
+        monkeypatch.setattr(reduction, "_affine_flow", counted_flow)
+        monkeypatch.setattr(ex, "compile_array", counted_compile)
+        Z, V = first_order(h3)
+        solve_one(Z, V, (0.3,), 1.7, params={"J": 1.0})
+        assert calls == [("flow", 141 + 288), ("V", 288)]
+        calls.clear()
+        with pytest.raises(DomainExitError):
+            solve_one(Z, V, (0.3,), 1.7, params={"J": 1.0}, domain=lambda p: p[0] < 1.0)
+        assert calls == [("flow", 141 + 288), ("flow", 96), ("V", 96)]
+
+    def test_a_potential_too_oscillatory_to_settle_raises_naming_the_nodes(self):
+        with pytest.raises(InconclusiveError, match=r"did not settle below 1e-12 by n=3072$"):
+            solve_one((ex.ONE,), Exp(I * 10 ** 5 * q), (0.0,), 1.5)
+
+    def test_random_g47_targets_agree_with_the_per_step_rule(self, g47):
+        rng = random.Random(47)
+        Z, V = first_order(g47)
+        v, u = rectifying_coordinates(g47)
+        for energy in (0.5, 1.5):
+            params = {"J": 1.0, "E": energy}
+            targets = [(rng.uniform(1.2, 2.2), rng.uniform(0.5, 0.9)) for _ in range(6)]
+            _, chars = solve_reduced(Z, V, energy, lambda u, p: 1.0, targets, 1e-3, v=v,
+                                     u=u, v_ref=-1.0, params=params, domain=chart_domain(g47))
+            for ch in chars:
+                want = per_step_phase(Z, V, params, ch.start, ch.ts[-1], 1e-3)
+                assert abs(ch.phase - want) <= 1e-13 * max(1.0, abs(want))
+                assert ch.phase_nodes == 192 and ch.phase_change <= 1e-12
+
+
 class TestInvariantsAndRectify:
     def samples(self, g47, n=100):
         return chart_samples(g47, n)
@@ -722,24 +807,24 @@ class TestSolveReduced:
                                 1e-2, v=q, u=())
         assert all(abs(v - 2.5) < 1e-12 for v in vals)
 
-    def test_phase_step_halving(self, h3):
-        # the 4-point Gauss-Legendre rule integrates polynomials up to
-        # degree 7 exactly, so perturb the quadratic potential with an
-        # exponential; large steps keep the error above rounding
+    def test_the_phase_does_not_depend_on_the_step(self, h3):
+        # an exponential bump makes the potential more than a polynomial;
+        # the phase is one settled rule over the whole characteristic, so
+        # the step of the grid leaves it as it is
+        from scipy.integrate import quad
+
         red = extract_first_order(build_reduced(h3, verify=False), 2 * I * J)
         bumped = red.first_order.V + Exp(q) * F(1, 5)
-        target = [(1.5,)]
-
-        def solve(step):
-            vals, _ = solve_reduced(red.first_order.Z, bumped, 1.0,
-                                    lambda u, p: 1.0, target, step,
-                                    v=q, u=(), params={"J": 1.0})
-            return vals[0]
-
-        ref = solve(1e-3)
-        e1 = abs(solve(1.5) - ref)
-        e2 = abs(solve(0.75) - ref)
-        assert e1 > 1e-9 and e1 / e2 >= 128.0  # design order 8: expect ~256
+        params = {"J": 1.0, "E": 1.0}
+        phases = [solve_one(red.first_order.Z, bumped, (1.5,), 0.0, step=step,
+                            params=params).phase
+                  for step in (1.5, 0.75, 1e-3)]
+        assert phases[0] == phases[1] == phases[2]
+        potential = ex.compile_expr(bumped, ["q"], bind=params)
+        # over t from 0 to -1.5, taken as minus the integral from -1.5 to 0
+        want, _ = quad(lambda t: potential(1.5 + t), -1.5, 0.0, complex_func=True,
+                       epsabs=0.0, epsrel=2e-14)
+        assert abs(phases[0] + want) <= 1e-13 * abs(want)
 
     def test_g47_solution_satisfies_reduced_equation(self, g47):
         red = extract_first_order(build_reduced(g47, verify=False),

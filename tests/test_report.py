@@ -72,7 +72,7 @@ def _records(h3):
         QuadSpec2D(((-1.0, 1.0), (0.5, 2.0)), n=8), casimir_scalar_check(h3),
         SmearedGaussian((0.1, -0.2)), SmokeSpec(8, 8),
         h3.lrep, extract_first_order(reduced, h3.normalizer).first_order, reduced,
-        Characteristic((0.1,), 0.05, (0.0, 0.05), (0.15 + 0j,), 0.02j),
+        Characteristic((0.1,), 0.05, (0.0, 0.05), (0.15 + 0j,), 0.02j, 192, 2e-17),
         ResidualReport(1e-9, 27, 0, True), RectifyReport(0.0, 1e-17, 5, 1),
         CheckRecord("jacobi", PASS, 0.0, 4, 7, 0, {"subchecks": ["a"]}),
     ]
