@@ -1115,6 +1115,13 @@ def _pair_inner_product(a: SmearedGaussian, b: SmearedGaussian):
 
 @record
 class SmokeSpec:
+    """The coarse node counts of the smoke tests' quadrature passes.
+
+    For the Heisenberg model `n_outer` is the x1 and x2 node count of the
+    coarse pass (the refined pass doubles it), and `n_inner` is not read:
+    its s integral is closed form.  For the 4d model `n_inner` sets the s
+    nodes and `n_outer` the x3 and x4 nodes of both passes (`_smoke_g47`).
+    """
     n_outer: int = 96
     n_inner: int = 64
 
@@ -1139,6 +1146,29 @@ def _blocks(n, item_size):
 
 
 def _smoke_heisenberg(a, b, j_val, jt_val, spec: SmokeSpec):
+    """The Heisenberg pairing: the x3 window in closed form, the s integral
+    of each side in closed form, and x1 and x2 by Gauss-Legendre quadrature.
+
+    Side a's integral over s is F(x1, x2) = int ds a(s - x2, s) e^{i J s x1},
+    with a(q, q') = e^{-((q - c1)^2 + (q' - c2)^2)/(2 w^2)}.  Its exponent is
+    -A s^2 + B s + C with A = 1/w^2, B = (x2 + c1 + c2)/w^2 + i J x1 and
+    C = -((x2 + c1)^2 + c2^2)/(2 w^2), so F = `_gaussian_line_integral(A, B,
+    C)`, and that splits exactly into factors of x2, of x1 and of both:
+
+        F = sqrt(pi) w e^{-(x2 + c1 - c2)^2/(4 w^2)}
+            e^{i J (c1 + c2) x1/2 - (J w x1)^2/4} e^{i J x1 x2/2}.
+
+    Side b's G is the same with b's width and centres and J -> -Jt, so
+
+        F G = pi w_a w_b f2(x2) f1(x1) e^{i kappa x1 x2},  kappa = (J - Jt)/2,
+
+    and a pass over an (x1, x2) rule is f2 times the phase matrix e^{i kappa
+    x2 x1} times f1, the rule's weights folded into f1 and f2, in blocks of
+    x1 columns (`_blocks`).  The real exponents of f1 and f2 are minus
+    squares, and the phase is pure imaginary, so no factor exceeds 1 in
+    modulus and none can overflow.  The coarse pass has `spec.n_outer` x1
+    and x2 nodes, the refined one twice that; `spec.n_inner` is not read.
+    """
     import numpy as np
 
     wq_a, wq_b = a.width, b.width
@@ -1152,30 +1182,22 @@ def _smoke_heisenberg(a, b, j_val, jt_val, spec: SmokeSpec):
     c_x2 = [ca2 - ca1, cb2 - cb1]
     lo_x2 = min(c_x2) - 7.0 * (wq_a + wq_b)
     hi_x2 = max(c_x2) + 7.0 * (wq_a + wq_b)
-    q_lo = min(ca1, cb1, ca2, cb2) - 7.0 * max(wq_a, wq_b)
-    q_hi = max(ca1, cb1, ca2, cb2) + 7.0 * max(wq_a, wq_b)
+    kappa = 0.5 * (j_val - jt_val)
 
-    def compute(n_outer, n_inner):
-        x1, w1 = gl_nodes(n_outer, -lx1, lx1)
-        x2, w2 = gl_nodes(n_outer, lo_x2, hi_x2)
-        s, ws = gl_nodes(n_inner, q_lo, q_hi)
-
-        # F(x1, x2) = int ds a(s - x2, s) e^{+i J s x1}
-        # G(x1, x2) = int ds b(s - x2, s) e^{-i Jt s x1}
-        # as matrix products over blocks of x1 columns, so no (s, x1) phase
-        # matrix is held whole
-        d = s - x2[:, None]
-        fa = np.exp(-((d - ca1) ** 2 + (s - ca2) ** 2) / (2.0 * wq_a ** 2)) * ws
-        fb = np.exp(-((d - cb1) ** 2 + (s - cb2) ** 2) / (2.0 * wq_b ** 2)) * ws
+    def compute(n):
+        x1, w1 = gl_nodes(n, -lx1, lx1)
+        x2, w2 = gl_nodes(n, lo_x2, hi_x2)
+        f2 = w2 * np.exp(-(x2 + ca1 - ca2) ** 2 / (4.0 * wq_a ** 2)
+                         - (x2 + cb1 - cb2) ** 2 / (4.0 * wq_b ** 2))
+        f1 = w1 * np.exp(0.5j * (j_val * (ca1 + ca2) - jt_val * (cb1 + cb2)) * x1
+                         - 0.25 * ((j_val * wq_a) ** 2 + (jt_val * wq_b) ** 2) * x1 ** 2)
         total = 0j
-        for k in _blocks(len(x1), len(x2)):
-            f = fa @ np.exp(1j * j_val * np.outer(s, x1[k]))
-            f *= fb @ np.exp(-1j * jt_val * np.outer(s, x1[k]))
-            total += w2 @ (f @ w1[k])
-        return total
+        for k in _blocks(n, n):
+            total += f2 @ (np.exp(1j * kappa * np.outer(x2, x1[k])) @ f1[k])
+        return math.pi * wq_a * wq_b * total
 
-    coarse = compute(spec.n_outer, spec.n_inner)
-    refined = compute(spec.n_outer * 2, spec.n_inner * 2)
+    coarse = compute(spec.n_outer)
+    refined = compute(spec.n_outer * 2)
 
     w3_hat = math.sqrt(2.0 * math.pi) * s3 * math.exp(
         -0.5 * (s3 * (jt_val - j_val)) ** 2)
@@ -1348,11 +1370,12 @@ def kernel_orthogonality_smoke(model, test_pairs, spec: SmokeSpec | None = None)
 
     Each test pair is (a, b, J, Jt) with smooth Gaussian smearing factors;
     the group-direction phases whose sharp limits are delta functions are
-    damped by wide Gaussian windows acting as nascent 2 pi deltas, the 4d
-    model's t window and its a-side q1 direction are integrated in closed
-    form, all remaining integrals are quadrature, and the result is
-    compared against
-    the sharp-limit prediction: (2 pi)^2/|J| <a,b> for the Heisenberg model
+    damped by wide Gaussian windows acting as nascent 2 pi deltas.  The
+    Heisenberg model's x3 window and s direction, and the 4d model's t
+    window and a-side q1 direction, are integrated in closed form; all
+    remaining integrals are quadrature on a coarse and a refined pass
+    (`SmokeSpec`), and the result is compared against the sharp-limit
+    prediction: (2 pi)^2/|J| <a,b> for the Heisenberg model
     (per unit window mass), 2 pi^2 <a,b> with the Lambda twist for the 4d
     model, and 0 for distinct spectral parameters, all at a tolerance of 1e-3.
     A J or Jt that is no spectral label of the model (`LambdaRep.check_j`)

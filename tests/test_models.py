@@ -531,8 +531,10 @@ class TestVerifyChecks:
 # --- kernel smoke ------------------------------------------------------------
 
 def _smoke_heisenberg_per_x2(a, b, j_val, jt_val, spec):
-    """The Heisenberg smoke pairing as it was computed before it went in
-    blocks of matrix products: two matrix-vector products per x2 node."""
+    """The Heisenberg smoke pairing by quadrature over s, as it was computed
+    before the s integral went in closed form: two matrix-vector products
+    per x2 node.  Its s rule has 256 nodes in both passes, so it converges
+    and the refinement change measures the x1 and x2 rules only."""
     wq_a, wq_b = a.width, b.width
     ca1, ca2 = a.centers
     cb1, cb2 = b.centers
@@ -545,10 +547,10 @@ def _smoke_heisenberg_per_x2(a, b, j_val, jt_val, spec):
     q_lo = min(ca1, cb1, ca2, cb2) - 7.0 * max(wq_a, wq_b)
     q_hi = max(ca1, cb1, ca2, cb2) + 7.0 * max(wq_a, wq_b)
 
-    def compute(n_outer, n_inner):
+    def compute(n_outer):
         x1, w1 = gl_nodes(n_outer, -lx1, lx1)
         x2, w2 = gl_nodes(n_outer, lo_x2, hi_x2)
-        s, ws = gl_nodes(n_inner, q_lo, q_hi)
+        s, ws = gl_nodes(256, q_lo, q_hi)
         phase_a = np.exp(1j * j_val * np.outer(s, x1))
         phase_b = np.exp(-1j * jt_val * np.outer(s, x1))
         total = 0j
@@ -560,8 +562,8 @@ def _smoke_heisenberg_per_x2(a, b, j_val, jt_val, spec):
             total += w2v * np.sum(w1 * (fa @ phase_a) * (fb @ phase_b))
         return total
 
-    coarse = compute(spec.n_outer, spec.n_inner)
-    refined = compute(spec.n_outer * 2, spec.n_inner * 2)
+    coarse = compute(spec.n_outer)
+    refined = compute(spec.n_outer * 2)
     w3_hat = math.sqrt(2.0 * math.pi) * s3 * math.exp(-0.5 * (s3 * (jt_val - j_val)) ** 2)
     inner = models._pair_inner_product(a, b)
     predicted = (2.0 * math.pi / abs(j_val)) * w3_hat * inner
@@ -666,16 +668,64 @@ BENCH_G47 = (SmearedGaussian(centers=(1.23, 0.07, 0.98, 0.04), width=0.31),
 class TestSmoke:
     @pytest.mark.parametrize("jt_val", [1.0, -1.0])
     @pytest.mark.parametrize("spec", [SmokeSpec(), SmokeSpec(n_outer=97, n_inner=40)])
-    def test_blocked_heisenberg_matches_the_per_x2_loop(self, jt_val, spec):
+    def test_closed_form_heisenberg_matches_the_s_quadrature(self, jt_val, spec):
         # c12's pairs, and 97 and 194 x1 and x2 nodes, which split into
         # blocks of 49 and 39 nodes with a short last block
         got = models._smoke_heisenberg(*C12_H3, 1.0, jt_val, spec)
         want = _smoke_heisenberg_per_x2(*C12_H3, 1.0, jt_val, spec)
-        # the measured value relative to itself; the deviations, which are
-        # in units of the pairing's scale, to 1e-13 of that scale
+        # the measured value relative to itself; the deviation and the
+        # refinement change, which are in units of the pairing's scale, to
+        # 1e-13 of that scale
         assert abs(got[2] - want[2]) <= 1e-13 * abs(want[2])
         assert abs(got[0] - want[0]) <= 1e-13 and abs(got[1] - want[1]) <= 1e-13
         assert got[3:] == want[3:]
+
+    @pytest.mark.parametrize("j_val, jt_val", [(1.0, 1.0), (1.0, -1.0),
+                                               (-2.0, -2.0), (2.0, -2.0)])
+    def test_the_s_integral_splits_into_factors(self, j_val, jt_val):
+        # F G of c12's pair as the smoke factors it, against the Gaussian
+        # line integral of each side's unsplit exponent and against a
+        # 400-node s rule on the box the s quadrature used.  The points keep
+        # each side's s Gaussian > 2.8 w inside that box and |F G| above 1e-3
+        # of its peak.  The rule's product is off by ~5.5e-14 relative at
+        # every point: numpy's 400-node weights carry ~2.7e-14 per side.
+        a, b = C12_H3
+        (ca1, ca2), wa = a.centers, a.width
+        (cb1, cb2), wb = b.centers, b.width
+        rng = np.random.default_rng(35)
+        x1 = rng.uniform(-3.0, 3.0, 16)
+        x2 = rng.uniform(-1.5, 1.5, 16)
+        q_half = 7.0 * max(wa, wb)
+        s, ws = gl_nodes(400, min(ca1, ca2, cb1, cb2) - q_half,
+                         max(ca1, ca2, cb1, cb2) + q_half)
+
+        def side(g, jv):
+            (c1, c2), w = g.centers, g.width
+            big_a = np.full(x1.shape, 1.0 / w ** 2, complex)
+            big_b = (x2 + c1 + c2) / w ** 2 + 1j * jv * x1
+            big_c = -((x2 + c1) ** 2 + c2 ** 2) / (2.0 * w ** 2) + 0j
+            by_rule = np.exp(-((s - x2[:, None] - c1) ** 2 + (s - c2) ** 2)
+                             / (2.0 * w ** 2) + 1j * jv * s * x1[:, None]) @ ws
+            return models._gaussian_line_integral(big_a, big_b, big_c), by_rule
+
+        (fa, fa_rule), (gb, gb_rule) = side(a, j_val), side(b, -jt_val)
+        factored = (math.pi * wa * wb
+                    * np.exp(-(x2 + ca1 - ca2) ** 2 / (4.0 * wa ** 2)
+                             - (x2 + cb1 - cb2) ** 2 / (4.0 * wb ** 2))
+                    * np.exp(0.5j * (j_val * (ca1 + ca2) - jt_val * (cb1 + cb2)) * x1
+                             - 0.25 * ((j_val * wa) ** 2 + (jt_val * wb) ** 2) * x1 ** 2)
+                    * np.exp(0.5j * (j_val - jt_val) * x1 * x2))
+        for unsplit in (fa * gb, fa_rule * gb_rule):
+            assert np.all(np.abs(factored - unsplit) <= 1e-13 * np.abs(unsplit))
+
+    def test_heisenberg_reads_no_s_rule(self, h3):
+        # n_inner set the s rule; the x1 and x2 rules still decide the
+        # refinement change, and too few of them are inconclusive
+        assert (models._smoke_heisenberg(*C12_H3, 1.0, 1.0, SmokeSpec(96, 8))
+                == models._smoke_heisenberg(*C12_H3, 1.0, 1.0, SmokeSpec(96, 200)))
+        for spec in (SmokeSpec(16, 64), SmokeSpec(8, 8)):
+            (rec,) = kernel_orthogonality_smoke(h3, [(*C12_H3, 1, 1)], spec)
+            assert rec.status == "inconclusive"
 
     @pytest.mark.parametrize("pair", [C12_G47, BENCH_G47])
     @pytest.mark.parametrize("j_val", [1.0, -1.0])
