@@ -1093,6 +1093,8 @@ class SmearedGaussian:
                 and all(isinstance(c, Real) and math.isfinite(c) for c in self.centers)):
             raise ModelParameterError(f"{self}: the centres must be a sequence of "
                                       "finite numbers")
+        # a tuple, so the frozen record hashes and equals its tuple twin
+        object.__setattr__(self, "centers", tuple(self.centers))
         if not (isinstance(self.width, Real) and 0 < self.width < math.inf):
             raise ModelParameterError(f"{self}: the width must be a finite number > 0")
 
@@ -1115,12 +1117,11 @@ def _pair_inner_product(a: SmearedGaussian, b: SmearedGaussian):
 
 @record
 class SmokeSpec:
-    """The coarse node counts of the smoke tests' quadrature passes.
+    """The coarse node counts of the 4d smoke test's quadrature passes.
 
-    For the Heisenberg model `n_outer` is the x1 and x2 node count of the
-    coarse pass (the refined pass doubles it), and `n_inner` is not read:
-    its s integral is closed form.  For the 4d model `n_inner` sets the s
-    nodes and `n_outer` the x3 and x4 nodes of both passes (`_smoke_g47`).
+    `n_inner` sets the s nodes and `n_outer` the x3 and x4 nodes of both
+    passes (`_smoke_g47`).  The Heisenberg smoke test is closed form and
+    reads neither.
     """
     n_outer: int = 96
     n_inner: int = 64
@@ -1146,8 +1147,8 @@ def _blocks(n, item_size):
 
 
 def _smoke_heisenberg(a, b, j_val, jt_val, spec: SmokeSpec):
-    """The Heisenberg pairing: the x3 window in closed form, the s integral
-    of each side in closed form, and x1 and x2 by Gauss-Legendre quadrature.
+    """The Heisenberg pairing, in closed form: the x3 window and the s, x1
+    and x2 integrals.
 
     Side a's integral over s is F(x1, x2) = int ds a(s - x2, s) e^{i J s x1},
     with a(q, q') = e^{-((q - c1)^2 + (q' - c2)^2)/(2 w^2)}.  Its exponent is
@@ -1162,53 +1163,47 @@ def _smoke_heisenberg(a, b, j_val, jt_val, spec: SmokeSpec):
 
         F G = pi w_a w_b f2(x2) f1(x1) e^{i kappa x1 x2},  kappa = (J - Jt)/2,
 
-    and a pass over an (x1, x2) rule is f2 times the phase matrix e^{i kappa
-    x2 x1} times f1, the rule's weights folded into f1 and f2, in blocks of
-    x1 columns (`_blocks`).  The real exponents of f1 and f2 are minus
-    squares, and the phase is pure imaginary, so no factor exceeds 1 in
-    modulus and none can overflow.  The coarse pass has `spec.n_outer` x1
-    and x2 nodes, the refined one twice that; `spec.n_inner` is not read.
+    with f1 = e^{i alpha x1 - beta x1^2}, alpha = (J (ca1 + ca2) - Jt (cb1 +
+    cb2))/2, beta = ((J w_a)^2 + (Jt w_b)^2)/4, and f2 = e^{-(x2 + d_a)^2/(4
+    w_a^2) - (x2 + d_b)^2/(4 w_b^2)}, d = c1 - c2 of each side.  The x1
+    integral of f1 e^{i kappa x1 x2} is sqrt(pi/beta) e^{-(alpha + kappa
+    x2)^2/(4 beta)}, and times f2 that is e^{-A x2^2 + B x2 + C} with real
+    A, B and C, one more `_gaussian_line_integral`.  A beta or an A that
+    is not finite and > 0 (a J or Jt so small or so large that its square
+    under- or overflows) raises SmokeQuadratureError.  No rule is refined,
+    so the refinement change is 0.0, and `spec` is not read.
     """
-    import numpy as np
-
-    wq_a, wq_b = a.width, b.width
+    wa, wb = a.width, b.width
     ca1, ca2 = a.centers
     cb1, cb2 = b.centers
-    s3 = _WINDOW
 
-    # x1 decay scale ~ sqrt(2)/(|J| w); x2 support from q'-q offsets
-    sx1 = math.sqrt(2.0) / (min(abs(j_val), abs(jt_val)) * min(wq_a, wq_b))
-    lx1 = 7.0 * sx1
-    c_x2 = [ca2 - ca1, cb2 - cb1]
-    lo_x2 = min(c_x2) - 7.0 * (wq_a + wq_b)
-    hi_x2 = max(c_x2) + 7.0 * (wq_a + wq_b)
+    # products, not powers: a float ** that overflows raises OverflowError
+    alpha = 0.5 * (j_val * (ca1 + ca2) - jt_val * (cb1 + cb2))
+    ja, jb = j_val * wa, jt_val * wb
+    beta = 0.25 * (ja * ja + jb * jb)
     kappa = 0.5 * (j_val - jt_val)
+    da, db = ca1 - ca2, cb1 - cb2
+    qa, qb = 0.25 / (wa * wa), 0.25 / (wb * wb)
+    big_a = qa + qb + kappa * kappa / (4.0 * beta) if beta > 0 else math.nan
+    if not (0 < beta < math.inf and 0 < big_a < math.inf):
+        raise SmokeQuadratureError(
+            f"J = {j_val!r}, Jt = {jt_val!r}: the x1 and x2 Gaussian rates "
+            f"{beta!r} and {big_a!r} must be finite and > 0")
+    over_x2 = _gaussian_line_integral(
+        big_a,
+        -(2.0 * (da * qa + db * qb) + alpha * kappa / (2.0 * beta)),
+        -(da * da * qa + db * db * qb + alpha * alpha / (4.0 * beta)))
 
-    def compute(n):
-        x1, w1 = gl_nodes(n, -lx1, lx1)
-        x2, w2 = gl_nodes(n, lo_x2, hi_x2)
-        f2 = w2 * np.exp(-(x2 + ca1 - ca2) ** 2 / (4.0 * wq_a ** 2)
-                         - (x2 + cb1 - cb2) ** 2 / (4.0 * wq_b ** 2))
-        f1 = w1 * np.exp(0.5j * (j_val * (ca1 + ca2) - jt_val * (cb1 + cb2)) * x1
-                         - 0.25 * ((j_val * wq_a) ** 2 + (jt_val * wq_b) ** 2) * x1 ** 2)
-        total = 0j
-        for k in _blocks(n, n):
-            total += f2 @ (np.exp(1j * kappa * np.outer(x2, x1[k])) @ f1[k])
-        return math.pi * wq_a * wq_b * total
-
-    coarse = compute(spec.n_outer)
-    refined = compute(spec.n_outer * 2)
-
-    w3_hat = math.sqrt(2.0 * math.pi) * s3 * math.exp(
-        -0.5 * (s3 * (jt_val - j_val)) ** 2)
-    inner = _pair_inner_product(a, b)
-    predicted = (2.0 * math.pi / abs(j_val)) * w3_hat * inner
-    w3_hat0 = math.sqrt(2.0 * math.pi) * s3
+    w3_hat0 = math.sqrt(2.0 * math.pi) * _WINDOW
+    gap = _WINDOW * (jt_val - j_val)
+    w3_hat = w3_hat0 * math.exp(-0.5 * gap * gap)
+    measured = complex(w3_hat * math.pi * wa * wb * math.sqrt(math.pi / beta)
+                       * over_x2)
+    predicted = (2.0 * math.pi / abs(j_val)) * w3_hat * _pair_inner_product(a, b)
     scale = (2.0 * math.pi / abs(j_val)) * w3_hat0 * math.sqrt(
         _pair_inner_product(a, a) * _pair_inner_product(b, b))
-    conv = abs(refined - coarse) * w3_hat0 / scale
-    dev = abs(w3_hat * refined - predicted) / scale
-    return dev, conv, complex(w3_hat * refined), complex(predicted), scale
+    dev = abs(measured - predicted) / scale
+    return dev, 0.0, measured, complex(predicted), scale
 
 
 def _t_window_exponent(eta, q2, s, q2t, st, j_val, b, sw):
@@ -1253,9 +1248,10 @@ def _t_window_exponent(eta, q2, s, q2t, st, j_val, b, sw):
 
 def _gaussian_line_integral(big_a, big_b, big_c):
     """The integral over the real line of e^{-A x^2 + B x + C},
-    sqrt(pi/A) e^{B^2/(4A) + C} (principal root), elementwise over complex
-    arrays.  It converges only where Re A > 0; an A anywhere else, or a
-    NaN, raises SmokeQuadratureError rather than give a divergent value."""
+    sqrt(pi/A) e^{B^2/(4A) + C} (principal root), elementwise over real or
+    complex numbers or arrays.  It converges only where Re A > 0; an A
+    anywhere else, or a NaN, raises SmokeQuadratureError rather than give a
+    divergent value."""
     import numpy as np
 
     if not np.all(big_a.real > 0):
@@ -1288,10 +1284,6 @@ def _smoke_g47(a, b, j_val, jt_val, spec: SmokeSpec):
     """
     import numpy as np
 
-    if j_val != jt_val:
-        # opposite orbits: the u-window never meets the physical
-        # region q2^2 > 0, so the pairing is identically zero
-        return 0.0, 0.0, 0j, 0j, 1.0
     # (q, x) node counts of the coarse and the refined pass: q sets the s
     # rule, x the x3 and x4 rules
     passes = ((spec.n_inner // 2, spec.n_outer // 4),
@@ -1301,6 +1293,12 @@ def _smoke_g47(a, b, j_val, jt_val, spec: SmokeSpec):
             f"{spec} gives the 4d smoke test (q, x) node counts {passes[0]} "
             f"and {passes[1]}: the coarse pass needs nodes and the refined pass "
             f"must add nodes on every axis")
+    scale = 2.0 * math.pi ** 2 * math.sqrt(
+        _pair_inner_product(a, a) * _pair_inner_product(b, b))
+    if j_val != jt_val:
+        # opposite orbits: the u-window never meets the physical
+        # region q2^2 > 0, so the pairing is identically zero
+        return 0.0, 0.0, 0j, 0j, scale
     wa, wb = a.width, b.width
     ca1, cas, ca1p, casp = a.centers
     _, _, cb1p, cbsp = b.centers
@@ -1355,14 +1353,11 @@ def _smoke_g47(a, b, j_val, jt_val, spec: SmokeSpec):
             total += np.sum(factor * a3w[k] * weight[k] * over_q1)
         return total
 
-    coarse, refined = (compute(*n) for n in passes)
-    inner = _pair_inner_product(a, b)
-    predicted = 2.0 * math.pi ** 2 * inner
-    scale = 2.0 * math.pi ** 2 * math.sqrt(
-        _pair_inner_product(a, a) * _pair_inner_product(b, b))
+    coarse, refined = (complex(compute(*n)) for n in passes)
+    predicted = 2.0 * math.pi ** 2 * _pair_inner_product(a, b)
     conv = abs(refined - coarse) / scale
     dev = abs(refined - predicted) / scale
-    return dev, conv, complex(refined), complex(predicted), scale
+    return dev, conv, refined, complex(predicted), scale
 
 
 def kernel_orthogonality_smoke(model, test_pairs, spec: SmokeSpec | None = None):
@@ -1371,10 +1366,12 @@ def kernel_orthogonality_smoke(model, test_pairs, spec: SmokeSpec | None = None)
     Each test pair is (a, b, J, Jt) with smooth Gaussian smearing factors;
     the group-direction phases whose sharp limits are delta functions are
     damped by wide Gaussian windows acting as nascent 2 pi deltas.  The
-    Heisenberg model's x3 window and s direction, and the 4d model's t
-    window and a-side q1 direction, are integrated in closed form; all
+    Heisenberg pairing is closed form in every direction, so its
+    refinement change is 0.0 and `spec` is not read; a J or Jt whose
+    square under- or overflows there raises SmokeQuadratureError.  The 4d
+    model's t window and a-side q1 direction are closed form, and its
     remaining integrals are quadrature on a coarse and a refined pass
-    (`SmokeSpec`), and the result is compared against the sharp-limit
+    (`SmokeSpec`).  The result is compared against the sharp-limit
     prediction: (2 pi)^2/|J| <a,b> for the Heisenberg model
     (per unit window mass), 2 pi^2 <a,b> with the Lambda twist for the 4d
     model, and 0 for distinct spectral parameters, all at a tolerance of 1e-3.

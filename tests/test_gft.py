@@ -11,7 +11,8 @@ from nclb.models import (ModelParameterError, QuadSpec2D, SingularMeasureError,
                          SmearedGaussian, SmokeSpec, inverse_gft_h3,
                          inverse_gft_h3_evaluator,
                          kernel_orthogonality_smoke, mode_solution_h3,
-                         mode_superposition_h3, pde_residual_field)
+                         mode_superposition_h3, pde_residual_field,
+                         _pair_inner_product)
 from nclb.expr import evaluate
 from nclb.reduction import SpectralLabelError
 from nclb.report import NclbError
@@ -237,24 +238,33 @@ class TestKernelSmoke:
         assert all(r.passed for r in recs)
         assert recs[0].max_residual <= 1e-3
 
-    def test_under_resolved_is_inconclusive(self, h3):
-        a = SmearedGaussian(centers=(0.1, -0.2), width=0.5)
-        b = SmearedGaussian(centers=(-0.1, 0.15), width=0.45)
-        recs = kernel_orthogonality_smoke(
-            h3, [(a, b, 1.0, 1.0)], spec=SmokeSpec(n_outer=8, n_inner=8))
-        assert recs[0].status == "inconclusive"
-
     def test_g47_under_resolved_is_inconclusive(self, g47):
         recs = kernel_orthogonality_smoke(
             g47, [(G47_A, G47_B, 1, 1)], spec=SmokeSpec(n_outer=12, n_inner=12))
         assert recs[0].status == "inconclusive"
 
-    def test_g47_refinement_must_add_nodes(self, g47):
+    @pytest.mark.parametrize("jt_val", [1, -1])
+    def test_g47_refinement_must_add_nodes(self, g47, jt_val):
         # n_outer 8 gives the coarse and the refined pass 2 x3 and x4 nodes
-        # each, so their agreement says nothing
+        # each, so their agreement says nothing; the opposite orbit passed
         with pytest.raises(ModelParameterError, match="refined pass"):
             kernel_orthogonality_smoke(
-                g47, [(G47_A, G47_B, 1, 1)], spec=SmokeSpec(n_outer=8, n_inner=8))
+                g47, [(G47_A, G47_B, 1, jt_val)], spec=SmokeSpec(n_outer=8, n_inner=8))
+
+    def test_g47_records_share_the_scale_and_hold_plain_floats(self, g47):
+        # the opposite orbit reported scale 1.0, and the same orbit's
+        # refinement change read np.float64(...) in the record's repr
+        same, opposite = kernel_orthogonality_smoke(
+            g47, [(G47_A, G47_B, 1, 1), (G47_A, G47_B, 1, -1)])
+        scale = 2.0 * math.pi ** 2 * math.sqrt(
+            _pair_inner_product(G47_A, G47_A) * _pair_inner_product(G47_B, G47_B))
+        assert same.detail["scale"] == opposite.detail["scale"] == scale
+        assert (opposite.max_residual, opposite.detail["refinement_change"]) == (0.0, 0.0)
+        assert opposite.detail["measured"] == [0.0, 0.0] == opposite.detail["predicted"]
+        for rec in (same, opposite):
+            assert type(rec.max_residual) is float
+            assert type(rec.detail["refinement_change"]) is float
+            assert "np." not in repr(rec)
 
     @pytest.mark.parametrize("j_val, dev", [(-1, 5.047970918706612e-4),
                                             (1, 5.047970918706612e-4)])

@@ -2,6 +2,8 @@ import json
 import math
 import os
 import random
+import re
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -531,8 +533,8 @@ class TestVerifyChecks:
 # --- kernel smoke ------------------------------------------------------------
 
 def _smoke_heisenberg_per_x2(a, b, j_val, jt_val, spec):
-    """The Heisenberg smoke pairing by quadrature over s, as it was computed
-    before the s integral went in closed form: two matrix-vector products
+    """The Heisenberg smoke pairing by quadrature over s, x1 and x2, as it
+    was computed before it went in closed form: two matrix-vector products
     per x2 node.  Its s rule has 256 nodes in both passes, so it converges
     and the refinement change measures the x1 and x2 rules only."""
     wq_a, wq_b = a.width, b.width
@@ -665,20 +667,33 @@ BENCH_G47 = (SmearedGaussian(centers=(1.23, 0.07, 0.98, 0.04), width=0.31),
              SmearedGaussian(centers=(1.08, 0.09, 1.02, -0.01), width=0.265))
 
 
+def _h3_pairs():
+    """c12's Heisenberg pair and 5 drawn as the benchmark draws its smoke
+    pairs: centres within 0.05 and widths within 0.02 of c12's."""
+    rng = np.random.default_rng(36)
+
+    def near(g):
+        return SmearedGaussian(centers=tuple(g.centers + rng.uniform(-0.05, 0.05, 2)),
+                               width=g.width + rng.uniform(-0.02, 0.02))
+    return [C12_H3] + [(near(C12_H3[0]), near(C12_H3[1])) for _ in range(5)]
+
+
 class TestSmoke:
-    @pytest.mark.parametrize("jt_val", [1.0, -1.0])
-    @pytest.mark.parametrize("spec", [SmokeSpec(), SmokeSpec(n_outer=97, n_inner=40)])
-    def test_closed_form_heisenberg_matches_the_s_quadrature(self, jt_val, spec):
-        # c12's pairs, and 97 and 194 x1 and x2 nodes, which split into
-        # blocks of 49 and 39 nodes with a short last block
-        got = models._smoke_heisenberg(*C12_H3, 1.0, jt_val, spec)
-        want = _smoke_heisenberg_per_x2(*C12_H3, 1.0, jt_val, spec)
-        # the measured value relative to itself; the deviation and the
-        # refinement change, which are in units of the pairing's scale, to
-        # 1e-13 of that scale
-        assert abs(got[2] - want[2]) <= 1e-13 * abs(want[2])
-        assert abs(got[0] - want[0]) <= 1e-13 and abs(got[1] - want[1]) <= 1e-13
-        assert got[3:] == want[3:]
+    @pytest.mark.parametrize("pair", _h3_pairs())
+    @pytest.mark.parametrize("j_val, jt_val", [(1.0, 1.0), (1.0, -1.0), (2.0, 2.0),
+                                               (-2.0, 2.0), (0.5, 0.5)])
+    def test_closed_form_heisenberg_matches_the_quadrature(self, pair, j_val, jt_val):
+        # the quadrature over s, x1 and x2 converges to ~2e-14 of the scale;
+        # the closed form refines no rule
+        got = models._smoke_heisenberg(*pair, j_val, jt_val, SmokeSpec())
+        want = _smoke_heisenberg_per_x2(*pair, j_val, jt_val, SmokeSpec())
+        scale = want[4]
+        assert abs(got[2] - want[2]) <= 1e-13 * scale
+        assert abs(got[0] - want[0]) <= 1e-13
+        assert got[1] == 0.0 and got[3:] == want[3:]
+        if j_val == jt_val:
+            # the closed form meets the prediction to rounding
+            assert got[0] <= 1e-15
 
     @pytest.mark.parametrize("j_val, jt_val", [(1.0, 1.0), (1.0, -1.0),
                                                (-2.0, -2.0), (2.0, -2.0)])
@@ -718,14 +733,33 @@ class TestSmoke:
         for unsplit in (fa * gb, fa_rule * gb_rule):
             assert np.all(np.abs(factored - unsplit) <= 1e-13 * np.abs(unsplit))
 
-    def test_heisenberg_reads_no_s_rule(self, h3):
-        # n_inner set the s rule; the x1 and x2 rules still decide the
-        # refinement change, and too few of them are inconclusive
-        assert (models._smoke_heisenberg(*C12_H3, 1.0, 1.0, SmokeSpec(96, 8))
-                == models._smoke_heisenberg(*C12_H3, 1.0, 1.0, SmokeSpec(96, 200)))
-        for spec in (SmokeSpec(16, 64), SmokeSpec(8, 8)):
-            (rec,) = kernel_orthogonality_smoke(h3, [(*C12_H3, 1, 1)], spec)
-            assert rec.status == "inconclusive"
+    def test_heisenberg_reads_no_node_count(self, h3):
+        # n_outer set the x1 and x2 rules and n_inner the s rule; 8 x1 and
+        # x2 nodes were inconclusive
+        for jt_val in (1.0, -1.0):
+            got = {models._smoke_heisenberg(*C12_H3, 1.0, jt_val, spec)
+                   for spec in (SmokeSpec(8, 8), SmokeSpec(), SmokeSpec(97, 40))}
+            assert len(got) == 1
+        (rec,) = kernel_orthogonality_smoke(h3, [(*C12_H3, 1, 1)], SmokeSpec(8, 8))
+        assert rec.status == "pass" and rec.detail["refinement_change"] == 0.0
+
+    @pytest.mark.parametrize("j_val", [1e-170, -1e-170, 1e200, -1e200])
+    def test_a_heisenberg_j_whose_square_under_or_overflows_raises(self, h3, j_val):
+        # 1e-170 ended in numpy overflow warnings, 1e200 in a bare
+        # OverflowError from a float power
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SmokeQuadratureError,
+                               match=re.escape(f"J = {j_val!r}, Jt = {j_val!r}")):
+                kernel_orthogonality_smoke(h3, [(*C12_H3, j_val, j_val)])
+
+    def test_a_large_heisenberg_orbit_gap_gives_zero(self, h3):
+        # (3 (Jt - J))^2 overflowed a float power; the x3 window is 0 there
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (rec,) = kernel_orthogonality_smoke(h3, [(*C12_H3, 1e154, 1.0)])
+        assert rec.passed
+        assert rec.detail["measured"] == [0.0, 0.0] == rec.detail["predicted"]
 
     @pytest.mark.parametrize("pair", [C12_G47, BENCH_G47])
     @pytest.mark.parametrize("j_val", [1.0, -1.0])
@@ -856,6 +890,14 @@ class TestSmoke:
         # and a string centre or a number for the centres a bare TypeError
         with pytest.raises(ModelParameterError, match="SmearedGaussian.*centres"):
             SmearedGaussian(centers=centers)
+
+    def test_centres_given_as_a_list_are_kept_as_a_tuple(self):
+        # a list was kept as given: hash() raised TypeError, and the record
+        # was unequal to its tuple twin
+        listed = SmearedGaussian(centers=[0.1, -0.2])
+        tupled = SmearedGaussian(centers=(0.1, -0.2))
+        assert listed.centers == (0.1, -0.2) and type(listed.centers) is tuple
+        assert listed == tupled and hash(listed) == hash(tupled)
 
     def test_unequal_centre_counts_are_a_parameter_error(self):
         # the overlap's zip truncated 1 centre against 3 to a value of 0.620
