@@ -1119,9 +1119,9 @@ def _pair_inner_product(a: SmearedGaussian, b: SmearedGaussian):
 class SmokeSpec:
     """The coarse node counts of the 4d smoke test's quadrature passes.
 
-    `n_inner` sets the s nodes and `n_outer` the x3 and x4 nodes of both
-    passes (`_smoke_g47`).  The Heisenberg smoke test is closed form and
-    reads neither.
+    `n_inner` sets the s nodes and `n_outer` the x4 nodes of both passes
+    (`_smoke_g47`; its q1 and x3 directions are closed form).  The
+    Heisenberg smoke test is closed form and reads neither.
     """
     n_outer: int = 96
     n_inner: int = 64
@@ -1133,17 +1133,7 @@ class SmokeSpec:
 
 _WINDOW = 3.0        # Heisenberg x3 window scale
 _WINDOW_UV = 128.0   # 4d model x1/x2 window scales
-_N_UV = 20           # 4d model u-window nodes (t and q1 are closed form)
-
-
-def _blocks(n, item_size):
-    """Slices of range(n) in equal blocks, so that an array of item_size
-    elements per index of a block holds at most 8192 elements (one index
-    where item_size is larger); this bounds the memory a block's
-    temporaries take."""
-    n_blocks = -(-n // max(1, 8192 // item_size))
-    size = -(-n // n_blocks)
-    return [slice(i, i + size) for i in range(0, n, size)]
+_N_UV = 20           # 4d model u-window nodes (t, q1 and x3 are closed form)
 
 
 def _smoke_heisenberg(a, b, j_val, jt_val, spec: SmokeSpec):
@@ -1206,44 +1196,47 @@ def _smoke_heisenberg(a, b, j_val, jt_val, spec: SmokeSpec):
     return dev, 0.0, measured, complex(predicted), scale
 
 
-def _t_window_exponent(eta, q2, s, q2t, st, j_val, b, sw):
+def _t_window_exponent(q2, s, q2t, st, j_val, b, sw):
     """The t integral of the 4d pairing's tilde side, exactly, as a
-    function of q1 at x3 = (q1 + eta)/q2: (factor, e0, e1, e2), the
-    integral being factor exp(e0 + e1 q1 + e2 q1^2).
+    function of q1 and eta = q2 x3 - q1: (factor, (e_c, e_q, e_qq, e_e,
+    e_ee, e_qe)), the integral being factor exp(e_c + e_q q1 + e_qq q1^2 +
+    e_e eta + e_ee eta^2 + e_qe q1 eta).
 
     Along t the integrand is the nascent-delta window sqrt(2 pi) sw
     e^{-(sw t)^2/2} times b's Gaussian in qt1 = (t0 + t)/(J qt2) + qt2 x3/2
     times the phase e^{i x3 ((t0 + t) st - t0 s)}, with t0 = (J q2/2)(2 q1 -
-    q2 x3) = (J q2/2)(q1 - eta).  That is e^{-A t^2 + B t + C} with A = sw^2/2
-    + (1/(J qt2 wb))^2 > 0, so the integral over the line is sqrt(pi/A)
-    e^{B^2/(4A) + C}: A is free of q1, t0, x3 and B are linear in it and C
-    is quadratic.  The arguments broadcast against each other; `_smoke_g47`
-    then integrates the result times a's q1 Gaussian over the q1 line
-    (`_gaussian_line_integral`).
+    q2 x3) = (J q2/2)(q1 - eta) and x3 = (q1 + eta)/q2.  That is e^{-A t^2 +
+    B t + C} with A = sw^2/2 + (1/(J qt2 wb))^2 > 0, so the integral over
+    the line is sqrt(pi/A) e^{B^2/(4A) + C}: A is free of q1 and eta, t0, x3
+    and B are linear in them and C is quadratic.  The arguments broadcast
+    against each other; `_smoke_g47` then integrates the result times a's
+    q1 and eta Gaussians over both lines (`_gaussian_line_integral`).
     """
     import numpy as np
+
+    def times(l, m):
+        # the (1, q1, q1^2, eta, eta^2, q1 eta) coefficients of l m
+        return (l[0] * m[0], l[0] * m[1] + l[1] * m[0], l[1] * m[1],
+                l[0] * m[2] + l[2] * m[0], l[2] * m[2], l[1] * m[2] + l[2] * m[1])
 
     cb1, cbs, cb1p, _ = b.centers
     wb2 = b.width * b.width
     beta = 1.0 / (j_val * q2t)
-    # (constant, q1 coefficient) of each linear quantity
-    t0 = (-0.5 * j_val * q2 * eta, 0.5 * j_val * q2)
-    x3 = (eta / q2, 1.0 / q2)
-    d1 = (t0[0] * beta + 0.5 * q2t * x3[0] - cb1,   # qt1(t = 0) - cb1
-          t0[1] * beta + 0.5 * q2t * x3[1])
-    d2 = (d1[0] + cb1 - q2t * x3[0] - cb1p,         # qt1 - qt2 x3 - cb1p
-          d1[1] - q2t * x3[1])
+    # (constant, q1 coefficient, eta coefficient) of each linear quantity
+    t0 = (0.0, 0.5 * j_val * q2, -0.5 * j_val * q2)
+    x3 = (0.0, 1.0 / q2, 1.0 / q2)
+    # qt1(t = 0) - cb1 and qt1(t = 0) - qt2 x3 - cb1p
+    d1 = (-cb1,) + tuple(t * beta + 0.5 * q2t * x for t, x in zip(t0[1:], x3[1:]))
+    d2 = (-cb1p,) + tuple(d - q2t * x for d, x in zip(d1[1:], x3[1:]))
     big_a = 0.5 * sw * sw + beta * beta / wb2
-    b0, b1 = (1j * x * st - beta * (u + v) / wb2 for x, u, v in zip(x3, d1, d2))
+    big_b = tuple(1j * x * st - beta * (u + v) / wb2 for x, u, v in zip(x3, d1, d2))
     phase = 1j * (st - s)
     four_a = 4.0 * big_a
-    e0 = (b0 * b0 / four_a + phase * t0[0] * x3[0]
-          - (d1[0] * d1[0] + d2[0] * d2[0] + (st - cbs) ** 2) / (2.0 * wb2))
-    e1 = (2.0 * b0 * b1 / four_a + phase * (t0[0] * x3[1] + t0[1] * x3[0])
-          - (d1[0] * d1[1] + d2[0] * d2[1]) / wb2)
-    e2 = (b1 * b1 / four_a + phase * t0[1] * x3[1]
-          - (d1[1] * d1[1] + d2[1] * d2[1]) / (2.0 * wb2))
-    return math.sqrt(2.0 * math.pi) * sw * np.sqrt(math.pi / big_a), e0, e1, e2
+    coeffs = [bb / four_a + phase * tx - (u + v) / (2.0 * wb2)
+              for bb, tx, u, v in zip(times(big_b, big_b), times(t0, x3),
+                                      times(d1, d1), times(d2, d2))]
+    coeffs[0] -= (st - cbs) ** 2 / (2.0 * wb2)
+    return math.sqrt(2.0 * math.pi) * sw * np.sqrt(math.pi / big_a), tuple(coeffs)
 
 
 def _gaussian_line_integral(big_a, big_b, big_c):
@@ -1268,24 +1261,29 @@ def _smoke_g47(a, b, j_val, jt_val, spec: SmokeSpec):
     integrals act on pure phases with coefficients u = Jt qt2^2 - J q2^2 and
     t = Tt - T (T the x2-phase rate (J q2/2)(2 q1 - q2 x3)); their Gaussian
     windows are nascent 2 pi deltas, so the tilde side is integrated in the
-    narrow (u, t) window coordinates: t and the a-side q1 in closed form, u,
-    the a-side s and the x3 and x4 boxes by quadrature.  The Haar weight
+    narrow (u, t) window coordinates: t, the a-side q1 and x3 in closed
+    form, u, the a-side s and the x4 box by quadrature.  The Haar weight
     e^{4 x4} cancels the x4 part of the twist Lambda(q2') = q2'^4 exactly,
     which this code uses.
 
-    The x3 box is that of x3 = (q1 + eta)/q2 with eta on a fixed box, so
-    the a-side x3 factor is free of q1 and the closed-form t integral is
-    factor e^{e0 + e1 q1 + e2 q1^2} (`_t_window_exponent`).  Times a's q1
-    Gaussian that is the exponential of a quadratic in q1, and the q1 chart
-    axis is the whole line, so per block of s nodes the q1 integral is one
-    array exponential (`_gaussian_line_integral`), exact with no q1 box.
-    The coarse and refined passes differ in the s, x3 and x4 rules only;
-    both use the same u rule.
+    At fixed q1, x3 = (q1 + eta)/q2 with dx3 = d eta/q2, and a's x3 factor
+    is a Gaussian in eta = -q1' alone.  The closed-form t integral is
+    factor e^{E(q1, eta)} with E quadratic in (q1, eta)
+    (`_t_window_exponent`), so times a's q1 and eta Gaussians the integrand
+    of an (s, u) node is e^{-A1 q1^2 + (B1 + E_qe eta) q1 + C(eta)} with C
+    quadratic, and both chart axes are whole lines.  The q1 integral is
+    sqrt(pi/A1) e^{(B1 + E_qe eta)^2/(4 A1) + C(eta)} = G0 e^{-A2 eta^2 +
+    B2 eta}, where G0 = `_gaussian_line_integral(A1, B1, C(0))` is its value
+    at eta = 0, A2 = E_qe^2/(4 A1) less the eta^2 coefficient of C, and B2
+    = B1 E_qe/(2 A1) plus its eta coefficient; the eta integral is
+    `_gaussian_line_integral(A2, B2, 0)`.  Both are exact, with no q1 or
+    eta box, and raise unless Re A > 0.  The coarse and refined passes
+    differ in the s and x4 rules only; both use the same u rule.
     """
     import numpy as np
 
     # (q, x) node counts of the coarse and the refined pass: q sets the s
-    # rule, x the x3 and x4 rules
+    # rule, x the x4 rule
     passes = ((spec.n_inner // 2, spec.n_outer // 4),
               ((3 * spec.n_inner) // 4, spec.n_outer // 3))
     if not all(0 < coarse < fine for coarse, fine in zip(*passes)):
@@ -1301,14 +1299,13 @@ def _smoke_g47(a, b, j_val, jt_val, spec: SmokeSpec):
         return 0.0, 0.0, 0j, 0j, scale
     wa, wb = a.width, b.width
     ca1, cas, ca1p, casp = a.centers
-    _, _, cb1p, cbsp = b.centers
+    _, _, _, cbsp = b.centers
     sw = _WINDOW_UV
+    rate = 0.5 / (wa * wa)
 
-    # mid grid over the a-side chart; the primed boxes use the a*b product
-    # width (tails beyond ~6 sigma of the product are < 1e-15 of the peak)
+    # the x4 box spans 6.5 a*b product widths: the product Gaussian is
+    # 7e-10 of its peak at the edges, and the box drops ~4e-11 of the pairing
     wc = wa * wb / math.sqrt(wa * wa + wb * wb)
-    p_c = 0.5 * (ca1p + cb1p)
-    p_half = 6.5 * wc + 0.5 * abs(ca1p - cb1p)
     sp_c = 0.5 * (casp + cbsp)
     sp_half = 6.5 * wc + 0.5 * abs(casp - cbsp)
 
@@ -1316,42 +1313,42 @@ def _smoke_g47(a, b, j_val, jt_val, spec: SmokeSpec):
         sn, wsn = gl_nodes(n_q, cas - 6.5 * wa, cas + 6.5 * wa)
         un, wun = gl_nodes(_N_UV, -6.0 / sw, 6.0 / sw)
         win_u = wun * math.sqrt(2.0 * math.pi) * sw * np.exp(-0.5 * (sw * un) ** 2)
-        # arrays are laid out (s, u, x3 or x4)
-        s = sn[:, None, None]
+        # arrays are laid out (s, u), and (s, u, x4) for the x4 rule
+        s = sn[:, None]
         q2 = np.exp(s)
         # a u node off the physical region qt2^2 > 0 gets measure 0
-        q2t_sq = (un[:, None] + j_val * q2 * q2) / jt_val
+        q2t_sq = (un + j_val * q2 * q2) / jt_val
         valid = q2t_sq > 1e-12
         q2t = np.sqrt(np.where(valid, q2t_sq, 1.0))
         st = np.log(q2t)
         # x4 shifts s -> s'; the Haar density e^{4 x4} cancels Lambda's
         # e^{-4 x4}, leaving qt2^4 over the Jacobian 2 qt2^3
-        x4n, wx4 = gl_nodes(n_x, s - sp_c - sp_half, s - sp_c + sp_half)
-        a4 = np.exp(-((s - x4n - casp) ** 2) / (2.0 * wa * wa))
-        b_x4 = np.exp(-((st - x4n - cbsp) ** 2) / (2.0 * wb * wb))
-        x4_sum = np.sum(wx4 * a4 * b_x4, axis=2, keepdims=True)
-        # the q1-free factors: a's s Gaussian, the u window, measure, x4 sum
-        weight = (wsn[:, None, None] * np.exp(-((s - cas) ** 2) / (2.0 * wa * wa))
-                  * win_u[:, None] * np.where(valid, 0.5 * q2t, 0.0) * x4_sum)
+        x4n, wx4 = gl_nodes(n_x, s[..., None] - sp_c - sp_half,
+                            s[..., None] - sp_c + sp_half)
+        a4 = np.exp(-((s[..., None] - x4n - casp) ** 2) / (2.0 * wa * wa))
+        b_x4 = np.exp(-((st[..., None] - x4n - cbsp) ** 2) / (2.0 * wb * wb))
+        x4_sum = np.sum(wx4 * a4 * b_x4, axis=2)
+        # the (q1, eta)-free factors: a's s Gaussian, the u window, the
+        # measure, the x4 sum and the x3 Jacobian 1/q2
+        weight = (wsn[:, None] * np.exp(-((s - cas) ** 2) / (2.0 * wa * wa)) * win_u
+                  * np.where(valid, 0.5 * q2t, 0.0) * x4_sum / q2)
 
-        # x3 = (q1 + eta)/q2 shifts q1 -> q1' = -eta, on a q1-free eta box
-        eta, w_eta = gl_nodes(n_x, -p_c - p_half, -p_c + p_half)
-        a3w = w_eta / q2 * np.exp(-((eta + ca1p) ** 2) / (2.0 * wa * wa))
-
-        # the (s, u, x3) arrays go in s blocks; a's q1 Gaussian times
-        # e^{e0 + e1 q1 + e2 q1^2} is integrated over the q1 line exactly;
-        # a u node of measure 0 gets A = 1 and C = -inf, so it adds an exact
-        # 0 and cannot overflow
-        total = 0j
-        for k in _blocks(n_q, _N_UV * n_x):
-            factor, e0, e1, e2 = _t_window_exponent(eta, q2[k], s[k], q2t[k],
-                                                    st[k], j_val, b, sw)
-            over_q1 = _gaussian_line_integral(
-                np.where(valid[k], 0.5 / (wa * wa) - e2, 1.0),
-                e1 + ca1 / (wa * wa),
-                np.where(valid[k], e0 - 0.5 * (ca1 / wa) ** 2, -np.inf))
-            total += np.sum(factor * a3w[k] * weight[k] * over_q1)
-        return total
+        # a's Gaussians e^{-rate ((q1 - ca1)^2 + (eta + ca1p)^2)} times
+        # e^{E(q1, eta)}; a u node of measure 0 gets A = 1 and C = -inf in
+        # the q1 integral, an exact 0, and A = 1, B = 0 in the eta integral,
+        # so neither can overflow
+        factor, (e_c, e_q, e_qq, e_e, e_ee, e_qe) = _t_window_exponent(
+            q2, s, q2t, st, j_val, b, sw)
+        a_q = np.where(valid, rate - e_qq, 1.0)
+        b_q = e_q + 2.0 * rate * ca1
+        over_q1 = _gaussian_line_integral(
+            a_q, b_q, np.where(valid, e_c - rate * (ca1 * ca1 + ca1p * ca1p), -np.inf))
+        # completing the square in q1 leaves e^{-A eta^2 + B eta} times that
+        over_eta = _gaussian_line_integral(
+            np.where(valid, rate - e_ee - e_qe * e_qe / (4.0 * a_q), 1.0),
+            np.where(valid, e_e - 2.0 * rate * ca1p + b_q * e_qe / (2.0 * a_q), 0.0),
+            0.0)
+        return np.sum(factor * weight * over_q1 * over_eta)
 
     coarse, refined = (complex(compute(*n)) for n in passes)
     predicted = 2.0 * math.pi ** 2 * _pair_inner_product(a, b)
@@ -1369,8 +1366,8 @@ def kernel_orthogonality_smoke(model, test_pairs, spec: SmokeSpec | None = None)
     Heisenberg pairing is closed form in every direction, so its
     refinement change is 0.0 and `spec` is not read; a J or Jt whose
     square under- or overflows there raises SmokeQuadratureError.  The 4d
-    model's t window and a-side q1 direction are closed form, and its
-    remaining integrals are quadrature on a coarse and a refined pass
+    model's t window and a-side q1 and x3 directions are closed form, and
+    its s, u and x4 integrals are quadrature on a coarse and a refined pass
     (`SmokeSpec`).  The result is compared against the sharp-limit
     prediction: (2 pi)^2/|J| <a,b> for the Heisenberg model
     (per unit window mass), 2 pi^2 <a,b> with the Lambda twist for the 4d
@@ -1379,7 +1376,11 @@ def kernel_orthogonality_smoke(model, test_pairs, spec: SmokeSpec | None = None)
     raises SpectralLabelError.  A record whose refinement change between
     the coarse and the refined pass exceeds 1e-3, or is not finite, is
     inconclusive; a non-finite deviation, measured or predicted value or
-    scale fails.
+    scale fails.  A record with J != Jt whose prediction exceeds 1e-3 of
+    the scale is inconclusive too, with a "reason" in its detail: the
+    window still weighs the gap, so the pairing is not the sharp limit
+    there (for Heisenberg pairs of overlap near 1, a gap |J - Jt| below
+    about 1.2).
     """
     spec = spec or SmokeSpec()
     n_centers = 2 * model.lrep.dim_q
@@ -1390,26 +1391,32 @@ def kernel_orthogonality_smoke(model, test_pairs, spec: SmokeSpec | None = None)
                 raise ModelParameterError(
                     f"{g}: the {model.name} smoke test needs {n_centers} centres, "
                     "one per chart coordinate of (q, q')")
+        j_lab, jt_lab = (model.lrep.check_j(float(j)) for j in (j_val, jt_val))
         dev, conv, measured, predicted, scale = model.smoke_scheme(
-            a, b, model.lrep.check_j(float(j_val)),
-            model.lrep.check_j(float(jt_val)), spec)
+            a, b, j_lab, jt_lab, spec)
+        detail = {
+            "J": j_val, "Jt": jt_val,
+            "refinement_change": conv,
+            "measured": [measured.real, measured.imag],
+            "predicted": [predicted.real, predicted.imag],
+            "scale": scale,
+        }
         # finiteness first: every comparison with a NaN is False
         if not all(map(cmath.isfinite, (dev, measured, predicted, scale))):
             status = FAIL
         elif not (math.isfinite(conv) and conv <= 1e-3):
             status = INCONCLUSIVE
+        elif j_lab != jt_lab and abs(predicted) > 1e-3 * scale:
+            # the sharp-limit prediction is the pairing only at J = Jt
+            status = INCONCLUSIVE
+            detail["reason"] = ("the window still weighs the gap J - Jt, so the "
+                                "sharp-limit prediction does not hold here")
         else:
             status = PASS if dev <= 1e-3 else FAIL
         records.append(CheckRecord(
             check=f"kernel_orthogonality[{idx}]",
             status=status,
             max_residual=dev,
-            detail={
-                "J": j_val, "Jt": jt_val,
-                "refinement_change": conv,
-                "measured": [measured.real, measured.imag],
-                "predicted": [predicted.real, predicted.imag],
-                "scale": scale,
-            },
+            detail=detail,
         ))
     return records

@@ -213,6 +213,8 @@ class TestInverseGft:
 
 G47_A = SmearedGaussian(centers=(1.2, 0.1, 1.0, 0.0), width=0.3)
 G47_B = SmearedGaussian(centers=(1.1, 0.05, 1.05, -0.05), width=0.28)
+H3_A = SmearedGaussian(centers=(0.1, -0.2), width=0.5)
+H3_B = SmearedGaussian(centers=(-0.1, 0.15), width=0.45)
 
 
 class TestKernelSmoke:
@@ -245,8 +247,9 @@ class TestKernelSmoke:
 
     @pytest.mark.parametrize("jt_val", [1, -1])
     def test_g47_refinement_must_add_nodes(self, g47, jt_val):
-        # n_outer 8 gives the coarse and the refined pass 2 x3 and x4 nodes
-        # each, so their agreement says nothing; the opposite orbit passed
+        # n_outer sets only the x4 nodes, and 8 gives the coarse and the
+        # refined pass 2 each, so their agreement says nothing; the opposite
+        # orbit passed
         with pytest.raises(ModelParameterError, match="refined pass"):
             kernel_orthogonality_smoke(
                 g47, [(G47_A, G47_B, 1, jt_val)], spec=SmokeSpec(n_outer=8, n_inner=8))
@@ -274,6 +277,33 @@ class TestKernelSmoke:
         rec = kernel_orthogonality_smoke(g47, [(G47_A, G47_B, j_val, j_val)])[0]
         assert rec.passed
         assert abs(rec.max_residual - dev) <= 1e-7
+
+    @pytest.mark.parametrize("j_val, jt_val", [(1, 0.9), (1, 0.7), (1, 0.5),
+                                               (1, 1.5), (2, 1)])
+    def test_a_close_heisenberg_gap_is_inconclusive(self, h3, j_val, jt_val):
+        # the x3 window's transform at the gap is >= 9e-3 of the scale, and
+        # these read fail with deviations of 1.6e-3 to 6.8e-2
+        (rec,) = kernel_orthogonality_smoke(h3, [(H3_A, H3_B, j_val, jt_val)])
+        assert rec.status == "inconclusive"
+        assert "window still weighs the gap" in rec.detail["reason"]
+        assert abs(complex(*rec.detail["predicted"])) >= 9e-3 * rec.detail["scale"]
+
+    @pytest.mark.parametrize("j_val, jt_val", [(1, -1), (3, 1), (1, 2.5), (1, 3)])
+    def test_a_wide_heisenberg_gap_still_passes(self, h3, j_val, jt_val):
+        (rec,) = kernel_orthogonality_smoke(h3, [(H3_A, H3_B, j_val, jt_val)])
+        assert rec.status == "pass" and "reason" not in rec.detail
+        assert abs(complex(*rec.detail["predicted"])) <= 3.4e-5 * rec.detail["scale"]
+
+    @pytest.mark.parametrize("name, j_val, jt_val", [
+        ("heisenberg", 1.0, 1.0), ("heisenberg", 1.0, -1.0),
+        ("g4_7", 1, 1), ("g4_7", 1, -1), ("g4_7", -1, 1)])
+    def test_c12_pairs_and_the_g47_opposite_orbit_keep_their_status(
+            self, name, j_val, jt_val, request):
+        # g4,7 predicts 0 across orbits, so its window weighs no gap
+        model = request.getfixturevalue({"g4_7": "g47", "heisenberg": "h3"}[name])
+        pair = (G47_A, G47_B) if name == "g4_7" else (H3_A, H3_B)
+        (rec,) = kernel_orthogonality_smoke(model, [(*pair, j_val, jt_val)])
+        assert rec.status == "pass" and "reason" not in rec.detail
 
     @pytest.mark.parametrize("name, j_val, jt_val", [
         # 0.5 and -0.5 used to truncate to the same orbit and fail with
@@ -321,7 +351,9 @@ def test_t_window_closed_form_matches_quadrature(q1v, sv, j_val):
     # x3 = (q1 + eta)/q2 across the x3 box, the smoke's exponent at this q1
     eta = np.linspace(-2.4, 0.35, 33)
     want, q2t, st = _t_window_sum(q1v, sv, G47_B, j_val, (q1v + eta) / q2v, un, sw)
-    factor, e0, e1, e2 = models._t_window_exponent(eta[:, None], q2v, sv, q2t, st,
-                                                   j_val, G47_B, sw)
-    got = factor * np.exp(e0 + q1v * (e1 + q1v * e2))
+    factor, (e_c, e_q, e_qq, e_e, e_ee, e_qe) = models._t_window_exponent(
+        q2v, sv, q2t, st, j_val, G47_B, sw)
+    eta = eta[:, None]
+    got = factor * np.exp(e_c + q1v * (e_q + q1v * e_qq)
+                          + eta * (e_e + eta * e_ee + q1v * e_qe))
     assert np.max(np.abs(got - want)) <= 1e-7 * np.max(np.abs(want))

@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 import os
@@ -581,10 +582,11 @@ C12_H3 = (SmearedGaussian(centers=(0.1, -0.2), width=0.5),
           SmearedGaussian(centers=(-0.1, 0.15), width=0.45))
 
 
-def _t_window_integral(t0, x3, q2t, st, s, jt_val, b, sw):
-    """The 4d pairing's t integral of the tilde side at given t0 and x3,
+def _t_window_log(t0, x3, q2t, st, s, jt_val, b, sw):
+    """The 4d pairing's t integral of the tilde side at given t0 and x3 as
+    (factor, exponent), the integral being factor e^{exponent} =
     sqrt(2 pi) sw sqrt(pi/A) e^{B^2/(4A) + C}, as the smoke test computed
-    it before its exponent became a polynomial in q1."""
+    it before its exponent became a polynomial in q1 and eta."""
     cb1, cbs, cb1p, _ = b.centers
     wb2 = b.width * b.width
     beta = 1.0 / (jt_val * q2t)
@@ -594,17 +596,23 @@ def _t_window_integral(t0, x3, q2t, st, s, jt_val, b, sw):
     big_b = 1j * x3 * st - beta * (d1 + d2) / wb2
     big_c = (1j * t0 * x3 * (st - s)
              - (d1 * d1 + d2 * d2 + (st - cbs) ** 2) / (2.0 * wb2))
-    return (math.sqrt(2.0 * math.pi) * sw * np.sqrt(math.pi / big_a)
-            * np.exp(big_b * big_b / (4.0 * big_a) + big_c))
+    return (math.sqrt(2.0 * math.pi) * sw * np.sqrt(math.pi / big_a),
+            big_b * big_b / (4.0 * big_a) + big_c)
+
+
+def _t_window_integral(*args):
+    factor, exponent = _t_window_log(*args)
+    return factor * np.exp(exponent)
 
 
 def _smoke_g47_per_q1(a, b, j_val, jt_val, spec):
     """The 4d smoke pairing as it was computed before its t-window exponent
-    became a polynomial in q1: per q1 node, the x3 box (q1 - p_c +- p_half)/q2
-    and the t integral of every (s, u, x3) node.  Its q1 rule has three
-    times the s nodes on ca1 +- 10 wa, so it converges to the integral over
-    the whole q1 line, which the smoke now takes in closed form; the
-    ca1 +- 6.5 wa box of the s rule would drop ~1e-10 of it."""
+    became a polynomial in q1 and eta: per q1 node, an x3 rule on the box
+    (q1 - p_c +- p_half)/q2 and the t integral of every (s, u, x3) node.
+    Its q1 rule has three times the s nodes on ca1 +- 10 wa and its x3 rule
+    48 nodes on 8 product widths, so both converge to the integrals over
+    the whole q1 and eta lines, which the smoke takes in closed form; the
+    smoke's s and x4 rules are the spec's, as in the smoke."""
     if j_val != jt_val:
         return 0.0, 0.0, 0j, 0j, 1.0
     passes = ((spec.n_inner // 2, spec.n_outer // 4),
@@ -616,7 +624,7 @@ def _smoke_g47_per_q1(a, b, j_val, jt_val, spec):
     n_uv = models._N_UV
     wc = wa * wb / math.sqrt(wa * wa + wb * wb)
     p_c = 0.5 * (ca1p + cb1p)
-    p_half = 6.5 * wc + 0.5 * abs(ca1p - cb1p)
+    p_half = 8.0 * wc + 0.5 * abs(ca1p - cb1p)
     sp_c = 0.5 * (casp + cbsp)
     sp_half = 6.5 * wc + 0.5 * abs(casp - cbsp)
 
@@ -637,18 +645,14 @@ def _smoke_g47_per_q1(a, b, j_val, jt_val, spec):
         x4_sum = np.sum(wx4 * a4 * b_x4, axis=2, keepdims=True)
         weight = (wsn[:, None, None] * np.exp(-((s - cas) ** 2) / (2.0 * wa * wa))
                   * win_u[:, None] * np.where(valid, 0.5 * q2t, 0.0) * x4_sum)
-        blocks = models._blocks(n_q, n_uv * n_x)
         total = 0j
         for q1v, wq in zip(q1n, wq1):
-            x3n, wx3 = gl_nodes(n_x, (q1v - p_c - p_half) / q2,
-                                (q1v - p_c + p_half) / q2)
+            x3n, wx3 = gl_nodes(48, (q1v - p_c - p_half) / q2, (q1v - p_c + p_half) / q2)
             a3w = wx3 * np.exp(-((q1v - q2 * x3n - ca1p) ** 2) / (2.0 * wa * wa))
             t0 = 0.5 * j_val * q2 * (2.0 * q1v - q2 * x3n)
             a0 = math.exp(-((q1v - ca1) ** 2) / (2.0 * wa * wa))
-            for k in blocks:
-                over_t = _t_window_integral(t0[k], x3n[k], q2t[k], st[k], s[k],
-                                            jt_val, b, sw)
-                total += wq * a0 * np.sum(a3w[k] * over_t * weight[k])
+            over_t = _t_window_integral(t0, x3n, q2t, st, s, jt_val, b, sw)
+            total += wq * a0 * np.sum(a3w * over_t * weight)
         return total
 
     coarse, refined = (compute(*n) for n in passes)
@@ -765,8 +769,9 @@ class TestSmoke:
     @pytest.mark.parametrize("j_val", [1.0, -1.0])
     @pytest.mark.parametrize("spec", [SmokeSpec(), SmokeSpec(72, 48), SmokeSpec(96, 70)])
     def test_g47_q1_polynomial_matches_the_per_q1_loop(self, pair, j_val, spec):
-        # c12's pair on both orbits; SmokeSpec(96, 70) ends its s blocks in
-        # a short block in both passes
+        # c12's pair and a benchmark-drawn one on both orbits; the oracle's
+        # q1 and x3 rules converge to ~1e-14, and the passes share the s
+        # and x4 rules
         got = models._smoke_g47(*pair, j_val, j_val, spec)
         want = _smoke_g47_per_q1(*pair, j_val, j_val, spec)
         assert abs(got[2] - want[2]) <= 1e-13 * abs(want[2])
@@ -808,15 +813,58 @@ class TestSmoke:
             models._gaussian_line_integral(np.array([1.0, big_a], complex),
                                            np.zeros(2, complex), np.zeros(2, complex))
 
-    def test_the_q1_integral_is_one_closed_form_per_s_block(self, monkeypatch):
-        # at the benchmark's spec the passes have (s, x) node counts (24, 18)
-        # and (36, 24): 2 and 3 s blocks of 12, and no q1 nodes
+    def test_q1_and_eta_are_two_closed_forms_per_pass(self, monkeypatch):
+        # at the benchmark's spec the passes have (s, x4) node counts (24, 18)
+        # and (36, 24): per pass one q1 and one eta integral over its (s, u)
+        # nodes, and no q1 or x3 nodes
         calls = []
         line = models._gaussian_line_integral
         monkeypatch.setattr(models, "_gaussian_line_integral",
-                            lambda *abc: calls.append(abc[0].shape) or line(*abc))
+                            lambda *abc: calls.append(np.shape(abc[0])) or line(*abc))
         models._smoke_g47(*BENCH_G47, 1.0, 1.0, SmokeSpec(72, 48))
-        assert calls == [(12, models._N_UV, 1)] * 5
+        assert calls == [(24, models._N_UV)] * 2 + [(36, models._N_UV)] * 2
+
+    @pytest.mark.parametrize("j_val", [1.0, -1.0, 2.0])
+    def test_the_t_window_exponent_is_quadratic_in_q1_and_eta(self, j_val):
+        # the six coefficients against the t integral evaluated directly at
+        # seeded (q1, eta) points around a's q1 and q1' centres, on the
+        # (s, u) nodes of the refined pass at SmokeSpec()
+        a, b = BENCH_G47
+        ca1, cas, ca1p, _ = a.centers
+        sw = models._WINDOW_UV
+        sn, _ = gl_nodes(48, cas - 6.5 * a.width, cas + 6.5 * a.width)
+        un, _ = gl_nodes(models._N_UV, -6.0 / sw, 6.0 / sw)
+        s = sn[:, None]
+        q2 = np.exp(s)
+        q2t_sq = (un + j_val * q2 * q2) / j_val
+        q2t = np.sqrt(np.where(q2t_sq > 1e-12, q2t_sq, 1.0))
+        st = np.log(q2t)
+        factor, (e_c, e_q, e_qq, e_e, e_ee, e_qe) = models._t_window_exponent(
+            q2, s, q2t, st, j_val, b, sw)
+        rng = np.random.default_rng(37)
+        for q1, eta in zip(rng.uniform(ca1 - 3.0 * a.width, ca1 + 3.0 * a.width, 16),
+                           rng.uniform(-ca1p - 3.0 * a.width, -ca1p + 3.0 * a.width, 16)):
+            want_factor, want = _t_window_log(0.5 * j_val * q2 * (q1 - eta),
+                                              (q1 + eta) / q2, q2t, st, s, j_val, b, sw)
+            got = (e_c + q1 * (e_q + q1 * e_qq)
+                   + eta * (e_e + eta * e_ee + q1 * e_qe))
+            assert np.all(factor == want_factor)
+            assert np.all(np.abs(got - want) <= 1e-13 * (1.0 + np.abs(want)))
+
+    @pytest.mark.parametrize("j_val", [1.0, -1.0])
+    def test_u_nodes_off_the_physical_region_add_an_exact_zero(self, j_val):
+        # around s = -1.8, q2^2 ~ 0.027 is below the u window's half width
+        # 6/128, so some u nodes have qt2^2 < 0
+        a = SmearedGaussian(centers=(1.2, -1.8, 1.0, -1.8), width=0.3)
+        b = SmearedGaussian(centers=(1.1, -1.75, 1.05, -1.85), width=0.28)
+        un, _ = gl_nodes(models._N_UV, -6.0 / models._WINDOW_UV, 6.0 / models._WINDOW_UV)
+        assert np.any(un + math.exp(2.0 * -1.8) < 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dev, conv, measured, predicted, scale = models._smoke_g47(
+                a, b, j_val, j_val, SmokeSpec())
+        assert all(map(cmath.isfinite, (dev, conv, measured, predicted, scale)))
+        assert measured != 0
 
     @pytest.mark.parametrize("changes, status", [
         ({0: math.nan}, "fail"), ({0: math.inf}, "fail"),
@@ -835,20 +883,6 @@ class TestSmoke:
         model = replace(h3, smoke_scheme=lambda *args: tuple(result))
         (rec,) = kernel_orthogonality_smoke(model, [(*C12_H3, 1, 1)])
         assert rec.status == status
-
-    def test_blocks_cover_every_index_once_within_the_bound(self):
-        assert models._blocks(97, 97) == [slice(0, 49), slice(49, 98)]
-        assert models._blocks(194, 194)[-1] == slice(156, 195)
-        for n in (96, 97, 192, 194):
-            blocks = models._blocks(n, n)
-            assert [i for k in blocks for i in range(n)[k]] == list(range(n))
-            assert all(len(range(n)[k]) * n <= 8192 for k in blocks)
-        # the g4,7 smoke's passes at SmokeSpec(96, 70): (q, x) node counts
-        # (35, 24) and (52, 32) over 20 u nodes end in s blocks of 11 and 8
-        assert models._blocks(35, 20 * 24)[-1] == slice(24, 36)
-        assert models._blocks(52, 20 * 32)[-1] == slice(44, 55)
-        # an index whose items exceed the bound gets a block of its own
-        assert models._blocks(3, 10000) == [slice(0, 1), slice(1, 2), slice(2, 3)]
 
     @pytest.mark.parametrize("name", ["heisenberg", "g4_7"])
     @pytest.mark.parametrize("counts", [{"n_outer": 0}, {"n_inner": -3},
@@ -907,7 +941,7 @@ class TestSmoke:
                 _pair_inner_product(a, b)
 
     def test_a_g47_pass_without_nodes_is_a_parameter_error(self, g47):
-        # n_outer 3 leaves the coarse pass no x3 or x4 node
+        # n_outer 3 leaves the coarse pass no x4 node
         a = SmearedGaussian(centers=(1.2, 0.1, 1.0, 0.0), width=0.3)
         with pytest.raises(ModelParameterError, match="SmokeSpec"):
             kernel_orthogonality_smoke(g47, [(a, a, 1, 1)], SmokeSpec(n_outer=3))
