@@ -1100,8 +1100,12 @@ class SmearedGaussian:
 
 
 def _gauss_overlap_1d(c1, w1, c2, w2):
+    """The integral over the line of e^{-(x - c1)^2/(2 w1^2)} e^{-(x -
+    c2)^2/(2 w2^2)}; the centres may be arrays."""
+    import numpy as np
+
     s2 = w1 * w1 + w2 * w2
-    return math.sqrt(2.0 * math.pi * w1 * w1 * w2 * w2 / s2) * math.exp(
+    return math.sqrt(2.0 * math.pi * w1 * w1 * w2 * w2 / s2) * np.exp(
         -((c1 - c2) ** 2) / (2.0 * s2))
 
 
@@ -1109,18 +1113,18 @@ def _pair_inner_product(a: SmearedGaussian, b: SmearedGaussian):
     if len(a.centers) != len(b.centers):
         raise ModelParameterError(f"{a} and {b}: the centre counts "
                                   f"{len(a.centers)} and {len(b.centers)} differ")
-    return math.prod(
+    return float(math.prod(
         _gauss_overlap_1d(ca, a.width, cb, b.width)
         for ca, cb in zip(a.centers, b.centers)
-    )
+    ))
 
 
 @record
 class SmokeSpec:
     """The coarse node counts of the 4d smoke test's quadrature passes.
 
-    `n_inner` sets the s nodes and `n_outer` the x4 nodes of both passes
-    (`_smoke_g47`; its q1 and x3 directions are closed form).  The
+    `n_inner` sets the s nodes and `n_outer` the u nodes of both passes
+    (`_smoke_g47`; its t, q1, x3 and x4 directions are closed form).  The
     Heisenberg smoke test is closed form and reads neither.
     """
     n_outer: int = 96
@@ -1133,7 +1137,6 @@ class SmokeSpec:
 
 _WINDOW = 3.0        # Heisenberg x3 window scale
 _WINDOW_UV = 128.0   # 4d model x1/x2 window scales
-_N_UV = 20           # 4d model u-window nodes (t, q1 and x3 are closed form)
 
 
 def _smoke_heisenberg(a, b, j_val, jt_val, spec: SmokeSpec):
@@ -1261,10 +1264,11 @@ def _smoke_g47(a, b, j_val, jt_val, spec: SmokeSpec):
     integrals act on pure phases with coefficients u = Jt qt2^2 - J q2^2 and
     t = Tt - T (T the x2-phase rate (J q2/2)(2 q1 - q2 x3)); their Gaussian
     windows are nascent 2 pi deltas, so the tilde side is integrated in the
-    narrow (u, t) window coordinates: t, the a-side q1 and x3 in closed
-    form, u, the a-side s and the x4 box by quadrature.  The Haar weight
-    e^{4 x4} cancels the x4 part of the twist Lambda(q2') = q2'^4 exactly,
-    which this code uses.
+    narrow (u, t) window coordinates: t and the a-side q1, x3 and x4 in
+    closed form, u and the a-side s by quadrature.  The Haar weight e^{4 x4}
+    cancels the x4 part of the twist Lambda(q2') = q2'^4 exactly, so the x4
+    integrand is a's x4 Gaussian times b's, and its integral over the line
+    is their overlap (`_gauss_overlap_1d`).
 
     At fixed q1, x3 = (q1 + eta)/q2 with dx3 = d eta/q2, and a's x3 factor
     is a Gaussian in eta = -q1' alone.  The closed-form t integral is
@@ -1277,25 +1281,28 @@ def _smoke_g47(a, b, j_val, jt_val, spec: SmokeSpec):
     at eta = 0, A2 = E_qe^2/(4 A1) less the eta^2 coefficient of C, and B2
     = B1 E_qe/(2 A1) plus its eta coefficient; the eta integral is
     `_gaussian_line_integral(A2, B2, 0)`.  Both are exact, with no q1 or
-    eta box, and raise unless Re A > 0.  The coarse and refined passes
-    differ in the s and x4 rules only; both use the same u rule.
+    eta box, and raise unless Re A > 0.  The coarse and the refined pass
+    differ in both remaining rules: n_inner // 2, then 3 n_inner // 4 s
+    nodes, and n_outer // 4, then n_outer // 3 u nodes.
     """
     import numpy as np
 
-    # (q, x) node counts of the coarse and the refined pass: q sets the s
-    # rule, x the x4 rule
+    # (s, u) node counts of the coarse and the refined pass
     passes = ((spec.n_inner // 2, spec.n_outer // 4),
               ((3 * spec.n_inner) // 4, spec.n_outer // 3))
     if not all(0 < coarse < fine for coarse, fine in zip(*passes)):
         raise ModelParameterError(
-            f"{spec} gives the 4d smoke test (q, x) node counts {passes[0]} "
+            f"{spec} gives the 4d smoke test (s, u) node counts {passes[0]} "
             f"and {passes[1]}: the coarse pass needs nodes and the refined pass "
             f"must add nodes on every axis")
     scale = 2.0 * math.pi ** 2 * math.sqrt(
         _pair_inner_product(a, a) * _pair_inner_product(b, b))
     if j_val != jt_val:
-        # opposite orbits: the u-window never meets the physical
-        # region q2^2 > 0, so the pairing is identically zero
+        # opposite orbits: qt2^2 = (u + J q2^2)/Jt > 0 needs u to outweigh
+        # J q2^2, which the u window of half-width 6/sw does only in the s
+        # tails (q2^2 ~ 0.025 at s near cas - 6.5 wa on c12's pair).  The
+        # pairing computed there is 7.8e-30, 5.7e-30 of the scale, so
+        # returning 0 is exact to far below the gate
         return 0.0, 0.0, 0j, 0j, scale
     wa, wb = a.width, b.width
     ca1, cas, ca1p, casp = a.centers
@@ -1303,17 +1310,11 @@ def _smoke_g47(a, b, j_val, jt_val, spec: SmokeSpec):
     sw = _WINDOW_UV
     rate = 0.5 / (wa * wa)
 
-    # the x4 box spans 6.5 a*b product widths: the product Gaussian is
-    # 7e-10 of its peak at the edges, and the box drops ~4e-11 of the pairing
-    wc = wa * wb / math.sqrt(wa * wa + wb * wb)
-    sp_c = 0.5 * (casp + cbsp)
-    sp_half = 6.5 * wc + 0.5 * abs(casp - cbsp)
-
-    def compute(n_q, n_x):
-        sn, wsn = gl_nodes(n_q, cas - 6.5 * wa, cas + 6.5 * wa)
-        un, wun = gl_nodes(_N_UV, -6.0 / sw, 6.0 / sw)
+    def compute(n_s, n_u):
+        sn, wsn = gl_nodes(n_s, cas - 6.5 * wa, cas + 6.5 * wa)
+        un, wun = gl_nodes(n_u, -6.0 / sw, 6.0 / sw)
         win_u = wun * math.sqrt(2.0 * math.pi) * sw * np.exp(-0.5 * (sw * un) ** 2)
-        # arrays are laid out (s, u), and (s, u, x4) for the x4 rule
+        # arrays are laid out (s, u)
         s = sn[:, None]
         q2 = np.exp(s)
         # a u node off the physical region qt2^2 > 0 gets measure 0
@@ -1322,16 +1323,13 @@ def _smoke_g47(a, b, j_val, jt_val, spec: SmokeSpec):
         q2t = np.sqrt(np.where(valid, q2t_sq, 1.0))
         st = np.log(q2t)
         # x4 shifts s -> s'; the Haar density e^{4 x4} cancels Lambda's
-        # e^{-4 x4}, leaving qt2^4 over the Jacobian 2 qt2^3
-        x4n, wx4 = gl_nodes(n_x, s[..., None] - sp_c - sp_half,
-                            s[..., None] - sp_c + sp_half)
-        a4 = np.exp(-((s[..., None] - x4n - casp) ** 2) / (2.0 * wa * wa))
-        b_x4 = np.exp(-((st[..., None] - x4n - cbsp) ** 2) / (2.0 * wb * wb))
-        x4_sum = np.sum(wx4 * a4 * b_x4, axis=2)
+        # e^{-4 x4}, leaving qt2^4 over the Jacobian 2 qt2^3, and the x4
+        # integral of a's and b's x4 Gaussians is their overlap on the line
+        x4_overlap = _gauss_overlap_1d(s - casp, wa, st - cbsp, wb)
         # the (q1, eta)-free factors: a's s Gaussian, the u window, the
-        # measure, the x4 sum and the x3 Jacobian 1/q2
+        # measure, the x4 overlap and the x3 Jacobian 1/q2
         weight = (wsn[:, None] * np.exp(-((s - cas) ** 2) / (2.0 * wa * wa)) * win_u
-                  * np.where(valid, 0.5 * q2t, 0.0) * x4_sum / q2)
+                  * np.where(valid, 0.5 * q2t, 0.0) * x4_overlap / q2)
 
         # a's Gaussians e^{-rate ((q1 - ca1)^2 + (eta + ca1p)^2)} times
         # e^{E(q1, eta)}; a u node of measure 0 gets A = 1 and C = -inf in
@@ -1366,8 +1364,8 @@ def kernel_orthogonality_smoke(model, test_pairs, spec: SmokeSpec | None = None)
     Heisenberg pairing is closed form in every direction, so its
     refinement change is 0.0 and `spec` is not read; a J or Jt whose
     square under- or overflows there raises SmokeQuadratureError.  The 4d
-    model's t window and a-side q1 and x3 directions are closed form, and
-    its s, u and x4 integrals are quadrature on a coarse and a refined pass
+    model's t window and a-side q1, x3 and x4 directions are closed form,
+    and its s and u integrals are quadrature on a coarse and a refined pass
     (`SmokeSpec`).  The result is compared against the sharp-limit
     prediction: (2 pi)^2/|J| <a,b> for the Heisenberg model
     (per unit window mass), 2 pi^2 <a,b> with the Lambda twist for the 4d

@@ -247,9 +247,9 @@ class TestKernelSmoke:
 
     @pytest.mark.parametrize("jt_val", [1, -1])
     def test_g47_refinement_must_add_nodes(self, g47, jt_val):
-        # n_outer sets only the x4 nodes, and 8 gives the coarse and the
-        # refined pass 2 each, so their agreement says nothing; the opposite
-        # orbit passed
+        # n_outer sets the u nodes, and 8 gives both passes 2 u nodes, so
+        # their agreement says nothing about the u rule; the opposite orbit
+        # passed
         with pytest.raises(ModelParameterError, match="refined pass"):
             kernel_orthogonality_smoke(
                 g47, [(G47_A, G47_B, 1, jt_val)], spec=SmokeSpec(n_outer=8, n_inner=8))

@@ -609,10 +609,11 @@ def _smoke_g47_per_q1(a, b, j_val, jt_val, spec):
     """The 4d smoke pairing as it was computed before its t-window exponent
     became a polynomial in q1 and eta: per q1 node, an x3 rule on the box
     (q1 - p_c +- p_half)/q2 and the t integral of every (s, u, x3) node.
-    Its q1 rule has three times the s nodes on ca1 +- 10 wa and its x3 rule
-    48 nodes on 8 product widths, so both converge to the integrals over
-    the whole q1 and eta lines, which the smoke takes in closed form; the
-    smoke's s and x4 rules are the spec's, as in the smoke."""
+    Its q1 rule has three times the s nodes on ca1 +- 10 wa, its x3 rule 48
+    nodes on 8 product widths and its x4 rule 64 nodes on 10 product
+    widths, so all three converge to the integrals over the whole q1, eta
+    and x4 lines, which the smoke takes in closed form; the (s, u) node
+    counts of both passes are the spec's, as in the smoke."""
     if j_val != jt_val:
         return 0.0, 0.0, 0j, 0j, 1.0
     passes = ((spec.n_inner // 2, spec.n_outer // 4),
@@ -621,17 +622,16 @@ def _smoke_g47_per_q1(a, b, j_val, jt_val, spec):
     ca1, cas, ca1p, casp = a.centers
     _, _, cb1p, cbsp = b.centers
     sw = models._WINDOW_UV
-    n_uv = models._N_UV
     wc = wa * wb / math.sqrt(wa * wa + wb * wb)
     p_c = 0.5 * (ca1p + cb1p)
     p_half = 8.0 * wc + 0.5 * abs(ca1p - cb1p)
     sp_c = 0.5 * (casp + cbsp)
-    sp_half = 6.5 * wc + 0.5 * abs(casp - cbsp)
+    sp_half = 10.0 * wc + 0.5 * abs(casp - cbsp)
 
-    def compute(n_q, n_x):
-        q1n, wq1 = gl_nodes(3 * n_q, ca1 - 10.0 * wa, ca1 + 10.0 * wa)
-        sn, wsn = gl_nodes(n_q, cas - 6.5 * wa, cas + 6.5 * wa)
-        un, wun = gl_nodes(n_uv, -6.0 / sw, 6.0 / sw)
+    def compute(n_s, n_u):
+        q1n, wq1 = gl_nodes(3 * n_s, ca1 - 10.0 * wa, ca1 + 10.0 * wa)
+        sn, wsn = gl_nodes(n_s, cas - 6.5 * wa, cas + 6.5 * wa)
+        un, wun = gl_nodes(n_u, -6.0 / sw, 6.0 / sw)
         win_u = wun * math.sqrt(2.0 * math.pi) * sw * np.exp(-0.5 * (sw * un) ** 2)
         s = sn[:, None, None]
         q2 = np.exp(s)
@@ -639,7 +639,7 @@ def _smoke_g47_per_q1(a, b, j_val, jt_val, spec):
         valid = q2t_sq > 1e-12
         q2t = np.sqrt(np.where(valid, q2t_sq, 1.0))
         st = np.log(q2t)
-        x4n, wx4 = gl_nodes(n_x, s - sp_c - sp_half, s - sp_c + sp_half)
+        x4n, wx4 = gl_nodes(64, s - sp_c - sp_half, s - sp_c + sp_half)
         a4 = np.exp(-((s - x4n - casp) ** 2) / (2.0 * wa * wa))
         b_x4 = np.exp(-((st - x4n - cbsp) ** 2) / (2.0 * wb * wb))
         x4_sum = np.sum(wx4 * a4 * b_x4, axis=2, keepdims=True)
@@ -662,6 +662,47 @@ def _smoke_g47_per_q1(a, b, j_val, jt_val, spec):
     conv = abs(refined - coarse) / scale
     dev = abs(refined - predicted) / scale
     return dev, conv, complex(refined), complex(predicted), scale
+
+
+def _g47_same_orbit_pairing(a, b, j_val, n_s, n_u):
+    """The 4d smoke's same-orbit pairing from one pass with its own rules:
+    n_s s nodes and n_u u nodes on the smoke's boxes, and 64 x4 nodes on
+    10 widths of each (s, u) node's x4 product Gaussian.  The t, q1 and
+    eta integrals are the smoke's closed forms, which
+    `test_g47_q1_polynomial_matches_the_per_q1_loop` checks."""
+    wa, wb = a.width, b.width
+    ca1, cas, ca1p, casp = a.centers
+    cbsp = b.centers[3]
+    sw = models._WINDOW_UV
+    rate = 0.5 / (wa * wa)
+    sn, wsn = gl_nodes(n_s, cas - 6.5 * wa, cas + 6.5 * wa)
+    un, wun = gl_nodes(n_u, -6.0 / sw, 6.0 / sw)
+    s = sn[:, None]
+    q2 = np.exp(s)
+    q2t_sq = (un + j_val * q2 * q2) / j_val
+    valid = q2t_sq > 1e-12
+    q2t = np.sqrt(np.where(valid, q2t_sq, 1.0))
+    st = np.log(q2t)
+    w2 = wa * wa + wb * wb
+    x4_c = ((wb * wb * (s - casp) + wa * wa * (st - cbsp)) / w2)[..., None]
+    x4_half = 10.0 * wa * wb / math.sqrt(w2)
+    x4n, wx4 = gl_nodes(64, x4_c - x4_half, x4_c + x4_half)
+    x4_sum = np.sum(wx4 * np.exp(-(s[..., None] - x4n - casp) ** 2 / (2.0 * wa * wa)
+                                 - (st[..., None] - x4n - cbsp) ** 2 / (2.0 * wb * wb)),
+                    axis=2)
+    weight = (wsn[:, None] * np.exp(-((s - cas) ** 2) / (2.0 * wa * wa))
+              * wun * math.sqrt(2.0 * math.pi) * sw * np.exp(-0.5 * (sw * un) ** 2)
+              * np.where(valid, 0.5 * q2t, 0.0) * x4_sum / q2)
+    factor, (e_c, e_q, e_qq, e_e, e_ee, e_qe) = models._t_window_exponent(
+        q2, s, q2t, st, j_val, b, sw)
+    a_q = np.where(valid, rate - e_qq, 1.0)
+    b_q = e_q + 2.0 * rate * ca1
+    over_q1 = models._gaussian_line_integral(
+        a_q, b_q, np.where(valid, e_c - rate * (ca1 * ca1 + ca1p * ca1p), -np.inf))
+    over_eta = models._gaussian_line_integral(
+        np.where(valid, rate - e_ee - e_qe * e_qe / (4.0 * a_q), 1.0),
+        np.where(valid, e_e - 2.0 * rate * ca1p + b_q * e_qe / (2.0 * a_q), 0.0), 0.0)
+    return complex(np.sum(factor * weight * over_q1 * over_eta))
 
 
 # c12's g4,7 pair, and a pair drawn as the benchmark draws its smoke pairs
@@ -770,13 +811,49 @@ class TestSmoke:
     @pytest.mark.parametrize("spec", [SmokeSpec(), SmokeSpec(72, 48), SmokeSpec(96, 70)])
     def test_g47_q1_polynomial_matches_the_per_q1_loop(self, pair, j_val, spec):
         # c12's pair and a benchmark-drawn one on both orbits; the oracle's
-        # q1 and x3 rules converge to ~1e-14, and the passes share the s
-        # and x4 rules
+        # q1, x3 and x4 rules converge to ~1e-14, and its s and u rules are
+        # the smoke's
         got = models._smoke_g47(*pair, j_val, j_val, spec)
         want = _smoke_g47_per_q1(*pair, j_val, j_val, spec)
         assert abs(got[2] - want[2]) <= 1e-13 * abs(want[2])
         assert abs(got[0] - want[0]) <= 1e-13 and abs(got[1] - want[1]) <= 1e-13
         assert got[3:] == want[3:]
+
+    def test_the_x4_integral_is_the_gaussian_overlap(self):
+        # a's x4 Gaussian times b's at 16 seeded (s, st) points of the
+        # benchmark-drawn pair, by quad on 12 product widths around the
+        # product's centre, against the overlap over the whole line that
+        # the smoke takes
+        from scipy.integrate import quad
+
+        a, b = BENCH_G47
+        wa, wb = a.width, b.width
+        cas, casp, cbsp = a.centers[1], a.centers[3], b.centers[3]
+        rng = np.random.default_rng(38)
+        s = rng.uniform(cas - 6.5 * wa, cas + 6.5 * wa, 16)
+        st = s + rng.uniform(-0.5, 0.5, 16)
+        got = models._gauss_overlap_1d(s - casp, wa, st - cbsp, wb)
+        w2 = wa * wa + wb * wb
+        half = 12.0 * wa * wb / math.sqrt(w2)
+        for sv, stv, g in zip(s, st, got):
+            mid = (wb * wb * (sv - casp) + wa * wa * (stv - cbsp)) / w2
+            want, _ = quad(lambda x: math.exp(-(sv - x - casp) ** 2 / (2.0 * wa * wa)
+                                              - (stv - x - cbsp) ** 2 / (2.0 * wb * wb)),
+                           mid - half, mid + half, epsabs=0.0, epsrel=2e-14, limit=200)
+            assert abs(g - want) <= 1e-13 * want
+        # on scalars the overlap products stay plain floats
+        assert type(models._pair_inner_product(a, b)) is float
+
+    @pytest.mark.parametrize("j_val", [1, -1])
+    def test_g47_u_rule_converges_at_a_fine_spec(self, g47, j_val):
+        # at SmokeSpec(384, 256) the refined pass has 192 s and 128 u nodes;
+        # a fixed 20-node u rule in both passes left measured 1.37e-8 off
+        # here while the refinement change read 1.4e-14
+        a, b = C12_G47
+        (rec,) = kernel_orthogonality_smoke(g47, [(a, b, j_val, j_val)],
+                                            SmokeSpec(384, 256))
+        want = _g47_same_orbit_pairing(a, b, float(j_val), 96, 128)
+        assert abs(complex(*rec.detail["measured"]) - want) <= 1e-12 * abs(want)
 
     @pytest.mark.parametrize("big_a, big_b, big_c", [
         (1.0, 0.0, 0.0),
@@ -814,15 +891,15 @@ class TestSmoke:
                                            np.zeros(2, complex), np.zeros(2, complex))
 
     def test_q1_and_eta_are_two_closed_forms_per_pass(self, monkeypatch):
-        # at the benchmark's spec the passes have (s, x4) node counts (24, 18)
+        # at the benchmark's spec the passes have (s, u) node counts (24, 18)
         # and (36, 24): per pass one q1 and one eta integral over its (s, u)
-        # nodes, and no q1 or x3 nodes
+        # nodes, and no q1, x3 or x4 nodes
         calls = []
         line = models._gaussian_line_integral
         monkeypatch.setattr(models, "_gaussian_line_integral",
                             lambda *abc: calls.append(np.shape(abc[0])) or line(*abc))
         models._smoke_g47(*BENCH_G47, 1.0, 1.0, SmokeSpec(72, 48))
-        assert calls == [(24, models._N_UV)] * 2 + [(36, models._N_UV)] * 2
+        assert calls == [(24, 18)] * 2 + [(36, 24)] * 2
 
     @pytest.mark.parametrize("j_val", [1.0, -1.0, 2.0])
     def test_the_t_window_exponent_is_quadratic_in_q1_and_eta(self, j_val):
@@ -832,8 +909,9 @@ class TestSmoke:
         a, b = BENCH_G47
         ca1, cas, ca1p, _ = a.centers
         sw = models._WINDOW_UV
-        sn, _ = gl_nodes(48, cas - 6.5 * a.width, cas + 6.5 * a.width)
-        un, _ = gl_nodes(models._N_UV, -6.0 / sw, 6.0 / sw)
+        spec = SmokeSpec()
+        sn, _ = gl_nodes((3 * spec.n_inner) // 4, cas - 6.5 * a.width, cas + 6.5 * a.width)
+        un, _ = gl_nodes(spec.n_outer // 3, -6.0 / sw, 6.0 / sw)
         s = sn[:, None]
         q2 = np.exp(s)
         q2t_sq = (un + j_val * q2 * q2) / j_val
@@ -854,15 +932,17 @@ class TestSmoke:
     @pytest.mark.parametrize("j_val", [1.0, -1.0])
     def test_u_nodes_off_the_physical_region_add_an_exact_zero(self, j_val):
         # around s = -1.8, q2^2 ~ 0.027 is below the u window's half width
-        # 6/128, so some u nodes have qt2^2 < 0
+        # 6/128, so some u nodes of both passes have qt2^2 < 0
         a = SmearedGaussian(centers=(1.2, -1.8, 1.0, -1.8), width=0.3)
         b = SmearedGaussian(centers=(1.1, -1.75, 1.05, -1.85), width=0.28)
-        un, _ = gl_nodes(models._N_UV, -6.0 / models._WINDOW_UV, 6.0 / models._WINDOW_UV)
-        assert np.any(un + math.exp(2.0 * -1.8) < 0.0)
+        spec = SmokeSpec()
+        for n_u in (spec.n_outer // 4, spec.n_outer // 3):
+            un, _ = gl_nodes(n_u, -6.0 / models._WINDOW_UV, 6.0 / models._WINDOW_UV)
+            assert np.any(un + math.exp(2.0 * -1.8) < 0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             dev, conv, measured, predicted, scale = models._smoke_g47(
-                a, b, j_val, j_val, SmokeSpec())
+                a, b, j_val, j_val, spec)
         assert all(map(cmath.isfinite, (dev, conv, measured, predicted, scale)))
         assert measured != 0
 
@@ -941,7 +1021,7 @@ class TestSmoke:
                 _pair_inner_product(a, b)
 
     def test_a_g47_pass_without_nodes_is_a_parameter_error(self, g47):
-        # n_outer 3 leaves the coarse pass no x4 node
+        # n_outer 3 leaves the coarse pass no u node
         a = SmearedGaussian(centers=(1.2, 0.1, 1.0, 0.0), width=0.3)
         with pytest.raises(ModelParameterError, match="SmokeSpec"):
             kernel_orthogonality_smoke(g47, [(a, a, 1, 1)], SmokeSpec(n_outer=3))
