@@ -14,6 +14,8 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
+from collections.abc import Sequence
 from fractions import Fraction
 
 from . import expr as ex
@@ -22,7 +24,7 @@ from .diffop import (SKIPPED, DiffOp, DomainExitError, SampleSpec, apply,
                      bracket_defects, compose, laplacian_image, op_equal,
                      sampled)
 from .expr import Expr, Var, ZERO, simplify
-from .quadrature import _COUNTS, gl_nodes, integrate_1d
+from .quadrature import _COUNTS, _reference_rule, gl_nodes, integrate_1d
 from .report import (DEFAULT_SEED, FAIL, PASS, CheckRecord, InconclusiveError,
                      NclbError, VerificationError, record, replace, worst)
 
@@ -105,18 +107,44 @@ class ReducedOperator:
 
 
 @record
+class Grid(Sequence):
+    """The times of a characteristic's grid, `steps` equal steps from 0 to
+    `end`, as a sequence of steps + 1 floats: grid[k] is
+    end / steps * k, and a grid of no steps holds the one time 0."""
+
+    end: float
+    steps: int
+
+    def __len__(self):
+        return self.steps + 1
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self[i] for i in range(*k.indices(len(self))))
+        i = operator.index(k)
+        i += len(self) if i < 0 else 0
+        if not 0 <= i < len(self):
+            raise IndexError(f"grid index {k} is out of range for {len(self)} times")
+        return self.end / max(self.steps, 1) * i
+
+    def __iter__(self):
+        h = self.end / max(self.steps, 1)
+        return (h * k for k in range(self.steps + 1))
+
+
+@record
 class Characteristic:
     """The characteristic through one target: the target as given, the step
-    asked for, the times of the grid from 0 to the end time, and at the end
+    asked for, the `Grid` of times from 0 to the end time, and at the end
     time the chart point, as complexes, and the phase, the integral of the
-    potential along the way.  phase_nodes is the node count of the
-    Gauss-Legendre rule the phase settled at, and phase_change how far that
-    rule moved it from the rule of half as many nodes (both 0 for a
-    characteristic of length zero)."""
+    potential along the way.  len(ts) - 1 is the step count.  phase_nodes
+    is the node count of the Gauss-Legendre rule the phase settled at, and
+    phase_change how far that rule moved it from the rule of half as many
+    nodes (both 0 for a characteristic of length zero)."""
 
     start: tuple
     step: float
-    ts: tuple
+    ts: Grid
     end: tuple
     phase: complex
     phase_nodes: int
@@ -357,23 +385,22 @@ def _eigen(a, Z):
 def _affine_flow(eigen, c, q0, times):
     """The chart points q(t), one row per chart variable, at the float
     array `times` of the flow dq/dt = A q + c from q0, with `eigen` the
-    `_eigen` decomposition of A.  In the eigenbasis of A,
-    dy_i/dt = lam_i y_i + d_i with d = P^-1 c, so
+    `_eigen` decomposition of A (as tuples or arrays).  In the eigenbasis of
+    A, dy_i/dt = lam_i y_i + d_i with d = P^-1 c, so
     y_i(t) = y_i(0) e^(lam_i t) + d_i expm1(lam_i t) / lam_i (d_i t when
-    lam_i is 0), and q = P y.  The rows are float64 when `eigen`, c and q0
-    are all real numbers, and complex otherwise."""
+    lam_i is 0), and q = P y: one expm1 call over the m x N array of
+    lam_i t, and one matrix product.  The rows are float64 when `eigen`, c
+    and q0 are all real numbers, and complex otherwise."""
     import numpy as np
 
-    lams, p, p_inv = eigen
-    m = len(lams)
-    ys = []
-    for i, lam in enumerate(lams):
-        y0 = sum(p_inv[i][j] * q0[j] for j in range(m))
-        d = sum(p_inv[i][j] * c[j] for j in range(m))
-        # e^(lam t) y0 = y0 + expm1(lam t) y0, grouped with d's term
-        growth = np.expm1(lam * times) / lam if lam else times
-        ys.append(y0 + (lam * y0 + d) * growth)
-    return np.array([sum(p[r][i] * ys[i] for i in range(m)) for r in range(m)])
+    lams, p, p_inv = map(np.asarray, eigen)
+    y0 = p_inv @ np.asarray(q0)
+    # e^(lam t) y0 = y0 + expm1(lam t) y0, grouped with d's term
+    rates = lams * y0 + p_inv @ np.asarray(c)
+    growth = np.expm1(np.multiply.outer(lams, times))
+    np.divide(growth, lams[:, None], out=growth, where=lams[:, None] != 0)
+    growth[lams == 0] = times
+    return p @ (y0[:, None] + rates[:, None] * growth)
 
 
 @record
@@ -435,6 +462,180 @@ def rectify_check(Z, v: Expr, u, samples, params=None) -> RectifyReport:
                          len(rows), skipped)
 
 
+@functools.lru_cache(maxsize=None)
+def _first_rules():
+    """The nodes on [-1, 1] of `integrate_1d`'s first two rules, the 96
+    then the 192, and the (288, 2) matrix of their weights, one rule per
+    column; both arrays are read-only."""
+    import numpy as np
+
+    (x1, w1), (x2, w2) = map(_reference_rule, _COUNTS[:2])
+    nodes, weights = np.concatenate((x1, x2)), np.zeros((len(x1) + len(x2), 2))
+    weights[:len(x1), 0], weights[len(x1):, 1] = w1, w2
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+@record
+class _Field:
+    """What `solve_reduced` reads of a field Z = A q + c, its potential and
+    its flow-box coordinates: A's eigen-decomposition (`_eigen`) and c as
+    arrays, whether the flow of a real start runs in float64, V's
+    `compile_array` function and the closures of v and of u."""
+
+    eigen: tuple
+    c: object
+    real: bool
+    potential: object
+    v: object
+    u: object
+
+
+@functools.lru_cache(maxsize=32)
+def _field(Z, V, v, u, bound):
+    """The `_Field` of Z, V, v and u, with `bound` the (name, value, ...)
+    tuples of the values bound to free names.  A field without a closed
+    form raises ChartFieldError."""
+    import numpy as np
+
+    params = {item[0]: item[1] for item in bound}
+    q_vars = _chart_names(len(Z))
+    parts = ex.compile_expr(_affine_parts(Z, q_vars), (), bind=params)()
+    m = len(q_vars)
+    eigen, c = _eigen(parts[:m * m], Z), parts[m * m:]
+    # real eigenvalues and c keep the flow of a real start in float64
+    real = not any(isinstance(x, complex) for x in eigen[0]) and not any(x.imag for x in c)
+    return _Field(tuple(map(np.array, eigen)), np.array([x.real for x in c] if real else c),
+                  real, ex.compile_array(ex.as_expr(V), q_vars, bind=params),
+                  ex.compile_expr(ex.as_expr(v), q_vars, bind=params),
+                  ex.compile_expr(tuple(ex.as_expr(ue) for ue in u), q_vars, bind=params))
+
+
+def _set_up(Z, V, v, u, params):
+    """`_field` of these, from its cache when V, v and u hash and every
+    value in params is a number of the double range.  The key holds the
+    complex double `expr` binds for each value and the signs of its parts,
+    so 0.0 and -0.0 are told apart."""
+    key = []
+    for name, x in params.items():
+        try:
+            z = complex(x)
+        except (TypeError, ValueError, OverflowError):
+            break
+        key.append((name, z, math.copysign(1.0, z.real), math.copysign(1.0, z.imag)))
+    else:
+        try:
+            hash((V, v, u))
+        except TypeError:
+            pass
+        else:
+            return _field(Z, V, v, u, tuple(key))
+    return _field.__wrapped__(Z, V, v, u, tuple(params.items()))
+
+
+@record
+class _Track:
+    """A target of `solve_reduced` once its grid is tested.  q0 is the
+    target as complexes and start the point the flow starts from; stop is
+    the first grid column that is not finite or is outside the domain
+    (steps + 1 when there is none) and exited says it is outside; point is
+    the chart point at stop, or at the end when there is none.  nodes are
+    the chart points at the 288 nodes of its first two phase rules, when
+    its grid passed, and fast says they went into the array pass."""
+
+    target: tuple
+    q0: list
+    start: list
+    grid: Grid
+    stop: int
+    exited: bool
+    point: tuple
+    nodes: object
+    fast: bool
+
+
+def _trace(field, target, v_ref, step, domain, out):
+    """The `_Track` of one target: its end time and grid, one flow call on
+    the grid and the 288 nodes of the first two phase rules, and the
+    finiteness and domain tests of the grid.  The nodes of a real flow
+    whose grid passes both go into out, an (m, 288) float array."""
+    import numpy as np
+
+    q0 = [complex(x) for x in target]
+    v_here = field.v(*q0)
+    if abs(v_here.imag) > 1e-9 * (1.0 + abs(v_here)):
+        raise ex.DomainError(f"v is not real at {target}: {v_here}")
+    t_end = float(v_ref) - v_here.real
+    if not math.isfinite(t_end):
+        raise StepError(f"the end time must be finite, got {t_end!r}")
+    if not abs(t_end) / step <= MAX_STEPS:
+        raise StepError(f"too many steps: |t_end| / step = {abs(t_end)!r} / {step!r}"
+                        f" = {abs(t_end) / step:.6g}, more than {MAX_STEPS}")
+    n = max(1, round(abs(t_end) / step)) if t_end else 0
+    grid = Grid(t_end, n)
+    flat = field.real and not any(x.imag for x in q0)
+    start = [x.real for x in q0] if flat else q0
+    times = t_end / max(n, 1) * np.arange(n + 1.0)
+    if n:
+        # the nodes where gl_nodes(count, 0, t_end) places them
+        half, mid = 0.5 * (t_end - 0.0), 0.5 * (t_end + 0.0)
+        times = np.concatenate((times, mid + half * _first_rules()[0]))
+    with np.errstate(all="ignore"):
+        qs = _affine_flow(field.eigen, field.c, start, times)
+    finite = np.isfinite(qs[:, :n + 1]).all(axis=0)
+    stop, exited = (n + 1 if finite.all() else int(finite.argmin())), False
+    if domain is not None:
+        # the target itself, then the finite grid points after it
+        points = np.array(qs[:, :max(stop, 1)].real)
+        points[:, 0] = [x.real for x in q0]
+        inside = _inside(domain, points)
+        if not inside[0]:
+            raise DomainExitError(0.0, tuple(target))
+        if not inside.all():
+            stop, exited = int(inside.argmin()), True
+    nodes = None
+    if n and stop > n:
+        # the grid goes, the nodes stay: a real flow's in the array pass
+        if flat:
+            out[...] = qs[:, n + 1:]
+            nodes = out
+        else:
+            nodes = qs[:, n + 1:].copy()
+    return _Track(tuple(target), q0, start, grid, stop, exited,
+                  tuple(map(complex, qs[:, min(stop, n)].tolist())), nodes,
+                  flat and nodes is not None)
+
+
+def _phase(field, track):
+    """(phase, node count, change) of one characteristic on its own:
+    `integrate_1d` of V over the time, whose first call takes the track's
+    nodes.  A grid that stopped at a column takes V on the 96-node rule up
+    to that column, so that an error of V there wins, and then raises its
+    DomainExitError, or DomainError for a point that is not finite."""
+    import numpy as np
+
+    grid, first = track.grid, track.nodes
+
+    def along(times):
+        nonlocal first
+        qs, first = first, None
+        if qs is None:
+            with np.errstate(all="ignore"):
+                qs = _affine_flow(field.eigen, field.c, track.start, times)
+        return field.potential(*qs)[0]
+
+    if track.stop <= grid.steps:
+        t_stop = grid[track.stop]
+        along(gl_nodes(_COUNTS[0], 0.0, t_stop)[0])
+        if track.exited:
+            raise DomainExitError(t_stop, track.point)
+        raise ex.DomainError(f"the chart point is not finite at t = {t_stop!r}")
+    if not grid.steps:
+        return 0j, 0, 0.0
+    phase, nodes, change = integrate_1d(along, 0.0, grid.end)
+    return complex(phase), nodes, float(change)
+
+
 def solve_reduced(Z, V, energy, phi, q_targets, step, *, v: Expr, u=(),
                   v_ref=0.0, params=None, domain=None):
     """Values of the solution Phi(u) exp(-int_{v_ref}^{v(q)} V dv) at targets.
@@ -443,19 +644,29 @@ def solve_reduced(Z, V, energy, phi, q_targets, step, *, v: Expr, u=(),
     target, back to the reference section v = v_ref, so over the time
     t_end = v_ref - v(target).  Z must be affine, Z = A q + c, over at most
     two chart variables, with an A that is not defective; any other field
-    raises ChartFieldError.  A and c are read once per field from its
-    Jacobian, and the chart points come in closed form from the
+    raises ChartFieldError.  A and c are read from Z's Jacobian, and V, v
+    and u compiled, once per field and bound values (`_field`, a bounded
+    cache).  The chart points come in closed form from the
     eigen-decomposition of A (`_affine_flow`): in float64 when A, c and the
     target are real and A's eigenvalues are real, in complex arithmetic
-    otherwise.  The time runs over a grid of round(|t_end| / step) equal
-    steps (at least one unless t_end is 0), on which the chart domain and
-    finiteness are tested.  The phase does not depend on the step: it is
-    `quadrature.integrate_1d` of V over [0, t_end], Gauss-Legendre rules of
-    96 nodes, then 192, doubling up to 3072 until the result settles to
-    1e-12 relative, else InconclusiveError.  The grid and the first two
-    rules' 288 nodes take one `_affine_flow` call, and V one
-    `expr.compile_array` call on those nodes.  v must be real at every
-    target.
+    otherwise.  The time runs over a grid (`Grid`) of
+    round(|t_end| / step) equal steps (at least one unless t_end is 0), on
+    which the chart domain and finiteness are tested.  The phase does not
+    depend on the step: it is `quadrature.integrate_1d` of V over
+    [0, t_end], Gauss-Legendre rules of 96 nodes, then 192, doubling up to
+    3072 until the result settles to 1e-12 relative, else
+    InconclusiveError.  v must be real at every target.
+
+    The targets are solved in one array pass.  In order, each takes one
+    `_affine_flow` call on its grid and the first two rules' 288 nodes,
+    placed as `gl_nodes` places them, and its grid is tested; the nodes of
+    a real flow whose grid passes are kept, the grid is not.  V then takes
+    one `expr.compile_array` call on all kept nodes, and the two rule sums
+    and the settle test are array operations.  A target that leaves the
+    domain, meets a point that is not finite, has a complex start or field,
+    meets an error of V or does not settle by 192 nodes goes through the
+    same steps on its own (`_phase`), in its place in the order, so the
+    first target that raises raises what it would raise alone.
 
     The domain predicate is called once per target, on the (m, N) float
     array of the real parts of the target (column 0) and of the finite grid
@@ -466,12 +677,13 @@ def solve_reduced(Z, V, energy, phi, q_targets, step, *, v: Expr, u=(),
     raises DomainError with its time instead.  Either error comes after V
     is evaluated on the 96-node rule's nodes from the target to that point,
     so a DomainError of V on the way wins; V is not evaluated beyond it.
-    The energy value is bound into V's symbol E.  A target whose length is
-    not len(Z), or with a coordinate that is not finite, raises ValueError
-    before any is evaluated.  A step that is not positive and finite, an
-    end time that is not finite, or more than MAX_STEPS steps raises
-    StepError before that target's characteristic is computed.  Returns
-    (values, characteristics).
+    A phase whose exponential overflows raises DomainError naming the
+    target and the phase.  The energy value is bound into V's symbol E.  A
+    target whose length is not len(Z), or with a coordinate that is not
+    finite, raises ValueError before any is evaluated.  A step that is not
+    positive and finite, an end time that is not finite, or more than
+    MAX_STEPS steps raises StepError before that target's characteristic
+    is computed.  Returns (values, characteristics).
     """
     import numpy as np
 
@@ -483,87 +695,55 @@ def solve_reduced(Z, V, energy, phi, q_targets, step, *, v: Expr, u=(),
         raise StepError(f"the step must be positive and finite, got {step!r}")
     params = dict(params or {})
     params.setdefault("E", energy)
-    q_vars = _chart_names(len(Z))
     Z = tuple(ex.as_expr(z) for z in Z)
-    parts = ex.compile_expr(_affine_parts(Z, q_vars), (), bind=params)()
-    m = len(q_vars)
-    eigen, c = _eigen(parts[:m * m], Z), parts[m * m:]
-    # real eigenvalues, c and start points keep the flow in float64
-    real = not any(isinstance(x, complex) for x in eigen[0]) and not any(x.imag for x in c)
-    if real:
-        c = tuple(x.real for x in c)
-    potential = ex.compile_array(ex.as_expr(V), q_vars, bind=params)
-    v_fn = ex.compile_expr(ex.as_expr(v), q_vars, bind=params)
-    u_fn = ex.compile_expr(tuple(ex.as_expr(ue) for ue in u), q_vars, bind=params)
+    field = _set_up(Z, V, v, tuple(u), params)
 
-    values = []
-    chars = []
+    # each target's grid is tested, and the nodes of its phase rules kept,
+    # before the next target's flow is taken; an error waits for the
+    # targets before it
+    reference, weights = _first_rules()
+    rows = np.empty((len(Z), len(q_targets), len(reference)))
+    tracks, kept, error = [], 0, None
     for target in q_targets:
-        q0 = [complex(x) for x in target]
-        v_here = v_fn(*q0)
-        if abs(v_here.imag) > 1e-9 * (1.0 + abs(v_here)):
-            raise ex.DomainError(f"v is not real at {target}: {v_here}")
-        t_end = float(v_ref) - v_here.real
-        if not math.isfinite(t_end):
-            raise StepError(f"the end time must be finite, got {t_end!r}")
-        if not abs(t_end) / step <= MAX_STEPS:
-            raise StepError(f"too many steps: |t_end| / step = {abs(t_end)!r} / {step!r}"
-                            f" = {abs(t_end) / step:.6g}, more than {MAX_STEPS}")
-        n = max(1, round(abs(t_end) / step)) if t_end else 0
-        ts = t_end / max(n, 1) * np.arange(n + 1.0)
-        start = [x.real for x in q0] if real and not any(x.imag for x in q0) else q0
+        try:
+            track = _trace(field, target, v_ref, step, domain, rows[:, kept])
+        except Exception as exc:  # noqa: BLE001 - raised below, in its place
+            error = exc
+            break
+        tracks.append(track)
+        kept += track.fast
 
-        def flow(times):
-            with np.errstate(all="ignore"):
-                return _affine_flow(eigen, c, start, times)
+    settled = iter(())
+    if kept:
+        half = np.array([0.5 * (t.grid.end - 0.0) for t in tracks if t.fast])
+        vals, ok = field.potential(*rows[:, :kept].reshape(len(Z), -1), skip=Exception)
+        with np.errstate(all="ignore"):
+            sums = (vals.reshape(kept, -1) @ weights) * half[:, None]
+            change = abs(sums[:, 1] - sums[:, 0])
+            done = (ok.reshape(kept, -1).all(axis=1) & np.isfinite(sums).all(axis=1)
+                    & (change <= 1e-12 * np.maximum(1.0, abs(sums[:, 1]))))
+        settled = iter(zip(done.tolist(), sums[:, 1].tolist(), change.tolist()))
 
-        def checked(grid):
-            """The grid's chart points, once all are finite and inside the
-            domain.  Else V on the first rule's nodes up to the first one
-            that is not, so that a DomainError of V there wins, and then its
-            exit."""
-            finite = np.isfinite(grid).all(axis=0)
-            stop, exited = (len(ts) if finite.all() else int(finite.argmin())), False
-            if domain is not None:
-                # the target itself, then the finite grid points after it
-                points = np.array(grid[:, :max(stop, 1)].real)
-                points[:, 0] = [x.real for x in q0]
-                inside = _inside(domain, points)
-                if not inside[0]:
-                    raise DomainExitError(0.0, tuple(target))
-                if not inside.all():
-                    stop, exited = int(inside.argmin()), True
-            if stop == len(ts):
-                return grid
-            potential(*flow(gl_nodes(_COUNTS[0], 0.0, ts[stop])[0]))
-            if exited:
-                raise DomainExitError(float(ts[stop]),
-                                      tuple(map(complex, grid[:, stop].tolist())))
-            raise ex.DomainError(f"the chart point is not finite at t = {float(ts[stop])!r}")
-
-        if n:
-            grid = None
-
-            def along(times):
-                # V at the times; the first call takes the grid's points in
-                # the same flow call, and checks them before V
-                nonlocal grid
-                if grid is not None:
-                    return potential(*flow(times))[0]
-                qs = flow(np.concatenate((ts, times)))
-                grid = checked(qs[:, :n + 1])
-                return potential(*qs[:, n + 1:])[0]
-
-            phase, nodes, change = integrate_1d(along, 0.0, t_end)
+    values, chars = [], []
+    for track in tracks:
+        done, phase, change = next(settled) if track.fast else (False, 0j, 0.0)
+        if done:
+            nodes = _COUNTS[1]
         else:
-            grid, phase, nodes, change = checked(flow(ts)), 0j, 0, 0.0
-        phase = complex(phase)
-        # the phase is -int_{v_ref}^{v(q)} V dv along the characteristic
-        values.append(phi(u_fn(*q0), params) * cmath.exp(phase))
-        chars.append(Characteristic(start=tuple(target), step=step, ts=tuple(ts.tolist()),
-                                    end=tuple(map(complex, grid[:, n].tolist())),
-                                    phase=phase, phase_nodes=nodes,
-                                    phase_change=float(change)))
+            phase, nodes, change = _phase(field, track)
+        amplitude = phi(field.u(*track.q0), params)
+        try:
+            # the phase is -int_{v_ref}^{v(q)} V dv along the characteristic
+            growth = cmath.exp(phase)
+        except OverflowError:
+            raise ex.DomainError(f"the phase at {track.target} overflows its exponential: "
+                                 f"{phase!r}") from None
+        values.append(amplitude * growth)
+        chars.append(Characteristic(start=track.target, step=step, ts=track.grid,
+                                    end=track.point, phase=phase, phase_nodes=nodes,
+                                    phase_change=change))
+    if error is not None:
+        raise error
     return values, chars
 
 

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -13,7 +14,7 @@ from nclb.expr import Exp, I, Log, Power, Var, simplify, to_text
 from nclb.models import (chart_domain, chart_samples, lambda_roots, load_model,
                          pde_residual_field, rectifying_coordinates,
                          reduction_normalizer)
-from nclb.reduction import (ChartFieldError, Characteristic, DomainExitError,
+from nclb.reduction import (ChartFieldError, Characteristic, DomainExitError, Grid,
                             InconclusiveError, NotFirstOrderError, ReducedOperator,
                             StepError, _chart_names, _eigen, build_reduced,
                             conjugate_by_multiplier, extract_first_order,
@@ -222,7 +223,7 @@ class TestCharacteristicErrors:
         with pytest.raises(ex.DomainError, match="^ZeroDivisionError"):
             solve_one(Z, V, (0.3,), 1.0, params={"J": 0.0})
         ch = solve_one(Z, V, (0.3,), 0.3, params={"J": 0.0})
-        assert (ch.ts, ch.end, ch.phase) == ((0.0,), (0.3 + 0j,), 0j)
+        assert (tuple(ch.ts), ch.end, ch.phase) == ((0.0,), (0.3 + 0j,), 0j)
 
     def test_a_state_that_overflows_raises_with_its_time(self):
         # q = e^(2000 t) passes the double range between t = 0.35 and 0.36;
@@ -232,6 +233,18 @@ class TestCharacteristicErrors:
                                match=f"^the chart point is not finite at t = {0.01 * 36!r}$"):
                 solve_one((J * q,), ex.ZERO, (1.0,), 2.0, params={"J": 2000.0},
                           domain=domain)
+
+    @pytest.mark.parametrize("target", [(1.0,), (1.0 + 1e-30j,)],
+                             ids=["array-pass", "per-target"])
+    def test_a_phase_whose_exponential_overflows_raises_naming_it(self, target):
+        # the phase of V = -1000 from q = 1 back to 0 is 1000, and e^1000
+        # is beyond the double range; a complex start takes the per-target
+        # steps
+        message = (rf"^the phase at \({re.escape(repr(target[0]))},\) overflows its "
+                   r"exponential: \((1000|999\.99)")
+        with pytest.raises(ex.DomainError, match=message):
+            solve_reduced((ex.ONE,), ex.Const(-1000), 0.0, lambda u, p: 1.0, [(0.5,), target],
+                          0.01, v=q, u=(), v_ref=0.0)
 
     @pytest.mark.parametrize("v_ref, step", [
         (2.0, 0.0), (2.0, -0.01), (2.0, math.inf), (2.0, math.nan),
@@ -585,7 +598,7 @@ class TestRealPath:
                       for q2_0 in (0.5, 0.5 + 1e-30j))
         assert flow_dtypes == [np.float64, np.complex128]
         assert all(type(x) is complex for x in real.end + tiny.end)
-        assert real.ts == tiny.ts
+        assert tuple(real.ts) == tuple(tiny.ts)
         assert np.abs(np.array(real.end) - np.array(tiny.end)).max() <= 1e-13
         assert abs(real.phase - tiny.phase) <= 1e-13 * (1 + abs(real.phase))
 
@@ -648,7 +661,30 @@ def test_grid_step_count(t_end, step):
     assert len(ch.ts) - 1 == max(1, round(abs(t_end) / step))
     assert ch.ts[0] == 0.0 and ch.ts[-1] == pytest.approx(t_end, rel=1e-12)
     ch = solve_one((ex.ONE,), ex.ZERO, (0.3,), 0.3, step=step)
-    assert (ch.ts, ch.end, ch.phase) == ((0.0,), (0.3 + 0j,), 0j)
+    assert (tuple(ch.ts), ch.end, ch.phase) == ((0.0,), (0.3 + 0j,), 0j)
+
+
+class TestGrid:
+    """`Characteristic.ts` is a Grid(end, steps): the sequence of the
+    steps + 1 times end / steps * k, without a float per time."""
+
+    @pytest.mark.parametrize("end, steps", [(1.7, 1700), (-0.64, 37), (1e-5, 1), (0.0, 0)])
+    def test_the_times_are_those_of_the_array_grid(self, end, steps):
+        grid = Grid(end, steps)
+        want = (end / max(steps, 1) * np.arange(steps + 1.0)).tolist()
+        assert len(grid) == steps + 1
+        assert list(grid) == want and [grid[k] for k in range(len(grid))] == want
+        assert grid[-1] == want[-1] and grid[-len(grid)] == want[0] == 0.0
+        assert grid[1:4] == tuple(want[1:4]) and grid[::-1] == tuple(want[::-1])
+        for k in (len(grid), -len(grid) - 1):
+            with pytest.raises(IndexError):
+                grid[k]
+        with pytest.raises(TypeError):
+            grid[1.0]
+
+    def test_a_characteristic_keeps_its_grid(self):
+        ch = solve_one((ex.ONE,), ex.ZERO, (0.3,), 0.3 + 1.7, step=1e-3)
+        assert ch.ts == Grid((0.3 + 1.7) - 0.3, 1700) and len(ch.ts) - 1 == 1700
 
 
 def per_step_phase(Z, V, params, start, t_end, step):
@@ -685,10 +721,11 @@ class TestPhaseRule:
         ch = solve_one(Z, V, (0.3,), 0.3, params={"J": -1.0})
         assert (ch.phase, ch.phase_nodes, ch.phase_change) == (0j, 0, 0.0)
 
-    def test_one_flow_call_and_one_potential_call_per_characteristic(self, h3, monkeypatch):
-        # the grid and the first two rules' 96 + 192 nodes in one flow call;
-        # an exit adds one flow call and one potential call on the 96-node
-        # rule up to it
+    def test_one_flow_call_per_characteristic_and_one_potential_call_per_solve(
+            self, h3, monkeypatch):
+        # each target's grid and its first two rules' 96 + 192 nodes in one
+        # flow call, and V once on the nodes of all targets; an exit adds
+        # one flow call and one potential call on the 96-node rule up to it
         calls = []
         flow, compile_array = reduction._affine_flow, ex.compile_array
 
@@ -709,9 +746,15 @@ class TestPhaseRule:
 
         monkeypatch.setattr(reduction, "_affine_flow", counted_flow)
         monkeypatch.setattr(ex, "compile_array", counted_compile)
+        reduction._field.cache_clear()  # V is compiled, and counted, afresh
         Z, V = first_order(h3)
         solve_one(Z, V, (0.3,), 1.7, params={"J": 1.0})
         assert calls == [("flow", 141 + 288), ("V", 288)]
+        calls.clear()
+        solve_reduced(Z, V, 1.0, lambda u, p: 1.0, [(0.3,), (0.5,), (-0.2,)], 1e-2, v=q,
+                      v_ref=1.7, params={"J": 1.0})
+        assert calls == [("flow", 141 + 288), ("flow", 121 + 288), ("flow", 191 + 288),
+                         ("V", 3 * 288)]
         calls.clear()
         with pytest.raises(DomainExitError):
             solve_one(Z, V, (0.3,), 1.7, params={"J": 1.0}, domain=lambda p: p[0] < 1.0)
@@ -734,6 +777,227 @@ class TestPhaseRule:
                 want = per_step_phase(Z, V, params, ch.start, ch.ts[-1], 1e-3)
                 assert abs(ch.phase - want) <= 1e-13 * max(1.0, abs(want))
                 assert ch.phase_nodes == 192 and ch.phase_change <= 1e-12
+
+
+def per_target_solve(Z, V, energy, phi, q_targets, step, *, v, u=(), v_ref=0.0,
+                     params=None, domain=None):
+    """An oracle for the array pass: `solve_reduced` as it was before it,
+    one target at a time, each with its own flow, grid test and
+    `integrate_1d` call, and `ts` a tuple of floats."""
+    from nclb.quadrature import _COUNTS, gl_nodes, integrate_1d
+
+    q_targets = list(q_targets)
+    for target in q_targets:
+        reduction._check_point(target, len(Z), "target")
+    step = float(step)
+    if not (math.isfinite(step) and step > 0.0):
+        raise StepError(f"the step must be positive and finite, got {step!r}")
+    params = dict(params or {})
+    params.setdefault("E", energy)
+    q_vars = _chart_names(len(Z))
+    Z = tuple(ex.as_expr(z) for z in Z)
+    parts = ex.compile_expr(reduction._affine_parts(Z, q_vars), (), bind=params)()
+    m = len(q_vars)
+    eigen, c = _eigen(parts[:m * m], Z), parts[m * m:]
+    real = not any(isinstance(x, complex) for x in eigen[0]) and not any(x.imag for x in c)
+    if real:
+        c = tuple(x.real for x in c)
+    potential = ex.compile_array(ex.as_expr(V), q_vars, bind=params)
+    v_fn = ex.compile_expr(ex.as_expr(v), q_vars, bind=params)
+    u_fn = ex.compile_expr(tuple(ex.as_expr(ue) for ue in u), q_vars, bind=params)
+
+    values = []
+    chars = []
+    for target in q_targets:
+        q0 = [complex(x) for x in target]
+        v_here = v_fn(*q0)
+        if abs(v_here.imag) > 1e-9 * (1.0 + abs(v_here)):
+            raise ex.DomainError(f"v is not real at {target}: {v_here}")
+        t_end = float(v_ref) - v_here.real
+        if not math.isfinite(t_end):
+            raise StepError(f"the end time must be finite, got {t_end!r}")
+        if not abs(t_end) / step <= reduction.MAX_STEPS:
+            raise StepError(f"too many steps: |t_end| / step = {abs(t_end)!r} / {step!r}"
+                            f" = {abs(t_end) / step:.6g}, more than {reduction.MAX_STEPS}")
+        n = max(1, round(abs(t_end) / step)) if t_end else 0
+        ts = t_end / max(n, 1) * np.arange(n + 1.0)
+        start = [x.real for x in q0] if real and not any(x.imag for x in q0) else q0
+
+        def flow(times):
+            with np.errstate(all="ignore"):
+                return reduction._affine_flow(eigen, c, start, times)
+
+        def checked(grid):
+            finite = np.isfinite(grid).all(axis=0)
+            stop, exited = (len(ts) if finite.all() else int(finite.argmin())), False
+            if domain is not None:
+                points = np.array(grid[:, :max(stop, 1)].real)
+                points[:, 0] = [x.real for x in q0]
+                inside = reduction._inside(domain, points)
+                if not inside[0]:
+                    raise DomainExitError(0.0, tuple(target))
+                if not inside.all():
+                    stop, exited = int(inside.argmin()), True
+            if stop == len(ts):
+                return grid
+            potential(*flow(gl_nodes(_COUNTS[0], 0.0, ts[stop])[0]))
+            if exited:
+                raise DomainExitError(float(ts[stop]),
+                                      tuple(map(complex, grid[:, stop].tolist())))
+            raise ex.DomainError(f"the chart point is not finite at t = {float(ts[stop])!r}")
+
+        if n:
+            grid = None
+
+            def along(times):
+                nonlocal grid
+                if grid is not None:
+                    return potential(*flow(times))[0]
+                qs = flow(np.concatenate((ts, times)))
+                grid = checked(qs[:, :n + 1])
+                return potential(*qs[:, n + 1:])[0]
+
+            phase, nodes, change = integrate_1d(along, 0.0, t_end)
+        else:
+            grid, phase, nodes, change = checked(flow(ts)), 0j, 0, 0.0
+        phase = complex(phase)
+        values.append(phi(u_fn(*q0), params) * cmath.exp(phase))
+        chars.append(Characteristic(start=tuple(target), step=step, ts=tuple(ts.tolist()),
+                                    end=tuple(map(complex, grid[:, n].tolist())),
+                                    phase=phase, phase_nodes=nodes,
+                                    phase_change=float(change)))
+    return values, chars
+
+
+# a field whose targets, with v = q1 and v_ref = 0, each take one path: q1
+# runs from the target to 0 while q2 grows as e^(50 |t|); the domain has a
+# hole at 0.5 < q1 < 0.7, and V = e^(100 i q1) settles at 192 nodes over a
+# short characteristic and at 384 over q1's run from -3
+MIXED_FIELD = dict(Z=(ex.ONE, -50 * q2), V=Exp(100 * I * q1), energy=0.0,
+                   v=q1, v_ref=0.0, domain=lambda p: (p[0] < 0.5) | (p[0] > 0.7))
+MIXED_TARGETS = {
+    "clean": (0.3, 0.4),
+    "clean-back": (-0.4, -1.5),
+    "zero": (0.0, 0.7),
+    "exit": (1.0, 0.2),
+    "non-finite": (20.0, 1.0),
+    "complex-start": (0.2, 0.3 + 0.2j),
+    "settles-at-384": (-3.0, 0.5),
+    "outside": (0.6, 0.1),
+}
+
+
+def mixed(*names, solve=solve_reduced, **kwargs):
+    field = dict(MIXED_FIELD, **kwargs)
+    Z, V, energy = field.pop("Z"), field.pop("V"), field.pop("energy")
+    return solve(Z, V, energy, lambda u, p: 2.0 - 1j, [MIXED_TARGETS[k] for k in names],
+                 1e-2, **field)
+
+
+def close(a, b, rel=1e-15):
+    return abs(a - b) <= rel * abs(b)
+
+
+class TestArrayPass:
+    """`solve_reduced` solves all targets of a call in one array pass; a
+    target it cannot finish there goes through the per-target steps.  Both
+    must give what the targets give one at a time (`per_target_solve`)."""
+
+    @pytest.mark.parametrize("names", [
+        ("clean", "clean-back", "zero"),
+        ("complex-start", "clean", "settles-at-384", "clean-back"),
+        ("settles-at-384", "zero", "complex-start"),
+        ("clean",) * 3 + ("settles-at-384",) * 2,
+    ], ids="+".join)
+    def test_values_and_characteristics_agree_with_the_per_target_code(self, names):
+        vals, chars = mixed(*names)
+        want_vals, want_chars = mixed(*names, solve=per_target_solve)
+        assert [ch.phase_nodes for ch in chars] == [ch.phase_nodes for ch in want_chars]
+        assert {192, 384} & {ch.phase_nodes for ch in chars}
+        for val, want, ch, ref in zip(vals, want_vals, chars, want_chars):
+            assert close(val, want)
+            assert tuple(ch.ts) == ref.ts and len(ch.ts) == len(ref.ts)
+            assert (ch.start, ch.step, ch.end) == (ref.start, ref.step, ref.end)
+            assert close(ch.phase, ref.phase)
+            # the change is the difference of two rules, so rounding moves
+            # it on the scale of the phase
+            assert abs(ch.phase_change - ref.phase_change) <= 1e-15 * abs(ref.phase)
+        if "settles-at-384" in names:
+            assert chars[names.index("settles-at-384")].phase_nodes == 384
+
+    @pytest.mark.parametrize("names, error", [
+        (("clean", "exit", "non-finite"), DomainExitError),
+        (("clean", "non-finite", "exit"), ex.DomainError),
+        (("complex-start", "exit", "clean"), DomainExitError),
+        (("settles-at-384", "outside", "exit"), DomainExitError),
+        (("clean", "exit", "too-long"), DomainExitError),
+        (("clean", "too-long", "exit"), StepError),
+        (("too-long", "exit"), StepError),
+    ], ids=lambda x: "+".join(x) if isinstance(x, tuple) else x.__name__)
+    def test_the_first_target_that_raises_raises_its_error(self, monkeypatch, names, error):
+        monkeypatch.setitem(MIXED_TARGETS, "too-long", (25.0, 0.0))
+        monkeypatch.setattr(reduction, "MAX_STEPS", 2000)  # too-long takes 2500
+        with pytest.raises(error) as err:
+            mixed(*names)
+        with pytest.raises(error) as want:
+            mixed(*names, solve=per_target_solve)
+        assert str(err.value) == str(want.value)
+        if error is DomainExitError:
+            assert err.value.exit_time == want.value.exit_time
+            assert err.value.point == want.value.point
+
+    @pytest.mark.parametrize("names, error, match", [
+        (("clean", "exit", "log-fails"), DomainExitError, r"^trajectory left .* t = -0\.3"),
+        (("clean", "log-fails", "exit"), ex.DomainError, "^log requires positive real part"),
+    ], ids=lambda x: "+".join(x) if isinstance(x, tuple) else None)
+    def test_an_error_of_v_at_a_later_target_does_not_pre_empt_an_earlier_one(
+            self, monkeypatch, names, error, match):
+        # log(q1 + 5) fails on the way from q1 = -6 to 0, and nowhere else
+        monkeypatch.setitem(MIXED_TARGETS, "log-fails", (-6.0, 0.1))
+        for solve in (solve_reduced, per_target_solve):
+            with pytest.raises(error, match=match):
+                mixed(*names, solve=solve, V=Log(q1 + 5))
+
+    def test_one_potential_call_when_every_target_is_clean(self, monkeypatch):
+        calls = []
+        compile_array = ex.compile_array
+
+        def counted_compile(*args, **kwargs):
+            f = compile_array(*args, **kwargs)
+
+            def g(*columns, **kw):
+                values, ok = f(*columns, **kw)
+                calls.append(values.shape)
+                return values, ok
+
+            return g
+
+        monkeypatch.setattr(ex, "compile_array", counted_compile)
+        reduction._field.cache_clear()
+        names = ("clean", "clean-back", "zero", "clean")
+        mixed(*names)
+        # the target at q1 = 0 has a characteristic of length zero and no nodes
+        assert calls == [(3 * 288,)]
+
+    def test_grids_are_not_held_together(self):
+        # each grid goes before the next target's flow is taken, so eight
+        # characteristics of 2e5 steps need about the memory of one
+        import tracemalloc
+
+        def peak(targets):
+            tracemalloc.start()
+            try:
+                solve_reduced((ex.ONE, -q2), I * q1, 0.0, lambda u, p: 1.0, targets, 1e-5,
+                              v=q1, v_ref=2.0, domain=lambda p: p[1] > 0.0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        targets = [(0.0, 1.0 + k / 8) for k in range(8)]
+        peak(targets[:1])  # the set-up is cached
+        one, eight = peak(targets[:1]), peak(targets)
+        assert one > 2e5 * 8  # a grid's times alone take that much
+        assert eight < 2 * one
 
 
 class TestInvariantsAndRectify:
@@ -858,7 +1122,8 @@ class TestCompiledOnce:
             return source(*args)
 
         monkeypatch.setattr(ex, "_source", counting)
-        ex._closure_maker.cache_clear()
+        for cache in (ex._closure_maker, ex.evaluate_const, reduction._field):
+            cache.cache_clear()
 
         def solve(energy, target):
             vals, _ = solve_reduced(red.first_order.Z, red.first_order.V, energy,
@@ -867,12 +1132,29 @@ class TestCompiledOnce:
             return vals[0]
 
         first = solve(1.0, (0.4,))
-        assert len(generated) == 4  # Z's affine parts, V's array form, v and u
+        # Z's affine parts, V's array form and the constant exponent of its
+        # J^-1, v and u
+        assert len(generated) == 5
         second = solve(2.0, (0.9,))
-        assert len(generated) == 4
+        assert len(generated) == 5
         # the energy is bound per call, not baked into the cached code
         assert second != first
         assert solve(1.0, (0.4,)) == first
+
+    def test_the_set_up_is_shared_by_calls_that_bind_the_same_doubles(self, h3):
+        Z, V = first_order(h3)
+        reduction._field.cache_clear()
+        for energy in (1.0, 1, F(1), 1.0 + 0j, -0.0, 0.0):
+            solve_one(Z, V, (0.3,), 0.5, params={"J": 1.0, "E": energy})
+        # 1.0, 1, F(1) and 1 + 0j bind the same double; -0.0 and 0.0 do not
+        assert reduction._field.cache_info()[:2] == (3, 3)  # hits, misses
+
+    def test_values_and_expressions_the_cache_cannot_key_raise_as_before(self, h3):
+        Z, V = first_order(h3)
+        with pytest.raises(ex.DomainError, match="value bound to J is outside the double range"):
+            solve_one(Z, V, (0.3,), 0.5, params={"J": 10 ** 400})
+        with pytest.raises(TypeError, match="cannot treat list as an expression"):
+            solve_one(Z, [V], (0.3,), 0.5, params={"J": 1.0})
 
 
 class TestReducedResidual:

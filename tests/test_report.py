@@ -19,7 +19,7 @@ from nclb.models import (CasimirReport, CollapsedAction, GroupModel, HaarData,
                          KernelD, ModelParameterError, QuadSpec2D,
                          SingularMeasureError, SmearedGaussian, SmokeSpec,
                          casimir_scalar_check)
-from nclb.reduction import (Characteristic, FirstOrderData, LambdaRep,
+from nclb.reduction import (Characteristic, FirstOrderData, Grid, LambdaRep,
                             NotFirstOrderError, RectifyReport, ReducedOperator,
                             ResidualReport, SpectralLabelError, build_reduced,
                             extract_first_order)
@@ -72,7 +72,8 @@ def _records(h3):
         QuadSpec2D(((-1.0, 1.0), (0.5, 2.0)), n=8), casimir_scalar_check(h3),
         SmearedGaussian((0.1, -0.2)), SmokeSpec(8, 8),
         h3.lrep, extract_first_order(reduced, h3.normalizer).first_order, reduced,
-        Characteristic((0.1,), 0.05, (0.0, 0.05), (0.15 + 0j,), 0.02j, 192, 2e-17),
+        Grid(0.05, 1),
+        Characteristic((0.1,), 0.05, Grid(0.05, 1), (0.15 + 0j,), 0.02j, 192, 2e-17),
         ResidualReport(1e-9, 27, 0, True), RectifyReport(0.0, 1e-17, 5, 1),
         CheckRecord("jacobi", PASS, 0.0, 4, 7, 0, {"subchecks": ["a"]}),
     ]
@@ -82,7 +83,7 @@ RECORD_CLASSES = [
     LieAlgebra, Subspace, Covector, BilinearForm, CoisotropyReport,
     LaplacianData, DiffOp, SampleSpec, OpComparison, CollapsedAction, KernelD,
     HaarData, GroupModel, QuadSpec2D, CasimirReport, SmearedGaussian, SmokeSpec,
-    LambdaRep, FirstOrderData, ReducedOperator, Characteristic, ResidualReport,
+    LambdaRep, FirstOrderData, ReducedOperator, Grid, Characteristic, ResidualReport,
     RectifyReport, CheckRecord,
 ]
 
