@@ -1121,11 +1121,11 @@ def _pair_inner_product(a: SmearedGaussian, b: SmearedGaussian):
 
 @record
 class SmokeSpec:
-    """The coarse node counts of the 4d smoke test's quadrature passes.
-
-    `n_inner` sets the s nodes and `n_outer` the u nodes of both passes
-    (`_smoke_g47`; its t, q1, x3 and x4 directions are closed form).  The
-    Heisenberg smoke test is closed form and reads neither.
+    """The s node counts of the 4d smoke test's passes (`_smoke_g47`, at
+    the sharp limit; s is its one rule): `n_inner` for the coarse pass, on
+    +-6.5 widths of a's s Gaussian, and `n_outer` > n_inner for the refined
+    one, on +-8 widths.  The Heisenberg smoke test is closed form and reads
+    neither.
     """
     n_outer: int = 96
     n_inner: int = 64
@@ -1136,7 +1136,6 @@ class SmokeSpec:
 
 
 _WINDOW = 3.0        # Heisenberg x3 window scale
-_WINDOW_UV = 128.0   # 4d model x1/x2 window scales
 
 
 def _smoke_heisenberg(a, b, j_val, jt_val, spec: SmokeSpec):
@@ -1199,24 +1198,18 @@ def _smoke_heisenberg(a, b, j_val, jt_val, spec: SmokeSpec):
     return dev, 0.0, measured, complex(predicted), scale
 
 
-def _t_window_exponent(q2, s, q2t, st, j_val, b, sw):
-    """The t integral of the 4d pairing's tilde side, exactly, as a
-    function of q1 and eta = q2 x3 - q1: (factor, (e_c, e_q, e_qq, e_e,
-    e_ee, e_qe)), the integral being factor exp(e_c + e_q q1 + e_qq q1^2 +
-    e_e eta + e_ee eta^2 + e_qe q1 eta).
+def _t_exponent(q2, s, j_val, b):
+    """b's Gaussian, less its x4 factor, at the 4d pairing's sharp limit u
+    = t = 0, as the (e_c, e_q, e_qq, e_e, e_ee, e_qe) coefficients of its
+    exponent in q1 and eta = q2 x3 - q1: e_c + e_q q1 + e_qq q1^2 + e_e eta
+    + e_ee eta^2 + e_qe q1 eta.
 
-    Along t the integrand is the nascent-delta window sqrt(2 pi) sw
-    e^{-(sw t)^2/2} times b's Gaussian in qt1 = (t0 + t)/(J qt2) + qt2 x3/2
-    times the phase e^{i x3 ((t0 + t) st - t0 s)}, with t0 = (J q2/2)(2 q1 -
-    q2 x3) = (J q2/2)(q1 - eta) and x3 = (q1 + eta)/q2.  That is e^{-A t^2 +
-    B t + C} with A = sw^2/2 + (1/(J qt2 wb))^2 > 0, so the integral over
-    the line is sqrt(pi/A) e^{B^2/(4A) + C}: A is free of q1 and eta, t0, x3
-    and B are linear in them and C is quadratic.  The arguments broadcast
-    against each other; `_smoke_g47` then integrates the result times a's
-    q1 and eta Gaussians over both lines (`_gaussian_line_integral`).
+    There qt2 = q2, st = s and qt1 = t0/(J q2) + q2 x3/2, with t0 = (J
+    q2/2)(2 q1 - q2 x3) and x3 = (q1 + eta)/q2, so qt1 - cb1 and qt1' - cb1'
+    = qt1 - q2 x3 - cb1' are linear in q1 and eta.  The map gives qt1 = q1
+    and qt1' = -eta up to rounding; it is taken as it stands, so that a
+    wrong chart map would show in the deviation.  The arguments broadcast.
     """
-    import numpy as np
-
     def times(l, m):
         # the (1, q1, q1^2, eta, eta^2, q1 eta) coefficients of l m
         return (l[0] * m[0], l[0] * m[1] + l[1] * m[0], l[1] * m[1],
@@ -1224,22 +1217,16 @@ def _t_window_exponent(q2, s, q2t, st, j_val, b, sw):
 
     cb1, cbs, cb1p, _ = b.centers
     wb2 = b.width * b.width
-    beta = 1.0 / (j_val * q2t)
-    # (constant, q1 coefficient, eta coefficient) of each linear quantity
-    t0 = (0.0, 0.5 * j_val * q2, -0.5 * j_val * q2)
-    x3 = (0.0, 1.0 / q2, 1.0 / q2)
-    # qt1(t = 0) - cb1 and qt1(t = 0) - qt2 x3 - cb1p
-    d1 = (-cb1,) + tuple(t * beta + 0.5 * q2t * x for t, x in zip(t0[1:], x3[1:]))
-    d2 = (-cb1p,) + tuple(d - q2t * x for d, x in zip(d1[1:], x3[1:]))
-    big_a = 0.5 * sw * sw + beta * beta / wb2
-    big_b = tuple(1j * x * st - beta * (u + v) / wb2 for x, u, v in zip(x3, d1, d2))
-    phase = 1j * (st - s)
-    four_a = 4.0 * big_a
-    coeffs = [bb / four_a + phase * tx - (u + v) / (2.0 * wb2)
-              for bb, tx, u, v in zip(times(big_b, big_b), times(t0, x3),
-                                      times(d1, d1), times(d2, d2))]
-    coeffs[0] -= (st - cbs) ** 2 / (2.0 * wb2)
-    return math.sqrt(2.0 * math.pi) * sw * np.sqrt(math.pi / big_a), tuple(coeffs)
+    beta = 1.0 / (j_val * q2)
+    # (q1 coefficient, eta coefficient) of t0 and of x3
+    t0 = (0.5 * j_val * q2, -0.5 * j_val * q2)
+    x3 = (1.0 / q2, 1.0 / q2)
+    # (constant, q1 coefficient, eta coefficient) of d1 and d2
+    d1 = (-cb1,) + tuple(t * beta + 0.5 * q2 * x for t, x in zip(t0, x3))
+    d2 = (-cb1p,) + tuple(d - q2 * x for d, x in zip(d1[1:], x3))
+    coeffs = [-(u + v) / (2.0 * wb2) for u, v in zip(times(d1, d1), times(d2, d2))]
+    coeffs[0] -= (s - cbs) ** 2 / (2.0 * wb2)
+    return tuple(coeffs)
 
 
 def _gaussian_line_integral(big_a, big_b, big_c):
@@ -1258,126 +1245,96 @@ def _gaussian_line_integral(big_a, big_b, big_c):
 
 
 def _smoke_g47(a, b, j_val, jt_val, spec: SmokeSpec):
-    """The 4d-model pairing in collapsed coordinates.
+    """The 4d-model pairing in collapsed coordinates, at the sharp limit.
 
     Chart coordinates are (q1, s = ln q2) on each side.  The x1 and x2 group
     integrals act on pure phases with coefficients u = Jt qt2^2 - J q2^2 and
-    t = Tt - T (T the x2-phase rate (J q2/2)(2 q1 - q2 x3)); their Gaussian
-    windows are nascent 2 pi deltas, so the tilde side is integrated in the
-    narrow (u, t) window coordinates: t and the a-side q1, x3 and x4 in
-    closed form, u and the a-side s by quadrature.  The Haar weight e^{4 x4}
-    cancels the x4 part of the twist Lambda(q2') = q2'^4 exactly, so the x4
-    integrand is a's x4 Gaussian times b's, and its integral over the line
-    is their overlap (`_gauss_overlap_1d`).
+    t = Tt - T (T the x2-phase rate (J q2/2)(2 q1 - q2 x3)), so each is a
+    2 pi delta: the tilde side is taken at u = t = 0, where qt2 = q2, st = s
+    and the x3 phase e^{i x3 t0 (st - s)} is 1, and the u measure q2/2 over
+    x3's Jacobian q2 leaves 2 pi^2.  The Haar weight e^{4 x4} cancels the
+    x4 part of the twist Lambda(q2') = q2'^4, so the x4 integral is the
+    overlap of a's and b's x4 Gaussians (`_gauss_overlap_1d`).
 
-    At fixed q1, x3 = (q1 + eta)/q2 with dx3 = d eta/q2, and a's x3 factor
-    is a Gaussian in eta = -q1' alone.  The closed-form t integral is
-    factor e^{E(q1, eta)} with E quadratic in (q1, eta)
-    (`_t_window_exponent`), so times a's q1 and eta Gaussians the integrand
-    of an (s, u) node is e^{-A1 q1^2 + (B1 + E_qe eta) q1 + C(eta)} with C
-    quadratic, and both chart axes are whole lines.  The q1 integral is
-    sqrt(pi/A1) e^{(B1 + E_qe eta)^2/(4 A1) + C(eta)} = G0 e^{-A2 eta^2 +
-    B2 eta}, where G0 = `_gaussian_line_integral(A1, B1, C(0))` is its value
-    at eta = 0, A2 = E_qe^2/(4 A1) less the eta^2 coefficient of C, and B2
-    = B1 E_qe/(2 A1) plus its eta coefficient; the eta integral is
-    `_gaussian_line_integral(A2, B2, 0)`.  Both are exact, with no q1 or
-    eta box, and raise unless Re A > 0.  The coarse and the refined pass
-    differ in both remaining rules: n_inner // 2, then 3 n_inner // 4 s
-    nodes, and n_outer // 4, then n_outer // 3 u nodes.
+    At fixed s, a's q1 and q1' = -eta Gaussians times b's (`_t_exponent`)
+    are e^{-A1 q1^2 + (B1 + E_qe eta) q1 + C(eta)} with C quadratic.  The q1
+    integral, `_gaussian_line_integral(A1, B1, C(0))`, leaves e^{-A2 eta^2
+    + B2 eta} with A2 = E_qe^2/(4 A1) less the eta^2 coefficient of C and
+    B2 = B1 E_qe/(2 A1) plus its eta coefficient, and the eta integral is
+    `_gaussian_line_integral(A2, B2, 0)`: both exact, on whole lines.  Only
+    s is a rule: n_inner nodes on +-6.5 widths of a's s Gaussian in the
+    coarse pass and n_outer on +-8 in the refined one, so the refinement
+    change covers both the node count and the box.
     """
     import numpy as np
 
-    # (s, u) node counts of the coarse and the refined pass
-    passes = ((spec.n_inner // 2, spec.n_outer // 4),
-              ((3 * spec.n_inner) // 4, spec.n_outer // 3))
-    if not all(0 < coarse < fine for coarse, fine in zip(*passes)):
+    if not spec.n_outer > spec.n_inner:
         raise ModelParameterError(
-            f"{spec} gives the 4d smoke test (s, u) node counts {passes[0]} "
-            f"and {passes[1]}: the coarse pass needs nodes and the refined pass "
-            f"must add nodes on every axis")
+            f"{spec} gives the 4d smoke test's refined pass {spec.n_outer} s nodes "
+            f"and its coarse pass {spec.n_inner}: the refined pass must add nodes")
     scale = 2.0 * math.pi ** 2 * math.sqrt(
         _pair_inner_product(a, a) * _pair_inner_product(b, b))
     if j_val != jt_val:
-        # opposite orbits: qt2^2 = (u + J q2^2)/Jt > 0 needs u to outweigh
-        # J q2^2, which the u window of half-width 6/sw does only in the s
-        # tails (q2^2 ~ 0.025 at s near cas - 6.5 wa on c12's pair).  The
-        # pairing computed there is 7.8e-30, 5.7e-30 of the scale, so
-        # returning 0 is exact to far below the gate
+        # opposite orbits: the u delta needs qt2^2 = J q2^2/Jt = -q2^2, which
+        # no qt2 > 0 meets, so the pairing is exactly 0 by support
         return 0.0, 0.0, 0j, 0j, scale
     wa, wb = a.width, b.width
     ca1, cas, ca1p, casp = a.centers
-    _, _, _, cbsp = b.centers
-    sw = _WINDOW_UV
+    cbsp = b.centers[3]
     rate = 0.5 / (wa * wa)
 
-    def compute(n_s, n_u):
-        sn, wsn = gl_nodes(n_s, cas - 6.5 * wa, cas + 6.5 * wa)
-        un, wun = gl_nodes(n_u, -6.0 / sw, 6.0 / sw)
-        win_u = wun * math.sqrt(2.0 * math.pi) * sw * np.exp(-0.5 * (sw * un) ** 2)
-        # arrays are laid out (s, u)
-        s = sn[:, None]
-        q2 = np.exp(s)
-        # a u node off the physical region qt2^2 > 0 gets measure 0
-        q2t_sq = (un + j_val * q2 * q2) / jt_val
-        valid = q2t_sq > 1e-12
-        q2t = np.sqrt(np.where(valid, q2t_sq, 1.0))
-        st = np.log(q2t)
-        # x4 shifts s -> s'; the Haar density e^{4 x4} cancels Lambda's
-        # e^{-4 x4}, leaving qt2^4 over the Jacobian 2 qt2^3, and the x4
-        # integral of a's and b's x4 Gaussians is their overlap on the line
-        x4_overlap = _gauss_overlap_1d(s - casp, wa, st - cbsp, wb)
-        # the (q1, eta)-free factors: a's s Gaussian, the u window, the
-        # measure, the x4 overlap and the x3 Jacobian 1/q2
-        weight = (wsn[:, None] * np.exp(-((s - cas) ** 2) / (2.0 * wa * wa)) * win_u
-                  * np.where(valid, 0.5 * q2t, 0.0) * x4_overlap / q2)
-
+    def compute(n_s, half):
+        s, ws = gl_nodes(n_s, cas - half * wa, cas + half * wa)
+        # the (q1, eta)-free factors: 2 pi from each delta times the u
+        # measure over the x3 Jacobian, a's s Gaussian and the x4 overlap
+        weight = (2.0 * math.pi ** 2 * ws * np.exp(-((s - cas) ** 2) / (2.0 * wa * wa))
+                  * _gauss_overlap_1d(s - casp, wa, s - cbsp, wb))
         # a's Gaussians e^{-rate ((q1 - ca1)^2 + (eta + ca1p)^2)} times
-        # e^{E(q1, eta)}; a u node of measure 0 gets A = 1 and C = -inf in
-        # the q1 integral, an exact 0, and A = 1, B = 0 in the eta integral,
-        # so neither can overflow
-        factor, (e_c, e_q, e_qq, e_e, e_ee, e_qe) = _t_window_exponent(
-            q2, s, q2t, st, j_val, b, sw)
-        a_q = np.where(valid, rate - e_qq, 1.0)
+        # e^{E(q1, eta)}
+        e_c, e_q, e_qq, e_e, e_ee, e_qe = _t_exponent(np.exp(s), s, j_val, b)
+        a_q = rate - e_qq
         b_q = e_q + 2.0 * rate * ca1
         over_q1 = _gaussian_line_integral(
-            a_q, b_q, np.where(valid, e_c - rate * (ca1 * ca1 + ca1p * ca1p), -np.inf))
+            a_q, b_q, e_c - rate * (ca1 * ca1 + ca1p * ca1p))
         # completing the square in q1 leaves e^{-A eta^2 + B eta} times that
         over_eta = _gaussian_line_integral(
-            np.where(valid, rate - e_ee - e_qe * e_qe / (4.0 * a_q), 1.0),
-            np.where(valid, e_e - 2.0 * rate * ca1p + b_q * e_qe / (2.0 * a_q), 0.0),
-            0.0)
-        return np.sum(factor * weight * over_q1 * over_eta)
+            rate - e_ee - e_qe * e_qe / (4.0 * a_q),
+            e_e - 2.0 * rate * ca1p + b_q * e_qe / (2.0 * a_q), 0.0)
+        return np.sum(weight * over_q1 * over_eta)
 
-    coarse, refined = (complex(compute(*n)) for n in passes)
+    coarse, refined = (float(compute(*n)) for n in ((spec.n_inner, 6.5),
+                                                    (spec.n_outer, 8.0)))
     predicted = 2.0 * math.pi ** 2 * _pair_inner_product(a, b)
     conv = abs(refined - coarse) / scale
     dev = abs(refined - predicted) / scale
-    return dev, conv, refined, complex(predicted), scale
+    return dev, conv, complex(refined), complex(predicted), scale
 
 
 def kernel_orthogonality_smoke(model, test_pairs, spec: SmokeSpec | None = None):
     """Smeared orthogonality of the representation kernels.
 
-    Each test pair is (a, b, J, Jt) with smooth Gaussian smearing factors;
-    the group-direction phases whose sharp limits are delta functions are
-    damped by wide Gaussian windows acting as nascent 2 pi deltas.  The
-    Heisenberg pairing is closed form in every direction, so its
-    refinement change is 0.0 and `spec` is not read; a J or Jt whose
-    square under- or overflows there raises SmokeQuadratureError.  The 4d
-    model's t window and a-side q1, x3 and x4 directions are closed form,
-    and its s and u integrals are quadrature on a coarse and a refined pass
-    (`SmokeSpec`).  The result is compared against the sharp-limit
-    prediction: (2 pi)^2/|J| <a,b> for the Heisenberg model
-    (per unit window mass), 2 pi^2 <a,b> with the Lambda twist for the 4d
-    model, and 0 for distinct spectral parameters, all at a tolerance of 1e-3.
+    Each test pair is (a, b, J, Jt) with smooth Gaussian smearing factors.
+    The group-direction phases whose sharp limits are delta functions are
+    taken at that limit for the 4d model: its x1 and x2 integrals are exact
+    2 pi deltas, its q1, x3 and x4 directions are closed form, and its s
+    integral is quadrature on a coarse and a refined pass (`SmokeSpec`).
+    Only the Heisenberg x3 phase keeps a wide Gaussian window, a nascent
+    2 pi delta whose transform its prediction includes exactly.  The
+    Heisenberg pairing is closed form in every direction, so its refinement
+    change is 0.0 and `spec` is not read; a J or Jt whose square under- or
+    overflows there raises SmokeQuadratureError.  The result is compared
+    against the sharp-limit prediction: (2 pi)^2/|J| <a,b> for the
+    Heisenberg model (per unit window mass), 2 pi^2 <a,b> with the Lambda
+    twist for the 4d model, and 0 for distinct spectral parameters, all at
+    a tolerance of 1e-3.
     A J or Jt that is no spectral label of the model (`LambdaRep.check_j`)
     raises SpectralLabelError.  A record whose refinement change between
     the coarse and the refined pass exceeds 1e-3, or is not finite, is
     inconclusive; a non-finite deviation, measured or predicted value or
     scale fails.  A record with J != Jt whose prediction exceeds 1e-3 of
     the scale is inconclusive too, with a "reason" in its detail: the
-    window still weighs the gap, so the pairing is not the sharp limit
-    there (for Heisenberg pairs of overlap near 1, a gap |J - Jt| below
+    Heisenberg x3 window still weighs the gap, so the pairing is not the
+    sharp limit there (for pairs of overlap near 1, a gap |J - Jt| below
     about 1.2).
     """
     spec = spec or SmokeSpec()

@@ -582,13 +582,13 @@ def _trace(field, target, v_ref, step, domain, out):
         times = np.concatenate((times, mid + half * _first_rules()[0]))
     with np.errstate(all="ignore"):
         qs = _affine_flow(field.eigen, field.c, start, times)
+    # the flow at t = 0 is P (P^-1 q0), which can miss the target in the last bit
+    qs[:, 0] = start
     finite = np.isfinite(qs[:, :n + 1]).all(axis=0)
     stop, exited = (n + 1 if finite.all() else int(finite.argmin())), False
     if domain is not None:
         # the target itself, then the finite grid points after it
-        points = np.array(qs[:, :max(stop, 1)].real)
-        points[:, 0] = [x.real for x in q0]
-        inside = _inside(domain, points)
+        inside = _inside(domain, np.array(qs[:, :max(stop, 1)].real))
         if not inside[0]:
             raise DomainExitError(0.0, tuple(target))
         if not inside.all():

@@ -241,15 +241,16 @@ class TestKernelSmoke:
         assert recs[0].max_residual <= 1e-3
 
     def test_g47_under_resolved_is_inconclusive(self, g47):
+        # 6 and 9 s nodes: the passes differ by ~1.19 of the scale
         recs = kernel_orthogonality_smoke(
-            g47, [(G47_A, G47_B, 1, 1)], spec=SmokeSpec(n_outer=12, n_inner=12))
+            g47, [(G47_A, G47_B, 1, 1)], spec=SmokeSpec(n_outer=9, n_inner=6))
         assert recs[0].status == "inconclusive"
+        assert recs[0].detail["refinement_change"] > 1.0
 
     @pytest.mark.parametrize("jt_val", [1, -1])
     def test_g47_refinement_must_add_nodes(self, g47, jt_val):
-        # n_outer sets the u nodes, and 8 gives both passes 2 u nodes, so
-        # their agreement says nothing about the u rule; the opposite orbit
-        # passed
+        # 8 s nodes in both passes would say nothing about the s rule, on
+        # the opposite orbit too
         with pytest.raises(ModelParameterError, match="refined pass"):
             kernel_orthogonality_smoke(
                 g47, [(G47_A, G47_B, 1, jt_val)], spec=SmokeSpec(n_outer=8, n_inner=8))
@@ -268,15 +269,6 @@ class TestKernelSmoke:
             assert type(rec.max_residual) is float
             assert type(rec.detail["refinement_change"]) is float
             assert "np." not in repr(rec)
-
-    @pytest.mark.parametrize("j_val, dev", [(-1, 5.047970918706612e-4),
-                                            (1, 5.047970918706612e-4)])
-    def test_g47_deviation_is_kept(self, g47, j_val, dev):
-        # the deviations the 20-node t-window sum gave on both orbits; the
-        # closed form adds the window's tail beyond 6 widths, ~1.5e-8 of scale
-        rec = kernel_orthogonality_smoke(g47, [(G47_A, G47_B, j_val, j_val)])[0]
-        assert rec.passed
-        assert abs(rec.max_residual - dev) <= 1e-7
 
     @pytest.mark.parametrize("j_val, jt_val", [(1, 0.9), (1, 0.7), (1, 0.5),
                                                (1, 1.5), (2, 1)])
@@ -318,42 +310,3 @@ class TestKernelSmoke:
             kernel_orthogonality_smoke(model, [(a, a, j_val, jt_val)])
         assert isinstance(info.value, NclbError)
         assert isinstance(info.value, ValueError)
-
-
-def _t_window_sum(q1v, sv, b, j_val, x3n, un, sw):
-    """The 4d smoke test's t integral at one (q1, s) node as a 20-node
-    Gauss-Legendre sum over +-6 window widths, on the (x3, u) grid."""
-    cb1, cbs, cb1p, _ = b.centers
-    tn, wtn = np.polynomial.legendre.leggauss(20)
-    tn, wtn = tn * 6.0 / sw, wtn * 6.0 / sw
-    win_t = wtn * math.sqrt(2.0 * math.pi) * sw * np.exp(-0.5 * (sw * tn) ** 2)
-    q2v = math.exp(sv)
-    q2t_sq = (un + j_val * q2v * q2v) / j_val
-    q2t = np.sqrt(np.where(q2t_sq > 1e-12, q2t_sq, 1.0))
-    st = np.log(q2t)
-    t_base = 0.5 * j_val * q2v * (2.0 * q1v - q2v * x3n)
-    tt = t_base[:, None, None] + tn
-    x3, q2t_b, st_b = x3n[:, None, None], q2t[None, :, None], st[None, :, None]
-    q1t = tt / (j_val * q2t_b) + 0.5 * q2t_b * x3
-    b_free = np.exp(-((q1t - cb1) ** 2 + (st_b - cbs) ** 2
-                      + (q1t - q2t_b * x3 - cb1p) ** 2) / (2.0 * b.width ** 2))
-    phase = np.exp(1j * (tt * x3 * st_b - (t_base * x3n * sv)[:, None, None]))
-    return (b_free * phase) @ win_t, q2t, st
-
-
-@pytest.mark.parametrize("q1v, sv, j_val", [(1.2, 0.1, 1), (0.5, -1.8, 1),
-                                            (1.9, 1.0, -1), (1.2, 0.1, 2)])
-def test_t_window_closed_form_matches_quadrature(q1v, sv, j_val):
-    # (0.5, -1.8) puts 6 of the 20 u nodes off the physical region
-    sw = models._WINDOW_UV
-    un = np.polynomial.legendre.leggauss(20)[0] * 6.0 / sw
-    q2v = math.exp(sv)
-    # x3 = (q1 + eta)/q2 across the x3 box, the smoke's exponent at this q1
-    eta = np.linspace(-2.4, 0.35, 33)
-    want, q2t, st = _t_window_sum(q1v, sv, G47_B, j_val, (q1v + eta) / q2v, un, sw)
-    factor, (e_c, e_q, e_qq, e_e, e_ee, e_qe) = models._t_window_exponent(
-        q2v, sv, q2t, st, j_val, G47_B, sw)
-    eta = eta[:, None]
-    got = factor * np.exp(e_c + q1v * (e_q + q1v * e_qq)
-                          + eta * (e_e + eta * e_ee + q1v * e_qe))
-    assert np.max(np.abs(got - want)) <= 1e-7 * np.max(np.abs(want))

@@ -635,6 +635,24 @@ class TestDomainCalls:
                       domain=lambda p: calls.append(p.shape) or g47.chart_domain(p))
         assert calls == [(2, 601)]
 
+    def test_a_length_zero_characteristic_ends_at_its_target_bit_for_bit(self, g47):
+        # the flow at t = 0 was P (P^-1 q0), and 193 of these 200 ends
+        # missed the target by up to 4.4e-16; the domain saw the target
+        rng = random.Random(41)
+        Z, V = first_order(g47)
+        v, u = rectifying_coordinates(g47)
+        params = {"J": 1.0, "E": 1.3}
+        v_at = ex.compile_expr(v, _chart_names(2), bind=params)
+        for _ in range(200):
+            target = (rng.uniform(1.2, 2.2), rng.uniform(0.5, 0.9))
+            seen = []
+            _, (ch,) = solve_reduced(
+                Z, V, 1.3, lambda u, p: 1.0, [target], 1e-3, v=v, u=u,
+                v_ref=v_at(*map(complex, target)).real, params=params,
+                domain=lambda p: seen.append(p.copy()) or g47.chart_domain(p))
+            assert ch.ts.steps == 0 and ch.end == target
+            assert tuple(seen[0][:, 0]) == target
+
     @pytest.mark.parametrize("domain, got", [
         (lambda p: True, r"bool of shape \(\) and dtype bool"),
         (lambda p: np.bool_(True), r"bool_? of shape \(\) and dtype bool"),
