@@ -833,6 +833,31 @@ class TestSmoke:
             models._gaussian_line_integral(np.array([1.0, big_a], complex),
                                            np.zeros(2, complex), np.zeros(2, complex))
 
+    def test_q1_and_eta_are_two_closed_forms_per_pass(self, monkeypatch):
+        # at SmokeSpec(72, 48) the coarse pass has 48 s nodes and the refined
+        # pass 72: per pass one q1 and one eta integral over its s nodes, and
+        # no q1, x3 or x4 nodes
+        calls = []
+        line = models._gaussian_line_integral
+        monkeypatch.setattr(models, "_gaussian_line_integral",
+                            lambda *abc: calls.append(np.shape(abc[0])) or line(*abc))
+        models._smoke_g47(*BENCH_G47, 1.0, 1.0, SmokeSpec(72, 48))
+        assert calls == [(48,)] * 2 + [(72,)] * 2
+
+    @pytest.mark.parametrize("j_val", [1.0, -1.0])
+    def test_a_pair_far_down_in_s_is_finite_and_meets_the_sharp_limit(self, j_val):
+        # around s = -1.8, q2^2 ~ 0.027: the u window of width 128 put some
+        # of its nodes off the physical region there
+        a = SmearedGaussian(centers=(1.2, -1.8, 1.0, -1.8), width=0.3)
+        b = SmearedGaussian(centers=(1.1, -1.75, 1.05, -1.85), width=0.28)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dev, conv, measured, predicted, scale = models._smoke_g47(
+                a, b, j_val, j_val, SmokeSpec())
+        assert np.all(np.isfinite([dev, conv, measured, predicted, scale]))
+        assert measured != 0
+        assert dev < 1e-9 and conv < 1e-9
+
     @pytest.mark.parametrize("changes, status", [
         ({0: math.nan}, "fail"), ({0: math.inf}, "fail"),
         ({1: math.nan}, "inconclusive"), ({1: -math.inf}, "inconclusive"),
