@@ -10,9 +10,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Mat = list  # list[list[Fraction]]
-Vec = list  # list[Fraction]
-
 
 def frac(x) -> Fraction:
     """Coerce ints, strings like '3/4', and Fractions to Fraction."""

@@ -386,21 +386,26 @@ def _affine_flow(eigen, c, q0, times):
     """The chart points q(t), one row per chart variable, at the float
     array `times` of the flow dq/dt = A q + c from q0, with `eigen` the
     `_eigen` decomposition of A (as tuples or arrays).  In the eigenbasis of
-    A, dy_i/dt = lam_i y_i + d_i with d = P^-1 c, so
-    y_i(t) = y_i(0) e^(lam_i t) + d_i expm1(lam_i t) / lam_i (d_i t when
-    lam_i is 0), and q = P y: one expm1 call over the m x N array of
-    lam_i t, and one matrix product.  The rows are float64 when `eigen`, c
-    and q0 are all real numbers, and complex otherwise."""
+    A, y = P^-1 q, dy_i/dt = lam_i y_i + d_i with d = P^-1 c, so
+    y_i(t) = y_i(0) + (lam_i y_i(0) + d_i) g_i(t), with
+    g_i(t) = expm1(lam_i t) / lam_i (t when lam_i is 0), and
+    q = q0 + P ((lam y(0) + d) g): one expm1 call per nonzero eigenvalue
+    and one matrix product, and the column of a time 0 is q0 bit for bit.
+    The rows are float64 when `eigen`, c and q0 are all real numbers, and
+    complex otherwise."""
     import numpy as np
 
     lams, p, p_inv = map(np.asarray, eigen)
-    y0 = p_inv @ np.asarray(q0)
-    # e^(lam t) y0 = y0 + expm1(lam t) y0, grouped with d's term
-    rates = lams * y0 + p_inv @ np.asarray(c)
-    growth = np.expm1(np.multiply.outer(lams, times))
-    np.divide(growth, lams[:, None], out=growth, where=lams[:, None] != 0)
-    growth[lams == 0] = times
-    return p @ (y0[:, None] + rates[:, None] * growth)
+    q0 = np.asarray(q0)
+    rates = lams * (p_inv @ q0) + p_inv @ np.asarray(c)
+    growth = np.empty((len(lams), len(times)), dtype=np.result_type(lams, times))
+    for row, lam in zip(growth, lams.tolist()):
+        if lam:
+            np.expm1(np.multiply(lam, times, out=row), out=row)
+            row /= lam
+        else:
+            row[...] = times
+    return q0[:, None] + p @ (rates[:, None] * growth)
 
 
 @record
@@ -465,13 +470,12 @@ def rectify_check(Z, v: Expr, u, samples, params=None) -> RectifyReport:
 @functools.lru_cache(maxsize=None)
 def _first_rules():
     """The nodes on [-1, 1] of `integrate_1d`'s first two rules, the 96
-    then the 192, and the (288, 2) matrix of their weights, one rule per
-    column; both arrays are read-only."""
+    then the 192, and their weights in the same order; both arrays are
+    read-only."""
     import numpy as np
 
     (x1, w1), (x2, w2) = map(_reference_rule, _COUNTS[:2])
-    nodes, weights = np.concatenate((x1, x2)), np.zeros((len(x1) + len(x2), 2))
-    weights[:len(x1), 0], weights[len(x1):, 1] = w1, w2
+    nodes, weights = np.concatenate((x1, x2)), np.concatenate((w1, w2))
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
@@ -540,8 +544,8 @@ class _Track:
     the first grid column that is not finite or is outside the domain
     (steps + 1 when there is none) and exited says it is outside; point is
     the chart point at stop, or at the end when there is none.  nodes are
-    the chart points at the 288 nodes of its first two phase rules, when
-    its grid passed, and fast says they went into the array pass."""
+    the chart points at the 288 nodes of its first two phase rules when its
+    grid runs to its end, else None."""
 
     target: tuple
     q0: list
@@ -551,14 +555,14 @@ class _Track:
     exited: bool
     point: tuple
     nodes: object
-    fast: bool
 
 
-def _trace(field, target, v_ref, step, domain, out):
+def _trace(field, target, v_ref, step, domain):
     """The `_Track` of one target: its end time and grid, one flow call on
     the grid and the 288 nodes of the first two phase rules, and the
-    finiteness and domain tests of the grid.  The nodes of a real flow
-    whose grid passes both go into out, an (m, 288) float array."""
+    finiteness and domain tests of the grid.  Of the flow's points, only
+    the chart point at the stop and the nodes outlive the call, the nodes
+    only when the grid passes both tests."""
     import numpy as np
 
     q0 = [complex(x) for x in target]
@@ -573,8 +577,7 @@ def _trace(field, target, v_ref, step, domain, out):
                         f" = {abs(t_end) / step:.6g}, more than {MAX_STEPS}")
     n = max(1, round(abs(t_end) / step)) if t_end else 0
     grid = Grid(t_end, n)
-    flat = field.real and not any(x.imag for x in q0)
-    start = [x.real for x in q0] if flat else q0
+    start = [x.real for x in q0] if field.real and not any(x.imag for x in q0) else q0
     times = t_end / max(n, 1) * np.arange(n + 1.0)
     if n:
         # the nodes where gl_nodes(count, 0, t_end) places them
@@ -582,8 +585,6 @@ def _trace(field, target, v_ref, step, domain, out):
         times = np.concatenate((times, mid + half * _first_rules()[0]))
     with np.errstate(all="ignore"):
         qs = _affine_flow(field.eigen, field.c, start, times)
-    # the flow at t = 0 is P (P^-1 q0), which can miss the target in the last bit
-    qs[:, 0] = start
     finite = np.isfinite(qs[:, :n + 1]).all(axis=0)
     stop, exited = (n + 1 if finite.all() else int(finite.argmin())), False
     if domain is not None:
@@ -593,47 +594,9 @@ def _trace(field, target, v_ref, step, domain, out):
             raise DomainExitError(0.0, tuple(target))
         if not inside.all():
             stop, exited = int(inside.argmin()), True
-    nodes = None
-    if n and stop > n:
-        # the grid goes, the nodes stay: a real flow's in the array pass
-        if flat:
-            out[...] = qs[:, n + 1:]
-            nodes = out
-        else:
-            nodes = qs[:, n + 1:].copy()
     return _Track(tuple(target), q0, start, grid, stop, exited,
-                  tuple(map(complex, qs[:, min(stop, n)].tolist())), nodes,
-                  flat and nodes is not None)
-
-
-def _phase(field, track):
-    """(phase, node count, change) of one characteristic on its own:
-    `integrate_1d` of V over the time, whose first call takes the track's
-    nodes.  A grid that stopped at a column takes V on the 96-node rule up
-    to that column, so that an error of V there wins, and then raises its
-    DomainExitError, or DomainError for a point that is not finite."""
-    import numpy as np
-
-    grid, first = track.grid, track.nodes
-
-    def along(times):
-        nonlocal first
-        qs, first = first, None
-        if qs is None:
-            with np.errstate(all="ignore"):
-                qs = _affine_flow(field.eigen, field.c, track.start, times)
-        return field.potential(*qs)[0]
-
-    if track.stop <= grid.steps:
-        t_stop = grid[track.stop]
-        along(gl_nodes(_COUNTS[0], 0.0, t_stop)[0])
-        if track.exited:
-            raise DomainExitError(t_stop, track.point)
-        raise ex.DomainError(f"the chart point is not finite at t = {t_stop!r}")
-    if not grid.steps:
-        return 0j, 0, 0.0
-    phase, nodes, change = integrate_1d(along, 0.0, grid.end)
-    return complex(phase), nodes, float(change)
+                  tuple(map(complex, qs[:, min(stop, n)].tolist())),
+                  qs[:, n + 1:].copy() if n and stop > n else None)
 
 
 def solve_reduced(Z, V, energy, phi, q_targets, step, *, v: Expr, u=(),
@@ -647,8 +610,10 @@ def solve_reduced(Z, V, energy, phi, q_targets, step, *, v: Expr, u=(),
     raises ChartFieldError.  A and c are read from Z's Jacobian, and V, v
     and u compiled, once per field and bound values (`_field`, a bounded
     cache).  The chart points come in closed form from the
-    eigen-decomposition of A (`_affine_flow`): in float64 when A, c and the
-    target are real and A's eigenvalues are real, in complex arithmetic
+    eigen-decomposition A = P diag(lam) P^-1 (`_affine_flow`),
+    q(t) = q0 + P ((lam P^-1 q0 + P^-1 c) g(t)) with g(0) = 0, so the
+    flow starts at the target bit for bit.  They are float64 when A, c and
+    the target are real and A's eigenvalues are real, and complex
     otherwise.  The time runs over a grid (`Grid`) of
     round(|t_end| / step) equal steps (at least one unless t_end is 0), on
     which the chart domain and finiteness are tested.  The phase does not
@@ -660,13 +625,17 @@ def solve_reduced(Z, V, energy, phi, q_targets, step, *, v: Expr, u=(),
     The targets are solved in one array pass.  In order, each takes one
     `_affine_flow` call on its grid and the first two rules' 288 nodes,
     placed as `gl_nodes` places them, and its grid is tested; the nodes of
-    a real flow whose grid passes are kept, the grid is not.  V then takes
-    one `expr.compile_array` call on all kept nodes, and the two rule sums
-    and the settle test are array operations.  A target that leaves the
-    domain, meets a point that is not finite, has a complex start or field,
-    meets an error of V or does not settle by 192 nodes goes through the
-    same steps on its own (`_phase`), in its place in the order, so the
-    first target that raises raises what it would raise alone.
+    every target whose grid runs to its end, real or complex, are kept,
+    the grid is not.  V then takes one `expr.compile_array` call on all
+    kept nodes, and each rule is summed on its own as `integrate_1d` sums
+    it, so a settled phase is bit for bit that of the target alone.  A
+    target whose nodes meet an error of V, whose sum is not finite or that
+    does not settle by 192 nodes takes `integrate_1d` afresh, which
+    recomputes its 288 chart points once and raises or doubles as the
+    target alone would.  A target whose grid stops takes V on the 96-node
+    rule up to the stop and raises.  Each target is finished in its place
+    in the order, so the first target that raises raises what it would
+    raise alone.
 
     The domain predicate is called once per target, on the (m, N) float
     array of the real parts of the target (column 0) and of the finite grid
@@ -701,36 +670,56 @@ def solve_reduced(Z, V, energy, phi, q_targets, step, *, v: Expr, u=(),
     # each target's grid is tested, and the nodes of its phase rules kept,
     # before the next target's flow is taken; an error waits for the
     # targets before it
-    reference, weights = _first_rules()
-    rows = np.empty((len(Z), len(q_targets), len(reference)))
-    tracks, kept, error = [], 0, None
+    tracks, error = [], None
     for target in q_targets:
         try:
-            track = _trace(field, target, v_ref, step, domain, rows[:, kept])
+            tracks.append(_trace(field, target, v_ref, step, domain))
         except Exception as exc:  # noqa: BLE001 - raised below, in its place
             error = exc
             break
-        tracks.append(track)
-        kept += track.fast
 
+    passing = [t for t in tracks if t.nodes is not None]
     settled = iter(())
-    if kept:
-        half = np.array([0.5 * (t.grid.end - 0.0) for t in tracks if t.fast])
-        vals, ok = field.potential(*rows[:, :kept].reshape(len(Z), -1), skip=Exception)
+    if passing:
+        half = np.array([0.5 * (t.grid.end - 0.0) for t in passing])
+        vals, ok = field.potential(*np.concatenate([t.nodes for t in passing], axis=1),
+                                   skip=Exception)
         with np.errstate(all="ignore"):
-            sums = (vals.reshape(kept, -1) @ weights) * half[:, None]
-            change = abs(sums[:, 1] - sums[:, 0])
-            done = (ok.reshape(kept, -1).all(axis=1) & np.isfinite(sums).all(axis=1)
-                    & (change <= 1e-12 * np.maximum(1.0, abs(sums[:, 1]))))
-        settled = iter(zip(done.tolist(), sums[:, 1].tolist(), change.tolist()))
+            # each rule summed on its own, as `integrate_1d` sums it
+            terms = (half[:, None] * _first_rules()[1]) * vals.reshape(len(passing), -1)
+            first, second = terms[:, :_COUNTS[0]].sum(axis=1), terms[:, _COUNTS[0]:].sum(axis=1)
+            change = abs(second - first)
+            done = (ok.reshape(len(passing), -1).all(axis=1) & np.isfinite(first)
+                    & np.isfinite(second) & (change <= 1e-12 * np.maximum(1.0, abs(second))))
+        settled = iter(zip(done.tolist(), second.tolist(), change.tolist()))
+
+    def along(track, times):
+        with np.errstate(all="ignore"):
+            qs = _affine_flow(field.eigen, field.c, track.start, times)
+        return field.potential(*qs)[0]
 
     values, chars = [], []
     for track in tracks:
-        done, phase, change = next(settled) if track.fast else (False, 0j, 0.0)
-        if done:
+        grid = track.grid
+        if track.nodes is not None:
+            done, phase, change = next(settled)
             nodes = _COUNTS[1]
+            if not done:
+                # an error of V, a sum that is not finite or more nodes:
+                # the target's own rules raise or settle as they would alone
+                phase, nodes, change = integrate_1d(functools.partial(along, track),
+                                                    0.0, grid.end)
+                phase, change = complex(phase), float(change)
+        elif track.stop <= grid.steps:
+            # V on the 96-node rule up to the stop, so that an error of V
+            # there wins
+            t_stop = grid[track.stop]
+            along(track, gl_nodes(_COUNTS[0], 0.0, t_stop)[0])
+            if track.exited:
+                raise DomainExitError(t_stop, track.point)
+            raise ex.DomainError(f"the chart point is not finite at t = {t_stop!r}")
         else:
-            phase, nodes, change = _phase(field, track)
+            phase, nodes, change = 0j, 0, 0.0
         amplitude = phi(field.u(*track.q0), params)
         try:
             # the phase is -int_{v_ref}^{v(q)} V dv along the characteristic
@@ -739,7 +728,7 @@ def solve_reduced(Z, V, energy, phi, q_targets, step, *, v: Expr, u=(),
             raise ex.DomainError(f"the phase at {track.target} overflows its exponential: "
                                  f"{phase!r}") from None
         values.append(amplitude * growth)
-        chars.append(Characteristic(start=track.target, step=step, ts=track.grid,
+        chars.append(Characteristic(start=track.target, step=step, ts=grid,
                                     end=track.point, phase=phase, phase_nodes=nodes,
                                     phase_change=change))
     if error is not None:

@@ -11,6 +11,7 @@ each to the object of its defining module.
 
 import importlib
 import os
+import re
 import subprocess
 import sys
 
@@ -163,6 +164,42 @@ def test_star_import_binds_every_name():
 def test_an_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'nope'"):
         nclb.nope
+
+
+# definitions that nothing else in the package names, kept as test
+# vocabulary and as the inverse-GFT oracle
+KEPT_ON_PURPOSE = {"algebra.abelian_algebra", "models.mode_superposition_h3"}
+
+
+def test_every_definition_is_named_elsewhere_in_the_package():
+    # a module-level function, class or assigned name whose name appears on
+    # no other line of the package, code or prose, and that the package
+    # does not export, is dead
+    import ast
+    import glob
+
+    sources = {}
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "nclb", "*.py"))):
+        with open(path, encoding="utf-8") as f:
+            sources[os.path.splitext(os.path.basename(path))[0]] = f.read().splitlines()
+    dead = set()
+    for module, lines in sources.items():
+        for node in ast.parse("\n".join(lines)).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                word = re.compile(rf"\b{re.escape(name)}\b")
+                if not (name.startswith("__") or name in nclb.__all__ or any(
+                        word.search(line) for m, text in sources.items()
+                        for k, line in enumerate(text, 1)
+                        if not (m == module and node.lineno <= k <= node.end_lineno))):
+                    dead.add(f"{module}.{name}")
+    assert dead == KEPT_ON_PURPOSE
 
 
 # the first numeric act of a fresh interpreter is one of evaluate,

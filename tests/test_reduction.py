@@ -590,6 +590,26 @@ class TestRealPath:
             want = (expm(t * gen) @ np.array(q0 + (1.0,)))[:2]
             assert np.abs(qs[:, k] - want).max() <= 1e-12 * np.abs(want).max()
 
+    @pytest.mark.parametrize("case", G47_PAIRS + ["rotation", "complex"], ids=str)
+    def test_the_flow_starts_at_the_target_bit_for_bit(self, case):
+        # column 0 is q0 plus an exact zero, not P (P^-1 q0)
+        rng = random.Random(43)
+        if case == "rotation":  # the eigenvalues +-i
+            Z, params = (-q2, q1), {}
+        elif case == "complex":
+            Z, params = (J * q2, -q1), {"J": 1 + 0.5j}
+        else:
+            Z, params = first_order(load_model("g4_7", F(case[0]), F(case[1])))[0], {"J": 1.0}
+        a, c = field_parts(Z, params)
+        eigen, c = _eigen(a, Z), tuple(x.real for x in c)
+        times = np.linspace(0.0, 0.7, 8)
+        for _ in range(50):
+            q0 = (rng.uniform(1.2, 2.2), rng.uniform(0.5, 0.9))
+            if case == "complex":
+                q0 = (q0[0] + 0.3j, q0[1])
+            qs = reduction._affine_flow(eigen, c, q0, times)
+            assert tuple(qs[:, 0].tolist()) == q0
+
     @pytest.mark.parametrize("alpha, beta", G47_PAIRS)
     def test_a_start_with_a_tiny_imaginary_part_takes_the_complex_path(
             self, alpha, beta, flow_dtypes):
@@ -912,8 +932,20 @@ def mixed(*names, solve=solve_reduced, **kwargs):
                  1e-2, **field)
 
 
-def close(a, b, rel=1e-15):
-    return abs(a - b) <= rel * abs(b)
+def assert_agrees(got, want):
+    """`solve_reduced`'s values and characteristics are `per_target_solve`'s
+    bit for bit."""
+    (vals, chars), (want_vals, want_chars) = got, want
+    assert len(vals) == len(want_vals) and len(chars) == len(want_chars)
+    assert [ch.phase_nodes for ch in chars] == [ch.phase_nodes for ch in want_chars]
+    for val, want, ch, ref in zip(vals, want_vals, chars, want_chars):
+        assert val == want
+        assert tuple(ch.ts) == ref.ts and len(ch.ts) == len(ref.ts)
+        assert (ch.start, ch.step, ch.end) == (ref.start, ref.step, ref.end)
+        assert ch.phase == ref.phase
+        # numpy's array abs of a complex can differ from the scalar abs in
+        # the last bit, which moves the change on the scale of the phase
+        assert abs(ch.phase_change - ref.phase_change) <= 1e-15 * abs(ref.phase)
 
 
 class TestArrayPass:
@@ -928,20 +960,21 @@ class TestArrayPass:
         ("clean",) * 3 + ("settles-at-384",) * 2,
     ], ids="+".join)
     def test_values_and_characteristics_agree_with_the_per_target_code(self, names):
-        vals, chars = mixed(*names)
-        want_vals, want_chars = mixed(*names, solve=per_target_solve)
-        assert [ch.phase_nodes for ch in chars] == [ch.phase_nodes for ch in want_chars]
+        _, chars = got = mixed(*names)
+        assert_agrees(got, mixed(*names, solve=per_target_solve))
         assert {192, 384} & {ch.phase_nodes for ch in chars}
-        for val, want, ch, ref in zip(vals, want_vals, chars, want_chars):
-            assert close(val, want)
-            assert tuple(ch.ts) == ref.ts and len(ch.ts) == len(ref.ts)
-            assert (ch.start, ch.step, ch.end) == (ref.start, ref.step, ref.end)
-            assert close(ch.phase, ref.phase)
-            # the change is the difference of two rules, so rounding moves
-            # it on the scale of the phase
-            assert abs(ch.phase_change - ref.phase_change) <= 1e-15 * abs(ref.phase)
         if "settles-at-384" in names:
             assert chars[names.index("settles-at-384")].phase_nodes == 384
+
+    def test_random_g47_targets_agree_with_the_per_target_code(self, g47):
+        rng = random.Random(42)
+        Z, V = first_order(g47)
+        v, u = rectifying_coordinates(g47)
+        targets = [(rng.uniform(1.2, 2.2), rng.uniform(0.5, 0.9)) for _ in range(12)]
+        got, want = (solve(Z, V, 1.3, lambda u, p: 2.0 - 1j * u[0], targets, 1e-3, v=v, u=u,
+                           v_ref=-1.0, params={"J": 1.0}, domain=chart_domain(g47))
+                     for solve in (solve_reduced, per_target_solve))
+        assert_agrees(got, want)
 
     @pytest.mark.parametrize("names, error", [
         (("clean", "exit", "non-finite"), DomainExitError),
