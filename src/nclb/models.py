@@ -793,17 +793,20 @@ def _is_box(box):
 
 class _GftGrid:
     """The inverse-GFT quadrature at one node count: nodes, weighted
-    amplitude and Airy rows, shared by `inverse_gft_h3` and its evaluator.
+    amplitude and a store of Airy rows, shared by `inverse_gft_h3` and its
+    evaluator.
 
     base = w phi_hat(k, J) (2 J^2)^(1/3) / (2 pi)^2 on the tensor
     Gauss-Legendre grid of the (k, J) box; a row is base times Ai of the
     kernel argument at one x1.  The phase exp(i k x2 + i J x3) factors over
-    the grid's two axes, so a value is the separable sum
-    e^{i k x2}^T . row . e^{i J x3}: 2n exponentials per point, not n^2.
+    the grid's two axes, so the value at a point is the separable sum
+    e^{i k x2}^T . row . e^{i J x3} (`group`).  The grid keeps the last
+    ROWS_KEPT rows it computed, by the exact float x1, for batches and
+    single points alike.
     """
 
     ROW_BUDGET = 1 << 13  # Airy arguments per `airy_array` call
-    ROWS_KEPT = 16  # rows a pointwise evaluator keeps
+    ROWS_KEPT = 16  # rows the store keeps
 
     def __init__(self, phi_hat, energy, box, n):
         import numpy as np
@@ -821,6 +824,7 @@ class _GftGrid:
         self.scale = self.two_j2 ** (2.0 / 3.0)
         self.base = (np.outer(wk, wj) * amp * self.two_j2 ** (1.0 / 3.0)
                      / (2.0 * np.pi) ** 2)
+        self.kept = {}  # x1 -> row, the last ROWS_KEPT computed
 
     def rows(self, x1s):
         """base * Ai((2 J^2 x1 + 2 k J + E)/(2 J^2)^(2/3)) for each x1, from
@@ -833,29 +837,63 @@ class _GftGrid:
         arg = (self.two_j2 * x1 + self.kj2 + self.e_val) / self.scale
         return self.base * airy_array("Ai", arg)
 
+    def stored_rows(self, x1s):
+        """(index, row) of each distinct x1 of the list x1s: a stored row,
+        else one computed in `rows` calls of at most ROW_BUDGET Airy
+        arguments, and stored."""
+        hits = [(i, self.kept[x1]) for i, x1 in enumerate(x1s) if x1 in self.kept]
+        yield from hits
+        todo = [i for i, x1 in enumerate(x1s) if x1 not in self.kept]
+        chunk = max(1, self.ROW_BUDGET // self.base.size)
+        for lo in range(0, len(todo), chunk):
+            at = todo[lo:lo + chunk]
+            for i, row in zip(at, self.rows([x1s[i] for i in at])):
+                _keep(self.kept, x1s[i], row, self.ROWS_KEPT)
+                yield i, row
+
+    @staticmethod
+    def group(e2, row, e3):
+        """The separable sums of points that share one x1 row, from their
+        phase rows e2 (e^{i k x2}) and e3 (e^{i J x3})."""
+        return ((e2 @ row) * e3).sum(axis=1)
+
+    @staticmethod
+    def phase(xs, nodes):
+        """e^{i nodes x} for each x of the distinct values xs, one row per x."""
+        import numpy as np
+
+        return np.exp(1j * np.multiply.outer(xs, nodes))
+
     def values(self, points):
-        """psi at each point of an (m, 3) array: the rows of the distinct x1
-        values (at most ROW_BUDGET Airy arguments per `rows` call), then the
-        separable sum of every point of each x1."""
+        """psi at each point of an (m, 3) array; a point with a non-finite
+        coordinate raises ModelParameterError naming it, before any Airy
+        work.  The points are taken in
+        x1 order, so each x1 is one slice of the phase rows, and each
+        distinct x1's row (`stored_rows`) meets its slice in `group`: the
+        cost is O(m n^2) over the rows' O(x1s n^2) Airy arguments."""
         import numpy as np
 
         pts = np.asarray(points, dtype=float).reshape(len(points), 3)
-        x1s, which = np.unique(pts[:, 0], return_inverse=True)
-        e2, e3 = self.phases(pts)
+        bad = ~np.isfinite(pts).all(axis=1)
+        if bad.any():
+            raise _not_finite(pts[bad][0].tolist())
+        order = np.argsort(pts[:, 0], kind="stable")
+        pts = pts[order]
+        x1s, starts = np.unique(pts[:, 0], return_index=True)
+        ends = np.append(starts[1:], len(pts))
+        x2s, x2_at = np.unique(pts[:, 1], return_inverse=True)
+        x3s, x3_at = np.unique(pts[:, 2], return_inverse=True)
+        e2, e3 = self.phase(x2s, self.k)[x2_at], self.phase(x3s, self.j)[x3_at]
         out = np.empty(len(pts), dtype=complex)
-        chunk = max(1, self.ROW_BUDGET // self.base.size)
-        for lo in range(0, len(x1s), chunk):
-            for i, row in enumerate(self.rows(x1s[lo:lo + chunk]), lo):
-                at = np.flatnonzero(which == i)
-                out[at] = np.sum((e2[at] @ row) * e3[at], axis=1)
+        for i, row in self.stored_rows(x1s.tolist()):
+            at = slice(starts[i], ends[i])
+            out[order[at]] = self.group(e2[at], row, e3[at])
         return out
 
-    def phases(self, pts):
-        """e^{i k x2} and e^{i J x3} at each point of an (m, 3) array."""
-        import numpy as np
 
-        return (np.exp(1j * np.outer(pts[:, 1], self.k)),
-                np.exp(1j * np.outer(pts[:, 2], self.j)))
+def _not_finite(point):
+    return ModelParameterError(
+        f"inverse GFT needs finite coordinates, got the point {tuple(point)}")
 
 
 def inverse_gft_h3(phi_hat, energy, x_points, quad_spec: QuadSpec2D):
@@ -865,7 +903,8 @@ def inverse_gft_h3(phi_hat, energy, x_points, quad_spec: QuadSpec2D):
              * Ai((2 J^2 x1 + 2 k J + E)/(2 J^2)^(2/3)) * exp(i k x2 + i J x3)
 
     phi_hat is a callable on (k, J) grids, supported inside quad_spec.box,
-    which must stay away from J = 0.  Returns a complex array over x_points.
+    which must stay away from J = 0.  Returns a complex array over x_points;
+    a point with a non-finite coordinate raises ModelParameterError.
     """
     return _GftGrid(phi_hat, energy, quad_spec.box, quad_spec.n).values(list(x_points))
 
@@ -876,22 +915,22 @@ def inverse_gft_h3_evaluator(phi_hat, energy, quad_spec: QuadSpec2D):
 
     A batch is `_GftGrid.values`, which computes the Airy rows of its
     distinct x1 values once, so a stencil cloud handed to `batch` costs one
-    `airy_array` call.  A call computes the value as a batch of one point
-    would, from the row of its x1; the evaluator keeps its last 16 rows, by
-    the exact float x1, so calls at a repeated x1 make no Airy call.
+    `airy_array` call.  A call is a batch of one point: the same phase
+    rows and `_GftGrid.group` kernel give the same value bit for bit.
+    Batches and calls share the grid's store of its last 16 rows, by the
+    exact float x1, so a call at an x1 a batch or call has just computed
+    makes no Airy call.  A non-finite coordinate raises
+    ModelParameterError before any Airy work.
     """
-    import numpy as np
-
     grid = _GftGrid(phi_hat, energy, quad_spec.box, quad_spec.n)
-    rows = {}
 
     def psi(point):
-        pt = np.asarray(point, dtype=float).reshape(1, 3)
-        x1 = float(pt[0, 0])
-        if x1 not in rows:
-            _keep(rows, x1, grid.rows([x1])[0], grid.ROWS_KEPT)
-        e2, e3 = grid.phases(pt)
-        return complex(np.sum((e2 @ rows[x1]) * e3))
+        x1, x2, x3 = pt = tuple(map(float, point))
+        if not all(map(math.isfinite, pt)):
+            raise _not_finite(pt)
+        ((_, row),) = grid.stored_rows([x1])
+        return complex(grid.group(grid.phase([x2], grid.k), row,
+                                  grid.phase([x3], grid.j))[0])
 
     psi.batch = grid.values
     return psi
@@ -916,7 +955,8 @@ def mode_superposition_h3(amplitude, energy, x_points, quad_spec: QuadSpec2D):
     the two agree pointwise.  The amplitude is called once, on the (mu, nu)
     node grids, as inverse_gft_h3 calls phi_hat; the Ai mode family, compiled
     once (`expr.compile_array`) with the energy bound, is evaluated over the
-    whole node grid at each output point.
+    whole node grid at every output point, as many points per call as keep
+    it within `_GftGrid.ROW_BUDGET` Airy arguments.
     """
     import numpy as np
 
@@ -929,12 +969,17 @@ def mode_superposition_h3(amplitude, energy, x_points, quad_spec: QuadSpec2D):
     j, wj = gl_nodes(quad_spec.n, float(j_lo), float(j_hi))
     kg, jg = np.meshgrid(k, j, indexing="ij")
     weighted = (np.outer(wk, wj) * np.asarray(amplitude(kg, jg))).ravel()
-    kg, jg = kg.ravel(), jg.ravel()
-    out = []
-    for (x1, x2, x3) in x_points:
-        vals, _ = f_mode(kg, jg, float(x1), float(x2), float(x3))
-        out.append(np.sum(weighted * vals))
-    return np.array(out, dtype=complex)
+    pts = np.array([(float(x1), float(x2), float(x3)) for (x1, x2, x3) in x_points],
+                   dtype=float).reshape(-1, 3)
+    nodes = weighted.size
+    chunk = max(1, _GftGrid.ROW_BUDGET // nodes)
+    out = np.empty(len(pts), dtype=complex)
+    for lo in range(0, len(pts), chunk):
+        at = pts[lo:lo + chunk]
+        cols = [np.repeat(c, nodes) for c in at.T]
+        vals, _ = f_mode(np.tile(kg.ravel(), len(at)), np.tile(jg.ravel(), len(at)), *cols)
+        out[lo:lo + len(at)] = np.sum(weighted * vals.reshape(len(at), nodes), axis=1)
+    return out
 
 
 def airy_identity_check(x, t) -> float:

@@ -752,14 +752,20 @@ def _stencil(op):
     stencils first use them; row `centre` is the zero offset.  The stencil of
     multi-index i at q with step h is
     sum_k weights[i, k] f(q + h offsets[k]) / h**orders[i].  Mixed second
-    derivatives use the tensor product of first-derivative stencils.
+    derivatives use the tensor product of first-derivative stencils.  The
+    table is built once per number of variables and multi-indices, and its
+    arrays are read-only.
     """
+    return _stencil_table(len(op.variables), tuple(op.coefficients))
+
+
+@functools.lru_cache(maxsize=32)
+def _stencil_table(d, indices):
     import numpy as np
 
-    d = len(op.variables)
     column = {}
     table = []
-    for idx in op.coefficients:
+    for idx in indices:
         axes = [a for a, k in enumerate(idx) if k]
         if not axes:
             terms = [((), 1.0)]
@@ -783,7 +789,10 @@ def _stencil(op):
         for k, w in row.items():
             weights[i, k] = w
     offsets = np.array(list(column), dtype=float).reshape(len(column), d)
-    return offsets, weights, np.array([sum(idx) for idx in op.coefficients]), centre
+    orders = np.array([sum(idx) for idx in indices])
+    for a in (offsets, weights, orders):
+        a.flags.writeable = False
+    return offsets, weights, orders, centre
 
 
 def _field_at(psi):
@@ -835,17 +844,20 @@ def operator_residual(op: DiffOp, psi, energy, samples, params=None,
     any other energy stays the symbol E, bound through params unless they
     already bind it.  op psi is built once and the residual simplified once
     (with proved=True it is taken as 0 unbuilt: the caller has proved
-    op psi = energy psi symbolically); (residual, psi) is evaluated over all
-    samples at once through `expr.compile_array`; at the first 10 samples
-    the symbolic op psi, as residual + E psi, is cross-checked against the
-    4th-order stencils (`_stencil`) of psi, whose points go through the same
-    (residual, psi) code.  A callable psi goes through the stencils alone, with each
-    distinct stencil point evaluated once per check (`_field_at`).  A
-    sample is skipped when a coefficient, psi or a stencil point it needs
-    raises one of `diffop.SKIPPED`.  A NaN or inf value makes the figure
-    NaN; a field numerically zero on every sample raises
-    InconclusiveError.  A stencil step that is not positive and finite
-    raises StepError.
+    op psi = energy psi symbolically).  psi is compiled alone and evaluated
+    in one `expr.compile_array` call, at the samples and then at the
+    4th-order stencil points (`_stencil`) of the first 10 samples, so an
+    error at a sample raises before one at a stencil point; the residual is
+    compiled and evaluated, at the samples only, when it is not
+    symbolically zero.  At those 10 samples the symbolic op psi, as
+    residual + E psi, is cross-checked against the stencils.  A callable
+    psi goes through the stencils alone, with each distinct stencil point
+    evaluated once per check (`_field_at`).  A sample is skipped when a
+    coefficient, psi or the residual at it raises one of `diffop.SKIPPED`;
+    a stencil point that raises one only drops its sample from the
+    cross-check.  A NaN or inf value makes the figure NaN; a field
+    numerically zero on every sample raises InconclusiveError.  A stencil
+    step that is not positive and finite raises StepError.
     """
     import numpy as np
 
@@ -861,13 +873,6 @@ def operator_residual(op: DiffOp, psi, energy, samples, params=None,
     offsets, weights, orders, centre = _stencil(op)
     coeffs = ex.compile_array(tuple(op.coefficients.values()), names, bind=params)
 
-    def stencil_values(field_at, pts):
-        """(coefficient values, field values at the stencil points, ok) at
-        the points pts, ok marking the points where all of them evaluate."""
-        c, ok = coeffs(*pts.T, skip=SKIPPED)
-        f, ok = field_at(pts[:, None, :] + fd_step * offsets, ok)
-        return c, f, ok
-
     def evaluated(ok):
         if not ok.any():
             raise InconclusiveError("all samples failed to evaluate")
@@ -880,19 +885,25 @@ def operator_residual(op: DiffOp, psi, energy, samples, params=None,
         resid = ZERO if proved else simplify(
             apply(op, psi) - (ex.as_expr(energy) if exact else Var("E")) * psi)
         symbolic_zero = resid == ZERO
-        fn = ex.compile_array((resid, psi), names, bind=params)
-        (r, p), ok = fn(*q.T, skip=SKIPPED)
+        head = q[:10]
+        block = head[:, None, :] + fd_step * offsets
+        pts = np.concatenate([q, block.reshape(-1, len(names))])
+        v, v_ok = ex.compile_array(psi, names, bind=params)(*pts.T, skip=SKIPPED)
+        p, ok = v[:len(q)], v_ok[:len(q)]
+        if symbolic_zero:
+            r = np.zeros(len(q), dtype=complex)
+        else:
+            r, r_ok = ex.compile_array(resid, names, bind=params)(*q.T, skip=SKIPPED)
+            ok = ok & r_ok
         ok = evaluated(ok)
-
-        def psi_at(block, ok):
-            (_, v), v_ok = fn(*block.reshape(-1, len(names)).T, skip=SKIPPED)
-            return v.reshape(block.shape[:2]), ok & v_ok.reshape(block.shape[:2]).all(axis=1)
-
-        c, f, ok10 = stencil_values(psi_at, q[:10])
-        ok10 = evaluated(ok10 & ok[:10])
+        c, ok10 = coeffs(*head.T, skip=SKIPPED)
+        f = v[len(q):].reshape(block.shape[:2])
+        ok10 = evaluated(ok10 & v_ok[len(q):].reshape(block.shape[:2]).all(axis=1)
+                         & ok[:10])
         e_val = complex(energy if exact else params["E"])
     else:
-        c, f, ok = stencil_values(_field_at(psi), q)
+        c, ok = coeffs(*q.T, skip=SKIPPED)
+        f, ok = _field_at(psi)(q[:, None, :] + fd_step * offsets, ok)
         ok = evaluated(ok)
         e_val = complex(energy)
 

@@ -1,5 +1,6 @@
 import functools
 import math
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -13,7 +14,9 @@ from nclb.models import (ModelParameterError, QuadSpec2D, SingularMeasureError,
                          kernel_orthogonality_smoke, mode_solution_h3,
                          mode_superposition_h3, pde_residual_field,
                          _pair_inner_product)
-from nclb.expr import evaluate
+from nclb import expr as ex
+from nclb.expr import Var, evaluate
+from nclb.quadrature import gl_nodes
 from nclb.reduction import SpectralLabelError
 from nclb.report import NclbError
 
@@ -209,6 +212,115 @@ class TestInverseGft:
                 want.append(np.sum(row * np.exp(1j * (kg * x2 + jg * x3))))
         got, want = grid.values(points), np.array(want)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def per_group_values(grid, points):
+    """The per-group formula the separable batch replaces: phases at every
+    point, and each x1's points picked out of all of them."""
+    pts = np.asarray(points, dtype=float).reshape(len(points), 3)
+    x1s, which = np.unique(pts[:, 0], return_inverse=True)
+    e2 = np.exp(1j * np.outer(pts[:, 1], grid.k))
+    e3 = np.exp(1j * np.outer(pts[:, 2], grid.j))
+    out = np.empty(len(pts), dtype=complex)
+    for i, row in enumerate(grid.rows(x1s)):
+        at = np.flatnonzero(which == i)
+        out[at] = np.sum((e2[at] @ row) * e3[at], axis=1)
+    return out
+
+
+def superposition_amplitude(phi):
+    def amp(mu, nu):
+        return (2 * nu * nu) ** (1 / 3) / (2 * math.pi) ** 2 * phi(mu, nu)
+    return amp
+
+
+_RNG = np.random.default_rng(43)
+SCATTERED = [tuple(p) for p in _RNG.uniform(-1.0, 1.0, (30, 3))]  # no coordinate repeated
+REPEATED = [GRID[i] for i in _RNG.permutation(np.arange(54) % 27)]
+TENSOR = [(0.3 * a, 0.25 * b, 0.2 * c) for a in range(-2, 2) for b in range(-2, 2)
+          for c in range(-2, 2)]
+
+
+class TestSeparableBatch:
+    SPEC = QuadSpec2D(box=((-1.0, 1.0), (0.2, 1.8)), n=32)
+    PHI = staticmethod(bump(0.0, 1.0, 0.2))
+
+    @pytest.mark.parametrize("points", [SCATTERED, REPEATED, TENSOR],
+                             ids=["scattered", "repeated", "tensor"])
+    def test_the_batch_is_the_per_group_formula(self, points):
+        grid = models._GftGrid(self.PHI, 1.0, self.SPEC.box, self.SPEC.n)
+        got = grid.values(points)
+        want = per_group_values(grid, points)
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= 1e-14 * scale
+        direct = mode_superposition_h3(superposition_amplitude(self.PHI), 1, points,
+                                       self.SPEC)
+        assert np.max(np.abs(got - direct)) <= 1e-12 * scale
+
+    def test_an_empty_point_list_gives_an_empty_array(self):
+        ev = inverse_gft_h3_evaluator(self.PHI, 1.0, self.SPEC)
+        for vals in (inverse_gft_h3(self.PHI, 1.0, [], self.SPEC), ev.batch([]),
+                     mode_superposition_h3(superposition_amplitude(self.PHI), 1, [],
+                                           self.SPEC)):
+            assert vals.shape == (0,) and vals.dtype == complex
+
+    def test_a_batch_computes_each_distinct_x1_row_once(self, airy_array_sizes):
+        grid = models._GftGrid(self.PHI, 1.0, self.SPEC.box, self.SPEC.n)
+        x1s = np.linspace(-0.9, 0.9, 20)
+        points = [(x1, 0.1 * i, -0.05 * i) for i in range(3) for x1 in x1s]
+        grid.values(points)
+        # 1024 arguments a row, 8 rows a call
+        assert airy_array_sizes == [8192, 8192, 4096]
+        assert sum(airy_array_sizes) == len(x1s) * self.SPEC.n ** 2
+        assert max(airy_array_sizes) <= models._GftGrid.ROW_BUDGET
+
+    def test_a_call_at_a_batched_x1_makes_no_airy_call(self, airy_array_sizes):
+        ev = inverse_gft_h3_evaluator(self.PHI, 1.0, self.SPEC)
+        # the residual's stencil cloud: 15 distinct x1, within the 16 kept
+        cloud = [(x1 + 0.05 * s, x2, x3) for (x1, x2, x3) in GRID for s in range(-2, 3)]
+        batch = ev.batch(cloud)
+        assert airy_array_sizes == [8 * 32 * 32, 7 * 32 * 32]  # 15 rows, 8 a call
+        single = np.array([ev(p) for p in cloud])
+        assert len(airy_array_sizes) == 2
+        assert np.max(np.abs(single - batch)) <= 1e-15 * np.max(np.abs(batch))
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_coordinate_is_a_parameter_error(self, airy_array_sizes,
+                                                          axis, bad):
+        # inf at x3 gave nan+nanj with a RuntimeWarning, NaN at x1 an
+        # AiryDomainError
+        point = [0.1, -0.2, 0.3]
+        point[axis] = bad
+        ev = inverse_gft_h3_evaluator(self.PHI, 1.0, self.SPEC)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: inverse_gft_h3(self.PHI, 1.0, [GRID[0], point], self.SPEC),
+                         lambda: ev.batch([GRID[0], point]), lambda: ev(point)):
+                with pytest.raises(ModelParameterError, match="finite coordinates") as info:
+                    call()
+                assert str(tuple(point)) in str(info.value)
+        assert airy_array_sizes == []
+
+    def test_superposition_batches_its_points_within_the_row_budget(
+            self, airy_array_sizes):
+        spec = QuadSpec2D(box=((-1.0, 1.0), (0.2, 1.8)), n=48)
+        amp = superposition_amplitude(self.PHI)
+        points = [tuple(p) for p in _RNG.uniform(-1.0, 1.0, (40, 3))]
+        got = mode_superposition_h3(amp, 1, points, spec)
+        # 2304 nodes a point, 3 points a call
+        assert airy_array_sizes == [3 * 2304] * 13 + [2304]
+        assert max(airy_array_sizes) <= models._GftGrid.ROW_BUDGET
+        # the per-point loop the batch replaces
+        f_mode = ex.compile_array(mode_solution_h3(Var("mu"), Var("nu"), Var("E")),
+                                  ["mu", "nu", "x1", "x2", "x3"], bind={"E": 1})
+        k, wk = gl_nodes(48, -1.0, 1.0)
+        j, wj = gl_nodes(48, 0.2, 1.8)
+        kg, jg = np.meshgrid(k, j, indexing="ij")
+        weighted = (np.outer(wk, wj) * amp(kg, jg)).ravel()
+        want = np.array([np.sum(weighted * f_mode(kg.ravel(), jg.ravel(), *p)[0])
+                         for p in points])
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 G47_A = SmearedGaussian(centers=(1.2, 0.1, 1.0, 0.0), width=0.3)

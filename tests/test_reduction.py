@@ -1390,3 +1390,87 @@ class TestStencilTable:
             rep = operator_residual(op, psi, 1.0, pts, params=params, fd_step=0.05)
             want = loop_residual(op, psi, 1.0, pts, 0.05, dict(params, E=1.0))
             assert rep.max_residual == pytest.approx(want, rel=1e-12)
+
+
+class TestExpressionResidualPass:
+    """An expression field is compiled alone and evaluated once, at the
+    samples and the stencil points of the first 10; its residual is
+    evaluated at the samples only, and only when it is not zero."""
+
+    SAMPLES = [(0.1 * a, 0.2 * b - 0.2, 0.15 * c) for a in range(4)
+               for b in range(3) for c in range(3)]
+
+    @staticmethod
+    def two_pass(op, psi, energy, samples, h):
+        """The report's figures from per-point closures of (residual, psi)
+        at the samples and of psi at the stencil points."""
+        from nclb.diffop import apply
+        resid = simplify(apply(op, psi) - ex.as_expr(energy) * psi)
+        rp = ex.compile_expr((resid, psi), op.variables)
+        f = ex.compile_expr(psi, op.variables)
+        coeffs = [ex.compile_expr(c, op.variables) for c in op.coefficients.values()]
+        offsets, weights, orders, _ = reduction._stencil(op)
+        values = [rp(*s) for s in samples]
+        cross = 0.0
+        for s, (r, p) in zip(samples[:10], values):
+            stencil = [f(*(np.array(s) + h * off)) for off in offsets]
+            lhs = sum(c(*s) * (w @ stencil) / h ** o
+                      for c, w, o in zip(coeffs, weights, orders))
+            sym = r + complex(energy) * p
+            cross = max(cross, abs(lhs - sym) / max(abs(sym), 1.0))
+        return (max(abs(r) for r, _ in values) / max(abs(p) for _, p in values), cross)
+
+    def test_a_proved_mode_makes_one_airy_call(self, h3, airy_array_sizes):
+        from nclb.models import mode_solution_h3, pde_residual
+        psi = mode_solution_h3(F(1, 3), F(5, 4), F(2))
+        rep = pde_residual(h3, psi, F(2), self.SAMPLES)
+        assert rep.symbolic_zero and rep.max_residual == 0.0
+        # the 36 samples and the 25 stencil points of each of the first 10
+        assert airy_array_sizes == [36 + 10 * 25]
+
+    @pytest.mark.parametrize("case", ["log", "mode at another energy"])
+    def test_a_residual_that_is_not_zero_reports_the_same_figures(self, h3, case):
+        from nclb.models import mode_solution_h3
+        if case == "log":
+            psi, energy = Log(Var("x1") + 1) * Exp(I * Var("x2")), F(1)
+        else:
+            psi, energy = mode_solution_h3(F(1, 2), F(3, 2), F(1)), F(2)
+        rep = operator_residual(h3.laplacian, psi, energy, self.SAMPLES, fd_step=0.05)
+        assert not rep.symbolic_zero
+        assert (rep.samples_used, rep.skipped_samples) == (36, 0)
+        residual, cross = self.two_pass(h3.laplacian, psi, energy, self.SAMPLES, 0.05)
+        assert rep.max_residual == pytest.approx(residual, rel=1e-12)
+        assert rep.fd_cross_deviation == pytest.approx(cross, rel=1e-9)
+
+    # x1 = 0.06 has the stencil point x1 = -0.04 at step 0.05, where log
+    # raises; x1 = -0.3 raises at the sample itself
+    LOG = Log(Var("x1")) * Exp(I * Var("x2"))
+    NEAR_ZERO = (0.06, 0.1, 0.2)
+
+    def test_an_error_at_a_sample_raises_before_one_at_a_stencil_point(
+            self, h3, monkeypatch):
+        samples = [self.NEAR_ZERO, (-0.3, 0.1, 0.2), (0.5, 0.0, 0.0)]
+        rep = operator_residual(h3.laplacian, self.LOG, 1.0, samples, fd_step=0.05)
+        assert (rep.samples_used, rep.skipped_samples) == (2, 1)
+        # with nothing skipped, the errors propagate: the sample's first
+        monkeypatch.setattr(reduction, "SKIPPED", ())
+        with pytest.raises(ex.DomainError, match=r"got \(-0\.3\+0j\)"):
+            operator_residual(h3.laplacian, self.LOG, 1.0, samples, fd_step=0.05)
+
+    def test_an_error_at_a_stencil_point_drops_the_sample_from_the_cross_check(self, h3):
+        rest = [(0.3 + 0.1 * i, 0.1 * i, -0.1 * i) for i in range(5)]
+        rep = operator_residual(h3.laplacian, self.LOG, 1.0, [self.NEAR_ZERO] + rest,
+                                fd_step=0.05)
+        assert (rep.samples_used, rep.skipped_samples) == (6, 0)
+        without = operator_residual(h3.laplacian, self.LOG, 1.0, rest, fd_step=0.05)
+        assert math.isfinite(rep.fd_cross_deviation)
+        assert rep.fd_cross_deviation == without.fd_cross_deviation
+        assert rep.max_residual != without.max_residual
+
+    def test_the_stencil_table_is_built_once_and_read_only(self, h3):
+        table = reduction._stencil(h3.laplacian)
+        copy = DiffOp(h3.laplacian.variables, dict(h3.laplacian.coefficients))
+        assert all(a is b for a, b in zip(table, reduction._stencil(copy)))
+        for array in table[:3]:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
