@@ -23,6 +23,7 @@ import cmath
 import functools
 import itertools
 import math
+import weakref
 from fractions import Fraction
 from numbers import Real
 
@@ -692,8 +693,8 @@ def coordinate_expansion_report(model, seed=DEFAULT_SEED):
 # --- closed-form mode solutions ----------------------------------------------
 
 MODE_KINDS = ("Ai", "Bi")
-_MEMBERS = {}  # member tree -> (builder, kind, exact E), oldest first
-_MEMBERS_CAP = 64
+# member tree -> (builder, kind, exact E), while anything holds the tree
+_MEMBERS = weakref.WeakKeyDictionary()
 
 
 def _keep(memo, key, value, cap):
@@ -711,7 +712,7 @@ def mode_solution_h3(mu, nu, energy, kind="Ai") -> Expr:
     must be nonzero.  The Bi-branch profile is constructible but grows as
     x1 -> +infinity, so decaying-solution checks use the default Ai branch.
     A member built at exact mu, nu and E is remembered, for `pde_residual`,
-    among the last 64.
+    while anything holds it.
     """
     mu = ex.as_expr(mu)
     nu = ex.as_expr(nu)
@@ -725,7 +726,7 @@ def mode_solution_h3(mu, nu, energy, kind="Ai") -> Expr:
     arg = (two_nu2 * x1 + 2 * mu * nu + energy) * Power(two_nu2, Fraction(-2, 3))
     psi = simplify(Exp(I * mu * x2 + I * nu * x3) * ex.Airy(kind, arg))
     if all(isinstance(c, ex.Const) for c in (mu, nu, energy)):
-        _keep(_MEMBERS, psi, (mode_solution_h3, kind, energy.value), _MEMBERS_CAP)
+        _MEMBERS[psi] = (mode_solution_h3, kind, energy.value)
     return psi
 
 
@@ -873,10 +874,7 @@ class _GftGrid:
         cost is O(m n^2) over the rows' O(x1s n^2) Airy arguments."""
         import numpy as np
 
-        pts = np.asarray(points, dtype=float).reshape(len(points), 3)
-        bad = ~np.isfinite(pts).all(axis=1)
-        if bad.any():
-            raise _not_finite(pts[bad][0].tolist())
+        pts = _finite_points(points)
         order = np.argsort(pts[:, 0], kind="stable")
         pts = pts[order]
         x1s, starts = np.unique(pts[:, 0], return_index=True)
@@ -894,6 +892,18 @@ class _GftGrid:
 def _not_finite(point):
     return ModelParameterError(
         f"inverse GFT needs finite coordinates, got the point {tuple(point)}")
+
+
+def _finite_points(points):
+    """The list of points as an (m, 3) float array; a point with a
+    non-finite coordinate raises ModelParameterError naming it."""
+    import numpy as np
+
+    pts = np.asarray(points, dtype=float).reshape(len(points), 3)
+    bad = ~np.isfinite(pts).all(axis=1)
+    if bad.any():
+        raise _not_finite(pts[bad][0].tolist())
+    return pts
 
 
 def inverse_gft_h3(phi_hat, energy, x_points, quad_spec: QuadSpec2D):
@@ -956,21 +966,21 @@ def mode_superposition_h3(amplitude, energy, x_points, quad_spec: QuadSpec2D):
     node grids, as inverse_gft_h3 calls phi_hat; the Ai mode family, compiled
     once (`expr.compile_array`) with the energy bound, is evaluated over the
     whole node grid at every output point, as many points per call as keep
-    it within `_GftGrid.ROW_BUDGET` Airy arguments.
+    it within `_GftGrid.ROW_BUDGET` Airy arguments.  A point with a
+    non-finite coordinate raises ModelParameterError before any Airy work.
     """
     import numpy as np
 
     (k_lo, k_hi), (j_lo, j_hi) = quad_spec.box
     if j_lo <= 0.0 <= j_hi:
         raise SingularMeasureError("spectral support must exclude nu = 0")
+    pts = _finite_points(list(x_points))
     mode = mode_solution_h3(Var("mu"), Var("nu"), Var("E"))
     f_mode = ex.compile_array(mode, ["mu", "nu", "x1", "x2", "x3"], bind={"E": energy})
     k, wk = gl_nodes(quad_spec.n, float(k_lo), float(k_hi))
     j, wj = gl_nodes(quad_spec.n, float(j_lo), float(j_hi))
     kg, jg = np.meshgrid(k, j, indexing="ij")
     weighted = (np.outer(wk, wj) * np.asarray(amplitude(kg, jg))).ravel()
-    pts = np.array([(float(x1), float(x2), float(x3)) for (x1, x2, x3) in x_points],
-                   dtype=float).reshape(-1, 3)
     nodes = weighted.size
     chunk = max(1, _GftGrid.ROW_BUDGET // nodes)
     out = np.empty(len(pts), dtype=complex)

@@ -343,61 +343,50 @@ def _affine_parts(Z, q_vars):
     return jacobian + tuple(ex.subst(z, dict.fromkeys(q_vars, ZERO)) for z in Z)
 
 
-def _eigen(a, Z):
-    """(eigenvalues, P, P^-1) of the m x m matrix A (m <= 2) whose entries,
-    row by row, are a: A = P diag(eigenvalues) P^-1, with P's columns of
-    unit length.  A real A with real eigenvalues gives them, P and P^-1 as
-    floats; any other A gives complexes.  An A that is defective, or so
-    nearly that P's condition number exceeds 2e8, raises ChartFieldError
-    naming the field Z."""
-    a = tuple(map(complex, a))
+def _spectrum(a, Z):
+    """(eigenvalues, projections) of the m x m matrix A (m <= 2) whose
+    entries, row by row, are a: A = sum_i lam_i E_i, with sum_i E_i = I and
+    E_i E_j = delta_ij E_i.  With tau = tr A / m and N = A - tau I,
+    N^2 = delta^2 I: the eigenvalues are tau +- delta, the projections
+    (delta I +- N) / (2 delta), and a multiple of I has the one eigenvalue
+    tau and the projection I.  A real A with real eigenvalues gives floats,
+    any other A complexes.  An A that is defective, or so nearly that
+    ||E_+|| exceeds 1e8, raises ChartFieldError naming the field Z."""
     if not any(x.imag for x in a):
-        real = tuple(x.real for x in a)
-        if len(a) == 1 or (real[0] - real[3]) ** 2 + 4 * real[1] * real[2] >= 0:
-            a = real
+        a = tuple(x.real for x in a)
     if len(a) == 1:
-        return a, ((1,),), ((1,),)
+        return a, (((1.0,),),)
     a11, a12, a21, a22 = a
-    if a12 == 0 and a21 == 0:
-        return (a11, a22), ((1, 0), (0, 1)), ((1, 0), (0, 1))
-    # the root of larger modulus first, the other from the determinant,
-    # so neither loses digits to cancellation
-    tr, det, disc = a11 + a22, a11 * a22 - a12 * a21, (a11 - a22) ** 2 + 4 * a12 * a21
-    root = math.sqrt(disc) if isinstance(disc, float) else cmath.sqrt(disc)
-    big = (tr + root if abs(tr + root) >= abs(tr - root) else tr - root) / 2
-    lams = (big, det / big if big else 0 * big)
-    cols = []
-    for lam in lams:
-        # (A - lam) annihilates both; at least one is nonzero, as A is not
-        # diagonal
-        v = max(((a12, lam - a11), (lam - a22, a21)), key=lambda p: abs(p[0]) + abs(p[1]))
-        norm = math.hypot(abs(v[0]), abs(v[1]))
-        cols.append((v[0] / norm, v[1] / norm))
-    (p11, p21), (p12, p22) = cols
-    d = p11 * p22 - p12 * p21
-    # with unit columns, P's condition number is (1 + sqrt(1 - |d|^2)) / |d|
-    if not abs(d) >= 1e-8:
+    tau, h = (a11 + a22) / 2, (a11 - a22) / 2
+    if not (h or a12 or a21):
+        return (a11,), (((1.0, 0.0), (0.0, 1.0)),)
+    d2 = h * h + a12 * a21  # N = [[h, a12], [a21, -h]] squares to d2 I
+    delta = math.sqrt(d2) if isinstance(d2, float) and d2 >= 0 else cmath.sqrt(d2)
+    # E_+ has rank one, so its Frobenius norm is its 2-norm, which is
+    # 1 / |det P| for the eigenvector matrix P of unit columns
+    if not math.hypot(abs(delta + h), abs(a12), abs(a21), abs(delta - h)) <= 2e8 * abs(delta):
         raise ChartFieldError(f"{_named(Z)} has a defective linear part A = "
                               f"[[{a11}, {a12}], [{a21}, {a22}]]")
-    return lams, ((p11, p12), (p21, p22)), ((p22 / d, -p12 / d), (-p21 / d, p11 / d))
+    s = 0.5 / delta
+    return (tau + delta, tau - delta), (((0.5 + h * s, a12 * s), (a21 * s, 0.5 - h * s)),
+                                        ((0.5 - h * s, -a12 * s), (-a21 * s, 0.5 + h * s)))
 
 
-def _affine_flow(eigen, c, q0, times):
+def _affine_flow(spectrum, c, q0, times):
     """The chart points q(t), one row per chart variable, at the float
-    array `times` of the flow dq/dt = A q + c from q0, with `eigen` the
-    `_eigen` decomposition of A (as tuples or arrays).  In the eigenbasis of
-    A, y = P^-1 q, dy_i/dt = lam_i y_i + d_i with d = P^-1 c, so
-    y_i(t) = y_i(0) + (lam_i y_i(0) + d_i) g_i(t), with
-    g_i(t) = expm1(lam_i t) / lam_i (t when lam_i is 0), and
-    q = q0 + P ((lam y(0) + d) g): one expm1 call per nonzero eigenvalue
-    and one matrix product, and the column of a time 0 is q0 bit for bit.
-    The rows are float64 when `eigen`, c and q0 are all real numbers, and
-    complex otherwise."""
+    array `times` of the flow dq/dt = A q + c from q0, with `spectrum` the
+    `_spectrum` of A (as tuples or arrays):
+    q(t) = q0 + sum_i g_i(t) E_i (A q0 + c), g_i(t) = expm1(lam_i t) / lam_i
+    (t when lam_i is 0), and E_i A = lam_i E_i.  That is one expm1 call per
+    nonzero eigenvalue and one matrix product, and the column of a time 0
+    is q0 bit for bit.  A real c and q0 stand for a real A too, and give
+    float64 rows: the terms of a conjugate pair of eigenvalues are
+    conjugates, whose imaginary parts cancel.  Other rows are complex."""
     import numpy as np
 
-    lams, p, p_inv = map(np.asarray, eigen)
-    q0 = np.asarray(q0)
-    rates = lams * (p_inv @ q0) + p_inv @ np.asarray(c)
+    lams, projs = map(np.asarray, spectrum)
+    q0, c = np.asarray(q0), np.asarray(c)
+    rates = lams[:, None] * (projs @ q0) + projs @ c
     growth = np.empty((len(lams), len(times)), dtype=np.result_type(lams, times))
     for row, lam in zip(growth, lams.tolist()):
         if lam:
@@ -405,7 +394,8 @@ def _affine_flow(eigen, c, q0, times):
             row /= lam
         else:
             row[...] = times
-    return q0[:, None] + p @ (rates[:, None] * growth)
+    qs = q0[:, None] + rates.T @ growth
+    return qs if np.iscomplexobj(q0) or np.iscomplexobj(c) else qs.real
 
 
 @record
@@ -483,11 +473,10 @@ def _first_rules():
 @record
 class _Field:
     """What `solve_reduced` reads of a field Z = A q + c, its potential and
-    its flow-box coordinates: A's eigen-decomposition (`_eigen`) and c as
-    arrays, whether the flow of a real start runs in float64, V's
-    `compile_array` function and the closures of v and of u."""
+    its flow-box coordinates: A's `_spectrum` and c as arrays, whether A and
+    c are real, V's `compile_array` function and the closures of v and u."""
 
-    eigen: tuple
+    spectrum: tuple
     c: object
     real: bool
     potential: object
@@ -505,11 +494,10 @@ def _field(Z, V, v, u, bound):
     params = {item[0]: item[1] for item in bound}
     q_vars = _chart_names(len(Z))
     parts = ex.compile_expr(_affine_parts(Z, q_vars), (), bind=params)()
-    m = len(q_vars)
-    eigen, c = _eigen(parts[:m * m], Z), parts[m * m:]
-    # real eigenvalues and c keep the flow of a real start in float64
-    real = not any(isinstance(x, complex) for x in eigen[0]) and not any(x.imag for x in c)
-    return _Field(tuple(map(np.array, eigen)), np.array([x.real for x in c] if real else c),
+    m, real = len(q_vars), not any(x.imag for x in parts)
+    c = parts[m * m:]
+    return _Field(tuple(map(np.array, _spectrum(parts[:m * m], Z))),
+                  np.array([x.real for x in c] if real else c),
                   real, ex.compile_array(ex.as_expr(V), q_vars, bind=params),
                   ex.compile_expr(ex.as_expr(v), q_vars, bind=params),
                   ex.compile_expr(tuple(ex.as_expr(ue) for ue in u), q_vars, bind=params))
@@ -584,7 +572,7 @@ def _trace(field, target, v_ref, step, domain):
         half, mid = 0.5 * (t_end - 0.0), 0.5 * (t_end + 0.0)
         times = np.concatenate((times, mid + half * _first_rules()[0]))
     with np.errstate(all="ignore"):
-        qs = _affine_flow(field.eigen, field.c, start, times)
+        qs = _affine_flow(field.spectrum, field.c, start, times)
     finite = np.isfinite(qs[:, :n + 1]).all(axis=0)
     stop, exited = (n + 1 if finite.all() else int(finite.argmin())), False
     if domain is not None:
@@ -609,17 +597,16 @@ def solve_reduced(Z, V, energy, phi, q_targets, step, *, v: Expr, u=(),
     two chart variables, with an A that is not defective; any other field
     raises ChartFieldError.  A and c are read from Z's Jacobian, and V, v
     and u compiled, once per field and bound values (`_field`, a bounded
-    cache).  The chart points come in closed form from the
-    eigen-decomposition A = P diag(lam) P^-1 (`_affine_flow`),
-    q(t) = q0 + P ((lam P^-1 q0 + P^-1 c) g(t)) with g(0) = 0, so the
-    flow starts at the target bit for bit.  They are float64 when A, c and
-    the target are real and A's eigenvalues are real, and complex
-    otherwise.  The time runs over a grid (`Grid`) of
-    round(|t_end| / step) equal steps (at least one unless t_end is 0), on
-    which the chart domain and finiteness are tested.  The phase does not
-    depend on the step: it is `quadrature.integrate_1d` of V over
-    [0, t_end], Gauss-Legendre rules of 96 nodes, then 192, doubling up to
-    3072 until the result settles to 1e-12 relative, else
+    cache).  The chart points come in closed form from A's eigenvalues
+    lam_i and projections E_i (`_spectrum`, `_affine_flow`),
+    q(t) = q0 + sum_i g_i(t) E_i (A q0 + c) with g_i(0) = 0, so the flow
+    starts at the target bit for bit.  They are float64 when A, c and the
+    target are real, and complex otherwise.  The time runs over a grid
+    (`Grid`) of round(|t_end| / step) equal steps (at least one unless
+    t_end is 0), on which the chart domain and finiteness are tested.  The
+    phase does not depend on the step: it is `quadrature.integrate_1d` of V
+    over [0, t_end], Gauss-Legendre rules of 96 nodes, then 192, doubling
+    up to 3072 until the result settles to 1e-12 relative, else
     InconclusiveError.  v must be real at every target.
 
     The targets are solved in one array pass.  In order, each takes one
@@ -695,7 +682,7 @@ def solve_reduced(Z, V, energy, phi, q_targets, step, *, v: Expr, u=(),
 
     def along(track, times):
         with np.errstate(all="ignore"):
-            qs = _affine_flow(field.eigen, field.c, track.start, times)
+            qs = _affine_flow(field.spectrum, field.c, track.start, times)
         return field.potential(*qs)[0]
 
     values, chars = [], []

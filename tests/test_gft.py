@@ -289,14 +289,16 @@ class TestSeparableBatch:
     def test_a_non_finite_coordinate_is_a_parameter_error(self, airy_array_sizes,
                                                           axis, bad):
         # inf at x3 gave nan+nanj with a RuntimeWarning, NaN at x1 an
-        # AiryDomainError
+        # AiryDomainError, from the kernel and from the mode superposition
         point = [0.1, -0.2, 0.3]
         point[axis] = bad
         ev = inverse_gft_h3_evaluator(self.PHI, 1.0, self.SPEC)
+        amp = superposition_amplitude(self.PHI)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for call in (lambda: inverse_gft_h3(self.PHI, 1.0, [GRID[0], point], self.SPEC),
-                         lambda: ev.batch([GRID[0], point]), lambda: ev(point)):
+                         lambda: ev.batch([GRID[0], point]), lambda: ev(point),
+                         lambda: mode_superposition_h3(amp, 1, [GRID[0], point], self.SPEC)):
                 with pytest.raises(ModelParameterError, match="finite coordinates") as info:
                     call()
                 assert str(tuple(point)) in str(info.value)

@@ -403,6 +403,24 @@ class TestModeFamily:
         assert rep.symbolic_zero and rep.max_residual == 0.0
         assert values == [evaluate(psi, dict(zip(names, p))) for p in pts]
 
+    def test_every_held_member_keeps_the_proved_path(self, monkeypatch):
+        # 80 members built before any is checked: a cap of 64 on the
+        # remembered members sent the oldest 16 back to apply
+        from nclb import diffop, reduction
+        model = load_model("heisenberg")
+        drawn = list(_drawn_members(44, 75))
+        members = [mode_solution_h3(mu, nu, e_val, kind) for mu, nu, e_val, kind in drawn]
+        assert len(set(members)) == 80
+        calls = []
+        for mod in (diffop, reduction, models):
+            monkeypatch.setattr(mod, "apply", lambda op, f, mod=mod:
+                                calls.append(mod.__name__) or apply(op, f))
+        pts = grid3(n=3)
+        for psi, (_, _, e_val, _) in zip(members, drawn):
+            assert pde_residual(model, psi, e_val, pts).symbolic_zero
+        # only the family proofs, one per kind
+        assert calls == ["nclb.models"] * len(models.MODE_KINDS)
+
 
 class TestAiryIdentity:
     def test_unit_scale_point(self):

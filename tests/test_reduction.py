@@ -16,7 +16,7 @@ from nclb.models import (chart_domain, chart_samples, lambda_roots, load_model,
                          reduction_normalizer)
 from nclb.reduction import (ChartFieldError, Characteristic, DomainExitError, Grid,
                             InconclusiveError, NotFirstOrderError, ReducedOperator,
-                            StepError, _chart_names, _eigen, build_reduced,
+                            StepError, _chart_names, _spectrum, build_reduced,
                             conjugate_by_multiplier, extract_first_order,
                             infinitesimal_action, local_lift_check, operator_residual,
                             rectify_check, reduced_residual, solve_reduced,
@@ -492,9 +492,9 @@ def field_parts(Z, params):
     return parts[:m * m], parts[m * m:]
 
 
-class TestEigen:
-    """`_eigen`'s decomposition A = P diag(lam) P^-1 of at most 2 x 2
-    matrices, whose entries come row by row."""
+class TestSpectrum:
+    """`_spectrum`'s eigenvalues and Sylvester projections of at most 2 x 2
+    matrices, whose entries come row by row: A = sum_i lam_i E_i."""
 
     @pytest.mark.parametrize("a", [
         (2.5,),
@@ -506,24 +506,21 @@ class TestEigen:
         (1.0, 5.0, 0.0, 2.0),  # upper triangular
         (2.0, 0.0, 3.0, -1.0),  # lower triangular
         (1e-3, 2.0, 1e-6, 1e-3),  # eigenvalues that nearly cancel in the trace
+        (3.0, 0.0, 0.0, 3.0),  # a multiple of I
     ], ids=str)
-    def test_reconstructs_the_matrix(self, a):
+    def test_the_projections_resolve_the_matrix_and_the_identity(self, a):
         m = math.isqrt(len(a))
-        lams, p, p_inv = _eigen(tuple(complex(x) for x in a), (ex.ONE,) * m)
-        p, p_inv, mat = np.array(p), np.array(p_inv), np.array(a).reshape(m, m)
-        # P's columns have unit length, so P^-1's largest entry bounds its
-        # condition number up to a factor 2
-        cond = np.abs(p_inv).max()
-        assert np.abs(p @ np.diag(lams) @ p_inv - mat).max() <= (
-            1e-14 * cond * (1 + np.abs(mat).max()))
-        assert np.abs(p @ p_inv - np.eye(m)).max() <= 1e-14 * cond
-        assert np.abs((np.abs(p) ** 2).sum(axis=0) - 1.0).max() <= 1e-15
-        if m == 2 and (a[1] or a[2]):
-            # the root of larger modulus first
-            assert abs(lams[0]) >= abs(lams[1])
-            assert lams[0] + lams[1] == pytest.approx(a[0] + a[3], abs=1e-15)
-            assert lams[0] * lams[1] == pytest.approx(a[0] * a[3] - a[1] * a[2],
-                                                      rel=1e-14, abs=1e-300)
+        lams, projs = _spectrum(tuple(complex(x) for x in a), (ex.ONE,) * m)
+        projs, mat = np.array(projs), np.array(a).reshape(m, m)
+        # the projections' norm bounds the condition of the eigenbasis
+        scale = 1e-14 * max(np.linalg.norm(e, 2) for e in projs)
+        assert len(lams) == len(projs) == (1 if a in ((2.5,), (3.0, 0.0, 0.0, 3.0)) else 2)
+        assert np.abs(sum(lam * e for lam, e in zip(lams, projs)) - mat).max() <= (
+            scale * (1 + np.abs(mat).max()))
+        assert np.abs(projs.sum(axis=0) - np.eye(m)).max() <= scale
+        for i, e in enumerate(projs):
+            for j, f in enumerate(projs):
+                assert np.abs(e @ f - (e if i == j else 0)).max() <= scale
 
     @pytest.mark.parametrize("a", [
         (1.0, 1.0, 0.0, 1.0),  # a Jordan block
@@ -532,24 +529,24 @@ class TestEigen:
     ], ids=str)
     def test_a_defective_matrix_raises_naming_the_field(self, a):
         with pytest.raises(ChartFieldError, match=r"^Z = \(q1, 1\) has a defective linear part"):
-            _eigen(tuple(complex(x) for x in a), (q1, ex.ONE))
+            _spectrum(tuple(complex(x) for x in a), (q1, ex.ONE))
 
     @pytest.mark.parametrize("alpha, beta", G47_PAIRS)
     def test_g47_gives_floats(self, alpha, beta):
         Z, _ = first_order(load_model("g4_7", F(alpha), F(beta)))
         a, _ = field_parts(Z, {"J": 1.0})
         assert all(type(x) is complex for x in a)  # as `solve_reduced` reads them
-        lams, p, p_inv = _eigen(a, Z)
-        assert all(type(x) is float for x in lams + p[0] + p[1] + p_inv[0] + p_inv[1])
+        lams, projs = _spectrum(a, Z)
+        assert all(type(x) is float for x in lams + sum(sum(projs, ()), ()))
         assert lams[0] * lams[1] == pytest.approx(-float(beta), rel=1e-14)
 
     @pytest.mark.parametrize("a", [(0.0, -1.0, 1.0, 0.0), (0j, -1 + 0j, 1 + 0j, 0j),
                                    (1.0, 1j, 0.0, 2.0)], ids=str)
     def test_complex_eigenvalues_or_entries_give_complexes(self, a):
         # the rotation's +-i, as floats or complexes, and a complex entry
-        lams, p, p_inv = _eigen(a, (q1, ex.ONE))
-        assert all(type(x) is complex for x in lams + p[0] + p[1] + p_inv[0] + p_inv[1])
-        assert np.abs(np.array(p) @ np.diag(lams) @ np.array(p_inv)
+        lams, projs = _spectrum(a, (q1, ex.ONE))
+        assert all(type(x) is complex for x in lams + sum(sum(projs, ()), ()))
+        assert np.abs(sum(lam * np.array(e) for lam, e in zip(lams, projs))
                       - np.array(a).reshape(2, 2)).max() <= 1e-14
 
 
@@ -580,9 +577,8 @@ class TestRealPath:
         else:
             Z, _ = first_order(load_model("g4_7", F(case[0]), F(case[1])))
         a, c = field_parts(Z, {"J": 1.0})
-        eigen = _eigen(a, Z)
         q0, times = (1.2, 0.5), np.linspace(-0.9, 0.7, 9)
-        qs = reduction._affine_flow(eigen, tuple(x.real for x in c), q0, times)
+        qs = reduction._affine_flow(_spectrum(a, Z), tuple(x.real for x in c), q0, times)
         assert qs.dtype == np.float64 and qs.shape == (2, len(times))
         gen = np.zeros((3, 3))
         gen[:2, :2], gen[:2, 2] = np.array(a).real.reshape(2, 2), np.array(c).real
@@ -601,13 +597,13 @@ class TestRealPath:
         else:
             Z, params = first_order(load_model("g4_7", F(case[0]), F(case[1])))[0], {"J": 1.0}
         a, c = field_parts(Z, params)
-        eigen, c = _eigen(a, Z), tuple(x.real for x in c)
+        spectrum, c = _spectrum(a, Z), tuple(x.real for x in c)
         times = np.linspace(0.0, 0.7, 8)
         for _ in range(50):
             q0 = (rng.uniform(1.2, 2.2), rng.uniform(0.5, 0.9))
             if case == "complex":
                 q0 = (q0[0] + 0.3j, q0[1])
-            qs = reduction._affine_flow(eigen, c, q0, times)
+            qs = reduction._affine_flow(spectrum, c, q0, times)
             assert tuple(qs[:, 0].tolist()) == q0
 
     @pytest.mark.parametrize("alpha, beta", G47_PAIRS)
@@ -623,10 +619,49 @@ class TestRealPath:
         assert abs(real.phase - tiny.phase) <= 1e-13 * (1 + abs(real.phase))
 
     def test_a_complex_field_or_bound_value_keeps_the_complex_path(self, flow_dtypes):
-        for Z, params in (((1 + I, ex.ONE), {}), ((J * q2, -q1), {"J": 1 + 0.5j}),
-                          ((q2, -q1), {})):
+        for Z, params in (((1 + I, ex.ONE), {}), ((J * q2, -q1), {"J": 1 + 0.5j})):
             solve_one(Z, ex.ZERO, (0.2, 0.1), 0.7, params=params)
-        assert flow_dtypes == [np.complex128] * 3
+        assert flow_dtypes == [np.complex128] * 2
+
+    def test_a_real_field_with_complex_eigenvalues_runs_in_float64(self, flow_dtypes):
+        # the rotation (q2, -q1) has the eigenvalues +-i; it took the
+        # complex path while A's eigenvalues decided it
+        real, tiny = (solve_one((q2, -q1), ex.ZERO, (0.2, q2_0), 0.7)
+                      for q2_0 in (0.1, 0.1 + 1e-30j))
+        assert flow_dtypes == [np.float64, np.complex128]
+        assert np.abs(np.array(real.end) - np.array(tiny.end)).max() <= 1e-15
+
+    def test_the_rotation_matches_the_matrix_exponential(self):
+        from scipy.linalg import expm
+
+        Z = (-q2, q1)
+        a, c = field_parts(Z, {})
+        q0, times = (1.2, 0.5), np.linspace(-2.0, 2.0, 9)
+        qs = reduction._affine_flow(_spectrum(a, Z), tuple(x.real for x in c), q0, times)
+        assert qs.dtype == np.float64 and qs.shape == (2, len(times))
+        gen = np.zeros((3, 3))
+        gen[:2, :2] = np.array(a).real.reshape(2, 2)
+        for k, t in enumerate(times):
+            want = (expm(t * gen) @ np.array(q0 + (1.0,)))[:2]
+            assert np.abs(qs[:, k] - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("eps, bound", [(1e-4, 2.95e-15), (1e-8, 2.12e-13),
+                                            (1e-12, 3.44e-11)])
+    def test_a_nearly_defective_flow_against_mpmath(self, eps, bound):
+        # A = [[1, 1], [eps, 1]] has eigenvalues 1 +- sqrt(eps) and
+        # projections of norm about 1 / (2 sqrt(eps)); the bounds are the
+        # errors of the eigenvector decomposition this flow replaced
+        mpmath = pytest.importorskip("mpmath")
+        a, c, q0 = (1.0, 1.0, eps, 1.0), (0.3, -0.2), (0.7, 1.1)
+        times = np.linspace(-2.0, 2.0, 9)
+        qs = reduction._affine_flow(_spectrum(a, (q1, ex.ONE)), c, q0, times)
+        assert qs.dtype == np.float64
+        with mpmath.workdps(40):
+            gen = mpmath.matrix([[a[0], a[1], c[0]], [a[2], a[3], c[1]], [0, 0, 0]])
+            start = mpmath.matrix([q0[0], q0[1], 1])
+            want = np.array([[float(x) for x in (mpmath.expm(mpmath.mpf(t) * gen) * start)[:2]]
+                             for t in times.tolist()]).T
+        assert np.abs(qs - want).max() <= bound * np.abs(want).max()
 
 
 class TestDomainCalls:
@@ -836,8 +871,8 @@ def per_target_solve(Z, V, energy, phi, q_targets, step, *, v, u=(), v_ref=0.0,
     Z = tuple(ex.as_expr(z) for z in Z)
     parts = ex.compile_expr(reduction._affine_parts(Z, q_vars), (), bind=params)()
     m = len(q_vars)
-    eigen, c = _eigen(parts[:m * m], Z), parts[m * m:]
-    real = not any(isinstance(x, complex) for x in eigen[0]) and not any(x.imag for x in c)
+    spectrum, c = _spectrum(parts[:m * m], Z), parts[m * m:]
+    real = not any(x.imag for x in parts)
     if real:
         c = tuple(x.real for x in c)
     potential = ex.compile_array(ex.as_expr(V), q_vars, bind=params)
@@ -863,7 +898,7 @@ def per_target_solve(Z, V, energy, phi, q_targets, step, *, v, u=(), v_ref=0.0,
 
         def flow(times):
             with np.errstate(all="ignore"):
-                return reduction._affine_flow(eigen, c, start, times)
+                return reduction._affine_flow(spectrum, c, start, times)
 
         def checked(grid):
             finite = np.isfinite(grid).all(axis=0)
