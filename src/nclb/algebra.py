@@ -297,7 +297,7 @@ def algebra_from_json(doc) -> LieAlgebra:
             i, j = int(item["i"]), int(item["j"])
             comp = {int(k): rl.frac(v) for k, v in item["c"].items()}
             c[(i, j)] = comp
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise MalformedAlgebraError(f"bad algebra document: {exc}") from exc
     return LieAlgebra(dim=dim, basis_names=basis, c=c)
 

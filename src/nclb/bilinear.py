@@ -137,27 +137,30 @@ def form_from_json(doc, substitutions=None) -> BilinearForm:
     """Parse {"matrix": [[..str..]]}; named parameters must be substituted.
 
     `substitutions` maps parameter tokens (e.g. "alpha") to rational strings;
-    tokens left unresolved raise a DegenerateFormError naming the entry.
+    tokens left unresolved raise a DegenerateFormError naming the entry, and
+    any other malformed document raises one naming what was wrong.
     """
-    rows = doc["matrix"]
-    subs = {k: str(v) for k, v in (substitutions or {}).items()}
-    for key, val in list(subs.items()):
-        subs.setdefault(f"-{key}", str(-rl.frac(val)))
-    parsed = []
-    for i, row in enumerate(rows):
-        out = []
-        for j, entry in enumerate(row):
-            text = str(entry)
-            if text in subs:
-                text = subs[text]
-            try:
-                out.append(rl.frac(text))
-            except (ValueError, TypeError) as exc:
-                raise DegenerateFormError(
-                    f"entry ({i + 1},{j + 1}) = {entry!r} is not rational; "
-                    "pass parameter substitutions"
-                ) from exc
-        parsed.append(out)
+    try:
+        subs = {k: str(v) for k, v in (substitutions or {}).items()}
+        for key, val in list(subs.items()):
+            subs.setdefault(f"-{key}", str(-rl.frac(val)))
+        parsed = []
+        for i, row in enumerate(doc["matrix"]):
+            out = []
+            for j, entry in enumerate(row):
+                text = str(entry)
+                try:
+                    out.append(rl.frac(subs.get(text, text)))
+                except ValueError as exc:
+                    raise DegenerateFormError(
+                        f"entry ({i + 1},{j + 1}) = {entry!r} is not rational; "
+                        "pass parameter substitutions"
+                    ) from exc
+            parsed.append(out)
+    except DegenerateFormError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DegenerateFormError(f"bad form document: {exc}") from exc
     return BilinearForm.from_matrix(parsed)
 
 

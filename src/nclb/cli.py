@@ -20,11 +20,11 @@ import math
 import os
 import re
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .algebra import Subspace, index_witness, jacobi_defect, load_algebra
 from .bilinear import coisotropy_check, load_form
+from .ratlinalg import frac
 from .report import (DEFAULT_SEED, FAIL, INCONCLUSIVE, PASS, CheckRecord,
                      InconclusiveError, NclbError, VerificationError,
                      overall_status, worst)
@@ -48,9 +48,9 @@ def _seed_from(args):
 
 def _frac(text):
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"not a rational: {text!r}") from exc
+        return frac(text)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
 
 
 # argparse reads a dash-led token as an option unless it looks like -1 or
@@ -206,11 +206,8 @@ def _cmd_index(args, seed):
 
 def _cmd_coisotropic(args, seed):
     L = load_algebra(args.file)
-    subs = {}
-    if args.alpha is not None:
-        subs["alpha"] = args.alpha
-    if args.beta is not None:
-        subs["beta"] = args.beta
+    subs = {name: _frac(value) for name, value in
+            (("alpha", args.alpha), ("beta", args.beta)) if value is not None}
     gm = load_form(args.form, substitutions=subs or None)
     try:
         indices = [int(t) for t in args.ideal.split(",")]

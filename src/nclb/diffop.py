@@ -313,31 +313,40 @@ def op_equal(a: DiffOp, b: DiffOp, sample_spec: SampleSpec | None = None,
     return OpComparison(rel <= tol, rel, False, len(rows), skipped)
 
 
+def relation_defects(relations, spec: SampleSpec | None):
+    """`op_equal` of lhs and rhs for each (label, lhs, rhs) relation, in
+    order.  Returns (deviations, failing_labels, samples_used,
+    skipped_samples): one deviation per relation, the labels of those that
+    fail, and the sample counts summed over the relations."""
+    devs, failing = [], []
+    used = skipped = 0
+    for label, lhs, rhs in relations:
+        cmp = op_equal(lhs, rhs, spec)
+        devs.append(cmp.max_deviation)
+        used += cmp.samples_used
+        skipped += cmp.skipped_samples
+        if not cmp.equal:
+            failing.append(label)
+    return devs, failing, used, skipped
+
+
 def bracket_defects(L, ops, spec: SampleSpec | None, sign=1):
     """[A_i, A_j] against sign * sum_k c_ij^k A_k for each pair i < j.
 
     ops realize the basis of the Lie algebra L in order (A_k = ops[k - 1]):
     the left-invariant frame with sign +1, the right-invariant one with -1,
-    the chart operators of a representation with +1.  Each pair goes through
-    `op_equal`.  Returns (deviations, failing_pairs, samples_used,
-    skipped_samples): one deviation per pair in (i, j) order, the 1-based
-    pairs that fail, and the sample counts summed over the pairs.
+    the chart operators of a representation with +1.  The pairs, in (i, j)
+    order and labelled by their 1-based (i, j), go through
+    `relation_defects`, whose four results this returns.
     """
-    devs, failing = [], []
-    used = skipped = 0
-    for i in range(1, L.dim + 1):
-        for j in range(i + 1, L.dim + 1):
-            target = DiffOp.zero(ops[0].variables)
-            for k, c in enumerate(L.bracket_basis(i, j)):
-                if c != 0:
-                    target = target + ops[k].scale(ex.Const(sign * c))
-            cmp = op_equal(commutator(ops[i - 1], ops[j - 1]), target, spec)
-            devs.append(cmp.max_deviation)
-            used += cmp.samples_used
-            skipped += cmp.skipped_samples
-            if not cmp.equal:
-                failing.append((i, j))
-    return devs, failing, used, skipped
+    def relation(i, j):
+        target = sum((ops[k].scale(ex.Const(sign * c))
+                      for k, c in enumerate(L.bracket_basis(i, j)) if c != 0),
+                     DiffOp.zero(ops[0].variables))
+        return (i, j), commutator(ops[i - 1], ops[j - 1]), target
+
+    return relation_defects((relation(i, j) for i in range(1, L.dim + 1)
+                             for j in range(i + 1, L.dim + 1)), spec)
 
 
 def laplacian_image(ops, data) -> DiffOp:

@@ -32,7 +32,7 @@ from .algebra import (LieAlgebra, Subspace, g47_algebra, heisenberg_algebra,
                       jacobi_defect)
 from .bilinear import BilinearForm, CoisotropyError, coisotropy_check, laplacian_data
 from .diffop import (DiffOp, SampleSpec, apply, bracket_defects, commutator,
-                     laplacian_image, op_equal, sampled)
+                     laplacian_image, relation_defects, sampled)
 from .expr import Expr, Exp, I, Log, Power, Var, ZERO, simplify
 from .quadrature import gl_nodes, oscillatory_cubic_phase
 from .reduction import (LambdaRep, NotFirstOrderError, ResidualReport,
@@ -575,40 +575,22 @@ def _structural_records(model, seed):
 def invariant_frame_check(model, seed=DEFAULT_SEED):
     """Commutation relations of the two frames: left matches the structure
     constants, right matches their negatives, and the frames commute."""
-    n = model.dim
     spec = model.x_sample_spec(n=40, seed=seed)
-    records = []
-    devs = []
-    failing = []
-    counts = {}
-    used = skipped = 0
-    for fam, frame, sign in (("left", model.xi, 1), ("right", model.eta, -1)):
-        fam_devs, pairs, fam_used, fam_skipped = bracket_defects(
-            model.algebra, frame, spec, sign)
-        counts[fam] = len(fam_devs)
-        devs += fam_devs
-        failing += [(fam, i, j) for i, j in pairs]
-        used += fam_used
-        skipped += fam_skipped
-    counts["mixed"] = n * n
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            cmp = op_equal(commutator(model.xi[i - 1], model.eta[j - 1]),
-                           DiffOp.zero(model.x_vars), spec, tol=1e-12)
-            devs.append(cmp.max_deviation)
-            used += cmp.samples_used
-            skipped += cmp.skipped_samples
-            if not cmp.equal:
-                failing.append(("mixed", i, j))
-    records.append(CheckRecord(
+    mixed = (((i, j), commutator(xi, eta), DiffOp.zero(model.x_vars))
+             for i, xi in enumerate(model.xi, 1) for j, eta in enumerate(model.eta, 1))
+    families = {"left": bracket_defects(model.algebra, model.xi, spec, 1),
+                "right": bracket_defects(model.algebra, model.eta, spec, -1),
+                "mixed": relation_defects(mixed, spec)}
+    devs, pairs, used, skipped = zip(*families.values())
+    failing = [(fam, i, j) for fam, fam_pairs in zip(families, pairs) for i, j in fam_pairs]
+    return [CheckRecord(
         check="invariant_frame_relations",
         status=PASS if not failing else FAIL,
-        max_residual=worst(devs), samples_used=used, seed=seed,
-        skipped_samples=skipped,
-        detail={"relation_counts": counts,
+        max_residual=worst(d for fam_devs in devs for d in fam_devs),
+        samples_used=sum(used), seed=seed, skipped_samples=sum(skipped),
+        detail={"relation_counts": {fam: len(d) for fam, d in zip(families, devs)},
                 **({"failing": failing} if failing else {})},
-    ))
-    return records
+    )]
 
 
 def _det(rows):
@@ -819,7 +801,7 @@ class _GftGrid:
         self.k, wk = gl_nodes(n, float(k_lo), float(k_hi))
         self.j, wj = gl_nodes(n, float(j_lo), float(j_hi))
         kg, jg = np.meshgrid(self.k, self.j, indexing="ij")
-        amp = np.asarray(phi_hat(kg, jg), dtype=complex)
+        amp = _on_nodes(phi_hat, kg, jg, "phi_hat").astype(complex)
         self.two_j2 = 2.0 * jg * jg
         self.kj2 = 2.0 * kg * jg
         self.scale = self.two_j2 ** (2.0 / 3.0)
@@ -894,6 +876,20 @@ def _not_finite(point):
         f"inverse GFT needs finite coordinates, got the point {tuple(point)}")
 
 
+def _on_nodes(amplitude, kg, jg, name):
+    """amplitude(kg, jg) as an array of the node grid's shape; a value that
+    is not finite raises ModelParameterError naming its node, before any
+    Airy work."""
+    import numpy as np
+
+    amp = np.broadcast_to(np.asarray(amplitude(kg, jg)), kg.shape)
+    bad = ~np.isfinite(amp)
+    if bad.any():
+        raise ModelParameterError(f"inverse GFT needs a finite {name}, got "
+                                  f"{amp[bad][0]} at the node ({kg[bad][0]}, {jg[bad][0]})")
+    return amp
+
+
 def _finite_points(points):
     """The list of points as an (m, 3) float array; a point with a
     non-finite coordinate raises ModelParameterError naming it."""
@@ -914,7 +910,8 @@ def inverse_gft_h3(phi_hat, energy, x_points, quad_spec: QuadSpec2D):
 
     phi_hat is a callable on (k, J) grids, supported inside quad_spec.box,
     which must stay away from J = 0.  Returns a complex array over x_points;
-    a point with a non-finite coordinate raises ModelParameterError.
+    a phi_hat that is not finite on the node grid, or a point with a
+    non-finite coordinate, raises ModelParameterError.
     """
     return _GftGrid(phi_hat, energy, quad_spec.box, quad_spec.n).values(list(x_points))
 
@@ -929,8 +926,9 @@ def inverse_gft_h3_evaluator(phi_hat, energy, quad_spec: QuadSpec2D):
     rows and `_GftGrid.group` kernel give the same value bit for bit.
     Batches and calls share the grid's store of its last 16 rows, by the
     exact float x1, so a call at an x1 a batch or call has just computed
-    makes no Airy call.  A non-finite coordinate raises
-    ModelParameterError before any Airy work.
+    makes no Airy call.  A phi_hat that is not finite on the node grid
+    raises ModelParameterError when the evaluator is built, and a
+    non-finite coordinate when it is called, before any Airy work.
     """
     grid = _GftGrid(phi_hat, energy, quad_spec.box, quad_spec.n)
 
@@ -966,8 +964,9 @@ def mode_superposition_h3(amplitude, energy, x_points, quad_spec: QuadSpec2D):
     node grids, as inverse_gft_h3 calls phi_hat; the Ai mode family, compiled
     once (`expr.compile_array`) with the energy bound, is evaluated over the
     whole node grid at every output point, as many points per call as keep
-    it within `_GftGrid.ROW_BUDGET` Airy arguments.  A point with a
-    non-finite coordinate raises ModelParameterError before any Airy work.
+    it within `_GftGrid.ROW_BUDGET` Airy arguments.  An amplitude that is
+    not finite on the node grid, or a point with a non-finite coordinate,
+    raises ModelParameterError before any Airy work, as in inverse_gft_h3.
     """
     import numpy as np
 
@@ -980,7 +979,7 @@ def mode_superposition_h3(amplitude, energy, x_points, quad_spec: QuadSpec2D):
     k, wk = gl_nodes(quad_spec.n, float(k_lo), float(k_hi))
     j, wj = gl_nodes(quad_spec.n, float(j_lo), float(j_hi))
     kg, jg = np.meshgrid(k, j, indexing="ij")
-    weighted = (np.outer(wk, wj) * np.asarray(amplitude(kg, jg))).ravel()
+    weighted = (np.outer(wk, wj) * _on_nodes(amplitude, kg, jg, "amplitude")).ravel()
     nodes = weighted.size
     chunk = max(1, _GftGrid.ROW_BUDGET // nodes)
     out = np.empty(len(pts), dtype=complex)
@@ -1150,8 +1149,11 @@ class SmearedGaussian:
                                       "finite numbers")
         # a tuple, so the frozen record hashes and equals its tuple twin
         object.__setattr__(self, "centers", tuple(self.centers))
-        if not (isinstance(self.width, Real) and 0 < self.width < math.inf):
-            raise ModelParameterError(f"{self}: the width must be a finite number > 0")
+        # past these bounds the square or the inverse square of the width
+        # leaves the finite positive doubles
+        if not (isinstance(self.width, Real) and 1e-154 <= self.width <= 1e154):
+            raise ModelParameterError(f"{self}: the width must be a number in "
+                                      "[1e-154, 1e154]")
 
 
 def _gauss_overlap_1d(c1, w1, c2, w2):

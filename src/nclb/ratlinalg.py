@@ -12,13 +12,16 @@ from fractions import Fraction
 
 
 def frac(x) -> Fraction:
-    """Coerce ints, strings like '3/4', and Fractions to Fraction."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
+    """Coerce ints, Fractions and rational strings ('3/4', '-1e-3') to
+    Fraction, the package's one rational parser.  Other text, '1/0'
+    included, raises ValueError naming it; other types raise TypeError."""
+    if isinstance(x, (Fraction, int)):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"not a rational: {x!r}") from None
     raise TypeError(f"cannot coerce {x!r} to a rational")
 
 

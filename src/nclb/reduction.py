@@ -24,7 +24,7 @@ from .diffop import (SKIPPED, DiffOp, DomainExitError, SampleSpec, apply,
                      bracket_defects, compose, laplacian_image, op_equal,
                      sampled)
 from .expr import Expr, Var, ZERO, simplify
-from .quadrature import _COUNTS, _reference_rule, gl_nodes, integrate_1d
+from .quadrature import COUNTS, first_rules, gl_nodes, integrate_1d
 from .report import (DEFAULT_SEED, FAIL, PASS, CheckRecord, InconclusiveError,
                      NclbError, VerificationError, record, replace, worst)
 
@@ -457,19 +457,6 @@ def rectify_check(Z, v: Expr, u, samples, params=None) -> RectifyReport:
                          len(rows), skipped)
 
 
-@functools.lru_cache(maxsize=None)
-def _first_rules():
-    """The nodes on [-1, 1] of `integrate_1d`'s first two rules, the 96
-    then the 192, and their weights in the same order; both arrays are
-    read-only."""
-    import numpy as np
-
-    (x1, w1), (x2, w2) = map(_reference_rule, _COUNTS[:2])
-    nodes, weights = np.concatenate((x1, x2)), np.concatenate((w1, w2))
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
-
-
 @record
 class _Field:
     """What `solve_reduced` reads of a field Z = A q + c, its potential and
@@ -568,9 +555,9 @@ def _trace(field, target, v_ref, step, domain):
     start = [x.real for x in q0] if field.real and not any(x.imag for x in q0) else q0
     times = t_end / max(n, 1) * np.arange(n + 1.0)
     if n:
-        # the nodes where gl_nodes(count, 0, t_end) places them
+        # the nodes where integrate_1d(f, 0, t_end) places them
         half, mid = 0.5 * (t_end - 0.0), 0.5 * (t_end + 0.0)
-        times = np.concatenate((times, mid + half * _first_rules()[0]))
+        times = np.concatenate((times, mid + half * first_rules()[0]))
     with np.errstate(all="ignore"):
         qs = _affine_flow(field.spectrum, field.c, start, times)
     finite = np.isfinite(qs[:, :n + 1]).all(axis=0)
@@ -610,12 +597,13 @@ def solve_reduced(Z, V, energy, phi, q_targets, step, *, v: Expr, u=(),
     InconclusiveError.  v must be real at every target.
 
     The targets are solved in one array pass.  In order, each takes one
-    `_affine_flow` call on its grid and the first two rules' 288 nodes,
-    placed as `gl_nodes` places them, and its grid is tested; the nodes of
-    every target whose grid runs to its end, real or complex, are kept,
-    the grid is not.  V then takes one `expr.compile_array` call on all
-    kept nodes, and each rule is summed on its own as `integrate_1d` sums
-    it, so a settled phase is bit for bit that of the target alone.  A
+    `_affine_flow` call on its grid and the first two rules' 288 nodes
+    (`quadrature.first_rules`, placed as `integrate_1d` places them), and
+    its grid is tested; the nodes of every target whose grid runs to its
+    end, real or complex, are kept, the grid is not.  V then takes one
+    `compile_array` call on all kept nodes, and each rule is summed on its
+    own as `integrate_1d` sums it, so a settled phase is bit for bit that
+    of the target alone.  A
     target whose nodes meet an error of V, whose sum is not finite or that
     does not settle by 192 nodes takes `integrate_1d` afresh, which
     recomputes its 288 chart points once and raises or doubles as the
@@ -673,8 +661,8 @@ def solve_reduced(Z, V, energy, phi, q_targets, step, *, v: Expr, u=(),
                                    skip=Exception)
         with np.errstate(all="ignore"):
             # each rule summed on its own, as `integrate_1d` sums it
-            terms = (half[:, None] * _first_rules()[1]) * vals.reshape(len(passing), -1)
-            first, second = terms[:, :_COUNTS[0]].sum(axis=1), terms[:, _COUNTS[0]:].sum(axis=1)
+            terms = (half[:, None] * first_rules()[1]) * vals.reshape(len(passing), -1)
+            first, second = terms[:, :COUNTS[0]].sum(axis=1), terms[:, COUNTS[0]:].sum(axis=1)
             change = abs(second - first)
             done = (ok.reshape(len(passing), -1).all(axis=1) & np.isfinite(first)
                     & np.isfinite(second) & (change <= 1e-12 * np.maximum(1.0, abs(second))))
@@ -690,7 +678,7 @@ def solve_reduced(Z, V, energy, phi, q_targets, step, *, v: Expr, u=(),
         grid = track.grid
         if track.nodes is not None:
             done, phase, change = next(settled)
-            nodes = _COUNTS[1]
+            nodes = COUNTS[1]
             if not done:
                 # an error of V, a sum that is not finite or more nodes:
                 # the target's own rules raise or settle as they would alone
@@ -701,7 +689,7 @@ def solve_reduced(Z, V, energy, phi, q_targets, step, *, v: Expr, u=(),
             # V on the 96-node rule up to the stop, so that an error of V
             # there wins
             t_stop = grid[track.stop]
-            along(track, gl_nodes(_COUNTS[0], 0.0, t_stop)[0])
+            along(track, gl_nodes(COUNTS[0], 0.0, t_stop)[0])
             if track.exited:
                 raise DomainExitError(t_stop, track.point)
             raise ex.DomainError(f"the chart point is not finite at t = {t_stop!r}")

@@ -438,13 +438,52 @@ class TestModelCommands:
           "--grid", "x1=-0.4:0.4:3,x2=-0.4:0.4:3"],
          {"phi": "\n".join(f"{k},{j},1,0" for k in (-1, 1) for j in (0.5, 1.5))},
          "grid axes must be ('x1', 'x2', 'x3')"),
+        # one nan entry printed a failing record with max_residual=nan
+        (["model", "reconstruct", "heisenberg", "--phi", "{phi}"],
+         {"phi": "\n".join(f"{k},{j},{'nan' if (k, j) == (0, 1.5) else 1},0"
+                           for k in (-1, 0, 1) for j in (0.5, 1.5))},
+         "inverse GFT needs a finite phi_hat"),
+        # each of these ended in a traceback with exit 1: a malformed form
+        # document (a KeyError and two TypeErrors)
+        (["coisotropic", fx("h3.json"), "--form", "{doc}", "--ideal", "1,3"],
+         {"doc": {"dim": 3}}, "bad form document: 'matrix'"),
+        (["coisotropic", fx("h3.json"), "--form", "{doc}", "--ideal", "1,3"],
+         {"doc": [["1", "0"], ["0", "1"]]}, "bad form document: list indices"),
+        (["coisotropic", fx("h3.json"), "--form", "{doc}", "--ideal", "1,3"],
+         {"doc": {"matrix": 5}}, "bad form document: 'int' object is not iterable"),
+        # a zero denominator, and text that is no rational, as a ZeroDivisionError
+        # or a ValueError outside any loader's handler
+        (["coisotropic", fx("g47.json"), "--form", fx("g47_g1.json"), "--ideal", "1,2",
+          "--alpha", "1/0", "--beta", "1"], {}, "not a rational: '1/0'"),
+        (["coisotropic", fx("g47.json"), "--form", fx("g47_g1.json"), "--ideal", "1,2",
+          "--alpha", "1", "--beta", "pony"], {}, "not a rational: 'pony'"),
+        (["check-algebra", "{doc}"],
+         {"doc": {"dim": 3, "brackets": [{"i": 1, "j": 2, "c": {"3": "1/0"}}]}},
+         "bad algebra document: not a rational: '1/0'"),
+        (["index", "{doc}"],
+         {"doc": {"dim": 3, "brackets": [{"i": 1, "j": 2, "c": {"3": "1/0"}}]}},
+         "bad algebra document: not a rational: '1/0'"),
+        (["coisotropic", fx("h3.json"), "--form", "{doc}", "--ideal", "1,3"],
+         {"doc": {"matrix": [["1/0", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}},
+         "entry (1,1) = '1/0' is not rational"),
+        # an AttributeError and an OverflowError the algebra loader let through
+        (["check-algebra", "{doc}"],
+         {"doc": {"dim": 3, "brackets": [{"i": 1, "j": 2, "c": ["1"]}]}},
+         "bad algebra document: 'list' object has no attribute 'items'"),
+        (["check-algebra", "{doc}"], {"doc": {"dim": math.inf}},
+         "bad algebra document: cannot convert float infinity to integer"),
     ])
     def test_input_guards_are_error_documents(self, argv, files, error, tmp_path,
                                               capsys):
         paths = {}
-        for name, text in files.items():
-            paths[name] = tmp_path / f"{name}.csv"
-            paths[name].write_text(text)
+        for name, content in files.items():
+            # a CSV table as text, a JSON document as its object
+            if isinstance(content, str):
+                paths[name] = tmp_path / f"{name}.csv"
+                paths[name].write_text(content)
+            else:
+                paths[name] = tmp_path / f"{name}.json"
+                paths[name].write_text(json.dumps(content))
         argv = [a.format(**paths) for a in argv]
         code, doc = run(argv)
         assert code == 2

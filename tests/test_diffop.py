@@ -11,7 +11,7 @@ from nclb.algebra import heisenberg_algebra
 from nclb.diffop import (DiffOp, DomainExitError, SampleSpec,
                          UnsupportedOrderError, apply, bracket_defects,
                          commutator, compose, laplacian_image, op_equal,
-                         sampled)
+                         relation_defects, sampled)
 from nclb.expr import Exp, I, Log, Power, Var, ZERO, simplify
 from nclb.report import InconclusiveError
 
@@ -193,6 +193,15 @@ class TestRealizationCore:
         devs, failing, used, skipped = bracket_defects(heisenberg_algebra(),
                                                        h3_xi(), spec, sign=-1)
         assert (devs, failing, used, skipped) == ([2.0, 0.0, 0.0], [(1, 2)], 5, 0)
+
+    def test_relation_defects_sums_op_equal_over_labelled_relations(self):
+        spec = SampleSpec(ranges={"x1": (-1.0, 1.0)}, n=5, seed=3)
+        xi = h3_xi()
+        relations = [("a", xi[0], xi[0]), ("b", xi[2].scale(ex.Const(3)), xi[2]),
+                     ("c", xi[1], xi[1]), ("d", xi[2], xi[2].scale(ex.Const(-1)))]
+        cmps = [op_equal(lhs, rhs, spec) for _, lhs, rhs in relations]
+        assert relation_defects(iter(relations), spec) == (
+            [c.max_deviation for c in cmps], ["b", "d"], 10, 0)
 
     def test_laplacian_image_sums_the_form_data(self):
         xv = ("x", "y")

@@ -304,6 +304,26 @@ class TestSeparableBatch:
                 assert str(tuple(point)) in str(info.value)
         assert airy_array_sizes == []
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_a_non_finite_amplitude_is_a_parameter_error(self, airy_array_sizes, bad):
+        # phi_hat * nan gave [nan+nanj] with no error, and an infinite one a
+        # RuntimeWarning, from the transform and from the mode superposition
+        def phi(k, j):
+            return np.where((k > 0.5) & (j > 1.0), bad, self.PHI(k, j))
+
+        amp = superposition_amplitude(phi)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call, name in (
+                    (lambda: inverse_gft_h3(phi, 1.0, GRID[:2], self.SPEC), "phi_hat"),
+                    (lambda: inverse_gft_h3_evaluator(phi, 1.0, self.SPEC), "phi_hat"),
+                    (lambda: mode_superposition_h3(amp, 1, GRID[:2], self.SPEC),
+                     "amplitude")):
+                with pytest.raises(ModelParameterError,
+                                   match=f"needs a finite {name}, got .*{bad}"):
+                    call()
+        assert airy_array_sizes == []
+
     def test_superposition_batches_its_points_within_the_row_budget(
             self, airy_array_sizes):
         spec = QuadSpec2D(box=((-1.0, 1.0), (0.2, 1.8)), n=48)

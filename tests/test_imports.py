@@ -202,6 +202,30 @@ def test_every_definition_is_named_elsewhere_in_the_package():
     assert dead == KEPT_ON_PURPOSE
 
 
+def _private_imports(src):
+    """'module: source.name' for each underscore-prefixed, non-dunder name
+    that a module of the package under src imports from another."""
+    import ast
+    import glob
+
+    found = []
+    for path in sorted(glob.glob(os.path.join(src, "nclb", "*.py"))):
+        with open(path, encoding="utf-8") as f:
+            tree = ast.parse(f.read())
+        module = os.path.splitext(os.path.basename(path))[0]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "nclb"):
+                found += [f"{module}: {node.module}.{alias.name}" for alias in node.names
+                          if alias.name.startswith("_") and not alias.name.startswith("__")]
+    return found
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a name one module shares with another has a public owner
+    assert _private_imports(os.path.join(ROOT, "src")) == []
+
+
 # the first numeric act of a fresh interpreter is one of evaluate,
 # compile_expr or compile_array on Airy trees; then every value is checked
 # against `airyfun`, and an argument below LEFT_CUT against DomainError

@@ -446,6 +446,11 @@ class TestAiryIdentity:
         with pytest.raises(ModelParameterError, match="finite"):
             airy_identity_check(x, t)
 
+    def test_an_overflowing_contour_is_inconclusive_without_warnings(self):
+        # two numpy RuntimeWarnings came first (warnings fail the suite)
+        with pytest.raises(InconclusiveError, match="not finite"):
+            airy_identity_check(-60.0, 1e-3)
+
 
 class TestKernelData:
     def test_identity_collapse(self, h3, g47):
@@ -905,9 +910,12 @@ class TestSmoke:
         with pytest.raises(ModelParameterError, match="SmokeSpec"):
             kernel_orthogonality_smoke(model, [(a, a, 1, 1)], SmokeSpec(**counts))
 
-    @pytest.mark.parametrize("width", [0, 0.0, -0.3, math.inf, math.nan, None, "0.3"])
+    @pytest.mark.parametrize("width", [0, 0.0, -0.3, math.inf, math.nan, None, "0.3",
+                                       1e-200, 1e-160, 1e155])
     def test_a_bad_width_is_a_parameter_error(self, width):
-        # width 0 raised a bare ZeroDivisionError, and a negative one passed
+        # width 0 raised a bare ZeroDivisionError, and a negative one passed;
+        # 1e-200 passed and then raised a bare ZeroDivisionError in both
+        # smokes, and 1e-160 and 1e155 made the g4,7 smoke warn
         with pytest.raises(ModelParameterError, match="SmearedGaussian.*width"):
             SmearedGaussian(centers=(0.1, -0.2), width=width)
 

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from nclb import quadrature
-from nclb.quadrature import gl_nodes, integrate_1d
+from nclb.quadrature import (COUNTS, first_rules, gl_nodes, integrate_1d,
+                              oscillatory_cubic_phase)
 from nclb.report import InconclusiveError
 
 BOXES = [(-1.0, 1.0), (0.0, 1.0), (-3.25, 7.5), (2.0, -0.5), (1e-3, 1e-3 + 1e-9)]
@@ -28,6 +31,7 @@ def test_leggauss_runs_once_per_node_count(monkeypatch):
         return real(n)
 
     quadrature._reference_rule.cache_clear()
+    quadrature.first_rules.cache_clear()
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
     try:
         for k in range(200):
@@ -36,6 +40,7 @@ def test_leggauss_runs_once_per_node_count(monkeypatch):
         integrate_1d(np.cos, 0.0, 1.0)
     finally:
         quadrature._reference_rule.cache_clear()
+        quadrature.first_rules.cache_clear()
     assert sorted(calls) == sorted(set(calls))
     assert {5, 11, 24, 96, 192} <= set(calls)
 
@@ -76,6 +81,19 @@ def test_the_first_two_rules_take_one_call_and_are_summed_apart():
     assert abs(val - (np.exp(2j) - 1) / 1j) <= 1e-14
 
 
+def test_the_first_rules_are_the_first_two_gl_rules_mapped():
+    nodes, weights = first_rules()
+    for lo, hi in BOXES:
+        half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+        (x1, w1), (x2, w2) = (gl_nodes(n, lo, hi) for n in COUNTS[:2])
+        assert np.array_equal(mid + half * nodes, np.concatenate((x1, x2)))
+        assert np.array_equal(half * weights, np.concatenate((w1, w2)))
+    with pytest.raises(ValueError):
+        nodes[0] = 0.0
+    with pytest.raises(ValueError):
+        weights[0] = 0.0
+
+
 def test_later_rules_take_one_call_each():
     # poles at +-i/50 slow the convergence to ~(1.02)^(-2n)
     f = counted(lambda x: 1.0 / (1.0 + 2500.0 * x * x))
@@ -104,3 +122,11 @@ def test_an_integrand_that_is_not_finite_raises_at_once(f, n):
             InconclusiveError, match=rf"the integrand is not finite, its sum at n={n} is"):
         integrate_1d(f, 0.0, 1.0)
     assert f.calls == [288]
+
+
+@pytest.mark.parametrize("x, t", [(1.0, math.inf), (1.0, -math.inf), (math.nan, 1.0),
+                                  (math.inf, 1.0), (0.5, math.nan)])
+def test_a_non_finite_cubic_phase_argument_raises(x, t):
+    # t = inf returned 0.0
+    with pytest.raises(ValueError, match="must be finite"):
+        oscillatory_cubic_phase(x, t)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -12,6 +13,12 @@ from nclb import ratlinalg as rl
 def rand_matrix(rng, n, bound=6):
     return [[F(rng.randint(-bound, bound), rng.randint(1, bound))
              for _ in range(n)] for _ in range(n)]
+
+
+@pytest.mark.parametrize("text", ["1/0", "-3/0", "pony", "", "1/-2", "inf"])
+def test_text_that_is_no_rational_is_a_value_error_naming_it(text):
+    with pytest.raises(ValueError, match=f"^not a rational: {re.escape(repr(text))}$"):
+        rl.frac(text)
 
 
 def test_rref_identity():

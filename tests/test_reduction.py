@@ -857,7 +857,7 @@ def per_target_solve(Z, V, energy, phi, q_targets, step, *, v, u=(), v_ref=0.0,
     """An oracle for the array pass: `solve_reduced` as it was before it,
     one target at a time, each with its own flow, grid test and
     `integrate_1d` call, and `ts` a tuple of floats."""
-    from nclb.quadrature import _COUNTS, gl_nodes, integrate_1d
+    from nclb.quadrature import COUNTS, gl_nodes, integrate_1d
 
     q_targets = list(q_targets)
     for target in q_targets:
@@ -913,7 +913,7 @@ def per_target_solve(Z, V, energy, phi, q_targets, step, *, v, u=(), v_ref=0.0,
                     stop, exited = int(inside.argmin()), True
             if stop == len(ts):
                 return grid
-            potential(*flow(gl_nodes(_COUNTS[0], 0.0, ts[stop])[0]))
+            potential(*flow(gl_nodes(COUNTS[0], 0.0, ts[stop])[0]))
             if exited:
                 raise DomainExitError(float(ts[stop]),
                                       tuple(map(complex, grid[:, stop].tolist())))
