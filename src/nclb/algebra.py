@@ -8,7 +8,6 @@ operations are pure functions over Fractions.
 
 from __future__ import annotations
 
-import json
 import random
 from fractions import Fraction
 
@@ -303,6 +302,8 @@ def algebra_from_json(doc) -> LieAlgebra:
 
 
 def load_algebra(path) -> LieAlgebra:
+    import json
+
     with open(path) as fh:
         return algebra_from_json(json.load(fh))
 

@@ -9,7 +9,6 @@ and must agree exactly.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 
 from . import ratlinalg as rl
@@ -165,5 +164,7 @@ def form_from_json(doc, substitutions=None) -> BilinearForm:
 
 
 def load_form(path, substitutions=None) -> BilinearForm:
+    import json
+
     with open(path) as fh:
         return form_from_json(json.load(fh), substitutions)

@@ -315,9 +315,10 @@ def _factor_key(f):
 # --- normal form ------------------------------------------------------------
 # NF is a dict {monomial: Fraction}; a monomial is a sorted tuple of factors
 # ("i",), ("exp", arg) or ("pow", base, exponent) with canonical sub-exprs.
-# The coefficients 0 and +-1 are these shared values, never built anew.
+# Every coefficient is a nonzero Fraction.  The builders' +-1 are these two
+# shared values, and `_times` skips the multiplication by either.
 
-_Q0, _Q1, _QM1 = Fraction(0), Fraction(1), Fraction(-1)
+_Q1, _QM1 = Fraction(1), Fraction(-1)
 
 
 def _nf_const(c):
@@ -327,12 +328,35 @@ def _nf_const(c):
 def _nf_add(a, b):
     out = dict(a)
     for mono, coeff in b.items():
-        acc = out.get(mono, _Q0) + coeff
-        if acc == 0:
-            out.pop(mono, None)
-        else:
-            out[mono] = acc
+        _add_term(out, mono, coeff)
     return out
+
+
+def _add_term(out, mono, coeff):
+    """Add coeff times mono into the map out; a new monomial takes coeff
+    itself, and one that cancels leaves the map."""
+    acc = out.get(mono)
+    if acc is None:
+        out[mono] = coeff
+        return
+    acc += coeff
+    if acc:
+        out[mono] = acc
+    else:
+        del out[mono]
+
+
+def _times(c, d):
+    """c * d, with no rational multiplication when either is +-1."""
+    if d is _Q1:
+        return c
+    if c is _Q1:
+        return d
+    if d is _QM1:
+        return -c
+    if c is _QM1:
+        return -d
+    return c * d
 
 
 def _merge_monomials(m1, m2):
@@ -375,12 +399,9 @@ def _nf_mul(a, b):
     out = {}
     for m1, c1 in a.items():
         for m2, c2 in b.items():
+            c = _times(c1, c2)
             for mono, mult in _merge_monomials(m1, m2).items():
-                acc = out.get(mono, _Q0) + c1 * c2 * mult
-                if acc == 0:
-                    out.pop(mono, None)
-                else:
-                    out[mono] = acc
+                _add_term(out, mono, _times(c, mult))
     return out
 
 

@@ -35,6 +35,7 @@ from .diffop import (DiffOp, SampleSpec, apply, bracket_defects, commutator,
                      laplacian_image, relation_defects, sampled)
 from .expr import Expr, Exp, I, Log, Power, Var, ZERO, simplify
 from .quadrature import gl_nodes, oscillatory_cubic_phase
+from .ratlinalg import frac
 from .reduction import (LambdaRep, NotFirstOrderError, ResidualReport,
                         build_reduced, extract_first_order, local_lift_check,
                         operator_residual, verify_lambda_rep)
@@ -256,8 +257,7 @@ def _heisenberg_model(_alpha, _beta) -> GroupModel:
 
 
 def _g47_model(alpha, beta) -> GroupModel:
-    alpha = Fraction(alpha)
-    beta = Fraction(beta)
+    alpha, beta = _rational("alpha", alpha), _rational("beta", beta)
     if alpha * beta == 0:
         raise ModelParameterError("g4_7 requires alpha * beta != 0")
     if alpha * alpha + 4 * beta <= 0:
@@ -438,6 +438,15 @@ def chart_samples(model, n, seed=DEFAULT_SEED):
     q_vars = model.lrep.q_vars
     ranges = {v: model.lrep.sample_ranges[v] for v in q_vars}
     return SampleSpec(ranges=ranges, n=n, seed=seed).points(q_vars)
+
+
+def _rational(name, value):
+    """The model parameter `name` as a Fraction (`ratlinalg.frac`); other
+    text or types raise ModelParameterError naming the parameter."""
+    try:
+        return frac(value)
+    except (TypeError, ValueError) as exc:
+        raise ModelParameterError(f"g4_7 parameter {name}: {exc}") from None
 
 
 # every builder takes (alpha, beta); heisenberg ignores them
@@ -776,8 +785,8 @@ def _is_box(box):
 
 class _GftGrid:
     """The inverse-GFT quadrature at one node count: nodes, weighted
-    amplitude and a store of Airy rows, shared by `inverse_gft_h3` and its
-    evaluator.
+    amplitude and a store of Airy rows.  `inverse_gft_h3_evaluator` is its
+    one entry point; `inverse_gft_h3` is that evaluator's batch.
 
     base = w phi_hat(k, J) (2 J^2)^(1/3) / (2 pi)^2 on the tensor
     Gauss-Legendre grid of the (k, J) box; a row is base times Ai of the
@@ -913,7 +922,7 @@ def inverse_gft_h3(phi_hat, energy, x_points, quad_spec: QuadSpec2D):
     a phi_hat that is not finite on the node grid, or a point with a
     non-finite coordinate, raises ModelParameterError.
     """
-    return _GftGrid(phi_hat, energy, quad_spec.box, quad_spec.n).values(list(x_points))
+    return inverse_gft_h3_evaluator(phi_hat, energy, quad_spec).batch(list(x_points))
 
 
 def inverse_gft_h3_evaluator(phi_hat, energy, quad_spec: QuadSpec2D):

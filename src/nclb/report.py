@@ -5,6 +5,7 @@ the `record` class decorator that every record class of the library uses."""
 from __future__ import annotations
 
 import math
+import operator
 
 PASS = "pass"
 FAIL = "fail"
@@ -53,6 +54,22 @@ def frozen_delattr(self, name):
     raise _frozen_error("delete", name)
 
 
+def _record_repr(self):
+    shown = ", ".join(f"{name}={value!r}" for name, value
+                      in zip(self._record_fields, self._record_values(self)))
+    return f"{type(self).__qualname__}({shown})"
+
+
+def _record_eq(self, other):
+    if other.__class__ is self.__class__:
+        return self._record_values(self) == other._record_values(other)
+    return NotImplemented
+
+
+def _record_hash(self):
+    return hash(self._record_values(self))
+
+
 def record(cls=None, *, frozen=True):
     """Class decorator making `cls` a record of its annotated fields, in
     order, with the semantics of `dataclasses.dataclass(frozen=frozen)`.
@@ -64,8 +81,10 @@ def record(cls=None, *, frozen=True):
     tuples, else NotImplemented) and, on a frozen record, `__hash__` of the
     field tuple and the `frozen_setattr` and `frozen_delattr` guards; a
     mutable record is unhashable.  A method the class defines itself is
-    kept.  The generated methods come from one source compiled once per
-    class, so an instance costs what a hand-written one does.
+    kept.  Only `__init__` is generated, from one source compiled once per
+    class, so an instance costs what a hand-written one does; `__repr__`,
+    `__eq__` and `__hash__` are three functions every record class shares,
+    over the class's `_record_values`, the tuple of an instance's fields.
     """
     if cls is None:
         return lambda cls: record(cls, frozen=frozen)
@@ -90,31 +109,26 @@ def record(cls=None, *, frozen=True):
                     else f"self.{name} = {value}")
     if hasattr(cls, "__post_init__"):
         body.append("self.__post_init__()")
-    own = "".join(f"self.{name}, " for name in names)
-    their = "".join(f"other.{name}, " for name in names)
-    shown = ", ".join(f"{name}={{self.{name}!r}}" for name in names)
-    sources = {
-        "__init__": f"def __init__({', '.join(params)}):\n"
-                    + "".join(f"    {line}\n" for line in body),
-        "__repr__": "def __repr__(self):\n"
-                    f"    return f'{{type(self).__qualname__}}({shown})'\n",
-        "__eq__": "def __eq__(self, other):\n"
-                  f"    if other.__class__ is self.__class__: return ({own}) == ({their})\n"
-                  "    return NotImplemented\n",
-        "__hash__": f"def __hash__(self):\n    return hash(({own}))\n",
-    }
-    if not frozen:
-        del sources["__hash__"]
-    new = [name for name in sources if name not in vars(cls)]
-    exec("".join(sources[name] for name in new), env)  # noqa: S102 - generated from the fields
-    for name in new:
-        env[name].__qualname__ = f"{cls.__qualname__}.{name}"
-        setattr(cls, name, env[name])
+    methods = {"__repr__": _record_repr, "__eq__": _record_eq}
+    if frozen:
+        methods["__hash__"] = _record_hash
+    if "__init__" not in vars(cls):
+        exec(f"def __init__({', '.join(params)}):\n"  # noqa: S102 - generated from the fields
+             + "".join(f"    {line}\n" for line in body), env)
+        env["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+        methods["__init__"] = env["__init__"]
+    for name, method in methods.items():
+        if name not in vars(cls):
+            setattr(cls, name, method)
     if frozen:
         cls.__setattr__, cls.__delattr__ = frozen_setattr, frozen_delattr
     else:
         cls.__hash__ = None
     cls._record_fields = names
+    # attrgetter of one name gives the bare value, not its 1-tuple
+    cls._record_values = staticmethod(
+        operator.attrgetter(*names) if len(names) > 1
+        else lambda obj: tuple(getattr(obj, name) for name in names))
     return cls
 
 

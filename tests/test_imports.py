@@ -117,6 +117,8 @@ def test_loading_the_models_leaves_out_numpy():
     assert {"nclb.models", "nclb.reduction"} <= loaded
     assert "numpy" not in loaded
     assert loaded.isdisjoint(RECORD_MACHINERY)
+    # only the algebra and form file loaders read JSON, and they import it
+    assert "json" not in loaded
 
 
 def test_importtime_lists_the_submodules_the_package_imports():

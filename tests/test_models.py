@@ -50,6 +50,15 @@ class TestLoadModel:
         with pytest.raises(ModelParameterError):
             load_model("nope")
 
+    @pytest.mark.parametrize("name", ["alpha", "beta"])
+    @pytest.mark.parametrize("value, why", [
+        ("1/0", "not a rational: '1/0'"), ("pony", "not a rational: 'pony'"),
+        (0.5, "cannot coerce 0.5 to a rational"),
+    ])
+    def test_a_parameter_that_is_no_rational_is_a_parameter_error(self, name, value, why):
+        with pytest.raises(ModelParameterError, match=f"^g4_7 parameter {name}: {why}$"):
+            load_model("g4_7", **{name: value})
+
     def test_alternate_parameters_validate(self):
         m = load_model("g4_7", alpha=F(-1), beta=F(2))
         lam1, lam2 = lambda_roots(**m.params)

@@ -137,6 +137,14 @@ def test_record_semantics(cls, records):
         assert getattr(obj, names[0]) is values[0]
 
 
+def test_records_share_eq_hash_and_repr_and_compile_only_init():
+    for name in ("__eq__", "__hash__", "__repr__"):
+        assert getattr(SmokeSpec, name).__code__ is getattr(QuadSpec2D, name).__code__
+    assert CheckRecord.__eq__ is SmokeSpec.__eq__
+    assert SmokeSpec.__init__.__code__ is not QuadSpec2D.__init__.__code__
+    assert SmokeSpec.__init__.__qualname__ == "SmokeSpec.__init__"
+
+
 def test_the_literal_reprs():
     assert repr(SmokeSpec(8, 8)) == "SmokeSpec(n_outer=8, n_inner=8)"
     assert repr(CheckRecord("lift", PASS)) == (
