@@ -1167,22 +1167,33 @@ class SmearedGaussian:
 
 def _gauss_overlap_1d(c1, w1, c2, w2):
     """The integral over the line of e^{-(x - c1)^2/(2 w1^2)} e^{-(x -
-    c2)^2/(2 w2^2)}; the centres may be arrays."""
+    c2)^2/(2 w2^2)}; the centres may be arrays.  No width is squared, so it
+    is a positive double at every width SmearedGaussian accepts."""
     import numpy as np
 
-    s2 = w1 * w1 + w2 * w2
-    return math.sqrt(2.0 * math.pi * w1 * w1 * w2 * w2 / s2) * np.exp(
-        -((c1 - c2) ** 2) / (2.0 * s2))
+    h = math.hypot(w1, w2)
+    z = (c1 - c2) / h
+    return math.sqrt(2.0 * math.pi) * (w1 / h) * w2 * np.exp(-0.5 * z * z)
 
 
 def _pair_inner_product(a: SmearedGaussian, b: SmearedGaussian):
     if len(a.centers) != len(b.centers):
         raise ModelParameterError(f"{a} and {b}: the centre counts "
                                   f"{len(a.centers)} and {len(b.centers)} differ")
-    return float(math.prod(
-        _gauss_overlap_1d(ca, a.width, cb, b.width)
-        for ca, cb in zip(a.centers, b.centers)
-    ))
+    # Python floats: a product past the doubles is inf, with no numpy warning
+    return math.prod((float(_gauss_overlap_1d(ca, a.width, cb, b.width))
+                      for ca, cb in zip(a.centers, b.centers)), start=1.0)
+
+
+def _smoke_scale(factor, a, b):
+    """factor sqrt(<a,a>) sqrt(<b,b>), the size of a smoke's deviation; one
+    that is no finite positive double raises SmokeQuadratureError."""
+    scale = (factor * math.sqrt(_pair_inner_product(a, a))
+             * math.sqrt(_pair_inner_product(b, b)))
+    if not 0.0 < scale < math.inf:
+        raise SmokeQuadratureError(f"{a} and {b}: the smoke's scale {scale!r} is "
+                                   "not a finite positive double")
+    return scale
 
 
 @record
@@ -1204,110 +1215,114 @@ class SmokeSpec:
 _WINDOW = 3.0        # Heisenberg x3 window scale
 
 
+def _squares(at, terms):
+    """The (M, b, c) of the exponent -sum r (l . x + k)^2 over `terms` of
+    (r, l, k), l a {variable: coefficient} map, in the offsets x - `at`.
+    Taken near where the squares vanish, k is of the size of the centres'
+    gaps, not of the centres, so nothing of size (centre/width)^2 cancels."""
+    n = len(at)
+    m = [[0.0] * n for _ in range(n)]
+    lin, c = [0.0] * n, 0.0
+    for r, l, k in terms:
+        k = k + sum(li * at[i] for i, li in l.items())
+        for i, li in l.items():
+            lin[i] = lin[i] - 2.0 * r * k * li
+            for j, lj in l.items():
+                m[i][j] = m[i][j] + r * li * lj
+        c = c - r * k * k
+    return m, lin, c
+
+
+def _gaussian_integral(m, b, c):
+    """The integral over R^n of e^{-x^T M x + b^T x + c}, M symmetric, by
+    completing the squares in the order the variables are given.  Pivot k,
+    M_kk once the variables before it are integrated out, adds the log of
+    sqrt(pi/p) (principal root) and b_k^2/(4 p) to one exponent, which is
+    exponentiated once.  The entries are numbers or arrays that broadcast.
+    A pivot that is not finite with Re p > 0, or leaves an exponent that is
+    not finite, raises SmokeQuadratureError naming it; a value past the
+    doubles is inf."""
+    import numpy as np
+
+    m, b = [list(row) for row in m], list(b)
+    with np.errstate(all="ignore"):
+        for k in range(len(b)):
+            p = m[k][k]
+            if not (np.isfinite(p) & (np.real(p) > 0)).all():
+                raise SmokeQuadratureError(f"pivot {k} of a Gaussian integral must be "
+                                           "finite with Re > 0")
+            c = c + 0.5 * (math.log(math.pi) - np.log(p)) + 0.25 * b[k] * (b[k] / p)
+            if not np.isfinite(c).all():
+                raise SmokeQuadratureError(f"pivot {k} of a Gaussian integral leaves an "
+                                           "exponent that is not finite")
+            ratio = {j: m[k][j] / p for j in range(k + 1, len(b))}
+            for i in ratio:
+                b[i] = b[i] - b[k] * ratio[i]
+                for j in ratio:
+                    m[i][j] = m[i][j] - m[k][i] * ratio[j]
+        return np.exp(c)
+
+
 def _smoke_heisenberg(a, b, j_val, jt_val, spec: SmokeSpec):
-    """The Heisenberg pairing, in closed form: the x3 window and the s, x1
-    and x2 integrals.
+    """The Heisenberg pairing, in closed form: the x3 window and the s, s',
+    x2 and x1 integrals.
 
-    Side a's integral over s is F(x1, x2) = int ds a(s - x2, s) e^{i J s x1},
-    with a(q, q') = e^{-((q - c1)^2 + (q' - c2)^2)/(2 w^2)}.  Its exponent is
-    -A s^2 + B s + C with A = 1/w^2, B = (x2 + c1 + c2)/w^2 + i J x1 and
-    C = -((x2 + c1)^2 + c2^2)/(2 w^2), so F = `_gaussian_line_integral(A, B,
-    C)`, and that splits exactly into factors of x2, of x1 and of both:
-
-        F = sqrt(pi) w e^{-(x2 + c1 - c2)^2/(4 w^2)}
-            e^{i J (c1 + c2) x1/2 - (J w x1)^2/4} e^{i J x1 x2/2}.
-
-    Side b's G is the same with b's width and centres and J -> -Jt, so
-
-        F G = pi w_a w_b f2(x2) f1(x1) e^{i kappa x1 x2},  kappa = (J - Jt)/2,
-
-    with f1 = e^{i alpha x1 - beta x1^2}, alpha = (J (ca1 + ca2) - Jt (cb1 +
-    cb2))/2, beta = ((J w_a)^2 + (Jt w_b)^2)/4, and f2 = e^{-(x2 + d_a)^2/(4
-    w_a^2) - (x2 + d_b)^2/(4 w_b^2)}, d = c1 - c2 of each side.  The x1
-    integral of f1 e^{i kappa x1 x2} is sqrt(pi/beta) e^{-(alpha + kappa
-    x2)^2/(4 beta)}, and times f2 that is e^{-A x2^2 + B x2 + C} with real
-    A, B and C, one more `_gaussian_line_integral`.  A beta or an A that
-    is not finite and > 0 (a J or Jt so small or so large that its square
-    under- or overflows) raises SmokeQuadratureError.  No rule is refined,
-    so the refinement change is 0.0, and `spec` is not read.
+    a(s - x2, s), with a(q, q') = e^{-((q - c1)^2 + (q' - c2)^2)/(2 w^2)},
+    meets the kernel phase e^{i J s x1}, and b(s' - x2, s') meets e^{-i Jt
+    s' x1}: four squares and two cross terms, one `_gaussian_integral` over
+    (s, s', x2, x1), measured from where a's squares and b's second vanish.
+    x1 has no square, and its pivot gets a real part only once s and s' are
+    integrated out, so it goes last; a J or Jt whose square under- or
+    overflows there raises SmokeQuadratureError.  No rule is refined, so
+    the refinement change is 0.0, and `spec` is not read.
     """
-    wa, wb = a.width, b.width
-    ca1, ca2 = a.centers
-    cb1, cb2 = b.centers
-
-    # products, not powers: a float ** that overflows raises OverflowError
-    alpha = 0.5 * (j_val * (ca1 + ca2) - jt_val * (cb1 + cb2))
-    ja, jb = j_val * wa, jt_val * wb
-    beta = 0.25 * (ja * ja + jb * jb)
-    kappa = 0.5 * (j_val - jt_val)
-    da, db = ca1 - ca2, cb1 - cb2
-    qa, qb = 0.25 / (wa * wa), 0.25 / (wb * wb)
-    big_a = qa + qb + kappa * kappa / (4.0 * beta) if beta > 0 else math.nan
-    if not (0 < beta < math.inf and 0 < big_a < math.inf):
-        raise SmokeQuadratureError(
-            f"J = {j_val!r}, Jt = {jt_val!r}: the x1 and x2 Gaussian rates "
-            f"{beta!r} and {big_a!r} must be finite and > 0")
-    over_x2 = _gaussian_line_integral(
-        big_a,
-        -(2.0 * (da * qa + db * qb) + alpha * kappa / (2.0 * beta)),
-        -(da * da * qa + db * db * qb + alpha * alpha / (4.0 * beta)))
-
     w3_hat0 = math.sqrt(2.0 * math.pi) * _WINDOW
+    scale = _smoke_scale((2.0 * math.pi / abs(j_val)) * w3_hat0, a, b)
+    (ca1, ca2), (cb1, cb2) = a.centers, b.centers
+    ra, rb = 0.5 / (a.width * a.width), 0.5 / (b.width * b.width)
+    s, sp, x2, x1 = range(4)
+    m, lin, c = _squares((ca2, cb2, ca2 - ca1, 0.0), [
+        (ra, {s: 1.0, x2: -1.0}, -ca1), (ra, {s: 1.0}, -ca2),
+        (rb, {sp: 1.0, x2: -1.0}, -cb1), (rb, {sp: 1.0}, -cb2)])
+    # the phases i J s x1 - i Jt s' x1, with s and s' counted from ca2 and cb2
+    m[s][x1] = m[x1][s] = -0.5j * j_val
+    m[sp][x1] = m[x1][sp] = 0.5j * jt_val
+    lin[x1] = 1j * (j_val * ca2 - jt_val * cb2)
+
     gap = _WINDOW * (jt_val - j_val)
     w3_hat = w3_hat0 * math.exp(-0.5 * gap * gap)
-    measured = complex(w3_hat * math.pi * wa * wb * math.sqrt(math.pi / beta)
-                       * over_x2)
+    measured = complex(w3_hat * _gaussian_integral(m, lin, c))
     predicted = (2.0 * math.pi / abs(j_val)) * w3_hat * _pair_inner_product(a, b)
-    scale = (2.0 * math.pi / abs(j_val)) * w3_hat0 * math.sqrt(
-        _pair_inner_product(a, a) * _pair_inner_product(b, b))
     dev = abs(measured - predicted) / scale
     return dev, 0.0, measured, complex(predicted), scale
 
 
-def _t_exponent(q2, s, j_val, b):
-    """b's Gaussian, less its x4 factor, at the 4d pairing's sharp limit u
-    = t = 0, as the (e_c, e_q, e_qq, e_e, e_ee, e_qe) coefficients of its
-    exponent in q1 and eta = q2 x3 - q1: e_c + e_q q1 + e_qq q1^2 + e_e eta
-    + e_ee eta^2 + e_qe q1 eta.
-
-    There qt2 = q2, st = s and qt1 = t0/(J q2) + q2 x3/2, with t0 = (J
-    q2/2)(2 q1 - q2 x3) and x3 = (q1 + eta)/q2, so qt1 - cb1 and qt1' - cb1'
-    = qt1 - q2 x3 - cb1' are linear in q1 and eta.  The map gives qt1 = q1
-    and qt1' = -eta up to rounding; it is taken as it stands, so that a
-    wrong chart map would show in the deviation.  The arguments broadcast.
-    """
-    def times(l, m):
-        # the (1, q1, q1^2, eta, eta^2, q1 eta) coefficients of l m
-        return (l[0] * m[0], l[0] * m[1] + l[1] * m[0], l[1] * m[1],
-                l[0] * m[2] + l[2] * m[0], l[2] * m[2], l[1] * m[2] + l[2] * m[1])
-
-    cb1, cbs, cb1p, _ = b.centers
-    wb2 = b.width * b.width
-    beta = 1.0 / (j_val * q2)
-    # (q1 coefficient, eta coefficient) of t0 and of x3
-    t0 = (0.5 * j_val * q2, -0.5 * j_val * q2)
-    x3 = (1.0 / q2, 1.0 / q2)
-    # (constant, q1 coefficient, eta coefficient) of d1 and d2
-    d1 = (-cb1,) + tuple(t * beta + 0.5 * q2 * x for t, x in zip(t0, x3))
-    d2 = (-cb1p,) + tuple(d - q2 * x for d, x in zip(d1[1:], x3))
-    coeffs = [-(u + v) / (2.0 * wb2) for u, v in zip(times(d1, d1), times(d2, d2))]
-    coeffs[0] -= (s - cbs) ** 2 / (2.0 * wb2)
-    return tuple(coeffs)
-
-
-def _gaussian_line_integral(big_a, big_b, big_c):
-    """The integral over the real line of e^{-A x^2 + B x + C},
-    sqrt(pi/A) e^{B^2/(4A) + C} (principal root), elementwise over real or
-    complex numbers or arrays.  It converges only where Re A > 0; an A
-    anywhere else, or a NaN, raises SmokeQuadratureError rather than give a
-    divergent value."""
+def _g47_exponent(a, b, j_val, s):
+    """The (M, b, c) of the 4d pairing's integrand at the sharp limit, less
+    its factor 2 pi^2, at the s nodes `s`, in (q1, eta = q2 x3 - q1, x4)
+    measured from a's centre point (ca1, -ca1', s - ca2').  a is taken at
+    (q1, s, -eta, s - x4), and b at the chart map's (qt1, s, qt1 - q2 x3,
+    s - x4), qt1 = t0/(J q2) + q2 x3/2 with t0 = (J q2/2)(2 q1 - q2 x3) and
+    x3 = (q1 + eta)/q2: q1 up to rounding, taken as it stands so that a
+    wrong chart map shows in the deviation.  A q2 past the doubles gives
+    entries that `_gaussian_integral` rejects."""
     import numpy as np
 
-    if not np.all(big_a.real > 0):
-        raise SmokeQuadratureError(
-            "the Gaussian line integral needs Re A > 0; the smallest Re A "
-            f"is {np.min(big_a.real)!r}")
-    return np.sqrt(math.pi / big_a) * np.exp(big_b * big_b / (4.0 * big_a) + big_c)
+    ca1, cas, ca1p, casp = a.centers
+    cb1, cbs, cb1p, cbsp = b.centers
+    ra, rb = 0.5 / (a.width * a.width), 0.5 / (b.width * b.width)
+    with np.errstate(all="ignore"):
+        q2 = np.exp(s)
+        # (q1 coefficient, eta coefficient) of t0, x3, qt1 and qt1 - q2 x3
+        t0 = (0.5 * j_val * q2, -0.5 * j_val * q2)
+        x3 = (1.0 / q2, 1.0 / q2)
+        qt1 = [t / (j_val * q2) + 0.5 * q2 * x for t, x in zip(t0, x3)]
+        qt1p = [d - q2 * x for d, x in zip(qt1, x3)]
+        return _squares((ca1, -ca1p, s - casp), [
+            (ra, {0: 1.0}, -ca1), (ra, {}, s - cas),
+            (ra, {1: -1.0}, -ca1p), (ra, {2: -1.0}, s - casp),
+            (rb, dict(enumerate(qt1)), -cb1), (rb, {}, s - cbs),
+            (rb, dict(enumerate(qt1p)), -cb1p), (rb, {2: -1.0}, s - cbsp)])
 
 
 def _smoke_g47(a, b, j_val, jt_val, spec: SmokeSpec):
@@ -1319,18 +1334,11 @@ def _smoke_g47(a, b, j_val, jt_val, spec: SmokeSpec):
     2 pi delta: the tilde side is taken at u = t = 0, where qt2 = q2, st = s
     and the x3 phase e^{i x3 t0 (st - s)} is 1, and the u measure q2/2 over
     x3's Jacobian q2 leaves 2 pi^2.  The Haar weight e^{4 x4} cancels the
-    x4 part of the twist Lambda(q2') = q2'^4, so the x4 integral is the
-    overlap of a's and b's x4 Gaussians (`_gauss_overlap_1d`).
-
-    At fixed s, a's q1 and q1' = -eta Gaussians times b's (`_t_exponent`)
-    are e^{-A1 q1^2 + (B1 + E_qe eta) q1 + C(eta)} with C quadratic.  The q1
-    integral, `_gaussian_line_integral(A1, B1, C(0))`, leaves e^{-A2 eta^2
-    + B2 eta} with A2 = E_qe^2/(4 A1) less the eta^2 coefficient of C and
-    B2 = B1 E_qe/(2 A1) plus its eta coefficient, and the eta integral is
-    `_gaussian_line_integral(A2, B2, 0)`: both exact, on whole lines.  Only
-    s is a rule: n_inner nodes on +-6.5 widths of a's s Gaussian in the
-    coarse pass and n_outer on +-8 in the refined one, so the refinement
-    change covers both the node count and the box.
+    x4 part of the twist Lambda(q2') = q2'^4.  What is left at each s node
+    is a Gaussian in (q1, eta, x4) (`_g47_exponent`), and a pass is one
+    `_gaussian_integral` over all its s nodes.  Only s is a rule, on the
+    passes `SmokeSpec` describes, so the refinement change covers both the
+    node count and the box.
     """
     import numpy as np
 
@@ -1338,35 +1346,17 @@ def _smoke_g47(a, b, j_val, jt_val, spec: SmokeSpec):
         raise ModelParameterError(
             f"{spec} gives the 4d smoke test's refined pass {spec.n_outer} s nodes "
             f"and its coarse pass {spec.n_inner}: the refined pass must add nodes")
-    scale = 2.0 * math.pi ** 2 * math.sqrt(
-        _pair_inner_product(a, a) * _pair_inner_product(b, b))
+    scale = _smoke_scale(2.0 * math.pi ** 2, a, b)
     if j_val != jt_val:
         # opposite orbits: the u delta needs qt2^2 = J q2^2/Jt = -q2^2, which
         # no qt2 > 0 meets, so the pairing is exactly 0 by support
         return 0.0, 0.0, 0j, 0j, scale
-    wa, wb = a.width, b.width
-    ca1, cas, ca1p, casp = a.centers
-    cbsp = b.centers[3]
-    rate = 0.5 / (wa * wa)
+    wa, cas = a.width, a.centers[1]
 
     def compute(n_s, half):
         s, ws = gl_nodes(n_s, cas - half * wa, cas + half * wa)
-        # the (q1, eta)-free factors: 2 pi from each delta times the u
-        # measure over the x3 Jacobian, a's s Gaussian and the x4 overlap
-        weight = (2.0 * math.pi ** 2 * ws * np.exp(-((s - cas) ** 2) / (2.0 * wa * wa))
-                  * _gauss_overlap_1d(s - casp, wa, s - cbsp, wb))
-        # a's Gaussians e^{-rate ((q1 - ca1)^2 + (eta + ca1p)^2)} times
-        # e^{E(q1, eta)}
-        e_c, e_q, e_qq, e_e, e_ee, e_qe = _t_exponent(np.exp(s), s, j_val, b)
-        a_q = rate - e_qq
-        b_q = e_q + 2.0 * rate * ca1
-        over_q1 = _gaussian_line_integral(
-            a_q, b_q, e_c - rate * (ca1 * ca1 + ca1p * ca1p))
-        # completing the square in q1 leaves e^{-A eta^2 + B eta} times that
-        over_eta = _gaussian_line_integral(
-            rate - e_ee - e_qe * e_qe / (4.0 * a_q),
-            e_e - 2.0 * rate * ca1p + b_q * e_qe / (2.0 * a_q), 0.0)
-        return np.sum(weight * over_q1 * over_eta)
+        return 2.0 * math.pi ** 2 * np.sum(
+            ws * _gaussian_integral(*_g47_exponent(a, b, j_val, s)))
 
     coarse, refined = (float(compute(*n)) for n in ((spec.n_inner, 6.5),
                                                     (spec.n_outer, 8.0)))
@@ -1382,13 +1372,16 @@ def kernel_orthogonality_smoke(model, test_pairs, spec: SmokeSpec | None = None)
     Each test pair is (a, b, J, Jt) with smooth Gaussian smearing factors.
     The group-direction phases whose sharp limits are delta functions are
     taken at that limit for the 4d model: its x1 and x2 integrals are exact
-    2 pi deltas, its q1, x3 and x4 directions are closed form, and its s
-    integral is quadrature on a coarse and a refined pass (`SmokeSpec`).
-    Only the Heisenberg x3 phase keeps a wide Gaussian window, a nascent
-    2 pi delta whose transform its prediction includes exactly.  The
-    Heisenberg pairing is closed form in every direction, so its refinement
-    change is 0.0 and `spec` is not read; a J or Jt whose square under- or
-    overflows there raises SmokeQuadratureError.  The result is compared
+    2 pi deltas, and its s integral is quadrature on a coarse and a refined
+    pass (`SmokeSpec`).  Only the Heisenberg x3 phase keeps a wide Gaussian
+    window, a nascent 2 pi delta whose transform its prediction includes
+    exactly.  The other directions are one Gaussian integral over a
+    quadratic form (`_gaussian_integral`): the Heisenberg s, s', x2 and x1,
+    so its refinement change is 0.0 and `spec` is not read, and the 4d q1,
+    x3 and x4 per s node.  A pivot there that is not finite with Re > 0 (a
+    Heisenberg J or Jt whose square under- or overflows), or a value or
+    scale past the doubles (widths near the ends of their range), raises
+    SmokeQuadratureError naming the pair.  The result is compared
     against the sharp-limit prediction: (2 pi)^2/|J| <a,b> for the
     Heisenberg model (per unit window mass), 2 pi^2 <a,b> with the Lambda
     twist for the 4d model, and 0 for distinct spectral parameters, all at
@@ -1413,8 +1406,12 @@ def kernel_orthogonality_smoke(model, test_pairs, spec: SmokeSpec | None = None)
                     f"{g}: the {model.name} smoke test needs {n_centers} centres, "
                     "one per chart coordinate of (q, q')")
         j_lab, jt_lab = (model.lrep.check_j(float(j)) for j in (j_val, jt_val))
-        dev, conv, measured, predicted, scale = model.smoke_scheme(
-            a, b, j_lab, jt_lab, spec)
+        try:
+            dev, conv, measured, predicted, scale = model.smoke_scheme(
+                a, b, j_lab, jt_lab, spec)
+        except SmokeQuadratureError as err:
+            raise SmokeQuadratureError(f"kernel_orthogonality[{idx}], J = {j_val!r}, "
+                                       f"Jt = {jt_val!r}: {err}") from err
         detail = {
             "J": j_val, "Jt": jt_val,
             "refinement_change": conv,

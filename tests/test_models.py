@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 import os
@@ -603,7 +604,7 @@ def _smoke_heisenberg_per_x2(a, b, j_val, jt_val, spec):
     predicted = (2.0 * math.pi / abs(j_val)) * w3_hat * inner
     w3_hat0 = math.sqrt(2.0 * math.pi) * s3
     scale = (2.0 * math.pi / abs(j_val)) * w3_hat0 * math.sqrt(
-        models._pair_inner_product(a, a) * models._pair_inner_product(b, b))
+        models._pair_inner_product(a, a)) * math.sqrt(models._pair_inner_product(b, b))
     conv = abs(refined - coarse) * w3_hat0 / scale
     dev = abs(w3_hat * refined - predicted) / scale
     return dev, conv, complex(w3_hat * refined), complex(predicted), scale
@@ -682,44 +683,6 @@ class TestSmoke:
             # the closed form meets the prediction to rounding
             assert got[0] <= 1e-15
 
-    @pytest.mark.parametrize("j_val, jt_val", [(1.0, 1.0), (1.0, -1.0),
-                                               (-2.0, -2.0), (2.0, -2.0)])
-    def test_the_s_integral_splits_into_factors(self, j_val, jt_val):
-        # F G of c12's pair as the smoke factors it, against the Gaussian
-        # line integral of each side's unsplit exponent and against a
-        # 400-node s rule on the box the s quadrature used.  The points keep
-        # each side's s Gaussian > 2.8 w inside that box and |F G| above 1e-3
-        # of its peak.  The rule's product is off by ~5.5e-14 relative at
-        # every point: numpy's 400-node weights carry ~2.7e-14 per side.
-        a, b = C12_H3
-        (ca1, ca2), wa = a.centers, a.width
-        (cb1, cb2), wb = b.centers, b.width
-        rng = np.random.default_rng(35)
-        x1 = rng.uniform(-3.0, 3.0, 16)
-        x2 = rng.uniform(-1.5, 1.5, 16)
-        q_half = 7.0 * max(wa, wb)
-        s, ws = gl_nodes(400, min(ca1, ca2, cb1, cb2) - q_half,
-                         max(ca1, ca2, cb1, cb2) + q_half)
-
-        def side(g, jv):
-            (c1, c2), w = g.centers, g.width
-            big_a = np.full(x1.shape, 1.0 / w ** 2, complex)
-            big_b = (x2 + c1 + c2) / w ** 2 + 1j * jv * x1
-            big_c = -((x2 + c1) ** 2 + c2 ** 2) / (2.0 * w ** 2) + 0j
-            by_rule = np.exp(-((s - x2[:, None] - c1) ** 2 + (s - c2) ** 2)
-                             / (2.0 * w ** 2) + 1j * jv * s * x1[:, None]) @ ws
-            return models._gaussian_line_integral(big_a, big_b, big_c), by_rule
-
-        (fa, fa_rule), (gb, gb_rule) = side(a, j_val), side(b, -jt_val)
-        factored = (math.pi * wa * wb
-                    * np.exp(-(x2 + ca1 - ca2) ** 2 / (4.0 * wa ** 2)
-                             - (x2 + cb1 - cb2) ** 2 / (4.0 * wb ** 2))
-                    * np.exp(0.5j * (j_val * (ca1 + ca2) - jt_val * (cb1 + cb2)) * x1
-                             - 0.25 * ((j_val * wa) ** 2 + (jt_val * wb) ** 2) * x1 ** 2)
-                    * np.exp(0.5j * (j_val - jt_val) * x1 * x2))
-        for unsplit in (fa * gb, fa_rule * gb_rule):
-            assert np.all(np.abs(factored - unsplit) <= 1e-13 * np.abs(unsplit))
-
     def test_heisenberg_reads_no_node_count(self, h3):
         # n_outer set the x1 and x2 rules and n_inner the s rule; 8 x1 and
         # x2 nodes were inconclusive
@@ -771,25 +734,33 @@ class TestSmoke:
         assert abs(got - want) <= 1e-12 * abs(want)
 
     @pytest.mark.parametrize("j_val", [1.0, -1.0, 2.0])
-    def test_the_t_exponent_is_b_at_the_chart_map(self, j_val):
-        # b's Gaussian, less its x4 factor, evaluated directly at qt1 =
-        # t0/(J q2) + q2 x3/2, qt1' = qt1 - q2 x3 and st = s, on a seeded
-        # (q1, eta, s) grid within 3 widths of a's centres
+    def test_the_g47_exponent_is_a_and_b_at_the_chart_map(self, j_val):
+        # the exponent's (M, b, c), in the offsets from a's centre point, at
+        # a seeded (q1, eta, x4, s) grid within 3 widths of a's centres,
+        # against the logs of a's Gaussian at (q1, s, q1 - q2 x3, s - x4)
+        # and b's at qt1 = t0/(J q2) + q2 x3/2, st = s, qt1' = qt1 - q2 x3
+        # and st' = s - x4, evaluated directly
         a, b = BENCH_G47
-        ca1, cas, ca1p, _ = a.centers
-        cb1, cbs, cb1p, _ = b.centers
+        ca1, cas, ca1p, casp = a.centers
         rng = np.random.default_rng(41)
-        q1, eta, s = np.meshgrid(*(rng.uniform(c - 3.0 * a.width, c + 3.0 * a.width, 8)
-                                   for c in (ca1, -ca1p, cas)), indexing="ij")
+        q1, eta, x4, s = np.meshgrid(*(rng.uniform(c - 3.0 * a.width, c + 3.0 * a.width, 6)
+                                       for c in (ca1, -ca1p, cas - casp, cas)),
+                                     indexing="ij")
         q2 = np.exp(s)
         x3 = (q1 + eta) / q2
         t0 = 0.5 * j_val * q2 * (2.0 * q1 - q2 * x3)
         qt1 = t0 / (j_val * q2) + 0.5 * q2 * x3
-        want = np.exp(-((qt1 - cb1) ** 2 + (s - cbs) ** 2 + (qt1 - q2 * x3 - cb1p) ** 2)
-                      / (2.0 * b.width ** 2))
-        e_c, e_q, e_qq, e_e, e_ee, e_qe = models._t_exponent(q2, s, j_val, b)
-        got = np.exp(e_c + q1 * (e_q + q1 * e_qq) + eta * (e_e + eta * e_ee + q1 * e_qe))
-        assert np.all(np.abs(got - want) <= 1e-13 * want)
+
+        def log_gauss(g, point):
+            return -sum((p - c) ** 2 for p, c in zip(point, g.centers)) / (2.0 * g.width ** 2)
+
+        want = (log_gauss(a, (q1, s, q1 - q2 * x3, s - x4))
+                + log_gauss(b, (qt1, s, qt1 - q2 * x3, s - x4)))
+        m, lin, c = models._g47_exponent(a, b, j_val, s)
+        x = (q1 - ca1, eta + ca1p, x4 - (s - casp))
+        got = c + sum(lin[i] * x[i] - sum(m[i][j] * x[i] * x[j] for j in range(3))
+                      for i in range(3))
+        assert np.all(np.abs(got - want) <= 1e-13)
 
     def test_the_refinement_change_sees_the_s_box(self):
         # b's s centre 5 widths off a's: the s integrand is a Gaussian of
@@ -809,7 +780,7 @@ class TestSmoke:
         # a's x4 Gaussian times b's at 16 seeded (s, st) points of the
         # benchmark-drawn pair, by quad on 12 product widths around the
         # product's centre, against the overlap over the whole line that
-        # the smoke takes
+        # the 4d prediction and the tensor rule take
         from scipy.integrate import quad
 
         a, b = BENCH_G47
@@ -839,7 +810,7 @@ class TestSmoke:
         (0.3 - 4.0j, -1.5 + 0.5j, 0.1),
         (0.2 + 3.0j, 0.0, 0.0),
     ])
-    def test_gaussian_line_integral_matches_quad(self, big_a, big_b, big_c):
+    def test_a_one_variable_gaussian_integral_matches_quad(self, big_a, big_b, big_c):
         from scipy.integrate import quad
 
         def f(x):
@@ -852,29 +823,112 @@ class TestSmoke:
         re, im = (quad(lambda x: part(f(x)), mid - half, mid + half,
                        limit=2000, epsabs=1e-15, epsrel=1e-12)[0]
                   for part in (np.real, np.imag))
-        got = complex(models._gaussian_line_integral(
-            np.array([big_a], complex), np.array([big_b], complex),
+        got = complex(models._gaussian_integral(
+            [[np.array([big_a], complex)]], [np.array([big_b], complex)],
             np.array([big_c], complex))[0])
         assert got.real == pytest.approx(re, rel=1e-12, abs=1e-300)
         assert got.imag == pytest.approx(im, rel=1e-12, abs=1e-300)
 
     @pytest.mark.parametrize("big_a", [0.0, -1.0, 2.0j, -0.5 + 3.0j, math.nan])
-    def test_gaussian_line_integral_raises_unless_re_a_is_positive(self, big_a):
-        # a good A beside the bad one does not hide it
-        with pytest.raises(SmokeQuadratureError, match="Re A > 0"):
-            models._gaussian_line_integral(np.array([1.0, big_a], complex),
-                                           np.zeros(2, complex), np.zeros(2, complex))
+    def test_a_gaussian_integral_raises_unless_its_pivot_has_re_above_0(self, big_a):
+        # a good pivot beside the bad one does not hide it
+        with pytest.raises(SmokeQuadratureError, match="pivot 0 .* Re > 0"):
+            models._gaussian_integral([[np.array([1.0, big_a], complex)]],
+                                      [np.zeros(2, complex)], np.zeros(2, complex))
 
-    def test_q1_and_eta_are_two_closed_forms_per_pass(self, monkeypatch):
+    def test_a_two_variable_chirp_matches_nested_quad(self):
+        # a complex off-diagonal couples the variables, and Im M is not small
+        # beside Re M, whose eigenvalues are about 0.51 and 1.19
+        from scipy.integrate import quad
+
+        m = [[1.0 + 0.5j, 0.3 + 0.8j], [0.3 + 0.8j, 0.7 - 0.2j]]
+        lin = [0.2 + 0.4j, -0.5j]
+        c = 0.1 - 0.2j
+
+        def f(x1, x2):
+            return cmath.exp(c + lin[0] * x1 + lin[1] * x2 - m[0][0] * x1 * x1
+                             - 2.0 * m[0][1] * x1 * x2 - m[1][1] * x2 * x2)
+
+        # the envelope is below e^{-60} of its peak outside this box
+        half = 12.0
+        want = complex(*(quad(lambda x1: quad(lambda x2: part(f(x1, x2)), -half, half,
+                                              limit=400, epsabs=1e-13, epsrel=1e-13)[0],
+                              -half, half, limit=400, epsabs=1e-12, epsrel=1e-12)[0]
+                         for part in (lambda z: z.real, lambda z: z.imag)))
+        got = complex(models._gaussian_integral(m, lin, c))
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_heisenberg_with_x1_first_raises(self, monkeypatch):
+        # x1 has no square of its own: its pivot has a real part only once s
+        # and s' are integrated out.  First it raises rather than take a
+        # branch of sqrt(pi/p) at p = 0; after s and s', in either place, it
+        # gives the smoke's value.
+        seen = []
+        real = models._gaussian_integral
+        monkeypatch.setattr(models, "_gaussian_integral",
+                            lambda *mbc: seen.append(mbc) or real(*mbc))
+        models._smoke_heisenberg(*C12_H3, 1.0, -1.0, SmokeSpec())
+        ((m, lin, c),) = seen
+
+        def ordered(order):
+            return ([[m[i][j] for j in order] for i in order], [lin[i] for i in order], c)
+
+        with pytest.raises(SmokeQuadratureError, match="pivot 0 .* Re > 0"):
+            real(*ordered([3, 0, 1, 2]))
+        want = real(m, lin, c)
+        assert abs(real(*ordered([0, 1, 3, 2])) - want) <= 1e-14 * abs(want)
+
+    def test_one_gaussian_integral_per_pass(self, monkeypatch):
         # at SmokeSpec(72, 48) the coarse pass has 48 s nodes and the refined
-        # pass 72: per pass one q1 and one eta integral over its s nodes, and
-        # no q1, x3 or x4 nodes
-        calls = []
-        line = models._gaussian_line_integral
-        monkeypatch.setattr(models, "_gaussian_line_integral",
-                            lambda *abc: calls.append(np.shape(abc[0])) or line(*abc))
+        # pass 72: per pass one integral over (q1, eta, x4) at all its s
+        # nodes, and no q1, x3 or x4 nodes
+        shapes = []
+        real = models._gaussian_integral
+
+        def counted(*mbc):
+            value = real(*mbc)
+            shapes.append(np.shape(value))
+            return value
+
+        monkeypatch.setattr(models, "_gaussian_integral", counted)
         models._smoke_g47(*BENCH_G47, 1.0, 1.0, SmokeSpec(72, 48))
-        assert calls == [(48,)] * 2 + [(72,)] * 2
+        assert shapes == [(48,), (72,)]
+
+    @pytest.mark.parametrize("name, pair", [
+        ("heisenberg", ((0.1, -0.2), (0.1 + 1e-8, -0.2 - 1e-8))),
+        ("g4_7", ((1.2, 0.1, 1.0, 0.0), (1.2 + 1e-8, 0.1 - 1e-8, 1.0 + 1e-8, 5e-9))),
+    ])
+    def test_a_narrow_pair_a_width_apart_meets_the_sharp_limit(self, name, pair, request):
+        # width 1e-8: the exponent's constant terms are the centres' squares
+        # over the widths', ~1e14, unless it is stated from a's centres; the
+        # Heisenberg smoke read a deviation of 0.047 when they cancelled
+        model = request.getfixturevalue({"g4_7": "g47", "heisenberg": "h3"}[name])
+        a, b = (SmearedGaussian(centers=c, width=1e-8) for c in pair)
+        (rec,) = kernel_orthogonality_smoke(model, [(a, b, 1, 1)])
+        assert rec.passed and rec.max_residual <= 1e-11
+        assert rec.detail["measured"][0] > 0.5 * rec.detail["predicted"][0] > 0
+
+    @pytest.mark.parametrize("width", [1e-154, 1e-100, 1e-20, 0.01, 1e20, 1e100, 1e154])
+    @pytest.mark.parametrize("name", ["heisenberg", "g4_7"])
+    def test_every_accepted_width_ends_in_a_record_or_a_quadrature_error(
+            self, name, width, request):
+        # c12's pairs at one width for both sides.  1e-100 raised a bare
+        # ZeroDivisionError in the Heisenberg smoke and 1e100 failed it with
+        # NaN; the g4,7 smoke warned from 1e-20 up, and at 0.01 it failed
+        # with NaN (a factor of 0 times one of inf) where the pairing is
+        # 1.95e-25.  A width whose pairing or scale leaves the doubles
+        # raises SmokeQuadratureError; every record it gives passes.
+        model = request.getfixturevalue({"g4_7": "g47", "heisenberg": "h3"}[name])
+        a, b = (replace(g, width=width) for g in (C12_G47 if name == "g4_7" else C12_H3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                records = kernel_orthogonality_smoke(model, [(a, b, 1, 1), (a, b, 1, -1)])
+            except SmokeQuadratureError:
+                return
+        assert all(r.passed for r in records)
+        if name == "g4_7" and width == 0.01:
+            assert records[0].max_residual <= 1e-9
 
     @pytest.mark.parametrize("j_val", [1.0, -1.0])
     def test_a_pair_far_down_in_s_is_finite_and_meets_the_sharp_limit(self, j_val):
