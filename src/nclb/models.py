@@ -210,7 +210,6 @@ def _heisenberg_model(_alpha, _beta) -> GroupModel:
             DiffOp.scalar(qv, I * J),
         ),
         j_values=(),
-        mult_only=(1, 3),
         sample_ranges={"q": (-2.0, 2.0), "E": (-2.0, 2.0)},
     )
 
@@ -331,7 +330,6 @@ def _g47_model(alpha, beta) -> GroupModel:
             DiffOp.partial(qv, "q2", -q2),
         ),
         j_values=(-1, 1),
-        mult_only=(1, 2),
         sample_ranges={"q1": (0.8, 3.0), "q2": (0.15, 1.2), "E": (-2.0, 2.0)},
     )
 
@@ -506,79 +504,45 @@ def validate_model(model, seed=DEFAULT_SEED):
     return list(model.validations[seed])
 
 
-def _structural_records(model, seed):
-    records = [_jacobi_record(model.algebra)]
-    n = model.dim
+def _law_at(model, xs, ys):
+    """The multiplication law z(x, y) at the argument expressions xs, ys."""
+    at = dict(zip(model.x_vars, xs))
+    at.update((f"y{k}", y) for k, y in enumerate(ys, 1))
+    return [ex.subst(z, at) for z in model.mult_law]
 
-    # coframe duality <omega^i, xi_j> = delta^i_j
-    diffs = []
-    for i in range(n):
-        for j in range(n):
-            pairing = ex.Sum(tuple(
-                ex.Product((model.dual_forms[i][k], model.xi[j].coeff(
-                    tuple(1 if t == k else 0 for t in range(n)))))
-                for k in range(n)
-            ))
-            target = ex.ONE if i == j else ZERO
-            diffs.append(pairing - target)
-    spec = model.x_sample_spec(seed=seed)
+
+def _zero_record(check, diffs, spec, seed):
+    """The record of a family expected to vanish, at 1e-12."""
     dev, used, skipped = _symbolic_or_sampled_zero(diffs, spec)
-    records.append(CheckRecord(
-        check="coframe_duality", status=PASS if dev <= 1e-12 else FAIL,
-        max_residual=dev, samples_used=used, seed=seed, skipped_samples=skipped,
-    ))
+    return CheckRecord(check=check, status=PASS if dev <= 1e-12 else FAIL,
+                       max_residual=dev, samples_used=used, seed=seed,
+                       skipped_samples=skipped)
 
-    # z(0, y) = y exactly
-    x_zero = {v: ZERO for v in model.x_vars}
-    idn = all(
-        ex.subst(z, x_zero) == simplify(Var(f"y{i + 1}"))
-        for i, z in enumerate(model.mult_law)
-    )
-    records.append(CheckRecord(
-        check="identity_law", status=PASS if idn else FAIL,
-        max_residual=0.0 if idn else 1.0,
-    ))
 
-    # associativity z(z(x,y), w) = z(x, z(y,w)) and the two-sided inverse law
-    y_names = [f"y{i + 1}" for i in range(n)]
-    w_names = [f"w{i + 1}" for i in range(n)]
-    lhs = [
-        ex.subst(z, {**{model.x_vars[k]: model.mult_law[k] for k in range(n)},
-                     **{y_names[k]: Var(w_names[k]) for k in range(n)}})
-        for z in model.mult_law
+def _structural_records(model, seed):
+    n = model.dim
+    x = [Var(v) for v in model.x_vars]
+    y, w = ([Var(f"{c}{k}") for k in range(1, n + 1)] for c in "yw")
+    spec = model.x_sample_spec(seed=seed)
+    # coframe duality <omega^i, xi_j> = delta^i_j
+    duality = [ex.Sum(tuple(ex.Product((form, model.xi[j].coeff(
+                   tuple(int(t == k) for t in range(n))))) for k, form in enumerate(row)))
+               - (ex.ONE if i == j else ZERO)
+               for i, row in enumerate(model.dual_forms) for j in range(n)]
+    idn = _law_at(model, [ZERO] * n, y) == y  # z(0, y) = y exactly
+    # z(z(x, y), w) = z(x, z(y, w)), sampled on its own box; z(x, x^-1) = z(x^-1, x) = 0
+    box = SampleSpec(ranges={v.name: (-1.2, 1.2) for v in x + y + w}, n=50, seed=seed)
+    assoc = zip(_law_at(model, _law_at(model, x, y), w), _law_at(model, x, _law_at(model, y, w)))
+    inverse = model.inverse_law
+    return [
+        _jacobi_record(model.algebra),
+        _zero_record("coframe_duality", duality, spec, seed),
+        CheckRecord(check="identity_law", status=PASS if idn else FAIL,
+                    max_residual=0.0 if idn else 1.0),
+        _zero_record("associativity", [zl - zr for zl, zr in assoc], box, seed),
+        _zero_record("inverse_law", _law_at(model, x, inverse) + _law_at(model, inverse, x),
+                     spec, seed),
     ]
-    rhs = [
-        ex.subst(z, {y_names[k]: ex.subst(model.mult_law[k],
-                                          {**{model.x_vars[t]: Var(y_names[t]) for t in range(n)},
-                                           **{y_names[t]: Var(w_names[t]) for t in range(n)}})
-                     for k in range(n)})
-        for z in model.mult_law
-    ]
-    assoc_spec = SampleSpec(
-        ranges={**{v: (-1.2, 1.2) for v in model.x_vars},
-                **{v: (-1.2, 1.2) for v in y_names},
-                **{v: (-1.2, 1.2) for v in w_names}},
-        n=50, seed=seed,
-    )
-    dev, used, skipped = _symbolic_or_sampled_zero(
-        [l - r for l, r in zip(lhs, rhs)], assoc_spec)
-    records.append(CheckRecord(
-        check="associativity", status=PASS if dev <= 1e-12 else FAIL,
-        max_residual=dev, samples_used=used, seed=seed, skipped_samples=skipped,
-    ))
-
-    inv_sub = {y_names[k]: model.inverse_law[k] for k in range(n)}
-    left_inv = [ex.subst(z, inv_sub) for z in model.mult_law]
-    swap = {**{model.x_vars[k]: model.inverse_law[k] for k in range(n)},
-            **{y_names[k]: Var(model.x_vars[k]) for k in range(n)}}
-    right_inv = [ex.subst(z, swap) for z in model.mult_law]
-    dev, used, skipped = _symbolic_or_sampled_zero(
-        left_inv + right_inv, spec)
-    records.append(CheckRecord(
-        check="inverse_law", status=PASS if dev <= 1e-12 else FAIL,
-        max_residual=dev, samples_used=used, seed=seed, skipped_samples=skipped,
-    ))
-    return records
 
 
 def invariant_frame_check(model, seed=DEFAULT_SEED):
@@ -1379,8 +1343,10 @@ def kernel_orthogonality_smoke(model, test_pairs, spec: SmokeSpec | None = None)
     quadratic form (`_gaussian_integral`): the Heisenberg s, s', x2 and x1,
     so its refinement change is 0.0 and `spec` is not read, and the 4d q1,
     x3 and x4 per s node.  A pivot there that is not finite with Re > 0 (a
-    Heisenberg J or Jt whose square under- or overflows), or a value or
-    scale past the doubles (widths near the ends of their range), raises
+    Heisenberg J or Jt whose square under- or overflows), a value or scale
+    past the doubles (widths near the ends of their range), or a width
+    below 1e-10 max(1, |centre|) over both Gaussians' centres, where the
+    centres' rounding is a sizeable part of a width, raises
     SmokeQuadratureError naming the pair.  The result is compared
     against the sharp-limit prediction: (2 pi)^2/|J| <a,b> for the
     Heisenberg model (per unit window mass), 2 pi^2 <a,b> with the Lambda
@@ -1406,7 +1372,11 @@ def kernel_orthogonality_smoke(model, test_pairs, spec: SmokeSpec | None = None)
                     f"{g}: the {model.name} smoke test needs {n_centers} centres, "
                     "one per chart coordinate of (q, q')")
         j_lab, jt_lab = (model.lrep.check_j(float(j)) for j in (j_val, jt_val))
+        floor = 1e-10 * max(1.0, *(abs(c) for g in (a, b) for c in g.centers))
         try:
+            if min(a.width, b.width) < floor:
+                raise SmokeQuadratureError(f"the width {min(a.width, b.width)!r} is below "
+                                           f"{floor!r}, 1e-10 max(1, |centre|)")
             dev, conv, measured, predicted, scale = model.smoke_scheme(
                 a, b, j_lab, jt_lab, spec)
         except SmokeQuadratureError as err:

@@ -52,8 +52,8 @@ _J_SAMPLE_RANGE = (0.25, 2.0)  # |J| range used when sampling the real line
 class LambdaRep:
     """First-order operator representation on functions over the orbit chart.
 
-    ops[i] realizes basis element i+1; indices in mult_only act by
-    multiplication (order 0).  sample_ranges feeds numeric comparisons and
+    ops[i] realizes basis element i+1, and the indices whose operator has
+    order 0 act by multiplication.  sample_ranges feeds numeric comparisons and
     must cover the q variables and every coefficient parameter except J,
     which is drawn from the orbit labels j_values, or from the punctured
     real line when j_values is empty.
@@ -62,7 +62,6 @@ class LambdaRep:
     q_vars: tuple
     ops: tuple
     j_values: tuple
-    mult_only: tuple
     sample_ranges: dict
 
     @property
@@ -174,17 +173,16 @@ def verify_lambda_rep(model, seed=DEFAULT_SEED, strict=False):
     ))
 
     ideal_idx = model.ideal.standard_indices()
-    mult_ok = ideal_idx is not None and set(ideal_idx) <= set(lrep.mult_only)
-    order_ok = all(lrep.ops[a - 1].is_multiplication() for a in lrep.mult_only)
+    mult_only = [a for a, op in enumerate(lrep.ops, 1) if op.is_multiplication()]
     records.append(CheckRecord(
         check="multiplication_indices_cover_ideal",
-        status=PASS if (mult_ok and order_ok) else FAIL,
-        detail={"ideal": ideal_idx, "mult_only": list(lrep.mult_only)},
+        status=PASS if ideal_idx is not None and set(ideal_idx) <= set(mult_only) else FAIL,
+        detail={"ideal": ideal_idx, "mult_only": mult_only},
     ))
 
     # skew-symmetry witness for multiplication operators: the order-0
     # coefficient i*chi must be purely imaginary at real points
-    chis = tuple(lrep.ops[a - 1].coeff((0,) * lrep.dim_q) for a in lrep.mult_only)
+    chis = tuple(lrep.ops[a - 1].coeff((0,) * lrep.dim_q) for a in mult_only)
     names = sorted(set().union(*map(ex.free_vars, chis)) | set(lrep.q_vars))
     chi_fn = ex.compile_expr(chis, names)
     rows, skipped = sampled(

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -48,7 +49,6 @@ class TestScipyOracle:
             assert airy(kind, x) == airy_all(x)[i]
 
     def test_left_cut_within_documented_error(self):
-        mpmath = pytest.importorskip("mpmath")
         mpmath.mp.dps = 30
         ai, aip, bi, bip = airy_all(LEFT_CUT)
         true_ai = float(mpmath.airyai(LEFT_CUT))

@@ -26,7 +26,7 @@ from nclb.models import (CasimirReport, ModelParameterError, SmearedGaussian,
                          load_model, mode_solution_h3, pde_residual,
                          _pair_inner_product, validate_model)
 from nclb.quadrature import gl_nodes
-from nclb.report import DEFAULT_SEED, InconclusiveError, replace
+from nclb.report import DEFAULT_SEED, FAIL, PASS, CheckRecord, InconclusiveError, replace
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -88,6 +88,65 @@ class TestLoadModel:
             [999 * x1, Power(x1, F(1, 2)) - x1], spec)
         assert (n_used, skipped) == (len(used), 5 - len(used)) == (3, 2)
         assert dev == max(max(999 * x, abs(math.sqrt(x) - x)) for x in used)
+
+
+def _law_records(**failing):
+    """The records `validate_model` returns at DEFAULT_SEED when each check
+    named in `failing` fails with that max_residual and every other one is
+    proved: identity_law exactly, the other three over 50 samples."""
+    records = [CheckRecord(check="jacobi", status=PASS, max_residual=0.0)]
+    for check in ("coframe_duality", "identity_law", "associativity", "inverse_law"):
+        dev = failing.get(check)
+        sampled = check != "identity_law"
+        records.append(CheckRecord(
+            check=check, status=PASS if dev is None else FAIL,
+            max_residual=0.0 if dev is None else dev,
+            samples_used=50 if sampled and dev is not None else 0,
+            seed=DEFAULT_SEED if sampled else None))
+    return records
+
+
+def _h3_law(extra):
+    """The Heisenberg law with `extra` added to its z3."""
+    def build(h3, _g47):
+        z1, z2, z3 = h3.mult_law
+        return replace(h3, mult_law=(z1, z2, z3 + extra))
+    return build
+
+
+def _h3_coframe_row3(h3, _g47):
+    """The Heisenberg coframe with omega^3_2 = +x1 where it is -x1."""
+    return replace(h3, dual_forms=h3.dual_forms[:2] + ((ex.ZERO, Var("x1"), ex.ONE),))
+
+
+def _g47_z4(_h3, g47):
+    """The g4,7 law with z4 = x4 + y4 + x1 y1."""
+    z4 = Var("x4") + Var("y4") + Var("x1") * Var("y1")
+    return replace(g47, mult_law=g47.mult_law[:3] + (z4,))
+
+
+class TestLawRecords:
+    """`validate_model`'s records of a faulty law or coframe, figures
+    included: a fault fails the record it breaks and every record its
+    figures reach; the models as built prove every record."""
+
+    @pytest.mark.parametrize("fault, failing", [
+        # z3 = x3 + y3 + 2 x1 y2 is associative, with the wrong inverse
+        (_h3_law(Var("x1") * Var("y2")),
+         {"inverse_law": 1.849802620732936}),
+        (_h3_law(Var("x1") ** 2 * Var("y2")),
+         {"associativity": 1.7050967867884406, "inverse_law": 2.6447662880226748}),
+        (_h3_law(Var("y1") * Var("y2")),
+         {"identity_law": 1.0, "associativity": 2.0100713866456204,
+          "inverse_law": 1.849802620732936}),
+        (_h3_coframe_row3, {"coframe_duality": 2.9896877892485447}),
+        (_g47_z4, {"associativity": 55.06679345952827, "inverse_law": 3.583339203161784}),
+        (lambda h3, _g47: h3, {}),
+        (lambda _h3, g47: g47, {}),
+    ], ids=["h3-z3-2x1y2", "h3-z3-x1sq-y2", "h3-z3-y1y2", "h3-coframe-32", "g47-z4-x1y1",
+            "h3-as-built", "g47-as-built"])
+    def test_law_records_figures_included(self, h3, g47, fault, failing):
+        assert validate_model(fault(h3, g47)) == _law_records(**failing)
 
 
 class TestFrameChecks:
@@ -929,6 +988,26 @@ class TestSmoke:
         assert all(r.passed for r in records)
         if name == "g4_7" and width == 0.01:
             assert records[0].max_residual <= 1e-9
+
+    @pytest.mark.parametrize("width", [1e-6, 1e-9, 1e-12, 1e-15, 1e-17, 1e-20, 1e-60])
+    @pytest.mark.parametrize("name, centers", [
+        ("heisenberg", (1.2, 0.1)), ("g4_7", (1.2, 0.1, 1.0, 0.0))])
+    def test_a_narrow_pair_a_width_apart_passes_or_raises_naming_the_width(
+            self, name, centers, width, request):
+        # below 1e-10 of the largest centre the centres' rounding is a
+        # sizeable part of a width: at 1e-15 both smokes failed (0.036 on
+        # H3, 4.6e-3 on g4,7), and from 1e-20 the g4,7 smoke failed with 0.78
+        model = request.getfixturevalue({"g4_7": "g47", "heisenberg": "h3"}[name])
+        a = SmearedGaussian(centers=centers, width=width)
+        b = SmearedGaussian(centers=tuple(c + width for c in centers), width=width)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                (rec,) = kernel_orthogonality_smoke(model, [(a, b, 1, 1)])
+            except SmokeQuadratureError as err:
+                assert width < 1.2e-10 and f"the width {width!r} is below" in str(err)
+                return
+        assert rec.passed and rec.max_residual <= 1e-6
 
     @pytest.mark.parametrize("j_val", [1.0, -1.0])
     def test_a_pair_far_down_in_s_is_finite_and_meets_the_sharp_limit(self, j_val):

@@ -4,6 +4,7 @@ import random
 import re
 from fractions import Fraction as F
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -55,6 +56,15 @@ class TestVerifyLambdaRep:
         imag = next(r for r in records
                     if r.check == "multiplication_operators_imaginary")
         assert not imag.passed
+
+    def test_an_ideal_operator_with_a_derivative_fails_the_coverage(self, h3):
+        # index 3 spans the ideal with index 1; d/dq makes its operator first order
+        ops = h3.lrep.ops
+        bad_ops = ops[:2] + (ops[2] + DiffOp.partial(("q",), "q"),)
+        bad = replace(h3, lrep=replace(h3.lrep, ops=bad_ops))
+        cover = next(r for r in verify_lambda_rep(bad)
+                     if r.check == "multiplication_indices_cover_ideal")
+        assert cover.status == "fail"
 
 
 class TestLocalLift:
@@ -651,7 +661,6 @@ class TestRealPath:
         # A = [[1, 1], [eps, 1]] has eigenvalues 1 +- sqrt(eps) and
         # projections of norm about 1 / (2 sqrt(eps)); the bounds are the
         # errors of the eigenvector decomposition this flow replaced
-        mpmath = pytest.importorskip("mpmath")
         a, c, q0 = (1.0, 1.0, eps, 1.0), (0.3, -0.2), (0.7, 1.1)
         times = np.linspace(-2.0, 2.0, 9)
         qs = reduction._affine_flow(_spectrum(a, (q1, ex.ONE)), c, q0, times)
